@@ -385,7 +385,7 @@ shardedWallClockReport()
             agrees = agrees && resp.result == want;
             const double cs = static_cast<double>(n) / best;
             const auto snap = svc.metricsSnapshot();
-            const auto *qw = snap.histogram("sharded.queue_wait_beats");
+            const auto *qw = snap.logHistogram("sharded.queue_wait_beats");
             const double qw_mean = qw && qw->samples() ? qw->mean() : 0;
             table.addRowOf(ladder.label, threads,
                            Table::fixed(cs / 1e6, 2),

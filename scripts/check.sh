@@ -5,7 +5,8 @@
 # tests plus the quick conformance corpus under ThreadSanitizer, run a
 # time-boxed differential fuzz sweep and the mutation self-check with
 # the conformance_fuzz tool, drive a seeded chaos storm against the
-# sharded service, and smoke the benchmark binaries.
+# sharded service, smoke the benchmark binaries, and self-test the
+# serving benchmark (perfbench/).
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -198,6 +199,12 @@ build/tools/trace_view --prom tests/golden/telemetry_snapshot.json |
 build/tools/trace_view --demo-trace > build/demo_trace.json
 build/tools/trace_view --check build/demo_trace.json
 
+# The serving benchmark builds its own Release tree from src/; a src/
+# change that breaks its build or renames a metric it reports fails
+# here rather than in a benchmark run.
+echo "== perfbench: quick self-test =="
+python3 perfbench/quick_test.py
+
 echo "All checks passed (plain + asan-ubsan + tsan + chaos storm +"
 echo "bench smoke + bench-regression gate + fault grading + telemetry +"
-echo "reqobs overhead gate)."
+echo "reqobs overhead gate + perfbench self-test)."

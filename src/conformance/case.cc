@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "telemetry/flightrec.hh"
 #include "util/rng.hh"
 #include "util/strings.hh"
 
@@ -32,24 +33,6 @@ hexU64(std::uint64_t v)
     std::snprintf(buf, sizeof(buf), "%llx",
                   static_cast<unsigned long long>(v));
     return buf;
-}
-
-/** Encode a symbol stream: hex values '.'-joined, '*' wild, '-' empty. */
-std::string
-encodeStream(const std::vector<Symbol> &syms)
-{
-    if (syms.empty())
-        return "-";
-    std::string out;
-    for (std::size_t i = 0; i < syms.size(); ++i) {
-        if (i != 0)
-            out += '.';
-        if (syms[i] == wildcardSymbol)
-            out += '*';
-        else
-            out += hexU64(syms[i]);
-    }
-    return out;
 }
 
 std::optional<std::vector<Symbol>>
@@ -209,8 +192,7 @@ encodeSpec(const CaseSpec &spec)
 std::string
 encodeLiteral(const Case &c)
 {
-    return "l1:" + std::to_string(c.bits) + ":" +
-           encodeStream(c.pattern) + ":" + encodeStream(c.text);
+    return telem::literalCaseId(c.bits, c.pattern, c.text);
 }
 
 std::optional<CaseSpec>

@@ -216,8 +216,7 @@ LevelizedNetlist::settle(Picoseconds now)
     touched.clear();
 
     SPM_TCOUNT_GLOBAL("gate.device_evals", net.evals - evals_before);
-    SPM_THIST_GLOBAL("gate.settle_rounds", 0.0, 16.0, 16,
-                     static_cast<double>(rounds + 1));
+    SPM_THIST_GLOBAL("gate.settle_rounds", static_cast<double>(rounds + 1));
 }
 
 } // namespace spm::gate

@@ -209,8 +209,7 @@ Netlist::settle(Picoseconds now)
                       " evaluations; oscillating feedback?)");
     }
     SPM_TCOUNT_GLOBAL("gate.device_evals", steps);
-    SPM_THIST_GLOBAL("gate.settle_evals", 0.0, 256.0, 16,
-                     static_cast<double>(steps));
+    SPM_THIST_GLOBAL("gate.settle_evals", static_cast<double>(steps));
 }
 
 std::size_t

@@ -1,6 +1,5 @@
 #include "service/batch.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/reference.hh"
@@ -26,10 +25,7 @@ BatchMatchService::BatchMatchService(BatchServiceConfig config,
       rejectedCtr(metrics.counter("rejected")),
       crossChecksCtr(metrics.counter("crossChecks")),
       crossCheckFailuresCtr(metrics.counter("crossCheckFailures")),
-      batchWidthHist(metrics.histogram(
-          "batch_width", 0.0,
-          static_cast<double>(std::max<std::size_t>(cfg.maxBatchStreams, 1)),
-          16)),
+      batchWidthHist(metrics.logHistogram("batch_width")),
       reqObs(metrics, "batch", &exemplarStore)
 {
     spm_assert(cfg.maxBatchStreams > 0,

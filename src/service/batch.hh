@@ -160,7 +160,7 @@ class BatchMatchService
     telem::Counter &rejectedCtr;
     telem::Counter &crossChecksCtr;
     telem::Counter &crossCheckFailuresCtr;
-    telem::Histogram &batchWidthHist;
+    telem::LogHistogram &batchWidthHist;
     telem::ExemplarReservoir exemplarStore;
     telem::RequestObserver reqObs;
 };

@@ -186,9 +186,9 @@ class DictMatchService
     telem::Counter &rejectedCtr;
     telem::Counter &crossChecksCtr;
     telem::Counter &crossCheckFailuresCtr;
-    telem::Histogram &dictSizeHist;
-    telem::Histogram &hitsPerChunkHist;
-    telem::Histogram &planesPerSweepHist;
+    telem::LogHistogram &dictSizeHist;
+    telem::LogHistogram &hitsPerChunkHist;
+    telem::LogHistogram &planesPerSweepHist;
     telem::ExemplarReservoir exemplarStore;
     telem::RequestObserver reqObs;
 };

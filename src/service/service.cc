@@ -395,7 +395,7 @@ MatchService::MatchService(
       checkpointsCtr(metrics.counter("checkpoints")),
       resumesCtr(metrics.counter("resumes")),
       queueDepthGauge(metrics.gauge("queue_depth")),
-      chunkBeatsHist(metrics.histogram("chunk_beats", 0.0, 1024.0, 16)),
+      chunkBeatsHist(metrics.logHistogram("chunk_beats")),
       flight(cfg.flightCapacity),
       reqObs(metrics, "stream", &exemplarStore)
 {
@@ -436,7 +436,8 @@ validatePattern(const ServiceConfig &cfg, const std::vector<Symbol> &pattern,
             ErrorCode::OversizedRequest,
             label + " of " + std::to_string(pattern.size()) +
                 " exceeds limit " + std::to_string(cfg.maxPatternLen));
-    const Symbol sigma = static_cast<Symbol>(1u << cfg.alphabetBits);
+    // 32-bit: at 16 alphabet bits a Symbol-typed sigma would wrap to 0.
+    const std::uint32_t sigma = std::uint32_t{1} << cfg.alphabetBits;
     for (std::size_t i = 0; i < pattern.size(); ++i)
         if (pattern[i] != wildcardSymbol && pattern[i] >= sigma)
             return ServiceError::make(
@@ -456,9 +457,11 @@ validateText(const ServiceConfig &cfg, const std::vector<Symbol> &text,
             ErrorCode::OversizedRequest,
             label + " of " + std::to_string(already_seen + text.size()) +
                 " chars exceeds limit " + std::to_string(cfg.maxTextLen));
-    const Symbol sigma = static_cast<Symbol>(1u << cfg.alphabetBits);
+    const std::uint32_t sigma = std::uint32_t{1} << cfg.alphabetBits;
+    // The wild card is a pattern symbol; at 16 bits it is inside sigma.
+    const std::uint32_t limit = std::min<std::uint32_t>(sigma, wildcardSymbol);
     for (std::size_t i = 0; i < text.size(); ++i)
-        if (text[i] >= sigma)
+        if (text[i] >= limit)
             return ServiceError::make(
                 ErrorCode::AlphabetOverflow,
                 label + "[" + std::to_string(i) + "]=" +

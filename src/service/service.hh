@@ -247,7 +247,7 @@ class MatchService
     telem::Counter &checkpointsCtr;
     telem::Counter &resumesCtr;
     telem::Gauge &queueDepthGauge;
-    telem::Histogram &chunkBeatsHist;
+    telem::LogHistogram &chunkBeatsHist;
     telem::FlightRecorder flight;
     telem::ExemplarReservoir exemplarStore;
     telem::RequestObserver reqObs;

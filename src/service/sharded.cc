@@ -152,8 +152,7 @@ ShardedMatchService::ShardedMatchService(ShardedConfig config,
       probesCtr(supMetrics.counter("probes")),
       overlapChecksCtr(supMetrics.counter("overlap_checks")),
       overlapMismatchesCtr(supMetrics.counter("overlap_mismatches")),
-      queueWaitHist(
-          supMetrics.histogram("queue_wait_beats", 0.0, 65536.0, 16)),
+      queueWaitHist(supMetrics.logHistogram("queue_wait_beats")),
       flight(cfg.base.flightCapacity),
       reqObs(supMetrics, "sharded", &exemplarStore)
 {
@@ -831,8 +830,6 @@ ShardedMatchService::metricsSnapshot() const
     const telem::Snapshot sup = supMetrics.snapshot();
     for (const auto &[name, value] : sup.counters)
         snap.setCounter("sharded." + name, value);
-    for (const auto &[name, hist] : sup.histograms)
-        snap.setHistogram("sharded." + name, hist);
     for (const auto &[name, hist] : sup.logHistograms)
         snap.setLogHistogram("sharded." + name, hist);
     return snap;
@@ -851,9 +848,8 @@ ShardedMatchService::statsDump() const
     const telem::Snapshot sup = supMetrics.snapshot();
     for (const auto &[name, value] : sup.counters)
         s += "sharded." + name + " = " + std::to_string(value) + "\n";
-    for (const auto &[name, hist] : sup.histograms)
-        s += "sharded." + name + ".samples = " +
-             std::to_string(hist.samples()) + "\n";
+    s += "sharded.queue_wait_beats.samples = " +
+         std::to_string(queueWaitHist.samples()) + "\n";
     for (std::size_t i = 0; i < shards.size(); ++i) {
         s += "sharded.shard" + std::to_string(i) + ".served = " +
              std::to_string(

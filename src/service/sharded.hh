@@ -351,7 +351,7 @@ class ShardedMatchService
     telem::Counter &probesCtr;
     telem::Counter &overlapChecksCtr;
     telem::Counter &overlapMismatchesCtr;
-    telem::Histogram &queueWaitHist;
+    telem::LogHistogram &queueWaitHist;
     telem::FlightRecorder flight;
     telem::ExemplarReservoir exemplarStore;
     /**

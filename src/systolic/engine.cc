@@ -12,8 +12,7 @@ Engine::Engine(Picoseconds beat_period_ps)
       beatsCtr(registry.counter("beats")),
       evalsCtr(registry.counter("evaluations")),
       activeCtr(registry.counter("active_cell_beats")),
-      idleCtr(registry.counter("idle_cell_beats")),
-      activeFracHist(registry.histogram("active_frac", 0.0, 1.001, 16))
+      idleCtr(registry.counter("idle_cell_beats"))
 {
 }
 
@@ -81,10 +80,6 @@ Engine::step()
         ? 0.0
         : static_cast<double>(active) / static_cast<double>(cells.size());
     utilStat.sample(lastUtil);
-    // Stride-sampled: one histogram update per 16 beats keeps the
-    // per-beat telemetry cost to a branch without losing the shape.
-    if ((beat & 15) == 0)
-        SPM_THIST(activeFracHist, lastUtil);
 
     for (auto &hook : endHooks)
         hook(beat);

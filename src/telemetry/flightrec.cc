@@ -144,7 +144,7 @@ FlightRecorder::clear()
 namespace
 {
 
-/** Hex '.'-joined symbols, '*' wild, '-' empty; matches conformance. */
+/** Hex '.'-joined symbols, '*' wild, '-' empty. */
 std::string
 encodeStream(const std::vector<Symbol> &syms)
 {

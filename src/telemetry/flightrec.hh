@@ -129,10 +129,10 @@ class FlightRecorder
 };
 
 /**
- * The replayable conformance case ID for a literal pattern/text pair,
- * byte-identical to conformance::encodeLiteral. Re-implemented here
- * (the format is tiny and frozen) because the conformance library
- * layers above the service this module instruments.
+ * The replayable conformance case ID for a literal pattern/text pair
+ * ("l1:<bits>:<pattern>:<text>"). It lives here, below the services
+ * this module instruments; conformance::encodeLiteral delegates to it,
+ * so there is one encoder.
  */
 std::string literalCaseId(BitWidth bits,
                           const std::vector<Symbol> &pattern,

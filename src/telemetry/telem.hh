@@ -73,13 +73,12 @@
     } while (0)
 
 /** Sample into a named global-registry histogram (cached lookup). */
-#define SPM_THIST_GLOBAL(name, lo, hi, buckets, value)                \
+#define SPM_THIST_GLOBAL(name, value)                                 \
     do {                                                              \
         if (::spm::telem::samplingEnabled()) {                        \
-            static ::spm::telem::Histogram &SPM_TELEM_CONCAT(         \
+            static ::spm::telem::LogHistogram &SPM_TELEM_CONCAT(      \
                 spmTelemHist_, __LINE__) =                            \
-                ::spm::telem::Registry::global().histogram(           \
-                    name, lo, hi, buckets);                           \
+                ::spm::telem::Registry::global().logHistogram(name);  \
             SPM_TELEM_CONCAT(spmTelemHist_, __LINE__).sample(value);  \
         }                                                             \
     } while (0)
@@ -102,7 +101,7 @@ struct NullSpan
 #define SPM_TINSTANT(name, category, beat, arg) ((void)0)
 #define SPM_THIST(hist, value) ((void)0)
 #define SPM_TCOUNT_GLOBAL(name, by) ((void)0)
-#define SPM_THIST_GLOBAL(name, lo, hi, buckets, value) ((void)0)
+#define SPM_THIST_GLOBAL(name, value) ((void)0)
 
 #endif // SPM_TELEM_OFF
 

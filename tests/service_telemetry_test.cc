@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <memory>
 #include <string>
@@ -223,13 +224,49 @@ TEST(ServiceTelemetry, ChunkCommitsLandInRecorderAndHistogram)
     // (sampling is optional instrumentation: compiled out under
     // SPM_TELEM_OFF).
     const telem::Snapshot snap = svc.metricsSnapshot();
-    const telem::Snapshot::HistogramData *h = snap.histogram("chunk_beats");
+    const telem::Snapshot::LogHistogramData *h =
+        snap.logHistogram("chunk_beats");
     ASSERT_NE(h, nullptr);
 #ifndef SPM_TELEM_OFF
     EXPECT_EQ(h->samples(), resp.chunks);
     EXPECT_GT(h->mean(), 0.0);
 #else
     EXPECT_EQ(h->samples(), 0u);
+#endif
+
+    // A gate-ladder request whose 512-char chunks each cost at least
+    // 1024 beats: the histogram has no upper edge to clip them at, and
+    // its p99 lands within the 12.5% bucket bound of the beats charged.
+    ServiceConfig wide = smallConfig();
+    wide.chunkChars = 512;
+    MatchService gate(wide);
+    telem::setSamplingEnabled(true);
+    const MatchResponse big = gate.serve(seededRequest(32, 43, 4 * 512, 3));
+    telem::setSamplingEnabled(false);
+    ASSERT_TRUE(big.ok());
+    ASSERT_EQ(big.degradations, 0u);
+    ASSERT_EQ(big.backend, gate.ladderNames().front());
+    ASSERT_EQ(big.chunks, 4u);
+    Beat charged = 0;
+    Beat most = 0;
+    for (const telem::FlightEvent &ev : gate.flightRecorder().events()) {
+        if (ev.kind != telem::FlightKind::ChunkCommit)
+            continue;
+        EXPECT_GE(ev.beat - charged, 1024u);
+        most = std::max(most, ev.beat - charged);
+        charged = ev.beat;
+    }
+    EXPECT_EQ(charged, big.beats);
+    const telem::Snapshot wideSnap = gate.metricsSnapshot();
+    const telem::Snapshot::LogHistogramData *wh =
+        wideSnap.logHistogram("chunk_beats");
+    ASSERT_NE(wh, nullptr);
+#ifndef SPM_TELEM_OFF
+    EXPECT_EQ(wh->samples(), big.chunks);
+    EXPECT_NEAR(wh->quantile(0.99), static_cast<double>(most),
+                static_cast<double>(most) / 8.0);
+#else
+    EXPECT_EQ(wh->samples(), 0u);
 #endif
 }
 

@@ -81,6 +81,20 @@ TEST(ValidateHelpers, TextRules)
     EXPECT_EQ(oversize->code, ErrorCode::OversizedRequest);
 }
 
+TEST(ValidateHelpers, SixteenBitAlphabetAdmitsEverySymbol)
+{
+    // 2^16 does not fit a Symbol; sigma must not wrap to 0 and reject
+    // every non-wildcard symbol.
+    ServiceConfig cfg = smallConfig();
+    cfg.alphabetBits = 16;
+    EXPECT_FALSE(validatePattern(cfg, {Symbol(0x1234)}));
+    EXPECT_FALSE(validateText(cfg, {Symbol(0x0000), Symbol(0xFFFE)}));
+    // The wild card stays out of text even though it is below 2^16.
+    auto wild = validateText(cfg, {wildcardSymbol});
+    ASSERT_TRUE(wild.has_value());
+    EXPECT_EQ(wild->code, ErrorCode::AlphabetOverflow);
+}
+
 TEST(ValidateHelpers, RequestComposesBothPrimitives)
 {
     const ServiceConfig cfg = smallConfig();

@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for the metrics registry: bucket boundary placement,
- * striped aggregation under concurrent writers, snapshot merge
- * semantics (the sharded service's aggregation path), and the four
- * render formats round-tripping through trace_view's JSON reader.
+ * Unit tests for the metrics registry: striped aggregation under
+ * concurrent writers, snapshot merge semantics (the sharded service's
+ * aggregation path), the invalid cell, and the four render formats
+ * round-tripping through trace_view's JSON reader. LogHistogram
+ * bucketing and quantiles are covered in telemetry_reqobs_test.
  */
 
 #include <gtest/gtest.h>
@@ -79,61 +80,18 @@ TEST(Gauge, LastWriteWins)
     EXPECT_EQ(g.value(), 3.5);
 }
 
-TEST(Histogram, BucketBoundariesAreHalfOpen)
+TEST(LogHistogram, SumAndMeanTrackSamples)
 {
     Registry reg;
-    // [0, 10) in 5 buckets of width 2: [0,2) [2,4) [4,6) [6,8) [8,10)
-    Histogram &h = reg.histogram("lat", 0.0, 10.0, 5);
-    h.sample(0.0);  // exactly lo -> bucket 0
-    h.sample(1.99); // bucket 0
-    h.sample(2.0);  // exact boundary -> bucket 1, not 0
-    h.sample(8.0);  // bucket 4
-    h.sample(9.99); // bucket 4
-    h.sample(10.0); // exactly hi -> overflow, not bucket 4
-    h.sample(-0.1); // below lo -> underflow
-    h.sample(1e9);  // far above -> overflow
-
-    EXPECT_EQ(h.bucketValue(0), 2u);
-    EXPECT_EQ(h.bucketValue(1), 1u);
-    EXPECT_EQ(h.bucketValue(2), 0u);
-    EXPECT_EQ(h.bucketValue(3), 0u);
-    EXPECT_EQ(h.bucketValue(4), 2u);
-    EXPECT_EQ(h.underflows(), 1u);
-    EXPECT_EQ(h.overflows(), 2u);
-    EXPECT_EQ(h.samples(), 8u);
-}
-
-TEST(Histogram, SumAndMeanTrackSamples)
-{
-    Registry reg;
-    Histogram &h = reg.histogram("v", 0.0, 100.0, 4);
+    LogHistogram &h = reg.logHistogram("v");
     h.sample(10.0);
     h.sample(20.0);
     h.sample(30.0);
-    EXPECT_NEAR(h.sum(), 60.0, 1e-6);
+    EXPECT_EQ(h.sum(), 60.0);
     const Snapshot snap = reg.snapshot();
-    const Snapshot::HistogramData *d = snap.histogram("v");
+    const Snapshot::LogHistogramData *d = snap.logHistogram("v");
     ASSERT_NE(d, nullptr);
-    EXPECT_NEAR(d->mean(), 20.0, 1e-6);
-}
-
-TEST(Histogram, NegativeValuesSumCorrectly)
-{
-    Registry reg;
-    Histogram &h = reg.histogram("signed", -10.0, 10.0, 4);
-    h.sample(-5.0);
-    h.sample(2.0);
-    EXPECT_NEAR(h.sum(), -3.0, 1e-6);
-}
-
-TEST(Histogram, ShapeMismatchPanics)
-{
-    Registry reg;
-    reg.histogram("h", 0.0, 10.0, 5);
-    EXPECT_THROW(reg.histogram("h", 0.0, 10.0, 8), std::logic_error);
-    EXPECT_THROW(reg.histogram("h", 0.0, 20.0, 5), std::logic_error);
-    // Same shape is the same histogram.
-    EXPECT_NO_THROW(reg.histogram("h", 0.0, 10.0, 5));
+    EXPECT_EQ(d->mean(), 20.0);
 }
 
 TEST(Snapshot, MergeAddsCountersAndHistogramCells)
@@ -143,9 +101,9 @@ TEST(Snapshot, MergeAddsCountersAndHistogramCells)
     a.counter("served").add(3);
     b.counter("served").add(4);
     b.counter("only_b").add(1);
-    a.histogram("lat", 0.0, 8.0, 4).sample(1.0);
-    b.histogram("lat", 0.0, 8.0, 4).sample(1.5);
-    b.histogram("lat", 0.0, 8.0, 4).sample(7.0);
+    a.logHistogram("lat").sample(1.0);
+    b.logHistogram("lat").sample(1.0);
+    b.logHistogram("lat").sample(700.0);
     a.gauge("depth").set(2.0);
     b.gauge("depth").set(3.0);
     b.gauge("threads").set(4.0);
@@ -155,26 +113,18 @@ TEST(Snapshot, MergeAddsCountersAndHistogramCells)
 
     EXPECT_EQ(s.counterValue("served"), 7u);
     EXPECT_EQ(s.counterValue("only_b"), 1u);
-    const Snapshot::HistogramData *d = s.histogram("lat");
+    const Snapshot::LogHistogramData *d = s.logHistogram("lat");
     ASSERT_NE(d, nullptr);
-    EXPECT_EQ(d->buckets[0], 2u); // 1.0 and 1.5 both in [0,2)
-    EXPECT_EQ(d->buckets[3], 1u);
+    // a's trimmed bucket vector is shorter than b's; merge widens it.
+    ASSERT_EQ(d->buckets.size(), LogHistogram::bucketIndex(700) + 1);
+    EXPECT_EQ(d->buckets[LogHistogram::bucketIndex(1)], 2u);
+    EXPECT_EQ(d->buckets[LogHistogram::bucketIndex(700)], 1u);
     EXPECT_EQ(d->samples(), 3u);
-    EXPECT_NEAR(d->sum, 9.5, 1e-6);
+    EXPECT_EQ(d->sum, 702.0);
     // Gauges sum when both sides have the entry (queue depths across
     // shards); absent entries are taken as-is.
     EXPECT_EQ(s.gaugeValue("depth"), 5.0);
     EXPECT_EQ(s.gaugeValue("threads"), 4.0);
-}
-
-TEST(Snapshot, MergeShapeMismatchPanics)
-{
-    Registry a;
-    Registry b;
-    a.histogram("h", 0.0, 8.0, 4).sample(1.0);
-    b.histogram("h", 0.0, 8.0, 8).sample(1.0);
-    Snapshot s = a.snapshot();
-    EXPECT_THROW(s.merge(b.snapshot()), std::logic_error);
 }
 
 TEST(Snapshot, RenderTextMatchesLegacyDumpFormat)
@@ -192,13 +142,15 @@ TEST(Snapshot, RenderPrometheusSanitizesNames)
     Registry reg;
     reg.counter("engine.beats").add(5);
     reg.gauge("queue depth").set(2);
-    reg.histogram("lat", 0.0, 4.0, 2).sample(1.0);
+    reg.logHistogram("req.lat").sample(1.0);
     const std::string prom = reg.snapshot().renderPrometheus();
     EXPECT_NE(prom.find("spm_engine_beats 5"), std::string::npos);
     EXPECT_NE(prom.find("spm_queue_depth 2"), std::string::npos);
-    // Cumulative le-buckets with a +Inf terminator.
-    EXPECT_NE(prom.find("le=\"+Inf\""), std::string::npos);
-    EXPECT_NE(prom.find("spm_lat_count 1"), std::string::npos);
+    // A summary: quantile lines, then _sum and _count.
+    EXPECT_NE(prom.find("# TYPE spm_req_lat summary"), std::string::npos);
+    EXPECT_NE(prom.find("spm_req_lat{quantile=\"0.99\"} 1"),
+              std::string::npos);
+    EXPECT_NE(prom.find("spm_req_lat_count 1"), std::string::npos);
 }
 
 TEST(Snapshot, JsonRoundTripIsLossless)
@@ -206,11 +158,11 @@ TEST(Snapshot, JsonRoundTripIsLossless)
     Registry reg(4);
     reg.counter("served").add(1234567);
     reg.gauge("depth").set(3.25);
-    Histogram &h = reg.histogram("lat", 0.0, 64.0, 8);
-    h.sample(-1.0);
-    h.sample(0.5);
-    h.sample(63.9);
-    h.sample(100.0);
+    LogHistogram &h = reg.logHistogram("lat");
+    h.sample(std::numeric_limits<double>::quiet_NaN());
+    h.sample(3.0);
+    h.sample(64.0);
+    h.sample(100000.0);
 
     const Snapshot before = reg.snapshot();
     const std::string json = before.toJson();
@@ -218,12 +170,11 @@ TEST(Snapshot, JsonRoundTripIsLossless)
     ASSERT_TRUE(after.has_value());
     EXPECT_EQ(after->counterValue("served"), 1234567u);
     EXPECT_EQ(after->gaugeValue("depth"), 3.25);
-    const Snapshot::HistogramData *d = after->histogram("lat");
+    const Snapshot::LogHistogramData *d = after->logHistogram("lat");
     ASSERT_NE(d, nullptr);
-    EXPECT_EQ(d->buckets, before.histogram("lat")->buckets);
-    EXPECT_EQ(d->under, 1u);
-    EXPECT_EQ(d->over, 1u);
-    EXPECT_NEAR(d->sum, before.histogram("lat")->sum, 1e-6);
+    EXPECT_EQ(d->buckets, before.logHistogram("lat")->buckets);
+    EXPECT_EQ(d->invalid, 1u);
+    EXPECT_EQ(d->sum, 100067.0);
     // And the round trip is a fixed point.
     EXPECT_EQ(after->toJson(), json);
 }
@@ -241,11 +192,14 @@ TEST(Registry, ResetZeroesEverything)
     Registry reg;
     reg.counter("c").add(5);
     reg.gauge("g").set(5);
-    reg.histogram("h", 0.0, 4.0, 2).sample(1.0);
+    reg.logHistogram("h").sample(1.0);
+    reg.logHistogram("h").sample(std::numeric_limits<double>::quiet_NaN());
     reg.reset();
     EXPECT_EQ(reg.counter("c").value(), 0u);
     EXPECT_EQ(reg.gauge("g").value(), 0.0);
-    EXPECT_EQ(reg.histogram("h", 0.0, 4.0, 2).samples(), 0u);
+    EXPECT_EQ(reg.logHistogram("h").samples(), 0u);
+    EXPECT_EQ(reg.logHistogram("h").invalids(), 0u);
+    EXPECT_EQ(reg.logHistogram("h").sum(), 0.0);
 }
 
 TEST(Registry, GlobalIsUsableAndStable)
@@ -257,10 +211,10 @@ TEST(Registry, GlobalIsUsableAndStable)
               before + 2);
 }
 
-TEST(Histogram, NanSamplesLandInTheInvalidCell)
+TEST(LogHistogram, NanSamplesLandInTheInvalidCell)
 {
     Registry reg;
-    Histogram &h = reg.histogram("lat", 0.0, 10.0, 5);
+    LogHistogram &h = reg.logHistogram("lat");
     h.sample(std::numeric_limits<double>::quiet_NaN());
     h.sample(std::numeric_limits<double>::quiet_NaN());
     h.sample(1.0);
@@ -268,65 +222,38 @@ TEST(Histogram, NanSamplesLandInTheInvalidCell)
     // count and the sum (NaN would otherwise poison both).
     EXPECT_EQ(h.invalids(), 2u);
     EXPECT_EQ(h.samples(), 1u);
-    EXPECT_NEAR(h.sum(), 1.0, 1e-6);
-    h.reset();
-    EXPECT_EQ(h.invalids(), 0u);
+    EXPECT_EQ(h.sum(), 1.0);
 }
 
-TEST(Histogram, EdgeCountersSurviveEveryRender)
+TEST(LogHistogram, InvalidCountSurvivesEveryRender)
 {
     Registry reg;
-    Histogram &h = reg.histogram("lat", 0.0, 10.0, 5);
-    h.sample(10.0);  // exactly hi -> overflow (half-open [lo, hi))
-    h.sample(-1.0);  // underflow
-    h.sample(std::numeric_limits<double>::quiet_NaN());
+    reg.logHistogram("lat").sample(std::numeric_limits<double>::quiet_NaN());
     const Snapshot snap = reg.snapshot();
-    const Snapshot::HistogramData *d = snap.histogram("lat");
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(d->under, 1u);
-    EXPECT_EQ(d->over, 1u);
-    EXPECT_EQ(d->invalid, 1u);
-
-    const std::string text = snap.renderText();
-    EXPECT_NE(text.find("invalid:1"), std::string::npos);
-    const std::string table = snap.renderTable();
-    EXPECT_NE(table.find("invalid=1"), std::string::npos);
-    const std::string prom = snap.renderPrometheus();
-    EXPECT_NE(prom.find("spm_lat_edge{kind=\"under\"} 1"),
-              std::string::npos);
-    EXPECT_NE(prom.find("spm_lat_edge{kind=\"over\"} 1"),
-              std::string::npos);
-    EXPECT_NE(prom.find("spm_lat_edge{kind=\"invalid\"} 1"),
+    EXPECT_NE(snap.renderText().find("invalid:1"), std::string::npos);
+    EXPECT_NE(snap.renderTable().find("invalid=1"), std::string::npos);
+    EXPECT_NE(snap.renderPrometheus().find(
+                  "spm_lat_edge{kind=\"invalid\"} 1"),
               std::string::npos);
 }
 
-TEST(Histogram, InvalidCountRoundTripsThroughJson)
+TEST(Snapshot, FromJsonIgnoresLegacyFields)
 {
-    Registry reg;
-    Histogram &h = reg.histogram("lat", 0.0, 10.0, 5);
-    h.sample(std::numeric_limits<double>::quiet_NaN());
-    h.sample(3.0);
-    const Snapshot before = reg.snapshot();
-    const std::optional<Snapshot> after =
-        Snapshot::fromJson(before.toJson());
-    ASSERT_TRUE(after.has_value());
-    ASSERT_NE(after->histogram("lat"), nullptr);
-    EXPECT_EQ(after->histogram("lat")->invalid, 1u);
-    EXPECT_EQ(after->toJson(), before.toJson());
-}
-
-TEST(Snapshot, FromJsonAcceptsHistogramsWithoutInvalidField)
-{
-    // Snapshots dumped before the invalid cell existed must still
-    // parse (the committed goldens are in that format).
+    // Dumps written before the fixed-bucket histogram was retired carry
+    // a "histograms" object and a per-histogram "subbits" field; both
+    // are skipped, and everything else still parses.
     const std::string legacy =
-        "{\"counters\":{},\"gauges\":{},\"histograms\":{"
-        "\"lat\":{\"lo\":0,\"hi\":4,\"buckets\":[1,0],"
-        "\"under\":0,\"over\":0,\"sum\":1}}}";
+        "{\"counters\":{\"served\":2},\"gauges\":{},\"histograms\":{"
+        "\"old\":{\"lo\":0,\"hi\":4,\"buckets\":[1,0],"
+        "\"under\":0,\"over\":0,\"sum\":1}},"
+        "\"loghistograms\":{\"lat\":{\"subbits\":3,\"buckets\":[0,2],"
+        "\"invalid\":0,\"sum\":2}}}";
     const std::optional<Snapshot> snap = Snapshot::fromJson(legacy);
     ASSERT_TRUE(snap.has_value());
-    ASSERT_NE(snap->histogram("lat"), nullptr);
-    EXPECT_EQ(snap->histogram("lat")->invalid, 0u);
+    EXPECT_EQ(snap->counterValue("served"), 2u);
+    ASSERT_NE(snap->logHistogram("lat"), nullptr);
+    EXPECT_EQ(snap->logHistogram("lat")->samples(), 2u);
+    EXPECT_EQ(snap->toJson().find("subbits"), std::string::npos);
 }
 
 TEST(Snapshot, RenderPrometheusEscapesHostileMetricNames)
@@ -353,8 +280,7 @@ TEST(Snapshot, ConcurrentSnapshotWhileWritingIsCoherent)
     // no tearing (TSan runs this test in CI).
     Registry reg(4);
     Counter &c = reg.counter("served");
-    Histogram &h = reg.histogram("lat", 0.0, 100.0, 10);
-    LogHistogram &lh = reg.logHistogram("lat_ns");
+    LogHistogram &h = reg.logHistogram("lat_ns");
     constexpr int kThreads = 4;
     constexpr int kPerThread = 20000;
     std::atomic<bool> go{false};
@@ -365,8 +291,7 @@ TEST(Snapshot, ConcurrentSnapshotWhileWritingIsCoherent)
                 std::this_thread::yield();
             for (int i = 0; i < kPerThread; ++i) {
                 c.add();
-                h.sample(static_cast<double>(i % 100));
-                lh.sample(static_cast<double>(i));
+                h.sample(static_cast<double>(i));
             }
         });
     go.store(true);
@@ -382,7 +307,7 @@ TEST(Snapshot, ConcurrentSnapshotWhileWritingIsCoherent)
     for (auto &t : ts)
         t.join();
     EXPECT_EQ(reg.counter("served").value(), total);
-    EXPECT_EQ(reg.histogram("lat", 0.0, 100.0, 10).samples(), total);
+    EXPECT_EQ(h.samples(), total);
     EXPECT_EQ(reg.snapshot().logHistogram("lat_ns")->samples(), total);
 }
 

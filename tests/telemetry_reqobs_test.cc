@@ -36,8 +36,8 @@ TEST(LogHistogram, LowRangeIsExact)
         h.sample(static_cast<double>(v));
     for (std::uint64_t v = 0; v < 16; ++v) {
         EXPECT_EQ(
-            LogHistogram::bucketFloor(LogHistogram::bucketIndex(v, 3), 3), v);
-        EXPECT_EQ(h.bucketValue(LogHistogram::bucketIndex(v, 3)), 1u);
+            LogHistogram::bucketFloor(LogHistogram::bucketIndex(v)), v);
+        EXPECT_EQ(h.bucketValue(LogHistogram::bucketIndex(v)), 1u);
     }
     EXPECT_EQ(h.samples(), 16u);
 }
@@ -52,9 +52,9 @@ TEST(LogHistogram, BucketFloorInvertsBucketIndex)
                                          4096, 65535, 1u << 20, 0};
     probes.push_back((std::uint64_t{1} << 62) + 12345);
     for (std::uint64_t u : probes) {
-        const std::size_t idx = LogHistogram::bucketIndex(u, 3);
-        EXPECT_LE(LogHistogram::bucketFloor(idx, 3), u);
-        EXPECT_GT(LogHistogram::bucketFloor(idx + 1, 3), u);
+        const std::size_t idx = LogHistogram::bucketIndex(u);
+        EXPECT_LE(LogHistogram::bucketFloor(idx), u);
+        EXPECT_GT(LogHistogram::bucketFloor(idx + 1), u);
     }
 }
 
@@ -67,9 +67,9 @@ TEST(LogHistogram, RelativeErrorIsBounded)
         // Shift by at least one: at msb 63 the *next* bucket's floor
         // exceeds 2^64 and the inversion check below has no meaning.
         const std::uint64_t u = rng() >> (1 + rng() % 50);
-        const std::size_t idx = LogHistogram::bucketIndex(u, 3);
-        const std::uint64_t lo = LogHistogram::bucketFloor(idx, 3);
-        const std::uint64_t hi = LogHistogram::bucketFloor(idx + 1, 3);
+        const std::size_t idx = LogHistogram::bucketIndex(u);
+        const std::uint64_t lo = LogHistogram::bucketFloor(idx);
+        const std::uint64_t hi = LogHistogram::bucketFloor(idx + 1);
         ASSERT_LE(lo, u);
         ASSERT_GT(hi, u);
         if (lo >= 16) {
@@ -129,14 +129,6 @@ TEST(LogHistogram, SnapshotQuantileMatchesLive)
     EXPECT_EQ(d->samples(), 1000u);
     for (double q : {0.5, 0.9, 0.99})
         EXPECT_DOUBLE_EQ(d->quantile(q), h.quantile(q));
-}
-
-TEST(LogHistogram, ResolutionMismatchPanics)
-{
-    Registry reg;
-    reg.logHistogram("lat", 3);
-    EXPECT_THROW(reg.logHistogram("lat", 4), std::logic_error);
-    EXPECT_NO_THROW(reg.logHistogram("lat", 3));
 }
 
 TEST(LogHistogram, JsonRoundTripIsLossless)

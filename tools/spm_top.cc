@@ -426,8 +426,6 @@ class LiveWorkload
             all.counters.emplace_back(prefix + name, v);
         for (const auto &[name, v] : part.gauges)
             all.gauges.emplace_back(prefix + name, v);
-        for (const auto &[name, h] : part.histograms)
-            all.histograms.emplace_back(prefix + name, h);
         for (const auto &[name, h] : part.logHistograms)
             all.logHistograms.emplace_back(prefix + name, h);
     }
