@@ -56,6 +56,17 @@ build/tools/conformance_fuzz --cases 1000000 --seconds 10
 echo "== conformance: mutation self-check =="
 build/tools/conformance_fuzz --mutants
 
+# The dictionary sweep runs on the SIMD kernel's tier-dispatched ops,
+# so the dict oracles are diffed at the best tier and again with the
+# dispatch capped to each lower tier.
+echo "== conformance: dict fuzz per SIMD tier =="
+build/tools/conformance_fuzz --cases 1000000 --seconds 5 --dict
+for isa in scalar sse2; do
+    echo "-- SPM_SIMD_ISA=${isa}"
+    SPM_SIMD_ISA="${isa}" build/tools/conformance_fuzz --cases 1000000 \
+        --seconds 5 --dict
+done
+
 # The SIMD kernel tiers under AddressSanitizer: a time-boxed
 # differential sweep focused on the simd-parallel oracles (best ISA
 # plus every forced-down tier), so out-of-bounds plane or mask

@@ -188,9 +188,9 @@ class MutCountSaturate : public core::Matcher
 };
 
 /**
- * Seeded bug: the multi-pattern plane walk's shifted-word helper
- * drops the inter-word carry -- the bits a shift by d must borrow
- * from the next-lower 64-bit word (`eq[w-ws-1] >> (64-bs)`) -- so a
+ * Seeded bug: the multi-pattern plane walk's shifted AND drops the
+ * inter-word carry -- the bits a shift by d must borrow from the
+ * next-lower 64-bit word (`src[j-1] >> (64-bs)` in andShifted) -- so a
  * match whose window straddles a word boundary loses the low-word
  * half of its evidence and goes false.
  */

@@ -132,25 +132,24 @@ eqSweepScalar(const std::uint64_t *plane, std::size_t stride,
 }
 
 void
-shiftAndScalarRange(std::uint64_t *r, const std::uint64_t *m, std::size_t ws,
-                    unsigned bs, std::size_t wBegin, std::size_t wEnd)
+andShiftedScalarRange(std::uint64_t *dst, const std::uint64_t *a,
+                      const std::uint64_t *src, unsigned bs,
+                      std::size_t jBegin, std::size_t jEnd)
 {
-    for (std::size_t w = wBegin; w < wEnd; ++w) {
-        std::uint64_t v = 0;
-        if (w >= ws) {
-            v = m[w - ws] << bs;
-            if (bs != 0 && w > ws)
-                v |= m[w - ws - 1] >> (bitsPerWord - bs);
-        }
-        r[w] &= v;
+    if (bs == 0) {
+        for (std::size_t j = jBegin; j < jEnd; ++j)
+            dst[j] = a[j] & src[j];
+        return;
     }
+    for (std::size_t j = jBegin; j < jEnd; ++j)
+        dst[j] = a[j] & ((src[j] << bs) | (src[j - 1] >> (bitsPerWord - bs)));
 }
 
 void
-shiftAndScalar(std::uint64_t *r, const std::uint64_t *m, std::size_t nw,
-               std::size_t ws, unsigned bs)
+andShiftedScalar(std::uint64_t *dst, const std::uint64_t *a,
+                 const std::uint64_t *src, std::size_t count, unsigned bs)
 {
-    shiftAndScalarRange(r, m, ws, bs, 0, nw);
+    andShiftedScalarRange(dst, a, src, bs, 0, count);
 }
 
 // ---------------------------------------------------------------------
@@ -227,36 +226,35 @@ eqSweepSse2(const std::uint64_t *plane, std::size_t stride, unsigned planes,
 }
 
 void
-shiftAndSse2(std::uint64_t *r, const std::uint64_t *m, std::size_t nw,
-             std::size_t ws, unsigned bs)
+andShiftedSse2(std::uint64_t *dst, const std::uint64_t *a,
+               const std::uint64_t *src, std::size_t count, unsigned bs)
 {
-    std::size_t w = std::min(nw, ws + 1);
-    shiftAndScalarRange(r, m, ws, bs, 0, w);
+    std::size_t j = 0;
     if (bs == 0) {
-        for (; w + 2 <= nw; w += 2) {
+        for (; j + 2 <= count; j += 2) {
             const __m128i v = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(m + w - ws));
-            const __m128i rv = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(r + w));
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(r + w),
-                             _mm_and_si128(rv, v));
+                reinterpret_cast<const __m128i *>(src + j));
+            const __m128i av = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(a + j));
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + j),
+                             _mm_and_si128(av, v));
         }
     } else {
-        for (; w + 2 <= nw; w += 2) {
+        for (; j + 2 <= count; j += 2) {
             const __m128i hi = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(m + w - ws));
+                reinterpret_cast<const __m128i *>(src + j));
             const __m128i lo = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(m + w - ws - 1));
+                reinterpret_cast<const __m128i *>(src + j - 1));
             const __m128i v = _mm_or_si128(
                 _mm_slli_epi64(hi, static_cast<int>(bs)),
                 _mm_srli_epi64(lo, static_cast<int>(bitsPerWord - bs)));
-            const __m128i rv = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(r + w));
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(r + w),
-                             _mm_and_si128(rv, v));
+            const __m128i av = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(a + j));
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + j),
+                             _mm_and_si128(av, v));
         }
     }
-    shiftAndScalarRange(r, m, ws, bs, w, nw);
+    andShiftedScalarRange(dst, a, src, bs, j, count);
 }
 
 // ---------------------------------------------------------------------
@@ -329,36 +327,35 @@ eqSweepAvx2(const std::uint64_t *plane, std::size_t stride, unsigned planes,
 }
 
 __attribute__((target("avx2"))) void
-shiftAndAvx2(std::uint64_t *r, const std::uint64_t *m, std::size_t nw,
-             std::size_t ws, unsigned bs)
+andShiftedAvx2(std::uint64_t *dst, const std::uint64_t *a,
+               const std::uint64_t *src, std::size_t count, unsigned bs)
 {
-    std::size_t w = std::min(nw, ws + 1);
-    shiftAndScalarRange(r, m, ws, bs, 0, w);
+    std::size_t j = 0;
     if (bs == 0) {
-        for (; w + 4 <= nw; w += 4) {
+        for (; j + 4 <= count; j += 4) {
             const __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(m + w - ws));
-            const __m256i rv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(r + w));
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(r + w),
-                                _mm256_and_si256(rv, v));
+                reinterpret_cast<const __m256i *>(src + j));
+            const __m256i av = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(a + j));
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + j),
+                                _mm256_and_si256(av, v));
         }
     } else {
-        for (; w + 4 <= nw; w += 4) {
+        for (; j + 4 <= count; j += 4) {
             const __m256i hi = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(m + w - ws));
+                reinterpret_cast<const __m256i *>(src + j));
             const __m256i lo = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(m + w - ws - 1));
+                reinterpret_cast<const __m256i *>(src + j - 1));
             const __m256i v = _mm256_or_si256(
                 _mm256_slli_epi64(hi, static_cast<int>(bs)),
                 _mm256_srli_epi64(lo, static_cast<int>(bitsPerWord - bs)));
-            const __m256i rv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(r + w));
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(r + w),
-                                _mm256_and_si256(rv, v));
+            const __m256i av = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(a + j));
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + j),
+                                _mm256_and_si256(av, v));
         }
     }
-    shiftAndScalarRange(r, m, ws, bs, w, nw);
+    andShiftedScalarRange(dst, a, src, bs, j, count);
 }
 
 #endif // SPM_SIMD_X86
@@ -367,23 +364,35 @@ shiftAndAvx2(std::uint64_t *r, const std::uint64_t *m, std::size_t nw,
 // Dispatch
 // ---------------------------------------------------------------------
 
+} // namespace
+
+namespace detail
+{
+
 struct KernelOps {
     void (*narrow)(const Symbol *, std::size_t, std::uint8_t *);
     void (*transposeBytes)(const std::uint8_t *, std::size_t, unsigned,
                            std::uint64_t *, std::size_t);
     void (*eqSweep)(const std::uint64_t *, std::size_t, unsigned, Symbol,
                     std::uint64_t *, std::size_t);
-    void (*shiftAnd)(std::uint64_t *, const std::uint64_t *, std::size_t,
-                     std::size_t, unsigned);
+    void (*andShifted)(std::uint64_t *, const std::uint64_t *,
+                       const std::uint64_t *, std::size_t, unsigned);
 };
 
+} // namespace detail
+
+namespace
+{
+
+using detail::KernelOps;
+
 constexpr KernelOps scalarOps = {narrowScalar, transposeBytesScalar,
-                                 eqSweepScalar, shiftAndScalar};
+                                 eqSweepScalar, andShiftedScalar};
 #if SPM_SIMD_X86
 constexpr KernelOps sse2Ops = {narrowSse2, transposeBytesSse2, eqSweepSse2,
-                               shiftAndSse2};
+                               andShiftedSse2};
 constexpr KernelOps avx2Ops = {narrowAvx2, transposeBytesAvx2, eqSweepAvx2,
-                               shiftAndAvx2};
+                               andShiftedAvx2};
 #endif
 
 const KernelOps &
@@ -463,6 +472,52 @@ bestSimdIsa()
     return best;
 }
 
+unsigned
+planeCount(const Symbol *text, std::size_t n, Symbol also_seen)
+{
+    return widthOf(static_cast<Symbol>(orReduceSymbols(text, n) | also_seen));
+}
+
+SimdOps::SimdOps(SimdIsa isa) : ops(&opsFor(isa)) {}
+
+void
+SimdOps::transpose(const Symbol *text, std::size_t n, unsigned planes,
+                   std::uint64_t *plane, std::size_t stride,
+                   std::vector<std::uint8_t> &bytes) const
+{
+    // Alphabets of at most 8 bits narrow to bytes first so the
+    // transpose runs compare + movemask, 16 or 32 characters per
+    // instruction; the pad up to the word boundary is zeroed.
+    const std::size_t nw = wordCount(n);
+    if (planes > 8) {
+        transposeWideScalar(text, n, nw, planes, plane, stride);
+        return;
+    }
+    if (bytes.size() < nw * bitsPerWord)
+        bytes.resize(nw * bitsPerWord);
+    ops->narrow(text, n, bytes.data());
+    std::fill(bytes.begin() + static_cast<std::ptrdiff_t>(n),
+              bytes.begin() + static_cast<std::ptrdiff_t>(nw * bitsPerWord),
+              std::uint8_t(0));
+    ops->transposeBytes(bytes.data(), nw, planes, plane, stride);
+}
+
+void
+SimdOps::eqMask(const std::uint64_t *plane, std::size_t stride,
+                unsigned planes, Symbol c, std::uint64_t *out,
+                std::size_t nw) const
+{
+    ops->eqSweep(plane, stride, planes, c, out, nw);
+}
+
+void
+SimdOps::andShifted(std::uint64_t *dst, const std::uint64_t *a,
+                    const std::uint64_t *src, std::size_t count,
+                    unsigned bs) const
+{
+    ops->andShifted(dst, a, src, count, bs);
+}
+
 SimdParallelMatcher::SimdParallelMatcher() : tier(bestSimdIsa()) {}
 
 SimdParallelMatcher::SimdParallelMatcher(SimdIsa forced)
@@ -497,34 +552,19 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
 
     // The planes must cover every bit that can distinguish a text
     // character from a pattern character.
-    Symbol seen = orReduceSymbols(text.data(), n);
+    Symbol patternBits = 0;
     for (Symbol c : pattern)
         if (c != wildcardSymbol)
-            seen = static_cast<Symbol>(seen | c);
-    const unsigned planes = widthOf(seen);
+            patternBits = static_cast<Symbol>(patternBits | c);
+    const unsigned planes = planeCount(text.data(), n, patternBits);
     planesBuilt = planes;
-    const KernelOps &ops = opsFor(tier);
+    const SimdOps ops(tier);
 
-    // Transpose into bit planes. Alphabets of at most 8 bits narrow
-    // to bytes first so the transpose runs compare + movemask, 16 or
-    // 32 characters per instruction; the pad up to the word boundary
-    // is zeroed and its result bits are masked off below.
+    // The pad past the text in the last word transposes as zeros; its
+    // result bits are masked off below.
     if (planeArena.size() < static_cast<std::size_t>(planes) * nw)
         planeArena.resize(static_cast<std::size_t>(planes) * nw);
-    if (planes <= 8) {
-        if (byteText.size() < nw * bitsPerWord)
-            byteText.resize(nw * bitsPerWord);
-        ops.narrow(text.data(), n, byteText.data());
-        std::fill(byteText.begin() + static_cast<std::ptrdiff_t>(n),
-                  byteText.begin() +
-                      static_cast<std::ptrdiff_t>(nw * bitsPerWord),
-                  std::uint8_t(0));
-        ops.transposeBytes(byteText.data(), nw, planes, planeArena.data(),
-                           nw);
-    } else {
-        transposeWideScalar(text.data(), n, nw, planes, planeArena.data(),
-                            nw);
-    }
+    ops.transpose(text.data(), n, planes, planeArena.data(), nw, byteText);
     wordOps += static_cast<std::uint64_t>(planes) * nw;
 
     if (k <= bitsPerWord) {
@@ -607,8 +647,8 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
         if (eqArena.size() < eqIndex.size() * nw)
             eqArena.resize(eqIndex.size() * nw);
         for (const auto &e : eqIndex) {
-            ops.eqSweep(planeArena.data(), nw, planes, e.first,
-                        eqArena.data() + e.second, nw);
+            ops.eqMask(planeArena.data(), nw, planes, e.first,
+                       eqArena.data() + e.second, nw);
             wordOps += static_cast<std::uint64_t>(planes) * nw;
         }
         for (std::size_t j = 0; j < k; ++j) {
@@ -621,9 +661,21 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
                     m = eqArena.data() + e.second;
                     break;
                 }
+            // Words below ws see only the empty history before the
+            // text, and word ws has no lower word to borrow from.
             const std::size_t s = (k - 1) - j;
-            ops.shiftAnd(result.data(), m, nw, s / bitsPerWord,
-                         static_cast<unsigned>(s % bitsPerWord));
+            const std::size_t ws = s / bitsPerWord;
+            const unsigned bs = static_cast<unsigned>(s % bitsPerWord);
+            std::fill(result.begin(),
+                      result.begin() +
+                          static_cast<std::ptrdiff_t>(std::min(ws, nw)),
+                      0);
+            if (ws < nw) {
+                result[ws] &= m[0] << bs;
+                ops.andShifted(result.data() + ws + 1,
+                               result.data() + ws + 1, m + 1,
+                               nw - ws - 1, bs);
+            }
             wordOps += nw;
         }
     }

@@ -34,6 +34,7 @@
 #ifndef SPM_CORE_SIMDPAR_HH
 #define SPM_CORE_SIMDPAR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -61,6 +62,60 @@ SimdIsa bestSimdIsa();
 
 /** Whether @p isa is executable on this CPU. */
 bool simdIsaSupported(SimdIsa isa);
+
+/**
+ * Bit planes needed to tell apart every symbol of text[0, n) and every
+ * bit set in @p also_seen (the pattern side's literal symbols): the
+ * width of their OR, at least 1.
+ */
+unsigned planeCount(const Symbol *text, std::size_t n, Symbol also_seen);
+
+namespace detail
+{
+struct KernelOps;
+} // namespace detail
+
+/**
+ * The tier-dispatched word operations the bit-sliced kernels are built
+ * from. SimdParallelMatcher runs on them and so does the fused
+ * dictionary sweep (multipattern/planes.hh), so the tier the
+ * SPM_SIMD_ISA cap selects runs the same vector code on both paths.
+ * Every tier is bit-identical; packed words hold 64 text positions,
+ * word w bit i being position 64 w + i.
+ */
+class SimdOps
+{
+  public:
+    explicit SimdOps(SimdIsa isa);
+
+    /**
+     * Transpose text[0, n) into @p planes bit planes: plane b, word w
+     * lands at plane[b * stride + w]. Positions from n up to the next
+     * word boundary transpose as symbol 0. Alphabets of at most 8 bits
+     * are narrowed into @p bytes first (grown as needed).
+     */
+    void transpose(const Symbol *text, std::size_t n, unsigned planes,
+                   std::uint64_t *plane, std::size_t stride,
+                   std::vector<std::uint8_t> &bytes) const;
+
+    /** out[w] = positions of words [0, nw) where the planes spell @p c. */
+    void eqMask(const std::uint64_t *plane, std::size_t stride,
+                unsigned planes, Symbol c, std::uint64_t *out,
+                std::size_t nw) const;
+
+    /**
+     * dst[j] = a[j] & shiftUp(src, bs)[j] for j < count, where
+     * shiftUp(src, bs)[j] = src[j] << bs | src[j - 1] >> (64 - bs): the
+     * AND step of the shift-AND recurrence. Needs bs < 64; src[-1] is
+     * read only when bs != 0. dst may alias a.
+     */
+    void andShifted(std::uint64_t *dst, const std::uint64_t *a,
+                    const std::uint64_t *src, std::size_t count,
+                    unsigned bs) const;
+
+  private:
+    const detail::KernelOps *ops;
+};
 
 /**
  * SIMD evaluation of the Section 3.1 problem.

@@ -1,7 +1,6 @@
 #include "multipattern/dict.hh"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/reference.hh"
 
@@ -37,48 +36,6 @@ NaiveDictMatcher::matchAll(const std::vector<Symbol> &text,
     for (const auto &pattern : dict)
         hits.bits.push_back(ref.match(text, pattern));
     return hits;
-}
-
-DictHits
-feedDictChunk(DictMatcher &m, DictStreamState &state,
-              const std::vector<Symbol> &chunk, const DictPatterns &dict)
-{
-    const std::size_t kmax = longestPattern(dict);
-    const std::size_t keep = kmax == 0 ? 0 : kmax - 1;
-    if (state.tail.size() > keep)
-        throw std::invalid_argument(
-            "feedDictChunk: carry tail longer than dictionary allows");
-
-    // Replay the carried tail plus the chunk.  The tail holds
-    // min(kmax - 1, seen) characters: either every window ending in
-    // the chunk has its full history in the replay window, or the
-    // window IS the whole stream so far -- in both cases the
-    // window-local bit at skip + c equals the stream-global bit at
-    // state.seen + c, including the leading always-false positions.
-    std::vector<Symbol> window;
-    window.reserve(state.tail.size() + chunk.size());
-    window.insert(window.end(), state.tail.begin(), state.tail.end());
-    window.insert(window.end(), chunk.begin(), chunk.end());
-
-    const DictHits full = m.matchAll(window, dict);
-    const std::size_t skip = state.tail.size();
-
-    DictHits out;
-    out.bits.assign(dict.size(), std::vector<bool>(chunk.size(), false));
-    for (std::size_t p = 0; p < dict.size(); ++p)
-        for (std::size_t c = 0; c < chunk.size(); ++c)
-            out.bits[p][c] = full.bits[p][skip + c];
-
-    state.seen += chunk.size();
-    if (keep == 0) {
-        state.tail.clear();
-    } else if (window.size() <= keep) {
-        state.tail = std::move(window);
-    } else {
-        state.tail.assign(window.end() - static_cast<std::ptrdiff_t>(keep),
-                          window.end());
-    }
-    return out;
 }
 
 } // namespace spm::multipattern

@@ -1,7 +1,7 @@
 #pragma once
 /**
  * Multi-pattern dictionary matching: shared types, the naive
- * per-pattern reference, and the chunked-feeding carry protocol.
+ * per-pattern reference, and the chunked-feeding carry state.
  *
  * A dictionary is an ordered list of patterns; matching reports, for
  * every pattern p and text position i, whether the window ending at i
@@ -68,18 +68,12 @@ class NaiveDictMatcher final : public DictMatcher
  * straddling a chunk boundary can be replayed, and seen counts total
  * stream characters so positions with insufficient history stay
  * false.  Chunked results must be bit-identical to a one-shot
- * matchAll over the concatenated stream.
+ * matchAll over the concatenated stream.  The bit-sliced engine
+ * feeds it (feedDictChunk in planes.hh).
  */
 struct DictStreamState {
     std::vector<Symbol> tail;
     std::uint64_t seen = 0;
 };
-
-/** Feed one chunk through @p m with windowed replay.  Returns hit
- *  bits for exactly the chunk's positions (bits[p][c] = pattern p
- *  ends at stream position state.seen + c) and advances the carry. */
-DictHits feedDictChunk(DictMatcher &m, DictStreamState &state,
-                       const std::vector<Symbol> &chunk,
-                       const DictPatterns &dict);
 
 } // namespace spm::multipattern

@@ -112,12 +112,12 @@ DictMatchService::feedChunk(DictSession &session,
 
     res.hits = multipattern::feedDictChunk(engine, session.stream, chunk,
                                            session.dict);
+    res.totalHits = engine.lastHits();
     ++session.chunksFed;
     chunksCtr.add();
     chunkCharsCtr.add(chunk.size());
-    const std::uint64_t chunkHits = res.hits.totalHits();
-    hitsCtr.add(chunkHits);
-    SPM_THIST(hitsPerChunkHist, static_cast<double>(chunkHits));
+    hitsCtr.add(res.totalHits);
+    SPM_THIST(hitsPerChunkHist, static_cast<double>(res.totalHits));
     SPM_THIST(planesPerSweepHist,
               static_cast<double>(engine.lastPlanes()));
     clock.mark(telem::Stage::Kernel);
@@ -171,7 +171,7 @@ DictMatchService::matchDict(const std::vector<Symbol> &text,
     ChunkResult chunk = feedChunk(session, text);
     res.error = chunk.error;
     res.hits = std::move(chunk.hits);
-    res.totalHits = res.hits.totalHits();
+    res.totalHits = chunk.totalHits;
     return res;
 }
 

@@ -6,10 +6,15 @@
  * end serves the rule-set scenario the hardware co-design literature
  * scales the Foster-Kung data flow to: a whole dictionary checked
  * against every text chunk, with per-pattern hit reporting.  A
- * session binds a validated dictionary once (the bit-sliced engine
- * amortizes its suffix trie and character-class planes across every
- * chunk); chunks then stream through with whole-stream semantics,
- * bit-identical to one-shot matching of the concatenated text.
+ * session binds a validated dictionary once; the bit-sliced engine
+ * compiles its suffix trie on the session's first chunk and reuses it
+ * while the dictionary is unchanged, and each chunk costs one
+ * transpose, one equality mask per character class and one blocked
+ * trie walk on the SIMD kernel's ops.  Chunks stream through with
+ * whole-stream semantics, bit-identical to one-shot matching of the
+ * concatenated text: the engine writes each chunk's hit rows straight
+ * from its packed words, starting past the carried tail, and counts
+ * the hits as it writes them.
  *
  * Serving-layer contract, same as the siblings: typed validation
  * (DictError names the offending dictionary member), every admitted
@@ -109,6 +114,8 @@ class DictMatchService
         DictError error;
         /** Per-pattern hit bits for exactly the new chunk positions. */
         multipattern::DictHits hits;
+        /** Set bits in hits, counted by the engine as it wrote them. */
+        std::uint64_t totalHits = 0;
 
         bool ok() const { return error.ok(); }
     };

@@ -1,6 +1,5 @@
 #include "telemetry/flightrec.hh"
 
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -144,25 +143,33 @@ FlightRecorder::clear()
 namespace
 {
 
-/** Hex '.'-joined symbols, '*' wild, '-' empty. */
+/** Hex '.'-joined symbols, '*' wild, '-' empty.  Written straight
+ *  into the string's buffer: a retained exemplar encodes its whole
+ *  text, so this loop runs once per character. */
 std::string
 encodeStream(const std::vector<Symbol> &syms)
 {
     if (syms.empty())
         return "-";
-    std::string out;
-    char buf[20];
+    static constexpr char hexDigits[] = "0123456789abcdef";
+    // At most four hex digits and one separator per 16-bit symbol.
+    std::string out(syms.size() * 5, '\0');
+    char *at = out.data();
     for (std::size_t i = 0; i < syms.size(); ++i) {
         if (i != 0)
-            out += '.';
-        if (syms[i] == wildcardSymbol) {
-            out += '*';
-        } else {
-            std::snprintf(buf, sizeof(buf), "%llx",
-                          static_cast<unsigned long long>(syms[i]));
-            out += buf;
+            *at++ = '.';
+        const Symbol c = syms[i];
+        if (c == wildcardSymbol) {
+            *at++ = '*';
+            continue;
         }
+        int shift = 12;
+        while (shift > 0 && (c >> shift) == 0)
+            shift -= 4;
+        for (; shift >= 0; shift -= 4)
+            *at++ = hexDigits[(c >> shift) & 0xF];
     }
+    out.resize(static_cast<std::size_t>(at - out.data()));
     return out;
 }
 

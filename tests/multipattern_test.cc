@@ -231,37 +231,104 @@ TEST(BitSlicedDict, FusesAtMostSixtyFourPerSweep)
     EXPECT_EQ(planes.lastSweeps(), 3u);
 }
 
+TEST(BitSlicedDict, ReusedEngineMatchesFreshAcrossDictionaries)
+{
+    // One engine fed alternating dictionaries must never answer from
+    // the trie it compiled for another one: every call is diffed
+    // against a fresh engine and the naive reference.
+    Rng rng(0x19A7u);
+    const auto text = randomText(rng, 200, 4);
+    const DictPatterns small = randomDict(rng, text, 10, 9, 4, 15);
+    DictPatterns oneSymbolOff = small;
+    Symbol &flip = oneSymbolOff[3][0];
+    flip = flip == wildcardSymbol ? Symbol(1)
+                                  : static_cast<Symbol>((flip + 1) % 16);
+    DictPatterns tooLong = randomDict(rng, text, 5, 6, 4, 0);
+    tooLong.push_back(randomText(rng, text.size() + 30, 4));
+    const DictPatterns twoGroups = randomDict(rng, text, 90, 7, 4, 10);
+
+    const std::vector<const DictPatterns *> order = {
+        &small, &tooLong, &twoGroups, &small, &oneSymbolOff,
+        &twoGroups, &tooLong, &oneSymbolOff, &small};
+    BitSlicedDictMatcher reused;
+    NaiveDictMatcher naive;
+    for (std::size_t call = 0; call < order.size(); ++call) {
+        const DictPatterns &dict = *order[call];
+        BitSlicedDictMatcher fresh;
+        const DictHits got = reused.matchAll(text, dict);
+        ASSERT_EQ(got, fresh.matchAll(text, dict)) << "call " << call;
+        ASSERT_EQ(got, naive.matchAll(text, dict)) << "call " << call;
+        EXPECT_EQ(reused.lastHits(), got.totalHits()) << "call " << call;
+        EXPECT_EQ(reused.lastSweeps(), fresh.lastSweeps());
+    }
+}
+
 TEST(Chunked, BitSlicedMatchesOneShotUnderRandomSplits)
 {
     Rng rng(0x19A4u);
     BitSlicedDictMatcher planes;
-    for (int round = 0; round < 40; ++round) {
-        const BitWidth bits = round % 2 == 0 ? 2 : 8;
-        const std::size_t n = 1 + rng.nextBelow(260);
-        const auto text = randomText(rng, n, bits);
-        const auto dict =
-            randomDict(rng, text, 1 + rng.nextBelow(12), 9, bits, 15);
-        const DictHits oneShot = planes.matchAll(text, dict);
-
+    NaiveDictMatcher naive;
+    auto feedInChunks = [&](const std::vector<Symbol> &text,
+                            const DictPatterns &dict,
+                            std::size_t max_chunk) {
         DictStreamState state;
         DictHits stitched;
         stitched.bits.assign(dict.size(), {});
+        std::uint64_t counted = 0;
         std::size_t at = 0;
-        while (at < n) {
-            const std::size_t len =
-                std::min<std::size_t>(n - at, 1 + rng.nextBelow(40));
+        while (at < text.size()) {
+            const std::size_t len = std::min<std::size_t>(
+                text.size() - at, 1 + rng.nextBelow(max_chunk));
             const std::vector<Symbol> chunk(
                 text.begin() + static_cast<std::ptrdiff_t>(at),
                 text.begin() + static_cast<std::ptrdiff_t>(at + len));
             const DictHits part = feedDictChunk(planes, state, chunk, dict);
+            counted += planes.lastHits();
             for (std::size_t p = 0; p < dict.size(); ++p)
                 stitched.bits[p].insert(stitched.bits[p].end(),
                                         part.bits[p].begin(),
                                         part.bits[p].end());
             at += len;
         }
-        ASSERT_EQ(stitched, oneShot) << "round " << round;
-        EXPECT_EQ(state.seen, static_cast<std::uint64_t>(n));
+        EXPECT_EQ(state.seen, static_cast<std::uint64_t>(text.size()));
+        EXPECT_EQ(counted, stitched.totalHits());
+        return stitched;
+    };
+
+    // 16-bit rounds take the wide (non-byte) transpose; chunks of up
+    // to a few hundred characters span several packed words.
+    for (int round = 0; round < 60; ++round) {
+        const BitWidth bits = round % 3 == 0 ? 2 : (round % 3 == 1 ? 8 : 16);
+        const std::size_t maxChunk = round % 2 == 0 ? 40 : 300;
+        const std::size_t n = 1 + rng.nextBelow(round % 2 == 0 ? 260 : 700);
+        const auto text = randomText(rng, n, bits);
+        const auto dict =
+            randomDict(rng, text, 1 + rng.nextBelow(12), 9, bits, 15);
+        const DictHits oneShot = planes.matchAll(text, dict);
+        ASSERT_EQ(oneShot, naive.matchAll(text, dict)) << "round " << round;
+        ASSERT_EQ(feedInChunks(text, dict, maxChunk), oneShot)
+            << "round " << round;
+    }
+
+    // Members longer than 64 carry a tail of more than one packed
+    // word, so the report offset into the replay window crosses a
+    // word boundary.
+    for (int round = 0; round < 8; ++round) {
+        const BitWidth bits = round % 2 == 0 ? 2 : 16;
+        const auto text = randomText(rng, 900, bits);
+        DictPatterns dict = randomDict(rng, text, 6, 9, bits, 10);
+        for (std::size_t len : {65u, 97u, 130u}) {
+            const std::size_t at = rng.nextBelow(text.size() - len + 1);
+            dict.emplace_back(text.begin() + static_cast<std::ptrdiff_t>(at),
+                              text.begin() +
+                                  static_cast<std::ptrdiff_t>(at + len));
+        }
+        dict.back()[7] = wildcardSymbol;
+        const DictHits oneShot = naive.matchAll(text, dict);
+        ASSERT_GT(oneShot.totalHits(), 0u);
+        ASSERT_EQ(planes.matchAll(text, dict), oneShot) << "round " << round;
+        ASSERT_EQ(feedInChunks(text, dict, round < 4 ? 40 : 300), oneShot)
+            << "long round " << round;
     }
 }
 

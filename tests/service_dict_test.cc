@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -196,16 +197,40 @@ TEST(DictServe, TelemetryCountsDictionariesChunksAndHits)
     const DictPatterns dict = {{1}, {2, 3}};
     const auto res = svc.matchDict(text, dict);
     ASSERT_TRUE(res.ok());
+    EXPECT_EQ(res.totalHits, naive.matchAll(text, dict).totalHits());
+    EXPECT_GT(res.totalHits, 0u); // single symbols over 8 letters hit
     (void)svc.matchDict({0, 1}, {{}}); // rejected
 
+    // A multi-chunk session whose members straddle the chunk seams:
+    // the hits counter must equal the naive total over the stream.
+    const auto stream = randomText(rng, 700);
+    const DictPatterns seamDict = {{4, 5, 6}, {7}, {1, 2}};
+    DictError err;
+    DictSession session = svc.openSession(seamDict, err);
+    ASSERT_TRUE(err.ok());
+    std::uint64_t chunkTotals = 0;
+    std::size_t chunks = 0;
+    for (std::size_t at = 0; at < stream.size(); at += 131, ++chunks) {
+        const std::vector<Symbol> chunk(
+            stream.begin() + static_cast<std::ptrdiff_t>(at),
+            stream.begin() + static_cast<std::ptrdiff_t>(
+                                 std::min(stream.size(), at + 131)));
+        const auto part = svc.feedChunk(session, chunk);
+        ASSERT_TRUE(part.ok());
+        EXPECT_EQ(part.totalHits, part.hits.totalHits());
+        chunkTotals += part.totalHits;
+    }
+    const std::uint64_t streamHits =
+        naive.matchAll(stream, seamDict).totalHits();
+    EXPECT_EQ(chunkTotals, streamHits);
+
     const auto snap = svc.metricsSnapshot();
-    EXPECT_EQ(snap.counterValue("dictionaries"), 1u);
-    EXPECT_EQ(snap.counterValue("chunks"), 1u);
-    EXPECT_EQ(snap.counterValue("chunkChars"), 500u);
+    EXPECT_EQ(snap.counterValue("dictionaries"), 2u);
+    EXPECT_EQ(snap.counterValue("chunks"), 1u + chunks);
+    EXPECT_EQ(snap.counterValue("chunkChars"), 1200u);
     EXPECT_EQ(snap.counterValue("rejected"), 1u);
     EXPECT_EQ(snap.counterValue("hits"),
-              naive.matchAll(text, dict).totalHits());
-    EXPECT_GT(res.totalHits, 0u); // single symbols over 8 letters hit
+              naive.matchAll(text, dict).totalHits() + streamHits);
 
     const std::string dump = svc.statsDump();
     EXPECT_NE(dump.find("dict.dictionaries"), std::string::npos);
