@@ -67,6 +67,16 @@ for isa in scalar sse2; do
         --seconds 5 --dict
 done
 
+# The batch layer slices each lane's row straight from the kernel's
+# packed words, so the batch oracles are diffed at every tier too.
+echo "== conformance: batch fuzz per SIMD tier =="
+build/tools/conformance_fuzz --cases 1000000 --seconds 5 --focus batch
+for isa in scalar sse2; do
+    echo "-- SPM_SIMD_ISA=${isa}"
+    SPM_SIMD_ISA="${isa}" build/tools/conformance_fuzz --cases 1000000 \
+        --seconds 5 --focus batch
+done
+
 # The SIMD kernel tiers under AddressSanitizer: a time-boxed
 # differential sweep focused on the simd-parallel oracles (best ISA
 # plus every forced-down tier), so out-of-bounds plane or mask

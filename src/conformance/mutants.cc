@@ -5,6 +5,7 @@
 
 #include "core/behavioral.hh"
 #include "core/reference.hh"
+#include "core/simdpar.hh"
 #include "core/wordpar.hh"
 
 namespace spm::conformance
@@ -238,6 +239,40 @@ class MutDictPlaneCarry : public core::Matcher
     bool supportsWildcards() const override { return true; }
 };
 
+/**
+ * Seeded bug: the batch matcher slices a fresh lane with its warm-up
+ * offset one short -- from position k-2 instead of k-1 -- so the
+ * lane's first kept window reaches back across the lane boundary and
+ * reads the previous lane's last character. The case text rides as
+ * the second lane of a pack behind a copy of itself, as a batch
+ * serving the same request twice would lay it out.
+ */
+class MutBatchWarmup : public core::Matcher
+{
+  public:
+    std::vector<bool> match(const std::vector<Symbol> &text,
+                            const std::vector<Symbol> &pattern) override
+    {
+        const std::size_t n = text.size();
+        const std::size_t k = pattern.size();
+        std::vector<Symbol> concat(text);
+        concat.insert(concat.end(), text.begin(), text.end());
+        const std::vector<std::uint64_t> &packed =
+            kernel.matchPacked(concat, pattern);
+        std::vector<bool> result;
+        const std::size_t first = k >= 2 ? k - 2 : 0; // BUG: k-1
+        core::sliceResultBits(packed, n, first, n, result);
+        return result;
+    }
+
+    std::string name() const override { return "mut-batch-warmup"; }
+
+    bool supportsWildcards() const override { return true; }
+
+  private:
+    core::SimdParallelMatcher kernel;
+};
+
 } // namespace
 
 const std::vector<Mutant> &
@@ -274,6 +309,12 @@ allMutants()
          "across a 64-bit word boundary are lost",
          "a match window straddling a packed-word boundary",
          [] { return std::make_unique<MutDictPlaneCarry>(); }},
+        {"mut-batch-warmup",
+         "batch warm-up offset one short: a fresh lane keeps position "
+         "k-2, whose window reads the previous lane's last character",
+         "a lane whose first k-1 characters, behind the previous "
+         "lane's last one, fill a pattern window",
+         [] { return std::make_unique<MutBatchWarmup>(); }},
     };
     return mutants;
 }

@@ -27,9 +27,8 @@ BatchMatcher::matchMany(
     const std::vector<const std::vector<Symbol> *> &streams,
     const std::vector<Symbol> &pattern)
 {
-    // A whole stream is one chunk fed to a fresh carry.
-    std::vector<StreamCarry> carries(streams.size());
-    return feedChunks(carries, streams, pattern);
+    // Every stream starts fresh: no tail to re-feed, nothing seen.
+    return pass(streams, pattern, nullptr);
 }
 
 std::vector<std::vector<bool>>
@@ -54,7 +53,6 @@ BatchMatcher::feedChunks(
         throw std::invalid_argument(
             "BatchMatcher: " + std::to_string(carries.size()) +
             " carries for " + std::to_string(chunks.size()) + " chunks");
-    const std::size_t width = chunks.size();
     const std::size_t k = pattern.size();
     const std::size_t hist = k == 0 ? 0 : k - 1;
     for (const StreamCarry &carry : carries)
@@ -64,48 +62,14 @@ BatchMatcher::feedChunks(
                 std::to_string(carry.patternLen) +
                 " reused with length " + std::to_string(k));
 
-    // Pack carry tail + chunk per stream, end to end. The tail gives
-    // every kept position its full look-back window; positions still
-    // inside a stream's first k-1 characters are masked below, so the
-    // kernel's cross-stream reads there are harmless.
-    batchWidth = width;
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < width; ++i)
-        total += carries[i].tail.size() + chunks[i]->size();
-    concat.clear();
-    concat.reserve(total);
-    segBase.resize(width);
-    segSkip.resize(width);
-    for (std::size_t i = 0; i < width; ++i) {
-        const std::vector<Symbol> &tail = carries[i].tail;
-        const std::vector<Symbol> &chunk = *chunks[i];
-        segBase[i] = concat.size();
-        segSkip[i] = tail.size();
-        concat.insert(concat.end(), tail.begin(), tail.end());
-        concat.insert(concat.end(), chunk.begin(), chunk.end());
-    }
-    kernelChars = concat.size();
-    const std::vector<std::uint64_t> &packed =
-        simd.matchPacked(concat, pattern);
+    std::vector<std::vector<bool>> out = pass(chunks, pattern, &carries);
 
-    std::vector<std::vector<bool>> out(width);
-    for (std::size_t i = 0; i < width; ++i) {
+    // Advance every carry: keep the last min(k-1, seen) characters.
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
         const std::vector<Symbol> &chunk = *chunks[i];
         const std::size_t len = chunk.size();
-        const std::uint64_t before = carries[i].seen;
-        std::vector<bool> &bits = out[i];
-        bits.assign(len, false);
-        const std::size_t base = segBase[i] + segSkip[i];
-        for (std::size_t c = 0; c < len; ++c) {
-            if (before + c + 1 < k)
-                continue; // the stream hasn't seen k characters yet
-            const std::size_t g = base + c;
-            bits[c] = (packed[g / 64] >> (g % 64)) & 1u;
-        }
-
-        // Advance the carry: keep the last min(k-1, seen) characters.
         StreamCarry &carry = carries[i];
-        carry.seen = before + len;
+        carry.seen += len;
         carry.patternLen = k;
         const std::size_t need = static_cast<std::size_t>(
             std::min<std::uint64_t>(hist, carry.seen));
@@ -121,6 +85,54 @@ BatchMatcher::feedChunks(
             carry.tail.insert(carry.tail.end(), chunk.begin(),
                               chunk.end());
         }
+    }
+    return out;
+}
+
+std::vector<std::vector<bool>>
+BatchMatcher::pass(const std::vector<const std::vector<Symbol> *> &chunks,
+                   const std::vector<Symbol> &pattern,
+                   const std::vector<StreamCarry> *carries)
+{
+    // Pack carry tail + chunk per stream, end to end. The tail gives
+    // every kept position its full look-back window; positions still
+    // inside a stream's first k-1 characters fall before the lane's
+    // start offset below, so the kernel's cross-stream reads there
+    // are never sliced out.
+    const std::size_t width = chunks.size();
+    const std::size_t k = pattern.size();
+    const std::size_t hist = k == 0 ? 0 : k - 1;
+    batchWidth = width;
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < width; ++i)
+        total += (carries ? (*carries)[i].tail.size() : 0) +
+                 chunks[i]->size();
+    concat.clear();
+    concat.reserve(total);
+    segBase.resize(width);
+    for (std::size_t i = 0; i < width; ++i) {
+        if (carries) {
+            const std::vector<Symbol> &tail = (*carries)[i].tail;
+            concat.insert(concat.end(), tail.begin(), tail.end());
+        }
+        segBase[i] = concat.size();
+        concat.insert(concat.end(), chunks[i]->begin(), chunks[i]->end());
+    }
+    kernelChars = concat.size();
+    const std::vector<std::uint64_t> &packed =
+        simd.matchPacked(concat, pattern);
+
+    // Warm-up as a start offset: a stream that has seen fewer than
+    // k-1 characters keeps nothing before position k-1-seen.
+    std::vector<std::vector<bool>> out(width);
+    for (std::size_t i = 0; i < width; ++i) {
+        const std::size_t len = chunks[i]->size();
+        const std::uint64_t seen = carries ? (*carries)[i].seen : 0;
+        const std::size_t first =
+            seen >= hist ? 0
+                         : std::min<std::size_t>(
+                               len, hist - static_cast<std::size_t>(seen));
+        sliceResultBits(packed, segBase[i], first, len, out[i]);
     }
     return out;
 }

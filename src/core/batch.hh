@@ -15,16 +15,21 @@
  * stream position p only looks back k-1 characters, so a position
  * with a full in-stream history (p >= k-1, counting any carry tail)
  * computes exactly its standalone value even mid-concatenation, and
- * every position without one is false *by definition* -- the
- * extraction step forces those bits regardless of what the kernel
- * computed from the neighboring stream's characters. No separators,
- * no per-stream padding.
+ * every position without one is false *by definition*. Extraction
+ * turns that rule into a start offset: each stream's row is sliced
+ * from the kernel's packed words beginning at its first position with
+ * a full history, visiting set bits only, with the edge words masked
+ * to the stream's span -- so the kernel's reads of the neighbouring
+ * stream's characters are never sliced out. No separators, no
+ * per-stream padding, no per-character test.
  *
  * Streams longer than one request chunk carry across calls as a raw
  * k-1-character tail (StreamCarry): the last characters already
  * consumed are re-fed ahead of the next chunk, so chunked feeding is
  * bit-identical to matching the whole stream at once -- the property
- * tests and the conformance registry check exactly that.
+ * tests and the conformance registry check exactly that. One-shot
+ * batches (matchMany) build no carries at all: every stream starts
+ * fresh.
  */
 
 #ifndef SPM_CORE_BATCH_HH
@@ -117,12 +122,21 @@ class BatchMatcher
     const SimdParallelMatcher &kernel() const { return simd; }
 
   private:
+    /**
+     * Pack, match and slice one pass. @p carries supplies each
+     * stream's tail and seen count (read only); nullptr means every
+     * stream starts fresh.
+     */
+    std::vector<std::vector<bool>> pass(
+        const std::vector<const std::vector<Symbol> *> &chunks,
+        const std::vector<Symbol> &pattern,
+        const std::vector<StreamCarry> *carries);
+
     SimdParallelMatcher simd;
 
     // --- the scratch arena (reused across calls) ---------------------
     std::vector<Symbol> concat;       ///< packed tails + chunks
-    std::vector<std::size_t> segBase; ///< segment start in concat
-    std::vector<std::size_t> segSkip; ///< carry-tail chars to skip
+    std::vector<std::size_t> segBase; ///< chunk start in concat
 
     std::size_t batchWidth = 0;
     std::size_t kernelChars = 0;

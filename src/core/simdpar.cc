@@ -714,18 +714,33 @@ SimdParallelMatcher::arenaBytes() const
 std::vector<bool>
 unpackResultBits(const std::vector<std::uint64_t> &packed, std::size_t n)
 {
-    std::vector<bool> out(n, false);
-    for (std::size_t w = 0; w < packed.size(); ++w) {
+    std::vector<bool> out;
+    sliceResultBits(packed, 0, 0, n, out);
+    return out;
+}
+
+void
+sliceResultBits(const std::vector<std::uint64_t> &packed, std::size_t base,
+                std::size_t first, std::size_t len, std::vector<bool> &out)
+{
+    out.assign(len, false);
+    if (first >= len)
+        return;
+    const std::size_t lo = base + first;
+    const std::size_t hi = base + len;
+    const std::size_t lastWord = (hi - 1) / bitsPerWord;
+    for (std::size_t w = lo / bitsPerWord; w <= lastWord; ++w) {
         std::uint64_t word = packed[w];
-        const std::size_t base = w * bitsPerWord;
+        if (w == lo / bitsPerWord)
+            word &= ~std::uint64_t{0} << (lo % bitsPerWord);
+        if (w == lastWord && hi % bitsPerWord != 0)
+            word &= ~std::uint64_t{0} >> (bitsPerWord - hi % bitsPerWord);
         while (word != 0) {
-            const unsigned i =
-                static_cast<unsigned>(__builtin_ctzll(word));
-            out[base + i] = true;
+            out[w * bitsPerWord +
+                static_cast<unsigned>(__builtin_ctzll(word)) - base] = true;
             word &= word - 1;
         }
     }
-    return out;
 }
 
 } // namespace spm::core

@@ -194,6 +194,17 @@ class SimdParallelMatcher : public Matcher
 std::vector<bool> unpackResultBits(const std::vector<std::uint64_t> &packed,
                                    std::size_t n);
 
+/**
+ * Slice one span out of a packed result stream: @p out gets @p len
+ * bits, bit c = packed bit base + c for c in [first, len) and false
+ * below @p first. Set bits only (count-trailing-zeros), with the
+ * span's edge words masked, so bits outside the span -- a batch
+ * neighbour's lane -- never leak in.
+ */
+void sliceResultBits(const std::vector<std::uint64_t> &packed,
+                     std::size_t base, std::size_t first, std::size_t len,
+                     std::vector<bool> &out);
+
 } // namespace spm::core
 
 #endif // SPM_CORE_SIMDPAR_HH

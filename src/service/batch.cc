@@ -1,5 +1,6 @@
 #include "service/batch.hh"
 
+#include <unordered_map>
 #include <utility>
 
 #include "core/reference.hh"
@@ -10,6 +11,32 @@
 namespace spm::service
 {
 
+namespace
+{
+
+/** FNV-1a over a pattern's symbols, for grouping by pattern. */
+struct PatternHash
+{
+    std::size_t operator()(const std::vector<Symbol> *p) const
+    {
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (const Symbol s : *p)
+            h = (h ^ s) * 0x100000001b3ull;
+        return static_cast<std::size_t>(h);
+    }
+};
+
+struct PatternEq
+{
+    bool operator()(const std::vector<Symbol> *a,
+                    const std::vector<Symbol> *b) const
+    {
+        return *a == *b;
+    }
+};
+
+} // namespace
+
 BatchMatchService::BatchMatchService(BatchServiceConfig config)
     : BatchMatchService(std::move(config), core::bestSimdIsa())
 {
@@ -18,6 +45,7 @@ BatchMatchService::BatchMatchService(BatchServiceConfig config)
 BatchMatchService::BatchMatchService(BatchServiceConfig config,
                                      core::SimdIsa isa)
     : cfg(std::move(config)), engine(isa),
+      backendName("batch+" + engine.kernel().name()),
       batchesCtr(metrics.counter("batches")),
       streamsCtr(metrics.counter("streams")),
       streamCharsCtr(metrics.counter("streamChars")),
@@ -36,21 +64,23 @@ BatchMatchService::BatchMatchService(BatchServiceConfig config,
 
 std::vector<std::vector<bool>>
 BatchMatchService::runPass(
-    std::vector<core::StreamCarry> &carries,
+    std::vector<core::StreamCarry> *carries,
     const std::vector<const std::vector<Symbol> *> &chunks,
     const std::vector<Symbol> &pattern, bool &checked,
     std::uint64_t &mismatches, telem::StageClock &clock)
 {
     // A sampled cross-check needs the pre-pass carries; snapshot them
-    // only on the passes that audit.
+    // only on the passes that audit. Fresh streams have nothing to
+    // snapshot: empty tail, nothing seen.
     const std::uint64_t pass = kernelPassesCtr.value();
     checked = cfg.crossCheckEvery != 0 &&
               pass % cfg.crossCheckEvery == 0;
     std::vector<core::StreamCarry> before;
-    if (checked)
-        before = carries;
+    if (checked && carries)
+        before = *carries;
 
-    auto bits = engine.feedChunks(carries, chunks, pattern);
+    auto bits = carries ? engine.feedChunks(*carries, chunks, pattern)
+                        : engine.matchMany(chunks, pattern);
     kernelPassesCtr.add();
     clock.mark(telem::Stage::Kernel);
     SPM_THIST(batchWidthHist,
@@ -61,15 +91,17 @@ BatchMatchService::runPass(
         crossChecksCtr.add();
         core::ReferenceMatcher ref;
         const std::size_t k = pattern.size();
+        const core::StreamCarry fresh;
         for (std::size_t i = 0; i < chunks.size(); ++i) {
-            std::vector<Symbol> window = before[i].tail;
+            const core::StreamCarry &prior = carries ? before[i] : fresh;
+            std::vector<Symbol> window = prior.tail;
             window.insert(window.end(), chunks[i]->begin(),
                           chunks[i]->end());
             const std::vector<bool> expect = ref.match(window, pattern);
-            const std::size_t skip = before[i].tail.size();
+            const std::size_t skip = prior.tail.size();
             bool bad = false;
             for (std::size_t c = 0; c < chunks[i]->size(); ++c) {
-                const bool want = before[i].seen + c + 1 >= k &&
+                const bool want = prior.seen + c + 1 >= k &&
                                   expect[skip + c];
                 if (bits[i][c] != want) {
                     bad = true;
@@ -125,35 +157,36 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
     streamsCtr.add(admitted.size());
     clock.mark(telem::Stage::Admit);
 
-    // One kernel pass per distinct pattern among the admitted
-    // requests; requests sharing a pattern pack into the same pass.
-    std::vector<bool> served(batch.size(), false);
-    std::uint64_t totalMismatches = 0;
-    for (std::size_t a = 0; a < admitted.size(); ++a) {
-        const std::size_t lead = admitted[a];
-        if (served[lead])
-            continue;
-        const std::vector<Symbol> &pattern = batch[lead].pattern;
-        std::vector<std::size_t> members;
-        std::vector<const std::vector<Symbol> *> texts;
-        for (std::size_t b = a; b < admitted.size(); ++b) {
-            const std::size_t idx = admitted[b];
-            if (!served[idx] && batch[idx].pattern == pattern) {
-                served[idx] = true;
-                members.push_back(idx);
-                texts.push_back(&batch[idx].text);
-            }
-        }
+    // Group the admitted requests by pattern in one pass: groups in
+    // order of first appearance, members in batch order. Each group
+    // is one kernel pass; requests sharing a pattern pack into it.
+    std::vector<std::vector<std::size_t>> groups;
+    std::unordered_map<const std::vector<Symbol> *, std::size_t,
+                       PatternHash, PatternEq>
+        groupOf;
+    groupOf.reserve(admitted.size());
+    for (const std::size_t idx : admitted) {
+        const auto [it, fresh] =
+            groupOf.try_emplace(&batch[idx].pattern, groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(idx);
+    }
 
-        std::vector<core::StreamCarry> carries(texts.size());
+    std::uint64_t totalMismatches = 0;
+    std::vector<const std::vector<Symbol> *> texts;
+    for (const std::vector<std::size_t> &members : groups) {
+        const std::vector<Symbol> &pattern = batch[members.front()].pattern;
+        texts.clear();
+        for (const std::size_t idx : members)
+            texts.push_back(&batch[idx].text);
+
         bool checked = false;
         std::uint64_t mismatches = 0;
         auto bits =
-            runPass(carries, texts, pattern, checked, mismatches, clock);
+            runPass(nullptr, texts, pattern, checked, mismatches, clock);
         totalMismatches += mismatches;
 
-        const std::string backend =
-            "batch+" + engine.kernel().name();
         for (std::size_t m = 0; m < members.size(); ++m) {
             const std::size_t idx = members[m];
             MatchResponse &resp = out[idx];
@@ -161,7 +194,7 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
             cfg.base.bus.transferChunk(batch[idx].text.data(),
                                        batch[idx].text.data(), n);
             resp.result = std::move(bits[m]);
-            resp.backend = backend;
+            resp.backend = backendName;
             resp.chunks = 1;
             // The steady-rate contract: one text character per beat.
             resp.beats = static_cast<Beat>(n);
@@ -259,7 +292,7 @@ BatchMatchService::feedGroup(BatchStreamGroup &group,
 
     bool checked = false;
     std::uint64_t mismatches = 0;
-    res.bits = runPass(group.carries, ptrs, group.pattern, checked,
+    res.bits = runPass(&group.carries, ptrs, group.pattern, checked,
                        mismatches, clock);
     if (checked && mismatches != 0)
         res.error = ServiceError::make(

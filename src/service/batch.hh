@@ -23,6 +23,7 @@
 #define SPM_SERVICE_BATCH_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/batch.hh"
@@ -142,15 +143,21 @@ class BatchMatchService
     telem::ExemplarReservoir &exemplars() { return exemplarStore; }
 
   private:
-    /** One kernel pass + charging + sampled cross-check. */
+    /**
+     * One kernel pass + charging + sampled cross-check. @p carries
+     * continues streams (and is advanced); nullptr serves fresh
+     * one-shot streams with no carry state at all.
+     */
     std::vector<std::vector<bool>> runPass(
-        std::vector<core::StreamCarry> &carries,
+        std::vector<core::StreamCarry> *carries,
         const std::vector<const std::vector<Symbol> *> &chunks,
         const std::vector<Symbol> &pattern, bool &checked,
         std::uint64_t &mismatches, telem::StageClock &clock);
 
     BatchServiceConfig cfg;
     core::BatchMatcher engine;
+    /** "batch+<kernel>", the backend every response names. */
+    const std::string backendName;
 
     telem::Registry metrics{1};
     telem::Counter &batchesCtr;

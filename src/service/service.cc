@@ -26,6 +26,19 @@ joinNames(const std::vector<std::string> &names)
     return s;
 }
 
+/**
+ * The largest symbol in @p symbols, wild cards read as 0 when
+ * @p skip_wild. A max-reduce with no early exit, so it vectorizes.
+ */
+std::uint32_t
+maxSymbol(const std::vector<Symbol> &symbols, bool skip_wild)
+{
+    Symbol m = 0;
+    for (const Symbol s : symbols)
+        m = std::max(m, skip_wild && s == wildcardSymbol ? Symbol{0} : s);
+    return m;
+}
+
 } // namespace
 
 // --- StreamSession ----------------------------------------------------
@@ -438,6 +451,10 @@ validatePattern(const ServiceConfig &cfg, const std::vector<Symbol> &pattern,
                 " exceeds limit " + std::to_string(cfg.maxPatternLen));
     // 32-bit: at 16 alphabet bits a Symbol-typed sigma would wrap to 0.
     const std::uint32_t sigma = std::uint32_t{1} << cfg.alphabetBits;
+    // One branch-free pass (wild cards count as 0); the rescan that
+    // names the first offender runs only on failure.
+    if (maxSymbol(pattern, true) < sigma)
+        return std::nullopt;
     for (std::size_t i = 0; i < pattern.size(); ++i)
         if (pattern[i] != wildcardSymbol && pattern[i] >= sigma)
             return ServiceError::make(
@@ -460,6 +477,8 @@ validateText(const ServiceConfig &cfg, const std::vector<Symbol> &text,
     const std::uint32_t sigma = std::uint32_t{1} << cfg.alphabetBits;
     // The wild card is a pattern symbol; at 16 bits it is inside sigma.
     const std::uint32_t limit = std::min<std::uint32_t>(sigma, wildcardSymbol);
+    if (maxSymbol(text, false) < limit)
+        return std::nullopt;
     for (std::size_t i = 0; i < text.size(); ++i)
         if (text[i] >= limit)
             return ServiceError::make(

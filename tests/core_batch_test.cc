@@ -4,12 +4,17 @@
  * multi-stream matching is bit-identical to per-stream reference
  * matching at widths 1, 3, 64 and 1000; chunked feeding through
  * StreamCarry is bit-identical to one-shot matching under randomized
- * chunk boundaries; and the carry/shape misuse contracts throw
- * instead of corrupting.
+ * chunk boundaries; row slicing is exact at every kernel tier for
+ * lanes starting around word boundaries, chunk splits around the
+ * k-1 warm-up, all-wildcard (dense-hit) patterns and the 16-bit
+ * alphabet; and the carry/shape misuse contracts throw instead of
+ * corrupting.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "core/batch.hh"
@@ -193,6 +198,163 @@ TEST(BatchMatcher, WorkloadStreamsAgreeWithReference)
             ASSERT_EQ(got[i], ref.match(streams[i], lead.pattern))
                 << "base=" << base << " lane=" << i << " case "
                 << lead.caseId;
+    }
+}
+
+/** Every kernel tier this CPU can execute. */
+std::vector<SimdIsa>
+supportedTiers()
+{
+    std::vector<SimdIsa> tiers;
+    for (const SimdIsa isa :
+         {SimdIsa::Scalar, SimdIsa::Sse2, SimdIsa::Avx2})
+        if (simdIsaSupported(isa))
+            tiers.push_back(isa);
+    return tiers;
+}
+
+std::vector<Symbol>
+randomText(Rng &rng, std::size_t n, std::uint32_t sigma)
+{
+    std::vector<Symbol> text(n);
+    for (auto &c : text)
+        c = static_cast<Symbol>(rng.nextBelow(sigma));
+    return text;
+}
+
+TEST(BatchMatcher, SlicesLanesAroundWordBoundariesAtEveryTier)
+{
+    // A lane of every length 0..2*64+k, started just before, on and
+    // just after a word boundary (behind a pad lane of 63/64/65
+    // characters), with a trailing lane behind it. The all-wildcard
+    // pattern makes every kept position a hit, so a neighbour-lane
+    // leak or an off-by-one warm-up shows as a wrong dense word.
+    Rng rng(0x511CE);
+    ReferenceMatcher ref;
+    for (const SimdIsa isa : supportedTiers()) {
+        BatchMatcher bm(isa);
+        for (const std::size_t k :
+             {std::size_t(1), std::size_t(2), std::size_t(7),
+              std::size_t(65)}) {
+            const std::vector<Symbol> wild(k, wildcardSymbol);
+            const auto mixed = makePattern(rng, k, 2, 30);
+            for (std::size_t len = 0; len <= 2 * 64 + k; ++len) {
+                for (const std::size_t pad :
+                     {std::size_t(63), std::size_t(64), std::size_t(65)}) {
+                    const std::vector<std::vector<Symbol>> lanes{
+                        randomText(rng, pad, 2), randomText(rng, len, 2),
+                        randomText(rng, 1 + rng.nextBelow(70), 2)};
+                    for (const auto *pattern : {&wild, &mixed}) {
+                        const auto got = bm.matchMany(lanes, *pattern);
+                        for (std::size_t i = 0; i < lanes.size(); ++i)
+                            ASSERT_EQ(got[i], ref.match(lanes[i], *pattern))
+                                << simdIsaName(isa) << " k=" << k
+                                << " len=" << len << " pad=" << pad
+                                << " lane=" << i
+                                << (pattern == &wild ? " all-wild" : "");
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(BatchMatcher, ChunkSplitsAroundWarmupAtEveryTier)
+{
+    // Chunked streams whose first chunks end before, at and after
+    // position k-1 (including chunks shorter than k-1), fed side by
+    // side so every warm-up offset differs across the lanes of one
+    // pass.
+    Rng rng(0xC0FF5);
+    ReferenceMatcher ref;
+    for (const SimdIsa isa : supportedTiers()) {
+        BatchMatcher bm(isa);
+        for (const std::size_t k :
+             {std::size_t(2), std::size_t(5), std::size_t(9),
+              std::size_t(70)}) {
+            const std::vector<Symbol> wild(k, wildcardSymbol);
+            const auto mixed = makePattern(rng, k, 2, 30);
+            // First-chunk lengths straddling k-1, then a second
+            // chunk that is itself short of, at or past the warm-up.
+            std::vector<std::size_t> cuts{0, 1, k - 1, k, k + 1};
+            if (k >= 3) {
+                cuts.push_back(k - 3);
+                cuts.push_back(k - 2);
+            }
+            for (const auto *pattern : {&wild, &mixed}) {
+                const std::size_t width = cuts.size() * cuts.size();
+                std::vector<std::vector<Symbol>> full(width);
+                std::vector<std::array<std::size_t, 2>> split(width);
+                for (std::size_t a = 0; a < cuts.size(); ++a)
+                    for (std::size_t b = 0; b < cuts.size(); ++b) {
+                        const std::size_t i = a * cuts.size() + b;
+                        split[i] = {cuts[a], cuts[b]};
+                        full[i] = randomText(
+                            rng, cuts[a] + cuts[b] + rng.nextBelow(80), 2);
+                    }
+                std::vector<StreamCarry> carries(width);
+                std::vector<std::vector<bool>> acc(width);
+                for (std::size_t step = 0; step < 3; ++step) {
+                    std::vector<std::vector<Symbol>> chunks(width);
+                    for (std::size_t i = 0; i < width; ++i) {
+                        const std::size_t from =
+                            step == 0 ? 0
+                                      : split[i][0] +
+                                            (step == 2 ? split[i][1] : 0);
+                        const std::size_t to =
+                            step == 2 ? full[i].size()
+                                      : split[i][0] +
+                                            (step == 1 ? split[i][1] : 0);
+                        chunks[i].assign(
+                            full[i].begin() +
+                                static_cast<std::ptrdiff_t>(from),
+                            full[i].begin() +
+                                static_cast<std::ptrdiff_t>(to));
+                    }
+                    const auto bits = bm.feedChunks(carries, chunks, *pattern);
+                    for (std::size_t i = 0; i < width; ++i)
+                        acc[i].insert(acc[i].end(), bits[i].begin(),
+                                      bits[i].end());
+                }
+                for (std::size_t i = 0; i < width; ++i)
+                    ASSERT_EQ(acc[i], ref.match(full[i], *pattern))
+                        << simdIsaName(isa) << " k=" << k << " split="
+                        << split[i][0] << "+" << split[i][1]
+                        << (pattern == &wild ? " all-wild" : "");
+            }
+        }
+    }
+}
+
+TEST(BatchMatcher, SixteenBitAlphabetAtEveryTier)
+{
+    // Symbols across the full 16-bit range (wild card excluded), with
+    // the pattern cut from a lane so matches occur.
+    Rng rng(0x16B17);
+    ReferenceMatcher ref;
+    for (const SimdIsa isa : supportedTiers()) {
+        BatchMatcher bm(isa);
+        for (int iter = 0; iter < 20; ++iter) {
+            std::vector<std::vector<Symbol>> streams(9);
+            for (auto &s : streams)
+                s = randomText(rng, rng.nextBelow(200), 8);
+            for (auto &s : streams)
+                for (auto &c : s)
+                    c = static_cast<Symbol>(0xFF00 + c * 0x1F);
+            const std::size_t k = 1 + rng.nextBelow(10);
+            std::vector<Symbol> pattern(k, Symbol(0xFFFE));
+            const auto &src = streams[rng.nextBelow(streams.size())];
+            if (src.size() >= k)
+                std::copy(src.end() - static_cast<std::ptrdiff_t>(k),
+                          src.end(), pattern.begin());
+            if (rng.nextBelow(4) == 0)
+                pattern[rng.nextBelow(k)] = wildcardSymbol;
+            const auto got = bm.matchMany(streams, pattern);
+            for (std::size_t i = 0; i < streams.size(); ++i)
+                ASSERT_EQ(got[i], ref.match(streams[i], pattern))
+                    << simdIsaName(isa) << " iter=" << iter
+                    << " lane=" << i;
+        }
     }
 }
 

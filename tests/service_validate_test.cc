@@ -10,13 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
+#include "core/reference.hh"
 #include "service/batch.hh"
 #include "service/dictserve.hh"
 #include "service/service.hh"
 #include "service/sharded.hh"
+#include "util/rng.hh"
 #include "util/types.hh"
 
 namespace spm::service
@@ -79,6 +82,22 @@ TEST(ValidateHelpers, TextRules)
     auto oversize = validateText(cfg, chunk, 200);
     ASSERT_TRUE(oversize.has_value());
     EXPECT_EQ(oversize->code, ErrorCode::OversizedRequest);
+}
+
+TEST(ValidateHelpers, AlphabetErrorsNameTheFirstOffender)
+{
+    // Admission scans once and rescans only to name the offender: the
+    // detail must point at the first bad index, not the largest symbol.
+    const ServiceConfig cfg = smallConfig();
+    auto text = validateText(cfg, {0, 9, 3, 12}, 0, "stream[4]");
+    ASSERT_TRUE(text.has_value());
+    EXPECT_EQ(text->detail, "stream[4][1]=9 outside alphabet of 8");
+
+    auto pattern =
+        validatePattern(cfg, {wildcardSymbol, 1, 8, 30}, "dict[3]");
+    ASSERT_TRUE(pattern.has_value());
+    EXPECT_EQ(pattern->code, ErrorCode::AlphabetOverflow);
+    EXPECT_EQ(pattern->detail, "dict[3][2]=8 outside alphabet of 8");
 }
 
 TEST(ValidateHelpers, SixteenBitAlphabetAdmitsEverySymbol)
@@ -176,6 +195,63 @@ TEST(ValidateFrontEnds, BatchServiceUsesSharedRules)
     fed = svc.feedGroup(
         group, {std::vector<Symbol>(cfg.base.maxTextLen + 1, Symbol(0))});
     EXPECT_EQ(fed.error.code, ErrorCode::OversizedRequest);
+}
+
+TEST(ValidateFrontEnds, BatchServiceGroupsOnePassPerDistinctPattern)
+{
+    // All-distinct patterns mixed with repeated ones and rejected
+    // requests: every admitted response agrees with the reference,
+    // responses stay positionally parallel, and the call costs exactly
+    // one kernel pass per distinct admitted pattern.
+    BatchServiceConfig cfg;
+    cfg.base = smallConfig();
+    BatchMatchService svc(cfg);
+    Rng rng(0x9A55);
+    std::vector<MatchRequest> batch;
+    std::vector<std::vector<Symbol>> distinct;
+    for (std::size_t i = 0; i < 300; ++i) {
+        MatchRequest req;
+        req.id = 1000 + i;
+        if (i % 3 == 0) {
+            // One of three shared patterns.
+            req.pattern = {Symbol(i % 9 / 3), 1};
+        } else {
+            // Varied length and end symbols: mostly used only once.
+            req.pattern.assign(3 + i / 3 % 60, wildcardSymbol);
+            req.pattern[0] = Symbol(i % 2);
+            req.pattern.push_back(Symbol(i % 8));
+        }
+        req.text.resize(rng.nextBelow(120));
+        for (auto &c : req.text)
+            c = static_cast<Symbol>(rng.nextBelow(8));
+        if (i % 17 == 0)
+            req.text.push_back(Symbol(8)); // rejected: outside alphabet
+        else if (std::find(distinct.begin(), distinct.end(),
+                           req.pattern) == distinct.end())
+            distinct.push_back(req.pattern);
+        batch.push_back(std::move(req));
+    }
+
+    const auto &passes = svc.stats().counter("kernelPasses");
+    const std::uint64_t before = passes.value();
+    const auto responses = svc.serveBatch(batch);
+    ASSERT_GT(distinct.size(), 150u);
+    EXPECT_EQ(passes.value() - before, distinct.size());
+    ASSERT_EQ(responses.size(), batch.size());
+    core::ReferenceMatcher ref;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(responses[i].id, batch[i].id);
+        if (i % 17 == 0) {
+            EXPECT_EQ(responses[i].error.code, ErrorCode::AlphabetOverflow);
+            continue;
+        }
+        ASSERT_EQ(responses[i].error.code, ErrorCode::Ok) << i;
+        EXPECT_EQ(responses[i].backend,
+                  "batch+" + svc.matcher().kernel().name());
+        EXPECT_EQ(responses[i].result,
+                  ref.match(batch[i].text, batch[i].pattern))
+            << "request " << i;
+    }
 }
 
 TEST(ValidateFrontEnds, ShardedServiceUsesSharedRules)
