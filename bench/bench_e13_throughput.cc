@@ -5,9 +5,9 @@
  *
  * Three fast paths are measured against the engines they shadow:
  *
- *   word-parallel  the bit-sliced kernel (64 text positions per
- *                  machine word) vs the scalar behavioral array and
- *                  the reference definition;
+ *   bit-sliced     the bit-sliced kernel's portable scalar tier (64
+ *                  text positions per machine word) vs the scalar
+ *                  behavioral array and the reference definition;
  *   sharded        the multi-threaded service front end vs the
  *                  single-stream service, in wall-clock chars/sec and
  *                  in critical-path beats (the slowest shard -- the
@@ -30,7 +30,7 @@
 #include "core/behavioral.hh"
 #include "core/gatechip.hh"
 #include "core/reference.hh"
-#include "core/wordpar.hh"
+#include "core/simdpar.hh"
 #include "service/sharded.hh"
 #include "util/table.hh"
 
@@ -84,7 +84,7 @@ shardedConfig(unsigned threads, std::size_t text_len)
 }
 
 void
-wordParallelReport()
+bitSlicedReport()
 {
     const std::size_t big = smokeMode() ? 16384 : 1048576;
     const std::vector<std::size_t> sizes =
@@ -92,48 +92,50 @@ wordParallelReport()
                     : std::vector<std::size_t>{65536, 262144, big};
     const std::size_t k = 8;
 
-    Table table("Word-parallel kernel vs scalar engines "
+    Table table("Bit-sliced kernel (scalar tier) vs scalar engines "
                 "(2-bit alphabet, k = 8, 12% wild cards)");
     table.setHeader({"text chars", "behavioral Mchars/s",
-                     "reference Mchars/s", "word-par Mchars/s",
+                     "reference Mchars/s", "bit-sliced Mchars/s",
                      "speedup vs behavioral", "agrees"});
     double big_speedup = 0;
     for (const std::size_t n : sizes) {
         const auto w = makeMatchWorkload(n, k, 2, 0.12);
         BehavioralMatcher behav(k);
         ReferenceMatcher ref;
-        WordParallelMatcher wp;
+        SimdParallelMatcher scalar(SimdIsa::Scalar);
 
         const double cs_b = charsPerSec(behav, w);
         const double cs_r = charsPerSec(ref, w);
-        const double cs_w = charsPerSec(wp, w);
-        const bool agrees = wp.match(w.text, w.pattern) ==
+        const double cs_s = charsPerSec(scalar, w);
+        const bool agrees = scalar.match(w.text, w.pattern) ==
                             ref.match(w.text, w.pattern);
-        const double speedup = cs_w / cs_b;
+        const double speedup = cs_s / cs_b;
         if (n == big)
             big_speedup = speedup;
         table.addRowOf(n, Table::fixed(cs_b / 1e6, 2),
                        Table::fixed(cs_r / 1e6, 2),
-                       Table::fixed(cs_w / 1e6, 2),
+                       Table::fixed(cs_s / 1e6, 2),
                        Table::fixed(speedup, 1), agrees ? "yes" : "NO");
-        const std::string p = "wordpar.n" + std::to_string(n) + ".";
+        const std::string p = "simd_scalar.n" + std::to_string(n) + ".";
         jsonReport().set(p + "behavioral_chars_per_sec", cs_b);
         jsonReport().set(p + "reference_chars_per_sec", cs_r);
-        jsonReport().set(p + "wordpar_chars_per_sec", cs_w);
+        jsonReport().set(p + "simd_scalar_chars_per_sec", cs_s);
         jsonReport().set(p + "speedup_vs_behavioral", speedup);
         jsonReport().set(p + "agrees", agrees ? "yes" : "no");
     }
     table.print();
-    jsonReport().set("wordpar.big_text_chars", static_cast<double>(big));
-    jsonReport().set("wordpar.big_speedup_vs_behavioral", big_speedup);
-    std::printf("\nShape check: the word-parallel kernel is %.0fx the\n"
+    jsonReport().set("simd_scalar.big_text_chars",
+                     static_cast<double>(big));
+    jsonReport().set("simd_scalar.big_speedup_vs_behavioral", big_speedup);
+    std::printf("\nShape check: the bit-sliced kernel's scalar tier is "
+                "%.0fx the\n"
                 "scalar behavioral array on the %zu-char text\n"
                 "(acceptance floor: 10x on 1 MB in a Release build).\n",
                 big_speedup, big);
 }
 
 void
-wordparArenaReport()
+arenaReport()
 {
     // The arena satellite: a reused matcher instance must stop paying
     // the per-call plane/eq/result allocations. Measured as a burst
@@ -146,13 +148,13 @@ wordparArenaReport()
 
     double cold_s = 1e300;
     double warm_s = 1e300;
-    WordParallelMatcher warm;
+    SimdParallelMatcher warm(SimdIsa::Scalar);
     warm.match(w.text, w.pattern); // size the arena
     const std::size_t bytes_after_first = warm.arenaBytes();
     for (int rep = 0; rep < 3; ++rep) {
         cold_s = std::min(cold_s, secondsOf([&] {
             for (int i = 0; i < calls; ++i) {
-                WordParallelMatcher cold;
+                SimdParallelMatcher cold(SimdIsa::Scalar);
                 auto r = cold.match(w.text, w.pattern);
                 benchmark::DoNotOptimize(r);
             }
@@ -169,7 +171,7 @@ wordparArenaReport()
     const double cs_warm = total / warm_s;
     const bool stable = warm.arenaBytes() == bytes_after_first;
 
-    Table table("Word-parallel arena reuse (burst of " +
+    Table table("Scalar-tier arena reuse (burst of " +
                 std::to_string(calls) + " calls, n = " +
                 std::to_string(n) + ")");
     table.setHeader({"mode", "Mchars/s", "arena stable"});
@@ -179,10 +181,10 @@ wordparArenaReport()
                    stable ? "yes" : "NO");
     table.print();
 
-    jsonReport().set("wordpar.arena_cold_chars_per_sec", cs_cold);
-    jsonReport().set("wordpar.arena_warm_chars_per_sec", cs_warm);
-    jsonReport().set("wordpar.arena_warm_speedup", cs_warm / cs_cold);
-    jsonReport().set("wordpar.arena_stable", stable ? "yes" : "no");
+    jsonReport().set("simd_scalar.arena_cold_chars_per_sec", cs_cold);
+    jsonReport().set("simd_scalar.arena_warm_chars_per_sec", cs_warm);
+    jsonReport().set("simd_scalar.arena_warm_speedup", cs_warm / cs_cold);
+    jsonReport().set("simd_scalar.arena_stable", stable ? "yes" : "no");
     std::printf("\nShape check: a warm matcher is %.2fx a cold one on "
                 "%d-call bursts,\nand its arena footprint is %s after "
                 "the first call.\n",
@@ -300,24 +302,24 @@ printReport()
 {
     spm::bench::jsonDefaultPath("BENCH_E13.json");
     spm::bench::banner(
-        "E13: throughput fast paths (word-parallel, sharded, levelized)",
+        "E13: throughput fast paths (bit-sliced, sharded, levelized)",
         "Bit-identical fast paths for the three layers: a bit-sliced "
         "kernel evaluating 64 text positions per word, a sharded "
         "multi-threaded service, and a compiled gate-sim pass.");
-    wordParallelReport();
-    wordparArenaReport();
+    bitSlicedReport();
+    arenaReport();
     shardedReport();
     levelizedReport();
 }
 
 void
-wordparThroughput(benchmark::State &state)
+scalarTierThroughput(benchmark::State &state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
     const auto w = makeMatchWorkload(n, 8, 2, 0.12);
-    WordParallelMatcher wp;
+    SimdParallelMatcher scalar(SimdIsa::Scalar);
     for (auto _ : state) {
-        auto r = wp.match(w.text, w.pattern);
+        auto r = scalar.match(w.text, w.pattern);
         benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -372,7 +374,7 @@ gateSettle(benchmark::State &state)
     state.counters["device_evals"] = static_cast<double>(m.lastEvals());
 }
 
-BENCHMARK(wordparThroughput)->Arg(65536)->Arg(1048576);
+BENCHMARK(scalarTierThroughput)->Arg(65536)->Arg(1048576);
 BENCHMARK(behavioralThroughput)->Arg(65536);
 BENCHMARK(shardedThroughput)->Arg(1)->Arg(4);
 BENCHMARK(gateSettle)->Arg(0)->Arg(1);

@@ -7,7 +7,7 @@
  * translation through every design level unchanged. E14 quantifies
  * how hard that claim is being tested: the structured fuzz sweep's
  * case rate across the full oracle registry (reference, behavioral
- * array, bit-serial, multipass, word-parallel, gate-level x2,
+ * array, bit-serial, multipass, bit-sliced kernel tiers, gate-level x2,
  * cascade, sharded service x3), the committed regression corpus, and
  * the mutation self-check -- five seeded bugs the harness must catch
  * or the fuzzing proves nothing.

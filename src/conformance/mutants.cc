@@ -6,7 +6,6 @@
 #include "core/behavioral.hh"
 #include "core/reference.hh"
 #include "core/simdpar.hh"
-#include "core/wordpar.hh"
 
 namespace spm::conformance
 {
@@ -34,7 +33,7 @@ class MutShardOverlap : public core::Matcher
 
         const std::size_t nshards = 2;
         const std::size_t overlap = k >= 2 ? k - 2 : 0; // BUG: k-1
-        core::WordParallelMatcher inner;
+        core::SimdParallelMatcher inner(core::SimdIsa::Scalar);
         for (std::size_t s = 0; s < nshards; ++s) {
             const std::size_t start = n * s / nshards;
             const std::size_t end = n * (s + 1) / nshards;
@@ -59,11 +58,11 @@ class MutShardOverlap : public core::Matcher
 };
 
 /**
- * Seeded bug: the word-parallel matcher's wildcard plane is dropped;
+ * Seeded bug: the bit-sliced kernel's wildcard plane is dropped;
  * wildcardSymbol is compared like an ordinary stored character, so a
  * wildcard position never matches anything.
  */
-class MutWordparWildPlane : public core::Matcher
+class MutWildPlane : public core::Matcher
 {
   public:
     std::vector<bool> match(const std::vector<Symbol> &text,
@@ -84,7 +83,7 @@ class MutWordparWildPlane : public core::Matcher
         return result;
     }
 
-    std::string name() const override { return "mut-wordpar-wildplane"; }
+    std::string name() const override { return "mut-wild-plane"; }
 };
 
 /**
@@ -92,13 +91,13 @@ class MutWordparWildPlane : public core::Matcher
  * positions i < k instead of i < k-1, killing the earliest legal
  * match (the one flush against the start of the text).
  */
-class MutWordparLeadMask : public core::Matcher
+class MutLeadMask : public core::Matcher
 {
   public:
     std::vector<bool> match(const std::vector<Symbol> &text,
                             const std::vector<Symbol> &pattern) override
     {
-        core::WordParallelMatcher inner;
+        core::SimdParallelMatcher inner(core::SimdIsa::Scalar);
         std::vector<bool> result = inner.match(text, pattern);
         const std::size_t k = pattern.size();
         if (k >= 1 && k - 1 < result.size())
@@ -107,7 +106,7 @@ class MutWordparLeadMask : public core::Matcher
         return result;
     }
 
-    std::string name() const override { return "mut-wordpar-leadmask"; }
+    std::string name() const override { return "mut-lead-mask"; }
 
     bool supportsWildcards() const override { return true; }
 };
@@ -284,16 +283,16 @@ allMutants()
          "characters instead of k-1",
          "a match window straddling a shard boundary",
          [] { return std::make_unique<MutShardOverlap>(); }},
-        {"mut-wordpar-wildplane",
+        {"mut-wild-plane",
          "dropped wildcard plane: wildcardSymbol compared as a "
          "literal character",
          "a wildcard position inside a matching window",
-         [] { return std::make_unique<MutWordparWildPlane>(); }},
-        {"mut-wordpar-leadmask",
+         [] { return std::make_unique<MutWildPlane>(); }},
+        {"mut-lead-mask",
          "lead mask off by one: positions i < k cleared instead of "
          "i < k-1",
          "a match flush against the start of the text",
-         [] { return std::make_unique<MutWordparLeadMask>(); }},
+         [] { return std::make_unique<MutLeadMask>(); }},
         {"mut-latch-phase",
          "wrong comparator latch phase: control stream fed in phase "
          "with the pattern instead of trailing one beat",

@@ -12,7 +12,6 @@
 #include "core/multipass.hh"
 #include "core/reference.hh"
 #include "core/simdpar.hh"
-#include "core/wordpar.hh"
 #include "multipattern/acmatch.hh"
 #include "multipattern/dict.hh"
 #include "multipattern/planes.hh"
@@ -89,7 +88,8 @@ class ShardedOracleMatcher : public core::Matcher
                     ladder;
                 ladder.push_back(
                     std::make_unique<service::MatcherBackend>(
-                        std::make_unique<core::WordParallelMatcher>()));
+                        std::make_unique<core::SimdParallelMatcher>(
+                            core::SimdIsa::Scalar)));
                 return ladder;
             });
         services.emplace_back(bits, std::move(svc));
@@ -486,20 +486,20 @@ makeAllOracles(bool with_gate)
     // against. Unlimited; every case has a trusted answer.
     oracles.push_back(entry(std::make_unique<core::ReferenceMatcher>(),
                             1 << 20, 1 << 12, 16, 1));
-    oracles.push_back(entry(std::make_unique<core::WordParallelMatcher>(),
-                            1 << 20, 1 << 12, 16, 1));
-    // The SIMD-widened kernel: the best tier at full limits, plus
-    // every supported tier below it forced explicitly, so an AVX2 box
-    // still diffs the SSE2 and scalar code paths on each sweep.
+    // The bit-sliced kernel: the portable scalar tier and the best
+    // tier at full limits, plus SSE2 forced explicitly when it sits
+    // between them, so an AVX2 box diffs every tier's code path on
+    // each sweep.
+    oracles.push_back(entry(
+        std::make_unique<core::SimdParallelMatcher>(core::SimdIsa::Scalar),
+        1 << 20, 1 << 12, 16, 1));
     oracles.push_back(entry(std::make_unique<core::SimdParallelMatcher>(),
                             1 << 20, 1 << 12, 16, 1));
-    for (const core::SimdIsa isa :
-         {core::SimdIsa::Scalar, core::SimdIsa::Sse2}) {
-        if (core::simdIsaSupported(isa) && isa < core::bestSimdIsa())
-            oracles.push_back(entry(
-                std::make_unique<core::SimdParallelMatcher>(isa),
-                1 << 18, 1 << 12, 16, 1));
-    }
+    if (core::simdIsaSupported(core::SimdIsa::Sse2) &&
+        core::SimdIsa::Sse2 < core::bestSimdIsa())
+        oracles.push_back(entry(
+            std::make_unique<core::SimdParallelMatcher>(core::SimdIsa::Sse2),
+            1 << 18, 1 << 12, 16, 1));
     // The batch layer over that kernel: two pack widths plus the
     // chunked carry path (suffix lanes verified inside the oracle).
     oracles.push_back(entry(std::make_unique<BatchOracleMatcher>(3, 0),

@@ -8,8 +8,8 @@
  * identically at every design level; the registry is that claim made
  * executable. It holds the reference definition, the behavioral
  * array, the bit-serial pipeline, the multipass driver, the
- * word-parallel kernel, the SIMD kernel (best tier plus every
- * supported tier forced down), the batch layer (multi-wide packing
+ * bit-sliced kernel (the portable scalar tier, the best tier, and
+ * every supported tier between them), the batch layer (multi-wide packing
  * and the chunked carry path), the gate-level chip (event-driven and
  * levelized), the chip cascade, and the sharded service at 1, 2 and
  * 4 worker threads -- all oracles of each other.
@@ -68,7 +68,7 @@ std::vector<std::string> allOracleNames(bool with_gate = true);
 
 /**
  * The sharded service behind the Matcher interface, pinned to the
- * word-parallel kernel per shard with a small minimum slice so even
+ * scalar tier of the bit-sliced kernel per shard with a small minimum slice so even
  * modest texts split across all workers. Services are cached per
  * alphabet width (threads spin up once, not per case).
  */

@@ -627,7 +627,7 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
         wordOps += nw * (static_cast<std::uint64_t>(nGroups) * planes +
                          nPos);
     } else {
-        // Long patterns keep the wordpar organization -- equality
+        // Long patterns take the sweep organization -- equality
         // masks cached per distinct symbol, one shifted AND sweep per
         // non-wild pattern position -- with the sweeps vectorized.
         std::fill(result.begin(), result.end(), ~std::uint64_t(0));

@@ -1,13 +1,23 @@
 /**
  * @file
- * The SIMD-widened bit-sliced matcher kernel.
+ * The bit-sliced matcher kernel, at scalar, SSE2 and AVX2 width.
  *
- * src/core/wordpar realizes the paper's one-result-bit-per-character
- * claim at 64 positions per machine word; this kernel widens the same
- * bit-sliced recurrences to 128-bit (SSE2) and 256-bit (AVX2)
- * registers, in the spirit of the packed short-pattern matchers of
- * Faro & Kulekci ("Fast Packed String Matching for Short Patterns").
- * Three things separate it from the word-parallel kernel:
+ * The chip's whole argument is one result bit per text character per
+ * beat (Section 3.1); this kernel is the software counterpart. The
+ * text is transposed into bit planes -- plane b holds bit b of 64
+ * consecutive characters per machine word, the bit-serial
+ * organization of Section 3.3.2 turned sideways -- and every pattern
+ * position is applied with Shift-And-style word recurrences:
+ *
+ *     eq(c)[i] = AND_b (plane_b[i] == bit b of c)      (XNOR + AND)
+ *     r[i]     = AND_j eq(p_j)[i - (k-1) + j]          (shift + AND)
+ *
+ * so one 64-bit AND evaluates 64 text positions at once, and wild
+ * cards cost nothing (their factor is all-ones and is skipped). The
+ * same recurrences run at three register widths -- portable uint64,
+ * 128-bit SSE2 and 256-bit AVX2 -- in the spirit of the packed
+ * short-pattern matchers of Faro & Kulekci ("Fast Packed String
+ * Matching for Short Patterns"). Every tier shares three choices:
  *
  *   transpose   for alphabets of at most 8 bits the text is narrowed
  *               to bytes and transposed with compare + movemask, 32
@@ -18,7 +28,8 @@
  *               is read once and all pattern-position factors are
  *               combined in registers, instead of one sweep over the
  *               result stream per pattern position. Longer patterns
- *               use SIMD sweeps over the equality masks;
+ *               cache one equality mask per distinct symbol and run
+ *               one shifted-AND sweep per non-wild position;
  *   arena       all scratch (byte text, planes, equality masks, the
  *               packed result) lives in a reusable member arena, so
  *               steady-state match() calls allocate nothing.
@@ -46,7 +57,7 @@ namespace spm::core
 /** Instruction-set tier the kernel dispatch can select. */
 enum class SimdIsa : unsigned char
 {
-    Scalar, ///< portable uint64 ops (the wordpar organization)
+    Scalar, ///< portable uint64 ops: 64 positions per word
     Sse2,   ///< 128-bit planes
     Avx2,   ///< 256-bit planes
 };
@@ -121,9 +132,9 @@ class SimdOps
  * SIMD evaluation of the Section 3.1 problem.
  *
  * Stateless between calls apart from the scratch arena, so one
- * instance serves requests of any shape -- but, exactly like
- * WordParallelMatcher, not from two threads concurrently; the sharded
- * service and the batch front end give each worker its own instance.
+ * instance serves requests of any shape -- but not from two threads
+ * concurrently; the sharded service and the batch front end give each
+ * worker its own instance.
  */
 class SimdParallelMatcher : public Matcher
 {
@@ -146,8 +157,9 @@ class SimdParallelMatcher : public Matcher
 
     /**
      * The kernel proper: the packed result stream, 64 text positions
-     * per word, word w bit i corresponding to text position 64 w + i;
-     * same contract as WordParallelMatcher::matchPacked. The returned
+     * per word, word w bit i corresponding to text position 64 w + i.
+     * Bits for incomplete substrings (i < k-1) are 0, as are the
+     * unused bits past the text length in the last word. The returned
      * reference points into the arena and is valid until the next
      * call on this instance.
      */

@@ -122,76 +122,9 @@ evalStaticWord(DeviceKind kind, std::uint64_t a1, std::uint64_t a0,
 } // namespace
 
 WordFaultSim::WordFaultSim(const gate::Netlist &netlist)
-    : net(netlist), nodeCount(netlist.nodeCount())
+    : net(netlist), nodeCount(netlist.nodeCount()),
+      lev(gate::levelize(netlist))
 {
-    const std::vector<Device> &devs = net.deviceList();
-    const std::size_t nd = devs.size();
-
-    // Reconstruct the per-node reader lists addNode/addGate built
-    // (the netlist does not expose them; the construction rules are
-    // part of its contract).
-    std::vector<std::vector<std::uint32_t>> readers(nodeCount);
-    for (std::uint32_t di = 0; di < nd; ++di) {
-        const Device &d = devs[di];
-        readers[d.inA].push_back(di);
-        if (d.inB != gate::invalidNode && d.inB != d.inA)
-            readers[d.inB].push_back(di);
-        if (d.ctl != gate::invalidNode)
-            readers[d.ctl].push_back(di);
-    }
-
-    // Kahn's algorithm over static-gate dependency edges, exactly as
-    // gate/levelized.cc compiles them: a pass-transistor-driven or
-    // primary input node is a boundary and contributes no edge.
-    auto isStatic = [&](std::size_t d) {
-        return devs[d].kind != DeviceKind::PassGate;
-    };
-    auto staticDriverOf = [&](NodeId node) -> std::int32_t {
-        const std::int32_t drv = net.driverOf(node);
-        if (drv >= 0 && isStatic(static_cast<std::size_t>(drv)))
-            return drv;
-        return -1;
-    };
-    std::vector<std::uint32_t> indegree(nd, 0);
-    for (std::size_t d = 0; d < nd; ++d) {
-        if (!isStatic(d))
-            continue;
-        if (staticDriverOf(devs[d].inA) >= 0)
-            ++indegree[d];
-        if (devs[d].inB != gate::invalidNode && devs[d].inB != devs[d].inA &&
-            staticDriverOf(devs[d].inB) >= 0)
-            ++indegree[d];
-    }
-    topo.reserve(nd);
-    std::vector<std::uint32_t> ready;
-    for (std::size_t d = 0; d < nd; ++d)
-        if (isStatic(d) && indegree[d] == 0)
-            ready.push_back(static_cast<std::uint32_t>(d));
-    std::vector<std::uint8_t> ordered(nd, 0);
-    while (!ready.empty()) {
-        const std::uint32_t d = ready.back();
-        ready.pop_back();
-        topo.push_back(d);
-        ordered[d] = 1;
-        for (std::uint32_t consumer : readers[devs[d].out]) {
-            if (!isStatic(consumer))
-                continue;
-            if (--indegree[consumer] == 0)
-                ready.push_back(consumer);
-        }
-    }
-
-    isFallback.assign(nd, 0);
-    for (std::size_t d = 0; d < nd; ++d)
-        if (!ordered[d])
-            isFallback[d] = 1;
-
-    fallbackFanout.resize(nodeCount);
-    for (NodeId node = 0; node < nodeCount; ++node)
-        for (std::uint32_t consumer : readers[node])
-            if (isFallback[consumer])
-                fallbackFanout[node].push_back(consumer);
-
     one.assign(nodeCount, 0);
     zero.assign(nodeCount, 0);
     force1.assign(nodeCount, 0);
@@ -216,7 +149,7 @@ WordFaultSim::writeNode(NodeId node, std::uint64_t n1, std::uint64_t n0)
         dirty[node] = 1;
         touched.push_back(node);
     }
-    for (std::uint32_t consumer : fallbackFanout[node])
+    for (std::uint32_t consumer : lev.fallbackFanout[node])
         worklist.push_back(consumer);
     return true;
 }
@@ -267,8 +200,8 @@ WordFaultSim::settleWord()
         bool changed = false;
         // Flat dirty-gated pass in producer-before-consumer order;
         // in-pass propagation reaches every ordered reader because
-        // Kahn placed writers first.
-        for (std::uint32_t d : topo) {
+        // gate::levelize placed writers first.
+        for (std::uint32_t d : lev.topo) {
             const Device &dev = devs[d];
             if (!dirty[dev.inA] &&
                 (dev.inB == gate::invalidNode || !dirty[dev.inB]))

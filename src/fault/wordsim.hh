@@ -11,9 +11,10 @@
  * parallel-fault form.
  *
  * Exactness is the whole point: the planes implement the same
- * three-valued algebra as gate/logic.hh, the settle loop mirrors
- * gate/levelized.cc (flat dirty-gated topological pass plus
- * event-driven relaxation of pass transistors and cyclic statics),
+ * three-valued algebra as gate/logic.hh, the settle loop runs the
+ * order gate::levelize compiles for gate/levelized.cc (flat
+ * dirty-gated topological pass plus event-driven relaxation of pass
+ * transistors and cyclic statics),
  * and the stimulus is not re-derived but *replayed* from an
  * InputTrace captured off a real fault-free protocol run via
  * gate::NetTap. Stuck-at faults become per-lane force masks applied
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "fault/collapse.hh"
+#include "gate/levelized.hh"
 #include "gate/netlist.hh"
 
 namespace spm::fault
@@ -139,10 +141,8 @@ class WordFaultSim
     const gate::Netlist &net;
     std::size_t nodeCount;
 
-    // Compiled structure (mirrors gate/levelized.cc).
-    std::vector<std::uint32_t> topo;      ///< ordered static gates
-    std::vector<std::uint8_t> isFallback; ///< pass gates, cyclic statics
-    std::vector<std::vector<std::uint32_t>> fallbackFanout;
+    /** Compiled order, shared with gate::LevelizedNetlist. */
+    const gate::Levelization lev;
 
     // Per-run state.
     std::vector<std::uint64_t> one, zero;       ///< value planes

@@ -7,12 +7,13 @@
 namespace spm::gate
 {
 
-LevelizedNetlist::LevelizedNetlist(Netlist &netlist)
-    : net(netlist), compiledDevices(netlist.devices.size())
+Levelization
+levelize(const Netlist &net)
 {
     const std::vector<Device> &devs = net.devices;
     const std::size_t nd = devs.size();
     const std::size_t nn = net.nodes.size();
+    Levelization lev;
 
     auto isStatic = [&](std::size_t d) {
         return devs[d].kind != DeviceKind::PassGate;
@@ -38,17 +39,21 @@ LevelizedNetlist::LevelizedNetlist(Netlist &netlist)
             ++indegree[d];
     }
 
-    topo.reserve(nd);
+    lev.topo.reserve(nd);
     std::vector<std::uint32_t> ready;
     for (std::size_t d = 0; d < nd; ++d)
         if (isStatic(d) && indegree[d] == 0)
             ready.push_back(static_cast<std::uint32_t>(d));
-    std::vector<std::uint8_t> ordered(nd, 0);
+    // Every device starts as fallback; Kahn clears the flag of each
+    // gate it places. What stays set is a pass transistor or a static
+    // gate inside a feedback cycle (e.g. the static shift register's
+    // regeneration loop): event-driven relaxation handles it.
+    lev.isFallback.assign(nd, 1);
     while (!ready.empty()) {
         const std::uint32_t d = ready.back();
         ready.pop_back();
-        topo.push_back(d);
-        ordered[d] = 1;
+        lev.topo.push_back(d);
+        lev.isFallback[d] = 0;
         for (std::uint32_t consumer : net.fanout[devs[d].out]) {
             if (!isStatic(consumer))
                 continue;
@@ -60,25 +65,20 @@ LevelizedNetlist::LevelizedNetlist(Netlist &netlist)
     // interleave levels; re-sorting is unnecessary because Kahn only
     // releases a gate once every static producer is already placed.
 
-    isFallback.assign(nd, 0);
-    for (std::size_t d = 0; d < nd; ++d) {
-        if (!ordered[d]) {
-            // Pass transistor, or a static gate inside a feedback
-            // cycle (e.g. the static shift register's regeneration
-            // loop): event-driven relaxation handles it.
-            isFallback[d] = 1;
-            ++nFallback;
-        }
-    }
-
-    fallbackFanout.resize(nn);
+    lev.fallbackFanout.resize(nn);
     for (NodeId node = 0; node < nn; ++node)
         for (std::uint32_t consumer : net.fanout[node])
-            if (isFallback[consumer])
-                fallbackFanout[node].push_back(consumer);
+            if (lev.isFallback[consumer])
+                lev.fallbackFanout[node].push_back(consumer);
+    return lev;
+}
 
-    pending.assign(nd, 0);
-    dirty.assign(nn, 0);
+LevelizedNetlist::LevelizedNetlist(Netlist &netlist)
+    : net(netlist), compiledDevices(netlist.devices.size()),
+      lev(levelize(netlist))
+{
+    pending.assign(compiledDevices, 0);
+    dirty.assign(net.nodes.size(), 0);
 }
 
 LevelizedNetlist::~LevelizedNetlist()
@@ -104,7 +104,7 @@ LevelizedNetlist::writeNode(NodeId node, LogicValue v)
         dirty[node] = 1;
         touched.push_back(node);
     }
-    for (std::uint32_t consumer : fallbackFanout[node])
+    for (std::uint32_t consumer : lev.fallbackFanout[node])
         worklist.push_back(consumer);
     return true;
 }
@@ -145,7 +145,7 @@ LevelizedNetlist::settle(Picoseconds now)
     // Seed from the netlist's pending worklist: evaluations scheduled
     // by setInput, forceStuckAt, clearStuckAt and decayCharge.
     for (std::uint32_t dev : net.worklist) {
-        if (isFallback[dev])
+        if (lev.isFallback[dev])
             worklist.push_back(dev);
         else
             pending[dev] = 1;
@@ -166,7 +166,7 @@ LevelizedNetlist::settle(Picoseconds now)
         // input changed (or an external event forced it). In-pass
         // propagation is free: a changed output dirties a node all
         // of whose ordered readers come later in the order.
-        for (std::uint32_t d : topo) {
+        for (std::uint32_t d : lev.topo) {
             const Device &dev = net.devices[d];
             if (!pending[d] && !dirty[dev.inA] &&
                 (dev.inB == invalidNode || !dirty[dev.inB])) {

@@ -34,6 +34,34 @@ namespace spm::gate
 {
 
 /**
+ * The levelization decision for one finished netlist, shared by every
+ * compiled settle loop: LevelizedNetlist here and the 64-lane fault
+ * simulator (fault/wordsim.hh). The loops stay separate -- one writes
+ * scalar node values, the other value planes under force masks -- but
+ * both run this order.
+ */
+struct Levelization
+{
+    /** Ordered static-gate device indices, producers first. */
+    std::vector<std::uint32_t> topo;
+    /**
+     * Per device: 1 when left to event-driven relaxation -- every pass
+     * transistor and every static gate inside a feedback cycle.
+     */
+    std::vector<std::uint8_t> isFallback;
+    /** Per node: fallback devices reading it. */
+    std::vector<std::vector<std::uint32_t>> fallbackFanout;
+};
+
+/**
+ * Compile @p net's current device list: Kahn's algorithm over the
+ * static-gate dependency edges, read off the netlist's own reader
+ * lists. A node driven by a pass transistor or by nothing (a primary
+ * input) is a boundary of the ordered region and contributes no edge.
+ */
+Levelization levelize(const Netlist &net);
+
+/**
  * Compiled evaluation order over a finished Netlist.
  *
  * Build one after the netlist's construction phase is complete, then
@@ -67,10 +95,13 @@ class LevelizedNetlist
     void settle(Picoseconds now);
 
     /** Static gates in the compiled topological order. */
-    std::size_t orderedCount() const { return topo.size(); }
+    std::size_t orderedCount() const { return lev.topo.size(); }
 
     /** Pass transistors and cyclic gates left to the worklist. */
-    std::size_t fallbackCount() const { return nFallback; }
+    std::size_t fallbackCount() const
+    {
+        return compiledDevices - lev.topo.size();
+    }
 
     /** @{ Cumulative effort statistics across settle() calls. */
     std::uint64_t flatEvals() const { return nFlatEvals; }
@@ -87,13 +118,7 @@ class LevelizedNetlist
     /** Device count at compile time; settle() rejects a grown netlist. */
     std::size_t compiledDevices;
 
-    /** Ordered static-gate device indices, producers first. */
-    std::vector<std::uint32_t> topo;
-    /** Per device: true when handled by the event-driven fallback. */
-    std::vector<std::uint8_t> isFallback;
-    /** Per node: fallback devices reading it. */
-    std::vector<std::vector<std::uint32_t>> fallbackFanout;
-    std::size_t nFallback = 0;
+    const Levelization lev;
 
     /** Per device: forced evaluation pending (seeded from worklist). */
     std::vector<std::uint8_t> pending;

@@ -26,6 +26,7 @@ namespace spm::gate
 {
 
 class LevelizedNetlist;
+struct Levelization;
 
 /** Default dynamic-node retention: about 1 ms (Section 3.3.3). */
 inline constexpr Picoseconds defaultRetentionPs = 1'000'000'000;
@@ -186,6 +187,7 @@ class Netlist
 
   private:
     friend class LevelizedNetlist;
+    friend Levelization levelize(const Netlist &net);
 
     struct NodeState
     {

@@ -274,6 +274,7 @@ BatchMatchService::feedGroup(BatchStreamGroup &group,
         if (auto verr =
                 validateText(cfg.base, chunks[i], group.carries[i].seen,
                              "stream[" + std::to_string(i) + "]")) {
+            rejectedCtr.add();
             res.error = *verr;
             return res;
         }

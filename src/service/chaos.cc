@@ -10,6 +10,7 @@
 #include "core/reference.hh"
 #include "fault/grade.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace spm::service
 {
@@ -17,22 +18,14 @@ namespace spm::service
 namespace
 {
 
-/** splitmix64: the decision hash (seed, slot, window) -> u64. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
+/** The decision hash (seed, slot, window) -> u64. */
 std::uint64_t
 decisionHash(std::uint64_t seed, std::uint32_t slot, std::uint64_t window,
              std::uint64_t salt)
 {
-    return mix64(seed ^ mix64(slot * 0x0123456789abcdefULL ^ salt) ^
-                 mix64(window));
+    return splitmix64(seed ^
+                      splitmix64(slot * 0x0123456789abcdefULL ^ salt) ^
+                      splitmix64(window));
 }
 
 /** Hash to a uniform double in [0, 1). */

@@ -4,23 +4,10 @@
 #include <chrono>
 #include <sstream>
 
+#include "util/rng.hh"
+
 namespace spm::telem
 {
-
-namespace
-{
-
-/** splitmix64: the deterministic draw behind the uniform reservoir. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 std::uint64_t
 nowNs()
@@ -107,7 +94,7 @@ ExemplarReservoir::offer(Exemplar &&e,
             slow_victim = static_cast<std::size_t>(min_it - slow.begin());
     }
 
-    std::uint64_t draw = mix64(seed ^ e.seq) % (e.seq + 1);
+    std::uint64_t draw = splitmix64(seed ^ e.seq) % (e.seq + 1);
     bool keep_uniform = uniCap > 0 && draw < uniCap;
 
     if (!keep_forced && !keep_slow && !keep_uniform)

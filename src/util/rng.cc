@@ -9,16 +9,6 @@ namespace
 {
 
 std::uint64_t
-splitmix64(std::uint64_t &x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
 rotl(std::uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
@@ -28,9 +18,10 @@ rotl(std::uint64_t x, int k)
 
 Rng::Rng(std::uint64_t seed)
 {
-    std::uint64_t s = seed;
-    for (auto &word : state)
-        word = splitmix64(s);
+    for (auto &word : state) {
+        word = splitmix64(seed);
+        seed += 0x9E3779B97F4A7C15ULL;
+    }
 }
 
 std::uint64_t

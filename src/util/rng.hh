@@ -20,6 +20,20 @@ namespace spm
 {
 
 /**
+ * The SplitMix64 finalizer of @p x advanced by one golden-ratio step:
+ * a stateless 64-bit mix. It seeds Rng and is the deterministic hash
+ * behind the telemetry reservoir draws and the chaos schedules.
+ */
+inline std::uint64_t
+splitmix64(std::uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
+
+/**
  * A small, fast, deterministic PRNG (xoshiro256**).
  *
  * Not cryptographic; used only to generate synthetic text, patterns and

@@ -1,11 +1,11 @@
 /**
  * @file
- * Property tests for the SIMD-widened bit-sliced matcher: every
- * supported tier bit-identical to the reference across pattern
- * lengths 1..64 (the fused short path) and beyond (the sweep path),
- * wildcard densities and alphabet widths, plus the arena-reuse and
- * forced-tier dispatch invariants the batch layer and the benches
- * rely on.
+ * Property tests for the bit-sliced matcher: every supported tier
+ * bit-identical to the reference across pattern lengths 1..64 (the
+ * fused short path) and beyond (the sweep path), all-wildcard
+ * patterns, wildcard densities and alphabet widths, plus the packed
+ * slack, effort, arena-reuse and forced-tier dispatch invariants the
+ * sharded and batch layers and the benches rely on.
  */
 
 #include <gtest/gtest.h>
@@ -41,12 +41,25 @@ TEST(SimdParallel, PaperExample)
 
 TEST(SimdParallel, DegenerateShapes)
 {
-    SimdParallelMatcher sp;
+    ReferenceMatcher ref;
     const std::vector<Symbol> text{1, 2, 3};
-    EXPECT_EQ(sp.match(text, {}), std::vector<bool>(3, false));
-    EXPECT_EQ(sp.match({}, {1}), std::vector<bool>());
-    // Pattern longer than the text never matches.
-    EXPECT_EQ(sp.match(text, {1, 2, 3, 1}), std::vector<bool>(3, false));
+    const auto wide = test::makeShapedWorkload(0xA11, 2, 150, 5, 0).text;
+    for (const SimdIsa isa : supportedTiers()) {
+        SimdParallelMatcher sp(isa);
+        EXPECT_EQ(sp.match(text, {}), std::vector<bool>(3, false));
+        EXPECT_EQ(sp.match({}, {1}), std::vector<bool>());
+        // Pattern longer than the text never matches.
+        EXPECT_EQ(sp.match(text, {1, 2, 3, 1}),
+                  std::vector<bool>(3, false));
+        // All-wildcard patterns match every full window, on the short
+        // path and (k = 70) the sweep path.
+        for (const std::size_t k : {std::size_t(1), std::size_t(5),
+                                    std::size_t(70)}) {
+            const std::vector<Symbol> pattern(k, wildcardSymbol);
+            EXPECT_EQ(sp.match(wide, pattern), ref.match(wide, pattern))
+                << simdIsaName(isa) << " k=" << k;
+        }
+    }
 }
 
 TEST(SimdParallel, EveryTierEveryShortLengthMatchesReference)
@@ -54,14 +67,19 @@ TEST(SimdParallel, EveryTierEveryShortLengthMatchesReference)
     ReferenceMatcher ref;
     for (const SimdIsa isa : supportedTiers()) {
         SimdParallelMatcher sp(isa);
-        for (std::size_t k = 1; k <= 64; ++k) {
-            const auto w = test::makeShapedWorkload(
-                0x51D0 + k, 2, 192 + 3 * k, k, 20);
-            EXPECT_EQ(sp.match(w.text, w.pattern),
-                      ref.match(w.text, w.pattern))
-                << simdIsaName(isa) << " k=" << k << " case "
-                << w.caseId;
-            EXPECT_TRUE(sp.lastShortPath()) << "k=" << k;
+        // 1-, 2- and 8-bit alphabets: one plane, the prototype's two,
+        // and the widest byte-narrowed transpose.
+        for (const BitWidth bits : {BitWidth(1), BitWidth(2),
+                                    BitWidth(8)}) {
+            for (std::size_t k = 1; k <= 64; ++k) {
+                const auto w = test::makeShapedWorkload(
+                    0x51D0 + 0x100 * bits + k, bits, 192 + 3 * k, k, 20);
+                EXPECT_EQ(sp.match(w.text, w.pattern),
+                          ref.match(w.text, w.pattern))
+                    << simdIsaName(isa) << " bits=" << int(bits)
+                    << " k=" << k << " case " << w.caseId;
+                EXPECT_TRUE(sp.lastShortPath()) << "k=" << k;
+            }
         }
     }
 }
@@ -146,17 +164,41 @@ TEST(SimdParallel, ForcedTierIsClampedAndNamed)
 
 TEST(SimdParallel, PackedWordsAgreeWithUnpackedBits)
 {
-    SimdParallelMatcher sp;
-    const auto w = test::makeShapedWorkload(0xBEEF, 3, 500, 7, 10);
-    const std::vector<std::uint64_t> packed =
+    for (const SimdIsa isa : supportedTiers()) {
+        SimdParallelMatcher sp(isa);
+        for (const std::size_t n :
+             {std::size_t(63), std::size_t(64), std::size_t(65),
+              std::size_t(190), std::size_t(500)}) {
+            const auto w = test::makeShapedWorkload(0xBEEF + n, 3, n, 7, 10);
+            const std::vector<std::uint64_t> packed =
+                sp.matchPacked(w.text, w.pattern);
+            ASSERT_EQ(packed.size(), (n + 63) / 64);
+            EXPECT_EQ(unpackResultBits(packed, n),
+                      sp.match(w.text, w.pattern))
+                << simdIsaName(isa) << " n=" << n;
+            // Slack bits past position n-1 must stay zero: the sharded
+            // and batch layers OR whole words without re-masking.
+            if (n % 64 != 0) {
+                EXPECT_EQ(packed.back() >> (n % 64), 0u)
+                    << simdIsaName(isa) << " n=" << n;
+            }
+        }
+    }
+}
+
+TEST(SimdParallel, ReportsKernelEffort)
+{
+    const auto w = test::makeShapedWorkload(0xEFF, 8, 10'000, 16, 0);
+    for (const SimdIsa isa : supportedTiers()) {
+        SimdParallelMatcher sp(isa);
         sp.matchPacked(w.text, w.pattern);
-    const std::size_t n = w.text.size();
-    EXPECT_EQ(packed.size(), (n + 63) / 64);
-    EXPECT_EQ(unpackResultBits(packed, n), sp.match(w.text, w.pattern));
-    // Slack bits past position n-1 must stay zero: the sharded and
-    // batch layers OR whole words without re-masking.
-    if (n % 64 != 0) {
-        EXPECT_EQ(packed.back() >> (n % 64), 0u);
+        EXPECT_GT(sp.lastWordOps(), 0u);
+        EXPECT_GE(sp.lastPlanes(), 1u);
+        EXPECT_LE(sp.lastPlanes(), 8u);
+        // Word ops must be far below the n*k bit operations the scalar
+        // reference performs -- that is the whole point of the kernel.
+        EXPECT_LT(sp.lastWordOps(), 10'000u * 16u / 4u)
+            << simdIsaName(isa);
     }
 }
 

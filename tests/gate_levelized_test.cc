@@ -1,14 +1,18 @@
 /**
  * @file
- * Property tests for the levelized gate-sim fast path: the compiled
- * flat pass must be observably identical -- node for node, after
- * every settle -- to the event-driven Netlist::settle, on every
- * standard cell, under stuck-at faults and charge decay, and on the
- * full comparator/accumulator chip.
+ * Property tests for the levelized gate-sim fast path: the shared
+ * levelization (gate::levelize) must order every static gate after
+ * its static producers and leave pass gates and feedback cycles to
+ * the fallback, and the compiled flat pass must be observably
+ * identical -- node for node, after every settle -- to the
+ * event-driven Netlist::settle, on every standard cell, under
+ * stuck-at faults and charge decay, and on the full
+ * comparator/accumulator chip.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -68,6 +72,190 @@ lockstepCheck(const std::function<std::vector<NodeId>(Netlist &)> &build,
         fast.settle(now);
         expectSameNodes(plain, fast, "after settle");
     }
+}
+
+/** Every standard cell, each built alone between marked port nodes. */
+std::vector<std::function<void(Netlist &)>>
+stdcellBuilders()
+{
+    std::vector<std::function<void(Netlist &)>> cells;
+    cells.push_back([](Netlist &net) {
+        const NodeId in = net.addNode("in");
+        const NodeId clk = net.addNode("clk");
+        net.markInput(in);
+        net.markInput(clk);
+        buildShiftStage(net, "sr", in, clk);
+    });
+    cells.push_back([](Netlist &net) {
+        const NodeId in = net.addNode("in");
+        const NodeId clk = net.addNode("clk");
+        const NodeId shift = net.addNode("shift");
+        for (NodeId n : {in, clk, shift})
+            net.markInput(n);
+        buildStaticShiftStage(net, "ssr", in, clk, shift);
+    });
+    for (const bool positive : {true, false}) {
+        cells.push_back([positive](Netlist &net) {
+            ComparatorPorts ports;
+            ports.pIn = net.addNode("pIn");
+            ports.sIn = net.addNode("sIn");
+            ports.dIn = net.addNode("dIn");
+            ports.pOut = net.addNode("pOut");
+            ports.sOut = net.addNode("sOut");
+            ports.dOut = net.addNode("dOut");
+            const NodeId clk = net.addNode("clk");
+            for (NodeId n : {ports.pIn, ports.sIn, ports.dIn, clk})
+                net.markInput(n);
+            buildComparator(net, "cmp", ports, clk, positive);
+        });
+        cells.push_back([positive](Netlist &net) {
+            AccumulatorPorts ports;
+            ports.lambdaIn = net.addNode("lIn");
+            ports.xIn = net.addNode("xIn");
+            ports.dIn = net.addNode("dIn");
+            ports.rIn = net.addNode("rIn");
+            ports.lambdaOut = net.addNode("lOut");
+            ports.xOut = net.addNode("xOut");
+            ports.rOut = net.addNode("rOut");
+            const NodeId clkA = net.addNode("clkA");
+            const NodeId clkB = net.addNode("clkB");
+            for (NodeId n : {ports.lambdaIn, ports.xIn, ports.dIn,
+                             ports.rIn, clkA, clkB})
+                net.markInput(n);
+            buildAccumulator(net, "acc", ports, clkA, clkB, positive);
+        });
+    }
+    return cells;
+}
+
+/** The static gate driving @p node, or -1 (pass gate, input, none). */
+std::int64_t
+staticDriver(const Netlist &net, NodeId node)
+{
+    if (node == invalidNode)
+        return -1;
+    const std::int32_t drv = net.driverOf(node);
+    if (drv < 0 ||
+        net.deviceList()[static_cast<std::size_t>(drv)].kind ==
+            DeviceKind::PassGate)
+        return -1;
+    return drv;
+}
+
+/**
+ * Check gate::levelize on @p net against the definition: every
+ * ordered gate comes after the static producers of its inputs, every
+ * pass gate and every static gate on a feedback cycle is flagged
+ * fallback, the flags are exactly the devices left out of the order,
+ * and each node's fallback fanout lists exactly its fallback readers.
+ * Returns the number of static gates found on a cycle.
+ */
+std::size_t
+expectSoundLevelization(const Netlist &net)
+{
+    const std::vector<Device> &devs = net.deviceList();
+    const std::size_t nd = devs.size();
+    const Levelization lev = levelize(net);
+    EXPECT_EQ(lev.isFallback.size(), nd);
+    EXPECT_EQ(lev.fallbackFanout.size(), net.nodeCount());
+
+    std::vector<std::int64_t> position(nd, -1);
+    for (std::size_t i = 0; i < lev.topo.size(); ++i) {
+        EXPECT_EQ(position[lev.topo[i]], -1) << "gate ordered twice";
+        position[lev.topo[i]] = static_cast<std::int64_t>(i);
+    }
+
+    // Static producer edges, for the cycle search below.
+    std::vector<std::vector<std::size_t>> producers(nd);
+    for (std::size_t d = 0; d < nd; ++d) {
+        EXPECT_EQ(lev.isFallback[d] != 0, position[d] < 0) << "device " << d;
+        if (devs[d].kind == DeviceKind::PassGate) {
+            EXPECT_TRUE(lev.isFallback[d]) << "pass gate " << d;
+            continue;
+        }
+        for (const NodeId in : {devs[d].inA, devs[d].inB}) {
+            const std::int64_t p = staticDriver(net, in);
+            if (p < 0)
+                continue;
+            producers[d].push_back(static_cast<std::size_t>(p));
+            if (position[d] >= 0) {
+                EXPECT_GE(position[static_cast<std::size_t>(p)], 0);
+                EXPECT_LT(position[static_cast<std::size_t>(p)],
+                          position[d])
+                    << "gate " << d << " ordered before its producer " << p;
+            }
+        }
+    }
+
+    // A static gate is on a feedback cycle when it is its own
+    // transitive static producer.
+    std::size_t cyclic = 0;
+    for (std::size_t d = 0; d < nd; ++d) {
+        std::vector<std::uint8_t> seen(nd, 0);
+        std::vector<std::size_t> stack(producers[d]);
+        bool onCycle = false;
+        while (!stack.empty() && !onCycle) {
+            const std::size_t p = stack.back();
+            stack.pop_back();
+            onCycle = p == d;
+            if (seen[p])
+                continue;
+            seen[p] = 1;
+            stack.insert(stack.end(), producers[p].begin(),
+                         producers[p].end());
+        }
+        if (onCycle) {
+            ++cyclic;
+            EXPECT_TRUE(lev.isFallback[d]) << "cyclic gate " << d;
+        }
+    }
+
+    // Fallback fanout: each node's fallback readers, in device order.
+    std::vector<std::vector<std::uint32_t>> want(net.nodeCount());
+    for (std::uint32_t d = 0; d < nd; ++d) {
+        if (!lev.isFallback[d])
+            continue;
+        const Device &dev = devs[d];
+        want[dev.inA].push_back(d);
+        if (dev.inB != invalidNode && dev.inB != dev.inA)
+            want[dev.inB].push_back(d);
+        if (dev.ctl != invalidNode)
+            want[dev.ctl].push_back(d);
+    }
+    for (NodeId node = 0; node < net.nodeCount(); ++node) {
+        std::vector<std::uint32_t> got = lev.fallbackFanout[node];
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want[node]) << "node '" << net.nodeName(node) << "'";
+    }
+    return cyclic;
+}
+
+TEST(Levelized, SharedLevelizationIsSoundOnEveryStdcell)
+{
+    std::size_t cyclic = 0;
+    for (const auto &build : stdcellBuilders()) {
+        Netlist net("cell");
+        build(net);
+        cyclic += expectSoundLevelization(net);
+        const Levelization lev = levelize(net);
+        const LevelizedNetlist accel(net);
+        EXPECT_EQ(accel.fallbackCount(),
+                  static_cast<std::size_t>(std::count(
+                      lev.isFallback.begin(), lev.isFallback.end(), 1)));
+    }
+    // The static shift register's regeneration loop is a real cycle.
+    EXPECT_GT(cyclic, 0u);
+}
+
+TEST(Levelized, SharedLevelizationIsSoundOnTheFullChip)
+{
+    core::GateChip chip(8, 2);
+    EXPECT_EQ(expectSoundLevelization(chip.netlist()), 0u);
+    const Levelization lev = levelize(chip.netlist());
+    EXPECT_GT(lev.topo.size(), 0u);
+    EXPECT_EQ(static_cast<std::size_t>(std::count(lev.isFallback.begin(),
+                                                  lev.isFallback.end(), 1)),
+              chip.netlist().countKind(DeviceKind::PassGate));
 }
 
 TEST(Levelized, DynamicShiftStageMatchesEventDriven)

@@ -186,15 +186,20 @@ TEST(ValidateFrontEnds, BatchServiceUsesSharedRules)
     }
 
     // Chunk admission shares validateText: out-of-alphabet bytes and
-    // the cumulative per-stream bound reject before carries advance.
+    // the cumulative per-stream bound reject before carries advance,
+    // and each rejected feed is counted like every other front end's.
+    const auto &rejected = svc.stats().counter("rejected");
     ServiceError err;
     BatchStreamGroup group = svc.openGroup({1, 2}, 1, err);
     ASSERT_EQ(err.code, ErrorCode::Ok);
+    const std::uint64_t before = rejected.value();
     auto fed = svc.feedGroup(group, {{Symbol(9)}});
     EXPECT_EQ(fed.error.code, ErrorCode::AlphabetOverflow);
+    EXPECT_EQ(rejected.value(), before + 1);
     fed = svc.feedGroup(
         group, {std::vector<Symbol>(cfg.base.maxTextLen + 1, Symbol(0))});
     EXPECT_EQ(fed.error.code, ErrorCode::OversizedRequest);
+    EXPECT_EQ(rejected.value(), before + 2);
 }
 
 TEST(ValidateFrontEnds, BatchServiceGroupsOnePassPerDistinctPattern)
