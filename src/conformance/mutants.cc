@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "conformance/oracles.hh"
 #include "core/behavioral.hh"
 #include "core/reference.hh"
 #include "core/simdpar.hh"
+#include "util/strings.hh"
 
 namespace spm::conformance
 {
@@ -272,6 +274,41 @@ class MutBatchWarmup : public core::Matcher
     core::SimdParallelMatcher kernel;
 };
 
+/**
+ * Seeded bug: the lane path's string-plane builder reads lane j's
+ * k-1 overlap characters from lane j+1's window, so each window past
+ * the first sees its neighbour's input where its predecessor's chunk
+ * tail belongs. The case runs as the gate-lanes oracle's 16-lane cut;
+ * outside that oracle's shape limits the mutant answers with the
+ * reference, so only cases of a shape gate-lanes runs can catch it.
+ */
+class MutLaneTail : public core::Matcher
+{
+  public:
+    std::vector<bool> match(const std::vector<Symbol> &text,
+                            const std::vector<Symbol> &pattern) override
+    {
+        const std::size_t k = pattern.size();
+        const BitWidth bits =
+            std::max(requiredBits(text), requiredBits(pattern));
+        if (k == 0 || k > gateLanesMaxPattern ||
+            text.size() > gateLanesMaxText || bits > gateLanesMaxBits)
+            return core::ReferenceMatcher().match(text, pattern);
+
+        LaneCut cut = cutIntoLanes(text, k, 16);
+        for (std::size_t j = 0; j + 1 < cut.windows.size(); ++j) {
+            const std::vector<Symbol> &next = cut.windows[j + 1];
+            for (std::size_t t = 0;
+                 t < cut.overlap[j] && t < next.size(); ++t)
+                cut.windows[j][t] = next[t]; // BUG: keep lane j's own
+        }
+        core::GateLevelMatcher chip(k, bits);
+        return matchLaneCut(chip, cut, pattern);
+    }
+
+    std::string name() const override { return "mut-lane-tail"; }
+};
+
 } // namespace
 
 const std::vector<Mutant> &
@@ -314,6 +351,11 @@ allMutants()
          "a lane whose first k-1 characters, behind the previous "
          "lane's last one, fill a pattern window",
          [] { return std::make_unique<MutBatchWarmup>(); }},
+        {"mut-lane-tail",
+         "lane input leak: lane j's k-1 overlap characters are read "
+         "from lane j+1's window",
+         "a match ending in the first k-1 characters of a lane's chunk",
+         [] { return std::make_unique<MutLaneTail>(); }},
     };
     return mutants;
 }

@@ -451,6 +451,39 @@ class LevelizedGateMatcher : public core::Matcher
     core::GateLevelMatcher impl;
 };
 
+/**
+ * The gate chip's lane path (GateLevelMatcher::matchLanes) behind the
+ * Matcher interface: a chip sized to the case runs the text cut into
+ * 1, 16 and 64 lanes, each cut in one call. The cuts must stitch to
+ * the same stream; the one-lane answer is what the differ checks.
+ */
+class GateLanesMatcher : public core::Matcher
+{
+  public:
+    std::vector<bool> match(const std::vector<Symbol> &text,
+                            const std::vector<Symbol> &pattern) override
+    {
+        if (pattern.empty())
+            return std::vector<bool>(text.size(), false);
+        core::GateLevelMatcher chip(
+            pattern.size(),
+            std::max(requiredBits(text), requiredBits(pattern)));
+        const std::vector<bool> one =
+            matchLaneCut(chip, cutIntoLanes(text, pattern.size(), 1),
+                         pattern);
+        for (const std::size_t lanes : {16u, 64u})
+            if (matchLaneCut(chip,
+                             cutIntoLanes(text, pattern.size(), lanes),
+                             pattern) != one)
+                throw std::runtime_error(
+                    name() + ": the " + std::to_string(lanes) +
+                    "-lane cut disagrees with the one-lane run");
+        return one;
+    }
+
+    std::string name() const override { return "gate-lanes"; }
+};
+
 Oracle
 entry(std::unique_ptr<core::Matcher> m, std::size_t max_text,
       std::size_t max_pattern, BitWidth max_bits, std::uint64_t stride)
@@ -476,6 +509,42 @@ std::unique_ptr<core::Matcher>
 makeCascadeOracle()
 {
     return std::make_unique<CascadeOracleMatcher>();
+}
+
+LaneCut
+cutIntoLanes(const std::vector<Symbol> &text, std::size_t k,
+             std::size_t lanes)
+{
+    const std::size_t n = text.size();
+    const std::size_t chunk = std::max<std::size_t>(1, n / lanes);
+    LaneCut cut;
+    for (std::size_t off = 0; off < n; off += chunk) {
+        const bool last = cut.windows.size() + 1 == lanes;
+        const std::size_t end = last ? n : std::min(n, off + chunk);
+        const std::size_t overlap = std::min(k - 1, off);
+        cut.windows.emplace_back(
+            text.begin() + static_cast<std::ptrdiff_t>(off - overlap),
+            text.begin() + static_cast<std::ptrdiff_t>(end));
+        cut.overlap.push_back(overlap);
+        if (last)
+            break;
+    }
+    return cut;
+}
+
+std::vector<bool>
+matchLaneCut(core::GateLevelMatcher &chip, const LaneCut &cut,
+             const std::vector<Symbol> &pattern)
+{
+    const std::vector<core::GateLevelMatcher::LaneResult> lanes =
+        chip.matchLanes(cut.windows, pattern);
+    std::vector<bool> out;
+    for (std::size_t j = 0; j < lanes.size(); ++j)
+        out.insert(out.end(),
+                   lanes[j].bits.begin() +
+                       static_cast<std::ptrdiff_t>(cut.overlap[j]),
+                   lanes[j].bits.end());
+    return out;
 }
 
 std::vector<Oracle>
@@ -538,6 +607,10 @@ makeAllOracles(bool with_gate)
                   8));
         oracles.push_back(
             entry(std::make_unique<LevelizedGateMatcher>(), 48, 6, 3, 8));
+        // Up to 256 characters so the 64-lane cut fills every lane.
+        oracles.push_back(entry(std::make_unique<GateLanesMatcher>(),
+                                gateLanesMaxText, gateLanesMaxPattern,
+                                gateLanesMaxBits, 4));
     }
     for (const unsigned threads : {1u, 2u, 4u})
         oracles.push_back(

@@ -11,8 +11,9 @@
  * bit-sliced kernel (the portable scalar tier, the best tier, and
  * every supported tier between them), the batch layer (multi-wide packing
  * and the chunked carry path), the gate-level chip (event-driven and
- * levelized), the chip cascade, and the sharded service at 1, 2 and
- * 4 worker threads -- all oracles of each other.
+ * levelized, plus its 64-lane path serving a request's windows as
+ * lanes), the chip cascade, and the sharded service at 1, 2 and 4
+ * worker threads -- all oracles of each other.
  *
  * Eligibility limits keep the expensive fidelities (a gate-level chip
  * is ~10^4 device evaluations per beat) on cases small enough that a
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "conformance/case.hh"
+#include "core/gatechip.hh"
 #include "core/matcher.hh"
 
 namespace spm::conformance
@@ -73,6 +75,37 @@ std::vector<std::string> allOracleNames(bool with_gate = true);
  * alphabet width (threads spin up once, not per case).
  */
 std::unique_ptr<core::Matcher> makeShardedOracle(unsigned threads);
+
+/** @{ The gate-lanes oracle's case limits; mut-lane-tail shares them. */
+inline constexpr std::size_t gateLanesMaxText = 256;
+inline constexpr std::size_t gateLanesMaxPattern = 8;
+inline constexpr BitWidth gateLanesMaxBits = 3;
+/** @} */
+
+/**
+ * A text cut into lane windows the way the service streams it: each
+ * window re-presents the k-1 characters before its chunk. Every chunk
+ * holds floor(n / lanes) characters (at least one) except the last
+ * lane's, which takes the remainder -- a ragged last window.
+ */
+struct LaneCut
+{
+    std::vector<std::vector<Symbol>> windows;
+    /** Per window: the leading overlap characters before its chunk. */
+    std::vector<std::size_t> overlap;
+};
+
+/** Cut @p text for a pattern of length @p k (>= 1) into @p lanes. */
+LaneCut cutIntoLanes(const std::vector<Symbol> &text, std::size_t k,
+                     std::size_t lanes);
+
+/**
+ * Run @p cut through one GateLevelMatcher::matchLanes call on @p chip
+ * and stitch the windows' chunk bits back into one result stream.
+ */
+std::vector<bool> matchLaneCut(core::GateLevelMatcher &chip,
+                               const LaneCut &cut,
+                               const std::vector<Symbol> &pattern);
 
 /**
  * A cascade sized per call: two chips splitting max(k, 2) cells, so

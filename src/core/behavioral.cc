@@ -59,15 +59,20 @@ ChipFeedPlan::controlAt(Beat beat) const
     return tok;
 }
 
+std::size_t
+ChipFeedPlan::stringIndex(Beat beat) const
+{
+    if (beat % 2 != phi % 2 || beat < phi)
+        return noChar;
+    const auto i = static_cast<std::size_t>((beat - phi) / 2);
+    return i < textLen ? i : noChar;
+}
+
 StrToken
 ChipFeedPlan::stringAt(Beat beat, const std::vector<Symbol> &text) const
 {
-    if (beat % 2 != phi % 2 || beat < phi)
-        return StrToken{};
-    const auto i = static_cast<std::size_t>((beat - phi) / 2);
-    if (i >= textLen)
-        return StrToken{};
-    return StrToken{text[i], true};
+    const std::size_t i = stringIndex(beat);
+    return i == noChar ? StrToken{} : StrToken{text[i], true};
 }
 
 ResToken

@@ -59,6 +59,15 @@ class ChipFeedPlan
     /** Control token to force into the control input before @p beat. */
     CtlToken controlAt(Beat beat) const;
 
+    /** stringIndex() of a beat on which no character is fed. */
+    static constexpr std::size_t noChar = static_cast<std::size_t>(-1);
+
+    /**
+     * Text position fed before @p beat, or noChar on the gap beats
+     * and once the text is exhausted.
+     */
+    std::size_t stringIndex(Beat beat) const;
+
     /**
      * String token for @p beat, reading characters from @p text.
      * Once the text is exhausted the stream carries invalid tokens.

@@ -21,6 +21,7 @@
 #include "core/matcher.hh"
 #include "gate/levelized.hh"
 #include "gate/netlist.hh"
+#include "gate/planesim.hh"
 #include "gate/stdcells.hh"
 #include "gate/twophase.hh"
 
@@ -50,6 +51,27 @@ class GateChip
 
     std::size_t cellCount() const { return numCells; }
     BitWidth bits() const { return numBits; }
+
+    /**
+     * A primary input and the polarity its edge cell reads: the
+     * positive-logic bit b is driven as H exactly when b != inverted.
+     */
+    struct Pin
+    {
+        gate::NodeId node = gate::invalidNode;
+        bool inverted = false;
+    };
+
+    /** @{ The input pins the feed methods below drive. */
+    Pin patternPin(unsigned row) const;
+    Pin stringPin(unsigned row) const;
+    Pin lambdaPin() const { return {lambdaInNode, controlInverted()}; }
+    Pin xPin() const { return {xInNode, controlInverted()}; }
+    Pin resultInPin() const
+    {
+        return {rInNode, !positiveTwin(numBits, numCells - 1)};
+    }
+    /** @} */
 
     /** Present the pattern bit entering row @p row for this beat. */
     void setPatternBit(unsigned row, bool bit);
@@ -127,7 +149,9 @@ class GateChip
         return parity(row, col) == 0;
     }
 
-    void drive(gate::NodeId node, bool value, bool positive_cell);
+    bool controlInverted() const { return !positiveTwin(numBits, 0); }
+
+    void drive(Pin pin, bool value);
 
     std::size_t numCells;
     BitWidth numBits;
@@ -142,14 +166,20 @@ class GateChip
     gate::NodeId rInNode;
     gate::NodeId rOutNode;
     bool rOutInverted;
-    bool lambdaInInverted;
-    bool rInInverted;
 };
 
 /**
  * Matcher over the gate-level chip. Uses the same feed schedule as
  * the bit-serial behavioral model; results are collected by exit
  * beat (the hardware has no validity bits).
+ *
+ * Two entry points share that schedule. match() builds a fresh chip
+ * per call and settles it as one scalar netlist -- the path fault
+ * grading's chip-prep tap and result observer need. matchLanes()
+ * runs up to 64 windows at once, one per lane of the plane engine
+ * (gate/planesim.hh): the schedule is data-independent, so every
+ * window drives the same netlist with the same clock, pattern and
+ * control stimulus, and only the string rows differ per lane.
  */
 class GateLevelMatcher : public Matcher
 {
@@ -170,6 +200,32 @@ class GateLevelMatcher : public Matcher
     }
 
     Beat lastBeats() const { return beatsUsed; }
+
+    /** One window's answer from matchLanes(). */
+    struct LaneResult
+    {
+        /** Exactly what match() returns for the window. */
+        std::vector<bool> bits;
+        /** Exactly what lastBeats() reports after that match(). */
+        Beat beats = 0;
+    };
+
+    /**
+     * Match each of @p windows against @p pattern, 64 windows per
+     * pass of the plane engine, and answer per window exactly as
+     * match() would: same bits, same beat count. A lane past its
+     * window's end is fed 0, which is what a shorter one-window run
+     * is fed. Needs the explicit chip shape (cells and bits given at
+     * construction). The chip, its settled snapshot and the engine
+     * are built on the first call and reused; the stuck-at faults the
+     * chip-prep hook leaves are re-applied to every lane as force
+     * masks. The hook's other effects, the result observer and the
+     * levelized switch apply to match() only; lastEvals() and
+     * lastTransistors() are not updated.
+     */
+    std::vector<LaneResult> matchLanes(
+        const std::vector<std::vector<Symbol>> &windows,
+        const std::vector<Symbol> &pattern);
 
     /**
      * Settle each per-match chip through the levelized fast path
@@ -192,6 +248,9 @@ class GateLevelMatcher : public Matcher
     void setChipPrep(std::function<void(GateChip &)> prep)
     {
         chipPrep = std::move(prep);
+        // The lane chip was prepared with the old hook.
+        lanePlanes.reset();
+        laneChip.reset();
     }
 
     /**
@@ -215,6 +274,12 @@ class GateLevelMatcher : public Matcher
     std::uint64_t evalsUsed = 0;
     std::function<void(GateChip &)> chipPrep;
     std::function<void(std::size_t, const GateChip &)> resultObserver;
+
+    // The lane path, built by the first matchLanes() call.
+    std::unique_ptr<GateChip> laneChip;
+    std::vector<gate::LogicValue> laneSnapshot; ///< settled, unprepared
+    std::vector<gate::PlaneForce> laneForces;   ///< chipPrep's stuck nodes
+    std::unique_ptr<gate::PlaneSim> lanePlanes;
 };
 
 } // namespace spm::core

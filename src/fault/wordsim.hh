@@ -3,22 +3,14 @@
  * Word-parallel (64-wide) stuck-at fault simulation.
  *
  * Serial fault grading re-runs the full match protocol once per
- * fault. This module instead runs 64 faulty chips at once: every
- * netlist node carries two 64-bit planes (bit k of `one` set when
- * lane k's node is H, bit k of `zero` when it is L, neither when X),
- * so one pass of bitwise gate evaluations advances 64 fault machines
- * together -- the classic parallel-pattern trick turned sideways into
- * parallel-fault form.
+ * fault. This module instead runs 64 faulty chips at once on the
+ * 64-lane plane engine (gate/planesim.hh): one lane per fault, every
+ * lane fed the same stimulus -- the classic parallel-pattern trick
+ * turned sideways into parallel-fault form.
  *
- * Exactness is the whole point: the planes implement the same
- * three-valued algebra as gate/logic.hh, the settle loop runs the
- * order gate::levelize compiles for gate/levelized.cc (flat
- * dirty-gated topological pass plus event-driven relaxation of pass
- * transistors and cyclic statics),
- * and the stimulus is not re-derived but *replayed* from an
- * InputTrace captured off a real fault-free protocol run via
- * gate::NetTap. Stuck-at faults become per-lane force masks applied
- * after every write to the faulty node, which is precisely
+ * The stimulus is not re-derived but *replayed* from an InputTrace
+ * captured off a real fault-free protocol run via gate::NetTap.
+ * Stuck-at faults become per-lane force masks, which is precisely
  * Netlist::forceStuckAt's ignore-all-writes contract. The fault
  * grader cross-checks lane verdicts against serial single-fault runs
  * and requires 100% agreement.
@@ -31,8 +23,8 @@
 #include <vector>
 
 #include "fault/collapse.hh"
-#include "gate/levelized.hh"
 #include "gate/netlist.hh"
+#include "gate/planesim.hh"
 
 namespace spm::fault
 {
@@ -98,14 +90,14 @@ class TraceRecorder : public gate::NetTap
 };
 
 /**
- * The 64-wide simulator for one netlist structure. Construction
- * compiles the evaluation order (once per structure); run() replays a
+ * The 64-wide fault simulator for one netlist structure. Construction
+ * compiles the plane engine (once per structure); run() replays a
  * trace with up to 64 faults forced, one per lane.
  */
 class WordFaultSim
 {
   public:
-    explicit WordFaultSim(const gate::Netlist &net);
+    explicit WordFaultSim(const gate::Netlist &net) : sim(net) {}
 
     struct BatchResult
     {
@@ -129,31 +121,11 @@ class WordFaultSim
                     const std::vector<std::uint8_t> &golden_masked);
 
     /** Word-wide device evaluations performed so far (effort). */
-    std::uint64_t wordEvals() const { return evals; }
+    std::uint64_t wordEvals() const { return sim.wordEvals(); }
 
   private:
-    bool writeNode(gate::NodeId node, std::uint64_t one,
-                   std::uint64_t zero);
-    bool evalOrdered(std::uint32_t dev_idx);
-    bool evalFallback(std::uint32_t dev_idx);
-    void settleWord();
-
-    const gate::Netlist &net;
-    std::size_t nodeCount;
-
-    /** Compiled order, shared with gate::LevelizedNetlist. */
-    const gate::Levelization lev;
-
-    // Per-run state.
-    std::vector<std::uint64_t> one, zero;       ///< value planes
-    std::vector<std::uint64_t> force1, force0;  ///< stuck lane masks
-    std::vector<std::uint64_t> forceAny;        ///< force1 | force0
-    std::vector<gate::NodeId> forcedNodes;
-    std::vector<std::uint8_t> dirty; ///< per node
-    std::vector<gate::NodeId> touched;
-    std::vector<std::uint32_t> worklist; ///< fallback devices
-
-    std::uint64_t evals = 0;
+    gate::PlaneSim sim;
+    std::vector<gate::PlaneForce> forces; ///< per-run scratch
 };
 
 } // namespace spm::fault

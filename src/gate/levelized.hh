@@ -35,8 +35,8 @@ namespace spm::gate
 
 /**
  * The levelization decision for one finished netlist, shared by every
- * compiled settle loop: LevelizedNetlist here and the 64-lane fault
- * simulator (fault/wordsim.hh). The loops stay separate -- one writes
+ * compiled settle loop: LevelizedNetlist here and the 64-lane plane
+ * engine (gate/planesim.hh). The loops stay separate -- one writes
  * scalar node values, the other value planes under force masks -- but
  * both run this order.
  */

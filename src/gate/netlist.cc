@@ -128,6 +128,16 @@ Netlist::stuckCount() const
     return n;
 }
 
+std::vector<NodeId>
+Netlist::stuckNodes() const
+{
+    std::vector<NodeId> out;
+    for (NodeId id = 0; id < nodes.size(); ++id)
+        if (nodes[id].stuck)
+            out.push_back(id);
+    return out;
+}
+
 void
 Netlist::setInput(NodeId node, LogicValue v, Picoseconds now)
 {

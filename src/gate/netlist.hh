@@ -139,6 +139,13 @@ class Netlist
     /** Number of nodes currently stuck. */
     std::size_t stuckCount() const;
 
+    /**
+     * The nodes currently stuck, in id order; value() reads each one's
+     * forced level. This is how a chip prepared with forceStuckAt is
+     * turned into plane force masks (gate/planesim.hh).
+     */
+    std::vector<NodeId> stuckNodes() const;
+
     // --- observation ----------------------------------------------------
 
     /** Current value of @p node. */

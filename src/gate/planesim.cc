@@ -1,0 +1,224 @@
+#include "gate/planesim.hh"
+
+#include <algorithm>
+
+#include "util/logging.hh"
+
+namespace spm::gate
+{
+
+namespace
+{
+
+/**
+ * Word-wide static gate evaluation on the two-plane encoding. Each
+ * formula is the plane transcription of gate/logic.hh's three-valued
+ * operator: a lane with neither plane bit set is X and stays X
+ * exactly when the scalar algebra says so.
+ */
+void
+evalStaticWord(DeviceKind kind, std::uint64_t a1, std::uint64_t a0,
+               std::uint64_t b1, std::uint64_t b0, std::uint64_t &o1,
+               std::uint64_t &o0)
+{
+    switch (kind) {
+    case DeviceKind::Inverter:
+        o1 = a0;
+        o0 = a1;
+        break;
+    case DeviceKind::And2:
+        o1 = a1 & b1;
+        o0 = a0 | b0;
+        break;
+    case DeviceKind::Nand2:
+        o1 = a0 | b0;
+        o0 = a1 & b1;
+        break;
+    case DeviceKind::Or2:
+        o1 = a1 | b1;
+        o0 = a0 & b0;
+        break;
+    case DeviceKind::Nor2:
+        o1 = a0 & b0;
+        o0 = a1 | b1;
+        break;
+    case DeviceKind::Xor2:
+        o1 = (a1 & b0) | (a0 & b1);
+        o0 = (a1 & b1) | (a0 & b0);
+        break;
+    case DeviceKind::Xnor2:
+        o1 = (a1 & b1) | (a0 & b0);
+        o0 = (a1 & b0) | (a0 & b1);
+        break;
+    case DeviceKind::PassGate:
+        spm_panic("evalStaticWord called on a pass transistor");
+    }
+}
+
+/** Append @p lists to @p items as one CSR array with offsets @p start. */
+void
+flatten(const std::vector<std::vector<std::uint32_t>> &lists,
+        std::vector<std::uint32_t> &start, std::vector<std::uint32_t> &items)
+{
+    start.assign(1, 0);
+    for (const std::vector<std::uint32_t> &l : lists) {
+        items.insert(items.end(), l.begin(), l.end());
+        start.push_back(static_cast<std::uint32_t>(items.size()));
+    }
+}
+
+} // namespace
+
+PlaneSim::PlaneSim(const Netlist &netlist)
+    : net(netlist), nodeCount(netlist.nodeCount()), lev(levelize(netlist))
+{
+    one.assign(nodeCount, 0);
+    zero.assign(nodeCount, 0);
+    force1.assign(nodeCount, 0);
+    force0.assign(nodeCount, 0);
+    forceAny.assign(nodeCount, 0);
+    pending.assign((lev.topo.size() + 63) / 64, 0);
+
+    const std::vector<Device> &devs = net.deviceList();
+    std::vector<std::vector<std::uint32_t>> readers(nodeCount);
+    for (std::uint32_t p = 0; p < lev.topo.size(); ++p) {
+        const Device &d = devs[lev.topo[p]];
+        readers[d.inA].push_back(p);
+        if (d.inB != invalidNode && d.inB != d.inA)
+            readers[d.inB].push_back(p);
+    }
+    flatten(readers, readerStart, readerPos);
+    flatten(lev.fallbackFanout, fallStart, fallDev);
+}
+
+void
+PlaneSim::load(const std::vector<LogicValue> &values,
+               const std::vector<PlaneForce> &forces)
+{
+    spm_assert(values.size() == nodeCount,
+               "snapshot taken from a different netlist structure");
+    for (NodeId node = 0; node < nodeCount; ++node) {
+        one[node] = values[node] == LogicValue::H ? ~0ULL : 0ULL;
+        zero[node] = values[node] == LogicValue::L ? ~0ULL : 0ULL;
+    }
+    for (NodeId node : forcedNodes) {
+        force1[node] = 0;
+        force0[node] = 0;
+        forceAny[node] = 0;
+    }
+    forcedNodes.clear();
+    worklist.clear();
+    std::fill(pending.begin(), pending.end(), 0);
+
+    for (const PlaneForce &f : forces) {
+        spm_assert(f.node < nodeCount, "forced node out of range");
+        if (forceAny[f.node] == 0)
+            forcedNodes.push_back(f.node);
+        if (f.level == LogicValue::H)
+            force1[f.node] |= f.lanes;
+        else if (f.level == LogicValue::L)
+            force0[f.node] |= f.lanes;
+        forceAny[f.node] |= f.lanes;
+    }
+    for (NodeId node : forcedNodes)
+        writeNode(node, one[node], zero[node]);
+}
+
+bool
+PlaneSim::writeNode(NodeId node, std::uint64_t n1, std::uint64_t n0)
+{
+    // The force masks pin stuck lanes against every write -- the
+    // word-parallel form of NodeState::stuck.
+    const std::uint64_t any = forceAny[node];
+    n1 = (n1 & ~any) | force1[node];
+    n0 = (n0 & ~any) | force0[node];
+    if (n1 == one[node] && n0 == zero[node])
+        return false;
+    one[node] = n1;
+    zero[node] = n0;
+    for (std::uint32_t r = readerStart[node]; r < readerStart[node + 1]; ++r)
+        pending[readerPos[r] / 64] |= 1ULL << (readerPos[r] % 64);
+    worklist.insert(worklist.end(), fallDev.begin() + fallStart[node],
+                    fallDev.begin() + fallStart[node + 1]);
+    return true;
+}
+
+bool
+PlaneSim::evalOrdered(std::uint32_t dev_idx)
+{
+    ++evals;
+    const Device &d = net.deviceList()[dev_idx];
+    const NodeId nb = d.inB == invalidNode ? d.inA : d.inB;
+    std::uint64_t o1 = 0;
+    std::uint64_t o0 = 0;
+    // A one-input gate's unused plane pair mirrors the scalar path's
+    // b = X (all-zero planes are harmless: the inverter ignores b).
+    evalStaticWord(d.kind, one[d.inA], zero[d.inA],
+                   d.inB == invalidNode ? 0 : one[nb],
+                   d.inB == invalidNode ? 0 : zero[nb], o1, o0);
+    return writeNode(d.out, o1, o0);
+}
+
+bool
+PlaneSim::evalFallback(std::uint32_t dev_idx)
+{
+    const Device &d = net.deviceList()[dev_idx];
+    if (d.kind != DeviceKind::PassGate)
+        return evalOrdered(dev_idx);
+    ++evals;
+    // Per lane: ctl high copies the source (refresh), ctl low holds
+    // the stored planes, ctl X makes the stored value unknown --
+    // bitwise-exactly Netlist::evaluateDevice's three arms.
+    const std::uint64_t c1 = one[d.ctl];
+    const std::uint64_t c0 = zero[d.ctl];
+    const std::uint64_t o1 = (c1 & one[d.inA]) | (c0 & one[d.out]);
+    const std::uint64_t o0 = (c1 & zero[d.inA]) | (c0 & zero[d.out]);
+    return writeNode(d.out, o1, o0);
+}
+
+void
+PlaneSim::settle()
+{
+    const std::vector<Device> &devs = net.deviceList();
+    const std::uint64_t round_limit = 64 + 4 * devs.size();
+    const std::uint64_t eval_limit =
+        64 + 16ULL * devs.size() * (devs.size() + 1);
+    std::uint64_t rounds = 0;
+    std::uint64_t fallback_steps = 0;
+    for (;;) {
+        bool changed = false;
+        // Topological pass over the gates with a changed input, in
+        // producer-before-consumer order: a write only marks readers
+        // later in the order (gate::levelize placed writers first), so
+        // in-pass propagation is picked up by the same sweep, and the
+        // gates evaluated are exactly those a full dirty-checked scan
+        // would evaluate.
+        for (std::size_t w = 0; w < pending.size(); ++w) {
+            while (pending[w] != 0) {
+                const auto bit =
+                    static_cast<std::size_t>(__builtin_ctzll(pending[w]));
+                pending[w] &= pending[w] - 1;
+                changed |= evalOrdered(lev.topo[w * 64 + bit]);
+            }
+        }
+
+        // Event-driven relaxation of pass transistors and cyclic
+        // statics, same LIFO discipline as the scalar fallback.
+        while (!worklist.empty()) {
+            const std::uint32_t dev = worklist.back();
+            worklist.pop_back();
+            changed |= evalFallback(dev);
+            spm_assert(++fallback_steps <= eval_limit,
+                       "word netlist failed to settle (oscillating "
+                       "feedback?)");
+        }
+
+        if (!changed)
+            break;
+        spm_assert(++rounds <= round_limit,
+                   "word netlist failed to settle after ", rounds,
+                   " rounds");
+    }
+}
+
+} // namespace spm::gate

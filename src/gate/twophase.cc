@@ -25,7 +25,7 @@ TwoPhaseClock::quiesce()
 void
 TwoPhaseClock::tickBeat()
 {
-    const NodeId phase = beatCount % 2 == 0 ? phi1Node : phi2Node;
+    const NodeId phase = phaseAt(beatCount);
 
     // Rising edge at the beat's first quarter; inputs for this beat
     // must have been applied by the caller before tickBeat().

@@ -56,6 +56,12 @@ class TwoPhaseClock
         return parity % 2 == 0 ? phi1Node : phi2Node;
     }
 
+    /** The phase pulsed on beat @p beat: phi1 on even beats. */
+    NodeId phaseAt(Beat beat) const
+    {
+        return phaseFor(static_cast<unsigned>(beat % 2));
+    }
+
     /**
      * Run one beat: pulse the phase selected by the current beat
      * parity and settle the netlist before and after the falling edge.

@@ -93,11 +93,8 @@ BehavioralBackend::matchWindow(const std::vector<Symbol> &window,
     return wr;
 }
 
-MatcherBackend::MatcherBackend(std::unique_ptr<core::Matcher> matcher_impl,
-                               std::size_t max_pattern,
-                               std::function<Beat()> last_beats)
-    : impl(std::move(matcher_impl)), maxPattern(max_pattern),
-      lastBeats(std::move(last_beats))
+MatcherBackend::MatcherBackend(std::unique_ptr<core::Matcher> matcher_impl)
+    : impl(std::move(matcher_impl))
 {
     spm_assert(impl != nullptr, "matcher backend needs a matcher");
 }
@@ -125,17 +122,92 @@ MatcherBackend::matchWindow(const std::vector<Symbol> &window,
         return wr;
     }
 
-    // A blocking matcher cannot be stopped mid-run; charge its real
-    // beat count afterwards and cancel post hoc if it blew the
-    // budget -- the result is discarded, exactly as if the plug had
-    // been pulled.
-    wr.beats = lastBeats
-        ? lastBeats()
-        : static_cast<Beat>(2 * n + pattern.size() + 4);
+    // A blocking matcher cannot be stopped mid-run; charge its beat
+    // cost afterwards and cancel post hoc if it blew the budget --
+    // the result is discarded, exactly as if the plug had been
+    // pulled.
+    wr.beats = static_cast<Beat>(2 * n + pattern.size() + 4);
     if (!dog.tick(wr.beats)) {
         wr.note = "watchdog tripped: " + std::to_string(wr.beats) +
                   " beats against budget " + std::to_string(dog.budget());
         wr.bits.clear();
+        return wr;
+    }
+    wr.completed = true;
+    return wr;
+}
+
+GateBackend::GateBackend(std::size_t num_cells, BitWidth bits_per_char)
+    : cells(num_cells), bits(bits_per_char), gate(num_cells, bits_per_char)
+{
+    spm_assert(cells > 0, "gate backend needs at least one cell");
+}
+
+void
+GateBackend::dropQueue()
+{
+    queuedWindows.clear();
+    queuedResults.clear();
+    queueHead = 0;
+}
+
+void
+GateBackend::prefetch(const std::vector<std::span<const Symbol>> &windows,
+                      const std::vector<Symbol> &pattern)
+{
+    dropQueue();
+    if (!supports(pattern))
+        return;
+    queuedPattern = pattern;
+    for (const std::span<const Symbol> w : windows)
+        queuedWindows.emplace_back(w.begin(), w.end());
+    try {
+        queuedResults = gate.matchLanes(queuedWindows, pattern);
+    } catch (const std::exception &) {
+        // Nothing queued: each window then runs alone through
+        // matchWindow(), which reports the failure where it belongs.
+        dropQueue();
+    }
+}
+
+WindowResult
+GateBackend::matchWindow(const std::vector<Symbol> &window,
+                         const std::vector<Symbol> &pattern,
+                         BeatWatchdog &dog)
+{
+    const bool queued = queueHead < queuedResults.size() &&
+                        queuedWindows[queueHead] == window &&
+                        queuedPattern == pattern;
+    const std::size_t n = window.size();
+    if (n == 0 || pattern.size() > n) {
+        queueHead += queued ? 1 : 0;
+        return trivialWindow(n);
+    }
+
+    WindowResult wr;
+    if (queued) {
+        wr.bits = std::move(queuedResults[queueHead].bits);
+        wr.beats = queuedResults[queueHead].beats;
+        ++queueHead;
+        ++fromLanes;
+    } else {
+        dropQueue();
+        try {
+            wr.bits = gate.match(window, pattern);
+        } catch (const std::exception &e) {
+            wr.note = std::string("backend threw: ") + e.what();
+            return wr;
+        }
+        wr.beats = gate.lastBeats();
+    }
+
+    // Charged after the fact, exactly as MatcherBackend charges a
+    // blocking matcher.
+    if (!dog.tick(wr.beats)) {
+        wr.note = "watchdog tripped: " + std::to_string(wr.beats) +
+                  " beats against budget " + std::to_string(dog.budget());
+        wr.bits.clear();
+        dropQueue();
         return wr;
     }
     wr.completed = true;

@@ -12,10 +12,14 @@
  *
  * BehavioralBackend is driven beat by beat, ticking the watchdog on
  * every step, so a fault-wedged array is cancelled mid-protocol;
- * MatcherBackend adapts any blocking core::Matcher (gate level,
- * bit-serial, cascade, multipass) by charging its beat count after
- * the fact. Both expose a chip-prep seam so the fault injector of
- * src/fault can attack the freshly built chip of each window.
+ * MatcherBackend adapts any blocking core::Matcher (bit-serial,
+ * cascade, multipass, the bit-sliced kernel) by charging its beat
+ * count after the fact. GateBackend is the gate-level rung: it
+ * charges the same way, and it takes the session's next windows in
+ * one prefetch() call and simulates them together, one window per
+ * lane of the 64-lane plane engine. BehavioralBackend and GateBackend
+ * expose a chip-prep seam so the fault injector of src/fault can
+ * attack the chip each window runs on.
  */
 
 #ifndef SPM_SERVICE_BACKEND_HH
@@ -23,11 +27,13 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "baselines/kmp.hh"
 #include "core/behavioral.hh"
+#include "core/gatechip.hh"
 #include "core/matcher.hh"
 #include "core/reference.hh"
 #include "service/watchdog.hh"
@@ -75,6 +81,20 @@ class ServiceBackend
     virtual WindowResult matchWindow(const std::vector<Symbol> &window,
                                      const std::vector<Symbol> &pattern,
                                      BeatWatchdog &dog) = 0;
+
+    /**
+     * The windows the session will ask for next, in order, each one
+     * exactly as it will reach matchWindow(). A rung that can answer
+     * several windows at once computes them here; matchWindow() stays
+     * the only call that charges beats and reports results. The
+     * default ignores the hint. Must not throw.
+     */
+    virtual void prefetch(const std::vector<std::span<const Symbol>> &windows,
+                          const std::vector<Symbol> &pattern)
+    {
+        (void)windows;
+        (void)pattern;
+    }
 };
 
 /**
@@ -113,23 +133,16 @@ class BehavioralBackend : public ServiceBackend
 
 /**
  * Adapter rung over any blocking core::Matcher. The matcher runs to
- * completion, then its beat count (from @p last_beats when provided,
- * else the protocol estimate) is charged in one tick; exceeding the
- * budget post hoc still cancels the window, it just cannot stop the
- * simulation mid-run. Exceptions from the matcher are converted to a
- * failed window, never propagated.
+ * completion, then the protocol's beat estimate for the window is
+ * charged in one tick; exceeding the budget post hoc still cancels
+ * the window, it just cannot stop the run mid-way. Exceptions from
+ * the matcher are converted to a failed window, never propagated.
  */
 class MatcherBackend : public ServiceBackend
 {
   public:
-    /**
-     * @param matcher_impl the wrapped matcher
-     * @param max_pattern largest pattern this rung accepts (0 = any)
-     * @param last_beats called after match() for the true beat count
-     */
-    MatcherBackend(std::unique_ptr<core::Matcher> matcher_impl,
-                   std::size_t max_pattern = 0,
-                   std::function<Beat()> last_beats = nullptr);
+    /** @param matcher_impl the wrapped matcher */
+    explicit MatcherBackend(std::unique_ptr<core::Matcher> matcher_impl);
 
     std::string name() const override { return impl->name(); }
 
@@ -142,7 +155,7 @@ class MatcherBackend : public ServiceBackend
                 if (p == wildcardSymbol)
                     return false;
         }
-        return maxPattern == 0 || pattern.size() <= maxPattern;
+        return true;
     }
 
     WindowResult matchWindow(const std::vector<Symbol> &window,
@@ -151,8 +164,65 @@ class MatcherBackend : public ServiceBackend
 
   private:
     std::unique_ptr<core::Matcher> impl;
-    std::size_t maxPattern;
-    std::function<Beat()> lastBeats;
+};
+
+/**
+ * The gate-level rung: core::GateLevelMatcher with the service's
+ * fixed chip shape. prefetch() runs the next windows (at most 64 per
+ * plane pass) through GateLevelMatcher::matchLanes and queues the
+ * answers. matchWindow() serves the queue head when its window and
+ * pattern compare equal; otherwise it drops the queue and runs that
+ * window alone through match(), so a re-run of a window after a
+ * cross-check mismatch, or a decorator that does not forward
+ * prefetch(), takes the one-window path. Either way the window's beat
+ * count is charged after the fact, as MatcherBackend charges, and a
+ * trip drops the queue. Each lane is the one-window chip on the
+ * one-window schedule, so the two paths answer identically.
+ */
+class GateBackend : public ServiceBackend
+{
+  public:
+    /** @param num_cells chip cells; @param bits_per_char comparator rows */
+    GateBackend(std::size_t num_cells, BitWidth bits_per_char);
+
+    std::string name() const override { return gate.name(); }
+
+    /**
+     * Pattern must fit the array, and the chip must be buildable:
+     * GateChip has 1..8 comparator rows.
+     */
+    bool supports(const std::vector<Symbol> &pattern) const override
+    {
+        return bits >= 1 && bits <= 8 && !pattern.empty() &&
+               pattern.size() <= cells;
+    }
+
+    void prefetch(const std::vector<std::span<const Symbol>> &windows,
+                  const std::vector<Symbol> &pattern) override;
+
+    WindowResult matchWindow(const std::vector<Symbol> &window,
+                             const std::vector<Symbol> &pattern,
+                             BeatWatchdog &dog) override;
+
+    /** The wrapped matcher, for the levelized switch and chip prep. */
+    core::GateLevelMatcher &matcher() { return gate; }
+
+    /** Windows answered from a lane pass; the rest ran alone. */
+    std::uint64_t laneWindows() const { return fromLanes; }
+
+  private:
+    std::size_t cells;
+    BitWidth bits;
+    core::GateLevelMatcher gate;
+
+    void dropQueue();
+
+    /** Prefetched windows and their answers, from queueHead on. */
+    std::vector<Symbol> queuedPattern;
+    std::vector<std::vector<Symbol>> queuedWindows;
+    std::vector<core::GateLevelMatcher::LaneResult> queuedResults;
+    std::size_t queueHead = 0;
+    std::uint64_t fromLanes = 0;
 };
 
 /**

@@ -204,18 +204,15 @@ std::unique_ptr<ServiceBackend>
 makePoisonedGateBackend(const ServiceConfig &config,
                         std::vector<fault::FaultSite> sites)
 {
-    auto gate = std::make_unique<core::GateLevelMatcher>(
-        config.cells, config.alphabetBits);
-    gate->setUseLevelized(true);
-    gate->setChipPrep(
+    auto gate =
+        std::make_unique<GateBackend>(config.cells, config.alphabetBits);
+    gate->matcher().setUseLevelized(true);
+    gate->matcher().setChipPrep(
         [sites = std::move(sites)](core::GateChip &chip) {
             for (const fault::FaultSite &site : sites)
                 chip.netlist().forceStuckAt(site.node, site.level(), 0);
         });
-    core::GateLevelMatcher *gate_raw = gate.get();
-    return std::make_unique<MatcherBackend>(
-        std::move(gate), config.cells,
-        [gate_raw] { return gate_raw->lastBeats(); });
+    return gate;
 }
 
 ShardedMatchService::LadderFactory

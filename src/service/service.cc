@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/gatechip.hh"
 #include "core/reference.hh"
 #include "telemetry/telem.hh"
 #include "util/logging.hh"
@@ -101,6 +100,35 @@ StreamSession::windowBudget(std::size_t window_len) const
     return static_cast<Beat>(plan_beats * cfg.watchdogMargin);
 }
 
+void
+StreamSession::prefetchFrom(ServiceBackend &backend, std::size_t rung)
+{
+    // The rung already holds the windows up to prefetchEnd; a re-run
+    // of one of them is the rung's to recognise.
+    if (rung == prefetchRung && cp.offset < prefetchEnd)
+        return;
+    // The next min(64, windows left) windows, cut exactly as step()
+    // cuts them: the current one is the session's own buffer, each
+    // later one re-presents the k-1 characters before its chunk.
+    constexpr std::size_t maxWindows = 64;
+    const std::size_t n = request.text.size();
+    const std::size_t overlap =
+        request.pattern.empty() ? 0 : request.pattern.size() - 1;
+    const std::size_t chunk = service.cfg.chunkChars;
+    upcoming.clear();
+    upcoming.emplace_back(window);
+    std::size_t off = cp.offset + std::min(chunk, n - cp.offset);
+    while (off < n && upcoming.size() < maxWindows) {
+        const std::size_t end = off + std::min(chunk, n - off);
+        upcoming.emplace_back(request.text.data() + off - std::min(overlap, off),
+                              request.text.data() + end);
+        off = end;
+    }
+    backend.prefetch(upcoming, request.pattern);
+    prefetchRung = rung;
+    prefetchEnd = off;
+}
+
 bool
 StreamSession::step()
 {
@@ -189,6 +217,7 @@ StreamSession::step()
                               request.deadlineBeats - response.beats);
         }
 
+        prefetchFrom(backend, rung);
         service.dog.arm(budget);
         WindowResult wr =
             backend.matchWindow(window, request.pattern, service.dog);
@@ -632,13 +661,8 @@ makeDefaultLadder(const ServiceConfig &config)
 {
     std::vector<std::unique_ptr<ServiceBackend>> ladder;
 
-    auto gate = std::make_unique<core::GateLevelMatcher>(
-        config.cells, config.alphabetBits);
-    core::GateLevelMatcher *gate_raw = gate.get();
-    ladder.push_back(std::make_unique<MatcherBackend>(
-        std::move(gate), config.cells,
-        [gate_raw] { return gate_raw->lastBeats(); }));
-
+    ladder.push_back(
+        std::make_unique<GateBackend>(config.cells, config.alphabetBits));
     ladder.push_back(std::make_unique<BehavioralBackend>(config.cells));
     ladder.push_back(std::make_unique<SoftwareBackend>());
     return ladder;

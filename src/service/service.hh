@@ -32,6 +32,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -121,6 +122,7 @@ class StreamSession
 
     void fail(ErrorCode code, const std::string &detail);
     Beat windowBudget(std::size_t window_len) const;
+    void prefetchFrom(ServiceBackend &backend, std::size_t rung);
 
     MatchService &service;
     MatchRequest request;
@@ -130,6 +132,11 @@ class StreamSession
     std::vector<Symbol> window;
     /** Cross-check failures charged against each rung this request. */
     std::vector<unsigned> rungFaults;
+    /** The windows last handed to a rung's prefetch() (scratch). */
+    std::vector<std::span<const Symbol>> upcoming;
+    /** That rung, and the text offset its windows run up to. */
+    std::size_t prefetchRung = static_cast<std::size_t>(-1);
+    std::size_t prefetchEnd = 0;
     /** Stage attribution for this request (reqobs). */
     telem::StageClock clock;
     bool finished = false;

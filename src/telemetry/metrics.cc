@@ -159,19 +159,36 @@ LogHistogram::LogHistogram(std::string metric_name,
     : metricName(std::move(metric_name)),
       stripes(roundUpPow2(std::max<std::size_t>(stripe_count, 1)))
 {
-    cells = std::make_unique<std::atomic<std::uint64_t>[]>(
-        stripes * (bucketCount + 1));
-    for (std::size_t i = 0; i < stripes * (bucketCount + 1); ++i)
-        cells[i].store(0, std::memory_order_relaxed);
     sumCells = std::make_unique<StripeCell[]>(stripes);
+}
+
+LogHistogram::~LogHistogram()
+{
+    delete[] cells.load(std::memory_order_acquire);
+}
+
+std::atomic<std::uint64_t> *
+LogHistogram::liveCells()
+{
+    std::atomic<std::uint64_t> *c = cells.load(std::memory_order_acquire);
+    if (c != nullptr)
+        return c;
+    // First writer allocates; a racing writer that loses frees its
+    // array and uses the winner's.
+    auto *fresh = new std::atomic<std::uint64_t>[stripes * (bucketCount + 1)]();
+    if (cells.compare_exchange_strong(c, fresh, std::memory_order_acq_rel))
+        return fresh;
+    delete[] fresh;
+    return c;
 }
 
 void
 LogHistogram::sample(double v)
 {
+    std::atomic<std::uint64_t> *c = liveCells();
     std::size_t stripe = threadStripe() & (stripes - 1);
     if (std::isnan(v) || v < 0.0) {
-        cells[cellIndex(stripe, bucketCount)].fetch_add(
+        c[cellIndex(stripe, bucketCount)].fetch_add(
             1, std::memory_order_relaxed);
         return;
     }
@@ -180,7 +197,7 @@ LogHistogram::sample(double v)
     std::uint64_t u = v >= 9.0e18
                           ? std::uint64_t{9'000'000'000'000'000'000}
                           : static_cast<std::uint64_t>(std::llround(v));
-    cells[cellIndex(stripe, bucketIndex(u))].fetch_add(
+    c[cellIndex(stripe, bucketIndex(u))].fetch_add(
         1, std::memory_order_relaxed);
     sumCells[stripe].v.fetch_add(u, std::memory_order_relaxed);
 }
@@ -190,29 +207,35 @@ LogHistogram::bucketValue(std::size_t i) const
 {
     spm_assert(i < bucketCount, "log histogram '", metricName,
                "': bucket ", i, " out of range");
+    const std::atomic<std::uint64_t> *c =
+        cells.load(std::memory_order_acquire);
     std::uint64_t total = 0;
-    for (std::size_t s = 0; s < stripes; ++s)
-        total += cells[cellIndex(s, i)].load(std::memory_order_relaxed);
+    for (std::size_t s = 0; c != nullptr && s < stripes; ++s)
+        total += c[cellIndex(s, i)].load(std::memory_order_relaxed);
     return total;
 }
 
 std::uint64_t
 LogHistogram::invalids() const
 {
+    const std::atomic<std::uint64_t> *c =
+        cells.load(std::memory_order_acquire);
     std::uint64_t total = 0;
-    for (std::size_t s = 0; s < stripes; ++s)
+    for (std::size_t s = 0; c != nullptr && s < stripes; ++s)
         total +=
-            cells[cellIndex(s, bucketCount)].load(std::memory_order_relaxed);
+            c[cellIndex(s, bucketCount)].load(std::memory_order_relaxed);
     return total;
 }
 
 std::uint64_t
 LogHistogram::samples() const
 {
+    const std::atomic<std::uint64_t> *c =
+        cells.load(std::memory_order_acquire);
     std::uint64_t total = 0;
-    for (std::size_t s = 0; s < stripes; ++s)
+    for (std::size_t s = 0; c != nullptr && s < stripes; ++s)
         for (std::size_t i = 0; i < bucketCount; ++i)
-            total += cells[cellIndex(s, i)].load(std::memory_order_relaxed);
+            total += c[cellIndex(s, i)].load(std::memory_order_relaxed);
     return total;
 }
 
@@ -238,8 +261,10 @@ LogHistogram::quantile(double q) const
 void
 LogHistogram::reset()
 {
-    for (std::size_t i = 0; i < stripes * (bucketCount + 1); ++i)
-        cells[i].store(0, std::memory_order_relaxed);
+    std::atomic<std::uint64_t> *c = cells.load(std::memory_order_acquire);
+    for (std::size_t i = 0; c != nullptr && i < stripes * (bucketCount + 1);
+         ++i)
+        c[i].store(0, std::memory_order_relaxed);
     for (std::size_t s = 0; s < stripes; ++s)
         sumCells[s].v.store(0, std::memory_order_relaxed);
 }

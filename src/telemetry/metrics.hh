@@ -144,6 +144,8 @@ class LogHistogram
      */
     LogHistogram(std::string metric_name, std::size_t stripes);
 
+    ~LogHistogram();
+
     LogHistogram(const LogHistogram &) = delete;
     LogHistogram &operator=(const LogHistogram &) = delete;
 
@@ -174,9 +176,17 @@ class LogHistogram
         return stripe * (bucketCount + 1) + slot;
     }
 
+    /** The cell array, allocating it on first use. */
+    std::atomic<std::uint64_t> *liveCells();
+
     std::string metricName;
     std::size_t stripes;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> cells;
+    /**
+     * The bucket cells, allocated (zeroed) by the first sample(): a
+     * histogram never written -- a throwaway front end's -- costs no
+     * 4 KB array per stripe. Null reads as all-zero.
+     */
+    std::atomic<std::atomic<std::uint64_t> *> cells{nullptr};
     std::unique_ptr<StripeCell[]> sumCells; ///< sum in whole units
 };
 

@@ -134,5 +134,139 @@ TEST_P(GateProperty, MatchesReferenceOnRandomWorkloads)
 INSTANTIATE_TEST_SUITE_P(RandomSweep, GateProperty,
                          ::testing::Range<std::uint64_t>(0, 12));
 
+/**
+ * @p lanes windows cut from one seeded text, each overlapping the
+ * previous by k-1 characters as the service cuts them, every window
+ * @p chunk characters past its overlap except a ragged last one.
+ */
+std::vector<std::vector<Symbol>>
+laneWindows(std::uint64_t seed, BitWidth bits,
+            const std::vector<Symbol> &pattern, std::size_t lanes,
+            std::size_t chunk)
+{
+    WorkloadGen gen(seed, bits);
+    const std::size_t n = chunk * lanes - chunk / 2;
+    const std::vector<Symbol> text =
+        gen.textWithPlants(n, pattern, 2 * pattern.size() + 1);
+    std::vector<std::vector<Symbol>> windows;
+    for (std::size_t off = 0; off < n; off += chunk) {
+        const std::size_t start = off - std::min(pattern.size() - 1, off);
+        const std::size_t end = std::min(n, off + chunk);
+        windows.emplace_back(text.begin() + static_cast<std::ptrdiff_t>(start),
+                             text.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+    return windows;
+}
+
+/** Every lane must equal a scalar match() of its window, beats too. */
+void
+expectLanesMatchScalar(GateLevelMatcher &lanes, GateLevelMatcher &scalar,
+                       const std::vector<std::vector<Symbol>> &windows,
+                       const std::vector<Symbol> &pattern)
+{
+    const std::vector<GateLevelMatcher::LaneResult> got =
+        lanes.matchLanes(windows, pattern);
+    ASSERT_EQ(got.size(), windows.size());
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+        EXPECT_EQ(got[w].bits, scalar.match(windows[w], pattern))
+            << "window " << w << " of " << windows.size();
+        EXPECT_EQ(got[w].beats, scalar.lastBeats())
+            << "window " << w << " of " << windows.size();
+    }
+}
+
+/** (alphabet bits, lanes) */
+class GateLanes
+    : public ::testing::TestWithParam<std::tuple<BitWidth, std::size_t>>
+{
+};
+
+TEST_P(GateLanes, EveryLaneEqualsItsScalarMatch)
+{
+    const auto [bits, lanes] = GetParam();
+    const std::size_t cells = 6;
+    GateLevelMatcher lane_matcher(cells, bits);
+    GateLevelMatcher scalar(cells, bits);
+    // Exact and wildcard patterns of several lengths, one chip shape
+    // reused across them (the lane engine is built once).
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+        WorkloadGen gen(100 + seed, bits);
+        const std::vector<Symbol> pattern =
+            gen.randomPattern(2 + 2 * seed, seed == 0 ? 0.0 : 0.3);
+        expectLanesMatchScalar(
+            lane_matcher, scalar,
+            laneWindows(seed * 7 + bits, bits, pattern, lanes, 24),
+            pattern);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GateLanes,
+    ::testing::Combine(::testing::Values(BitWidth{1}, BitWidth{2},
+                                         BitWidth{3}),
+                       ::testing::Values(std::size_t{1}, std::size_t{16},
+                                         std::size_t{64})));
+
+TEST(GateLanesEdges, ShortWindowsAndMoreThan64Lanes)
+{
+    // 70 windows: two passes (64 + 6 lanes). Windows shorter than the
+    // pattern, and empty ones, answer all-false at 0 beats, as match()
+    // does, without disturbing their neighbours.
+    GateLevelMatcher lane_matcher(4, 2);
+    GateLevelMatcher scalar(4, 2);
+    const std::vector<Symbol> pattern = parseSymbols("AXB");
+    std::vector<std::vector<Symbol>> windows =
+        laneWindows(5, 2, pattern, 68, 7);
+    windows.insert(windows.begin() + 3, parseSymbols("AB"));
+    windows.push_back({});
+    expectLanesMatchScalar(lane_matcher, scalar, windows, pattern);
+    EXPECT_TRUE(lane_matcher.matchLanes({}, pattern).empty());
+}
+
+TEST(GateLanesEdges, StuckAtPrepAppliesToEveryLane)
+{
+    // A chip-prep that forces stuck-at sites: every lane must equal
+    // the scalar faulty chip, and the faults must bite somewhere.
+    const std::size_t cells = 8;
+    const BitWidth bits = 2;
+    const GateChip probe(cells, bits);
+    const gate::NodeId result = probe.resultNode();
+    auto prep = [](GateChip &chip) {
+        gate::Netlist &net = chip.netlist();
+        for (gate::NodeId node : {gate::NodeId{40}, gate::NodeId{97},
+                                  gate::NodeId{151}})
+            net.forceStuckAt(node,
+                             node % 2 ? gate::LogicValue::H
+                                      : gate::LogicValue::L,
+                             0);
+    };
+    GateLevelMatcher lane_matcher(cells, bits);
+    GateLevelMatcher scalar(cells, bits);
+    lane_matcher.setChipPrep(prep);
+    scalar.setChipPrep(prep);
+    ASSERT_LT(151u, probe.netlist().nodeCount());
+    ASSERT_NE(result, gate::NodeId{40});
+
+    WorkloadGen gen(77, bits);
+    const std::vector<Symbol> pattern = gen.randomPattern(5, 0.2);
+    const std::vector<std::vector<Symbol>> windows =
+        laneWindows(78, bits, pattern, 16, 32);
+    expectLanesMatchScalar(lane_matcher, scalar, windows, pattern);
+
+    ReferenceMatcher ref;
+    std::size_t wrong = 0;
+    for (const auto &w : windows)
+        wrong += scalar.match(w, pattern) != ref.match(w, pattern);
+    EXPECT_GT(wrong, 0u) << "the forced sites never changed an answer";
+}
+
+TEST(GateLanesEdges, NeedsAnExplicitShape)
+{
+    GateLevelMatcher auto_shape;
+    EXPECT_THROW(auto_shape.matchLanes({parseSymbols("ABAB")},
+                                       parseSymbols("AB")),
+                 std::logic_error);
+}
+
 } // namespace
 } // namespace spm::core

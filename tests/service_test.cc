@@ -18,6 +18,7 @@
 #include "fault/injector.hh"
 #include "fault/model.hh"
 #include "service/backend.hh"
+#include "service/chaos.hh"
 #include "service/checkpoint.hh"
 #include "service/error.hh"
 #include "service/queue.hh"
@@ -243,6 +244,233 @@ TEST(ServiceMatch, DefaultLadderStartsAtGateLevel)
     EXPECT_EQ(resp.backend, "systolic-gatelevel");
     EXPECT_EQ(resp.result,
               core::ReferenceMatcher().match(req.text, req.pattern));
+}
+
+TEST(ServiceMatch, WideAlphabetSkipsTheGateRungWithoutDegrading)
+{
+    // GateChip builds 1..8 comparator rows. At 12 bits the gate rung
+    // must decline the shape up front (skip, reason=unsupported), not
+    // panic on every window and count a ladder fall.
+    ServiceConfig cfg = smallConfig();
+    cfg.alphabetBits = 12;
+    MatchService svc(cfg);
+    for (const std::uint64_t id : {1u, 2u}) {
+        const MatchRequest req = seededRequest(id, 40 + id, 12, 48, 4);
+        const MatchResponse resp = svc.serve(req);
+        ASSERT_TRUE(resp.ok()) << resp.error.toString();
+        EXPECT_EQ(resp.backend, "systolic-behavioral");
+        EXPECT_EQ(resp.degradations, 0u);
+        EXPECT_EQ(resp.result,
+                  core::ReferenceMatcher().match(req.text, req.pattern));
+    }
+    EXPECT_EQ(svc.stats().counter("degradations").value(), 0u);
+    EXPECT_EQ(svc.flightRecorder().tripCount(), 0u);
+    for (const telem::FlightEvent &ev : svc.flightRecorder().events())
+        EXPECT_NE(ev.kind, telem::FlightKind::LadderTransition);
+    EXPECT_NE(svc.journal().dump().find("reason=unsupported"),
+              std::string::npos);
+}
+
+/**
+ * A rung decorator that forwards everything but prefetch(), so the
+ * wrapped gate rung serves one window at a time.
+ */
+class OneWindowAtATime : public ServiceBackend
+{
+  public:
+    explicit OneWindowAtATime(std::unique_ptr<ServiceBackend> rung)
+        : inner(std::move(rung))
+    {
+    }
+
+    std::string name() const override { return inner->name(); }
+
+    bool supports(const std::vector<Symbol> &pattern) const override
+    {
+        return inner->supports(pattern);
+    }
+
+    WindowResult matchWindow(const std::vector<Symbol> &window,
+                             const std::vector<Symbol> &pattern,
+                             BeatWatchdog &dog) override
+    {
+        return inner->matchWindow(window, pattern, dog);
+    }
+
+  private:
+    std::unique_ptr<ServiceBackend> inner;
+};
+
+/**
+ * The default ladder, optionally behind a poisoned gate rung, with
+ * every gate rung served one window at a time when @p one_window.
+ * @p lanes collects the lane-serving gate rungs.
+ */
+std::vector<std::unique_ptr<ServiceBackend>>
+gateLadder(const ServiceConfig &cfg, bool one_window,
+           const std::vector<fault::FaultSite> &poison,
+           std::vector<const GateBackend *> &lanes)
+{
+    std::vector<std::unique_ptr<ServiceBackend>> ladder =
+        makeDefaultLadder(cfg);
+    if (!poison.empty())
+        ladder.insert(ladder.begin(), makePoisonedGateBackend(cfg, poison));
+    for (auto &rung : ladder) {
+        const auto *gate = dynamic_cast<const GateBackend *>(rung.get());
+        if (gate == nullptr)
+            continue;
+        if (one_window)
+            rung = std::make_unique<OneWindowAtATime>(std::move(rung));
+        else
+            lanes.push_back(gate);
+    }
+    return ladder;
+}
+
+/** Serving observables that must not depend on how the rung runs. */
+void
+expectSameServing(const MatchService &lanes, const MatchResponse &got,
+                  const MatchService &scalar, const MatchResponse &want)
+{
+    EXPECT_EQ(got.error.code, want.error.code);
+    EXPECT_EQ(got.error.detail, want.error.detail);
+    EXPECT_EQ(got.result, want.result);
+    EXPECT_EQ(got.beats, want.beats);
+    EXPECT_EQ(got.chunks, want.chunks);
+    EXPECT_EQ(got.checkpoints, want.checkpoints);
+    EXPECT_EQ(got.backend, want.backend);
+    EXPECT_EQ(got.degradations, want.degradations);
+    EXPECT_EQ(got.watchdogTrips, want.watchdogTrips);
+    EXPECT_EQ(got.crossCheckFailures, want.crossCheckFailures);
+    EXPECT_EQ(got.resumed, want.resumed);
+    EXPECT_EQ(lanes.journal().dump(), scalar.journal().dump());
+    for (const char *name :
+         {"served", "completed", "failed", "degradations", "watchdogTrips",
+          "crossCheckFailures", "checkpoints", "resumes"})
+        EXPECT_EQ(lanes.stats().counter(name).value(),
+                  scalar.stats().counter(name).value())
+            << name;
+    EXPECT_EQ(lanes.config().bus.statsDump(), scalar.config().bus.statsDump());
+    const auto lane_events = lanes.flightRecorder().events();
+    const auto scalar_events = scalar.flightRecorder().events();
+    ASSERT_EQ(lane_events.size(), scalar_events.size());
+    for (std::size_t i = 0; i < lane_events.size(); ++i)
+        EXPECT_EQ(lane_events[i].render(), scalar_events[i].render());
+}
+
+/** The paper_chip request shape: 512 chars, k = 8, 2-bit alphabet. */
+MatchRequest
+chipRequest(std::uint64_t id, std::uint64_t seed)
+{
+    return seededRequest(id, seed, 2, 512, 8, 0.12);
+}
+
+/** A lane ladder and a one-window ladder side by side. */
+struct LadderPair
+{
+    explicit LadderPair(const ServiceConfig &cfg,
+                        const std::vector<fault::FaultSite> &poison = {})
+        : lanes(cfg, gateLadder(cfg, false, poison, laneRungs)),
+          scalar(cfg, gateLadder(cfg, true, poison, unused))
+    {
+        lanes.flightRecorder().setDumpSink([](const std::string &) {});
+        scalar.flightRecorder().setDumpSink([](const std::string &) {});
+    }
+
+    std::uint64_t laneWindows() const
+    {
+        std::uint64_t n = 0;
+        for (const GateBackend *rung : laneRungs)
+            n += rung->laneWindows();
+        return n;
+    }
+
+    std::vector<const GateBackend *> laneRungs, unused;
+    MatchService lanes;
+    MatchService scalar;
+};
+
+TEST(LaneGateRung, PlainRequestsServeIdentically)
+{
+    LadderPair pair{ServiceConfig{}};
+    for (std::uint64_t id = 0; id < 2; ++id) {
+        const MatchRequest req = chipRequest(id, 0x5EED + id);
+        const MatchResponse got = pair.lanes.serve(req);
+        const MatchResponse want = pair.scalar.serve(req);
+        ASSERT_TRUE(want.ok()) << want.error.toString();
+        EXPECT_EQ(want.backend, "systolic-gatelevel");
+        EXPECT_EQ(want.chunks, 16u);
+        expectSameServing(pair.lanes, got, pair.scalar, want);
+    }
+    EXPECT_EQ(pair.laneWindows(), 32u) << "every window rode a lane";
+}
+
+TEST(LaneGateRung, ResumedRequestServesIdentically)
+{
+    const ServiceConfig cfg;
+    const MatchRequest req = chipRequest(3, 0xCAFE);
+    LadderPair killed{cfg};
+    StreamSession session = killed.lanes.startSession(req);
+    for (int i = 0; i < 5; ++i)
+        ASSERT_TRUE(session.step());
+    const Checkpoint cp = session.checkpoint();
+    session.cancel("killed by test");
+    session.finish();
+
+    LadderPair pair{cfg};
+    const MatchResponse got = pair.lanes.resume(req, cp);
+    const MatchResponse want = pair.scalar.resume(req, cp);
+    ASSERT_TRUE(want.ok()) << want.error.toString();
+    EXPECT_TRUE(want.resumed);
+    EXPECT_EQ(want.chunks, 11u);
+    EXPECT_EQ(want.result,
+              core::ReferenceMatcher().match(req.text, req.pattern));
+    expectSameServing(pair.lanes, got, pair.scalar, want);
+    EXPECT_EQ(pair.laneWindows(), 11u);
+}
+
+TEST(LaneGateRung, DeadlineRunsOutIdentically)
+{
+    LadderPair pair{ServiceConfig{}};
+    MatchRequest req = chipRequest(4, 0xD1E);
+    // About five and a half windows of gate beats: the sixth window
+    // trips its watchdog on the gate rung mid-request.
+    req.deadlineBeats = 650;
+    const MatchResponse got = pair.lanes.serve(req);
+    const MatchResponse want = pair.scalar.serve(req);
+    EXPECT_EQ(want.error.code, ErrorCode::DeadlineExceeded);
+    EXPECT_GT(want.watchdogTrips, 0u);
+    EXPECT_GT(want.chunks, 0u);
+    expectSameServing(pair.lanes, got, pair.scalar, want);
+    EXPECT_GT(pair.laneWindows(), 0u);
+}
+
+TEST(LaneGateRung, PoisonedRungFallsIdentically)
+{
+    // The E16 hardest-undetected stuck-at sites on a gate rung ahead
+    // of the default ladder: it serves some windows, mismatches the
+    // cross-check, re-runs, burns its fault budget and falls.
+    const ServiceConfig cfg;
+    const std::vector<fault::FaultSite> sites =
+        hardestUndetectedSites(cfg.cells, cfg.alphabetBits, 4);
+    ASSERT_FALSE(sites.empty());
+    LadderPair pair{cfg, sites};
+    bool fell_partway = false;
+    for (std::uint64_t id = 0; id < 6 && !fell_partway; ++id) {
+        const MatchRequest req = chipRequest(10 + id, 0xB0 + id);
+        const MatchResponse got = pair.lanes.serve(req);
+        const MatchResponse want = pair.scalar.serve(req);
+        ASSERT_TRUE(want.ok()) << want.error.toString();
+        expectSameServing(pair.lanes, got, pair.scalar, want);
+        fell_partway = want.degradations > 0 &&
+                       want.crossCheckFailures > 0 &&
+                       pair.scalar.journal().dump().find(
+                           "rung=systolic-gatelevel-lev beats=") !=
+                           std::string::npos;
+    }
+    EXPECT_TRUE(fell_partway)
+        << "no request made the poisoned rung mismatch and fall";
+    EXPECT_GT(pair.laneWindows(), 0u);
 }
 
 TEST(Watchdog, TripsOnceArmedBudgetIsExhausted)

@@ -94,6 +94,44 @@ TEST(LogHistogram, SumAndMeanTrackSamples)
     EXPECT_EQ(d->mean(), 20.0);
 }
 
+TEST(LogHistogram, UnwrittenHistogramReadsEmpty)
+{
+    // The cells are allocated by the first sample(); until then every
+    // read is zero and reset() is a no-op.
+    Registry reg;
+    LogHistogram &h = reg.logHistogram("idle");
+    h.reset();
+    EXPECT_EQ(h.samples(), 0u);
+    EXPECT_EQ(h.invalids(), 0u);
+    EXPECT_EQ(h.bucketValue(3), 0u);
+    EXPECT_EQ(h.quantile(0.5), 0.0);
+    const Snapshot snap = reg.snapshot();
+    const Snapshot::LogHistogramData *d = snap.logHistogram("idle");
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d->samples(), 0u);
+}
+
+TEST(LogHistogram, ConcurrentFirstSamplesAllCount)
+{
+    // Every thread may be the first writer; whichever allocation wins,
+    // no sample is lost.
+    Registry reg(8);
+    LogHistogram &h = reg.logHistogram("race");
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 1000;
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t)
+        ts.emplace_back([&h] {
+            for (int i = 0; i < kPerThread; ++i)
+                h.sample(5.0);
+        });
+    for (auto &t : ts)
+        t.join();
+    EXPECT_EQ(h.samples(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+    EXPECT_EQ(h.bucketValue(LogHistogram::bucketIndex(5)),
+              static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
 TEST(Snapshot, MergeAddsCountersAndHistogramCells)
 {
     Registry a;
