@@ -30,7 +30,7 @@
 
 #include "core/gatechip.hh"
 #include "fault/grade.hh"
-#include "telemetry/flightrec.hh"
+#include "telemetry/event.hh"
 
 namespace
 {

@@ -35,7 +35,7 @@
 
 #include "service/chaos.hh"
 #include "service/sharded.hh"
-#include "telemetry/flightrec.hh"
+#include "telemetry/event.hh"
 #include "util/logging.hh"
 
 namespace

@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "telemetry/flightrec.hh"
+#include "telemetry/event.hh"
 #include "util/rng.hh"
 #include "util/strings.hh"
 

@@ -14,7 +14,7 @@
 #include "core/reference.hh"
 #include "extensions/counting.hh"
 #include "extensions/numarray.hh"
-#include "telemetry/flightrec.hh"
+#include "telemetry/event.hh"
 #include "telemetry/telem.hh"
 
 namespace spm::conformance
@@ -50,16 +50,25 @@ fileFailure(RunReport &report, const Case &c, const std::string &found_id,
     f.shrunkId = encodeLiteral(s.minimized);
 
     // Leave a breadcrumb in the global flight recorder: the dump
-    // carries the replayable shrunk case ID next to whatever the
-    // services were doing when the disagreement surfaced.
-    telem::FlightEvent ev;
-    ev.kind = telem::FlightKind::ConformanceFailure;
-    ev.code = f.oracle;
-    ev.caseId = f.shrunkId;
-    ev.note = d.summary();
-    telem::FlightRecorder::global().trip("conformance disagreement", ev);
+    // carries the shrunk case next to whatever the services were
+    // doing when the disagreement surfaced; the summary names the
+    // oracle.
+    telem::EventRecord ev{.kind = telem::EventKind::ConformanceFailure};
+    ev.caseRef = telem::CaseRef(0, s.minimized.bits, s.minimized.pattern,
+                                s.minimized.text);
+    ev.setDetail(d.summary());
+    telem::FlightRecorder::global().trip("conformance disagreement",
+                                         std::move(ev));
 
     report.failures.push_back(std::move(f));
+}
+
+/** Why decodeCase() refused @p id (a "ref:" carries no symbols). */
+const char *
+undecodableReason(const std::string &id)
+{
+    return id.rfind("ref:", 0) == 0 ? "case reference, not replayable"
+                                    : "malformed case ID";
 }
 
 /** Position of the named oracle in the registry. */
@@ -365,7 +374,7 @@ replayCase(const std::string &id, const HarnessConfig &cfg)
         Failure f;
         f.oracle = "replay";
         f.foundId = id;
-        f.detail = "malformed case ID";
+        f.detail = undecodableReason(id);
         report.failures.push_back(std::move(f));
         report.seconds = secondsSince(start);
         return report;
@@ -418,7 +427,7 @@ runCorpus(const std::string &path, const HarnessConfig &cfg)
                 Failure f;
                 f.oracle = "corpus";
                 f.foundId = file.filename().string() + ": " + id;
-                f.detail = "malformed case ID";
+                f.detail = undecodableReason(id);
                 report.failures.push_back(std::move(f));
                 continue;
             }

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "core/gatechip.hh"
-#include "telemetry/flightrec.hh"
+#include "telemetry/event.hh"
 #include "telemetry/metrics.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -307,18 +307,19 @@ FaultGrader::run()
                     if (word == serial)
                         continue;
                     ++rep.crossCheckMismatches;
-                    telem::FlightEvent ev;
-                    ev.kind = telem::FlightKind::CrossCheckMismatch;
-                    ev.code = "fault.grade.crosscheck";
-                    ev.caseId = telem::literalCaseId(
-                        cfg.alphabetBits, pool[w].pattern,
-                        pool[w].text);
-                    ev.note = batch[i].describe(net) + " word=" +
-                        (word ? "detected" : "undetected") +
-                        " serial=" +
-                        (serial ? "detected" : "undetected");
+                    telem::EventRecord ev{
+                        .kind = telem::EventKind::CrossCheckMismatch,
+                        .code = "fault.grade.crosscheck"};
+                    ev.caseRef = telem::CaseRef(0, cfg.alphabetBits,
+                                                pool[w].pattern,
+                                                pool[w].text);
+                    ev.setDetail(batch[i].describe(net) + " word=" +
+                                 (word ? "detected" : "undetected") +
+                                 " serial=" +
+                                 (serial ? "detected" : "undetected"));
                     telem::FlightRecorder::global().trip(
-                        "fault grading cross-check mismatch", ev);
+                        "fault grading cross-check mismatch",
+                        std::move(ev));
                 }
             }
         }
@@ -339,21 +340,20 @@ FaultGrader::run()
     reg.counter("fault.grade.word_evals").add(rep.wordEvals);
     if (!rep.undetected.empty() && !pool.empty()) {
         const UndetectedFault &hardest = rep.undetected.front();
-        telem::FlightEvent ev;
-        ev.kind = telem::FlightKind::Note;
-        ev.code = "fault.grade.escape";
-        ev.caseId = telem::literalCaseId(cfg.alphabetBits,
-                                         pool.front().pattern,
-                                         pool.front().text);
+        telem::EventRecord ev{.kind = telem::EventKind::Note,
+                              .code = "fault.grade.escape"};
+        ev.caseRef = telem::CaseRef(0, cfg.alphabetBits,
+                                    pool.front().pattern,
+                                    pool.front().text);
         char note[160];
         std::snprintf(note, sizeof note,
                       "%zu classes undetected; hardest %s "
                       "difficulty=%u",
                       rep.undetected.size(), hardest.name.c_str(),
                       hardest.difficulty);
-        ev.note = note;
+        ev.setDetail(note);
         telem::FlightRecorder::global().trip("fault grading escapes",
-                                             ev);
+                                             std::move(ev));
     }
 
     return rep;

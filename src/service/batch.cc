@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "core/reference.hh"
-#include "telemetry/flightrec.hh"
+#include "telemetry/event.hh"
 #include "telemetry/telem.hh"
 #include "util/logging.hh"
 
@@ -213,9 +213,9 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
         const std::size_t lead = admitted.front();
         reqObs.observe(clock, batch[lead].id, totalMismatches != 0,
                        "cross-check mismatch", [&] {
-                           return telem::literalCaseId(
-                               cfg.base.alphabetBits, batch[lead].pattern,
-                               batch[lead].text);
+                           return telem::CaseRef(
+                               batch[lead].id, cfg.base.alphabetBits,
+                               batch[lead].pattern, batch[lead].text);
                        });
     }
     return out;
@@ -302,9 +302,9 @@ BatchMatchService::feedGroup(BatchStreamGroup &group,
     clock.mark(telem::Stage::Commit);
     clock.addBeats(static_cast<Beat>(total));
     reqObs.observe(clock, 0, mismatches != 0, "cross-check mismatch", [&] {
-        return telem::literalCaseId(cfg.base.alphabetBits, group.pattern,
-                                    chunks.empty() ? std::vector<Symbol>{}
-                                                   : chunks.front());
+        return telem::CaseRef(0, cfg.base.alphabetBits, group.pattern,
+                              chunks.empty() ? std::span<const Symbol>{}
+                                             : chunks.front());
     });
     return res;
 }

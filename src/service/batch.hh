@@ -133,8 +133,8 @@ class BatchMatchService
     /**
      * Tail-sampled exemplar traces: the slowest passes, a uniform
      * sample, and every pass whose sampled cross-check mismatched,
-     * each with its stage split and a replayable case ID for the
-     * pass's lead stream.
+     * each with its stage split and a case reference for the pass's
+     * lead stream.
      */
     const telem::ExemplarReservoir &exemplars() const
     {

@@ -46,30 +46,4 @@ Checkpoint::digest() const
     return h;
 }
 
-void
-ReplayJournal::record(const std::string &event)
-{
-    if (!active)
-        return;
-    entries.push_back("seq=" + std::to_string(seq++) + " " + event);
-}
-
-void
-ReplayJournal::clear()
-{
-    entries.clear();
-    seq = 0;
-}
-
-std::string
-ReplayJournal::dump() const
-{
-    std::string out;
-    for (const std::string &e : entries) {
-        out += e;
-        out += '\n';
-    }
-    return out;
-}
-
 } // namespace spm::service

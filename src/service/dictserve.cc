@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "telemetry/flightrec.hh"
+#include "telemetry/event.hh"
 #include "telemetry/telem.hh"
 #include "util/logging.hh"
 
@@ -151,8 +151,9 @@ DictMatchService::feedChunk(DictSession &session,
     clock.addBeats(static_cast<Beat>(chunk.size()));
     reqObs.observe(clock, session.chunksFed, !res.ok(),
                    "cross-check mismatch", [&] {
-                       return telem::literalCaseId(cfg.base.alphabetBits,
-                                                   session.dict[0], chunk);
+                       return telem::CaseRef(session.chunksFed,
+                                             cfg.base.alphabetBits,
+                                             session.dict[0], chunk);
                    });
     return res;
 }

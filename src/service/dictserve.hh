@@ -172,7 +172,7 @@ class DictMatchService
     /**
      * Tail-sampled exemplar traces: the slowest chunks, a uniform
      * sample, and every chunk whose sampled cross-check mismatched.
-     * The case ID replays dictionary member 0 against the chunk's
+     * The case reference names dictionary member 0 against the chunk's
      * window (the conformance case format is single-pattern).
      */
     const telem::ExemplarReservoir &exemplars() const

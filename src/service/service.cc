@@ -13,18 +13,6 @@ namespace spm::service
 namespace
 {
 
-std::string
-joinNames(const std::vector<std::string> &names)
-{
-    std::string s;
-    for (const std::string &n : names) {
-        if (!s.empty())
-            s += ",";
-        s += n;
-    }
-    return s;
-}
-
 /**
  * The largest symbol in @p symbols, wild cards read as 0 when
  * @p skip_wild. A max-reduce with no early exit, so it vectorizes.
@@ -57,19 +45,14 @@ StreamSession::StreamSession(MatchService &svc, MatchRequest req,
         response.resumed = true;
         response.beats = cp.beats;
         service.resumesCtr.add();
-        if (service.log.enabled())
-            service.log.record(
-                "req=" + std::to_string(request.id) + " resume offset=" +
-                std::to_string(cp.offset) + " rung=" +
-                std::to_string(cp.rung) + " ckpt=" +
-                std::to_string(cp.digest()));
-    } else if (service.log.enabled()) {
-        service.log.record("req=" + std::to_string(request.id) +
-                           " start n=" +
-                           std::to_string(request.text.size()) + " k=" +
-                           std::to_string(request.pattern.size()) +
-                           " ladder=" +
-                           joinNames(service.ladderNames()));
+        telem::EventRecord resume = event(telem::EventKind::Resume);
+        resume.digest = cp.digest();
+        service.journalEvent(std::move(resume));
+    } else {
+        telem::EventRecord start = event(telem::EventKind::Start);
+        start.length = request.text.size();
+        start.count = request.pattern.size();
+        service.journalEvent(std::move(start));
     }
     cp.emitted.reserve(request.text.size());
 }
@@ -79,10 +62,29 @@ StreamSession::fail(ErrorCode code, const std::string &detail)
 {
     response.error = ServiceError::make(code, detail);
     finished = true;
-    if (service.log.enabled())
-        service.log.record("req=" + std::to_string(request.id) +
-                           " fail code=" + errorCodeName(code) + " " +
-                           detail);
+    telem::EventRecord failed = event(telem::EventKind::Fail);
+    failed.code = errorCodeName(code);
+    failed.setDetail(detail);
+    service.journalEvent(std::move(failed));
+}
+
+telem::EventRecord
+StreamSession::event(telem::EventKind kind) const
+{
+    return {.kind = kind,
+            .shard = service.cfg.shardId,
+            .rung = static_cast<std::uint32_t>(cp.rung),
+            .requestId = request.id,
+            .offset = cp.offset,
+            .beats = response.beats};
+}
+
+telem::CaseRef
+StreamSession::windowCase() const
+{
+    return telem::CaseRef(request.id, service.cfg.alphabetBits,
+                          request.pattern, window,
+                          cp.offset - cp.tail.size());
 }
 
 Beat
@@ -144,11 +146,7 @@ StreamSession::step()
             ? "none"
             : service.ladder[cp.rung]->name();
         finished = true;
-        if (service.log.enabled())
-            service.log.record("req=" + std::to_string(request.id) +
-                               " done ok backend=" + response.backend +
-                               " beats=" +
-                               std::to_string(response.beats));
+        service.journalEvent(event(telem::EventKind::Done));
         return false;
     }
 
@@ -170,22 +168,6 @@ StreamSession::step()
     SPM_TSPAN_NAMED(chunk_span, "service.chunk", telem::cat::service,
                     response.beats, request.id);
 
-    // The flight recorder's replay handle for this chunk: the window
-    // and pattern as a self-contained conformance case.
-    auto chunkCaseId = [&] {
-        return telem::literalCaseId(cfg.alphabetBits, request.pattern,
-                                    window);
-    };
-    auto flightEvent = [&](telem::FlightKind kind) {
-        telem::FlightEvent ev;
-        ev.kind = kind;
-        ev.beat = response.beats;
-        ev.shard = cfg.shardId;
-        ev.requestId = request.id;
-        ev.offset = cp.offset;
-        return ev;
-    };
-
     // Everything up to here -- queue pop, window assembly, budget
     // math -- is admission work.
     clock.mark(telem::Stage::Admit);
@@ -195,10 +177,7 @@ StreamSession::step()
     while (rung < service.ladder.size()) {
         ServiceBackend &backend = *service.ladder[rung];
         if (!backend.supports(request.pattern)) {
-            if (service.log.enabled())
-                service.log.record("req=" + std::to_string(request.id) +
-                                   " skip rung=" + backend.name() +
-                                   " reason=unsupported");
+            service.journalEvent(event(telem::EventKind::Skip));
             cp.rung = ++rung;
             continue;
         }
@@ -226,39 +205,32 @@ StreamSession::step()
         clock.addBeats(wr.beats);
 
         if (!wr.completed) {
+            const telem::CaseRef here = windowCase();
             last_fail_watchdog = service.dog.tripped();
             if (last_fail_watchdog) {
                 ++response.watchdogTrips;
                 service.watchdogTripsCtr.add();
-                telem::FlightEvent trip =
-                    flightEvent(telem::FlightKind::WatchdogTrip);
-                trip.beat = response.beats;
+                telem::EventRecord trip =
+                    event(telem::EventKind::WatchdogTrip);
                 trip.code = errorCodeName(ErrorCode::DeadlineExceeded);
-                trip.caseId = chunkCaseId();
-                trip.note = "rung=" + backend.name() + " budget=" +
-                            std::to_string(budget);
+                trip.caseRef = here;
+                trip.limit = budget;
                 service.flight.trip("watchdog trip", std::move(trip));
                 SPM_TINSTANT("service.watchdog_trip",
                              telem::cat::service, response.beats,
                              request.id);
             }
-            if (service.log.enabled())
-                service.log.record(
-                    "req=" + std::to_string(request.id) +
-                    " cancel rung=" + backend.name() + " offset=" +
-                    std::to_string(cp.offset) + " " +
-                    (wr.note.empty() ? "failed" : wr.note));
+            telem::EventRecord cancelled = event(telem::EventKind::Cancel);
+            cancelled.setDetail(wr.note);
+            service.journalEvent(std::move(cancelled));
             ++response.degradations;
             service.degradationsCtr.add();
-            telem::FlightEvent fall =
-                flightEvent(telem::FlightKind::LadderTransition);
-            fall.beat = response.beats;
+            telem::EventRecord fall =
+                event(telem::EventKind::LadderTransition);
             fall.code = errorCodeName(last_fail_watchdog
                                           ? ErrorCode::DeadlineExceeded
                                           : ErrorCode::BackendFailed);
-            fall.caseId = chunkCaseId();
-            fall.note = "fall from=" + backend.name() + " to_rung=" +
-                        std::to_string(rung + 1);
+            fall.caseRef = here;
             service.flight.trip("ladder transition", std::move(fall));
             SPM_TINSTANT("service.ladder_fall", telem::cat::service,
                          response.beats, rung + 1);
@@ -274,36 +246,23 @@ StreamSession::step()
                 ++response.crossCheckFailures;
                 service.crossCheckFailuresCtr.add();
                 const unsigned faults = ++rungFaults[rung];
-                telem::FlightEvent mismatch =
-                    flightEvent(telem::FlightKind::CrossCheckMismatch);
+                telem::EventRecord mismatch =
+                    event(telem::EventKind::CrossCheckMismatch);
+                mismatch.count = faults;
+                mismatch.limit = cfg.rungFaultBudget;
+                service.journalEvent(mismatch);
                 mismatch.code = errorCodeName(ErrorCode::BackendFailed);
-                mismatch.caseId = chunkCaseId();
-                mismatch.note =
-                    "rung=" + backend.name() + " faults=" +
-                    std::to_string(faults) + "/" +
-                    std::to_string(cfg.rungFaultBudget);
-                service.flight.record(std::move(mismatch));
-                if (service.log.enabled())
-                    service.log.record(
-                        "req=" + std::to_string(request.id) +
-                        " crosscheck-mismatch rung=" + backend.name() +
-                        " offset=" + std::to_string(cp.offset) +
-                        " faults=" + std::to_string(faults) + "/" +
-                        std::to_string(cfg.rungFaultBudget));
+                mismatch.caseRef = windowCase();
+                service.flight.record(mismatch);
                 if (faults > cfg.rungFaultBudget) {
                     last_fail_watchdog = false;
                     ++response.degradations;
                     service.degradationsCtr.add();
-                    telem::FlightEvent fall = flightEvent(
-                        telem::FlightKind::LadderTransition);
-                    fall.code =
-                        errorCodeName(ErrorCode::BackendFailed);
-                    fall.caseId = chunkCaseId();
-                    fall.note = "fault budget burned from=" +
-                                backend.name() + " to_rung=" +
-                                std::to_string(rung + 1);
+                    // The mismatch record carries the burned budget,
+                    // which the fall's line reports.
+                    mismatch.kind = telem::EventKind::LadderTransition;
                     service.flight.trip("ladder transition",
-                                        std::move(fall));
+                                        std::move(mismatch));
                     SPM_TINSTANT("service.ladder_fall",
                                  telem::cat::service, response.beats,
                                  rung + 1);
@@ -342,16 +301,14 @@ StreamSession::step()
         SPM_THIST(service.chunkBeatsHist,
                   static_cast<double>(wr.beats));
         chunk_span.setBeat(response.beats);
-        service.flight.record(
-            flightEvent(telem::FlightKind::ChunkCommit));
+        telem::EventRecord commit = event(telem::EventKind::ChunkCommit);
+        service.flight.record(commit);
         clock.mark(telem::Stage::Commit);
-        if (service.log.enabled()) {
-            service.log.record(
-                "req=" + std::to_string(request.id) + " chunk offset=" +
-                std::to_string(cp.offset) + "/" + std::to_string(n) +
-                " rung=" + backend.name() + " beats=" +
-                std::to_string(wr.beats) + " ckpt=" +
-                std::to_string(cp.digest()));
+        if (service.cfg.journalEnabled) {
+            commit.length = n;
+            commit.beats = wr.beats;
+            commit.digest = cp.digest();
+            service.log.record(std::move(commit));
             clock.mark(telem::Stage::Journal);
         }
         // Even when this was the last chunk, one more step() call
@@ -400,9 +357,8 @@ StreamSession::finish()
             reason = "ladder fall";
         service.reqObs.observe(
             clock, request.id, reason != nullptr, reason, [this] {
-                return telem::literalCaseId(service.cfg.alphabetBits,
-                                            request.pattern,
-                                            request.text);
+                return telem::CaseRef(request.id, service.cfg.alphabetBits,
+                                      request.pattern, request.text);
             });
     }
     return response;
@@ -427,7 +383,7 @@ MatchService::MatchService(
     ServiceConfig config,
     std::vector<std::unique_ptr<ServiceBackend>> ladder_rungs)
     : cfg(std::move(config)), ladder(std::move(ladder_rungs)),
-      queue(cfg.queueCapacity, cfg.policy), log(cfg.journalEnabled),
+      queue(cfg.queueCapacity, cfg.policy),
       servedCtr(metrics.counter("served")),
       completedCtr(metrics.counter("completed")),
       failedCtr(metrics.counter("failed")),
@@ -448,6 +404,15 @@ MatchService::MatchService(
     if (ladder.empty())
         ladder = makeDefaultLadder(cfg);
     spm_assert(!ladder.empty(), "service needs at least one backend");
+    log.setRungNames(ladderNames());
+    flight.setRungNames(ladderNames());
+}
+
+void
+MatchService::journalEvent(telem::EventRecord ev)
+{
+    if (cfg.journalEnabled)
+        log.record(std::move(ev));
 }
 
 std::vector<std::string>
@@ -578,9 +543,10 @@ MatchService::submit(MatchRequest req)
         // Invalid requests never consume queue space; the rejection
         // is typed just like an admission rejection.
         out.error = *err;
-        if (log.enabled())
-            log.record("req=" + std::to_string(req.id) +
-                       " rejected at validation: " + err->toString());
+        telem::EventRecord rejected{.kind = telem::EventKind::Reject,
+                                    .requestId = req.id};
+        rejected.setDetail(err->toString());
+        journalEvent(std::move(rejected));
         return out;
     }
 
@@ -596,9 +562,8 @@ MatchService::submit(MatchRequest req)
             shed_resp.id = adm.shed->id;
             shed_resp.error = ServiceError::make(
                 ErrorCode::Shed, "evicted under shed-oldest policy");
-            if (log.enabled())
-                log.record("req=" + std::to_string(shed_resp.id) +
-                           " shed");
+            journalEvent({.kind = telem::EventKind::Shed,
+                          .requestId = shed_resp.id});
             servedCtr.add();
             failedCtr.add();
             out.shedResponse = std::move(shed_resp);

@@ -42,9 +42,8 @@
 #include "service/queue.hh"
 #include "service/request.hh"
 #include "service/watchdog.hh"
-#include "telemetry/flightrec.hh"
+#include "telemetry/event.hh"
 #include "telemetry/metrics.hh"
-#include "telemetry/reqobs.hh"
 #include "util/types.hh"
 
 namespace spm::service
@@ -121,6 +120,10 @@ class StreamSession
                   std::optional<Checkpoint> resume_from);
 
     void fail(ErrorCode code, const std::string &detail);
+    /** A record of @p kind stamped with where the session stands. */
+    telem::EventRecord event(telem::EventKind kind) const;
+    /** The current window as a case (the flight recorder's handle). */
+    telem::CaseRef windowCase() const;
     Beat windowBudget(std::size_t window_len) const;
     void prefetchFrom(ServiceBackend &backend, std::size_t rung);
 
@@ -193,8 +196,15 @@ class MatchService
     std::size_t queuedRequests() const { return queue.size(); }
     const AdmissionQueue &admission() const { return queue; }
 
-    const ReplayJournal &journal() const { return log; }
-    ReplayJournal &journal() { return log; }
+    /**
+     * The replay journal: every serving event (admissions, chunk
+     * commits with their checkpoint digests, skips, cancels, falls,
+     * failures) in order, wall-clock free, so two identical runs dump
+     * byte-identical journals -- diff them to find the first divergent
+     * event. An unbounded recorder; empty unless journalEnabled.
+     */
+    const telem::FlightRecorder &journal() const { return log; }
+    telem::FlightRecorder &journal() { return log; }
 
     /**
      * Lifetime serving metrics, registry-backed: counters served,
@@ -217,7 +227,7 @@ class MatchService
      * The flight recorder: recent chunk commits plus watchdog trips,
      * ladder transitions and cross-check mismatches, each stamped
      * with beat index, shard id, error-taxonomy code and the chunk's
-     * replayable conformance case ID. Trips dump automatically.
+     * case reference. Trips dump automatically.
      */
     const telem::FlightRecorder &flightRecorder() const { return flight; }
     telem::FlightRecorder &flightRecorder() { return flight; }
@@ -225,7 +235,7 @@ class MatchService
     /**
      * Tail-sampled exemplar traces: the slowest requests, a uniform
      * sample, and every watchdog-trip / ladder-fall request, each
-     * with its per-stage latency split and replayable case ID.
+     * with its per-stage latency split and case reference.
      */
     const telem::ExemplarReservoir &exemplars() const
     {
@@ -236,11 +246,14 @@ class MatchService
   private:
     friend class StreamSession;
 
+    /** Append @p ev to the journal when it is enabled. */
+    void journalEvent(telem::EventRecord ev);
+
     ServiceConfig cfg;
     std::vector<std::unique_ptr<ServiceBackend>> ladder;
     AdmissionQueue queue;
     BeatWatchdog dog;
-    ReplayJournal log;
+    telem::FlightRecorder log{telem::JournalTag{}};
 
     // Per-instance single-stripe registry: one service, one serving
     // thread (the sharded front end gives each shard its own).

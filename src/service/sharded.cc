@@ -314,10 +314,9 @@ ShardedMatchService::noteSlotOutcome(std::uint32_t slot, bool ok)
     }
     if (quarantined) {
         quarantinesCtr.add();
-        telem::FlightEvent ev;
-        ev.kind = telem::FlightKind::Quarantine;
-        ev.shard = slot;
-        ev.note = "breaker opened on consecutive failures";
+        telem::EventRecord ev{.kind = telem::EventKind::Quarantine,
+                              .shard = slot};
+        ev.setDetail("breaker opened on consecutive failures");
         flight.record(std::move(ev));
         spm_warn("sharded: slot ", slot, " quarantined");
     }
@@ -571,9 +570,19 @@ ShardedMatchService::serve(const MatchRequest &req)
     }
 
     // --- Recovery: retry failed slices on spare slots ----------------
-    const auto sliceCaseId = [&](const SliceState &st) {
-        return telem::literalCaseId(cfg.base.alphabetBits, req.pattern,
-                                    st.piece.text);
+    // A slice's flight record: its answer span [starts[s], +keepLen)
+    // and its window (which starts overlapLen earlier) as the case.
+    const auto sliceEvent = [&](telem::EventKind kind, std::size_t s,
+                                const SliceState &st) {
+        telem::EventRecord ev{.kind = kind,
+                              .shard = st.slot,
+                              .requestId = req.id,
+                              .offset = starts[s],
+                              .length = st.keepLen};
+        ev.caseRef = telem::CaseRef(req.id, cfg.base.alphabetBits,
+                                    req.pattern, st.piece.text,
+                                    starts[s] - st.overlapLen);
+        return ev;
     };
     const auto retryOnSpare = [&](std::size_t s, SliceState &st,
                                   unsigned attempt,
@@ -584,14 +593,10 @@ ShardedMatchService::serve(const MatchRequest &req)
             cfg.threads + (spareRotor++ % cfg.spareShards);
         shardRetriesCtr.add();
         spareServesCtr.add();
-        telem::FlightEvent ev;
-        ev.kind = telem::FlightKind::ShardFailover;
-        ev.shard = st.slot;
-        ev.requestId = req.id;
-        ev.offset = s;
-        ev.caseId = sliceCaseId(st);
-        ev.note = why + "; retrying slice " + std::to_string(s) +
-                  " on spare slot " + std::to_string(spare);
+        telem::EventRecord ev =
+            sliceEvent(telem::EventKind::ShardFailover, s, st);
+        ev.setDetail(why + "; retrying slice " + std::to_string(s) +
+                     " on spare slot " + std::to_string(spare));
         flight.record(std::move(ev));
         st.exceptionText.clear();
         st.resp = serveSliceOn(spare, st.piece, &st.exceptionText);
@@ -711,16 +716,12 @@ ShardedMatchService::serve(const MatchRequest &req)
             se.detail = "overlap bits disagree with slice " +
                         std::to_string(s - 1);
             lastErrors.push_back(std::move(se));
-            telem::FlightEvent ev;
-            ev.kind = telem::FlightKind::OverlapMismatch;
-            ev.shard = cur.slot;
-            ev.requestId = req.id;
-            ev.offset = starts[s];
+            telem::EventRecord ev =
+                sliceEvent(telem::EventKind::OverlapMismatch, s, cur);
             ev.code = errorCodeName(ErrorCode::ShardFailed);
-            ev.caseId = sliceCaseId(cur);
-            ev.note = "slices " + std::to_string(s - 1) + "/" +
-                      std::to_string(s) + " disagree on " +
-                      std::to_string(ext) + " overlap bits";
+            ev.setDetail("slices " + std::to_string(s - 1) + "/" +
+                         std::to_string(s) + " disagree on " +
+                         std::to_string(ext) + " overlap bits");
             flight.trip("overlap mismatch", std::move(ev));
             const bool can_repair =
                 cfg.spareShards > 0 && repairs + 2 <= max_repairs;
@@ -798,8 +799,8 @@ ShardedMatchService::serve(const MatchRequest &req)
     if (!reason && out.watchdogTrips > 0)
         reason = "watchdog trip";
     reqObs.observe(clock, req.id, reason != nullptr, reason, [&] {
-        return telem::literalCaseId(cfg.base.alphabetBits, req.pattern,
-                                    req.text);
+        return telem::CaseRef(req.id, cfg.base.alphabetBits, req.pattern,
+                              req.text);
     });
     return out;
 }

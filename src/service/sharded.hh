@@ -44,7 +44,7 @@
  *                  stitching, the two full-history copies are compared
  *                  as an end-to-end integrity check; a mismatch
  *                  re-executes both suspect slices on spares and dumps
- *                  a replayable conformance case ID via the flight
+ *                  the slice's case reference via the flight
  *                  recorder.
  *
  * Time is reported both ways: beats is the critical path (the slowest
@@ -68,7 +68,7 @@
 
 #include "service/backend.hh"
 #include "service/service.hh"
-#include "telemetry/flightrec.hh"
+#include "telemetry/event.hh"
 
 namespace spm::service
 {
@@ -267,8 +267,8 @@ class ShardedMatchService
 
     /**
      * The sharded layer's own flight recorder: failover, quarantine
-     * and overlap-mismatch events, each carrying a replayable
-     * conformance case ID for the suspect slice. Overlap mismatches
+     * and overlap-mismatch events, each carrying the suspect slice's
+     * text span and case reference. Overlap mismatches
      * trip a dump automatically (see telem::FlightRecorder).
      */
     const telem::FlightRecorder &flightRecorder() const { return flight; }

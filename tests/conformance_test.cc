@@ -21,6 +21,7 @@
 #include "conformance/shrink.hh"
 #include "core/reference.hh"
 #include "core/simdpar.hh"
+#include "telemetry/event.hh"
 #include "tests/helpers.hh"
 
 namespace spm::conformance
@@ -304,7 +305,22 @@ TEST(Harness, ReplaysACaseIdEndToEnd)
     EXPECT_GT(r.goldenTraceRuns, 0u);
 
     const RunReport bad = replayCase("not-an-id", HarnessConfig{});
-    EXPECT_FALSE(bad.ok());
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.failures.front().detail, "malformed case ID");
+}
+
+TEST(Harness, CaseReferencesAreNamedNotReplayable)
+{
+    // A flight dump's "ref:" (a case past caseLiteralCap) carries its
+    // lengths and digest, not its symbols.
+    const std::vector<Symbol> pattern = {1, 2, 3};
+    const std::vector<Symbol> text(4096, 1);
+    const std::string ref = telem::CaseRef(9, 2, pattern, text).render();
+    ASSERT_EQ(ref.rfind("ref:", 0), 0u);
+    const RunReport r = replayCase(ref, HarnessConfig{});
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.failures.front().detail, "case reference, not replayable");
+    EXPECT_EQ(r.casesRun, 0u);
 }
 
 TEST(Harness, FailureReportCarriesReplayableIds)

@@ -143,6 +143,42 @@ TEST(ChaosService, InjectedExceptionRecoversOnSpare)
     EXPECT_GE(snap.counterValue("sharded.spare_serves"), 2u);
 }
 
+TEST(ChaosService, FailoverEventsRecordTheSliceTextSpan)
+{
+    // Slot 1 throws on every serve; its slice fails over to the spare.
+    // The failover record locates the slice in the request's text, as
+    // the overlap-mismatch record does, not by its slice index.
+    ChaosConfig storm;
+    storm.seed = 12;
+    storm.throwProb = 1.0;
+    storm.targetSlots = {1};
+    auto plan = std::make_shared<const ChaosPlan>(storm);
+    ShardedMatchService sharded(
+        chaosShardConfig(2, 1),
+        makeChaosLadderFactory(plan, softwareFactory()));
+
+    const auto req = randomRequest(0xE7, 301, 5);
+    ASSERT_TRUE(sharded.serve(req).ok());
+    std::size_t failovers = 0;
+    for (const telem::EventRecord &ev : sharded.flightRecorder().events()) {
+        if (ev.kind != telem::EventKind::ShardFailover)
+            continue;
+        ++failovers;
+        EXPECT_EQ(ev.shard, 1u);
+        EXPECT_EQ(ev.requestId, req.id);
+        EXPECT_EQ(ev.offset, 150u); // slice 1 answers [150, 301)
+        EXPECT_EQ(ev.length, 151u);
+        // Its case is the slice's window: the k-1 = 4 warm-up chars
+        // before the slice, the slice and the 0-char right extension.
+        const std::optional<conformance::Case> c =
+            conformance::decodeCase(ev.caseRef.render());
+        ASSERT_TRUE(c.has_value());
+        EXPECT_EQ(c->text, std::vector<Symbol>(req.text.begin() + 146,
+                                               req.text.end()));
+    }
+    EXPECT_EQ(failovers, 1u);
+}
+
 TEST(ChaosService, ExceptionWithoutSparesFailsTyped)
 {
     ChaosConfig storm;
@@ -307,9 +343,11 @@ TEST(ChaosService, SilentCorruptionIsCaughtByOverlapCheckAndRepaired)
     EXPECT_EQ(sharded.flightRecorder().tripCount(), 1u);
     EXPECT_NE(dump.find("overlap mismatch"), std::string::npos) << dump;
     bool found_case = false;
-    for (const telem::FlightEvent &ev : sharded.flightRecorder().events())
-        if (ev.kind == telem::FlightKind::OverlapMismatch) {
-            EXPECT_FALSE(ev.caseId.empty());
+    for (const telem::EventRecord &ev : sharded.flightRecorder().events())
+        if (ev.kind == telem::EventKind::OverlapMismatch) {
+            EXPECT_EQ(ev.caseRef.render().rfind("l1:", 0), 0u);
+            EXPECT_EQ(ev.offset, 150u); // slice 1 answers [150, 300)
+            EXPECT_EQ(ev.length, 150u);
             found_case = true;
         }
     EXPECT_TRUE(found_case);

@@ -147,15 +147,15 @@ TEST(ServiceTelemetry, WatchdogTripForceRetainsAnExemplar)
     ASSERT_FALSE(forced.empty());
     const telem::Exemplar &e = forced.front();
     EXPECT_TRUE(e.forced);
-    EXPECT_EQ(e.reason, "watchdog trip");
-    EXPECT_EQ(e.requestId, 31u);
-    EXPECT_EQ(e.service, "stream");
+    EXPECT_STREQ(e.reason, "watchdog trip");
+    EXPECT_EQ(e.event.requestId, 31u);
+    EXPECT_STREQ(e.service, "stream");
 
     // The exemplar's case ID replays the whole request, not just the
     // wedged chunk: pattern and text round-trip exactly.
-    const std::optional<conformance::Case> c =
-        conformance::decodeCase(e.caseId);
-    ASSERT_TRUE(c.has_value()) << e.caseId;
+    const std::string id = e.event.caseRef.render();
+    const std::optional<conformance::Case> c = conformance::decodeCase(id);
+    ASSERT_TRUE(c.has_value()) << id;
     EXPECT_EQ(c->bits, smallConfig().alphabetBits);
     EXPECT_EQ(c->pattern, req.pattern);
     EXPECT_EQ(c->text, req.text);
@@ -163,6 +163,45 @@ TEST(ServiceTelemetry, WatchdogTripForceRetainsAnExemplar)
     // The rendered reservoir names the retention reason.
     EXPECT_NE(svc.exemplars().renderText().find("forced(watchdog trip)"),
               std::string::npos);
+}
+
+TEST(ServiceTelemetry, LongRequestsRenderFixedSizeCaseRefs)
+{
+    // Past caseLiteralCap symbols the exemplar and the flight events
+    // carry a "ref:" (lengths, offset, digest), not the text.
+    telem::setSamplingEnabled(true);
+    std::vector<std::size_t> sizes;
+    for (const std::size_t n : {std::size_t{8192}, std::size_t{65536}}) {
+        std::vector<std::unique_ptr<ServiceBackend>> ladder;
+        ladder.push_back(std::make_unique<WedgedBackend>());
+        ladder.push_back(std::make_unique<SoftwareBackend>());
+        ServiceConfig cfg = smallConfig();
+        cfg.chunkChars = 2048;
+        MatchService svc(cfg, std::move(ladder));
+        svc.flightRecorder().setDumpSink([](const std::string &) {});
+        ASSERT_TRUE(svc.serve(seededRequest(40, 41, n, 4)).ok());
+
+        const std::vector<telem::Exemplar> forced = svc.exemplars().forced();
+        ASSERT_EQ(forced.size(), 1u);
+        const std::string ref = forced.front().event.caseRef.render();
+        EXPECT_EQ(ref.rfind("ref:40:2:4:" + std::to_string(n) + ":0:", 0),
+                  0u)
+            << ref;
+        sizes.push_back(ref.size());
+        std::size_t trips = 0;
+        for (const telem::EventRecord &ev : svc.flightRecorder().events()) {
+            if (!ev.caseRef)
+                continue;
+            ++trips;
+            EXPECT_EQ(ev.caseRef.render().rfind("ref:40:2:4:2048:0:", 0),
+                      0u);
+        }
+        EXPECT_EQ(trips, 2u); // the watchdog trip and the ladder fall
+    }
+    telem::setSamplingEnabled(false);
+    // 8 K and 64 K: one more digit of length, nothing else.
+    EXPECT_EQ(sizes[1], sizes[0] + 1);
+    EXPECT_LT(sizes[1], 64u);
 }
 #endif // SPM_TELEM_OFF
 
@@ -180,14 +219,15 @@ TEST(ServiceTelemetry, LadderFallRecordsTransitionEvent)
     EXPECT_EQ(resp.backend, "software-baseline");
 
     bool saw_transition = false;
-    for (const telem::FlightEvent &ev : svc.flightRecorder().events()) {
-        if (ev.kind != telem::FlightKind::LadderTransition)
+    for (const telem::EventRecord &ev : svc.flightRecorder().events()) {
+        if (ev.kind != telem::EventKind::LadderTransition)
             continue;
         saw_transition = true;
         EXPECT_EQ(ev.shard, 3u);
         EXPECT_EQ(ev.requestId, 22u);
-        EXPECT_FALSE(ev.code.empty());
-        EXPECT_NE(ev.note.find("fall"), std::string::npos);
+        EXPECT_NE(ev.code, nullptr);
+        EXPECT_NE(svc.flightRecorder().render(ev).find("note=fall"),
+                  std::string::npos);
     }
     EXPECT_TRUE(saw_transition);
     EXPECT_GE(svc.stats().counter("degradations").value(), 1u);
@@ -210,8 +250,8 @@ TEST(ServiceTelemetry, ChunkCommitsLandInRecorderAndHistogram)
     // monotonically increasing stream offsets.
     std::uint64_t commits = 0;
     std::uint64_t last_offset = 0;
-    for (const telem::FlightEvent &ev : svc.flightRecorder().events()) {
-        if (ev.kind != telem::FlightKind::ChunkCommit)
+    for (const telem::EventRecord &ev : svc.flightRecorder().events()) {
+        if (ev.kind != telem::EventKind::ChunkCommit)
             continue;
         ++commits;
         EXPECT_EQ(ev.requestId, 31u);
@@ -249,12 +289,12 @@ TEST(ServiceTelemetry, ChunkCommitsLandInRecorderAndHistogram)
     ASSERT_EQ(big.chunks, 4u);
     Beat charged = 0;
     Beat most = 0;
-    for (const telem::FlightEvent &ev : gate.flightRecorder().events()) {
-        if (ev.kind != telem::FlightKind::ChunkCommit)
+    for (const telem::EventRecord &ev : gate.flightRecorder().events()) {
+        if (ev.kind != telem::EventKind::ChunkCommit)
             continue;
-        EXPECT_GE(ev.beat - charged, 1024u);
-        most = std::max(most, ev.beat - charged);
-        charged = ev.beat;
+        EXPECT_GE(ev.beats - charged, 1024u);
+        most = std::max(most, ev.beats - charged);
+        charged = ev.beats;
     }
     EXPECT_EQ(charged, big.beats);
     const telem::Snapshot wideSnap = gate.metricsSnapshot();
@@ -268,6 +308,19 @@ TEST(ServiceTelemetry, ChunkCommitsLandInRecorderAndHistogram)
 #else
     EXPECT_EQ(wh->samples(), 0u);
 #endif
+}
+
+TEST(ServiceTelemetry, ZeroFlightCapacityKeepsOneEvent)
+{
+    // A zero capacity reads as a one-event ring; it never grows.
+    ServiceConfig cfg = smallConfig();
+    cfg.flightCapacity = 0;
+    MatchService svc(cfg);
+    const MatchResponse resp = svc.serve(seededRequest(33, 45, 160, 3));
+    ASSERT_TRUE(resp.ok());
+    ASSERT_GE(resp.chunks, 10u);
+    EXPECT_EQ(svc.flightRecorder().size(), 1u);
+    EXPECT_EQ(svc.flightRecorder().recordedTotal(), resp.chunks);
 }
 
 TEST(ServiceTelemetry, RegistryBacksTheLegacyDumpFormat)
@@ -327,11 +380,11 @@ TEST(ServiceTelemetry, CrossCheckMismatchLeavesBreadcrumb)
               core::ReferenceMatcher().match(req.text, req.pattern));
 
     bool saw_mismatch = false;
-    for (const telem::FlightEvent &ev : svc.flightRecorder().events()) {
-        if (ev.kind != telem::FlightKind::CrossCheckMismatch)
+    for (const telem::EventRecord &ev : svc.flightRecorder().events()) {
+        if (ev.kind != telem::EventKind::CrossCheckMismatch)
             continue;
         saw_mismatch = true;
-        EXPECT_EQ(ev.caseId.rfind("l1:", 0), 0u);
+        EXPECT_EQ(ev.caseRef.render().rfind("l1:", 0), 0u);
     }
     EXPECT_TRUE(saw_mismatch);
     EXPECT_GE(svc.stats().counter("crossCheckFailures").value(), 2u);

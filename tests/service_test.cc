@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/behavioral.hh"
@@ -265,8 +268,8 @@ TEST(ServiceMatch, WideAlphabetSkipsTheGateRungWithoutDegrading)
     }
     EXPECT_EQ(svc.stats().counter("degradations").value(), 0u);
     EXPECT_EQ(svc.flightRecorder().tripCount(), 0u);
-    for (const telem::FlightEvent &ev : svc.flightRecorder().events())
-        EXPECT_NE(ev.kind, telem::FlightKind::LadderTransition);
+    for (const telem::EventRecord &ev : svc.flightRecorder().events())
+        EXPECT_NE(ev.kind, telem::EventKind::LadderTransition);
     EXPECT_NE(svc.journal().dump().find("reason=unsupported"),
               std::string::npos);
 }
@@ -355,7 +358,8 @@ expectSameServing(const MatchService &lanes, const MatchResponse &got,
     const auto scalar_events = scalar.flightRecorder().events();
     ASSERT_EQ(lane_events.size(), scalar_events.size());
     for (std::size_t i = 0; i < lane_events.size(); ++i)
-        EXPECT_EQ(lane_events[i].render(), scalar_events[i].render());
+        EXPECT_EQ(lanes.flightRecorder().render(lane_events[i]),
+                  scalar.flightRecorder().render(scalar_events[i]));
 }
 
 /** The paper_chip request shape: 512 chars, k = 8, 2-bit alphabet. */
@@ -471,6 +475,88 @@ TEST(LaneGateRung, PoisonedRungFallsIdentically)
     EXPECT_TRUE(fell_partway)
         << "no request made the poisoned rung mismatch and fall";
     EXPECT_GT(pair.laneWindows(), 0u);
+}
+
+/**
+ * The journal, flight-ring and flight-dump renders of a scripted
+ * serving mix -- a clean serve, a resume from offset 160, a deadline
+ * trip, shed-oldest admission, a validation reject and a poisoned
+ * rung's fall -- byte for byte against tests/golden/service_journal.txt.
+ * On a mismatch the rendered text is written next to the test binary;
+ * after an intended format change, copy it over the golden.
+ */
+TEST(ServiceJournal, ScriptedMixMatchesGolden)
+{
+    ServiceConfig cfg;
+    cfg.queueCapacity = 2;
+    cfg.policy = BackpressurePolicy::ShedOldest;
+    std::string dumps;
+    const auto render = [&](MatchService &svc, const std::string &title) {
+        std::string out = "== " + title + " journal ==\n" +
+                          svc.journal().dump() + "== " + title +
+                          " flight ring ==\n";
+        for (const telem::EventRecord &ev : svc.flightRecorder().events())
+            out += svc.flightRecorder().render(ev) + "\n";
+        return out;
+    };
+    const auto sinkInto = [&](MatchService &svc) {
+        svc.flightRecorder().setDumpSink(
+            [&](const std::string &d) { dumps += d + "\n"; });
+    };
+
+    MatchService svc(cfg);
+    sinkInto(svc);
+    EXPECT_TRUE(svc.serve(chipRequest(1, 0x5EED)).ok());
+
+    const MatchRequest req = chipRequest(2, 0xCAFE);
+    StreamSession session = svc.startSession(req);
+    for (int i = 0; i < 5; ++i)
+        ASSERT_TRUE(session.step());
+    const Checkpoint cp = session.checkpoint();
+    ASSERT_EQ(cp.offset, 160u);
+    session.cancel("killed by test");
+    session.finish();
+    EXPECT_TRUE(svc.resume(req, cp).ok());
+
+    MatchRequest late = chipRequest(3, 0xD1E);
+    late.deadlineBeats = 650;
+    EXPECT_EQ(svc.serve(late).error.code, ErrorCode::DeadlineExceeded);
+
+    for (std::uint64_t id = 4; id <= 6; ++id)
+        EXPECT_TRUE(svc.submit(chipRequest(id, 0x40 + id)).accepted);
+    EXPECT_EQ(svc.drain().size(), 2u);
+
+    MatchRequest bad = chipRequest(7, 0x77);
+    bad.text[3] = 9;
+    EXPECT_FALSE(svc.submit(bad).accepted);
+
+    std::vector<std::unique_ptr<ServiceBackend>> poisoned =
+        makeDefaultLadder(cfg);
+    poisoned.insert(poisoned.begin(),
+                    makePoisonedGateBackend(
+                        cfg, hardestUndetectedSites(cfg.cells,
+                                                    cfg.alphabetBits, 4)));
+    MatchService fall(cfg, std::move(poisoned));
+    sinkInto(fall);
+    for (std::uint64_t id = 10; id < 13; ++id)
+        fall.serve(chipRequest(id, 0xB0 + id));
+    EXPECT_GT(fall.stats().counter("degradations").value(), 0u);
+
+    const std::string got = render(svc, "service") +
+                            render(fall, "poisoned") +
+                            "== flight dumps ==\n" + dumps;
+    const std::string path =
+        std::string(SPM_GOLDEN_DIR) + "/service_journal.txt";
+    std::ifstream in(path);
+    const std::string want((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    if (got != want) {
+        const std::string actual =
+            std::string(SPM_GOLDEN_OUT) + "/service_journal.actual.txt";
+        std::ofstream(actual) << got;
+        ADD_FAILURE() << "render differs from " << path
+                      << "; this run's render is in " << actual;
+    }
 }
 
 TEST(Watchdog, TripsOnceArmedBudgetIsExhausted)

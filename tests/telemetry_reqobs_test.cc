@@ -19,8 +19,8 @@
 #include <random>
 #include <vector>
 
+#include "telemetry/event.hh"
 #include "telemetry/metrics.hh"
-#include "telemetry/reqobs.hh"
 
 namespace spm::telem
 {
@@ -237,7 +237,7 @@ TEST(RequestObserver, FoldsClocksIntoReqHistograms)
     clock.note(Stage::QueueWait, 500);
     clock.mark(Stage::Kernel);
     clock.addBeats(64);
-    obs.observe(clock, 1, false, nullptr, [] { return std::string(); });
+    obs.observe(clock, 1, false, nullptr, [] { return CaseRef(); });
     obs.noteQueueWait(700);
     setSamplingEnabled(false);
 
@@ -265,18 +265,20 @@ TEST(ExemplarReservoir, SlowestClassKeepsTheLargestLatencies)
     // nothing after them ever displaces an entry.
     for (std::uint64_t i = 100; i >= 1; --i) {
         Exemplar e;
-        e.requestId = i;
+        e.event.requestId = i;
         e.latencyNs = i * 10;
         res.offer(std::move(e), [&] {
             ++built;
-            return "case-" + std::to_string(i);
+            return CaseRef(i, 2, std::vector<Symbol>{1},
+                           std::vector<Symbol>{0, 1});
         });
     }
     const std::vector<Exemplar> slow = res.slowest();
     ASSERT_EQ(slow.size(), 4u);
     EXPECT_EQ(slow[0].latencyNs, 1000u);
     EXPECT_EQ(slow[3].latencyNs, 970u);
-    EXPECT_EQ(slow[0].caseId, "case-100");
+    EXPECT_EQ(slow[0].event.caseRef.render(), "l1:2:1:0.1");
+    EXPECT_EQ(slow[0].event.requestId, 100u);
     // The case-id builder ran only for the four retained offers.
     EXPECT_EQ(built, 4);
     EXPECT_EQ(res.offered(), 100u);
@@ -288,13 +290,13 @@ TEST(ExemplarReservoir, UniformClassIsDeterministic)
         ExemplarReservoir res(0, 8, 0, 0x5eed);
         for (std::uint64_t i = 0; i < 500; ++i) {
             Exemplar e;
-            e.requestId = i;
+            e.event.requestId = i;
             e.latencyNs = 42;
-            res.offer(std::move(e), [] { return std::string("c"); });
+            res.offer(std::move(e), [] { return CaseRef(); });
         }
         std::vector<std::uint64_t> ids;
         for (const Exemplar &e : res.uniform())
-            ids.push_back(e.requestId);
+            ids.push_back(e.event.requestId);
         return ids;
     };
     const auto a = run();
@@ -309,24 +311,24 @@ TEST(ExemplarReservoir, ForcedRingNeverDropsForRegularTraffic)
     ExemplarReservoir res(2, 2, 3);
     for (std::uint64_t i = 0; i < 50; ++i) {
         Exemplar e;
-        e.requestId = i;
+        e.event.requestId = i;
         e.latencyNs = 1000000; // every regular offer is "slow"
-        res.offer(std::move(e), [] { return std::string("r"); });
+        res.offer(std::move(e), [] { return CaseRef(); });
     }
     for (std::uint64_t i = 100; i < 105; ++i) {
         Exemplar e;
-        e.requestId = i;
+        e.event.requestId = i;
         e.latencyNs = 1; // fast, would never be tail-sampled
         e.forced = true;
         e.reason = "watchdog trip";
-        res.offer(std::move(e), [] { return std::string("f"); });
+        res.offer(std::move(e), [] { return CaseRef(); });
     }
     const std::vector<Exemplar> forced = res.forced();
     // Ring of 3: the newest three forced requests, oldest first.
     ASSERT_EQ(forced.size(), 3u);
-    EXPECT_EQ(forced[0].requestId, 102u);
-    EXPECT_EQ(forced[2].requestId, 104u);
-    EXPECT_EQ(forced[0].reason, "watchdog trip");
+    EXPECT_EQ(forced[0].event.requestId, 102u);
+    EXPECT_EQ(forced[2].event.requestId, 104u);
+    EXPECT_STREQ(forced[0].reason, "watchdog trip");
     EXPECT_NE(res.renderText().find("watchdog trip"), std::string::npos);
 }
 
@@ -351,7 +353,7 @@ TEST(RequestObserver, RegistersNothing)
     RequestObserver obs(reg, "test", nullptr);
     StageClock clock;
     clock.start();
-    obs.observe(clock, 1, true, "forced", [] { return std::string("c"); });
+    obs.observe(clock, 1, true, "forced", [] { return CaseRef(); });
     obs.noteQueueWait(123);
     EXPECT_EQ(reg.metricCount(), 0u);
     EXPECT_EQ(reg.snapshot().logHistogram("req.latency_ns"), nullptr);

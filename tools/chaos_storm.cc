@@ -22,7 +22,7 @@
 #include <string>
 
 #include "service/chaos.hh"
-#include "telemetry/flightrec.hh"
+#include "telemetry/event.hh"
 #include "util/logging.hh"
 
 namespace

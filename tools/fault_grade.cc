@@ -23,7 +23,7 @@
 #include <string>
 
 #include "fault/grade.hh"
-#include "telemetry/flightrec.hh"
+#include "telemetry/event.hh"
 #include "telemetry/metrics.hh"
 
 namespace

@@ -2,11 +2,12 @@
  * @file
  * spm_top: a live request-observability dashboard.
  *
- * Renders the reqobs layer (telemetry/reqobs) the way `top` renders a
- * kernel's process table: one row per service front end with rolling
- * request rates and exact-count p50/p90/p99/p999 latency columns, a
- * per-stage breakdown line under each row, and (live mode) the
- * tail-sampled exemplar traces with their replayable case IDs.
+ * Renders the request-observability layer (telemetry/event) the way
+ * `top` renders a kernel's process table: one row per service front
+ * end with rolling request rates and exact-count p50/p90/p99/p999
+ * latency columns, a per-stage breakdown line under each row, and
+ * (live mode) the tail-sampled exemplar traces with their case
+ * references.
  *
  * Three modes:
  *
@@ -42,7 +43,7 @@
 #include "service/service.hh"
 #include "service/sharded.hh"
 #include "telemetry/metrics.hh"
-#include "telemetry/reqobs.hh"
+#include "telemetry/event.hh"
 #include "util/logging.hh"
 
 namespace
