@@ -95,6 +95,14 @@ echo "== conformance: dict fuzz under asan =="
 build-asan-ubsan/tools/conformance_fuzz --cases 1000000 --seconds 10 \
     --dict --no-extensions --no-golden
 
+# The gate tier under AddressSanitizer: the scalar gate chip, its
+# levelized path and the 64-lane plane engine (gate-lanes) against the
+# reference, so an out-of-bounds index into the engine's reader and
+# pending tables trips ASan instead of shipping as a wrong lane.
+echo "== conformance: gate fuzz under asan =="
+build-asan-ubsan/tools/conformance_fuzz --cases 1000000 --seconds 10 \
+    --focus gate --no-extensions --no-golden
+
 # Chaos leg on the plain build: a seeded mixed storm (stalls, hangs,
 # throws, silent bit flips against the primaries) must end with every
 # request either recovered bit-exact or failed typed -- chaos_storm

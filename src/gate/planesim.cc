@@ -56,12 +56,13 @@ evalStaticWord(DeviceKind kind, std::uint64_t a1, std::uint64_t a0,
 }
 
 /** Append @p lists to @p items as one CSR array with offsets @p start. */
+template <typename T>
 void
-flatten(const std::vector<std::vector<std::uint32_t>> &lists,
-        std::vector<std::uint32_t> &start, std::vector<std::uint32_t> &items)
+flatten(const std::vector<std::vector<T>> &lists,
+        std::vector<std::uint32_t> &start, std::vector<T> &items)
 {
     start.assign(1, 0);
-    for (const std::vector<std::uint32_t> &l : lists) {
+    for (const std::vector<T> &l : lists) {
         items.insert(items.end(), l.begin(), l.end());
         start.push_back(static_cast<std::uint32_t>(items.size()));
     }
@@ -72,23 +73,52 @@ flatten(const std::vector<std::vector<std::uint32_t>> &lists,
 PlaneSim::PlaneSim(const Netlist &netlist)
     : net(netlist), nodeCount(netlist.nodeCount()), lev(levelize(netlist))
 {
-    one.assign(nodeCount, 0);
-    zero.assign(nodeCount, 0);
+    one.assign(nodeCount + 1, 0);
+    zero.assign(nodeCount + 1, 0);
     force1.assign(nodeCount, 0);
     force0.assign(nodeCount, 0);
     forceAny.assign(nodeCount, 0);
     pending.assign((lev.topo.size() + 63) / 64, 0);
 
     const std::vector<Device> &devs = net.deviceList();
-    std::vector<std::vector<std::uint32_t>> readers(nodeCount);
+    // Positions rise with p, so a node's readers sharing a pending
+    // word are adjacent and fold into one mark.
+    std::vector<std::vector<PendingMark>> marks(nodeCount);
+    auto mark = [&](NodeId node, std::uint32_t p) {
+        std::vector<PendingMark> &m = marks[node];
+        if (m.empty() || m.back().word != p / 64)
+            m.push_back({p / 64, 0});
+        m.back().bits |= 1ULL << (p % 64);
+    };
     for (std::uint32_t p = 0; p < lev.topo.size(); ++p) {
         const Device &d = devs[lev.topo[p]];
-        readers[d.inA].push_back(p);
+        mark(d.inA, p);
         if (d.inB != invalidNode && d.inB != d.inA)
-            readers[d.inB].push_back(p);
+            mark(d.inB, p);
     }
-    flatten(readers, readerStart, readerPos);
-    flatten(lev.fallbackFanout, fallStart, fallDev);
+    flatten(marks, readerStart, readerMarks);
+
+    // The fallback devices by the nodes they read, split by how they
+    // read them: as a pass transistor's gate, or as data.
+    std::vector<std::vector<std::uint32_t>> gated(nodeCount);
+    std::vector<std::vector<DataReader>> data(nodeCount);
+    const auto spare = static_cast<NodeId>(nodeCount);
+    for (std::uint32_t dev = 0; dev < devs.size(); ++dev) {
+        if (!lev.isFallback[dev])
+            continue;
+        const Device &d = devs[dev];
+        if (d.kind == DeviceKind::PassGate) {
+            gated[d.ctl].push_back(dev);
+            data[d.inA].push_back({dev, d.ctl});
+            continue;
+        }
+        data[d.inA].push_back({dev, spare});
+        if (d.inB != invalidNode && d.inB != d.inA)
+            data[d.inB].push_back({dev, spare});
+    }
+    flatten(gated, gatedStart, gatedDevs);
+    flatten(data, dataStart, dataReaders);
+    copied.assign(devs.size(), 0);
 }
 
 void
@@ -109,6 +139,7 @@ PlaneSim::load(const std::vector<LogicValue> &values,
     forcedNodes.clear();
     worklist.clear();
     std::fill(pending.begin(), pending.end(), 0);
+    std::fill(copied.begin(), copied.end(), 0);
 
     for (const PlaneForce &f : forces) {
         spm_assert(f.node < nodeCount, "forced node out of range");
@@ -132,14 +163,32 @@ PlaneSim::writeNode(NodeId node, std::uint64_t n1, std::uint64_t n0)
     const std::uint64_t any = forceAny[node];
     n1 = (n1 & ~any) | force1[node];
     n0 = (n0 & ~any) | force0[node];
-    if (n1 == one[node] && n0 == zero[node])
+    const std::uint64_t changed = (n1 ^ one[node]) | (n0 ^ zero[node]);
+    if (changed == 0)
         return false;
     one[node] = n1;
     zero[node] = n0;
     for (std::uint32_t r = readerStart[node]; r < readerStart[node + 1]; ++r)
-        pending[readerPos[r] / 64] |= 1ULL << (readerPos[r] % 64);
-    worklist.insert(worklist.end(), fallDev.begin() + fallStart[node],
-                    fallDev.begin() + fallStart[node + 1]);
+        pending[readerMarks[r].word] |= readerMarks[r].bits;
+    // Schedule a pass transistor only when some changed lane could
+    // change its output (see the file comment): its gate turned X, or
+    // rose to H where the output does not carry the source yet; or its
+    // source changed where its gate is not L. A gate that only falls
+    // schedules none of its transistors.
+    const std::uint64_t to_x = changed & ~(n1 | n0);
+    const std::uint64_t to_h = changed & n1;
+    if ((to_x | to_h) != 0) {
+        for (std::uint32_t r = gatedStart[node]; r < gatedStart[node + 1];
+             ++r)
+            if ((to_x | (to_h & ~copied[gatedDevs[r]])) != 0)
+                worklist.push_back(gatedDevs[r]);
+    }
+    for (std::uint32_t r = dataStart[node]; r < dataStart[node + 1]; ++r) {
+        const DataReader &dr = dataReaders[r];
+        copied[dr.dev] &= ~changed;
+        if ((changed & ~zero[dr.gate]) != 0)
+            worklist.push_back(dr.dev);
+    }
     return true;
 }
 
@@ -173,6 +222,8 @@ PlaneSim::evalFallback(std::uint32_t dev_idx)
     const std::uint64_t c0 = zero[d.ctl];
     const std::uint64_t o1 = (c1 & one[d.inA]) | (c0 & one[d.out]);
     const std::uint64_t o0 = (c1 & zero[d.inA]) | (c0 & zero[d.out]);
+    // Conducting lanes now carry the source; held lanes keep theirs.
+    copied[dev_idx] = (copied[dev_idx] & c0) | c1;
     return writeNode(d.out, o1, o0);
 }
 

@@ -21,6 +21,27 @@
  * Netlist::forceStuckAt's ignore-all-writes contract. There is no
  * charge-decay model: a protocol that stalls the clock cannot run
  * here.
+ *
+ * One scheduling rule is the engine's own: a write schedules a pass
+ * transistor only when, in some lane the write changed, evaluating it
+ * could change its output. Per lane, a transistor whose gate is L
+ * holds its charge, so
+ *  - a change of its source matters only in lanes where its gate is
+ *    not L;
+ *  - a change of its gate matters only in lanes where the gate turned
+ *    X (the charge becomes unknown) or rose to H while the output does
+ *    not carry the source yet -- the engine keeps, per transistor, the
+ *    lanes where it last conducted, has held since, and has seen no
+ *    source change since (nothing else drives its output, so there the
+ *    output equals the source). A gate that only falls schedules
+ *    nothing.
+ * In two-phase logic half the pass transistors hold on every beat and
+ * most of the other half re-sample an unchanged source, so the rule
+ * drops most fallback evaluations, while the node writes, and so every
+ * lane's result, stay exactly the same: every skipped evaluation would
+ * have written back the planes it found. The rule reads the live
+ * planes, so X and forced lanes count like any other; a loaded
+ * snapshot starts with no lane known to carry its source.
  */
 
 #ifndef SPM_GATE_PLANESIM_HH
@@ -100,18 +121,45 @@ class PlaneSim
     /** Compiled order, shared with gate::LevelizedNetlist. */
     const Levelization lev;
 
-    std::vector<std::uint64_t> one, zero;       ///< value planes
+    /** Value planes, plus the never-L slot at index nodeCount. */
+    std::vector<std::uint64_t> one, zero;
     std::vector<std::uint64_t> force1, force0;  ///< stuck lane masks
     std::vector<std::uint64_t> forceAny;        ///< force1 | force0 | X
     std::vector<NodeId> forcedNodes;
     /**
-     * Per node, the topological positions of the ordered gates reading
-     * it (CSR: readers of node n are readerPos[readerStart[n] ..
-     * readerStart[n + 1])).
+     * Per node, the ordered gates reading it as marks into `pending`
+     * (CSR: node n's marks are readerMarks[readerStart[n] ..
+     * readerStart[n + 1]), one per pending word that holds a reader).
      */
-    std::vector<std::uint32_t> readerStart, readerPos;
-    /** Levelization::fallbackFanout in the same CSR form. */
-    std::vector<std::uint32_t> fallStart, fallDev;
+    struct PendingMark
+    {
+        std::uint32_t word;
+        std::uint64_t bits;
+    };
+    std::vector<std::uint32_t> readerStart;
+    std::vector<PendingMark> readerMarks;
+    /**
+     * The fallback devices reading each node, in the same CSR form,
+     * split by how they read it. gatedDevs: the pass transistors the
+     * node gates. dataReaders: the pass transistors it is the source
+     * of, with their gate node, and the cyclic statics reading it,
+     * whose "gate" is the spare plane slot at index nodeCount -- never
+     * L, so the scheduling rule always schedules them.
+     */
+    struct DataReader
+    {
+        std::uint32_t dev;
+        NodeId gate;
+    };
+    std::vector<std::uint32_t> gatedStart, gatedDevs;
+    std::vector<std::uint32_t> dataStart;
+    std::vector<DataReader> dataReaders;
+    /**
+     * Per device, the lanes where a pass transistor's output carries
+     * its source: it last conducted there, has held since, and its
+     * source has not changed there since.
+     */
+    std::vector<std::uint64_t> copied;
     /**
      * Bit p set when ordered gate lev.topo[p] has an input that changed
      * since its last evaluation; the topological pass visits set bits

@@ -191,7 +191,9 @@ GateBackend::matchWindow(const std::vector<Symbol> &window,
         ++queueHead;
         ++fromLanes;
     } else {
-        dropQueue();
+        // The queue stays: a miss is a re-run of a window already
+        // served (after a cross-check mismatch) or a window nobody
+        // prefetched, and the session's next window is still the head.
         try {
             wr.bits = gate.match(window, pattern);
         } catch (const std::exception &e) {

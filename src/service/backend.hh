@@ -171,13 +171,15 @@ class MatcherBackend : public ServiceBackend
  * fixed chip shape. prefetch() runs the next windows (at most 64 per
  * plane pass) through GateLevelMatcher::matchLanes and queues the
  * answers. matchWindow() serves the queue head when its window and
- * pattern compare equal; otherwise it drops the queue and runs that
- * window alone through match(), so a re-run of a window after a
- * cross-check mismatch, or a decorator that does not forward
- * prefetch(), takes the one-window path. Either way the window's beat
- * count is charged after the fact, as MatcherBackend charges, and a
- * trip drops the queue. Each lane is the one-window chip on the
- * one-window schedule, so the two paths answer identically.
+ * pattern compare equal; otherwise it runs that window alone through
+ * match() and keeps the queue, so a re-run of a window after a
+ * cross-check mismatch takes the one-window path and the window after
+ * it still rides its lane. A decorator that does not forward
+ * prefetch() leaves the queue empty, so every window runs alone.
+ * Either way the window's beat count is charged after the fact, as
+ * MatcherBackend charges, and a trip drops the queue. Each lane is
+ * the one-window chip on the one-window schedule, so the two paths
+ * answer identically.
  */
 class GateBackend : public ServiceBackend
 {

@@ -20,6 +20,33 @@ fnvMix(std::uint64_t &h, std::uint64_t v)
 
 } // namespace
 
+void
+Checkpoint::emit(const std::vector<bool> &bits, std::size_t from,
+                 std::size_t to)
+{
+    for (std::size_t j = from; j < to; ++j) {
+        partial = (partial << 1) | (bits[j] ? 1 : 0);
+        if (++fill == 64) {
+            words.push_back(partial);
+            partial = 0;
+            fill = 0;
+        }
+    }
+}
+
+std::vector<bool>
+Checkpoint::emitted() const
+{
+    std::vector<bool> bits;
+    bits.reserve(emittedCount());
+    for (std::uint64_t w : words)
+        for (unsigned b = 64; b-- > 0;)
+            bits.push_back(((w >> b) & 1) != 0);
+    for (unsigned b = fill; b-- > 0;)
+        bits.push_back(((partial >> b) & 1) != 0);
+    return bits;
+}
+
 std::uint64_t
 Checkpoint::digest() const
 {
@@ -29,20 +56,12 @@ Checkpoint::digest() const
     fnvMix(h, beats);
     for (Symbol s : tail)
         fnvMix(h, s);
-    // Pack the emitted bits 64 at a time so the digest price stays
-    // negligible next to the match itself.
-    std::uint64_t word = 0;
-    std::size_t fill = 0;
-    for (bool b : emitted) {
-        word = (word << 1) | (b ? 1 : 0);
-        if (++fill == 64) {
-            fnvMix(h, word);
-            word = 0;
-            fill = 0;
-        }
-    }
+    // The emitted bits are already packed 64 at a time; a partial last
+    // word carries a 1 above its bits so its length counts.
+    for (std::uint64_t w : words)
+        fnvMix(h, w);
     if (fill > 0)
-        fnvMix(h, word | (std::uint64_t(1) << fill));
+        fnvMix(h, partial | (std::uint64_t(1) << fill));
     return h;
 }
 

@@ -9,7 +9,10 @@
  * committed chunk, so a killed request restarts from its last chunk
  * boundary instead of re-scanning the whole text -- the restartable
  * windowed processing long-stream workloads need. Its digest() is
- * what the replay journal records at every commit.
+ * what the replay journal records at every commit. The emitted bits
+ * are kept packed 64 to a word in the order digest() mixes them, so a
+ * commit's digest costs one mix per word instead of a re-pack of
+ * every bit emitted so far.
  */
 
 #ifndef SPM_SERVICE_CHECKPOINT_HH
@@ -30,15 +33,33 @@ struct Checkpoint
     std::size_t offset = 0;
     /** The last min(k-1, offset) processed characters, in order. */
     std::vector<Symbol> tail;
-    /** Result bits emitted for positions [0, offset). */
-    std::vector<bool> emitted;
     /** Ladder rung that was serving when the checkpoint was cut. */
     std::size_t rung = 0;
     /** Beats consumed so far (for deadline accounting on resume). */
     Beat beats = 0;
 
+    /** Append bits [from, to) of @p bits to the emitted result. */
+    void emit(const std::vector<bool> &bits, std::size_t from,
+              std::size_t to);
+
+    /** Make room for @p bits emitted bits in all. */
+    void reserveEmitted(std::size_t bits) { words.reserve(bits / 64); }
+
+    /** Result bits emitted for positions [0, offset). */
+    std::vector<bool> emitted() const;
+
+    /** How many result bits have been emitted. */
+    std::size_t emittedCount() const { return 64 * words.size() + fill; }
+
     /** FNV-1a digest over the checkpoint contents, for the journal. */
     std::uint64_t digest() const;
+
+  private:
+    /** Full words of emitted bits, the first bit in the top bit. */
+    std::vector<std::uint64_t> words;
+    /** The last fill (< 64) emitted bits, the latest in bit 0. */
+    std::uint64_t partial = 0;
+    unsigned fill = 0;
 };
 
 } // namespace spm::service

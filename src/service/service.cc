@@ -54,7 +54,7 @@ StreamSession::StreamSession(MatchService &svc, MatchRequest req,
         start.count = request.pattern.size();
         service.journalEvent(std::move(start));
     }
-    cp.emitted.reserve(request.text.size());
+    cp.reserveEmitted(request.text.size());
 }
 
 void
@@ -141,7 +141,7 @@ StreamSession::step()
     const std::size_t k = request.pattern.size();
     if (cp.offset >= n) {
         // Fully served: publish the accumulated stream.
-        response.result = cp.emitted;
+        response.result = cp.emitted();
         response.backend = service.ladder.empty()
             ? "none"
             : service.ladder[cp.rung]->name();
@@ -282,8 +282,7 @@ StreamSession::step()
                                       request.text.data() + cp.offset,
                                       chunk);
         const std::size_t skip = window.size() - chunk;
-        for (std::size_t j = skip; j < window.size(); ++j)
-            cp.emitted.push_back(wr.bits[j]);
+        cp.emit(wr.bits, skip, window.size());
 
         cp.offset += chunk;
         const std::size_t tail_len =
@@ -520,12 +519,12 @@ MatchService::resume(const MatchRequest &req, const Checkpoint &from)
     const std::size_t k = req.pattern.size();
     const std::size_t want_tail = std::min(k > 0 ? k - 1 : 0, from.offset);
     if (from.offset > req.text.size() ||
-        from.emitted.size() != from.offset ||
+        from.emittedCount() != from.offset ||
         from.tail.size() != want_tail || from.rung >= ladder.size()) {
         session.fail(ErrorCode::InvalidCheckpoint,
                      "checkpoint inconsistent with request (offset " +
                          std::to_string(from.offset) + ", " +
-                         std::to_string(from.emitted.size()) +
+                         std::to_string(from.emittedCount()) +
                          " emitted, tail " +
                          std::to_string(from.tail.size()) + ")");
         return session.finish();

@@ -13,6 +13,8 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -305,14 +307,64 @@ class OneWindowAtATime : public ServiceBackend
 };
 
 /**
+ * A rung decorator that forwards everything, prefetch() included, and
+ * flips the last result bit of its @p flip_at-th matchWindow() call
+ * (counting from 0): one transient fault, which the cross-check
+ * catches and the re-run clears.
+ */
+class OneTransientFlip : public ServiceBackend
+{
+  public:
+    OneTransientFlip(std::unique_ptr<ServiceBackend> rung,
+                     std::size_t flip_at)
+        : inner(std::move(rung)), flipAt(flip_at)
+    {
+    }
+
+    std::string name() const override { return inner->name(); }
+
+    bool supports(const std::vector<Symbol> &pattern) const override
+    {
+        return inner->supports(pattern);
+    }
+
+    void prefetch(const std::vector<std::span<const Symbol>> &windows,
+                  const std::vector<Symbol> &pattern) override
+    {
+        inner->prefetch(windows, pattern);
+    }
+
+    WindowResult matchWindow(const std::vector<Symbol> &window,
+                             const std::vector<Symbol> &pattern,
+                             BeatWatchdog &dog) override
+    {
+        WindowResult wr = inner->matchWindow(window, pattern, dog);
+        if (calls++ == flipAt && wr.completed && !wr.bits.empty())
+            wr.bits.back() = !wr.bits.back();
+        return wr;
+    }
+
+    /** matchWindow() calls so far. */
+    std::size_t calls = 0;
+
+  private:
+    std::unique_ptr<ServiceBackend> inner;
+    std::size_t flipAt;
+};
+
+/**
  * The default ladder, optionally behind a poisoned gate rung, with
  * every gate rung served one window at a time when @p one_window.
- * @p lanes collects the lane-serving gate rungs.
+ * @p lanes collects the lane-serving gate rungs. With @p flip_at set,
+ * every gate rung also sits behind a OneTransientFlip, collected in
+ * @p flips.
  */
 std::vector<std::unique_ptr<ServiceBackend>>
 gateLadder(const ServiceConfig &cfg, bool one_window,
            const std::vector<fault::FaultSite> &poison,
-           std::vector<const GateBackend *> &lanes)
+           std::vector<const GateBackend *> &lanes,
+           std::optional<std::size_t> flip_at = std::nullopt,
+           std::vector<const OneTransientFlip *> *flips = nullptr)
 {
     std::vector<std::unique_ptr<ServiceBackend>> ladder =
         makeDefaultLadder(cfg);
@@ -326,6 +378,12 @@ gateLadder(const ServiceConfig &cfg, bool one_window,
             rung = std::make_unique<OneWindowAtATime>(std::move(rung));
         else
             lanes.push_back(gate);
+        if (flip_at) {
+            auto flip =
+                std::make_unique<OneTransientFlip>(std::move(rung), *flip_at);
+            flips->push_back(flip.get());
+            rung = std::move(flip);
+        }
     }
     return ladder;
 }
@@ -431,6 +489,40 @@ TEST(LaneGateRung, ResumedRequestServesIdentically)
               core::ReferenceMatcher().match(req.text, req.pattern));
     expectSameServing(pair.lanes, got, pair.scalar, want);
     EXPECT_EQ(pair.laneWindows(), 11u);
+}
+
+TEST(LaneGateRung, TransientMismatchRerunsOnlyThatWindowAlone)
+{
+    // The fourth window's answer is flipped once: the cross-check
+    // catches it, the re-run of that window runs alone and clears it,
+    // and every later window of the pass still rides its lane.
+    const ServiceConfig cfg;
+    std::vector<const GateBackend *> lane_rungs, unused;
+    std::vector<const OneTransientFlip *> lane_flips, scalar_flips;
+    MatchService lanes(cfg,
+                       gateLadder(cfg, false, {}, lane_rungs, 3, &lane_flips));
+    MatchService scalar(cfg,
+                        gateLadder(cfg, true, {}, unused, 3, &scalar_flips));
+    lanes.flightRecorder().setDumpSink([](const std::string &) {});
+    scalar.flightRecorder().setDumpSink([](const std::string &) {});
+
+    const MatchRequest req = chipRequest(5, 0x7A45);
+    const MatchResponse got = lanes.serve(req);
+    const MatchResponse want = scalar.serve(req);
+    ASSERT_TRUE(want.ok()) << want.error.toString();
+    EXPECT_EQ(want.crossCheckFailures, 1u);
+    EXPECT_EQ(want.degradations, 0u);
+    EXPECT_EQ(want.backend, "systolic-gatelevel");
+    EXPECT_EQ(want.result,
+              core::ReferenceMatcher().match(req.text, req.pattern));
+    expectSameServing(lanes, got, scalar, want);
+
+    ASSERT_EQ(lane_rungs.size(), 1u);
+    ASSERT_EQ(lane_flips.size(), 1u);
+    EXPECT_EQ(lane_flips[0]->calls, want.chunks + 1)
+        << "every window once, plus the re-run";
+    EXPECT_EQ(lane_rungs[0]->laneWindows(), lane_flips[0]->calls - 1)
+        << "only the re-run ran alone";
 }
 
 TEST(LaneGateRung, DeadlineRunsOutIdentically)
@@ -749,14 +841,76 @@ TEST(Checkpoint, DigestChangesWithContents)
     Checkpoint a;
     a.offset = 8;
     a.tail = {1, 2, 3};
-    a.emitted = {false, true, false, false, true, false, false, false};
     Checkpoint b = a;
-    EXPECT_EQ(a.digest(), b.digest());
-    b.emitted[3] = true;
+    std::vector<bool> bits = {false, true, false, false,
+                              true, false, false, false};
+    a.emit(bits, 0, bits.size());
+    bits[3] = true;
+    b.emit(bits, 0, bits.size());
     EXPECT_NE(a.digest(), b.digest());
     b = a;
+    EXPECT_EQ(a.digest(), b.digest());
     b.tail[0] = 2;
     EXPECT_NE(a.digest(), b.digest());
+}
+
+TEST(Checkpoint, ChunkedEmitDigestsLikeOneBitAtATimePacking)
+{
+    // The digest's packing of the emitted bits, written out bit by
+    // bit: 64 to a word, first bit on top, a short last word marked
+    // by a 1 above its bits.
+    auto repacked = [](const Checkpoint &cp, const std::vector<bool> &bits) {
+        Checkpoint head;
+        head.offset = cp.offset;
+        head.tail = cp.tail;
+        head.rung = cp.rung;
+        head.beats = cp.beats;
+        std::uint64_t h = head.digest();
+        std::uint64_t word = 0;
+        unsigned fill = 0;
+        auto mix = [&h](std::uint64_t v) {
+            for (unsigned i = 0; i < 8; ++i) {
+                h ^= (v >> (8 * i)) & 0xFF;
+                h *= 0x100000001B3ULL;
+            }
+        };
+        for (bool b : bits) {
+            word = (word << 1) | (b ? 1 : 0);
+            if (++fill == 64) {
+                mix(word);
+                word = 0;
+                fill = 0;
+            }
+        }
+        if (fill > 0)
+            mix(word | (std::uint64_t(1) << fill));
+        return h;
+    };
+    Rng rng(0xD16E57);
+    for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 200u, 513u}) {
+        for (std::size_t chunk : {1u, 7u, 32u, 64u, 100u}) {
+            std::vector<bool> bits(n);
+            for (std::size_t i = 0; i < n; ++i)
+                bits[i] = (rng.next() & 1) != 0;
+            Checkpoint cp;
+            cp.offset = n;
+            cp.rung = 2;
+            cp.beats = 77;
+            cp.tail = {3, 1};
+            for (std::size_t at = 0; at < n; at += chunk) {
+                // Emit from the middle of a window, as a commit does.
+                std::vector<bool> window(3, true);
+                const std::size_t end = std::min(n, at + chunk);
+                window.insert(window.end(), bits.begin() + at,
+                              bits.begin() + end);
+                cp.emit(window, 3, window.size());
+            }
+            ASSERT_EQ(cp.emittedCount(), n);
+            EXPECT_EQ(cp.emitted(), bits) << n << " bits by " << chunk;
+            EXPECT_EQ(cp.digest(), repacked(cp, bits))
+                << n << " bits by " << chunk;
+        }
+    }
 }
 
 TEST(AdmissionQueue, RejectPolicyBouncesWithTypedError)
