@@ -95,9 +95,8 @@ echo "== conformance: dict fuzz under asan =="
 build-asan-ubsan/tools/conformance_fuzz --cases 1000000 --seconds 10 \
     --dict --no-extensions --no-golden
 
-# The gate tier under AddressSanitizer: the scalar gate chip, its
-# levelized path and the 64-lane plane engine (gate-lanes) against the
-# reference, so an out-of-bounds index into the engine's reader and
+# The gate tier under AddressSanitizer: the scalar gate chip and the
+# 64-lane plane engine (gate-lanes) against the reference, so an out-of-bounds index into the engine's reader and
 # pending tables trips ASan instead of shipping as a wrong lane.
 echo "== conformance: gate fuzz under asan =="
 build-asan-ubsan/tools/conformance_fuzz --cases 1000000 --seconds 10 \

@@ -433,24 +433,6 @@ class CascadeOracleMatcher : public core::Matcher
     std::string name() const override { return "systolic-cascade-2chip"; }
 };
 
-/** The gate-level chip with the levelized fast path enabled. */
-class LevelizedGateMatcher : public core::Matcher
-{
-  public:
-    LevelizedGateMatcher() { impl.setUseLevelized(true); }
-
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
-    {
-        return impl.match(text, pattern);
-    }
-
-    std::string name() const override { return impl.name(); }
-
-  private:
-    core::GateLevelMatcher impl;
-};
-
 /**
  * The gate chip's lane path (GateLevelMatcher::matchLanes) behind the
  * Matcher interface: a chip sized to the case runs the text cut into
@@ -605,8 +587,6 @@ makeAllOracles(bool with_gate)
         oracles.push_back(
             entry(std::make_unique<core::GateLevelMatcher>(), 48, 6, 3,
                   8));
-        oracles.push_back(
-            entry(std::make_unique<LevelizedGateMatcher>(), 48, 6, 3, 8));
         // Up to 256 characters so the 64-lane cut fills every lane.
         oracles.push_back(entry(std::make_unique<GateLanesMatcher>(),
                                 gateLanesMaxText, gateLanesMaxPattern,

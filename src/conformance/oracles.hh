@@ -10,9 +10,9 @@
  * array, the bit-serial pipeline, the multipass driver, the
  * bit-sliced kernel (the portable scalar tier, the best tier, and
  * every supported tier between them), the batch layer (multi-wide packing
- * and the chunked carry path), the gate-level chip (event-driven and
- * levelized, plus its 64-lane path serving a request's windows as
- * lanes), the chip cascade, and the sharded service at 1, 2 and 4
+ * and the chunked carry path), the gate-level chip (event-driven,
+ * plus its 64-lane path serving a request's windows as lanes), the
+ * chip cascade, and the sharded service at 1, 2 and 4
  * worker threads -- all oracles of each other.
  *
  * Eligibility limits keep the expensive fidelities (a gate-level chip

@@ -124,15 +124,6 @@ GateChip::GateChip(std::size_t num_cells, BitWidth bits_per_char,
     net.settle(0);
 }
 
-void
-GateChip::enableLevelized()
-{
-    if (accel)
-        return;
-    accel = std::make_unique<gate::LevelizedNetlist>(net);
-    accel->attach();
-}
-
 GateChip::Pin
 GateChip::patternPin(unsigned row) const
 {
@@ -436,8 +427,6 @@ GateLevelMatcher::match(const std::vector<Symbol> &text,
     GateChip chip(m, bits);
     if (chipPrep)
         chipPrep(chip);
-    if (useLevelized)
-        chip.enableLevelized();
     transistors = chip.netlist().transistorCount();
     const std::uint64_t evals_before = chip.netlist().evalCount();
     ChipPort port{chip, text, len, result, resultObserver};

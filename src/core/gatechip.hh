@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/matcher.hh"
-#include "gate/levelized.hh"
 #include "gate/netlist.hh"
 #include "gate/planesim.hh"
 #include "gate/stdcells.hh"
@@ -123,16 +122,6 @@ class GateChip
     const gate::Netlist &netlist() const { return net; }
     gate::Netlist &netlist() { return net; }
 
-    /**
-     * Compile and attach the levelized fast path (gate/levelized.hh);
-     * all subsequent settling runs through the flat activity-gated
-     * pass. Safe at any point after construction; idempotent.
-     */
-    void enableLevelized();
-
-    /** The attached fast path, or nullptr (for effort statistics). */
-    const gate::LevelizedNetlist *levelized() const { return accel.get(); }
-
     /** The clock driver. */
     const gate::TwoPhaseClock &clock() const { return clk; }
 
@@ -157,7 +146,6 @@ class GateChip
     BitWidth numBits;
     gate::Netlist net;
     gate::TwoPhaseClock clk;
-    std::unique_ptr<gate::LevelizedNetlist> accel;
 
     std::vector<gate::NodeId> pInNodes;  ///< per comparator row
     std::vector<gate::NodeId> sInNodes;  ///< per comparator row
@@ -174,8 +162,9 @@ class GateChip
  * beat (the hardware has no validity bits).
  *
  * Two entry points share that schedule. match() builds a fresh chip
- * per call and settles it as one scalar netlist -- the path fault
- * grading's chip-prep tap and result observer need. matchLanes()
+ * per call and settles it as one scalar netlist through the
+ * event-driven reference, Netlist::settle -- the path fault grading's
+ * chip-prep tap and result observer need. matchLanes()
  * runs up to 64 windows at once, one per lane of the plane engine
  * (gate/planesim.hh): the schedule is data-independent, so every
  * window drives the same netlist with the same clock, pattern and
@@ -193,11 +182,7 @@ class GateLevelMatcher : public Matcher
     std::vector<bool> match(const std::vector<Symbol> &text,
                             const std::vector<Symbol> &pattern) override;
 
-    std::string name() const override
-    {
-        return useLevelized ? "systolic-gatelevel-lev"
-                            : "systolic-gatelevel";
-    }
+    std::string name() const override { return "systolic-gatelevel"; }
 
     Beat lastBeats() const { return beatsUsed; }
 
@@ -219,23 +204,22 @@ class GateLevelMatcher : public Matcher
      * construction). The chip, its settled snapshot and the engine
      * are built on the first call and reused; the stuck-at faults the
      * chip-prep hook leaves are re-applied to every lane as force
-     * masks. The hook's other effects, the result observer and the
-     * levelized switch apply to match() only; lastEvals() and
-     * lastTransistors() are not updated.
+     * masks. The hook's other effects and the result observer apply
+     * to match() only; lastEvals() and lastTransistors() are not
+     * updated.
      */
     std::vector<LaneResult> matchLanes(
         const std::vector<std::vector<Symbol>> &windows,
         const std::vector<Symbol> &pattern);
 
-    /**
-     * Settle each per-match chip through the levelized fast path
-     * instead of the event-driven worklist. Results are bit-identical
-     * (verified by the property tests); only the effort differs.
-     */
-    void setUseLevelized(bool enable) { useLevelized = enable; }
-
     /** Device evaluations spent by the last match() call. */
     std::uint64_t lastEvals() const { return evalsUsed; }
+
+    /** Word-wide device evaluations matchLanes() has spent so far. */
+    std::uint64_t laneWordEvals() const
+    {
+        return lanePlanes ? lanePlanes->wordEvals() : 0;
+    }
 
     /** Transistor count of the last chip built. */
     unsigned lastTransistors() const { return transistors; }
@@ -270,7 +254,6 @@ class GateLevelMatcher : public Matcher
     BitWidth bitsPerChar;
     Beat beatsUsed = 0;
     unsigned transistors = 0;
-    bool useLevelized = false;
     std::uint64_t evalsUsed = 0;
     std::function<void(GateChip &)> chipPrep;
     std::function<void(std::size_t, const GateChip &)> resultObserver;

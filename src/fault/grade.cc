@@ -105,7 +105,6 @@ captureWorkload(const GradeConfig &cfg, std::vector<Symbol> pattern,
 
     TraceRecorder rec(w.trace);
     GateLevelMatcher matcher(cfg.cells, cfg.alphabetBits);
-    matcher.setUseLevelized(true);
     matcher.setChipPrep([&](GateChip &chip) {
         rec.begin(chip.netlist(), chip.resultNode(),
                   chip.resultInverted(), w.pattern.size());
@@ -130,7 +129,6 @@ serialDetect(const GradeConfig &cfg, const FaultSite &site,
              const GradedWorkload &workload)
 {
     GateLevelMatcher matcher(cfg.cells, cfg.alphabetBits);
-    matcher.setUseLevelized(true);
     matcher.setChipPrep([&](GateChip &chip) {
         chip.netlist().forceStuckAt(site.node, site.level(), 0);
     });

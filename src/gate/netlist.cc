@@ -1,6 +1,5 @@
 #include "gate/netlist.hh"
 
-#include "gate/levelized.hh"
 #include "telemetry/telem.hh"
 #include "util/logging.hh"
 
@@ -201,10 +200,6 @@ Netlist::settle(Picoseconds now)
 {
     if (tap)
         tap->onSettle();
-    if (fastPath) {
-        fastPath->settle(now);
-        return;
-    }
     // Bound the number of evaluations to detect oscillating feedback
     // (which the paper's purely feed-forward cells never produce).
     const std::uint64_t limit =

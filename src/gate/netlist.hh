@@ -25,7 +25,6 @@
 namespace spm::gate
 {
 
-class LevelizedNetlist;
 struct Levelization;
 
 /** Default dynamic-node retention: about 1 ms (Section 3.3.3). */
@@ -46,7 +45,7 @@ class NetTap
     /** An external setInput() of @p v on @p node (even if unchanged). */
     virtual void onSetInput(NodeId node, LogicValue v) = 0;
 
-    /** A settle() boundary (fires once, also for the levelized path). */
+    /** A settle() boundary (fires once per settle() call). */
     virtual void onSettle() = 0;
 
     /** Node @p node lost its dynamic charge to X in decayCharge(). */
@@ -97,24 +96,8 @@ class Netlist
      */
     void setInput(NodeId node, LogicValue v, Picoseconds now);
 
-    /**
-     * Propagate all pending changes until the circuit settles. With a
-     * levelized accelerator attached (gate/levelized.hh) the flat
-     * compiled pass runs instead of the event-driven worklist; the
-     * settled node values are identical either way.
-     */
+    /** Propagate all pending changes until the circuit settles. */
     void settle(Picoseconds now);
-
-    /**
-     * Attach (or, with nullptr, detach) a levelized fast path that
-     * takes over settle(). The accelerator must outlive the
-     * attachment and must have been built from this netlist's final
-     * device list.
-     */
-    void attachAccelerator(LevelizedNetlist *accel) { fastPath = accel; }
-
-    /** The attached levelized fast path, or nullptr. */
-    LevelizedNetlist *accelerator() const { return fastPath; }
 
     /**
      * Decay dynamic charge: any node stored through an off pass
@@ -193,7 +176,6 @@ class Netlist
     const std::string &name() const { return netName; }
 
   private:
-    friend class LevelizedNetlist;
     friend Levelization levelize(const Netlist &net);
 
     struct NodeState
@@ -222,7 +204,6 @@ class Netlist
     std::vector<std::vector<std::uint32_t>> fanout;
     std::vector<std::uint32_t> worklist;
     std::uint64_t evals = 0;
-    LevelizedNetlist *fastPath = nullptr;
     NetTap *tap = nullptr;
 };
 

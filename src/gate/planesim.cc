@@ -70,6 +70,65 @@ flatten(const std::vector<std::vector<T>> &lists,
 
 } // namespace
 
+Levelization
+levelize(const Netlist &net)
+{
+    const std::vector<Device> &devs = net.devices;
+    const std::size_t nd = devs.size();
+    Levelization lev;
+
+    auto isStatic = [&](std::size_t d) {
+        return devs[d].kind != DeviceKind::PassGate;
+    };
+
+    // Kahn's algorithm over static-gate dependency edges. An input
+    // driven by a pass transistor (or a primary input) is a boundary
+    // of the ordered region and contributes no edge.
+    std::vector<std::uint32_t> indegree(nd, 0);
+    auto staticDriverOf = [&](NodeId node) -> std::int32_t {
+        const std::int32_t drv = net.nodes[node].driver;
+        if (drv >= 0 && isStatic(static_cast<std::size_t>(drv)))
+            return drv;
+        return -1;
+    };
+    for (std::size_t d = 0; d < nd; ++d) {
+        if (!isStatic(d))
+            continue;
+        if (staticDriverOf(devs[d].inA) >= 0)
+            ++indegree[d];
+        if (devs[d].inB != invalidNode && devs[d].inB != devs[d].inA &&
+            staticDriverOf(devs[d].inB) >= 0)
+            ++indegree[d];
+    }
+
+    lev.topo.reserve(nd);
+    std::vector<std::uint32_t> ready;
+    for (std::size_t d = 0; d < nd; ++d)
+        if (isStatic(d) && indegree[d] == 0)
+            ready.push_back(static_cast<std::uint32_t>(d));
+    // Every device starts as fallback; Kahn clears the flag of each
+    // gate it places. What stays set is a pass transistor or a static
+    // gate inside a feedback cycle (e.g. the static shift register's
+    // regeneration loop): event-driven relaxation handles it.
+    lev.isFallback.assign(nd, 1);
+    while (!ready.empty()) {
+        const std::uint32_t d = ready.back();
+        ready.pop_back();
+        lev.topo.push_back(d);
+        lev.isFallback[d] = 0;
+        for (std::uint32_t consumer : net.fanout[devs[d].out]) {
+            if (!isStatic(consumer))
+                continue;
+            if (--indegree[consumer] == 0)
+                ready.push_back(consumer);
+        }
+    }
+    // Producers were pushed before consumers but LIFO popping can
+    // interleave levels; re-sorting is unnecessary because Kahn only
+    // releases a gate once every static producer is already placed.
+    return lev;
+}
+
 PlaneSim::PlaneSim(const Netlist &netlist)
     : net(netlist), nodeCount(netlist.nodeCount()), lev(levelize(netlist))
 {

@@ -14,9 +14,9 @@
  *
  * Exactness is the whole point: the planes implement the same
  * three-valued algebra as gate/logic.hh, and settle() runs the order
- * gate::levelize compiles for gate/levelized.cc -- a topological pass
- * that evaluates exactly the ordered gates with a changed input, plus
- * event-driven relaxation of pass transistors and cyclic statics. A
+ * gate::levelize compiles -- a topological pass that evaluates exactly
+ * the ordered gates with a changed input, plus event-driven relaxation
+ * of pass transistors and cyclic statics. A
  * forced lane ignores every write, which is precisely
  * Netlist::forceStuckAt's ignore-all-writes contract. There is no
  * charge-decay model: a protocol that stalls the clock cannot run
@@ -50,11 +50,34 @@
 #include <cstdint>
 #include <vector>
 
-#include "gate/levelized.hh"
 #include "gate/netlist.hh"
 
 namespace spm::gate
 {
+
+/**
+ * The evaluation order PlaneSim compiles for one finished netlist:
+ * the static gates in topological order, and the devices left to
+ * event-driven relaxation.
+ */
+struct Levelization
+{
+    /** Ordered static-gate device indices, producers first. */
+    std::vector<std::uint32_t> topo;
+    /**
+     * Per device: 1 when left to event-driven relaxation -- every pass
+     * transistor and every static gate inside a feedback cycle.
+     */
+    std::vector<std::uint8_t> isFallback;
+};
+
+/**
+ * Compile @p net's current device list: Kahn's algorithm over the
+ * static-gate dependency edges, read off the netlist's own reader
+ * lists. A node driven by a pass transistor or by nothing (a primary
+ * input) is a boundary of the ordered region and contributes no edge.
+ */
+Levelization levelize(const Netlist &net);
 
 /** Lanes of one node pinned to a level (a stuck-at fault). */
 struct PlaneForce
@@ -118,7 +141,7 @@ class PlaneSim
     const Netlist &net;
     std::size_t nodeCount;
 
-    /** Compiled order, shared with gate::LevelizedNetlist. */
+    /** Compiled evaluation order. */
     const Levelization lev;
 
     /** Value planes, plus the never-L slot at index nodeCount. */

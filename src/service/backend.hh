@@ -206,7 +206,7 @@ class GateBackend : public ServiceBackend
                              const std::vector<Symbol> &pattern,
                              BeatWatchdog &dog) override;
 
-    /** The wrapped matcher, for the levelized switch and chip prep. */
+    /** The wrapped matcher, for its chip-prep hook. */
     core::GateLevelMatcher &matcher() { return gate; }
 
     /** Windows answered from a lane pass; the rest ran alone. */

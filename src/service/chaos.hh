@@ -192,8 +192,9 @@ std::vector<fault::FaultSite> hardestUndetectedSites(
     std::uint64_t seed = 1979);
 
 /**
- * A gate-level rung whose every freshly built chip has @p sites
- * forced stuck (Netlist::forceStuckAt) before the protocol starts.
+ * A gate-level rung, named "systolic-gatelevel-poisoned", whose every
+ * freshly built chip has @p sites forced stuck
+ * (Netlist::forceStuckAt) before the protocol starts.
  * @p sites must come from a chip of the same cells/alphabetBits
  * shape as @p config (see hardestUndetectedSites).
  */

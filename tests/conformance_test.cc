@@ -371,14 +371,14 @@ TEST(Mutation, SelfCheckCatchesEverySeededBug)
 TEST(Oracles, RegistryNamesEveryImplementation)
 {
     const std::vector<std::string> names = allOracleNames(true);
-    // 9 base implementations (sharded x3 = 11 configurations), plus
+    // 8 base implementations (sharded x3 = 10 configurations), plus
     // the bit-sliced kernel at its scalar tier, its best tier and SSE2
     // when that sits between them, plus three batch pack shapes, plus
     // four dictionary shapes.
     const std::size_t sse2_between =
         core::simdIsaSupported(core::SimdIsa::Sse2) &&
         core::SimdIsa::Sse2 < core::bestSimdIsa();
-    EXPECT_EQ(names.size(), 11u + 2u + sse2_between + 3u + 4u);
+    EXPECT_EQ(names.size(), 10u + 2u + sse2_between + 3u + 4u);
     EXPECT_EQ(names.front(), "reference");
     const auto has = [&](const std::string &n) {
         return std::find(names.begin(), names.end(), n) != names.end();
@@ -392,10 +392,11 @@ TEST(Oracles, RegistryNamesEveryImplementation)
     EXPECT_TRUE(has("dict-p8"));
     EXPECT_TRUE(has("dict-p64"));
     EXPECT_TRUE(has("dict-p8-chunk9"));
+    EXPECT_TRUE(has("systolic-gatelevel"));
     EXPECT_TRUE(has("gate-lanes"));
-    // The gate switch removes exactly the three gate-level oracles.
+    // The gate switch removes exactly the two gate-level oracles.
     const std::vector<std::string> nogate = allOracleNames(false);
-    EXPECT_EQ(names.size(), nogate.size() + 3u);
+    EXPECT_EQ(names.size(), nogate.size() + 2u);
 }
 
 } // namespace

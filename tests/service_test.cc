@@ -561,7 +561,7 @@ TEST(LaneGateRung, PoisonedRungFallsIdentically)
         fell_partway = want.degradations > 0 &&
                        want.crossCheckFailures > 0 &&
                        pair.scalar.journal().dump().find(
-                           "rung=systolic-gatelevel-lev beats=") !=
+                           "rung=systolic-gatelevel-poisoned beats=") !=
                            std::string::npos;
     }
     EXPECT_TRUE(fell_partway)
