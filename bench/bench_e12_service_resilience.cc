@@ -51,7 +51,6 @@ e12Config(BackpressurePolicy policy)
     cfg.chunkChars = 24;
     cfg.queueCapacity = 8;
     cfg.policy = policy;
-    cfg.rungFaultBudget = 1;
     cfg.journalEnabled = false; // storms would grow the journal huge
     return cfg;
 }

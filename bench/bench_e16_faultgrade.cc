@@ -120,11 +120,13 @@ printReport()
 
     // Timing: same trace, same faults, serial vs word-parallel.
     const std::vector<fault::FaultSite> batch = fx.batchOf64();
-    // Both modes time the same 16 serial faults: the batch's first
-    // faults are not typical of it, so a shorter smoke sample would
-    // read a different rate than the full-run baseline it is gated on.
+    // Both modes time the same 16 serial faults and 8 warm
+    // word-parallel repetitions: the batch's first faults are not
+    // typical of it and a first repetition runs cold, so a shorter
+    // smoke sample would read a different rate than the full-run
+    // baseline it is gated on.
     const std::size_t serialSample = 16;
-    const std::size_t wordRepeats = smokeMode() ? 2 : 8;
+    const std::size_t wordRepeats = 8;
 
     const double serialSec = secondsOf([&] {
         for (std::size_t i = 0; i < serialSample; ++i)
@@ -135,6 +137,7 @@ printReport()
         serialSec / static_cast<double>(serialSample);
 
     fault::WordFaultSim sim(fx.probe.netlist());
+    sim.run(fx.workload.trace, batch, fx.workload.goldenPerOp); // warm-up
     const double wordSec = secondsOf([&] {
         for (std::size_t r = 0; r < wordRepeats; ++r)
             sim.run(fx.workload.trace, batch,

@@ -109,18 +109,12 @@ class ShardedOracleMatcher : public core::Matcher
  * W different alignments. Lane 0 is what the differ checks against
  * the reference; the suffix lanes are verified here against a width-1
  * pass of the same kernel, so a cross-lane packing or extraction bug
- * fails the oracle even when lane 0 happens to agree. With
- * @p chunk > 0 every lane additionally goes through the carry path in
- * chunk-sized pieces, which must be bit-identical to one-shot
- * matching.
+ * fails the oracle even when lane 0 happens to agree.
  */
 class BatchOracleMatcher : public core::Matcher
 {
   public:
-    BatchOracleMatcher(std::size_t width, std::size_t chunk)
-        : lanes(width), chunkChars(chunk)
-    {
-    }
+    explicit BatchOracleMatcher(std::size_t width) : lanes(width) {}
 
     std::vector<bool> match(const std::vector<Symbol> &text,
                             const std::vector<Symbol> &pattern) override
@@ -135,34 +129,8 @@ class BatchOracleMatcher : public core::Matcher
                 text.end());
         }
 
-        std::vector<std::vector<bool>> got;
-        if (chunkChars == 0) {
-            got = engine.matchMany(streams, pattern);
-        } else {
-            std::vector<core::StreamCarry> carries(lanes);
-            got.assign(lanes, {});
-            bool more = true;
-            for (std::size_t off = 0; more; off += chunkChars) {
-                more = false;
-                std::vector<std::vector<Symbol>> chunks(lanes);
-                for (std::size_t i = 0; i < lanes; ++i) {
-                    const std::size_t n = streams[i].size();
-                    const std::size_t take =
-                        off >= n ? 0 : std::min(chunkChars, n - off);
-                    chunks[i].assign(
-                        streams[i].begin() +
-                            static_cast<std::ptrdiff_t>(off),
-                        streams[i].begin() +
-                            static_cast<std::ptrdiff_t>(off + take));
-                    if (off + take < n)
-                        more = true;
-                }
-                auto bits = engine.feedChunks(carries, chunks, pattern);
-                for (std::size_t i = 0; i < lanes; ++i)
-                    got[i].insert(got[i].end(), bits[i].begin(),
-                                  bits[i].end());
-            }
-        }
+        std::vector<std::vector<bool>> got =
+            engine.matchMany(streams, pattern);
 
         for (std::size_t i = 1; i < lanes; ++i) {
             const auto alone = engine.matchMany(
@@ -177,15 +145,11 @@ class BatchOracleMatcher : public core::Matcher
 
     std::string name() const override
     {
-        std::string s = "batch-w" + std::to_string(lanes);
-        if (chunkChars > 0)
-            s += "-chunk" + std::to_string(chunkChars);
-        return s;
+        return "batch-w" + std::to_string(lanes);
     }
 
   private:
     std::size_t lanes;
-    std::size_t chunkChars;
     core::BatchMatcher engine;
 };
 
@@ -551,13 +515,11 @@ makeAllOracles(bool with_gate)
         oracles.push_back(entry(
             std::make_unique<core::SimdParallelMatcher>(core::SimdIsa::Sse2),
             1 << 18, 1 << 12, 16, 1));
-    // The batch layer over that kernel: two pack widths plus the
-    // chunked carry path (suffix lanes verified inside the oracle).
-    oracles.push_back(entry(std::make_unique<BatchOracleMatcher>(3, 0),
+    // The batch layer over that kernel at two pack widths (suffix
+    // lanes verified inside the oracle).
+    oracles.push_back(entry(std::make_unique<BatchOracleMatcher>(3),
                             1 << 14, 256, 16, 1));
-    oracles.push_back(entry(std::make_unique<BatchOracleMatcher>(64, 0),
-                            1 << 12, 256, 16, 2));
-    oracles.push_back(entry(std::make_unique<BatchOracleMatcher>(3, 7),
+    oracles.push_back(entry(std::make_unique<BatchOracleMatcher>(64),
                             1 << 12, 256, 16, 2));
     // The multi-pattern tier: dictionary sizes spanning one member,
     // the prototype's array width, and a full fused 64-pattern sweep,

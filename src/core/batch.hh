@@ -13,52 +13,25 @@
  *
  * Correctness of the packing rests on one observation: a match bit at
  * stream position p only looks back k-1 characters, so a position
- * with a full in-stream history (p >= k-1, counting any carry tail)
- * computes exactly its standalone value even mid-concatenation, and
- * every position without one is false *by definition*. Extraction
- * turns that rule into a start offset: each stream's row is sliced
- * from the kernel's packed words beginning at its first position with
- * a full history, visiting set bits only, with the edge words masked
- * to the stream's span -- so the kernel's reads of the neighbouring
- * stream's characters are never sliced out. No separators, no
- * per-stream padding, no per-character test.
- *
- * Streams longer than one request chunk carry across calls as a raw
- * k-1-character tail (StreamCarry): the last characters already
- * consumed are re-fed ahead of the next chunk, so chunked feeding is
- * bit-identical to matching the whole stream at once -- the property
- * tests and the conformance registry check exactly that. One-shot
- * batches (matchMany) build no carries at all: every stream starts
- * fresh.
+ * with a full in-stream history (p >= k-1) computes exactly its
+ * standalone value even mid-concatenation, and every position without
+ * one is false *by definition*. Extraction turns that rule into a
+ * start offset: each stream's row is sliced from the kernel's packed
+ * words beginning at position k-1, visiting set bits only, with the
+ * edge words masked to the stream's span -- so the kernel's reads of
+ * the neighbouring stream's characters are never sliced out. No
+ * separators, no per-stream padding, no per-character test.
  */
 
 #ifndef SPM_CORE_BATCH_HH
 #define SPM_CORE_BATCH_HH
 
-#include <cstdint>
 #include <vector>
 
 #include "core/simdpar.hh"
 
 namespace spm::core
 {
-
-/**
- * Per-stream carry state for chunked feeding: the raw text tail the
- * next chunk needs as look-back history. A carry is bound to one
- * stream and one pattern length; reusing it across patterns of a
- * different length is rejected (the tail would be too short to
- * reconstruct the look-back window).
- */
-struct StreamCarry
-{
-    /** Last min(k-1, seen) characters of the stream so far. */
-    std::vector<Symbol> tail;
-    /** Stream characters consumed so far. */
-    std::uint64_t seen = 0;
-    /** Pattern length this carry was fed with (0 = not yet fed). */
-    std::size_t patternLen = 0;
-};
 
 /**
  * One matcher pass over many independent streams.
@@ -90,53 +63,21 @@ class BatchMatcher
         const std::vector<const std::vector<Symbol> *> &streams,
         const std::vector<Symbol> &pattern);
 
-    /**
-     * Feed one chunk per stream: chunks[i] continues the stream
-     * carried by carries[i]. Returns the match bits for exactly the
-     * new chunk positions (chunks[i].size() bits each, standalone
-     * whole-stream semantics) and advances every carry. Empty chunks
-     * are fine; streams of different lengths pack into full words.
-     *
-     * @throws std::invalid_argument when carries and chunks disagree
-     *         in count, or a carry was fed with a different pattern
-     *         length earlier
-     */
-    std::vector<std::vector<bool>> feedChunks(
-        std::vector<StreamCarry> &carries,
-        const std::vector<std::vector<Symbol>> &chunks,
-        const std::vector<Symbol> &pattern);
-
-    /** As above, chunks by pointer (no caller-side copies). */
-    std::vector<std::vector<bool>> feedChunks(
-        std::vector<StreamCarry> &carries,
-        const std::vector<const std::vector<Symbol> *> &chunks,
-        const std::vector<Symbol> &pattern);
-
     /** Streams in the last pass. */
     std::size_t lastBatchWidth() const { return batchWidth; }
 
-    /** Characters the last pass pushed through the kernel (with tails). */
+    /** Characters the last pass pushed through the kernel. */
     std::size_t lastKernelChars() const { return kernelChars; }
 
     /** The wrapped kernel (tier inspection, op counts). */
     const SimdParallelMatcher &kernel() const { return simd; }
 
   private:
-    /**
-     * Pack, match and slice one pass. @p carries supplies each
-     * stream's tail and seen count (read only); nullptr means every
-     * stream starts fresh.
-     */
-    std::vector<std::vector<bool>> pass(
-        const std::vector<const std::vector<Symbol> *> &chunks,
-        const std::vector<Symbol> &pattern,
-        const std::vector<StreamCarry> *carries);
-
     SimdParallelMatcher simd;
 
     // --- the scratch arena (reused across calls) ---------------------
-    std::vector<Symbol> concat;       ///< packed tails + chunks
-    std::vector<std::size_t> segBase; ///< chunk start in concat
+    std::vector<Symbol> concat;       ///< packed streams
+    std::vector<std::size_t> segBase; ///< stream start in concat
 
     std::size_t batchWidth = 0;
     std::size_t kernelChars = 0;

@@ -63,13 +63,13 @@ class NaiveDictMatcher final : public DictMatcher
 };
 
 /**
- * Carry state for chunked feeding, mirroring core::StreamCarry: the
- * tail holds the last min(kmax - 1, seen) characters so any window
- * straddling a chunk boundary can be replayed, and seen counts total
- * stream characters so positions with insufficient history stay
- * false.  Chunked results must be bit-identical to a one-shot
- * matchAll over the concatenated stream.  The bit-sliced engine
- * feeds it (feedDictChunk in planes.hh).
+ * Carry state for chunked feeding: the tail holds the last
+ * min(kmax - 1, seen) characters so any window straddling a chunk
+ * boundary can be replayed, and seen counts total stream characters
+ * so positions with insufficient history stay false.  Chunked
+ * results must be bit-identical to a one-shot matchAll over the
+ * concatenated stream.  The bit-sliced engine feeds it
+ * (feedDictChunk in planes.hh).
  */
 struct DictStreamState {
     std::vector<Symbol> tail;

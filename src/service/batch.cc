@@ -14,6 +14,9 @@ namespace spm::service
 namespace
 {
 
+/** Most streams admitted into one serveBatch() call. */
+constexpr std::size_t batchStreamLimit = 4096;
+
 /** FNV-1a over a pattern's symbols, for grouping by pattern. */
 struct PatternHash
 {
@@ -38,13 +41,7 @@ struct PatternEq
 } // namespace
 
 BatchMatchService::BatchMatchService(BatchServiceConfig config)
-    : BatchMatchService(std::move(config), core::bestSimdIsa())
-{
-}
-
-BatchMatchService::BatchMatchService(BatchServiceConfig config,
-                                     core::SimdIsa isa)
-    : cfg(std::move(config)), engine(isa),
+    : cfg(std::move(config)),
       backendName("batch+" + engine.kernel().name()),
       batchesCtr(metrics.counter("batches")),
       streamsCtr(metrics.counter("streams")),
@@ -56,31 +53,21 @@ BatchMatchService::BatchMatchService(BatchServiceConfig config,
       batchWidthHist(metrics.logHistogram("batch_width")),
       reqObs(metrics, "batch", &exemplarStore)
 {
-    spm_assert(cfg.maxBatchStreams > 0,
-               "batch service needs room for at least one stream");
     spm_assert(cfg.base.alphabetBits >= 1 && cfg.base.alphabetBits <= 16,
                "alphabet width must be in [1, 16] bits");
 }
 
 std::vector<std::vector<bool>>
 BatchMatchService::runPass(
-    std::vector<core::StreamCarry> *carries,
-    const std::vector<const std::vector<Symbol> *> &chunks,
+    const std::vector<const std::vector<Symbol> *> &texts,
     const std::vector<Symbol> &pattern, bool &checked,
     std::uint64_t &mismatches, telem::StageClock &clock)
 {
-    // A sampled cross-check needs the pre-pass carries; snapshot them
-    // only on the passes that audit. Fresh streams have nothing to
-    // snapshot: empty tail, nothing seen.
     const std::uint64_t pass = kernelPassesCtr.value();
     checked = cfg.crossCheckEvery != 0 &&
               pass % cfg.crossCheckEvery == 0;
-    std::vector<core::StreamCarry> before;
-    if (checked && carries)
-        before = *carries;
 
-    auto bits = carries ? engine.feedChunks(*carries, chunks, pattern)
-                        : engine.matchMany(chunks, pattern);
+    auto bits = engine.matchMany(texts, pattern);
     kernelPassesCtr.add();
     clock.mark(telem::Stage::Kernel);
     SPM_THIST(batchWidthHist,
@@ -90,27 +77,9 @@ BatchMatchService::runPass(
     if (checked) {
         crossChecksCtr.add();
         core::ReferenceMatcher ref;
-        const std::size_t k = pattern.size();
-        const core::StreamCarry fresh;
-        for (std::size_t i = 0; i < chunks.size(); ++i) {
-            const core::StreamCarry &prior = carries ? before[i] : fresh;
-            std::vector<Symbol> window = prior.tail;
-            window.insert(window.end(), chunks[i]->begin(),
-                          chunks[i]->end());
-            const std::vector<bool> expect = ref.match(window, pattern);
-            const std::size_t skip = prior.tail.size();
-            bool bad = false;
-            for (std::size_t c = 0; c < chunks[i]->size(); ++c) {
-                const bool want = prior.seen + c + 1 >= k &&
-                                  expect[skip + c];
-                if (bits[i][c] != want) {
-                    bad = true;
-                    break;
-                }
-            }
-            if (bad)
+        for (std::size_t i = 0; i < texts.size(); ++i)
+            if (bits[i] != ref.match(*texts[i], pattern))
                 ++mismatches;
-        }
         if (mismatches != 0) {
             crossCheckFailuresCtr.add(mismatches);
             SPM_TCOUNT_GLOBAL("batch.cross_check_failures", mismatches);
@@ -137,11 +106,11 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
     admitted.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
         out[i].id = batch[i].id;
-        if (admitted.size() >= cfg.maxBatchStreams) {
+        if (admitted.size() >= batchStreamLimit) {
             out[i].error = ServiceError::make(
                 ErrorCode::QueueOverflow,
                 "batch width limit of " +
-                    std::to_string(cfg.maxBatchStreams) + " streams");
+                    std::to_string(batchStreamLimit) + " streams");
             rejectedCtr.add();
             continue;
         }
@@ -183,8 +152,7 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
 
         bool checked = false;
         std::uint64_t mismatches = 0;
-        auto bits =
-            runPass(nullptr, texts, pattern, checked, mismatches, clock);
+        auto bits = runPass(texts, pattern, checked, mismatches, clock);
         totalMismatches += mismatches;
 
         for (std::size_t m = 0; m < members.size(); ++m) {
@@ -219,94 +187,6 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
                        });
     }
     return out;
-}
-
-BatchStreamGroup
-BatchMatchService::openGroup(std::vector<Symbol> pattern,
-                             std::size_t width, ServiceError &err)
-{
-    BatchStreamGroup group;
-    err = ServiceError::ok();
-    if (width > cfg.maxBatchStreams) {
-        err = ServiceError::make(
-            ErrorCode::QueueOverflow,
-            "group of " + std::to_string(width) +
-                " streams exceeds batch width limit " +
-                std::to_string(cfg.maxBatchStreams));
-        rejectedCtr.add();
-        return group;
-    }
-    if (auto verr = validatePattern(cfg.base, pattern)) {
-        err = *verr;
-        rejectedCtr.add();
-        return group;
-    }
-    group.pattern = std::move(pattern);
-    group.carries.assign(width, core::StreamCarry{});
-    streamsCtr.add(width);
-    return group;
-}
-
-BatchMatchService::GroupFeedResult
-BatchMatchService::feedGroup(BatchStreamGroup &group,
-                             const std::vector<std::vector<Symbol>> &chunks)
-{
-    GroupFeedResult res;
-    if (group.pattern.empty()) {
-        res.error = ServiceError::make(ErrorCode::InvalidPattern,
-                                       "group was never opened");
-        return res;
-    }
-    if (chunks.size() != group.carries.size()) {
-        res.error = ServiceError::make(
-            ErrorCode::BatchMismatch,
-            std::to_string(chunks.size()) + " chunks for a group of " +
-                std::to_string(group.carries.size()) + " streams");
-        return res;
-    }
-
-    telem::StageClock clock;
-    clock.start();
-
-    // Admission through the shared rule set (service.hh), checked
-    // before any carry advances (a rejected feed is a no-op).
-    for (std::size_t i = 0; i < chunks.size(); ++i)
-        if (auto verr =
-                validateText(cfg.base, chunks[i], group.carries[i].seen,
-                             "stream[" + std::to_string(i) + "]")) {
-            rejectedCtr.add();
-            res.error = *verr;
-            return res;
-        }
-
-    batchesCtr.add();
-    std::vector<const std::vector<Symbol> *> ptrs;
-    ptrs.reserve(chunks.size());
-    std::size_t total = 0;
-    for (const std::vector<Symbol> &c : chunks) {
-        ptrs.push_back(&c);
-        total += c.size();
-        cfg.base.bus.transferChunk(c.data(), c.data(), c.size());
-    }
-    streamCharsCtr.add(total);
-    clock.mark(telem::Stage::Admit);
-
-    bool checked = false;
-    std::uint64_t mismatches = 0;
-    res.bits = runPass(&group.carries, ptrs, group.pattern, checked,
-                       mismatches, clock);
-    if (checked && mismatches != 0)
-        res.error = ServiceError::make(
-            ErrorCode::BackendFailed,
-            "sampled cross-check caught a kernel mismatch in this pass");
-    clock.mark(telem::Stage::Commit);
-    clock.addBeats(static_cast<Beat>(total));
-    reqObs.observe(clock, 0, mismatches != 0, "cross-check mismatch", [&] {
-        return telem::CaseRef(0, cfg.base.alphabetBits, group.pattern,
-                              chunks.empty() ? std::span<const Symbol>{}
-                                             : chunks.front());
-    });
-    return res;
 }
 
 telem::Snapshot

@@ -37,8 +37,6 @@ struct BatchServiceConfig
 {
     /** Bounds, alphabet and bus shared with the streaming service. */
     ServiceConfig base;
-    /** Most streams admitted into one serveBatch/feedGroup call. */
-    std::size_t maxBatchStreams = 4096;
     /**
      * Replay every Nth kernel pass through the reference matcher and
      * compare bit for bit (0 disables). Sampling, not per-chunk: the
@@ -48,31 +46,11 @@ struct BatchServiceConfig
     unsigned crossCheckEvery = 0;
 };
 
-/**
- * A set of streams fed chunk-group by chunk-group, all sharing one
- * pattern. Host-side handle: the service holds no per-stream state,
- * so groups scale to whatever the host can index.
- */
-class BatchStreamGroup
-{
-  public:
-    std::size_t width() const { return carries.size(); }
-    const std::vector<Symbol> &groupPattern() const { return pattern; }
-
-  private:
-    friend class BatchMatchService;
-    std::vector<Symbol> pattern;
-    std::vector<core::StreamCarry> carries;
-};
-
 /** The batched match service. */
 class BatchMatchService
 {
   public:
     explicit BatchMatchService(BatchServiceConfig config);
-
-    /** Force the kernel tier (A/B runs and conformance oracles). */
-    BatchMatchService(BatchServiceConfig config, core::SimdIsa isa);
 
     const BatchServiceConfig &config() const { return cfg; }
 
@@ -80,39 +58,12 @@ class BatchMatchService
      * Serve many one-shot requests in as few kernel passes as their
      * patterns allow. Responses are positionally parallel to
      * @p batch; each is independently validated, so one malformed
-     * request rejects alone instead of failing the batch.
+     * request rejects alone instead of failing the batch. Requests
+     * past the call's 4096-stream admission bound are rejected with
+     * QueueOverflow.
      */
     std::vector<MatchResponse> serveBatch(
         const std::vector<MatchRequest> &batch);
-
-    /**
-     * Open a group of @p width streams matching @p pattern. The
-     * pattern is validated here, once, against the base config.
-     *
-     * @param err receives the typed validation error, Ok when valid
-     */
-    BatchStreamGroup openGroup(std::vector<Symbol> pattern,
-                               std::size_t width, ServiceError &err);
-
-    /** Result of one feedGroup() call. */
-    struct GroupFeedResult
-    {
-        /** Typed error; bits are valid only when code is Ok. */
-        ServiceError error;
-        /** Match bits for exactly the new chunk positions, per stream. */
-        std::vector<std::vector<bool>> bits;
-
-        bool ok() const { return error.code == ErrorCode::Ok; }
-    };
-
-    /**
-     * Feed chunks[i] to group stream i (empty chunks fine; widths
-     * must agree). One kernel pass for the whole group; results have
-     * whole-stream semantics, bit-identical to matching each stream
-     * unchunked.
-     */
-    GroupFeedResult feedGroup(BatchStreamGroup &group,
-                              const std::vector<std::vector<Symbol>> &chunks);
 
     /** The wrapped batch matcher (kernel tier, last widths). */
     const core::BatchMatcher &matcher() const { return engine; }
@@ -143,14 +94,9 @@ class BatchMatchService
     telem::ExemplarReservoir &exemplars() { return exemplarStore; }
 
   private:
-    /**
-     * One kernel pass + charging + sampled cross-check. @p carries
-     * continues streams (and is advanced); nullptr serves fresh
-     * one-shot streams with no carry state at all.
-     */
+    /** One kernel pass over @p texts plus the sampled cross-check. */
     std::vector<std::vector<bool>> runPass(
-        std::vector<core::StreamCarry> *carries,
-        const std::vector<const std::vector<Symbol> *> &chunks,
+        const std::vector<const std::vector<Symbol> *> &texts,
         const std::vector<Symbol> &pattern, bool &checked,
         std::uint64_t &mismatches, telem::StageClock &clock);
 

@@ -9,6 +9,14 @@
 namespace spm::service
 {
 
+namespace
+{
+
+/** Most dictionary members admitted per session. */
+constexpr std::size_t dictMemberLimit = 4096;
+
+} // namespace
+
 std::string
 DictError::toString() const
 {
@@ -32,8 +40,6 @@ DictMatchService::DictMatchService(DictServiceConfig config)
       planesPerSweepHist(metrics.logHistogram("planes_per_sweep")),
       reqObs(metrics, "dict", &exemplarStore)
 {
-    spm_assert(cfg.maxDictPatterns > 0,
-               "dictionary service needs room for at least one member");
     spm_assert(cfg.base.alphabetBits >= 1 && cfg.base.alphabetBits <= 16,
                "alphabet width must be in [1, 16] bits");
 }
@@ -44,12 +50,12 @@ DictMatchService::validateDict(const multipattern::DictPatterns &dict) const
     if (dict.empty())
         return DictError::make(ServiceError::make(
             ErrorCode::InvalidDictionary, "empty dictionary"));
-    if (dict.size() > cfg.maxDictPatterns)
+    if (dict.size() > dictMemberLimit)
         return DictError::make(ServiceError::make(
             ErrorCode::InvalidDictionary,
             "dictionary of " + std::to_string(dict.size()) +
                 " members exceeds limit " +
-                std::to_string(cfg.maxDictPatterns)));
+                std::to_string(dictMemberLimit)));
     // Every member obeys the shared single-pattern admission rules
     // (service.hh): non-empty, within maxPatternLen, alphabet-clean.
     for (std::size_t i = 0; i < dict.size(); ++i)

@@ -43,8 +43,6 @@ struct DictServiceConfig
 {
     /** Bounds, alphabet and bus shared with the streaming service. */
     ServiceConfig base;
-    /** Most dictionary members admitted per session. */
-    std::size_t maxDictPatterns = 4096;
     /**
      * Replay every Nth chunk through the naive per-pattern reference
      * and compare bit for bit (0 disables).
@@ -104,7 +102,10 @@ class DictMatchService
 
     const DictServiceConfig &config() const { return cfg; }
 
-    /** Typed dictionary admission; Ok when every member is valid. */
+    /**
+     * Typed dictionary admission (at most 4096 members); Ok when
+     * every member is valid.
+     */
     DictError validateDict(const multipattern::DictPatterns &dict) const;
 
     /** Result of one feedChunk() call. */

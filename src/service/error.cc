@@ -29,8 +29,6 @@ errorCodeName(ErrorCode code)
         return "invalid_checkpoint";
     case ErrorCode::ShardFailed:
         return "shard_failed";
-    case ErrorCode::BatchMismatch:
-        return "batch_mismatch";
     case ErrorCode::InvalidDictionary:
         return "invalid_dictionary";
     }

@@ -32,7 +32,6 @@ enum class ErrorCode : unsigned char
     Cancelled,        ///< the caller abandoned the streaming session
     InvalidCheckpoint,///< resume token inconsistent with the request
     ShardFailed,      ///< a shard slice died/stalled beyond recovery
-    BatchMismatch,    ///< chunk group shape inconsistent with the group
     InvalidDictionary,///< dictionary empty or beyond the member limit
 };
 

@@ -13,6 +13,12 @@ namespace spm::service
 namespace
 {
 
+/** Watchdog slack: a window's beat budget is its feed plan times this. */
+constexpr double windowBudgetMargin = 1.5;
+
+/** Cross-check mismatches tolerated per rung before it falls. */
+constexpr unsigned rungMismatchBudget = 1;
+
 /**
  * The largest symbol in @p symbols, wild cards read as 0 when
  * @p skip_wild. A max-reduce with no early exit, so it vectorizes.
@@ -99,7 +105,7 @@ StreamSession::windowBudget(std::size_t window_len) const
                               static_cast<double>(cfg.cells) +
                               static_cast<double>(request.pattern.size()) +
                               static_cast<double>(cfg.alphabetBits) + 8.0;
-    return static_cast<Beat>(plan_beats * cfg.watchdogMargin);
+    return static_cast<Beat>(plan_beats * windowBudgetMargin);
 }
 
 void
@@ -249,12 +255,12 @@ StreamSession::step()
                 telem::EventRecord mismatch =
                     event(telem::EventKind::CrossCheckMismatch);
                 mismatch.count = faults;
-                mismatch.limit = cfg.rungFaultBudget;
+                mismatch.limit = rungMismatchBudget;
                 service.journalEvent(mismatch);
                 mismatch.code = errorCodeName(ErrorCode::BackendFailed);
                 mismatch.caseRef = windowCase();
                 service.flight.record(mismatch);
-                if (faults > cfg.rungFaultBudget) {
+                if (faults > rungMismatchBudget) {
                     last_fail_watchdog = false;
                     ++response.degradations;
                     service.degradationsCtr.add();
@@ -393,7 +399,6 @@ MatchService::MatchService(
       resumesCtr(metrics.counter("resumes")),
       queueDepthGauge(metrics.gauge("queue_depth")),
       chunkBeatsHist(metrics.logHistogram("chunk_beats")),
-      flight(cfg.flightCapacity),
       reqObs(metrics, "stream", &exemplarStore)
 {
     spm_assert(cfg.cells > 0, "service needs at least one cell");

@@ -62,13 +62,6 @@ struct ServiceConfig
     std::size_t maxPatternLen = 64;
     /** Text characters streamed per chunk. */
     std::size_t chunkChars = 32;
-    /**
-     * Watchdog slack: the per-window beat budget is the feed-plan
-     * beat count scaled by this margin.
-     */
-    double watchdogMargin = 1.5;
-    /** Cross-check mismatches tolerated per rung before it falls. */
-    unsigned rungFaultBudget = 1;
     /** Verify every committed chunk against the reference matcher. */
     bool crossCheck = true;
     /** Record the replay journal. */
@@ -82,8 +75,6 @@ struct ServiceConfig
      * each chunk to its worker.
      */
     std::uint32_t shardId = 0;
-    /** Flight-recorder ring depth (recent chunk/trip events kept). */
-    std::size_t flightCapacity = 64;
     /** Bus pacing and parity; parity on by default for the service. */
     core::HostBusModel bus{prototypeBeatPs, 8, true};
 };
@@ -224,7 +215,8 @@ class MatchService
     std::string statsDump() const;
 
     /**
-     * The flight recorder: recent chunk commits plus watchdog trips,
+     * The flight recorder (the last 64 events): chunk commits plus
+     * watchdog trips,
      * ladder transitions and cross-check mismatches, each stamped
      * with beat index, shard id, error-taxonomy code and the chunk's
      * case reference. Trips dump automatically.

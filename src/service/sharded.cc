@@ -17,6 +17,15 @@ namespace spm::service
 namespace
 {
 
+/** Re-execution attempts per slice beyond the primary one. */
+constexpr unsigned sliceRetries = 2;
+
+/** Consecutive slice failures that quarantine a slot. */
+constexpr unsigned failuresToQuarantine = 3;
+
+/** Batches after which a quarantined slot is probed half-open. */
+constexpr std::uint64_t batchesToProbe = 8;
+
 /**
  * Pin the calling thread to one core (round-robin over the cores the
  * machine has). Linux-only; a best-effort no-op elsewhere or when the
@@ -153,11 +162,11 @@ ShardedMatchService::ShardedMatchService(ShardedConfig config,
       overlapChecksCtr(supMetrics.counter("overlap_checks")),
       overlapMismatchesCtr(supMetrics.counter("overlap_mismatches")),
       queueWaitHist(supMetrics.logHistogram("queue_wait_beats")),
-      flight(cfg.base.flightCapacity),
       reqObs(supMetrics, "sharded", &exemplarStore)
 {
     spm_assert(cfg.threads > 0, "sharded service needs at least one thread");
     spm_assert(cfg.minShardChars > 0, "minShardChars must be positive");
+    spm_assert(cfg.batchDeadlineMs > 0, "batchDeadlineMs must be positive");
     const unsigned slots = cfg.threads + cfg.spareShards;
     shards.reserve(slots);
     for (unsigned i = 0; i < slots; ++i) {
@@ -254,10 +263,6 @@ ShardedMatchService::awaitBatch(Batch &batch, std::uint32_t deadline_ms)
 {
     std::unique_lock<std::mutex> lock(batch.bmu);
     const auto all_resolved = [&batch] { return batch.unresolved == 0; };
-    if (deadline_ms == 0) {
-        batch.resolvedCv.wait(lock, all_resolved);
-        return true;
-    }
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(deadline_ms);
     return batch.resolvedCv.wait_until(lock, deadline, all_resolved);
@@ -303,9 +308,8 @@ ShardedMatchService::noteSlotOutcome(std::uint32_t slot, bool ok)
                 h.state = BreakerState::Open;
                 h.openedAtBatch = batchCounter;
                 quarantined = true;
-            } else if (cfg.quarantineAfter > 0 &&
-                       h.state == BreakerState::Closed &&
-                       h.consecutiveFailures >= cfg.quarantineAfter) {
+            } else if (h.state == BreakerState::Closed &&
+                       h.consecutiveFailures >= failuresToQuarantine) {
                 h.state = BreakerState::Open;
                 h.openedAtBatch = batchCounter;
                 quarantined = true;
@@ -335,8 +339,7 @@ ShardedMatchService::assignableSlots()
             if (h.busy)
                 continue; // leased to a (possibly abandoned) task
             if (h.state == BreakerState::Open) {
-                if (cfg.probeAfterBatches > 0 &&
-                    batchCounter - h.openedAtBatch >= cfg.probeAfterBatches) {
+                if (batchCounter - h.openedAtBatch >= batchesToProbe) {
                     h.state = BreakerState::HalfOpen;
                     ++probes;
                 } else {
@@ -430,9 +433,7 @@ ShardedMatchService::serve(const MatchRequest &req)
         const std::size_t start = starts[s];
         const std::size_t ws = start >= overlap ? start - overlap : 0;
         const std::size_t ext =
-            cfg.overlapCheck && nshards > 1
-                ? std::min(overlap, n - starts[s + 1])
-                : 0;
+            nshards > 1 ? std::min(overlap, n - starts[s + 1]) : 0;
         st.piece.id = req.id;
         st.piece.pattern = req.pattern;
         st.piece.deadlineBeats = req.deadlineBeats;
@@ -650,8 +651,7 @@ ShardedMatchService::serve(const MatchRequest &req)
         const std::string why = st.threw
                                     ? "exception: " + st.exceptionText
                                     : st.resp.error.toString();
-        for (unsigned attempt = 1; attempt <= cfg.maxSliceRetries;
-             ++attempt) {
+        for (unsigned attempt = 1; attempt <= sliceRetries; ++attempt) {
             if (!retryOnSpare(s, st, attempt,
                               attempt == 1 ? why : "retry failed"))
                 break;
@@ -668,7 +668,7 @@ ShardedMatchService::serve(const MatchRequest &req)
             st.resp.error = ServiceError::make(
                 ErrorCode::ShardFailed,
                 "slice " + std::to_string(s) + " unrecovered after " +
-                    std::to_string(cfg.maxSliceRetries) +
+                    std::to_string(sliceRetries) +
                     " retries: " + detail);
             st.resp.result.clear();
         }
@@ -683,10 +683,9 @@ ShardedMatchService::serve(const MatchRequest &req)
     // (or with that check off). Re-execute both suspects on spares; an
     // unresolved disagreement fails the request typed rather than
     // stitching unverified bits.
-    if (cfg.overlapCheck && nshards > 1 && overlap > 0) {
+    if (nshards > 1 && overlap > 0) {
         std::size_t repairs = 0;
-        const std::size_t max_repairs =
-            nshards * (static_cast<std::size_t>(cfg.maxSliceRetries) + 1);
+        const std::size_t max_repairs = nshards * (sliceRetries + 1);
         for (std::size_t s = 1; s < nshards; ++s) {
             SliceState &cur = batch->slices[s];
             SliceState &left = batch->slices[s - 1];

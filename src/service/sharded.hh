@@ -14,11 +14,10 @@
  * workers. serve() splits the text into at most threadCount() slices.
  * Each shard's window overlaps its left neighbor by k-1 characters of
  * warm-up (dropped at stitching: those bits are computed with
- * truncated history) and, when the overlap cross-check is on, also
- * extends k-1 characters past its own end -- so the first k-1 *kept*
- * positions of every interior slice are computed twice with full
- * history, once by each neighbor. The stitched response is
- * bit-identical to the unsharded service.
+ * truncated history) and also extends k-1 characters past its own
+ * end -- so the first k-1 *kept* positions of every interior slice
+ * are computed twice with full history, once by each neighbor. The
+ * stitched response is bit-identical to the unsharded service.
  *
  * The fault-tolerance story mirrors Section 5's wafer-harvest model
  * one level up: the paper buys yield from defective cells with spare
@@ -34,11 +33,11 @@
  *                  ShardError, never process death;
  *   spare slots    a failed or timed-out slice is re-executed on a
  *                  spare MatchService slot (the harvest analogy made
- *                  explicit), up to maxSliceRetries attempts;
+ *                  explicit), up to two retries per slice;
  *   quarantine     a slot that fails repeatedly trips a circuit
- *                  breaker: it stops receiving primary slices until a
- *                  half-open probe (every probeAfterBatches batches)
- *                  succeeds;
+ *                  breaker after three consecutive failures: it stops
+ *                  receiving primary slices until a half-open probe
+ *                  (every eight batches) succeeds;
  *   overlap check  each slice's right extension recomputes the k-1
  *                  bits its right neighbor will keep -- before
  *                  stitching, the two full-history copies are compared
@@ -96,37 +95,12 @@ struct ShardedConfig
      */
     unsigned spareShards = 1;
     /**
-     * Re-execution attempts per slice beyond the primary one. Retries
-     * run inline on the calling thread against spare slots, so a pool
-     * whose workers are all wedged still makes progress.
-     */
-    unsigned maxSliceRetries = 2;
-    /**
      * Bounded wait for the primary slice wave, in wall-clock
-     * milliseconds; a slice not resolved by then is abandoned (its
-     * worker may still be running; the late result is discarded) and
-     * retried on a spare. 0 waits forever -- only for tests that want
-     * the pre-deadline behavior.
+     * milliseconds (must be positive); a slice not resolved by then
+     * is abandoned (its worker may still be running; the late result
+     * is discarded) and retried on a spare.
      */
     std::uint32_t batchDeadlineMs = 2000;
-    /**
-     * Consecutive slice failures that quarantine a shard slot behind
-     * its circuit breaker. 0 disables quarantine.
-     */
-    unsigned quarantineAfter = 3;
-    /**
-     * Batches after which a quarantined slot is probed half-open with
-     * one primary slice; success closes the breaker, failure reopens
-     * it for another round.
-     */
-    unsigned probeAfterBatches = 8;
-    /**
-     * Extend every slice k-1 characters past its end so neighbor
-     * shards compute the boundary bits twice with full history, and
-     * compare the copies before stitching; a mismatch re-executes
-     * both suspects on spares. Off = minimal windows, no redundancy.
-     */
-    bool overlapCheck = true;
     /**
      * Pin worker i to core i mod hardware_concurrency() (Linux
      * affinity; elsewhere a no-op). Off by default: pinning helps a
@@ -298,8 +272,7 @@ class ShardedMatchService
     void enqueue(std::vector<std::function<void()>> &tasks);
     /**
      * Wait until every slice of @p batch resolved, or @p deadline_ms
-     * elapsed (0 = no deadline). Returns true when all resolved --
-     * the bounded replacement for the old unbounded runAll() join.
+     * elapsed. Returns true when all resolved.
      */
     bool awaitBatch(Batch &batch, std::uint32_t deadline_ms);
 

@@ -373,12 +373,12 @@ TEST(Oracles, RegistryNamesEveryImplementation)
     const std::vector<std::string> names = allOracleNames(true);
     // 8 base implementations (sharded x3 = 10 configurations), plus
     // the bit-sliced kernel at its scalar tier, its best tier and SSE2
-    // when that sits between them, plus three batch pack shapes, plus
+    // when that sits between them, plus two batch pack widths, plus
     // four dictionary shapes.
     const std::size_t sse2_between =
         core::simdIsaSupported(core::SimdIsa::Sse2) &&
         core::SimdIsa::Sse2 < core::bestSimdIsa();
-    EXPECT_EQ(names.size(), 10u + 2u + sse2_between + 3u + 4u);
+    EXPECT_EQ(names.size(), 10u + 2u + sse2_between + 2u + 4u);
     EXPECT_EQ(names.front(), "reference");
     const auto has = [&](const std::string &n) {
         return std::find(names.begin(), names.end(), n) != names.end();
@@ -387,7 +387,6 @@ TEST(Oracles, RegistryNamesEveryImplementation)
     EXPECT_TRUE(has("simd-parallel-scalar"));
     EXPECT_TRUE(has("batch-w3"));
     EXPECT_TRUE(has("batch-w64"));
-    EXPECT_TRUE(has("batch-w3-chunk7"));
     EXPECT_TRUE(has("dict-p1"));
     EXPECT_TRUE(has("dict-p8"));
     EXPECT_TRUE(has("dict-p64"));

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "core/behavioral.hh"
 #include "core/gatechip.hh"
 #include "core/reference.hh"
@@ -19,7 +17,6 @@
 #include "fault/model.hh"
 #include "fault/parity.hh"
 #include "fault/retry.hh"
-#include "fault/tmr.hh"
 #include "flow/wafer.hh"
 #include "util/rng.hh"
 
@@ -200,37 +197,6 @@ TEST(Detection, CleanRunRaisesNoSignals)
     const TrialResult tr = campaign.runTrial(f);
     EXPECT_EQ(tr.outcome, Outcome::Masked);
     EXPECT_EQ(tr.detectors(), "-");
-}
-
-TEST(Tmr, SingleFaultyLaneIsOutvoted)
-{
-    // Lane 0 lies (always-true matcher); the two honest lanes carry
-    // the vote.
-    class AlwaysTrue : public core::Matcher
-    {
-      public:
-        std::vector<bool> match(const std::vector<Symbol> &text,
-                                const std::vector<Symbol> &) override
-        {
-            return std::vector<bool>(text.size(), true);
-        }
-        std::string name() const override { return "always-true"; }
-    };
-
-    TmrMatcher tmr(std::make_unique<AlwaysTrue>(),
-                   std::make_unique<core::ReferenceMatcher>(),
-                   std::make_unique<core::ReferenceMatcher>());
-
-    WorkloadGen gen(7, 2);
-    const auto pattern = gen.randomPattern(3);
-    const auto text = gen.textWithPlants(40, pattern, 10);
-    const auto golden = core::ReferenceMatcher().match(text, pattern);
-
-    EXPECT_EQ(tmr.match(text, pattern), golden);
-    EXPECT_GT(tmr.lastDisagreements(), 0u);
-    EXPECT_EQ(tmr.lastLaneErrors(0), tmr.lastDisagreements());
-    EXPECT_EQ(tmr.lastLaneErrors(1), 0u);
-    EXPECT_EQ(tmr.lastLaneErrors(2), 0u);
 }
 
 TEST(Tmr, CampaignVoteCorrectsWithoutRetry)

@@ -254,51 +254,55 @@ TEST(ChaosService, HangIsAbandonedAtDeadlineAndServedBySpare)
 
 TEST(ChaosService, QuarantineOpensProbesHalfOpenAndHeals)
 {
-    // Slot 0 throws on its first three windows, then behaves: two
-    // failures quarantine it, the first half-open probe fails (third
-    // injection), the second probe succeeds and closes the breaker.
+    // Slot 0 throws on its first four windows, then behaves: three
+    // failures quarantine it, the first half-open probe eight batches
+    // later fails (fourth injection), the second probe succeeds and
+    // closes the breaker.
     ChaosConfig storm;
     storm.seed = 15;
     storm.throwProb = 1.0;
     storm.targetSlots = {0};
-    storm.maxInjectionsPerSlot = 3;
+    storm.maxInjectionsPerSlot = 4;
     auto plan = std::make_shared<const ChaosPlan>(storm);
     ShardedConfig cfg = chaosShardConfig(2, 1);
     cfg.minShardChars = 256; // single-shard requests, always slot 0 first
-    cfg.quarantineAfter = 2;
-    cfg.probeAfterBatches = 2;
     ShardedMatchService sharded(
         cfg, makeChaosLadderFactory(plan, softwareFactory()));
 
     const auto req = randomRequest(0xE5, 100, 4);
     const std::vector<bool> want = expected(req);
-
-    // Serves 1-2: slot 0 throws, spare recovers, breaker opens.
-    for (int i = 0; i < 2; ++i) {
+    const auto serveOk = [&] {
         const MatchResponse r = sharded.serve(req);
         ASSERT_TRUE(r.ok()) << r.error.detail;
         EXPECT_EQ(r.result, want);
+    };
+
+    // Serves 1-3: slot 0 throws, spare recovers, breaker opens.
+    for (int i = 0; i < 3; ++i)
+        serveOk();
+    EXPECT_EQ(sharded.breakerState(0), BreakerState::Open);
+
+    // Serves 4-10: the quarantined slot is skipped; slot 1 serves
+    // honestly.
+    for (int i = 4; i <= 10; ++i) {
+        serveOk();
+        EXPECT_TRUE(sharded.lastShardErrors().empty());
+        EXPECT_EQ(sharded.breakerState(0), BreakerState::Open);
     }
-    EXPECT_EQ(sharded.breakerState(0), BreakerState::Open);
 
-    // Serve 3: quarantined slot is skipped; slot 1 serves honestly.
-    const MatchResponse r3 = sharded.serve(req);
-    ASSERT_TRUE(r3.ok());
-    EXPECT_TRUE(sharded.lastShardErrors().empty());
-
-    // Serve 4: half-open probe on slot 0 fails (last injection);
+    // Serve 11: half-open probe on slot 0 fails (last injection);
     // straight back to quarantine, request still recovered.
-    const MatchResponse r4 = sharded.serve(req);
-    ASSERT_TRUE(r4.ok());
-    EXPECT_EQ(r4.result, want);
+    serveOk();
+    EXPECT_FALSE(sharded.lastShardErrors().empty());
     EXPECT_EQ(sharded.breakerState(0), BreakerState::Open);
 
-    // Serve 5 routes around; serve 6 probes again -- the storm is
-    // spent, the probe succeeds, the breaker closes.
-    ASSERT_TRUE(sharded.serve(req).ok());
-    const MatchResponse r6 = sharded.serve(req);
-    ASSERT_TRUE(r6.ok());
-    EXPECT_EQ(r6.result, want);
+    // Serves 12-18 route around; serve 19 probes again -- the storm
+    // is spent, the probe succeeds, the breaker closes.
+    for (int i = 12; i <= 18; ++i)
+        serveOk();
+    EXPECT_EQ(sharded.breakerState(0), BreakerState::Open);
+    serveOk();
+    EXPECT_TRUE(sharded.lastShardErrors().empty());
     EXPECT_EQ(sharded.breakerState(0), BreakerState::Closed);
 
     const telem::Snapshot snap = sharded.metricsSnapshot();

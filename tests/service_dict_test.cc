@@ -34,7 +34,6 @@ smallConfig()
     cfg.base.alphabetBits = 3;
     cfg.base.maxTextLen = 4096;
     cfg.base.maxPatternLen = 64;
-    cfg.maxDictPatterns = 16;
     return cfg;
 }
 
@@ -56,9 +55,13 @@ TEST(DictValidation, TypedRejectionsPinTheMember)
     EXPECT_EQ(err.patternIndex, DictError::noPattern);
     EXPECT_EQ(err.toString(), "invalid_dictionary: empty dictionary");
 
-    DictPatterns tooMany(17, {Symbol(1)});
+    // The member limit is 4096: one more is rejected whole.
+    DictPatterns tooMany(4097, {Symbol(1)});
     err = svc.validateDict(tooMany);
     EXPECT_EQ(err.error.code, ErrorCode::InvalidDictionary);
+    EXPECT_EQ(err.patternIndex, DictError::noPattern);
+    tooMany.pop_back();
+    EXPECT_TRUE(svc.validateDict(tooMany).ok());
 
     err = svc.validateDict({{1}, {}});
     EXPECT_EQ(err.error.code, ErrorCode::InvalidPattern);

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/reference.hh"
 #include "service/service.hh"
 #include "service/sharded.hh"
@@ -283,6 +285,14 @@ TEST(ShardedService, TracedServeExportsValidChromeTrace)
     buf.clear();
 }
 #endif // SPM_TELEM_OFF
+
+TEST(ShardedService, ZeroBatchDeadlineIsRejectedAtConstruction)
+{
+    // There is no wait-forever mode: every slice wave is bounded.
+    ShardedConfig cfg = smallShardConfig(2, 2);
+    cfg.batchDeadlineMs = 0;
+    EXPECT_THROW(ShardedMatchService sharded(cfg), std::logic_error);
+}
 
 TEST(ShardedService, EmptyTextServesEmptyResult)
 {

@@ -310,19 +310,6 @@ TEST(ServiceTelemetry, ChunkCommitsLandInRecorderAndHistogram)
 #endif
 }
 
-TEST(ServiceTelemetry, ZeroFlightCapacityKeepsOneEvent)
-{
-    // A zero capacity reads as a one-event ring; it never grows.
-    ServiceConfig cfg = smallConfig();
-    cfg.flightCapacity = 0;
-    MatchService svc(cfg);
-    const MatchResponse resp = svc.serve(seededRequest(33, 45, 160, 3));
-    ASSERT_TRUE(resp.ok());
-    ASSERT_GE(resp.chunks, 10u);
-    EXPECT_EQ(svc.flightRecorder().size(), 1u);
-    EXPECT_EQ(svc.flightRecorder().recordedTotal(), resp.chunks);
-}
-
 TEST(ServiceTelemetry, RegistryBacksTheLegacyDumpFormat)
 {
     MatchService svc(smallConfig());
@@ -368,9 +355,7 @@ TEST(ServiceTelemetry, CrossCheckMismatchLeavesBreadcrumb)
     std::vector<std::unique_ptr<ServiceBackend>> ladder;
     ladder.push_back(std::make_unique<LyingBackend>());
     ladder.push_back(std::make_unique<SoftwareBackend>());
-    ServiceConfig cfg = smallConfig();
-    cfg.rungFaultBudget = 1;
-    MatchService svc(cfg, std::move(ladder));
+    MatchService svc(smallConfig(), std::move(ladder));
     svc.flightRecorder().setDumpSink([](const std::string &) {});
 
     const MatchRequest req = seededRequest(7, 31, 48, 4);

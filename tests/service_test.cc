@@ -673,8 +673,7 @@ TEST(Watchdog, WedgedBackendIsCancelledWithinBudget)
     // within the armed beat budget and return deadline_exceeded.
     std::vector<std::unique_ptr<ServiceBackend>> ladder;
     ladder.push_back(std::make_unique<WedgedBackend>());
-    ServiceConfig cfg = smallConfig();
-    cfg.watchdogMargin = 1.5;
+    const ServiceConfig cfg = smallConfig();
     MatchService svc(cfg, std::move(ladder));
 
     const MatchRequest req = seededRequest(9, 11, 2, 40, 4);
@@ -724,9 +723,7 @@ TEST(Ladder, LyingBackendNeverCorruptsSilently)
     std::vector<std::unique_ptr<ServiceBackend>> ladder;
     ladder.push_back(std::make_unique<LyingBackend>());
     ladder.push_back(std::make_unique<SoftwareBackend>());
-    ServiceConfig cfg = smallConfig();
-    cfg.rungFaultBudget = 1;
-    MatchService svc(cfg, std::move(ladder));
+    MatchService svc(smallConfig(), std::move(ladder));
 
     const MatchRequest req = seededRequest(5, 31, 2, 48, 4);
     const MatchResponse resp = svc.serve(req);
@@ -758,9 +755,7 @@ TEST(Ladder, InjectedPermanentFaultDegradesToSoftware)
     ladder.push_back(std::move(faulty));
     ladder.push_back(std::make_unique<SoftwareBackend>());
 
-    ServiceConfig cfg = smallConfig();
-    cfg.rungFaultBudget = 1;
-    MatchService svc(cfg, std::move(ladder));
+    MatchService svc(smallConfig(), std::move(ladder));
 
     const MatchRequest req = seededRequest(6, 37, 2, 48, 4, 0.0);
     const MatchResponse resp = svc.serve(req);

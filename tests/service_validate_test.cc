@@ -170,12 +170,6 @@ TEST(ValidateFrontEnds, BatchServiceUsesSharedRules)
     cfg.base = smallConfig();
     BatchMatchService svc(cfg);
     for (const auto &v : violations()) {
-        // openGroup validates the pattern once for the whole group.
-        ServiceError err;
-        BatchStreamGroup group = svc.openGroup(v.pattern, 2, err);
-        EXPECT_EQ(err.code, v.want);
-        EXPECT_EQ(group.width(), 0u);
-
         // serveBatch validates per request.
         MatchRequest req;
         req.pattern = v.pattern;
@@ -185,21 +179,37 @@ TEST(ValidateFrontEnds, BatchServiceUsesSharedRules)
         EXPECT_EQ(responses[0].error.code, v.want);
     }
 
-    // Chunk admission shares validateText: out-of-alphabet bytes and
-    // the cumulative per-stream bound reject before carries advance,
-    // and each rejected feed is counted like every other front end's.
+    // Text admission shares validateText: out-of-alphabet bytes and
+    // the per-request length bound reject, and each rejection is
+    // counted like every other front end's.
     const auto &rejected = svc.stats().counter("rejected");
-    ServiceError err;
-    BatchStreamGroup group = svc.openGroup({1, 2}, 1, err);
-    ASSERT_EQ(err.code, ErrorCode::Ok);
     const std::uint64_t before = rejected.value();
-    auto fed = svc.feedGroup(group, {{Symbol(9)}});
-    EXPECT_EQ(fed.error.code, ErrorCode::AlphabetOverflow);
+    MatchRequest req;
+    req.pattern = {1, 2};
+    req.text = {Symbol(9)};
+    auto responses = svc.serveBatch({req});
+    EXPECT_EQ(responses[0].error.code, ErrorCode::AlphabetOverflow);
     EXPECT_EQ(rejected.value(), before + 1);
-    fed = svc.feedGroup(
-        group, {std::vector<Symbol>(cfg.base.maxTextLen + 1, Symbol(0))});
-    EXPECT_EQ(fed.error.code, ErrorCode::OversizedRequest);
+    req.text.assign(cfg.base.maxTextLen + 1, Symbol(0));
+    responses = svc.serveBatch({req});
+    EXPECT_EQ(responses[0].error.code, ErrorCode::OversizedRequest);
     EXPECT_EQ(rejected.value(), before + 2);
+}
+
+TEST(ValidateFrontEnds, BatchServiceAdmitsAtMost4096Streams)
+{
+    BatchServiceConfig cfg;
+    cfg.base = smallConfig();
+    BatchMatchService svc(cfg);
+    MatchRequest req;
+    req.pattern = {1, 2};
+    req.text = {0, 1, 2};
+    const std::vector<MatchRequest> batch(4097, req);
+    const auto responses = svc.serveBatch(batch);
+    ASSERT_EQ(responses.size(), batch.size());
+    EXPECT_TRUE(responses[4095].ok());
+    EXPECT_EQ(responses[4096].error.code, ErrorCode::QueueOverflow);
+    EXPECT_EQ(svc.stats().counter("rejected").value(), 1u);
 }
 
 TEST(ValidateFrontEnds, BatchServiceGroupsOnePassPerDistinctPattern)

@@ -48,6 +48,18 @@ TEST(FlightRecorder, RingIsBoundedOldestFirst)
     }
 }
 
+TEST(FlightRecorder, ZeroCapacityKeepsOneEvent)
+{
+    // A zero capacity reads as a one-event ring; it never grows.
+    FlightRecorder rec(0);
+    for (std::uint64_t i = 0; i < 12; ++i)
+        rec.record(chunkEvent(1, i));
+    const std::vector<EventRecord> events = rec.events();
+    ASSERT_EQ(rec.size(), 1u);
+    EXPECT_EQ(events.back().offset, 11u);
+    EXPECT_EQ(rec.recordedTotal(), 12u);
+}
+
 TEST(FlightRecorder, RingWraparoundIsExactAtBoundaries)
 {
     FlightRecorder rec(4);

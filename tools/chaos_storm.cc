@@ -39,7 +39,7 @@ usage(std::FILE *out)
         "  --requests N     requests in the campaign (default 32)\n"
         "  --text-len N     characters per request (default 2048)\n"
         "  --pattern-len N  pattern length (default 5)\n"
-        "  --deadline-ms N  batch deadline (default 200)\n"
+        "  --deadline-ms N  batch deadline, > 0 (default 200)\n"
         "  --stall P        per-window stall probability (default 0.05)\n"
         "  --hang P         per-window hang probability (default 0.01)\n"
         "  --throw P        per-window throw probability (default 0.05)\n"
@@ -157,9 +157,15 @@ main(int argc, char **argv)
             cc.textLen = parseNum(arg, value());
         else if (std::strcmp(arg, "--pattern-len") == 0)
             cc.patternLen = parseNum(arg, value());
-        else if (std::strcmp(arg, "--deadline-ms") == 0)
+        else if (std::strcmp(arg, "--deadline-ms") == 0) {
             cc.sharded.batchDeadlineMs =
                 static_cast<std::uint32_t>(parseNum(arg, value()));
+            if (cc.sharded.batchDeadlineMs == 0) {
+                std::fprintf(stderr,
+                             "chaos_storm: --deadline-ms must be positive\n");
+                return 2;
+            }
+        }
         else if (std::strcmp(arg, "--stall") == 0)
             cc.chaos.stallProb = parseProb(arg, value());
         else if (std::strcmp(arg, "--hang") == 0)
