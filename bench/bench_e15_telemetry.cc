@@ -64,7 +64,6 @@ void
 setTelemetry(bool on)
 {
     telem::TraceBuffer::global().setEnabled(on);
-    telem::TraceBuffer::global().setCategoryMask(telem::cat::all);
     telem::setSamplingEnabled(on);
 }
 

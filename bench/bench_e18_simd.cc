@@ -242,11 +242,13 @@ batchServiceReport()
     const std::size_t k = 8;
     const std::size_t requests = smokeMode() ? 64 : 1024;
 
+    service::ServiceConfig scfg;
+    scfg.alphabetBits = 2;
+    scfg.maxTextLen = len * 4;
+    scfg.crossCheck = false;
+    scfg.journalEnabled = false;
     service::BatchServiceConfig bcfg;
-    bcfg.base.alphabetBits = 2;
-    bcfg.base.maxTextLen = len * 4;
-    bcfg.base.crossCheck = false;
-    bcfg.base.journalEnabled = false;
+    bcfg.base = scfg;
 
     WorkloadGen gen(0xE18F00D, 2);
     const auto pattern = gen.randomPattern(k, 0.12);
@@ -265,7 +267,7 @@ batchServiceReport()
     rung.push_back(std::make_unique<service::MatcherBackend>(
         std::make_unique<SimdParallelMatcher>()));
     service::BatchMatchService batched(bcfg);
-    service::MatchService streaming(bcfg.base, std::move(rung));
+    service::MatchService streaming(scfg, std::move(rung));
     const double total = static_cast<double>(requests * len);
 
     double s_batched = 1e300;

@@ -251,9 +251,14 @@ dictServiceReport()
     cfg.base.maxTextLen = n * 2;
     service::DictMatchService svc(cfg);
 
-    service::DictMatchService::DictMatchResult res;
-    const double s_oneshot =
-        bestOf([&] { res = svc.matchDict(text, dict); });
+    // One-shot: bind the dictionary and feed the whole text, both
+    // inside the timed region.
+    service::DictMatchService::ChunkResult res;
+    const double s_oneshot = bestOf([&] {
+        service::DictSession session = svc.openSession(dict, res.error);
+        if (res.ok())
+            res = svc.feedChunk(session, text);
+    });
     const bool ok = res.ok();
 
     // The chunked path: one session, 4 KiB chunks with carry replay.

@@ -35,8 +35,8 @@ namespace spm::service
 /** Configuration of the batched request path. */
 struct BatchServiceConfig
 {
-    /** Bounds, alphabet and bus shared with the streaming service. */
-    ServiceConfig base;
+    /** Bounds, alphabet and bus shared with the other front ends. */
+    FrontEndConfig base;
     /**
      * Replay every Nth kernel pass through the reference matcher and
      * compare bit for bit (0 disables). Sampling, not per-chunk: the
@@ -46,8 +46,15 @@ struct BatchServiceConfig
     unsigned crossCheckEvery = 0;
 };
 
-/** The batched match service. */
-class BatchMatchService
+/**
+ * The batched match service. stats(): counters batches, streams,
+ * streamChars, kernelPasses, rejected, crossChecks,
+ * crossCheckFailures; histogram batch_width (streams per kernel
+ * pass); statsDump() prints them as "batch.x = n". An exemplar is one
+ * call, named by its lead stream's case; a sampled cross-check
+ * mismatch force-retains it.
+ */
+class BatchMatchService : public FrontEnd
 {
   public:
     explicit BatchMatchService(BatchServiceConfig config);
@@ -68,31 +75,6 @@ class BatchMatchService
     /** The wrapped batch matcher (kernel tier, last widths). */
     const core::BatchMatcher &matcher() const { return engine; }
 
-    /**
-     * Lifetime metrics: counters batches, streams, streamChars,
-     * kernelPasses, rejected, crossChecks, crossCheckFailures;
-     * histogram batch_width (streams per kernel pass).
-     */
-    const telem::Registry &stats() const { return metrics; }
-
-    /** The counters and histogram as one snapshot (bare names). */
-    telem::Snapshot metricsSnapshot() const;
-
-    /** "batch.x = n" stat lines plus the bus transfer counters. */
-    std::string statsDump() const;
-
-    /**
-     * Tail-sampled exemplar traces: the slowest passes, a uniform
-     * sample, and every pass whose sampled cross-check mismatched,
-     * each with its stage split and a case reference for the pass's
-     * lead stream.
-     */
-    const telem::ExemplarReservoir &exemplars() const
-    {
-        return exemplarStore;
-    }
-    telem::ExemplarReservoir &exemplars() { return exemplarStore; }
-
   private:
     /** One kernel pass over @p texts plus the sampled cross-check. */
     std::vector<std::vector<bool>> runPass(
@@ -105,17 +87,13 @@ class BatchMatchService
     /** "batch+<kernel>", the backend every response names. */
     const std::string backendName;
 
-    telem::Registry metrics{1};
     telem::Counter &batchesCtr;
     telem::Counter &streamsCtr;
     telem::Counter &streamCharsCtr;
     telem::Counter &kernelPassesCtr;
-    telem::Counter &rejectedCtr;
     telem::Counter &crossChecksCtr;
     telem::Counter &crossCheckFailuresCtr;
     telem::LogHistogram &batchWidthHist;
-    telem::ExemplarReservoir exemplarStore;
-    telem::RequestObserver reqObs;
 };
 
 } // namespace spm::service

@@ -41,8 +41,8 @@ namespace spm::service
 /** Configuration of the dictionary serving path. */
 struct DictServiceConfig
 {
-    /** Bounds, alphabet and bus shared with the streaming service. */
-    ServiceConfig base;
+    /** Bounds, alphabet and bus shared with the other front ends. */
+    FrontEndConfig base;
     /**
      * Replay every Nth chunk through the naive per-pattern reference
      * and compare bit for bit (0 disables).
@@ -94,8 +94,16 @@ class DictSession
     std::uint64_t chunksFed = 0;
 };
 
-/** The dictionary match service. */
-class DictMatchService
+/**
+ * The dictionary match service. stats(): counters dictionaries,
+ * chunks, chunkChars, hits, rejected, crossChecks,
+ * crossCheckFailures; histograms dict_size (members per session),
+ * hits_per_chunk, planes_per_sweep (bit planes the engine built per
+ * chunk); statsDump() prints them as "dict.x = n". An exemplar is one
+ * chunk; its case names dictionary member 0 against the chunk (the
+ * conformance case format is single-pattern).
+ */
+class DictMatchService : public FrontEnd
 {
   public:
     explicit DictMatchService(DictServiceConfig config);
@@ -116,16 +124,6 @@ class DictMatchService
         /** Per-pattern hit bits for exactly the new chunk positions. */
         multipattern::DictHits hits;
         /** Set bits in hits, counted by the engine as it wrote them. */
-        std::uint64_t totalHits = 0;
-
-        bool ok() const { return error.ok(); }
-    };
-
-    /** Result of one-shot whole-text matching. */
-    struct DictMatchResult
-    {
-        DictError error;
-        multipattern::DictHits hits;
         std::uint64_t totalHits = 0;
 
         bool ok() const { return error.ok(); }
@@ -152,53 +150,19 @@ class DictMatchService
                           const std::vector<Symbol> &chunk,
                           std::uint64_t enqueued_ns = 0);
 
-    /** Validate + serve @p text against @p dict in one call. */
-    DictMatchResult matchDict(const std::vector<Symbol> &text,
-                              const multipattern::DictPatterns &dict);
-
-    /**
-     * Lifetime metrics: counters dictionaries, chunks, chunkChars,
-     * hits, rejected, crossChecks, crossCheckFailures; histograms
-     * dict_size (members per session), hits_per_chunk,
-     * planes_per_sweep (bit planes the engine built per chunk).
-     */
-    const telem::Registry &stats() const { return metrics; }
-
-    /** The counters and histograms as one snapshot (bare names). */
-    telem::Snapshot metricsSnapshot() const;
-
-    /** "dict.x = n" stat lines plus the bus transfer counters. */
-    std::string statsDump() const;
-
-    /**
-     * Tail-sampled exemplar traces: the slowest chunks, a uniform
-     * sample, and every chunk whose sampled cross-check mismatched.
-     * The case reference names dictionary member 0 against the chunk's
-     * window (the conformance case format is single-pattern).
-     */
-    const telem::ExemplarReservoir &exemplars() const
-    {
-        return exemplarStore;
-    }
-    telem::ExemplarReservoir &exemplars() { return exemplarStore; }
-
   private:
     DictServiceConfig cfg;
     multipattern::BitSlicedDictMatcher engine;
 
-    telem::Registry metrics{1};
     telem::Counter &dictionariesCtr;
     telem::Counter &chunksCtr;
     telem::Counter &chunkCharsCtr;
     telem::Counter &hitsCtr;
-    telem::Counter &rejectedCtr;
     telem::Counter &crossChecksCtr;
     telem::Counter &crossCheckFailuresCtr;
     telem::LogHistogram &dictSizeHist;
     telem::LogHistogram &hitsPerChunkHist;
     telem::LogHistogram &planesPerSweepHist;
-    telem::ExemplarReservoir exemplarStore;
-    telem::RequestObserver reqObs;
 };
 
 } // namespace spm::service

@@ -49,42 +49,7 @@ pinToCore(unsigned worker_index)
 #endif
 }
 
-/**
- * Slice failures that are the request's fault, not the shard's: a
- * retry on a spare would fail identically, so they propagate as-is
- * and charge nothing against the slot's circuit breaker.
- */
-bool
-isRequestFault(ErrorCode code)
-{
-    switch (code) {
-    case ErrorCode::InvalidPattern:
-    case ErrorCode::AlphabetOverflow:
-    case ErrorCode::OversizedRequest:
-    case ErrorCode::QueueOverflow:
-    case ErrorCode::Shed:
-    case ErrorCode::InvalidCheckpoint:
-        return true;
-    default:
-        return false;
-    }
-}
-
 } // namespace
-
-const char *
-breakerStateName(BreakerState state)
-{
-    switch (state) {
-    case BreakerState::Closed:
-        return "closed";
-    case BreakerState::Open:
-        return "open";
-    case BreakerState::HalfOpen:
-        return "half-open";
-    }
-    return "?";
-}
 
 const char *
 shardFaultKindName(ShardFaultKind kind)
@@ -124,6 +89,7 @@ struct ShardedMatchService::SliceState
     std::size_t keepLen = 0;    ///< result bits this slice contributes
     std::size_t rightExt = 0;   ///< extra chars past the slice end
     std::uint32_t slot = 0;     ///< slot of the latest attempt
+    bool started = false;       ///< a worker picked the primary task up
     bool abandoned = false;     ///< timed out; straggler owns the lease
     unsigned epoch = 0;
     bool resolved = false;
@@ -151,18 +117,19 @@ ShardedMatchService::ShardedMatchService(ShardedConfig config)
 
 ShardedMatchService::ShardedMatchService(ShardedConfig config,
                                          const LadderFactory &factory)
-    : cfg(std::move(config)),
-      shardFailuresCtr(supMetrics.counter("shard_failures")),
-      shardTimeoutsCtr(supMetrics.counter("shard_timeouts")),
-      shardExceptionsCtr(supMetrics.counter("shard_exceptions")),
-      shardRetriesCtr(supMetrics.counter("shard_retries")),
-      spareServesCtr(supMetrics.counter("spare_serves")),
-      quarantinesCtr(supMetrics.counter("quarantines")),
-      probesCtr(supMetrics.counter("probes")),
-      overlapChecksCtr(supMetrics.counter("overlap_checks")),
-      overlapMismatchesCtr(supMetrics.counter("overlap_mismatches")),
-      queueWaitHist(supMetrics.logHistogram("queue_wait_beats")),
-      reqObs(supMetrics, "sharded", &exemplarStore)
+    // Striped for the workers; the snapshot names all "sharded.x".
+    : FrontEnd(config.base.alphabetBits, "sharded", "", 4),
+      cfg(std::move(config)),
+      shardFailuresCtr(metrics.counter("shard_failures")),
+      shardTimeoutsCtr(metrics.counter("shard_timeouts")),
+      shardExceptionsCtr(metrics.counter("shard_exceptions")),
+      shardRetriesCtr(metrics.counter("shard_retries")),
+      spareServesCtr(metrics.counter("spare_serves")),
+      quarantinesCtr(metrics.counter("quarantines")),
+      probesCtr(metrics.counter("probes")),
+      overlapChecksCtr(metrics.counter("overlap_checks")),
+      overlapMismatchesCtr(metrics.counter("overlap_mismatches")),
+      queueWaitHist(metrics.logHistogram("queue_wait_beats"))
 {
     spm_assert(cfg.threads > 0, "sharded service needs at least one thread");
     spm_assert(cfg.minShardChars > 0, "minShardChars must be positive");
@@ -176,8 +143,10 @@ ShardedMatchService::ShardedMatchService(ShardedConfig config,
         shards.push_back(std::make_unique<MatchService>(
             std::move(shard_cfg), std::move(ladder)));
     }
-    slotHealth.resize(cfg.threads);
-    startWorkers();
+    slotHealth.resize(slots);
+    workers.reserve(cfg.threads);
+    for (unsigned i = 0; i < cfg.threads; ++i)
+        workers.emplace_back([this, i] { workerLoop(i); });
 }
 
 ShardedMatchService::~ShardedMatchService()
@@ -189,14 +158,6 @@ ShardedMatchService::~ShardedMatchService()
     taskReady.notify_all();
     for (std::thread &w : workers)
         w.join();
-}
-
-void
-ShardedMatchService::startWorkers()
-{
-    workers.reserve(cfg.threads);
-    for (unsigned i = 0; i < cfg.threads; ++i)
-        workers.emplace_back([this, i] { workerLoop(i); });
 }
 
 void
@@ -258,16 +219,6 @@ ShardedMatchService::enqueue(std::vector<std::function<void()>> &tasks)
     taskReady.notify_all();
 }
 
-bool
-ShardedMatchService::awaitBatch(Batch &batch, std::uint32_t deadline_ms)
-{
-    std::unique_lock<std::mutex> lock(batch.bmu);
-    const auto all_resolved = [&batch] { return batch.unresolved == 0; };
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(deadline_ms);
-    return batch.resolvedCv.wait_until(lock, deadline, all_resolved);
-}
-
 MatchResponse
 ShardedMatchService::serveSliceOn(std::size_t slot,
                                   const MatchRequest &piece,
@@ -292,7 +243,7 @@ ShardedMatchService::serveSliceOn(std::size_t slot,
 void
 ShardedMatchService::noteSlotOutcome(std::uint32_t slot, bool ok)
 {
-    if (slot >= slotHealth.size())
+    if (slot >= cfg.threads)
         return; // spares carry no breaker
     bool quarantined = false;
     {
@@ -303,13 +254,10 @@ ShardedMatchService::noteSlotOutcome(std::uint32_t slot, bool ok)
             h.state = BreakerState::Closed;
         } else {
             ++h.consecutiveFailures;
-            if (h.state == BreakerState::HalfOpen) {
-                // Failed probe: straight back to quarantine.
-                h.state = BreakerState::Open;
-                h.openedAtBatch = batchCounter;
-                quarantined = true;
-            } else if (h.state == BreakerState::Closed &&
-                       h.consecutiveFailures >= failuresToQuarantine) {
+            // A failed probe goes straight back to quarantine.
+            if (h.state == BreakerState::HalfOpen ||
+                (h.state == BreakerState::Closed &&
+                 h.consecutiveFailures >= failuresToQuarantine)) {
                 h.state = BreakerState::Open;
                 h.openedAtBatch = batchCounter;
                 quarantined = true;
@@ -327,38 +275,75 @@ ShardedMatchService::noteSlotOutcome(std::uint32_t slot, bool ok)
 }
 
 std::vector<std::uint32_t>
-ShardedMatchService::assignableSlots()
+ShardedMatchService::leaseSlots(std::size_t want)
 {
     std::vector<std::uint32_t> out;
     std::uint64_t probes = 0;
     {
         std::lock_guard<std::mutex> lock(healthMu);
         ++batchCounter;
-        for (std::uint32_t s = 0; s < slotHealth.size(); ++s) {
+        for (std::uint32_t s = 0; s < cfg.threads; ++s) {
             SlotHealth &h = slotHealth[s];
             if (h.busy)
                 continue; // leased to a (possibly abandoned) task
             if (h.state == BreakerState::Open) {
-                if (batchCounter - h.openedAtBatch >= batchesToProbe) {
-                    h.state = BreakerState::HalfOpen;
-                    ++probes;
-                } else {
+                if (batchCounter - h.openedAtBatch < batchesToProbe)
                     continue;
-                }
+                h.state = BreakerState::HalfOpen;
+                ++probes;
             }
-            out.push_back(s);
+            if (out.size() < want) {
+                h.busy = true;
+                out.push_back(s);
+            }
         }
+        // Spare-less with every primary quarantined or leased: force
+        // a free one through as an implicit probe.
+        for (std::uint32_t s = 0;
+             out.empty() && cfg.spareShards == 0 && s < cfg.threads; ++s)
+            if (!slotHealth[s].busy) {
+                slotHealth[s].busy = true;
+                out.push_back(s);
+            }
     }
     if (probes > 0)
         probesCtr.add(probes);
+    if (out.empty())
+        if (const std::optional<std::uint32_t> spare = leaseSpare()) {
+            spareServesCtr.add();
+            out.push_back(*spare);
+        }
     return out;
+}
+
+std::optional<std::uint32_t>
+ShardedMatchService::leaseSpare()
+{
+    std::lock_guard<std::mutex> lock(healthMu);
+    for (unsigned i = 0; i < cfg.spareShards; ++i) {
+        const std::uint32_t slot =
+            cfg.threads + (spareRotor++ % cfg.spareShards);
+        if (!slotHealth[slot].busy) {
+            slotHealth[slot].busy = true;
+            return slot;
+        }
+    }
+    return std::nullopt;
+}
+
+void
+ShardedMatchService::release(std::uint32_t slot)
+{
+    std::lock_guard<std::mutex> lock(healthMu);
+    slotHealth[slot].busy = false;
 }
 
 BreakerState
 ShardedMatchService::breakerState(std::size_t i) const
 {
+    spm_assert(i < cfg.threads, "breakers guard primary slots only");
     std::lock_guard<std::mutex> lock(healthMu);
-    return slotHealth.at(i).state;
+    return slotHealth[i].state;
 }
 
 std::size_t
@@ -374,7 +359,7 @@ ShardedMatchService::shardCountFor(std::size_t text_len,
 std::optional<ServiceError>
 ShardedMatchService::validate(const MatchRequest &req) const
 {
-    return shards.front()->validate(req);
+    return validateRequest(cfg.base, req);
 }
 
 MatchResponse
@@ -384,33 +369,33 @@ ShardedMatchService::serve(const MatchRequest &req)
     const std::size_t k = req.pattern.size();
     const std::size_t overlap = k > 0 ? k - 1 : 0;
     lastErrors.clear();
+    nLastShards = 0;
+    lastCritical = lastTotal = 0;
 
-    telem::StageClock clock;
-    clock.start();
-    if (clock.running() && req.enqueuedNs != 0)
-        clock.note(telem::Stage::QueueWait,
-                   telem::nowNs() - req.enqueuedNs);
+    // The whole request is admitted once, so errors and their details
+    // are the unsharded service's, never a slice's.
+    MatchResponse out;
+    out.id = req.id;
+    if (auto err = validate(req)) {
+        out.error = reject(*err);
+        return out;
+    }
 
+    telem::StageClock clock = startClock(req.enqueuedNs);
     SPM_TSPAN_NAMED(batch_span, "sharded.serve", telem::cat::sharded, 0,
                     req.id);
 
     // Route around quarantined and leased slots: the wafer-harvest
-    // move one level up. With every primary slot unavailable the
-    // request still gets served -- on a spare, or (spare-less)
-    // forced through slot 0 as an implicit probe.
-    std::vector<std::uint32_t> assignable = assignableSlots();
-    bool forced_spare = false;
-    if (assignable.empty()) {
-        if (cfg.spareShards > 0) {
-            assignable.push_back(cfg.threads +
-                                 (spareRotor++ % cfg.spareShards));
-            forced_spare = true;
-        } else {
-            assignable.push_back(0);
-        }
+    // move one level up.
+    const std::vector<std::uint32_t> slots =
+        leaseSlots(shardCountFor(n, k));
+    if (slots.empty()) {
+        out.error = ServiceError::make(
+            ErrorCode::ShardFailed,
+            "every shard slot is leased to an unfinished slice");
+        return out;
     }
-    const std::size_t nshards =
-        std::min(shardCountFor(n, k), assignable.size());
+    const std::size_t nshards = slots.size();
     nLastShards = nshards;
 
     // Shard s answers result positions [starts[s], starts[s+1]); its
@@ -442,7 +427,7 @@ ShardedMatchService::serve(const MatchRequest &req)
         st.overlapLen = start - ws;
         st.keepLen = starts[s + 1] - start;
         st.rightExt = ext;
-        st.slot = assignable[s];
+        st.slot = slots[s];
         // Slices inherit a fresh enqueue stamp so each shard's own
         // stage clock credits the pool handoff as queue wait.
         if (clock.running())
@@ -450,125 +435,94 @@ ShardedMatchService::serve(const MatchRequest &req)
     }
     clock.mark(telem::Stage::Admit);
 
-    if (nshards == 1) {
-        // One slice: serve inline on the calling thread (no handoff
-        // latency; the cooperative watchdog already bounds the work).
-        SliceState &st = batch->slices[0];
-        {
-            std::lock_guard<std::mutex> lock(healthMu);
-            if (st.slot < slotHealth.size())
-                slotHealth[st.slot].busy = true;
-        }
-        st.resp = serveSliceOn(st.slot, st.piece, &st.exceptionText);
-        st.threw = !st.exceptionText.empty();
-        st.resolved = true;
-        st.attemptBeats = st.resp.beats;
-        batch->unresolved = 0;
-        {
-            std::lock_guard<std::mutex> lock(healthMu);
-            if (st.slot < slotHealth.size())
-                slotHealth[st.slot].busy = false;
-        }
-        if (forced_spare)
-            spareServesCtr.add();
-    } else {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(nshards);
-        for (std::size_t s = 0; s < nshards; ++s) {
-            const std::uint32_t slot = batch->slices[s].slot;
+    // Every slice, a lone one included, runs on the pool: only a wait
+    // with a deadline bounds a worker that stopped making progress.
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(nshards);
+    for (std::size_t s = 0; s < nshards; ++s) {
+        tasks.push_back([this, batch, s, slot = slots[s]] {
+            SliceState &st = batch->slices[s];
+            unsigned my_epoch;
             {
-                std::lock_guard<std::mutex> lock(healthMu);
-                slotHealth[slot].busy = true;
-            }
-            tasks.push_back([this, batch, s, slot] {
-                SliceState &st = batch->slices[s];
-                unsigned my_epoch;
-                {
-                    // The epoch snapshot races with the supervisor's
-                    // abandonment bump unless taken under the batch
-                    // lock; a task whose slice was abandoned before it
-                    // even started has nothing to serve -- just free
-                    // the lease it inherited.
-                    std::lock_guard<std::mutex> lock(batch->bmu);
-                    if (st.resolved) {
-                        std::lock_guard<std::mutex> hl(healthMu);
-                        slotHealth[slot].busy = false;
-                        return;
-                    }
-                    my_epoch = st.epoch;
-                }
-                std::string exc;
-                MatchResponse r = serveSliceOn(slot, st.piece, &exc);
-                bool owned = false;
-                {
-                    std::lock_guard<std::mutex> lock(batch->bmu);
-                    if (st.epoch == my_epoch && !st.resolved) {
-                        st.resp = std::move(r);
-                        st.threw = !exc.empty();
-                        st.exceptionText = std::move(exc);
-                        st.attemptBeats += st.resp.beats;
-                        st.resolved = true;
-                        --batch->unresolved;
-                        owned = true;
-                    }
-                }
-                batch->resolvedCv.notify_all();
-                // A slice the supervisor accepted has its lease
-                // released by the supervisor (synchronously, so the
-                // next batch sees the slot free); an abandoned
-                // straggler keeps the lease until here, so no new
-                // task enters this slot's MatchService concurrently.
-                if (!owned) {
-                    std::lock_guard<std::mutex> lock(healthMu);
-                    slotHealth[slot].busy = false;
-                }
-            });
-        }
-        enqueue(tasks);
-        if (!awaitBatch(*batch, cfg.batchDeadlineMs)) {
-            // Abandon the stragglers: bump their epoch so a late
-            // write is discarded, mark them timed out, and let the
-            // retry loop re-execute them on spares. The wedged worker
-            // keeps its slot lease until it actually finishes.
-            std::lock_guard<std::mutex> lock(batch->bmu);
-            for (std::size_t s = 0; s < nshards; ++s) {
-                SliceState &st = batch->slices[s];
+                // The epoch snapshot races with the supervisor's
+                // abandonment bump unless taken under the batch lock.
+                // A slice abandoned before its task started has
+                // nothing to serve, and the supervisor took its lease
+                // back.
+                std::lock_guard<std::mutex> lock(batch->bmu);
                 if (st.resolved)
-                    continue;
-                ++st.epoch;
-                st.abandoned = true;
-                st.resolved = true;
-                st.threw = false;
-                st.resp = MatchResponse{};
-                st.resp.id = req.id;
-                st.resp.error = ServiceError::make(
-                    ErrorCode::ShardFailed,
-                    "slice timed out after " +
-                        std::to_string(cfg.batchDeadlineMs) + " ms");
-                --batch->unresolved;
-                shardTimeoutsCtr.add();
-                ShardError se;
-                se.slice = s;
-                se.slot = st.slot;
-                se.kind = ShardFaultKind::Timeout;
-                se.detail = st.resp.error.detail;
-                lastErrors.push_back(std::move(se));
+                    return;
+                st.started = true;
+                my_epoch = st.epoch;
+            }
+            std::string exc;
+            MatchResponse r = serveSliceOn(slot, st.piece, &exc);
+            bool owned = false;
+            {
+                std::lock_guard<std::mutex> lock(batch->bmu);
+                if (st.epoch == my_epoch && !st.resolved) {
+                    st.resp = std::move(r);
+                    st.threw = !exc.empty();
+                    st.exceptionText = std::move(exc);
+                    st.attemptBeats += st.resp.beats;
+                    st.resolved = true;
+                    --batch->unresolved;
+                    owned = true;
+                }
+            }
+            batch->resolvedCv.notify_all();
+            // A slice the supervisor accepted has its lease released
+            // by the supervisor (synchronously, so the next batch sees
+            // the slot free); an abandoned straggler keeps the lease
+            // until here, so no new task enters this slot's
+            // MatchService concurrently.
+            if (!owned)
+                release(slot);
+        });
+    }
+    enqueue(tasks);
+    // Wait for the wave until the deadline, then abandon the
+    // stragglers: bump their epoch so a late write is discarded, mark
+    // them timed out, and let the retry loop re-execute them on
+    // spares. A wedged worker keeps its slot lease until it actually
+    // finishes; a slice no worker picked up in time charges no slot's
+    // breaker.
+    {
+        std::unique_lock<std::mutex> lock(batch->bmu);
+        batch->resolvedCv.wait_for(
+            lock, std::chrono::milliseconds(cfg.batchDeadlineMs),
+            [&batch] { return batch->unresolved == 0; });
+        for (std::size_t s = 0; s < nshards; ++s) {
+            SliceState &st = batch->slices[s];
+            if (st.resolved)
+                continue;
+            ++st.epoch;
+            st.abandoned = st.started;
+            st.resolved = true;
+            st.threw = false;
+            st.resp = MatchResponse{};
+            st.resp.id = req.id;
+            st.resp.error = ServiceError::make(
+                ErrorCode::ShardFailed,
+                "slice timed out after " +
+                    std::to_string(cfg.batchDeadlineMs) + " ms");
+            --batch->unresolved;
+            shardTimeoutsCtr.add();
+            lastErrors.push_back({.slice = s,
+                                  .slot = st.slot,
+                                  .kind = ShardFaultKind::Timeout,
+                                  .detail = st.resp.error.detail});
+            if (st.started)
                 noteSlotOutcome(st.slot, false);
-            }
-        }
-        // Release the leases of slices whose worker answered in time,
-        // before the caller can start another batch -- the worker only
-        // has bookkeeping left, so the slot is genuinely free. An
-        // abandoned slice's lease stays with its straggler.
-        {
-            std::lock_guard<std::mutex> lock(healthMu);
-            for (std::size_t s = 0; s < nshards; ++s) {
-                const SliceState &st = batch->slices[s];
-                if (!st.abandoned && st.slot < slotHealth.size())
-                    slotHealth[st.slot].busy = false;
-            }
         }
     }
+    // Release the leases the supervisor holds, before the caller can
+    // start another batch: a worker that answered in time has only
+    // bookkeeping left, and a task that never started will not touch
+    // its slot.
+    for (const SliceState &st : batch->slices)
+        if (!st.abandoned)
+            release(st.slot);
 
     // --- Recovery: retry failed slices on spare slots ----------------
     // A slice's flight record: its answer span [starts[s], +keepLen)
@@ -585,13 +539,25 @@ ShardedMatchService::serve(const MatchRequest &req)
                                     starts[s] - st.overlapLen);
         return ev;
     };
+    // A failed attempt: the slice's exception or its serve error.
+    const auto noteFailedAttempt = [&](std::size_t s, const SliceState &st,
+                                       unsigned attempt) {
+        lastErrors.push_back(
+            {.slice = s,
+             .slot = st.slot,
+             .kind = st.threw ? ShardFaultKind::Exception
+                              : ShardFaultKind::ServeError,
+             .attempt = attempt,
+             .detail = st.threw ? st.exceptionText
+                                : st.resp.error.toString()});
+    };
     const auto retryOnSpare = [&](std::size_t s, SliceState &st,
                                   unsigned attempt,
                                   const std::string &why) -> bool {
-        if (cfg.spareShards == 0)
-            return false;
-        const std::uint32_t spare =
-            cfg.threads + (spareRotor++ % cfg.spareShards);
+        const std::optional<std::uint32_t> leased = leaseSpare();
+        if (!leased)
+            return false; // none, or every one leased to a straggler
+        const std::uint32_t spare = *leased;
         shardRetriesCtr.add();
         spareServesCtr.add();
         telem::EventRecord ev =
@@ -601,20 +567,12 @@ ShardedMatchService::serve(const MatchRequest &req)
         flight.record(std::move(ev));
         st.exceptionText.clear();
         st.resp = serveSliceOn(spare, st.piece, &st.exceptionText);
+        release(spare);
         st.threw = !st.exceptionText.empty();
         st.attemptBeats += st.resp.beats;
         st.slot = spare;
-        if (st.threw || !st.resp.ok()) {
-            ShardError se;
-            se.slice = s;
-            se.slot = spare;
-            se.attempt = attempt;
-            se.kind = st.threw ? ShardFaultKind::Exception
-                               : ShardFaultKind::ServeError;
-            se.detail = st.threw ? st.exceptionText
-                                 : st.resp.error.toString();
-            lastErrors.push_back(std::move(se));
-        }
+        if (st.threw || !st.resp.ok())
+            noteFailedAttempt(s, st, attempt);
         return true;
     };
 
@@ -624,27 +582,14 @@ ShardedMatchService::serve(const MatchRequest &req)
             noteSlotOutcome(st.slot, true);
             continue;
         }
-        if (!st.threw && isRequestFault(st.resp.error.code))
-            continue; // the request's fault; a retry would not help
-        // An operational shard fault: exception, timeout, or a
-        // retryable serve error. Charge the slot and fail over.
-        if (st.threw) {
-            shardExceptionsCtr.add();
-            ShardError se;
-            se.slice = s;
-            se.slot = st.slot;
-            se.kind = ShardFaultKind::Exception;
-            se.detail = st.exceptionText;
-            lastErrors.push_back(std::move(se));
-            noteSlotOutcome(st.slot, false);
-        } else if (st.resp.error.code != ErrorCode::ShardFailed) {
-            // (Timeouts were recorded and charged at abandonment.)
-            ShardError se;
-            se.slice = s;
-            se.slot = st.slot;
-            se.kind = ShardFaultKind::ServeError;
-            se.detail = st.resp.error.toString();
-            lastErrors.push_back(std::move(se));
+        // The request was admitted whole, so a failed slice is an
+        // operational shard fault: an exception, a timeout or a serve
+        // error. Charge the slot and fail over.
+        // (Timeouts were recorded and charged at abandonment.)
+        if (st.threw || st.resp.error.code != ErrorCode::ShardFailed) {
+            if (st.threw)
+                shardExceptionsCtr.add();
+            noteFailedAttempt(s, st, 0);
             noteSlotOutcome(st.slot, false);
         }
         shardFailuresCtr.add();
@@ -655,12 +600,10 @@ ShardedMatchService::serve(const MatchRequest &req)
             if (!retryOnSpare(s, st, attempt,
                               attempt == 1 ? why : "retry failed"))
                 break;
-            if (!st.threw &&
-                (st.resp.ok() || isRequestFault(st.resp.error.code)))
+            if (!st.threw && st.resp.ok())
                 break;
         }
-        if (st.threw ||
-            (!st.resp.ok() && !isRequestFault(st.resp.error.code))) {
+        if (st.threw || !st.resp.ok()) {
             // Unrecovered: surface as the typed shard error.
             const std::string detail =
                 st.threw ? "shard task threw: " + st.exceptionText
@@ -708,13 +651,12 @@ ShardedMatchService::serve(const MatchRequest &req)
             if (pairAgrees())
                 continue;
             overlapMismatchesCtr.add();
-            ShardError se;
-            se.slice = s;
-            se.slot = cur.slot;
-            se.kind = ShardFaultKind::OverlapMismatch;
-            se.detail = "overlap bits disagree with slice " +
-                        std::to_string(s - 1);
-            lastErrors.push_back(std::move(se));
+            lastErrors.push_back(
+                {.slice = s,
+                 .slot = cur.slot,
+                 .kind = ShardFaultKind::OverlapMismatch,
+                 .detail = "overlap bits disagree with slice " +
+                           std::to_string(s - 1)});
             telem::EventRecord ev =
                 sliceEvent(telem::EventKind::OverlapMismatch, s, cur);
             ev.code = errorCodeName(ErrorCode::ShardFailed);
@@ -749,11 +691,7 @@ ShardedMatchService::serve(const MatchRequest &req)
     clock.mark(telem::Stage::CrossCheck);
 
     // --- Stitch ------------------------------------------------------
-    MatchResponse out;
-    out.id = req.id;
     out.backend = batch->slices[0].resp.backend;
-    lastCritical = 0;
-    lastTotal = 0;
     for (std::size_t s = 0; s < nshards; ++s) {
         const SliceState &st = batch->slices[s];
         const MatchResponse &r = st.resp;
@@ -797,10 +735,8 @@ ShardedMatchService::serve(const MatchRequest &req)
         reason = "shard fault";
     if (!reason && out.watchdogTrips > 0)
         reason = "watchdog trip";
-    reqObs.observe(clock, req.id, reason != nullptr, reason, [&] {
-        return telem::CaseRef(req.id, cfg.base.alphabetBits, req.pattern,
-                              req.text);
-    });
+    observe(clock, req.id, reason, cfg.base.alphabetBits, req.pattern,
+            req.text);
     return out;
 }
 
@@ -823,43 +759,17 @@ ShardedMatchService::metricsSnapshot() const
             if (h.state == BreakerState::Open)
                 ++quarantined;
     }
-    snap.setGauge("threads", static_cast<double>(threadCount()));
-    snap.setGauge("last_shards", static_cast<double>(nLastShards));
-    snap.setGauge("spares", static_cast<double>(cfg.spareShards));
-    snap.setGauge("quarantined_now", static_cast<double>(quarantined));
-    const telem::Snapshot sup = supMetrics.snapshot();
-    for (const auto &[name, value] : sup.counters)
+    const telem::Snapshot own = metrics.snapshot();
+    for (const auto &[name, value] : own.counters)
         snap.setCounter("sharded." + name, value);
-    for (const auto &[name, hist] : sup.logHistograms)
+    for (const auto &[name, hist] : own.logHistograms)
         snap.setLogHistogram("sharded." + name, hist);
+    snap.setGauge("sharded.threads", static_cast<double>(threadCount()));
+    snap.setGauge("sharded.last_shards", static_cast<double>(nLastShards));
+    snap.setGauge("sharded.spares", static_cast<double>(cfg.spareShards));
+    snap.setGauge("sharded.quarantined_now",
+                  static_cast<double>(quarantined));
     return snap;
-}
-
-std::string
-ShardedMatchService::statsDump() const
-{
-    std::string s;
-    s += "sharded.threads = " + std::to_string(threadCount()) + "\n";
-    s += "sharded.spares = " + std::to_string(cfg.spareShards) + "\n";
-    s += "sharded.last_shards = " + std::to_string(nLastShards) + "\n";
-    s += "sharded.last_critical_beats = " + std::to_string(lastCritical) +
-         "\n";
-    s += "sharded.last_total_beats = " + std::to_string(lastTotal) + "\n";
-    const telem::Snapshot sup = supMetrics.snapshot();
-    for (const auto &[name, value] : sup.counters)
-        s += "sharded." + name + " = " + std::to_string(value) + "\n";
-    s += "sharded.queue_wait_beats.samples = " +
-         std::to_string(queueWaitHist.samples()) + "\n";
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        s += "sharded.shard" + std::to_string(i) + ".served = " +
-             std::to_string(
-                 shards[i]->stats().counter("served").value()) +
-             "\n";
-        if (i < slotHealth.size())
-            s += "sharded.shard" + std::to_string(i) + ".breaker = " +
-                 breakerStateName(breakerState(i)) + "\n";
-    }
-    return s;
 }
 
 } // namespace spm::service

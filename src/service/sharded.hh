@@ -118,9 +118,6 @@ enum class BreakerState : unsigned char
     HalfOpen, ///< probe in flight; next verdict decides
 };
 
-/** Printable name of a breaker state ("closed", "open", "half-open"). */
-const char *breakerStateName(BreakerState state);
-
 /** How one slice attempt failed (for lastShardErrors()). */
 enum class ShardFaultKind : unsigned char
 {
@@ -156,7 +153,7 @@ struct ShardError
  * MatchService instances with overlap stitching, spare-slot failover
  * and per-slot circuit breakers.
  */
-class ShardedMatchService
+class ShardedMatchService : public FrontEnd
 {
   public:
     /** Factory producing a fresh degradation ladder for one shard. */
@@ -189,16 +186,20 @@ class ShardedMatchService
     std::size_t shardCountFor(std::size_t text_len,
                               std::size_t pattern_len) const;
 
-    /** Typed validation, identical to the unsharded service. */
+    /** Typed validation: the shared rules (validateRequest). */
     std::optional<ServiceError> validate(const MatchRequest &req) const;
 
     /**
-     * Serve one request across the shards. The result bits, and every
-     * per-shard journal, are deterministic for a given request and
-     * shard count; only wall-clock interleaving varies between runs.
-     * Never blocks past the batch deadline plus the (bounded, inline)
-     * retry work; a slice that cannot be recovered yields a typed
-     * ShardFailed error, never a hang and never silent corruption.
+     * Serve one request across the shards. The whole request is
+     * validated once, before slicing: an inadmissible one counts in
+     * "rejected" and draws exactly the unsharded service's error.
+     * The result bits, and every per-shard journal, are deterministic
+     * for a given request and shard count; only wall-clock
+     * interleaving varies between runs. Every slice, a lone one
+     * included, runs on the pool, so the call never blocks past the
+     * batch deadline plus the (bounded, inline) retry work; a slice
+     * that cannot be recovered yields a typed ShardFailed error,
+     * never a hang and never silent corruption.
      */
     MatchResponse serve(const MatchRequest &req);
 
@@ -226,18 +227,18 @@ class ShardedMatchService
 
     /**
      * Serving metrics summed across every shard slot (counters and
-     * histogram cells add; queue_depth gauges sum), plus the
+     * histogram cells add; queue_depth gauges sum; the slices' req.*
+     * histograms re-keyed shard.req.*), plus, named "sharded.x", the
      * sharded-layer gauges (threads, spares, last_shards,
-     * quarantined_now) and supervision counters (shard_failures,
-     * shard_timeouts, shard_exceptions, shard_retries, spare_serves,
-     * quarantines, probes, overlap_checks, overlap_mismatches) and
-     * the queue_wait_beats histogram (enqueue-to-dequeue handoff
-     * latency per slice task, in beats).
+     * quarantined_now), stats() -- the supervision counters
+     * (shard_failures, shard_timeouts, shard_exceptions,
+     * shard_retries, spare_serves, quarantines, probes,
+     * overlap_checks, overlap_mismatches), rejected, the request-level
+     * req.* histograms and queue_wait_beats (enqueue-to-dequeue
+     * handoff latency per slice task, in beats). statsDump() prints
+     * it as is.
      */
-    telem::Snapshot metricsSnapshot() const;
-
-    /** "sharded.x = n" lines plus every shard's statsDump(). */
-    std::string statsDump() const;
+    telem::Snapshot metricsSnapshot() const override;
 
     /**
      * The sharded layer's own flight recorder: failover, quarantine
@@ -248,33 +249,16 @@ class ShardedMatchService
     const telem::FlightRecorder &flightRecorder() const { return flight; }
     telem::FlightRecorder &flightRecorder() { return flight; }
 
-    /**
-     * Request-level exemplar traces at the sharded boundary: slowest
-     * requests, a uniform sample, and every overlap-mismatch /
-     * shard-fault / watchdog-trip request force-retained.
-     */
-    const telem::ExemplarReservoir &exemplars() const
-    {
-        return exemplarStore;
-    }
-    telem::ExemplarReservoir &exemplars() { return exemplarStore; }
-
   private:
     struct Batch;
     struct SliceState;
 
-    void startWorkers();
     void workerLoop(unsigned worker_index);
     /**
      * Queue @p tasks on the pool (does not wait). Each task's
      * enqueue-to-dequeue wait lands in queue_wait_beats.
      */
     void enqueue(std::vector<std::function<void()>> &tasks);
-    /**
-     * Wait until every slice of @p batch resolved, or @p deadline_ms
-     * elapsed. Returns true when all resolved.
-     */
-    bool awaitBatch(Batch &batch, std::uint32_t deadline_ms);
 
     /** Serve @p piece on slot @p slot, exceptions -> typed outcome. */
     MatchResponse serveSliceOn(std::size_t slot, const MatchRequest &piece,
@@ -283,8 +267,19 @@ class ShardedMatchService
     /** Record a slice verdict on @p slot's breaker. */
     void noteSlotOutcome(std::uint32_t slot, bool ok);
 
-    /** Primary slots currently assignable (breaker closed or probing). */
-    std::vector<std::uint32_t> assignableSlots();
+    /**
+     * Lease up to @p want primary slots whose breaker is closed or due
+     * a probe. With none, a free spare serves (or, spare-less, a free
+     * quarantined primary as an implicit probe); empty when every
+     * candidate is leased.
+     */
+    std::vector<std::uint32_t> leaseSlots(std::size_t want);
+
+    /** Lease a free spare slot, round robin; nullopt when none is. */
+    std::optional<std::uint32_t> leaseSpare();
+
+    /** Return @p slot's lease. */
+    void release(std::uint32_t slot);
 
     ShardedConfig cfg;
     std::vector<std::unique_ptr<MatchService>> shards;
@@ -295,7 +290,7 @@ class ShardedMatchService
     std::deque<std::function<void()>> taskQueue;
     bool stopping = false;
 
-    /** Guards slot health, busy leases and the batch counter. */
+    /** Guards slot health, leases, the spare rotor and batch counter. */
     mutable std::mutex healthMu;
     struct SlotHealth
     {
@@ -304,7 +299,8 @@ class ShardedMatchService
         std::uint64_t openedAtBatch = 0;
         bool busy = false; ///< leased to a (possibly abandoned) task
     };
-    std::vector<SlotHealth> slotHealth; ///< primaries only
+    /** Every slot; the breaker fields only matter for primaries. */
+    std::vector<SlotHealth> slotHealth;
     std::uint64_t batchCounter = 0;
     std::uint32_t spareRotor = 0;
 
@@ -313,8 +309,6 @@ class ShardedMatchService
     Beat lastTotal = 0;
     std::vector<ShardError> lastErrors;
 
-    // Supervision metrics (striped: workers bump them concurrently).
-    telem::Registry supMetrics{4};
     telem::Counter &shardFailuresCtr;
     telem::Counter &shardTimeoutsCtr;
     telem::Counter &shardExceptionsCtr;
@@ -326,14 +320,6 @@ class ShardedMatchService
     telem::Counter &overlapMismatchesCtr;
     telem::LogHistogram &queueWaitHist;
     telem::FlightRecorder flight;
-    telem::ExemplarReservoir exemplarStore;
-    /**
-     * Request-level observer on the supervision registry, so its
-     * metrics render with the "sharded." prefix the snapshot applies
-     * ("sharded.req.latency_ns", ...); the per-shard services keep
-     * their own slice-level observers under bare "req.*" names.
-     */
-    telem::RequestObserver reqObs;
 };
 
 } // namespace spm::service

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "telemetry/jsonlite.hh"
-#include "util/logging.hh"
 
 namespace spm::telem
 {
@@ -34,33 +33,6 @@ names(std::uint32_t mask)
         }
     }
     return out;
-}
-
-std::uint32_t
-maskOf(const std::string &list)
-{
-    if (list == "all" || list.empty())
-        return all;
-    std::uint32_t mask = 0;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        std::size_t comma = list.find(',', start);
-        if (comma == std::string::npos)
-            comma = list.size();
-        std::string token = list.substr(start, comma - start);
-        bool found = false;
-        for (const auto &[name, bit] : kCategories) {
-            if (token == name) {
-                mask |= bit;
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            spm_panic("unknown trace category '", token, "'");
-        start = comma + 1;
-    }
-    return mask;
 }
 
 } // namespace cat
@@ -295,7 +267,7 @@ void
 instant(TraceBuffer &buffer, const char *name, std::uint32_t category,
         Beat beat, std::uint64_t arg)
 {
-    if (!buffer.wants(category))
+    if (!buffer.enabled())
         return;
     SpanEvent ev;
     ev.name = name;

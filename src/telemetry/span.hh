@@ -39,7 +39,7 @@
 namespace spm::telem
 {
 
-/** Trace categories; a bitmask filters recording per category. */
+/** Trace categories, one bit each; every event carries its own. */
 namespace cat
 {
 constexpr std::uint32_t engine = 1u << 0;      ///< beat-loop internals
@@ -48,12 +48,9 @@ constexpr std::uint32_t service = 1u << 2;     ///< chunk serving
 constexpr std::uint32_t sharded = 1u << 3;     ///< thread-pool batches
 constexpr std::uint32_t hostbus = 1u << 4;     ///< host transfers
 constexpr std::uint32_t conformance = 1u << 5; ///< differential cases
-constexpr std::uint32_t all = ~0u;
 
 /** Render "service,sharded"-style lists; unknown bits are dropped. */
 std::string names(std::uint32_t mask);
-/** Parse a comma-separated category list; unknown names panic. */
-std::uint32_t maskOf(const std::string &list);
 } // namespace cat
 
 /** One recorded event; fixed-size, name by pointer to a literal. */
@@ -78,9 +75,9 @@ struct SpanEvent
 /**
  * A bounded multi-thread trace sink. Each recording thread gets a
  * private ring of `capacityPerThread` slots on first use; recording
- * is wait-free (plain stores into the ring). Enable/disable and the
- * category mask are runtime switches so the same binary can measure
- * its own tracing overhead.
+ * is wait-free (plain stores into the ring). Enable/disable is a
+ * runtime switch so the same binary can measure its own tracing
+ * overhead.
  */
 class TraceBuffer
 {
@@ -96,22 +93,6 @@ class TraceBuffer
 
     void setEnabled(bool on) { on_.store(on, std::memory_order_relaxed); }
     bool enabled() const { return on_.load(std::memory_order_relaxed); }
-
-    /** Restrict recording to categories in @p mask. */
-    void setCategoryMask(std::uint32_t mask)
-    {
-        mask_.store(mask, std::memory_order_relaxed);
-    }
-    std::uint32_t categoryMask() const
-    {
-        return mask_.load(std::memory_order_relaxed);
-    }
-
-    /** Whether an event in @p category would currently be recorded. */
-    bool wants(std::uint32_t category) const
-    {
-        return enabled() && (categoryMask() & category) != 0;
-    }
 
     /** Record one event (hot path; no locks once a ring exists). */
     void record(const SpanEvent &ev);
@@ -156,7 +137,6 @@ class TraceBuffer
     const std::size_t capacity;
     const std::uint64_t bufferId; ///< unique; keys thread-local cache
     std::atomic<bool> on_{false};
-    std::atomic<std::uint32_t> mask_{cat::all};
     std::uint64_t epochNs;
 
     mutable std::mutex ringsMu; ///< guards the rings list only
@@ -183,7 +163,7 @@ class ScopedSpan
                std::uint32_t category, Beat beat_stamp = 0,
                std::uint64_t arg_value = 0)
         : buf(&buffer), name(span_name), category(category),
-          beat(beat_stamp), arg(arg_value), live(buffer.wants(category)),
+          beat(beat_stamp), arg(arg_value), live(buffer.enabled()),
           startUs(live ? buffer.nowUs() : 0)
     {
     }

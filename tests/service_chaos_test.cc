@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/reference.hh"
 #include "service/chaos.hh"
 #include "service/service.hh"
@@ -250,6 +252,39 @@ TEST(ChaosService, HangIsAbandonedAtDeadlineAndServedBySpare)
     const MatchResponse again = sharded.serve(req);
     ASSERT_TRUE(again.ok()) << again.error.detail;
     EXPECT_EQ(again.result, expected(req));
+}
+
+TEST(ChaosService, HungOneSliceRequestReturnsAtTheDeadline)
+{
+    // A request too short to split still runs on the pool: a dead
+    // worker spends no beats, so only the batch deadline bounds it.
+    // Slot 0 sleeps 400 ms; the call returns after the 50 ms deadline
+    // plus one retry on the spare, with exact bits.
+    ChaosConfig storm;
+    storm.seed = 17;
+    storm.hangProb = 1.0;
+    storm.hangMs = 400;
+    storm.targetSlots = {0, 1};
+    storm.maxInjectionsPerSlot = 1;
+    auto plan = std::make_shared<const ChaosPlan>(storm);
+    ShardedConfig cfg = chaosShardConfig(2, 1);
+    cfg.minShardChars = 256;
+    cfg.batchDeadlineMs = 50;
+    ShardedMatchService sharded(
+        cfg, makeChaosLadderFactory(plan, softwareFactory()));
+
+    const auto req = randomRequest(0xE8, 100, 4);
+    const auto t0 = std::chrono::steady_clock::now();
+    const MatchResponse resp = sharded.serve(req);
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    ASSERT_TRUE(resp.ok()) << resp.error.detail;
+    EXPECT_EQ(resp.result, expected(req));
+    EXPECT_EQ(sharded.lastShards(), 1u);
+    EXPECT_TRUE(
+        hasErrorKind(sharded.lastShardErrors(), ShardFaultKind::Timeout));
+    EXPECT_LT(ms, 300) << "the hung slice was waited on, not abandoned";
 }
 
 TEST(ChaosService, QuarantineOpensProbesHalfOpenAndHeals)

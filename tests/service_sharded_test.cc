@@ -185,16 +185,17 @@ TEST(ShardedService, ValidationAndErrorsMatchUnsharded)
     EXPECT_EQ(resp.error.code, ErrorCode::InvalidPattern);
     EXPECT_TRUE(resp.result.empty());
 
-    // Alphabet overflow in a late shard still surfaces, with the
-    // shard called out in the detail.
+    // Alphabet overflow where shard 3 would start is caught before
+    // slicing, and named at its offset in the request, as unsharded.
     MatchRequest bad;
     bad.pattern = {1, 2};
     bad.text.assign(200, 1);
-    bad.text[180] = 9; // outside a 2-bit alphabet, lands in shard 3
+    bad.text[180] = 9; // outside a 2-bit alphabet
     resp = sharded.serve(bad);
     EXPECT_FALSE(resp.ok());
     EXPECT_EQ(resp.error.code, ErrorCode::AlphabetOverflow);
-    EXPECT_NE(resp.error.detail.find("shard"), std::string::npos);
+    EXPECT_EQ(resp.error.detail, "text[180]=9 outside alphabet of 4");
+    EXPECT_EQ(resp.error.detail, plain.serve(bad).error.detail);
 }
 
 TEST(ShardedService, PerShardJournalsAndCheckpointsAreKept)
@@ -248,7 +249,6 @@ TEST(ShardedService, TracedServeExportsValidChromeTrace)
     auto &buf = telem::TraceBuffer::global();
     buf.clear();
     buf.setEnabled(true);
-    buf.setCategoryMask(telem::cat::all);
 
     ShardedMatchService sharded(smallShardConfig(4, 2));
     const auto req = randomRequest(0x7ACE, 2, 200, 5);

@@ -269,6 +269,42 @@ TEST(ValidateFrontEnds, BatchServiceGroupsOnePassPerDistinctPattern)
     }
 }
 
+TEST(ValidateFrontEnds, BatchCrossCheckAuditsEveryNthPass)
+{
+    // Seven calls of two distinct patterns: fourteen kernel passes,
+    // of which passes 0, N, 2N, ... replay through the reference.
+    core::ReferenceMatcher ref;
+    for (const unsigned every : {1u, 3u}) {
+        BatchServiceConfig cfg;
+        cfg.base = smallConfig();
+        cfg.crossCheckEvery = every;
+        BatchMatchService svc(cfg);
+        Rng rng(0xC4EC + every);
+        for (int call = 0; call < 7; ++call) {
+            std::vector<MatchRequest> batch(6);
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                batch[i].id = i;
+                batch[i].pattern = {Symbol(i % 2), wildcardSymbol, 3};
+                batch[i].text.resize(20 + rng.nextBelow(100));
+                for (auto &c : batch[i].text)
+                    c = static_cast<Symbol>(rng.nextBelow(8));
+            }
+            const auto responses = svc.serveBatch(batch);
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                ASSERT_TRUE(responses[i].ok()) << responses[i].error.detail;
+                EXPECT_EQ(responses[i].result,
+                          ref.match(batch[i].text, batch[i].pattern));
+            }
+        }
+        const telem::Registry &stats = svc.stats();
+        EXPECT_EQ(stats.counter("kernelPasses").value(), 14u);
+        EXPECT_EQ(stats.counter("crossChecks").value(),
+                  (14u + every - 1) / every)
+            << "every " << every;
+        EXPECT_EQ(stats.counter("crossCheckFailures").value(), 0u);
+    }
+}
+
 TEST(ValidateFrontEnds, ShardedServiceUsesSharedRules)
 {
     ShardedConfig cfg;
@@ -284,6 +320,92 @@ TEST(ValidateFrontEnds, ShardedServiceUsesSharedRules)
         ASSERT_TRUE(err.has_value());
         EXPECT_EQ(err->code, v.want);
     }
+}
+
+TEST(ValidateFrontEnds, ShardedServeRejectsWholeRequestsAsUnsharded)
+{
+    // A 3,000-char request over a 1,000-char bound, and an alphabet
+    // error where the fourth slice would start: the sharded front end
+    // admits the request whole, so code and detail are the unsharded
+    // service's (not a slice's length or slice-relative offset).
+    ShardedConfig cfg;
+    cfg.base = smallConfig();
+    cfg.base.alphabetBits = 2;
+    cfg.base.maxTextLen = 1000;
+    cfg.threads = 4;
+    cfg.spareShards = 0;
+    cfg.minShardChars = 64;
+    ShardedMatchService sharded(cfg);
+    MatchService plain(cfg.base);
+
+    MatchRequest big;
+    big.pattern = {1, 2};
+    big.text.assign(3000, 1);
+    MatchRequest bad;
+    bad.pattern = {1, 2};
+    bad.text.assign(1000, 1);
+    bad.text[800] = 7;
+    for (const MatchRequest &req : {big, bad}) {
+        const MatchResponse want = plain.serve(req);
+        const MatchResponse got = sharded.serve(req);
+        ASSERT_FALSE(want.ok());
+        EXPECT_EQ(got.error.code, want.error.code);
+        EXPECT_EQ(got.error.detail, want.error.detail);
+        EXPECT_TRUE(got.result.empty());
+    }
+    EXPECT_EQ(plain.serve(big).error.detail,
+              "text of 3000 chars exceeds limit 1000");
+    EXPECT_EQ(plain.serve(bad).error.detail,
+              "text[800]=7 outside alphabet of 4");
+}
+
+TEST(ValidateFrontEnds, EveryFailedAdmissionCountsOnceOnEveryFrontEnd)
+{
+    MatchRequest bad;
+    bad.pattern = {1, 2};
+    bad.text = {0, Symbol(9)};
+
+    MatchService stream(smallConfig());
+    const telem::Counter &streamRejected = stream.stats().counter("rejected");
+    EXPECT_FALSE(stream.submit(bad).accepted);
+    EXPECT_EQ(streamRejected.value(), 1u);
+    StreamSession session = stream.startSession(bad);
+    EXPECT_FALSE(session.finish().ok());
+    EXPECT_EQ(streamRejected.value(), 2u);
+    EXPECT_FALSE(stream.serve(bad).ok());
+    EXPECT_EQ(streamRejected.value(), 3u);
+    EXPECT_NE(stream.statsDump().find("service.rejected = 3"),
+              std::string::npos);
+
+    ShardedConfig scfg;
+    scfg.base = smallConfig();
+    scfg.threads = 2;
+    ShardedMatchService sharded(scfg);
+    EXPECT_FALSE(sharded.serve(bad).ok());
+    EXPECT_EQ(sharded.stats().counter("rejected").value(), 1u);
+    EXPECT_EQ(sharded.metricsSnapshot().counterValue("sharded.rejected"), 1u);
+    EXPECT_NE(sharded.statsDump().find("sharded.rejected = 1"),
+              std::string::npos);
+
+    BatchServiceConfig bcfg;
+    bcfg.base = smallConfig();
+    BatchMatchService batch(bcfg);
+    MatchRequest good = bad;
+    good.text = {0, 1};
+    EXPECT_EQ(batch.serveBatch({good, bad, good}).size(), 3u);
+    EXPECT_EQ(batch.stats().counter("rejected").value(), 1u);
+
+    DictServiceConfig dcfg;
+    dcfg.base = smallConfig();
+    DictMatchService dict(dcfg);
+    DictError err;
+    DictSession open = dict.openSession({{1, 2}}, err);
+    ASSERT_TRUE(err.ok());
+    EXPECT_FALSE(dict.feedChunk(open, bad.text).ok());
+    EXPECT_EQ(dict.stats().counter("rejected").value(), 1u);
+    dict.openSession({{Symbol(9)}}, err);
+    EXPECT_FALSE(err.ok());
+    EXPECT_EQ(dict.stats().counter("rejected").value(), 2u);
 }
 
 TEST(ValidateFrontEnds, DictServiceUsesSharedRulesPerMember)

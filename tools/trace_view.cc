@@ -106,7 +106,6 @@ runDemo(bool want_trace)
 {
     auto &buf = spm::telem::TraceBuffer::global();
     buf.setEnabled(true);
-    buf.setCategoryMask(spm::telem::cat::all);
 
     spm::service::ShardedMatchService &svc = demoService();
     const spm::service::MatchResponse resp = svc.serve(demoRequest());
