@@ -6,7 +6,6 @@ namespace spm::service
 namespace
 {
 
-constexpr std::uint64_t fnvOffset = 0xCBF29CE484222325ULL;
 constexpr std::uint64_t fnvPrime = 0x100000001B3ULL;
 
 void
@@ -28,6 +27,7 @@ Checkpoint::emit(const std::vector<bool> &bits, std::size_t from,
         partial = (partial << 1) | (bits[j] ? 1 : 0);
         if (++fill == 64) {
             words.push_back(partial);
+            fnvMix(wordsDigest, partial);
             partial = 0;
             fill = 0;
         }
@@ -50,16 +50,14 @@ Checkpoint::emitted() const
 std::uint64_t
 Checkpoint::digest() const
 {
-    std::uint64_t h = fnvOffset;
+    std::uint64_t h = wordsDigest;
     fnvMix(h, offset);
     fnvMix(h, rung);
     fnvMix(h, beats);
     for (Symbol s : tail)
         fnvMix(h, s);
-    // The emitted bits are already packed 64 at a time; a partial last
-    // word carries a 1 above its bits so its length counts.
-    for (std::uint64_t w : words)
-        fnvMix(h, w);
+    // A partial last word carries a 1 above its bits so its length
+    // counts.
     if (fill > 0)
         fnvMix(h, partial | (std::uint64_t(1) << fill));
     return h;

@@ -10,9 +10,9 @@
  * boundary instead of re-scanning the whole text -- the restartable
  * windowed processing long-stream workloads need. Its digest() is
  * what the replay journal records at every commit. The emitted bits
- * are kept packed 64 to a word in the order digest() mixes them, so a
- * commit's digest costs one mix per word instead of a re-pack of
- * every bit emitted so far.
+ * are kept packed 64 to a word, and each word is mixed into a running
+ * digest as it completes, so a commit's digest costs the same at any
+ * offset instead of growing with the text emitted so far.
  */
 
 #ifndef SPM_SERVICE_CHECKPOINT_HH
@@ -51,7 +51,10 @@ struct Checkpoint
     /** How many result bits have been emitted. */
     std::size_t emittedCount() const { return 64 * words.size() + fill; }
 
-    /** FNV-1a digest over the checkpoint contents, for the journal. */
+    /**
+     * FNV-1a digest for the journal: the completed words, then
+     * offset, rung, beats, tail and the partial word.
+     */
     std::uint64_t digest() const;
 
   private:
@@ -60,6 +63,8 @@ struct Checkpoint
     /** The last fill (< 64) emitted bits, the latest in bit 0. */
     std::uint64_t partial = 0;
     unsigned fill = 0;
+    /** FNV-1a state over words, mixed as each one completes. */
+    std::uint64_t wordsDigest = 0xCBF29CE484222325ULL;
 };
 
 } // namespace spm::service

@@ -851,24 +851,19 @@ TEST(Checkpoint, DigestChangesWithContents)
 
 TEST(Checkpoint, ChunkedEmitDigestsLikeOneBitAtATimePacking)
 {
-    // The digest's packing of the emitted bits, written out bit by
-    // bit: 64 to a word, first bit on top, a short last word marked
-    // by a 1 above its bits.
+    // The digest written out bit by bit: FNV-1a over the full words
+    // (64 bits to a word, first bit on top), then offset, rung, beats
+    // and tail, then a short last word marked by a 1 above its bits.
     auto repacked = [](const Checkpoint &cp, const std::vector<bool> &bits) {
-        Checkpoint head;
-        head.offset = cp.offset;
-        head.tail = cp.tail;
-        head.rung = cp.rung;
-        head.beats = cp.beats;
-        std::uint64_t h = head.digest();
-        std::uint64_t word = 0;
-        unsigned fill = 0;
+        std::uint64_t h = 0xCBF29CE484222325ULL;
         auto mix = [&h](std::uint64_t v) {
             for (unsigned i = 0; i < 8; ++i) {
                 h ^= (v >> (8 * i)) & 0xFF;
                 h *= 0x100000001B3ULL;
             }
         };
+        std::uint64_t word = 0;
+        unsigned fill = 0;
         for (bool b : bits) {
             word = (word << 1) | (b ? 1 : 0);
             if (++fill == 64) {
@@ -877,6 +872,11 @@ TEST(Checkpoint, ChunkedEmitDigestsLikeOneBitAtATimePacking)
                 fill = 0;
             }
         }
+        mix(cp.offset);
+        mix(cp.rung);
+        mix(cp.beats);
+        for (Symbol s : cp.tail)
+            mix(s);
         if (fill > 0)
             mix(word | (std::uint64_t(1) << fill));
         return h;
