@@ -4,17 +4,15 @@
  *
  * The telemetry layer promises to be cheap enough to leave on: striped
  * relaxed counters, thread-local span rings, sampling-gated
- * histograms. This experiment quantifies that promise three ways:
+ * histograms. This experiment quantifies that promise two ways:
  *
  *   end to end     the streaming service serves the same request with
  *                  telemetry runtime-enabled (tracing + sampling on)
  *                  and runtime-disabled; the relative slowdown is the
  *                  headline overhead number, gated in CI at 5%;
- *   micro          ns per counter bump, histogram sample, and scoped
- *                  span against the global sinks;
- *   compiled out   under -DSPM_TELEM_OFF every instrumentation macro
- *                  expands to ((void)0); the same binary reports
- *                  which flavor it is so CI can diff the two builds.
+ *   micro          ns per counter bump and SPM_THIST sample on a
+ *                  4-stripe registry, and per scoped span into the
+ *                  global trace buffer, recording and runtime-disabled.
  *
  * The report writes BENCH_E15.json (override with --json <path>;
  * --smoke shrinks the sweep for CI).
@@ -47,16 +45,6 @@ secondsOf(const std::function<void()> &fn)
     fn();
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(t1 - t0).count();
-}
-
-bool
-compiledOut()
-{
-#ifdef SPM_TELEM_OFF
-    return true;
-#else
-    return false;
-#endif
 }
 
 /** Flip every runtime telemetry switch at once. */
@@ -152,14 +140,10 @@ endToEndReport()
     table.setHeader({"mode", "Mchars/s", "overhead"});
     table.addRowOf("runtime-disabled", Table::fixed(cs_off / 1e6, 3),
                    "baseline");
-    table.addRowOf(compiledOut() ? "enabled (compiled out)" : "enabled",
-                   Table::fixed(cs_on / 1e6, 3),
+    table.addRowOf("enabled", Table::fixed(cs_on / 1e6, 3),
                    Table::fixed(100.0 * overhead, 2) + "%");
     std::printf("%s\n", table.toString().c_str());
 
-    jsonReport().set("telemetry.build",
-                     compiledOut() ? "telem-off" : "default");
-    jsonReport().set("telemetry.compiled_out", compiledOut() ? 1.0 : 0.0);
     jsonReport().set("telemetry.text_chars",
                      static_cast<double>(n));
     jsonReport().set("telemetry.disabled_chars_per_sec", cs_off);
@@ -174,13 +158,16 @@ microReport()
     const std::uint64_t iters = smokeMode() ? 200000 : 2000000;
     setTelemetry(true);
 
+    telem::Registry reg(4);
+    telem::Counter &ctr = reg.counter("bench.e15.counter");
+    telem::LogHistogram &hist = reg.logHistogram("bench.e15.hist");
     const double ctr_s = secondsOf([&] {
         for (std::uint64_t i = 0; i < iters; ++i)
-            SPM_TCOUNT_GLOBAL("bench.e15.counter", 1);
+            ctr.add();
     });
     const double hist_s = secondsOf([&] {
         for (std::uint64_t i = 0; i < iters; ++i)
-            SPM_THIST_GLOBAL("bench.e15.hist", static_cast<double>(i % 100));
+            SPM_THIST(hist, static_cast<double>(i % 100));
     });
     const double span_s = secondsOf([&] {
         for (std::uint64_t i = 0; i < iters; ++i) {
@@ -220,8 +207,7 @@ printReport()
     spm::bench::banner(
         "E15: telemetry overhead",
         "Claim: registry counters, sampling histograms and span tracing\n"
-        "cost a few ns per site and under 3-5% end to end, and the\n"
-        "SPM_TELEM_OFF build compiles every optional site to nothing.");
+        "cost a few ns per site and under 3-5% end to end.");
     endToEndReport();
     microReport();
 }
@@ -249,10 +235,10 @@ serviceServe(benchmark::State &state)
 void
 counterAdd(benchmark::State &state)
 {
-    setTelemetry(true);
+    telem::Registry reg(4);
+    telem::Counter &ctr = reg.counter("bench.e15.timed_counter");
     for (auto _ : state)
-        SPM_TCOUNT_GLOBAL("bench.e15.timed_counter", 1);
-    setTelemetry(false);
+        ctr.add();
 }
 
 BENCHMARK(serviceServe)->Arg(0)->Arg(1);

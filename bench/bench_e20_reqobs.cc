@@ -4,9 +4,9 @@
  * (stage clocks, SLO log-histograms, exemplar reservoirs) cost?
  *
  * The reqobs contract is stricter than E15's general telemetry gate:
- * the per-request layer must stay within 2% end to end when enabled,
- * and exactly 0% under SPM_TELEM_OFF (StageClock compiles to empty
- * inline bodies; the observer registers nothing). Three measurements:
+ * the per-request layer must stay within 2% end to end when enabled.
+ * With sampling runtime-disabled every StageClock is disarmed, and the
+ * micro rows price a disarmed mark. Four measurements:
  *
  *   end to end     the streaming service serves the same request with
  *                  sampling runtime-enabled and runtime-disabled, in
@@ -59,16 +59,6 @@ secondsOf(const std::function<void()> &fn)
     fn();
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(t1 - t0).count();
-}
-
-bool
-compiledOut()
-{
-#ifdef SPM_TELEM_OFF
-    return true;
-#else
-    return false;
-#endif
 }
 
 service::ServiceConfig
@@ -147,15 +137,10 @@ streamingReport()
     table.setHeader({"mode", "Mchars/s", "overhead"});
     table.addRowOf("sampling off", Table::fixed(e.charsPerSecOff / 1e6, 3),
                    "baseline");
-    table.addRowOf(compiledOut() ? "sampling on (compiled out)"
-                                 : "sampling on",
-                   Table::fixed(e.charsPerSecOn / 1e6, 3),
+    table.addRowOf("sampling on", Table::fixed(e.charsPerSecOn / 1e6, 3),
                    Table::fixed(100.0 * e.overhead, 2) + "%");
     std::printf("%s\n", table.toString().c_str());
 
-    jsonReport().set("reqobs.build",
-                     compiledOut() ? "telem-off" : "default");
-    jsonReport().set("reqobs.compiled_out", compiledOut() ? 1.0 : 0.0);
     jsonReport().set("reqobs.text_chars", static_cast<double>(n));
     jsonReport().set("reqobs.disabled_chars_per_sec", e.charsPerSecOff);
     jsonReport().set("reqobs.enabled_chars_per_sec", e.charsPerSecOn);
@@ -317,8 +302,7 @@ printReport()
     spm::bench::banner(
         "E20: request observability overhead",
         "Claim: per-request stage clocks, SLO log-histograms and\n"
-        "exemplar reservoirs cost under 2% end to end when enabled and\n"
-        "nothing at all under SPM_TELEM_OFF (empty inline bodies).");
+        "exemplar reservoirs cost under 2% end to end when enabled.");
     streamingReport();
     simdReport();
     batchReport();

@@ -285,7 +285,6 @@ runOneCase(RunReport &report, const Case &c, const std::string &found_id,
            const HarnessConfig &cfg, bool force_side_legs)
 {
     SPM_TSPAN("conformance.case", telem::cat::conformance, 0, index);
-    SPM_TCOUNT_GLOBAL("conformance.cases", 1);
     const CaseResult r = runCase(c, oracles, index);
     ++report.casesRun;
     report.comparisons += r.oraclesRun - 1;

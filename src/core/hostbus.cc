@@ -4,7 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "telemetry/telem.hh"
 #include "util/logging.hh"
 
 namespace spm::core
@@ -113,13 +112,11 @@ bool
 HostBusModel::transferChar(Symbol sent, Symbol received)
 {
     ++nChars;
-    SPM_TCOUNT_GLOBAL("hostbus.chars_transferred", 1);
     if (!parity)
         return true;
     if (parityBit(sent, bits) == parityBit(received, bits))
         return true;
     ++nParityErrors;
-    SPM_TCOUNT_GLOBAL("hostbus.parity_errors", 1);
     return false;
 }
 
@@ -130,18 +127,13 @@ HostBusModel::transferChunk(const Symbol *sent, const Symbol *received,
     if (n == 0)
         return 0;
     nChars += n;
-    SPM_TCOUNT_GLOBAL("hostbus.chars_transferred",
-                      static_cast<std::uint64_t>(n));
     if (!parity || sent == received)
         return 0;
     std::uint64_t errs = 0;
     for (std::size_t i = 0; i < n; ++i)
         if (parityBit(sent[i], bits) != parityBit(received[i], bits))
             ++errs;
-    if (errs != 0) {
-        nParityErrors += errs;
-        SPM_TCOUNT_GLOBAL("hostbus.parity_errors", errs);
-    }
+    nParityErrors += errs;
     return errs;
 }
 

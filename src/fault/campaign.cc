@@ -11,7 +11,6 @@
 #include "fault/bypass.hh"
 #include "fault/injector.hh"
 #include "fault/parity.hh"
-#include "telemetry/metrics.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -169,37 +168,6 @@ FaultCampaign::protectedRun(const Fault *f, const Protection &prot) const
 
 TrialResult
 FaultCampaign::runTrial(const Fault &f)
-{
-    const TrialResult tr = classifyTrial(f);
-
-    // Campaign counters live on the shared telemetry registry (one
-    // namespace with the engine, service and grading metrics) instead
-    // of ad-hoc members, so a snapshot mid-campaign shows trial
-    // progress and every recovery layer's activity.
-    telem::Registry &reg = telem::Registry::global();
-    reg.counter("fault.campaign.trials").add();
-    reg.counter(std::string("fault.campaign.outcome.") +
-                outcomeName(tr.outcome))
-        .add();
-    if (tr.parityFlag)
-        reg.counter("fault.campaign.flag.parity").add();
-    if (tr.selfCheckFlag)
-        reg.counter("fault.campaign.flag.selfcheck").add();
-    if (tr.tmrFlag)
-        reg.counter("fault.campaign.flag.tmr").add();
-    if (tr.referenceFlag)
-        reg.counter("fault.campaign.flag.reference").add();
-    if (tr.attempts > 1)
-        reg.counter("fault.campaign.retry_attempts")
-            .add(tr.attempts - 1);
-    reg.counter("fault.campaign.backoff_beats").add(tr.backoffBeats);
-    if (tr.degradedCells > 0)
-        reg.counter("fault.campaign.bypass_runs").add();
-    return tr;
-}
-
-TrialResult
-FaultCampaign::classifyTrial(const Fault &f)
 {
     TrialResult tr;
     tr.fault = f;

@@ -138,11 +138,9 @@ class FaultCampaign
     Beat protocolBeats() const;
 
     /**
-     * Inject @p f into a full protected run and classify it. Trial
-     * activity also lands on the global telemetry registry as
-     * fault.campaign.* counters (trials, per-outcome counts, detector
-     * flags, retry attempts and backoff beats, bypass runs) -- the
-     * campaign keeps no ad-hoc counter state of its own.
+     * Inject @p f into a full protected run and classify it: the
+     * outcome, detector flags, retry attempts and backoff beats, and
+     * bypass cells all land in the returned TrialResult.
      */
     TrialResult runTrial(const Fault &f);
 
@@ -200,9 +198,6 @@ class FaultCampaign
 
     Observation protectedRun(const Fault *f,
                              const Protection &prot) const;
-
-    /** runTrial minus the telemetry rollup. */
-    TrialResult classifyTrial(const Fault &f);
 
     CampaignConfig cfg;
     std::vector<Symbol> text;

@@ -5,7 +5,6 @@
 
 #include "core/gatechip.hh"
 #include "telemetry/event.hh"
-#include "telemetry/metrics.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -142,9 +141,6 @@ FaultGrader::run()
 {
     spm_assert(cfg.patternLen >= 1 && cfg.patternLen <= cfg.textLen,
                "pattern must fit the text");
-    telem::Registry &reg = telem::Registry::global();
-    reg.counter("fault.grade.runs").add();
-
     GradeReport rep;
 
     // A probe chip supplies the netlist structure; every chip the
@@ -300,7 +296,6 @@ FaultGrader::run()
                         (br.detected & (1ULL << i)) != 0;
                     const bool serial =
                         serialDetect(cfg, batch[i], pool[w]);
-                    reg.counter("fault.grade.serial_checks").add();
                     ++rep.crossChecked;
                     if (word == serial)
                         continue;
@@ -322,20 +317,11 @@ FaultGrader::run()
             }
         }
         rep.wordEvals = sim.wordEvals();
-        reg.counter("fault.grade.crosscheck_mismatches")
-            .add(rep.crossCheckMismatches);
     }
 
-    // Telemetry rollup and the escape record: an undetected class is
-    // a chip that could ship with that defect and still pass this
-    // pattern pool, so the hardest escape is dumped replayably.
-    reg.counter("fault.grade.sites").add(rep.collapse.totalSites);
-    reg.counter("fault.grade.classes").add(rep.collapse.classCount);
-    reg.counter("fault.grade.detected_classes").add(rep.detectedClasses);
-    reg.counter("fault.grade.undetected_classes")
-        .add(rep.undetected.size());
-    reg.counter("fault.grade.word_batches").add(rep.wordBatches);
-    reg.counter("fault.grade.word_evals").add(rep.wordEvals);
+    // The escape record: an undetected class is a chip that could
+    // ship with that defect and still pass this pattern pool, so the
+    // hardest escape is dumped replayably.
     if (!rep.undetected.empty() && !pool.empty()) {
         const UndetectedFault &hardest = rep.undetected.front();
         telem::EventRecord ev{.kind = telem::EventKind::Note,

@@ -22,7 +22,7 @@
  *
  * Undetected classes are the chip's test escapes: the grader trips
  * the flight recorder with a replayable case ID naming the hardest
- * one, and all counts land on the telemetry registry.
+ * one, and every count lands in the GradeReport.
  */
 
 #ifndef SPM_FAULT_GRADE_HH

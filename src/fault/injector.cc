@@ -5,7 +5,6 @@
 #include "core/behavioral.hh"
 #include "core/bitserial.hh"
 #include "core/gatechip.hh"
-#include "telemetry/metrics.hh"
 #include "util/logging.hh"
 
 namespace spm::fault
@@ -75,13 +74,8 @@ FaultInjector::applyAt(systolic::Engine &eng, const CellResolver &resolver,
     if (idx >= eng.cellCount())
         badSite(f, "resolved to engine cell " + std::to_string(idx) +
                        " of " + std::to_string(eng.cellCount()));
-    if (eng.cell(idx).applyFault(f.point, op, f.bit)) {
+    if (eng.cell(idx).applyFault(f.point, op, f.bit))
         ++hits;
-        // Cached: this runs once per fault per beat.
-        static telem::Counter &ctr =
-            telem::Registry::global().counter("fault.injections");
-        ctr.add();
-    }
 }
 
 void

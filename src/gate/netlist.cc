@@ -1,6 +1,5 @@
 #include "gate/netlist.hh"
 
-#include "telemetry/telem.hh"
 #include "util/logging.hh"
 
 namespace spm::gate
@@ -213,8 +212,6 @@ Netlist::settle(Picoseconds now)
             spm_panic("netlist '", netName, "' failed to settle (", steps,
                       " evaluations; oscillating feedback?)");
     }
-    SPM_TCOUNT_GLOBAL("gate.device_evals", steps);
-    SPM_THIST_GLOBAL("gate.settle_evals", static_cast<double>(steps));
 }
 
 std::size_t

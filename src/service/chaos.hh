@@ -165,12 +165,6 @@ class ChaosBackend : public ServiceBackend
                              const std::vector<Symbol> &pattern,
                              BeatWatchdog &dog) override;
 
-    /** Windows this rung has been asked to serve. */
-    std::uint64_t windowsSeen() const
-    {
-        return windowCounter.load(std::memory_order_relaxed);
-    }
-
   private:
     std::unique_ptr<ServiceBackend> inner;
     std::shared_ptr<const ChaosPlan> plan;

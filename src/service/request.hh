@@ -70,8 +70,6 @@ struct MatchResponse
     std::uint64_t crossCheckFailures = 0;
     /** Chip beats consumed across all chunks and rungs. */
     Beat beats = 0;
-    /** Bus-paced seconds for those beats (HostBusModel). */
-    double busSeconds = 0.0;
 
     bool ok() const { return error.code == ErrorCode::Ok; }
 };

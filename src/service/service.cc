@@ -95,11 +95,11 @@ StreamSession::StreamSession(MatchService &svc, MatchRequest req,
 {
     response.id = request.id;
     if (resume_from) {
+        // resume() admits the token (resumed, beats, resumes) once it
+        // has checked it against the request.
         cp = std::move(*resume_from);
-        response.resumed = true;
-        response.beats = cp.beats;
-        service.resumesCtr.add();
         telem::EventRecord resume = event(telem::EventKind::Resume);
+        resume.beats = cp.beats;
         resume.digest = cp.digest();
         service.journalEvent(std::move(resume));
     } else {
@@ -578,6 +578,10 @@ MatchService::resume(const MatchRequest &req, const Checkpoint &from)
     if (err) {
         reject(*err);
         session.fail(err->code, err->detail);
+    } else {
+        session.response.resumed = true;
+        session.response.beats = from.beats;
+        resumesCtr.add();
     }
     while (session.step()) {
     }
@@ -599,10 +603,8 @@ MatchService::submit(MatchRequest req)
         return out;
     }
 
-#ifndef SPM_TELEM_OFF
     if (telem::samplingEnabled() && req.enqueuedNs == 0)
         req.enqueuedNs = telem::nowNs();
-#endif
     for (;;) {
         Admission adm = queue.offer(std::move(req));
         if (adm.shed) {

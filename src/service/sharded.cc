@@ -691,7 +691,6 @@ ShardedMatchService::serve(const MatchRequest &req)
     clock.mark(telem::Stage::CrossCheck);
 
     // --- Stitch ------------------------------------------------------
-    out.backend = batch->slices[0].resp.backend;
     for (std::size_t s = 0; s < nshards; ++s) {
         const SliceState &st = batch->slices[s];
         const MatchResponse &r = st.resp;
@@ -701,8 +700,12 @@ ShardedMatchService::serve(const MatchRequest &req)
                 out.error.detail =
                     "shard " + std::to_string(s) + ": " + r.error.detail;
         }
-        if (r.backend != out.backend)
-            out.backend += "+" + r.backend;
+        // Name each distinct rung once, in slice order.
+        bool named = false;
+        for (std::size_t t = 0; t < s && !named; ++t)
+            named = batch->slices[t].resp.backend == r.backend;
+        if (!named)
+            out.backend += (s == 0 ? "" : "+") + r.backend;
         out.degradations += r.degradations;
         out.chunks += r.chunks;
         out.checkpoints += r.checkpoints;
@@ -710,7 +713,6 @@ ShardedMatchService::serve(const MatchRequest &req)
         out.crossCheckFailures += r.crossCheckFailures;
         lastTotal += st.attemptBeats;
         lastCritical = std::max(lastCritical, r.beats);
-        out.busSeconds = std::max(out.busSeconds, r.busSeconds);
         if (out.ok()) {
             // Keep only the slice's own positions: the warm-up prefix
             // belongs to shard s-1, the right extension to shard s+1.

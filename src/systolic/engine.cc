@@ -1,7 +1,6 @@
 #include "systolic/engine.hh"
 
 #include "systolic/trace.hh"
-#include "telemetry/telem.hh"
 #include "util/logging.hh"
 
 namespace spm::systolic
@@ -14,17 +13,6 @@ Engine::Engine(Picoseconds beat_period_ps)
       activeCtr(registry.counter("active_cell_beats")),
       idleCtr(registry.counter("idle_cell_beats"))
 {
-}
-
-Engine::~Engine()
-{
-    // Fold this engine's lifetime totals into the process registry;
-    // engines are neither copyable nor movable, so the totals are
-    // final here. Compiled out under SPM_TELEM_OFF.
-    SPM_TCOUNT_GLOBAL("engine.beats", beatsCtr.value());
-    SPM_TCOUNT_GLOBAL("engine.evaluations", evalsCtr.value());
-    SPM_TCOUNT_GLOBAL("engine.active_cell_beats", activeCtr.value());
-    SPM_TCOUNT_GLOBAL("engine.idle_cell_beats", idleCtr.value());
 }
 
 void

@@ -41,7 +41,6 @@ class Engine
     using BeatHook = std::function<void(Beat)>;
 
     explicit Engine(Picoseconds beat_period_ps = prototypeBeatPs);
-    ~Engine();
 
     /** Add a cell; returns a reference with engine-lifetime validity. */
     template <typename CellT, typename... Args>
@@ -121,8 +120,7 @@ class Engine
 
     // Engines are created per match window on hot service paths, so
     // each keeps a private single-stripe registry (one engine, one
-    // stepping thread); the destructor folds lifetime totals into
-    // Registry::global() under the engine.* names.
+    // stepping thread), read through stats() and statsDump().
     telem::Registry registry{1};
     telem::Counter &beatsCtr;
     telem::Counter &evalsCtr;

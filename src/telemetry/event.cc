@@ -579,8 +579,6 @@ ExemplarReservoir::clear()
 
 // ------------------------------------------------------- RequestObserver
 
-#ifndef SPM_TELEM_OFF
-
 RequestObserver::RequestObserver(Registry &reg, const char *service_label,
                                  ExemplarReservoir *res)
     : serviceLabel(service_label), reservoir(res),
@@ -632,27 +630,5 @@ RequestObserver::noteQueueWait(std::uint64_t wait_ns)
         stageHists[static_cast<std::size_t>(Stage::QueueWait)]->sample(
             static_cast<double>(wait_ns));
 }
-
-#else // SPM_TELEM_OFF: the observer exists but registers and records
-      // nothing -- req.* metrics vanish from snapshots entirely.
-
-RequestObserver::RequestObserver(Registry &, const char *service_label,
-                                 ExemplarReservoir *res)
-    : serviceLabel(service_label), reservoir(res)
-{
-}
-
-void
-RequestObserver::observe(const StageClock &, std::uint64_t, bool,
-                         const char *, const std::function<CaseRef()> &)
-{
-}
-
-void
-RequestObserver::noteQueueWait(std::uint64_t)
-{
-}
-
-#endif // SPM_TELEM_OFF
 
 } // namespace spm::telem

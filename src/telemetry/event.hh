@@ -6,9 +6,7 @@
  * ExemplarReservoir store EventRecords, rendered to lines only when a
  * dump asks. StageClock splits one request's latency into stages;
  * RequestObserver folds finished clocks into "req.*" LogHistograms
- * and offers each request to an ExemplarReservoir. StageClock and
- * RequestObserver compile to empty bodies under SPM_TELEM_OFF; event
- * recording is always on.
+ * and offers each request to an ExemplarReservoir.
  */
 
 #ifndef SPM_TELEMETRY_EVENT_HH
@@ -225,12 +223,11 @@ const char *stageName(Stage s);
  * previous mark to stage @p s, note(s, ns) credits externally
  * measured time (queue waits timed by an enqueue stamp), addBeats
  * accumulates the simulated-chip cost. Everything is a no-op when
- * sampling was disabled at start() or under SPM_TELEM_OFF.
+ * sampling was disabled at start().
  */
 class StageClock
 {
   public:
-#ifndef SPM_TELEM_OFF
     void start()
     {
         armed = samplingEnabled();
@@ -268,16 +265,6 @@ class StageClock
     /** Wall nanoseconds since start(); live until observed. */
     std::uint64_t totalNs() const { return armed ? nowNs() - t0 : 0; }
     Beat beats() const { return beatCount; }
-#else
-    void start() {}
-    void mark(Stage) {}
-    void note(Stage, std::uint64_t) {}
-    void addBeats(Beat) {}
-    bool running() const { return false; }
-    std::uint64_t stageNs(Stage) const { return 0; }
-    std::uint64_t totalNs() const { return 0; }
-    Beat beats() const { return 0; }
-#endif
 
   private:
     bool armed = false;
@@ -390,11 +377,9 @@ class RequestObserver
   private:
     const char *serviceLabel;
     ExemplarReservoir *reservoir;
-#ifndef SPM_TELEM_OFF
     LogHistogram &latencyNsHist;
     LogHistogram &latencyBeatsHist;
     std::array<LogHistogram *, stageCount> stageHists{};
-#endif
 };
 
 } // namespace spm::telem

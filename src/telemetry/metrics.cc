@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -17,15 +18,6 @@ namespace
 {
 
 std::atomic<bool> gSampling{true};
-
-std::size_t
-roundUpPow2(std::size_t n)
-{
-    std::size_t p = 1;
-    while (p < n)
-        p <<= 1;
-    return p;
-}
 
 /** Format a double the way the JSON snapshot and stat lines expect. */
 std::string
@@ -104,7 +96,7 @@ threadStripe()
 Counter::Counter(std::string metric_name, std::size_t stripes)
     : metricName(std::move(metric_name))
 {
-    std::size_t n = roundUpPow2(std::max<std::size_t>(stripes, 1));
+    std::size_t n = std::bit_ceil(stripes);
     mask = n - 1;
     cells = std::make_unique<StripeCell[]>(n);
 }
@@ -133,13 +125,7 @@ LogHistogram::bucketIndex(std::uint64_t u)
     constexpr std::uint64_t sub = std::uint64_t{1} << subBits;
     if (u < 2 * sub)
         return static_cast<std::size_t>(u); // exact low range
-#if defined(__GNUC__) || defined(__clang__)
-    const unsigned msb = 63u - static_cast<unsigned>(__builtin_clzll(u));
-#else
-    unsigned msb = 0;
-    for (std::uint64_t w = u; w >>= 1;)
-        ++msb;
-#endif
+    const unsigned msb = static_cast<unsigned>(std::bit_width(u)) - 1;
     const unsigned shift = msb - subBits;
     return static_cast<std::size_t>((shift + 1) * sub + (u >> shift) - sub);
 }
@@ -157,7 +143,7 @@ LogHistogram::bucketFloor(std::size_t index)
 LogHistogram::LogHistogram(std::string metric_name,
                            std::size_t stripe_count)
     : metricName(std::move(metric_name)),
-      stripes(roundUpPow2(std::max<std::size_t>(stripe_count, 1)))
+      stripes(std::bit_ceil(stripe_count))
 {
     sumCells = std::make_unique<StripeCell[]>(stripes);
 }
@@ -573,17 +559,8 @@ Snapshot::fromJson(const std::string &text)
 // --------------------------------------------------------------- Registry
 
 Registry::Registry(std::size_t stripe_count)
-    : stripes(roundUpPow2(std::max<std::size_t>(stripe_count, 1)))
+    : stripes(std::bit_ceil(stripe_count))
 {
-}
-
-Registry &
-Registry::global()
-{
-    // Leaked intentionally: worker threads may still bump counters
-    // during static destruction.
-    static Registry *g = new Registry(16);
-    return *g;
 }
 
 Counter &

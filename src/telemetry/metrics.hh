@@ -262,10 +262,9 @@ struct Snapshot
 };
 
 /**
- * A registry of named metrics. Components own one (the engine, each
- * service shard) or share the process-wide Registry::global();
- * get-or-create accessors return stable references that stay valid
- * for the registry's lifetime.
+ * A registry of named metrics. Each component owns one (the engine,
+ * each service front end); get-or-create accessors return stable
+ * references that stay valid for the registry's lifetime.
  */
 class Registry
 {
@@ -275,9 +274,6 @@ class Registry
 
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
-
-    /** The process-wide registry (striped for concurrent writers). */
-    static Registry &global();
 
     /** Get or create a counter. */
     Counter &counter(const std::string &name);

@@ -17,11 +17,6 @@
  * happens-before edge between the writers and the exporter (the
  * sharded service's batch join provides exactly that). Rings wrap:
  * the buffer always holds the most recent events per thread.
- *
- * The whole layer compiles away under -DSPM_TELEM_OFF via the macros
- * in telem.hh; this header's classes still exist in that build (the
- * exporter tooling links them) but no instrumentation site creates
- * them.
  */
 
 #ifndef SPM_TELEMETRY_SPAN_HH

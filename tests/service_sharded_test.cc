@@ -12,6 +12,7 @@
 #include <stdexcept>
 
 #include "core/reference.hh"
+#include "core/simdpar.hh"
 #include "service/service.hh"
 #include "service/sharded.hh"
 #include "telemetry/span.hh"
@@ -240,7 +241,30 @@ TEST(ShardedService, CustomLadderFactoryPinsBackend)
     EXPECT_EQ(resp.result, ref.match(req.text, req.pattern));
 }
 
-#ifndef SPM_TELEM_OFF
+TEST(ShardedService, ResponseNamesEachRungOnce)
+{
+    // Slot 1 serves on the software rung, every other slot on the
+    // simd kernel: the stitched response lists each distinct rung
+    // once, in slice order.
+    ShardedMatchService sharded(
+        smallShardConfig(4, 2), [](const ServiceConfig &shard_cfg) {
+            std::vector<std::unique_ptr<ServiceBackend>> ladder;
+            if (shard_cfg.shardId == 1)
+                ladder.push_back(std::make_unique<SoftwareBackend>());
+            else
+                ladder.push_back(std::make_unique<MatcherBackend>(
+                    std::make_unique<core::SimdParallelMatcher>()));
+            return ladder;
+        });
+    const auto req = randomRequest(0x2A6, 2, 200, 5);
+    const MatchResponse resp = sharded.serve(req);
+    ASSERT_TRUE(resp.ok()) << resp.error.detail;
+    ASSERT_EQ(sharded.lastShards(), 4u);
+    EXPECT_EQ(resp.backend, "simd-parallel+software-baseline");
+    core::ReferenceMatcher ref;
+    EXPECT_EQ(resp.result, ref.match(req.text, req.pattern));
+}
+
 TEST(ShardedService, TracedServeExportsValidChromeTrace)
 {
     // Four worker threads record spans into the global trace buffer
@@ -284,7 +308,6 @@ TEST(ShardedService, TracedServeExportsValidChromeTrace)
     EXPECT_GE(distinct_tids, 2u);
     buf.clear();
 }
-#endif // SPM_TELEM_OFF
 
 TEST(ShardedService, ZeroBatchDeadlineIsRejectedAtConstruction)
 {

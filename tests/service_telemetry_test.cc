@@ -127,7 +127,6 @@ TEST(ServiceTelemetry, WatchdogTripDumpsReplayableCaseId)
     EXPECT_GE(svc.stats().counter("watchdogTrips").value(), 1u);
 }
 
-#ifndef SPM_TELEM_OFF
 TEST(ServiceTelemetry, WatchdogTripForceRetainsAnExemplar)
 {
     // The reqobs acceptance criterion: a watchdog trip must survive in
@@ -203,7 +202,6 @@ TEST(ServiceTelemetry, LongRequestsRenderFixedSizeCaseRefs)
     EXPECT_EQ(sizes[1], sizes[0] + 1);
     EXPECT_LT(sizes[1], 64u);
 }
-#endif // SPM_TELEM_OFF
 
 TEST(ServiceTelemetry, LadderFallRecordsTransitionEvent)
 {
@@ -260,19 +258,13 @@ TEST(ServiceTelemetry, ChunkCommitsLandInRecorderAndHistogram)
     }
     EXPECT_EQ(commits, resp.chunks);
 
-    // And one latency sample per chunk in the registry histogram
-    // (sampling is optional instrumentation: compiled out under
-    // SPM_TELEM_OFF).
+    // And one latency sample per chunk in the registry histogram.
     const telem::Snapshot snap = svc.metricsSnapshot();
     const telem::Snapshot::LogHistogramData *h =
         snap.logHistogram("chunk_beats");
     ASSERT_NE(h, nullptr);
-#ifndef SPM_TELEM_OFF
     EXPECT_EQ(h->samples(), resp.chunks);
     EXPECT_GT(h->mean(), 0.0);
-#else
-    EXPECT_EQ(h->samples(), 0u);
-#endif
 
     // A gate-ladder request whose 512-char chunks each cost at least
     // 1024 beats: the histogram has no upper edge to clip them at, and
@@ -301,13 +293,9 @@ TEST(ServiceTelemetry, ChunkCommitsLandInRecorderAndHistogram)
     const telem::Snapshot::LogHistogramData *wh =
         wideSnap.logHistogram("chunk_beats");
     ASSERT_NE(wh, nullptr);
-#ifndef SPM_TELEM_OFF
     EXPECT_EQ(wh->samples(), big.chunks);
     EXPECT_NEAR(wh->quantile(0.99), static_cast<double>(most),
                 static_cast<double>(most) / 8.0);
-#else
-    EXPECT_EQ(wh->samples(), 0u);
-#endif
 }
 
 TEST(ServiceTelemetry, RegistryBacksTheLegacyDumpFormat)

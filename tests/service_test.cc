@@ -826,9 +826,15 @@ TEST(Checkpoint, InconsistentResumeTokenIsRejected)
     MatchService svc(smallConfig(), behavioralLadder(8));
     Checkpoint bogus;
     bogus.offset = 17; // but no emitted bits / tail
+    bogus.beats = 12345;
     const MatchResponse resp = svc.resume(req, bogus);
     EXPECT_FALSE(resp.ok());
     EXPECT_EQ(resp.error.code, ErrorCode::InvalidCheckpoint);
+    // A rejected token resumes nothing and carries none of its beats.
+    EXPECT_FALSE(resp.resumed);
+    EXPECT_EQ(resp.beats, 0u);
+    EXPECT_EQ(svc.stats().counter("resumes").value(), 0u);
+    EXPECT_EQ(svc.stats().counter("rejected").value(), 1u);
 }
 
 TEST(Checkpoint, DigestChangesWithContents)

@@ -240,15 +240,6 @@ TEST(Registry, ResetZeroesEverything)
     EXPECT_EQ(reg.logHistogram("h").sum(), 0.0);
 }
 
-TEST(Registry, GlobalIsUsableAndStable)
-{
-    Counter &c = Registry::global().counter("test.metrics.global");
-    const std::uint64_t before = c.value();
-    c.add(2);
-    EXPECT_EQ(Registry::global().counter("test.metrics.global").value(),
-              before + 2);
-}
-
 TEST(LogHistogram, NanSamplesLandInTheInvalidCell)
 {
     Registry reg;

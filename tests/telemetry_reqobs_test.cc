@@ -3,11 +3,8 @@
  * Unit tests for the request-observability layer: LogHistogram
  * bucketing and exact-count quantiles against a sorted reference,
  * StageClock attribution, the deterministic exemplar reservoir, the
- * RequestObserver fold, and Snapshot::delta interval arithmetic.
- *
- * Under SPM_TELEM_OFF the StageClock and RequestObserver compile to
- * no-ops; those tests flip to asserting exactly that, so the telem-off
- * CI job proves the contract instead of skipping it.
+ * RequestObserver fold (and its runtime off switch), and
+ * Snapshot::delta interval arithmetic.
  */
 
 #include <gtest/gtest.h>
@@ -191,8 +188,6 @@ TEST(SnapshotDelta, CounterResetClampsToCurrent)
     EXPECT_EQ(now.delta(earlier).counterValue("served"), 4u);
 }
 
-#ifndef SPM_TELEM_OFF
-
 TEST(StageClock, AttributesTimeToMarkedStages)
 {
     setSamplingEnabled(true);
@@ -255,6 +250,30 @@ TEST(RequestObserver, FoldsClocksIntoReqHistograms)
     EXPECT_EQ(qw->samples(), 2u);
     // Unmarked stages record nothing (no zero-spam).
     EXPECT_EQ(snap.logHistogram("req.stage.journal_ns")->samples(), 0u);
+}
+
+TEST(RequestObserver, DisarmedClockRecordsNothing)
+{
+    setSamplingEnabled(false);
+    Registry reg;
+    ExemplarReservoir res;
+    RequestObserver obs(reg, "test", &res);
+    StageClock clock;
+    clock.start();
+    clock.note(Stage::QueueWait, 500);
+    clock.mark(Stage::Kernel);
+    clock.addBeats(64);
+    obs.observe(clock, 1, true, "forced", [] { return CaseRef(); });
+    obs.noteQueueWait(700);
+
+    // The observer registered its req.* histograms; none has a sample.
+    const Snapshot snap = reg.snapshot();
+    ASSERT_EQ(snap.logHistograms.size(), 2 + stageCount);
+    for (const auto &[name, h] : snap.logHistograms) {
+        EXPECT_EQ(name.rfind("req.", 0), 0u) << name;
+        EXPECT_EQ(h.samples(), 0u) << name;
+    }
+    EXPECT_EQ(res.offered(), 0u);
 }
 
 TEST(ExemplarReservoir, SlowestClassKeepsTheLargestLatencies)
@@ -331,35 +350,6 @@ TEST(ExemplarReservoir, ForcedRingNeverDropsForRegularTraffic)
     EXPECT_STREQ(forced[0].reason, "watchdog trip");
     EXPECT_NE(res.renderText().find("watchdog trip"), std::string::npos);
 }
-
-#else // SPM_TELEM_OFF
-
-TEST(StageClock, CompilesToNothing)
-{
-    setSamplingEnabled(true);
-    StageClock clock;
-    clock.start();
-    EXPECT_FALSE(clock.running());
-    clock.mark(Stage::Kernel);
-    clock.addBeats(77);
-    EXPECT_EQ(clock.stageNs(Stage::Kernel), 0u);
-    EXPECT_EQ(clock.beats(), 0u);
-    setSamplingEnabled(false);
-}
-
-TEST(RequestObserver, RegistersNothing)
-{
-    Registry reg;
-    RequestObserver obs(reg, "test", nullptr);
-    StageClock clock;
-    clock.start();
-    obs.observe(clock, 1, true, "forced", [] { return CaseRef(); });
-    obs.noteQueueWait(123);
-    EXPECT_EQ(reg.metricCount(), 0u);
-    EXPECT_EQ(reg.snapshot().logHistogram("req.latency_ns"), nullptr);
-}
-
-#endif // SPM_TELEM_OFF
 
 } // namespace
 } // namespace spm::telem

@@ -14,7 +14,6 @@
 
 #include "telemetry/jsonlite.hh"
 #include "telemetry/span.hh"
-#include "telemetry/telem.hh"
 
 namespace spm::telem
 {
@@ -178,24 +177,6 @@ TEST(Categories, NamesRenderTheBitsSet)
     EXPECT_EQ(cat::names(cat::service | cat::sharded),
               "service,sharded");
 }
-
-#ifdef SPM_TELEM_OFF
-TEST(TelemOff, MacrosCompileToNothing)
-{
-    TraceBuffer &buf = TraceBuffer::global();
-    buf.setEnabled(true);
-    const std::uint64_t before = buf.recordedTotal();
-    {
-        SPM_TSPAN("off.span", cat::service, 1, 2);
-        SPM_TSPAN_NAMED(named, "off.named", cat::service, 1, 2);
-        named.setBeat(3); // NullSpan keeps call sites compiling
-        named.setArg(4);
-        SPM_TINSTANT("off.instant", cat::service, 1, 2);
-    }
-    EXPECT_EQ(buf.recordedTotal(), before);
-    buf.setEnabled(false);
-}
-#endif
 
 } // namespace
 } // namespace spm::telem

@@ -148,7 +148,7 @@ renderFrame(const Snapshot &snap, double elapsed_s)
     const auto prefixes = servicePrefixes(snap);
     if (prefixes.empty())
         os << "(no req.latency_ns log-histograms in this snapshot; "
-              "was it taken under SPM_TELEM_OFF?)\n";
+              "is it a service front end's?)\n";
     for (const std::string &prefix : prefixes) {
         const auto *lat = snap.logHistogram(prefix + "req.latency_ns");
         const auto *beats = snap.logHistogram(prefix + "req.latency_beats");
