@@ -61,7 +61,7 @@ charsPerSec(MatcherT &m, const spm::bench::MatchWorkload &w,
 {
     double best = 1e300;
     for (int i = 0; i < reps; ++i) {
-        std::vector<bool> r;
+        BitVec r;
         const double s = secondsOf(
             [&] { r = m.match(w.text, w.pattern); });
         benchmark::DoNotOptimize(r);
@@ -277,7 +277,7 @@ gateEngineReport()
     GateLevelMatcher lanes(cells, 2);
     ReferenceMatcher ref;
 
-    std::vector<std::vector<bool>> r_event(window_count);
+    std::vector<BitVec> r_event(window_count);
     std::vector<Beat> beats_event(window_count);
     std::uint64_t event_evals = 0;
     double s_event = 1e300;

@@ -72,7 +72,7 @@ charsPerSec(MatcherT &m, const spm::bench::MatchWorkload &w,
 {
     double best = 1e300;
     for (int i = 0; i < reps; ++i) {
-        std::vector<bool> r;
+        BitVec r;
         const double s = secondsOf(
             [&] { r = m.match(w.text, w.pattern); });
         benchmark::DoNotOptimize(r);

@@ -66,7 +66,7 @@ printReport()
                         const char *objection) {
         const auto &w = wildcards ? wild : exact;
         const auto &want = wildcards ? want_wild : want_exact;
-        std::vector<bool> got;
+        BitVec got;
         const double ms =
             wallMs([&] { got = m.match(w.text, w.pattern); });
         table.addRowOf(m.name(), wildcards ? "yes" : "no",
@@ -86,7 +86,7 @@ printReport()
 
     {
         BroadcastMatcher bc;
-        std::vector<bool> got;
+        BitVec got;
         const double ms =
             wallMs([&] { got = bc.match(wild.text, wild.pattern); });
         table.addRowOf(
@@ -102,7 +102,7 @@ printReport()
     }
     {
         StaticArrayMatcher sa;
-        std::vector<bool> got;
+        BitVec got;
         const double ms =
             wallMs([&] { got = sa.match(wild.text, wild.pattern); });
         table.addRowOf(sa.name(), "yes", Table::fixed(ms, 2),
@@ -112,7 +112,7 @@ printReport()
     }
     {
         BehavioralMatcher chip(k);
-        std::vector<bool> got;
+        BitVec got;
         const double ms =
             wallMs([&] { got = chip.match(wild.text, wild.pattern); });
         table.addRowOf(chip.name(), "yes", Table::fixed(ms, 2),

@@ -63,15 +63,12 @@ void
 describe(const char *tag, const MatchResponse &resp)
 {
     if (resp.ok()) {
-        std::size_t matches = 0;
-        for (bool b : resp.result)
-            matches += b ? 1 : 0;
         std::printf("%s request %llu completed on %s: %zu matches, "
-                    "%zu chunks, %zu checkpoints, %zu degradations, "
+                    "%zu chunks (one checkpoint each), %zu degradations, "
                     "%llu beats\n",
                     tag, static_cast<unsigned long long>(resp.id),
-                    resp.backend.c_str(), matches, resp.chunks,
-                    resp.checkpoints, resp.degradations,
+                    resp.backend.c_str(), resp.result.popcount(),
+                    resp.chunks, resp.degradations,
                     static_cast<unsigned long long>(resp.beats));
     } else {
         std::printf("%s request %llu failed: %s\n", tag,

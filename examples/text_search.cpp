@@ -46,11 +46,11 @@ compileQuery(const std::string &query)
 }
 
 void
-showMatches(const std::string &doc, const std::vector<bool> &r,
+showMatches(const std::string &doc, const spm::BitVec &r,
             std::size_t query_len)
 {
     for (std::size_t i = 0; i < r.size(); ++i) {
-        if (!r[i])
+        if (!r.get(i))
             continue;
         const std::size_t start = i + 1 - query_len;
         std::printf("    at %4zu: \"%s\"\n", start,
@@ -87,9 +87,7 @@ main()
         const auto chip_r = chip.match(text, pattern);
         const auto naive_r = naive.match(text, pattern);
 
-        std::size_t hits = 0;
-        for (bool b : chip_r)
-            hits += b;
+        const std::size_t hits = chip_r.popcount();
         std::printf("query \"%s\": %zu match(es), %llu beats "
                     "(%.1f us of chip time)%s\n",
                     q, hits,

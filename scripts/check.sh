@@ -104,6 +104,16 @@ echo "== conformance: gate fuzz under asan =="
 build-asan-ubsan/tools/conformance_fuzz --cases 1000000 --seconds 10 \
     --focus gate --no-extensions --no-golden
 
+# The batch and sharded-service oracles under AddressSanitizer: batch
+# row slicing, sharded stitching and the overlap compare move result
+# bits as word-shifted BitVec appends, so an out-of-bounds word read
+# there trips ASan instead of shipping as a wrong edge bit.
+echo "== conformance: batch and sharded-service fuzz under asan =="
+build-asan-ubsan/tools/conformance_fuzz --cases 1000000 --seconds 10 \
+    --focus batch --no-extensions --no-golden
+build-asan-ubsan/tools/conformance_fuzz --cases 1000000 --seconds 10 \
+    --focus service --no-extensions --no-golden
+
 # Chaos leg on the plain build: a seeded mixed storm (stalls, hangs,
 # throws, silent bit flips against the primaries) must end with every
 # request either recovered bit-exact or failed typed -- chaos_storm

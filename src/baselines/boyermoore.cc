@@ -60,14 +60,14 @@ goodSuffixTable(const std::vector<Symbol> &pattern)
 
 } // namespace
 
-std::vector<bool>
+BitVec
 BoyerMooreMatcher::match(const std::vector<Symbol> &text,
                          const std::vector<Symbol> &pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
     comparisons = 0;
-    std::vector<bool> r(n, false);
+    BitVec r(n);
     if (len == 0 || len > n)
         return r;
 
@@ -90,7 +90,7 @@ BoyerMooreMatcher::match(const std::vector<Symbol> &text,
             --j;
         }
         if (j == 0) {
-            r[start + len - 1] = true;
+            r.set(start + len - 1, true);
             start += good[0];
         } else {
             const Symbol mismatched = text[start + j - 1];

@@ -12,13 +12,13 @@ BroadcastCost::stretchedBeatPs(Picoseconds base_ps) const
            base_ps * static_cast<Picoseconds>(fanout) / driverStrength;
 }
 
-std::vector<bool>
+BitVec
 BroadcastMatcher::match(const std::vector<Symbol> &text,
                         const std::vector<Symbol> &pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
-    std::vector<bool> r(n, false);
+    BitVec r(n);
     beatsUsed = 0;
     loadBeats = 0;
     cost = BroadcastCost{len};
@@ -58,7 +58,7 @@ BroadcastMatcher::match(const std::vector<Symbol> &text,
         }
         ++beatsUsed;
         if (cells[len - 1].partial)
-            r[i] = true;
+            r.set(i, true);
     }
     return r;
 }

@@ -76,13 +76,13 @@ crossCorrelate(const std::vector<double> &x, const std::vector<double> &y)
     return out;
 }
 
-std::vector<bool>
+BitVec
 FftMatcher::match(const std::vector<Symbol> &text,
                   const std::vector<Symbol> &pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
-    std::vector<bool> r(n, false);
+    BitVec r(n);
     if (len == 0 || len > n)
         return r;
 
@@ -115,7 +115,7 @@ FftMatcher::match(const std::vector<Symbol> &text,
     for (std::size_t i0 = 0; i0 + len <= n; ++i0) {
         const double mismatch = t1[i0] - 2.0 * t2[i0] + t3[i0];
         if (std::abs(mismatch) < integerThreshold)
-            r[i0 + len - 1] = true;
+            r.set(i0 + len - 1, true);
     }
     return r;
 }

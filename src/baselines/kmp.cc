@@ -21,14 +21,14 @@ KmpMatcher::failureFunction(const std::vector<Symbol> &pattern)
     return fail;
 }
 
-std::vector<bool>
+BitVec
 KmpMatcher::match(const std::vector<Symbol> &text,
                   const std::vector<Symbol> &pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
     comparisons = 0;
-    std::vector<bool> r(n, false);
+    BitVec r(n);
     if (len == 0 || len > n)
         return r;
 
@@ -50,7 +50,7 @@ KmpMatcher::match(const std::vector<Symbol> &text,
         if (pattern[q] == text[i])
             ++q;
         if (q == len) {
-            r[i] = true;
+            r.set(i, true);
             q = fail[q - 1];
         }
     }

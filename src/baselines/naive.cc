@@ -5,14 +5,14 @@
 namespace spm::baselines
 {
 
-std::vector<bool>
+BitVec
 NaiveMatcher::match(const std::vector<Symbol> &text,
                     const std::vector<Symbol> &pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
     comparisons = 0;
-    std::vector<bool> r(n, false);
+    BitVec r(n);
     if (len == 0 || len > n)
         return r;
 
@@ -26,7 +26,7 @@ NaiveMatcher::match(const std::vector<Symbol> &text,
             }
         }
         if (all)
-            r[start + len - 1] = true;
+            r.set(start + len - 1, true);
     }
     return r;
 }

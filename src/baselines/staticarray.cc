@@ -5,13 +5,13 @@
 namespace spm::baselines
 {
 
-std::vector<bool>
+BitVec
 StaticArrayMatcher::match(const std::vector<Symbol> &text,
                           const std::vector<Symbol> &pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
-    std::vector<bool> r(n, false);
+    BitVec r(n);
     beatsUsed = 0;
     loadBeats = 0;
     if (len == 0 || len > n)
@@ -58,7 +58,7 @@ StaticArrayMatcher::match(const std::vector<Symbol> &text,
             } else {
                 const std::size_t end = old[c].start + len - 1;
                 if (end < n)
-                    r[end] = old[c].value;
+                    r.set(end, old[c].value);
             }
         }
         old = young;

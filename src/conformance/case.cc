@@ -242,17 +242,4 @@ decodeCase(const std::string &id)
     return c;
 }
 
-std::string
-describeCase(const Case &c)
-{
-    std::string s = "bits=" + std::to_string(c.bits) +
-                    " k=" + std::to_string(c.pattern.size()) +
-                    " n=" + std::to_string(c.text.size());
-    if (c.pattern.size() <= 80)
-        s += " pattern=" + renderSymbols(c.pattern);
-    if (c.text.size() <= 120)
-        s += " text=" + renderSymbols(c.text);
-    return s;
-}
-
 } // namespace spm::conformance

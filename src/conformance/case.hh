@@ -99,9 +99,6 @@ std::optional<CaseSpec> decodeSpec(const std::string &id);
  */
 std::optional<Case> decodeCase(const std::string &id);
 
-/** Render a case for failure reports (lengths, streams, alphabet). */
-std::string describeCase(const Case &c);
-
 } // namespace spm::conformance
 
 #endif // SPM_CONFORMANCE_CASE_HH

@@ -1,5 +1,6 @@
 #include "conformance/differ.hh"
 
+#include <bit>
 #include <exception>
 
 #include "util/logging.hh"
@@ -12,10 +13,9 @@ namespace
 
 /** Diff one oracle's answer against the reference answer. */
 std::optional<Disagreement>
-diffAgainst(const std::vector<bool> &expect, const Oracle &oracle,
-            const Case &c)
+diffAgainst(const BitVec &expect, const Oracle &oracle, const Case &c)
 {
-    std::vector<bool> got;
+    BitVec got;
     try {
         got = oracle.matcher->match(c.text, c.pattern);
     } catch (const std::exception &e) {
@@ -38,17 +38,15 @@ diffAgainst(const std::vector<bool> &expect, const Oracle &oracle,
         d.mismatches = 1;
         return d;
     }
-    bool first_seen = false;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        if (got[i] == expect[i])
-            continue;
-        if (!first_seen) {
-            d.firstIndex = i;
-            first_seen = true;
-        }
-        d.lastIndex = i;
-        ++d.mismatches;
-    }
+    const BitVec diff = got ^ expect;
+    d.firstIndex = diff.findFirst();
+    d.mismatches = diff.popcount();
+    const std::vector<std::uint64_t> &w = diff.words();
+    std::size_t last = w.size() - 1;
+    while (w[last] == 0)
+        --last;
+    d.lastIndex =
+        64 * last + 63 - static_cast<std::size_t>(std::countl_zero(w[last]));
     return d;
 }
 
@@ -73,8 +71,7 @@ runCase(const Case &c, std::vector<Oracle> &oracles, std::uint64_t index)
 {
     spm_assert(!oracles.empty(), "no oracles registered");
     CaseResult result;
-    const std::vector<bool> expect =
-        oracles.front().matcher->match(c.text, c.pattern);
+    const BitVec expect = oracles.front().matcher->match(c.text, c.pattern);
     result.oraclesRun = 1;
     for (std::size_t i = 1; i < oracles.size(); ++i) {
         if (!oracles[i].eligible(c, index)) {
@@ -94,8 +91,7 @@ stillFails(const Case &c, std::vector<Oracle> &oracles,
 {
     spm_assert(oracle_pos > 0 && oracle_pos < oracles.size(),
                "oracle position out of range");
-    const std::vector<bool> expect =
-        oracles.front().matcher->match(c.text, c.pattern);
+    const BitVec expect = oracles.front().matcher->match(c.text, c.pattern);
     return diffAgainst(expect, oracles[oracle_pos], c).has_value();
 }
 

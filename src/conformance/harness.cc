@@ -121,7 +121,7 @@ checkCounting(RunReport &report, const Case &c,
     }
 
     core::ReferenceMatcher matcher;
-    const std::vector<bool> bits = matcher.match(c.text, c.pattern);
+    const BitVec bits = matcher.match(c.text, c.pattern);
 
     auto fail = [&](const std::string &detail) {
         Failure f;
@@ -141,11 +141,11 @@ checkCounting(RunReport &report, const Case &c,
             return;
         }
         const bool full = i >= k - 1 && sys[i] == k;
-        if (full != bits[i]) {
+        if (full != bits.get(i)) {
             fail("count[" + std::to_string(i) + "] = " +
                  std::to_string(sys[i]) + " (k = " +
                  std::to_string(k) + ") inconsistent with match bit " +
-                 (bits[i] ? "1" : "0"));
+                 (bits.get(i) ? "1" : "0"));
             return;
         }
     }

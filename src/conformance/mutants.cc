@@ -24,12 +24,12 @@ namespace
 class MutShardOverlap : public core::Matcher
 {
   public:
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         const std::size_t n = text.size();
         const std::size_t k = pattern.size();
-        std::vector<bool> result(n, false);
+        BitVec result(n);
         if (k == 0 || n == 0 || k > n)
             return result;
 
@@ -48,10 +48,10 @@ class MutShardOverlap : public core::Matcher
                 text.begin() + static_cast<std::ptrdiff_t>(end));
             if (sub.size() < k)
                 continue;
-            const std::vector<bool> bits = inner.match(sub, pattern);
+            const BitVec bits = inner.match(sub, pattern);
             for (std::size_t i = ws; i < bits.size(); ++i)
-                if (bits[i])
-                    result[start - ws + i] = true;
+                if (bits.get(i))
+                    result.set(start - ws + i, true);
         }
         return result;
     }
@@ -67,12 +67,12 @@ class MutShardOverlap : public core::Matcher
 class MutWildPlane : public core::Matcher
 {
   public:
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         const std::size_t n = text.size();
         const std::size_t k = pattern.size();
-        std::vector<bool> result(n, false);
+        BitVec result(n);
         if (k == 0 || n == 0 || k > n)
             return result;
         for (std::size_t i = k - 1; i < n; ++i) {
@@ -80,7 +80,7 @@ class MutWildPlane : public core::Matcher
             for (std::size_t j = 0; j < k && all; ++j)
                 all = text[i - k + 1 + j] == pattern[j]; // BUG: no
                                                          // wildcard test
-            result[i] = all;
+            result.set(i, all);
         }
         return result;
     }
@@ -96,15 +96,15 @@ class MutWildPlane : public core::Matcher
 class MutLeadMask : public core::Matcher
 {
   public:
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         core::SimdParallelMatcher inner(core::SimdIsa::Scalar);
-        std::vector<bool> result = inner.match(text, pattern);
+        BitVec result = inner.match(text, pattern);
         const std::size_t k = pattern.size();
         if (k >= 1 && k - 1 < result.size())
-            result[k - 1] = false; // BUG: mask extends one position
-                                   // too far
+            result.set(k - 1, false); // BUG: mask extends one
+                                      // position too far
         return result;
     }
 
@@ -123,12 +123,12 @@ class MutLeadMask : public core::Matcher
 class MutLatchPhase : public core::Matcher
 {
   public:
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         const std::size_t n = text.size();
         const std::size_t k = pattern.size();
-        std::vector<bool> result(n, false);
+        BitVec result(n);
         if (k == 0 || n == 0 || k > n)
             return result;
 
@@ -146,7 +146,7 @@ class MutLatchPhase : public core::Matcher
             chip.step();
             const core::ResToken out = chip.resultOut();
             if (out.valid) {
-                result[collected] = collected >= k - 1 && out.value;
+                result.set(collected, collected >= k - 1 && out.value);
                 ++collected;
             }
         }
@@ -166,12 +166,12 @@ class MutLatchPhase : public core::Matcher
 class MutCountSaturate : public core::Matcher
 {
   public:
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         const std::size_t n = text.size();
         const std::size_t k = pattern.size();
-        std::vector<bool> result(n, false);
+        BitVec result(n);
         if (k == 0 || n == 0 || k > n)
             return result;
         const std::vector<unsigned> counts =
@@ -179,7 +179,7 @@ class MutCountSaturate : public core::Matcher
         for (std::size_t i = 0; i < n; ++i) {
             const unsigned saturated =
                 std::min(counts[i], 7u); // BUG: 3-bit counter
-            result[i] = saturated == k;
+            result.set(i, saturated == k);
         }
         return result;
     }
@@ -199,12 +199,12 @@ class MutCountSaturate : public core::Matcher
 class MutDictPlaneCarry : public core::Matcher
 {
   public:
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         const std::size_t n = text.size();
         const std::size_t k = pattern.size();
-        std::vector<bool> result(n, false);
+        BitVec result(n);
         if (k == 0 || n == 0 || k > n)
             return result;
 
@@ -231,7 +231,7 @@ class MutDictPlaneCarry : public core::Matcher
             }
         }
         for (std::size_t i = k - 1; i < n; ++i)
-            result[i] = ((row[i / 64] >> (i % 64)) & 1) != 0;
+            result.set(i, ((row[i / 64] >> (i % 64)) & 1) != 0);
         return result;
     }
 
@@ -251,8 +251,8 @@ class MutDictPlaneCarry : public core::Matcher
 class MutBatchWarmup : public core::Matcher
 {
   public:
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         const std::size_t n = text.size();
         const std::size_t k = pattern.size();
@@ -260,9 +260,10 @@ class MutBatchWarmup : public core::Matcher
         concat.insert(concat.end(), text.begin(), text.end());
         const std::vector<std::uint64_t> &packed =
             kernel.matchPacked(concat, pattern);
-        std::vector<bool> result;
-        const std::size_t first = k >= 2 ? k - 2 : 0; // BUG: k-1
-        core::sliceResultBits(packed, n, first, n, result);
+        const std::size_t first =
+            std::min(n, k >= 2 ? k - 2 : 0); // BUG: k-1
+        BitVec result(first);
+        result.append(packed, n + first, n - first);
         return result;
     }
 
@@ -285,8 +286,8 @@ class MutBatchWarmup : public core::Matcher
 class MutLaneTail : public core::Matcher
 {
   public:
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         const std::size_t k = pattern.size();
         const BitWidth bits =

@@ -26,6 +26,18 @@ namespace
 {
 
 /**
+ * The first position where @p part differs from bits
+ * [off, off + part.size()) of @p whole, or part.size() if none.
+ */
+std::size_t
+firstDiff(const BitVec &part, const BitVec &whole, std::size_t off)
+{
+    BitVec slice;
+    slice.append(whole.words(), off, part.size());
+    return (slice ^ part).findFirst();
+}
+
+/**
  * The sharded service as a Matcher. One service per alphabet width is
  * built lazily and reused, so worker threads are spawned once per
  * width rather than once per case. Service-level failures (which the
@@ -40,12 +52,12 @@ class ShardedOracleMatcher : public core::Matcher
     {
     }
 
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         if (pattern.empty() || text.empty() ||
             pattern.size() > text.size())
-            return std::vector<bool>(text.size(), false);
+            return BitVec(text.size());
 
         BitWidth bits = std::max(requiredBits(text),
                                  requiredBits(pattern));
@@ -116,8 +128,8 @@ class BatchOracleMatcher : public core::Matcher
   public:
     explicit BatchOracleMatcher(std::size_t width) : lanes(width) {}
 
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         std::vector<std::vector<Symbol>> streams(lanes);
         streams[0] = text;
@@ -129,8 +141,7 @@ class BatchOracleMatcher : public core::Matcher
                 text.end());
         }
 
-        std::vector<std::vector<bool>> got =
-            engine.matchMany(streams, pattern);
+        std::vector<BitVec> got = engine.matchMany(streams, pattern);
 
         for (std::size_t i = 1; i < lanes; ++i) {
             const auto alone = engine.matchMany(
@@ -176,8 +187,8 @@ class DictOracleMatcher : public core::Matcher
     {
     }
 
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         const multipattern::DictPatterns dict = deriveDict(text, pattern);
 
@@ -201,8 +212,7 @@ class DictOracleMatcher : public core::Matcher
         if (chunkChars > 0)
             checkChunked(text, dict, got);
 
-        return got.bits.empty() ? std::vector<bool>(text.size(), false)
-                                : got.bits[0];
+        return got.bits.empty() ? BitVec(text.size()) : got.bits[0];
     }
 
     std::string name() const override
@@ -337,14 +347,14 @@ class DictOracleMatcher : public core::Matcher
                 const multipattern::DictHits part =
                     automaton.feed(state, chunk);
                 for (std::size_t j = 0; j < literalIdx.size(); ++j)
-                    for (std::size_t c = 0; c < take; ++c)
-                        if (part.bits[j][c] !=
-                            got.bits[literalIdx[j]][off + c])
-                            throw std::runtime_error(
-                                name() +
-                                ": streamed Aho-Corasick diverges "
-                                "from one-shot at position " +
-                                std::to_string(off + c));
+                    if (const std::size_t c = firstDiff(
+                            part.bits[j], got.bits[literalIdx[j]], off);
+                        c < take)
+                        throw std::runtime_error(
+                            name() +
+                            ": streamed Aho-Corasick diverges "
+                            "from one-shot at position " +
+                            std::to_string(off + c));
             }
         }
     }
@@ -364,12 +374,13 @@ class DictOracleMatcher : public core::Matcher
             const multipattern::DictHits part =
                 multipattern::feedDictChunk(planes, state, chunk, dict);
             for (std::size_t p = 0; p < dict.size(); ++p)
-                for (std::size_t c = 0; c < take; ++c)
-                    if (part.bits[p][c] != got.bits[p][off + c])
-                        throw std::runtime_error(
-                            name() +
-                            ": chunked feeding diverges from one-shot "
-                            "at position " + std::to_string(off + c));
+                if (const std::size_t c =
+                        firstDiff(part.bits[p], got.bits[p], off);
+                    c < take)
+                    throw std::runtime_error(
+                        name() +
+                        ": chunked feeding diverges from one-shot "
+                        "at position " + std::to_string(off + c));
             off += take;
         }
     }
@@ -385,8 +396,8 @@ class DictOracleMatcher : public core::Matcher
 class CascadeOracleMatcher : public core::Matcher
 {
   public:
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         const std::size_t per_chip =
             std::max<std::size_t>(1, (pattern.size() + 1) / 2);
@@ -406,15 +417,15 @@ class CascadeOracleMatcher : public core::Matcher
 class GateLanesMatcher : public core::Matcher
 {
   public:
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         if (pattern.empty())
-            return std::vector<bool>(text.size(), false);
+            return BitVec(text.size());
         core::GateLevelMatcher chip(
             pattern.size(),
             std::max(requiredBits(text), requiredBits(pattern)));
-        const std::vector<bool> one =
+        const BitVec one =
             matchLaneCut(chip, cutIntoLanes(text, pattern.size(), 1),
                          pattern);
         for (const std::size_t lanes : {16u, 64u})
@@ -478,18 +489,16 @@ cutIntoLanes(const std::vector<Symbol> &text, std::size_t k,
     return cut;
 }
 
-std::vector<bool>
+BitVec
 matchLaneCut(core::GateLevelMatcher &chip, const LaneCut &cut,
              const std::vector<Symbol> &pattern)
 {
     const std::vector<core::GateLevelMatcher::LaneResult> lanes =
         chip.matchLanes(cut.windows, pattern);
-    std::vector<bool> out;
+    BitVec out;
     for (std::size_t j = 0; j < lanes.size(); ++j)
-        out.insert(out.end(),
-                   lanes[j].bits.begin() +
-                       static_cast<std::ptrdiff_t>(cut.overlap[j]),
-                   lanes[j].bits.end());
+        out.append(lanes[j].bits.words(), cut.overlap[j],
+                   lanes[j].bits.size() - cut.overlap[j]);
     return out;
 }
 

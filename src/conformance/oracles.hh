@@ -103,9 +103,8 @@ LaneCut cutIntoLanes(const std::vector<Symbol> &text, std::size_t k,
  * Run @p cut through one GateLevelMatcher::matchLanes call on @p chip
  * and stitch the windows' chunk bits back into one result stream.
  */
-std::vector<bool> matchLaneCut(core::GateLevelMatcher &chip,
-                               const LaneCut &cut,
-                               const std::vector<Symbol> &pattern);
+BitVec matchLaneCut(core::GateLevelMatcher &chip, const LaneCut &cut,
+                    const std::vector<Symbol> &pattern);
 
 /**
  * A cascade sized per call: two chips splitting max(k, 2) cells, so

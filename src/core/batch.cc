@@ -9,7 +9,7 @@ BatchMatcher::BatchMatcher() = default;
 
 BatchMatcher::BatchMatcher(SimdIsa forced) : simd(forced) {}
 
-std::vector<std::vector<bool>>
+std::vector<BitVec>
 BatchMatcher::matchMany(const std::vector<std::vector<Symbol>> &streams,
                         const std::vector<Symbol> &pattern)
 {
@@ -20,7 +20,7 @@ BatchMatcher::matchMany(const std::vector<std::vector<Symbol>> &streams,
     return matchMany(ptrs, pattern);
 }
 
-std::vector<std::vector<bool>>
+std::vector<BitVec>
 BatchMatcher::matchMany(
     const std::vector<const std::vector<Symbol> *> &streams,
     const std::vector<Symbol> &pattern)
@@ -47,12 +47,16 @@ BatchMatcher::matchMany(
         simd.matchPacked(concat, pattern);
 
     // Warm-up as a start offset: a stream keeps nothing before
-    // position k-1.
-    std::vector<std::vector<bool>> out(width);
+    // position k-1, so its row is that many zeros and then its own
+    // span of the packed stream, copied a word at a time. A
+    // neighbour's bits never leak in past either edge.
+    std::vector<BitVec> out;
+    out.reserve(width);
     for (std::size_t i = 0; i < width; ++i) {
         const std::size_t len = streams[i]->size();
-        sliceResultBits(packed, segBase[i], std::min(len, hist), len,
-                        out[i]);
+        const std::size_t first = std::min(len, hist);
+        out.emplace_back(first);
+        out.back().append(packed, segBase[i] + first, len - first);
     }
     return out;
 }

@@ -54,12 +54,12 @@ class BatchMatcher
      * streams[i].size() bits with standalone-match semantics: bit p
      * set iff the pattern ends at stream position p.
      */
-    std::vector<std::vector<bool>> matchMany(
+    std::vector<BitVec> matchMany(
         const std::vector<std::vector<Symbol>> &streams,
         const std::vector<Symbol> &pattern);
 
     /** As above, streams by pointer (no caller-side copies). */
-    std::vector<std::vector<bool>> matchMany(
+    std::vector<BitVec> matchMany(
         const std::vector<const std::vector<Symbol> *> &streams,
         const std::vector<Symbol> &pattern);
 

@@ -171,14 +171,14 @@ BehavioralChip::resultOut() const
     return accumulators.front()->rOut().read();
 }
 
-std::pair<std::vector<bool>, Beat>
+std::pair<BitVec, Beat>
 runMatchProtocol(const ChipHooks &hooks, std::size_t total_cells,
                  const std::vector<Symbol> &text,
                  const std::vector<Symbol> &pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
-    std::vector<bool> result(n, false);
+    BitVec result(n);
     if (len == 0 || n == 0 || len > n)
         return {result, 0};
 
@@ -195,7 +195,7 @@ runMatchProtocol(const ChipHooks &hooks, std::size_t total_cells,
             // Results for incomplete substrings (i < k) are noise
             // from partially filled cells; the problem defines them
             // as 0 (Section 3.1).
-            result[collected] = collected >= len - 1 && out.value;
+            result.set(collected, collected >= len - 1 && out.value);
             ++collected;
         }
     }
@@ -204,14 +204,14 @@ runMatchProtocol(const ChipHooks &hooks, std::size_t total_cells,
     return {result, beat};
 }
 
-std::vector<bool>
+BitVec
 BehavioralMatcher::match(const std::vector<Symbol> &text,
                          const std::vector<Symbol> &pattern)
 {
     const std::size_t m = cells == 0 ? pattern.size() : cells;
     if (pattern.empty() || text.empty() || pattern.size() > text.size()) {
         beatsUsed = 0;
-        return std::vector<bool>(text.size(), false);
+        return BitVec(text.size());
     }
 
     BehavioralChip chip(m);
@@ -226,8 +226,7 @@ BehavioralMatcher::match(const std::vector<Symbol> &text,
     hooks.step = [&chip] { chip.step(); };
     hooks.resultOut = [&chip] { return chip.resultOut(); };
 
-    auto [result, beats] =
-        runMatchProtocol(hooks, m, text, pattern);
+    auto [result, beats] = runMatchProtocol(hooks, m, text, pattern);
     beatsUsed = beats;
     return result;
 }

@@ -184,8 +184,8 @@ class BehavioralMatcher : public Matcher
     {
     }
 
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override;
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override;
 
     std::string name() const override { return "systolic-behavioral"; }
 
@@ -220,7 +220,7 @@ struct ChipHooks
  *
  * @return pair of (result bits, beats consumed)
  */
-std::pair<std::vector<bool>, Beat> runMatchProtocol(
+std::pair<BitVec, Beat> runMatchProtocol(
     const ChipHooks &hooks, std::size_t total_cells,
     const std::vector<Symbol> &text, const std::vector<Symbol> &pattern);
 

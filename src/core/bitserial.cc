@@ -92,13 +92,13 @@ BitSerialChip::stringBitOut(unsigned row) const
     return comparators[row].front()->sOut().read();
 }
 
-std::vector<bool>
+BitVec
 BitSerialMatcher::match(const std::vector<Symbol> &text,
                         const std::vector<Symbol> &pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
-    std::vector<bool> result(n, false);
+    BitVec result(n);
     if (len == 0 || n == 0 || len > n) {
         beatsUsed = 0;
         return result;
@@ -156,7 +156,7 @@ BitSerialMatcher::match(const std::vector<Symbol> &text,
 
         const ResToken out = chip.resultOut();
         if (out.valid) {
-            result[collected] = collected >= len - 1 && out.value;
+            result.set(collected, collected >= len - 1 && out.value);
             ++collected;
         }
     }

@@ -85,13 +85,13 @@ ChipCascade::pinsPerChip(BitWidth char_bits)
     return 4 * char_bits + 4 + 2 + 2 + 2;
 }
 
-std::vector<bool>
+BitVec
 CascadeMatcher::match(const std::vector<Symbol> &text,
                       const std::vector<Symbol> &pattern)
 {
     if (pattern.empty() || text.empty() || pattern.size() > text.size()) {
         beatsUsed = 0;
-        return std::vector<bool>(text.size(), false);
+        return BitVec(text.size());
     }
 
     ChipCascade cascade(numChips, cellsPerChip);

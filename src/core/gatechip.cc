@@ -277,7 +277,7 @@ struct ChipPort
     GateChip &chip;
     const std::vector<Symbol> &text;
     std::size_t len;
-    std::vector<bool> &result;
+    BitVec &result;
     const std::function<void(std::size_t, const GateChip &)> &observer;
 
     void setPatternBit(unsigned row, bool bit)
@@ -300,7 +300,7 @@ struct ChipPort
         // Warm-up positions may still be X; they are masked to 0 by
         // the problem definition anyway.
         const bool value = chip.resultKnown() && chip.resultOut();
-        result[i] = i >= len - 1 && value;
+        result.set(i, i >= len - 1 && value);
         if (observer)
             observer(i, chip);
     }
@@ -383,7 +383,7 @@ class LanePort
             GateLevelMatcher::LaneResult &r = *results[j];
             if (i >= r.bits.size())
                 continue;
-            r.bits[i] = i >= len - 1 && ((value >> j) & 1);
+            r.bits.set(i, i >= len - 1 && ((value >> j) & 1));
             if (i + 1 == r.bits.size())
                 r.beats = beats;
         }
@@ -407,13 +407,13 @@ class LanePort
 
 } // namespace
 
-std::vector<bool>
+BitVec
 GateLevelMatcher::match(const std::vector<Symbol> &text,
                         const std::vector<Symbol> &pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
-    std::vector<bool> result(n, false);
+    BitVec result(n);
     if (len == 0 || n == 0 || len > n) {
         beatsUsed = 0;
         return result;
@@ -447,7 +447,7 @@ GateLevelMatcher::matchLanes(const std::vector<std::vector<Symbol>> &windows,
     std::vector<const std::vector<Symbol> *> live;
     std::vector<LaneResult *> liveResults;
     for (std::size_t w = 0; w < windows.size(); ++w) {
-        out[w].bits.assign(windows[w].size(), false);
+        out[w].bits.resize(windows[w].size());
         if (!pattern.empty() && pattern.size() <= windows[w].size()) {
             live.push_back(&windows[w]);
             liveResults.push_back(&out[w]);

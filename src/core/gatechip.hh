@@ -179,8 +179,8 @@ class GateLevelMatcher : public Matcher
     {
     }
 
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override;
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override;
 
     std::string name() const override { return "systolic-gatelevel"; }
 
@@ -190,7 +190,7 @@ class GateLevelMatcher : public Matcher
     struct LaneResult
     {
         /** Exactly what match() returns for the window. */
-        std::vector<bool> bits;
+        BitVec bits;
         /** Exactly what lastBeats() reports after that match(). */
         Beat beats = 0;
     };

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "util/bitvec.hh"
 #include "util/types.hh"
 
 namespace spm::core
@@ -42,8 +43,8 @@ class Matcher
      * @return r of size n; r[i] is the Section 3.1 result bit. Bits
      *         for i < k (incomplete substrings) are always false.
      */
-    virtual std::vector<bool> match(const std::vector<Symbol> &text,
-                                    const std::vector<Symbol> &pattern) = 0;
+    virtual BitVec match(const std::vector<Symbol> &text,
+                         const std::vector<Symbol> &pattern) = 0;
 
     /** Implementation name for reports. */
     virtual std::string name() const = 0;

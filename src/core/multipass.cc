@@ -21,7 +21,7 @@ namespace
 void
 runOnce(std::size_t m, const std::vector<Symbol> &pattern,
         const std::vector<Symbol> &text, std::size_t base,
-        std::vector<bool> &result, Beat &beats)
+        BitVec &result, Beat &beats)
 {
     const std::size_t K = pattern.size();
     const std::size_t n = text.size();
@@ -95,7 +95,7 @@ runOnce(std::size_t m, const std::vector<Symbol> &pattern,
             if (i + 1 >= K) {
                 const std::size_t i0 = i + 1 - K;
                 if (i0 >= base && i0 < base + m && i < n)
-                    result[i] = out.value;
+                    result.set(i, out.value);
             }
         }
         if (exited >= text_end - base)
@@ -107,13 +107,13 @@ runOnce(std::size_t m, const std::vector<Symbol> &pattern,
 
 } // namespace
 
-std::vector<bool>
+BitVec
 MultipassMatcher::match(const std::vector<Symbol> &text,
                         const std::vector<Symbol> &pattern)
 {
     const std::size_t n = text.size();
     const std::size_t K = pattern.size();
-    std::vector<bool> result(n, false);
+    BitVec result(n);
     runsUsed = 0;
     beatsUsed = 0;
     if (K == 0 || n == 0 || K > n)

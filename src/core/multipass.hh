@@ -36,8 +36,8 @@ class MultipassMatcher : public Matcher
     {
     }
 
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override;
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override;
 
     std::string name() const override { return "systolic-multipass"; }
 

@@ -3,13 +3,13 @@
 namespace spm::core
 {
 
-std::vector<bool>
+BitVec
 ReferenceMatcher::match(const std::vector<Symbol> &text,
                         const std::vector<Symbol> &pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
-    std::vector<bool> r(n, false);
+    BitVec r(n);
     if (len == 0 || len > n)
         return r;
 
@@ -17,7 +17,7 @@ ReferenceMatcher::match(const std::vector<Symbol> &text,
         bool all = true;
         for (std::size_t j = 0; j < len && all; ++j)
             all = symbolMatches(pattern[j], text[i - (len - 1) + j]);
-        r[i] = all;
+        r.set(i, all);
     }
     return r;
 }

@@ -30,8 +30,8 @@ symbolMatches(Symbol p, Symbol s)
 class ReferenceMatcher : public Matcher
 {
   public:
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override;
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override;
 
     std::string name() const override { return "reference"; }
 };

@@ -694,11 +694,13 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
     return result;
 }
 
-std::vector<bool>
+BitVec
 SimdParallelMatcher::match(const std::vector<Symbol> &text,
                            const std::vector<Symbol> &pattern)
 {
-    return unpackResultBits(matchPacked(text, pattern), text.size());
+    BitVec bits;
+    bits.append(matchPacked(text, pattern), 0, text.size());
+    return bits;
 }
 
 std::size_t
@@ -711,36 +713,12 @@ SimdParallelMatcher::arenaBytes() const
            eqIndex.capacity() * sizeof(eqIndex[0]);
 }
 
-std::vector<bool>
+BitVec
 unpackResultBits(const std::vector<std::uint64_t> &packed, std::size_t n)
 {
-    std::vector<bool> out;
-    sliceResultBits(packed, 0, 0, n, out);
+    BitVec out;
+    out.append(packed, 0, n);
     return out;
-}
-
-void
-sliceResultBits(const std::vector<std::uint64_t> &packed, std::size_t base,
-                std::size_t first, std::size_t len, std::vector<bool> &out)
-{
-    out.assign(len, false);
-    if (first >= len)
-        return;
-    const std::size_t lo = base + first;
-    const std::size_t hi = base + len;
-    const std::size_t lastWord = (hi - 1) / bitsPerWord;
-    for (std::size_t w = lo / bitsPerWord; w <= lastWord; ++w) {
-        std::uint64_t word = packed[w];
-        if (w == lo / bitsPerWord)
-            word &= ~std::uint64_t{0} << (lo % bitsPerWord);
-        if (w == lastWord && hi % bitsPerWord != 0)
-            word &= ~std::uint64_t{0} >> (bitsPerWord - hi % bitsPerWord);
-        while (word != 0) {
-            out[w * bitsPerWord +
-                static_cast<unsigned>(__builtin_ctzll(word)) - base] = true;
-            word &= word - 1;
-        }
-    }
 }
 
 } // namespace spm::core

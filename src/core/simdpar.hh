@@ -150,8 +150,8 @@ class SimdParallelMatcher : public Matcher
      */
     explicit SimdParallelMatcher(SimdIsa forced);
 
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override;
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override;
 
     std::string name() const override;
 
@@ -199,23 +199,12 @@ class SimdParallelMatcher : public Matcher
 };
 
 /**
- * Expand a packed result stream (64 positions per word) into the
- * Matcher-interface bit vector. Sparse-aware: words are scanned with
- * count-trailing-zeros, so the cost is O(words + matches), not O(n).
+ * The first @p n bits of a packed result stream as a BitVec, copied a
+ * word at a time -- what match() does after matchPacked(). Kept under
+ * this name for the perfbench probe that times that copy.
  */
-std::vector<bool> unpackResultBits(const std::vector<std::uint64_t> &packed,
-                                   std::size_t n);
-
-/**
- * Slice one span out of a packed result stream: @p out gets @p len
- * bits, bit c = packed bit base + c for c in [first, len) and false
- * below @p first. Set bits only (count-trailing-zeros), with the
- * span's edge words masked, so bits outside the span -- a batch
- * neighbour's lane -- never leak in.
- */
-void sliceResultBits(const std::vector<std::uint64_t> &packed,
-                     std::size_t base, std::size_t first, std::size_t len,
-                     std::vector<bool> &out);
+BitVec unpackResultBits(const std::vector<std::uint64_t> &packed,
+                        std::size_t n);
 
 } // namespace spm::core
 

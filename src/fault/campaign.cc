@@ -84,7 +84,7 @@ FaultCampaign::protectedRun(const Fault *f, const Protection &prot) const
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
     Observation obs;
-    obs.result.assign(n, false);
+    obs.result.resize(n);
 
     const std::size_t lanes = prot.tmr ? 3 : 1;
     const auto variant = prot.selfCheck
@@ -154,7 +154,7 @@ FaultCampaign::protectedRun(const Fault *f, const Protection &prot) const
             out.value = voted;
         }
         if (out.valid) {
-            obs.result[collected] = collected >= len - 1 && out.value;
+            obs.result.set(collected, collected >= len - 1 && out.value);
             ++collected;
         }
     }
@@ -208,7 +208,7 @@ FaultCampaign::runTrial(const Fault &f)
                                 cfg.protection);
             return last.result;
         };
-        auto verify = [&](const std::vector<bool> &r) {
+        auto verify = [&](const BitVec &r) {
             if (cfg.protection.referenceCheck)
                 return r == golden;
             return last.parityErrors == 0 && last.selfCheckErrors == 0 &&
@@ -237,8 +237,7 @@ FaultCampaign::runTrial(const Fault &f)
         const std::size_t degraded = std::min(cfg.cells, chain);
         if (degraded > 0) {
             core::MultipassMatcher degradedArray(degraded);
-            const std::vector<bool> r =
-                degradedArray.match(text, pattern);
+            const BitVec r = degradedArray.match(text, pattern);
             ++tr.attempts;
             tr.degradedCells = degraded;
             if (!cfg.protection.referenceCheck || r == golden) {
@@ -272,7 +271,7 @@ FaultCampaign::runReferenceChecked(Fidelity fidelity, const Fault &f)
     FaultInjector inj(cfg.alphabetBits);
     inj.addFault(f);
 
-    std::vector<bool> r;
+    BitVec r;
     switch (fidelity) {
     case Fidelity::Behavioral: {
         Protection ref_only = Protection::none();

@@ -130,9 +130,6 @@ class FaultCampaign
     explicit FaultCampaign(CampaignConfig config);
 
     const CampaignConfig &config() const { return cfg; }
-    const std::vector<Symbol> &textData() const { return text; }
-    const std::vector<Symbol> &patternData() const { return pattern; }
-    const std::vector<bool> &goldenResult() const { return golden; }
 
     /** Beats one protocol run takes; the transient strike window. */
     Beat protocolBeats() const;
@@ -190,7 +187,7 @@ class FaultCampaign
     /** Signals observed on one full protocol run. */
     struct Observation
     {
-        std::vector<bool> result;
+        BitVec result;
         std::uint64_t parityErrors = 0;
         std::uint64_t selfCheckErrors = 0;
         std::uint64_t tmrDisagreements = 0;
@@ -202,7 +199,7 @@ class FaultCampaign
     CampaignConfig cfg;
     std::vector<Symbol> text;
     std::vector<Symbol> pattern;
-    std::vector<bool> golden;
+    BitVec golden;
 };
 
 } // namespace spm::fault

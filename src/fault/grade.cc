@@ -111,15 +111,14 @@ captureWorkload(const GradeConfig &cfg, std::vector<Symbol> pattern,
     });
     matcher.setResultObserver(
         [&](std::size_t index, const GateChip &) { rec.observe(index); });
-    const std::vector<bool> result = matcher.match(w.text, w.pattern);
-    w.golden.assign(result.begin(), result.end());
+    w.golden = matcher.match(w.text, w.pattern);
 
     spm_assert(!w.trace.sawDecay,
                "charge decay during workload capture");
     w.goldenPerOp.reserve(w.trace.observations);
     for (const TraceOp &op : w.trace.ops)
         if (op.kind == TraceOp::Kind::Observe)
-            w.goldenPerOp.push_back(w.golden[op.index] ? 1 : 0);
+            w.goldenPerOp.push_back(w.golden.get(op.index) ? 1 : 0);
     return w;
 }
 
@@ -131,9 +130,8 @@ serialDetect(const GradeConfig &cfg, const FaultSite &site,
     matcher.setChipPrep([&](GateChip &chip) {
         chip.netlist().forceStuckAt(site.node, site.level(), 0);
     });
-    const std::vector<bool> result =
-        matcher.match(workload.text, workload.pattern);
-    return result != workload.golden;
+    return matcher.match(workload.text, workload.pattern) !=
+           workload.golden;
 }
 
 GradeReport

@@ -35,6 +35,7 @@
 #include "fault/collapse.hh"
 #include "fault/scoap.hh"
 #include "fault/wordsim.hh"
+#include "util/bitvec.hh"
 #include "util/types.hh"
 
 namespace spm::fault
@@ -68,7 +69,7 @@ struct GradedWorkload
 {
     std::vector<Symbol> pattern;
     std::vector<Symbol> text;
-    std::vector<bool> golden; ///< fault-free protocol output
+    BitVec golden; ///< fault-free protocol output
     InputTrace trace;
     /** golden[op.index] per Observe op, in trace op order. */
     std::vector<std::uint8_t> goldenPerOp;

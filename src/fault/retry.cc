@@ -5,10 +5,9 @@
 namespace spm::fault
 {
 
-std::vector<bool>
-HostRetryController::run(
-    const std::function<std::vector<bool>()> &attempt,
-    const std::function<bool(const std::vector<bool> &)> &verify)
+BitVec
+HostRetryController::run(const std::function<BitVec()> &attempt,
+                         const std::function<bool(const BitVec &)> &verify)
 {
     attempts = 0;
     backoffBeats = 0;
@@ -16,7 +15,7 @@ HostRetryController::run(
         if (a > 0)
             backoffBeats += policy.backoffBaseBeats << (a - 1);
         ++attempts;
-        std::vector<bool> result = attempt();
+        BitVec result = attempt();
         if (verify(result))
             return result;
     }

@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/bitvec.hh"
 #include "util/types.hh"
 
 namespace spm::fault
@@ -65,9 +66,8 @@ class HostRetryController
      * @return the accepted result
      * @throws RetryExhausted when all attempts failed verification
      */
-    std::vector<bool> run(
-        const std::function<std::vector<bool>()> &attempt,
-        const std::function<bool(const std::vector<bool> &)> &verify);
+    BitVec run(const std::function<BitVec()> &attempt,
+               const std::function<bool(const BitVec &)> &verify);
 
     /** Attempts made by the last run(), including the first. */
     unsigned lastAttempts() const { return attempts; }

@@ -27,30 +27,27 @@ Wafer::Wafer(unsigned rows, unsigned cols, double defect_prob,
     Rng rng(seed);
     good.resize(static_cast<std::size_t>(rows) * cols);
     for (std::size_t i = 0; i < good.size(); ++i)
-        good[i] = !rng.nextBool(defect_prob);
+        good.set(i, !rng.nextBool(defect_prob));
 }
 
 bool
 Wafer::isGood(unsigned row, unsigned col) const
 {
     spm_assert(row < numRows && col < numCols, "site out of range");
-    return good[static_cast<std::size_t>(row) * numCols + col];
+    return good.get(static_cast<std::size_t>(row) * numCols + col);
 }
 
 void
 Wafer::markBad(unsigned row, unsigned col)
 {
     spm_assert(row < numRows && col < numCols, "site out of range");
-    good[static_cast<std::size_t>(row) * numCols + col] = false;
+    good.set(static_cast<std::size_t>(row) * numCols + col, false);
 }
 
 std::size_t
 Wafer::goodCells() const
 {
-    std::size_t n = 0;
-    for (bool g : good)
-        n += g;
-    return n;
+    return good.popcount();
 }
 
 Wafer::Harvest
@@ -112,7 +109,7 @@ Wafer::dicedChips(std::size_t cells_per_chip) const
          at += cells_per_chip) {
         bool all_good = true;
         for (std::size_t j = 0; j < cells_per_chip && all_good; ++j)
-            all_good = good[at + j];
+            all_good = good.get(at + j);
         working += all_good;
     }
     return working;

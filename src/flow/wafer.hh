@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/bitvec.hh"
 #include "util/rng.hh"
 
 namespace spm::flow
@@ -47,7 +48,6 @@ class Wafer
 
     unsigned rows() const { return numRows; }
     unsigned cols() const { return numCols; }
-    std::size_t siteCount() const { return good.size(); }
 
     /** Whether the site at (row, col) fabricated correctly. */
     bool isGood(unsigned row, unsigned col) const;
@@ -109,7 +109,7 @@ class Wafer
   private:
     unsigned numRows;
     unsigned numCols;
-    std::vector<bool> good;
+    BitVec good;
 };
 
 } // namespace spm::flow

@@ -148,7 +148,7 @@ AhoCorasickAutomaton::emit(std::uint32_t node, std::size_t pos,
                                                    : nodes[node].dictLink;
     while (v != 0) {
         for (std::uint32_t o = nodes[v].outBegin; o < nodes[v].outEnd; ++o)
-            out.bits[outIds[o]][pos] = true;
+            out.bits[outIds[o]].set(pos, true);
         v = nodes[v].dictLink;
     }
 }
@@ -165,8 +165,7 @@ AhoCorasickAutomaton::feed(StreamState &state,
                            const std::vector<Symbol> &chunk) const
 {
     DictHits out;
-    out.bits.assign(patternLens.size(),
-                    std::vector<bool>(chunk.size(), false));
+    out.bits.assign(patternLens.size(), BitVec(chunk.size()));
     std::uint32_t node = state.node;
     for (std::size_t i = 0; i < chunk.size(); ++i) {
         node = step(node, chunk[i]);

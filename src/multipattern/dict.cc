@@ -11,9 +11,8 @@ std::uint64_t
 DictHits::totalHits() const
 {
     std::uint64_t total = 0;
-    for (const auto &row : bits)
-        for (bool b : row)
-            total += b ? 1 : 0;
+    for (const BitVec &row : bits)
+        total += row.popcount();
     return total;
 }
 

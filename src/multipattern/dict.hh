@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "util/bitvec.hh"
 #include "util/types.hh"
 
 namespace spm::multipattern
@@ -28,7 +29,7 @@ using DictPatterns = std::vector<std::vector<Symbol>>;
 /** Per-pattern hit bits: bits[p][i] = pattern p ends at text position
  *  i.  Rows always have one entry per text position. */
 struct DictHits {
-    std::vector<std::vector<bool>> bits;
+    std::vector<BitVec> bits;
 
     std::uint64_t totalHits() const;
     bool operator==(const DictHits &other) const { return bits == other.bits; }

@@ -16,7 +16,21 @@ WindowResult
 trivialWindow(std::size_t window_len)
 {
     WindowResult wr;
-    wr.bits.assign(window_len, false);
+    wr.bits.resize(window_len);
+    wr.completed = true;
+    return wr;
+}
+
+/** Charge a finished run's beats; past the budget, discard its bits. */
+WindowResult
+chargeAfter(WindowResult wr, BeatWatchdog &dog)
+{
+    if (!dog.tick(wr.beats)) {
+        wr.note = "watchdog tripped: " + std::to_string(wr.beats) +
+                  " beats against budget " + std::to_string(dog.budget());
+        wr.bits.clear();
+        return wr;
+    }
     wr.completed = true;
     return wr;
 }
@@ -51,7 +65,7 @@ BehavioralBackend::matchWindow(const std::vector<Symbol> &window,
         chipPrep(chip);
 
     WindowResult wr;
-    wr.bits.assign(n, false);
+    wr.bits.resize(n);
 
     // The feed-plan loop of runMatchProtocol, with two differences:
     // every beat is charged to the watchdog (a wedged chip is
@@ -79,7 +93,7 @@ BehavioralBackend::matchWindow(const std::vector<Symbol> &window,
 
         const core::ResToken out = chip.resultOut();
         if (out.valid && collected < n) {
-            wr.bits[collected] = collected >= len - 1 && out.value;
+            wr.bits.set(collected, collected >= len - 1 && out.value);
             ++collected;
         }
     }
@@ -122,19 +136,9 @@ MatcherBackend::matchWindow(const std::vector<Symbol> &window,
         return wr;
     }
 
-    // A blocking matcher cannot be stopped mid-run; charge its beat
-    // cost afterwards and cancel post hoc if it blew the budget --
-    // the result is discarded, exactly as if the plug had been
-    // pulled.
+    // A blocking matcher cannot be stopped mid-run.
     wr.beats = static_cast<Beat>(2 * n + pattern.size() + 4);
-    if (!dog.tick(wr.beats)) {
-        wr.note = "watchdog tripped: " + std::to_string(wr.beats) +
-                  " beats against budget " + std::to_string(dog.budget());
-        wr.bits.clear();
-        return wr;
-    }
-    wr.completed = true;
-    return wr;
+    return chargeAfter(std::move(wr), dog);
 }
 
 GateBackend::GateBackend(std::size_t num_cells, BitWidth bits_per_char)
@@ -203,16 +207,9 @@ GateBackend::matchWindow(const std::vector<Symbol> &window,
         wr.beats = gate.lastBeats();
     }
 
-    // Charged after the fact, exactly as MatcherBackend charges a
-    // blocking matcher.
-    if (!dog.tick(wr.beats)) {
-        wr.note = "watchdog tripped: " + std::to_string(wr.beats) +
-                  " beats against budget " + std::to_string(dog.budget());
-        wr.bits.clear();
+    wr = chargeAfter(std::move(wr), dog);
+    if (!wr.completed)
         dropQueue();
-        return wr;
-    }
-    wr.completed = true;
     return wr;
 }
 
@@ -231,13 +228,7 @@ SoftwareBackend::matchWindow(const std::vector<Symbol> &window,
         : static_cast<core::Matcher &>(kmp);
     wr.bits = m.match(window, pattern);
     wr.beats = static_cast<Beat>(n);
-    if (!dog.tick(wr.beats)) {
-        wr.note = "watchdog tripped on software floor";
-        wr.bits.clear();
-        return wr;
-    }
-    wr.completed = true;
-    return wr;
+    return chargeAfter(std::move(wr), dog);
 }
 
 } // namespace spm::service

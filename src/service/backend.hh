@@ -46,7 +46,7 @@ namespace spm::service
 struct WindowResult
 {
     /** r_i bits, one per window character; valid when completed. */
-    std::vector<bool> bits;
+    BitVec bits;
     /** Beats this window consumed (charged to the watchdog). */
     Beat beats = 0;
     /**

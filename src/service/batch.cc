@@ -54,7 +54,7 @@ BatchMatchService::BatchMatchService(BatchServiceConfig config)
     bus = &cfg.base.bus;
 }
 
-std::vector<std::vector<bool>>
+std::vector<BitVec>
 BatchMatchService::runPass(
     const std::vector<const std::vector<Symbol> *> &texts,
     const std::vector<Symbol> &pattern, bool &checked,

@@ -77,7 +77,7 @@ class BatchMatchService : public FrontEnd
 
   private:
     /** One kernel pass over @p texts plus the sampled cross-check. */
-    std::vector<std::vector<bool>> runPass(
+    std::vector<BitVec> runPass(
         const std::vector<const std::vector<Symbol> *> &texts,
         const std::vector<Symbol> &pattern, bool &checked,
         std::uint64_t &mismatches, telem::StageClock &clock);

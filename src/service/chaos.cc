@@ -181,7 +181,7 @@ ChaosBackend::matchWindow(const std::vector<Symbol> &window,
         WindowResult r = inner->matchWindow(window, pattern, dog);
         if (r.completed && !r.bits.empty()) {
             const std::size_t i = plan->corruptIndex(slot, w, r.bits.size());
-            r.bits[i] = !r.bits[i];
+            r.bits.set(i, !r.bits.get(i));
         }
         return r;
     }
@@ -315,8 +315,7 @@ runChaosCampaign(const ChaosCampaignConfig &config)
         for (std::size_t j = 0; j < config.patternLen; ++j)
             req.pattern.push_back(wild(rng) ? wildcardSymbol
                                             : static_cast<Symbol>(sym(rng)));
-        const std::vector<bool> expected =
-            reference.match(req.text, req.pattern);
+        const BitVec expected = reference.match(req.text, req.pattern);
 
         const auto t0 = std::chrono::steady_clock::now();
         const MatchResponse resp = sharded.serve(req);

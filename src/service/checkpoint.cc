@@ -17,34 +17,25 @@ fnvMix(std::uint64_t &h, std::uint64_t v)
     }
 }
 
+/** @p v with bit i moved to bit 63 - i. */
+std::uint64_t
+reverseBits(std::uint64_t v)
+{
+    v = (v >> 1 & 0x5555555555555555ULL) | (v & 0x5555555555555555ULL) << 1;
+    v = (v >> 2 & 0x3333333333333333ULL) | (v & 0x3333333333333333ULL) << 2;
+    v = (v >> 4 & 0x0F0F0F0F0F0F0F0FULL) | (v & 0x0F0F0F0F0F0F0F0FULL) << 4;
+    return __builtin_bswap64(v);
+}
+
 } // namespace
 
 void
-Checkpoint::emit(const std::vector<bool> &bits, std::size_t from,
-                 std::size_t to)
+Checkpoint::emit(const BitVec &bits, std::size_t from, std::size_t to)
 {
-    for (std::size_t j = from; j < to; ++j) {
-        partial = (partial << 1) | (bits[j] ? 1 : 0);
-        if (++fill == 64) {
-            words.push_back(partial);
-            fnvMix(wordsDigest, partial);
-            partial = 0;
-            fill = 0;
-        }
-    }
-}
-
-std::vector<bool>
-Checkpoint::emitted() const
-{
-    std::vector<bool> bits;
-    bits.reserve(emittedCount());
-    for (std::uint64_t w : words)
-        for (unsigned b = 64; b-- > 0;)
-            bits.push_back(((w >> b) & 1) != 0);
-    for (unsigned b = fill; b-- > 0;)
-        bits.push_back(((partial >> b) & 1) != 0);
-    return bits;
+    emittedBits.append(bits.words(), from, to - from);
+    const std::vector<std::uint64_t> &words = emittedBits.words();
+    for (; foldedWords < emittedBits.size() / 64; ++foldedWords)
+        fnvMix(wordsDigest, reverseBits(words[foldedWords]));
 }
 
 std::uint64_t
@@ -56,10 +47,11 @@ Checkpoint::digest() const
     fnvMix(h, beats);
     for (Symbol s : tail)
         fnvMix(h, s);
-    // A partial last word carries a 1 above its bits so its length
-    // counts.
-    if (fill > 0)
-        fnvMix(h, partial | (std::uint64_t(1) << fill));
+    // A partial last word, its latest bit in bit 0, carries a 1 above
+    // its bits so its length counts.
+    if (const std::size_t fill = emittedBits.size() % 64; fill > 0)
+        fnvMix(h, (reverseBits(emittedBits.words().back()) >> (64 - fill)) |
+                      (std::uint64_t(1) << fill));
     return h;
 }
 

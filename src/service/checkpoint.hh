@@ -10,7 +10,7 @@
  * boundary instead of re-scanning the whole text -- the restartable
  * windowed processing long-stream workloads need. Its digest() is
  * what the replay journal records at every commit. The emitted bits
- * are kept packed 64 to a word, and each word is mixed into a running
+ * are a BitVec, packed 64 to a word, and each word is mixed into a running
  * digest as it completes, so a commit's digest costs the same at any
  * offset instead of growing with the text emitted so far.
  */
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/bitvec.hh"
 #include "util/types.hh"
 
 namespace spm::service
@@ -39,31 +40,24 @@ struct Checkpoint
     Beat beats = 0;
 
     /** Append bits [from, to) of @p bits to the emitted result. */
-    void emit(const std::vector<bool> &bits, std::size_t from,
-              std::size_t to);
-
-    /** Make room for @p bits emitted bits in all. */
-    void reserveEmitted(std::size_t bits) { words.reserve(bits / 64); }
+    void emit(const BitVec &bits, std::size_t from, std::size_t to);
 
     /** Result bits emitted for positions [0, offset). */
-    std::vector<bool> emitted() const;
-
-    /** How many result bits have been emitted. */
-    std::size_t emittedCount() const { return 64 * words.size() + fill; }
+    const BitVec &emitted() const { return emittedBits; }
 
     /**
      * FNV-1a digest for the journal: the completed words, then
-     * offset, rung, beats, tail and the partial word.
+     * offset, rung, beats, tail and the partial word. Each word is
+     * folded bit-reversed (first bit in the top bit), the order the
+     * replay journal has always recorded.
      */
     std::uint64_t digest() const;
 
   private:
-    /** Full words of emitted bits, the first bit in the top bit. */
-    std::vector<std::uint64_t> words;
-    /** The last fill (< 64) emitted bits, the latest in bit 0. */
-    std::uint64_t partial = 0;
-    unsigned fill = 0;
-    /** FNV-1a state over words, mixed as each one completes. */
+    BitVec emittedBits;
+    /** Completed words of emittedBits already folded into wordsDigest. */
+    std::size_t foldedWords = 0;
+    /** FNV-1a state over the completed words, mixed as each completes. */
     std::uint64_t wordsDigest = 0xCBF29CE484222325ULL;
 };
 

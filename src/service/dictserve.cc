@@ -130,12 +130,11 @@ DictMatchService::feedChunk(DictSession &session,
             naive.matchAll(window, session.dict);
         const std::size_t skip = window.size() - chunk.size();
         bool bad = false;
-        for (std::size_t p = 0; p < session.dict.size() && !bad; ++p)
-            for (std::size_t c = 0; c < chunk.size(); ++c)
-                if (res.hits.bits[p][c] != expect.bits[p][skip + c]) {
-                    bad = true;
-                    break;
-                }
+        for (std::size_t p = 0; p < session.dict.size() && !bad; ++p) {
+            BitVec want;
+            want.append(expect.bits[p].words(), skip, chunk.size());
+            bad = res.hits.bits[p] != want;
+        }
         if (bad) {
             crossCheckFailuresCtr.add();
             res.error = DictError::make(ServiceError::make(

@@ -7,8 +7,8 @@
  * optional whole-request beat deadline. The response carries the
  * result stream together with everything a host needs to audit how
  * it was produced -- which ladder rung answered, how many times the
- * service degraded, how many checkpoints were cut, and the bus-paced
- * wall-clock charge.
+ * service degraded, how many chunks it streamed, and the chip beats
+ * it consumed.
  */
 
 #ifndef SPM_SERVICE_REQUEST_HH
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "service/error.hh"
+#include "util/bitvec.hh"
 #include "util/types.hh"
 
 namespace spm::service
@@ -53,15 +54,13 @@ struct MatchResponse
     std::uint64_t id = 0;
     ServiceError error;
     /** r_i bits, one per text character; valid only when ok(). */
-    std::vector<bool> result;
+    BitVec result;
     /** Name of the ladder rung that produced the final chunks. */
     std::string backend;
     /** Rungs fallen during this request (0 = primary served it all). */
     std::size_t degradations = 0;
-    /** Text chunks streamed. */
+    /** Text chunks streamed; each cut one checkpoint. */
     std::size_t chunks = 0;
-    /** Checkpoints cut (one per committed chunk). */
-    std::size_t checkpoints = 0;
     /** True when the request resumed from a prior checkpoint. */
     bool resumed = false;
     /** Watchdog cancellations survived via degradation. */

@@ -108,7 +108,6 @@ StreamSession::StreamSession(MatchService &svc, MatchRequest req,
         start.count = request.pattern.size();
         service.journalEvent(std::move(start));
     }
-    cp.reserveEmitted(request.text.size());
 }
 
 void
@@ -293,7 +292,7 @@ StreamSession::step()
         }
 
         if (cfg.crossCheck) {
-            const std::vector<bool> expect =
+            const BitVec expect =
                 core::ReferenceMatcher().match(window, request.pattern);
             clock.mark(telem::Stage::CrossCheck);
             if (wr.bits != expect) {
@@ -349,7 +348,6 @@ StreamSession::step()
         cp.rung = rung;
         cp.beats = response.beats;
         ++response.chunks;
-        ++response.checkpoints;
         service.checkpointsCtr.add();
         SPM_THIST(service.chunkBeatsHist,
                   static_cast<double>(wr.beats));
@@ -392,13 +390,13 @@ StreamSession::finish()
             cancel("finish() before completion");
         }
     }
-    service.servedCtr.add();
-    if (response.ok())
-        service.completedCtr.add();
-    else
-        service.failedCtr.add();
     if (!observed) {
         observed = true;
+        service.servedCtr.add();
+        if (response.ok())
+            service.completedCtr.add();
+        else
+            service.failedCtr.add();
         // Watchdog trips and ladder falls force-retain their trace;
         // the whole request replays as one conformance case.
         const char *reason = nullptr;
@@ -567,13 +565,13 @@ MatchService::resume(const MatchRequest &req, const Checkpoint &from)
     const std::size_t k = req.pattern.size();
     const std::size_t want_tail = std::min(k > 0 ? k - 1 : 0, from.offset);
     if (!err && (from.offset > req.text.size() ||
-                 from.emittedCount() != from.offset ||
+                 from.emitted().size() != from.offset ||
                  from.tail.size() != want_tail || from.rung >= ladder.size()))
         err = ServiceError::make(
             ErrorCode::InvalidCheckpoint,
             "checkpoint inconsistent with request (offset " +
                 std::to_string(from.offset) + ", " +
-                std::to_string(from.emittedCount()) + " emitted, tail " +
+                std::to_string(from.emitted().size()) + " emitted, tail " +
                 std::to_string(from.tail.size()) + ")");
     if (err) {
         reject(*err);

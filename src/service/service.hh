@@ -179,7 +179,7 @@ class StreamSession
     /** The last durable checkpoint (resume token). */
     const Checkpoint &checkpoint() const { return cp; }
 
-    /** Finish the session and take the response. */
+    /** Finish the session and take the response (counted only once). */
     MatchResponse finish();
 
     /** Abandon the session; the response reports Cancelled. */

@@ -642,11 +642,10 @@ ShardedMatchService::serve(const MatchRequest &req)
             const std::size_t ext = left.rightExt;
             const std::size_t left_base = left.overlapLen + left.keepLen;
             const auto pairAgrees = [&] {
-                for (std::size_t j = 0; j < ext; ++j)
-                    if (cur.resp.result[cur.overlapLen + j] !=
-                        left.resp.result[left_base + j])
-                        return false;
-                return true;
+                BitVec mine, theirs;
+                mine.append(cur.resp.result.words(), cur.overlapLen, ext);
+                theirs.append(left.resp.result.words(), left_base, ext);
+                return mine == theirs;
             };
             if (pairAgrees())
                 continue;
@@ -708,7 +707,6 @@ ShardedMatchService::serve(const MatchRequest &req)
             out.backend += (s == 0 ? "" : "+") + r.backend;
         out.degradations += r.degradations;
         out.chunks += r.chunks;
-        out.checkpoints += r.checkpoints;
         out.watchdogTrips += r.watchdogTrips;
         out.crossCheckFailures += r.crossCheckFailures;
         lastTotal += st.attemptBeats;
@@ -716,9 +714,7 @@ ShardedMatchService::serve(const MatchRequest &req)
         if (out.ok()) {
             // Keep only the slice's own positions: the warm-up prefix
             // belongs to shard s-1, the right extension to shard s+1.
-            out.result.insert(
-                out.result.end(), r.result.begin() + st.overlapLen,
-                r.result.begin() + st.overlapLen + st.keepLen);
+            out.result.append(r.result.words(), st.overlapLen, st.keepLen);
         }
     }
     // The host waits for the slowest shard, not the sum.

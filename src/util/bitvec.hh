@@ -11,8 +11,11 @@
 #ifndef SPM_UTIL_BITVEC_HH
 #define SPM_UTIL_BITVEC_HH
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,13 +25,50 @@ namespace spm
 /**
  * Dynamically sized vector of bits with word-parallel bulk operations.
  *
- * Unlike std::vector<bool>, BitVec exposes population count, word-wise
- * logical operators, and a printable form, all of which the benches and
- * tests rely on.
+ * Bit i lives in word i / 64 at bit i % 64, and the bits past size()
+ * in the last word are always 0 -- the layout of the SIMD kernel's
+ * packed result stream, so a kernel answer moves in whole words.
  */
 class BitVec
 {
   public:
+    /** Read-only random-access iterator over the bits, index 0 first. */
+    class Iter
+    {
+      public:
+        using iterator_category = std::random_access_iterator_tag;
+        using value_type = bool;
+        using difference_type = std::ptrdiff_t;
+        using pointer = void;
+        using reference = bool;
+
+        Iter() = default;
+        Iter(const BitVec *vec, std::ptrdiff_t at) : v(vec), i(at) {}
+
+        bool operator*() const { return v->get(static_cast<std::size_t>(i)); }
+        bool operator[](std::ptrdiff_t d) const { return *(*this + d); }
+        Iter &operator+=(std::ptrdiff_t d)
+        {
+            i += d;
+            return *this;
+        }
+        Iter &operator-=(std::ptrdiff_t d) { return *this += -d; }
+        Iter &operator++() { return *this += 1; }
+        Iter &operator--() { return *this -= 1; }
+        Iter operator++(int) { return {v, i++}; }
+        Iter operator--(int) { return {v, i--}; }
+        friend Iter operator+(Iter a, std::ptrdiff_t d) { return a += d; }
+        friend Iter operator+(std::ptrdiff_t d, Iter a) { return a += d; }
+        friend Iter operator-(Iter a, std::ptrdiff_t d) { return a -= d; }
+        friend std::ptrdiff_t operator-(Iter a, Iter b) { return a.i - b.i; }
+        friend bool operator==(Iter a, Iter b) { return a.i == b.i; }
+        friend auto operator<=>(Iter a, Iter b) { return a.i <=> b.i; }
+
+      private:
+        const BitVec *v = nullptr;
+        std::ptrdiff_t i = 0;
+    };
+
     BitVec() = default;
 
     /** Construct with @p n bits, all set to @p value. */
@@ -44,13 +84,44 @@ class BitVec
     bool empty() const { return numBits == 0; }
 
     /** Read the bit at @p idx. */
-    bool get(std::size_t idx) const;
+    bool get(std::size_t idx) const
+    {
+        if (idx >= numBits)
+            outOfRange("get", idx);
+        return ((bitWords[idx / bitsPerWord] >> (idx % bitsPerWord)) & 1) != 0;
+    }
 
     /** Set the bit at @p idx to @p value. */
-    void set(std::size_t idx, bool value);
+    void set(std::size_t idx, bool value)
+    {
+        if (idx >= numBits)
+            outOfRange("set", idx);
+        const std::size_t at = idx % bitsPerWord;
+        std::uint64_t &w = bitWords[idx / bitsPerWord];
+        w = (w & ~(std::uint64_t{1} << at)) | (std::uint64_t{value} << at);
+    }
 
     /** Append one bit. */
-    void pushBack(bool value);
+    void pushBack(bool value)
+    {
+        if (numBits % bitsPerWord == 0)
+            bitWords.push_back(0);
+        bitWords.back() |= std::uint64_t{value} << (numBits % bitsPerWord);
+        ++numBits;
+    }
+
+    /**
+     * Append bits [from, from + len) of the packed stream @p src (bit
+     * i in word i / 64 at bit i % 64), a word at a time.
+     */
+    void append(std::span<const std::uint64_t> src, std::size_t from,
+                std::size_t len);
+
+    /** The packed words; bits past size() in the last one are 0. */
+    const std::vector<std::uint64_t> &words() const { return bitWords; }
+
+    Iter begin() const { return {this, 0}; }
+    Iter end() const { return {this, std::ptrdiff_t(numBits)}; }
 
     /** Remove all bits. */
     void clear();
@@ -84,19 +155,13 @@ class BitVec
   private:
     static constexpr std::size_t bitsPerWord = 64;
 
-    static std::size_t wordIndex(std::size_t idx)
-    {
-        return idx / bitsPerWord;
-    }
-    static std::uint64_t bitMask(std::size_t idx)
-    {
-        return std::uint64_t(1) << (idx % bitsPerWord);
-    }
+    /** Panic on an access at @p idx past size(). */
+    [[noreturn]] void outOfRange(const char *op, std::size_t idx) const;
 
     /** Zero any bits beyond numBits in the last word. */
     void trimTail();
 
-    std::vector<std::uint64_t> words;
+    std::vector<std::uint64_t> bitWords;
     std::size_t numBits = 0;
 };
 

@@ -54,12 +54,12 @@ bytesToSymbols(const std::string &bytes)
 }
 
 std::string
-renderMatchPositions(const std::vector<bool> &results)
+renderMatchPositions(const BitVec &results)
 {
     std::ostringstream os;
     bool first = true;
     for (std::size_t i = 0; i < results.size(); ++i) {
-        if (results[i]) {
+        if (results.get(i)) {
             if (!first)
                 os << ", ";
             os << i;

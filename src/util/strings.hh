@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "util/bitvec.hh"
 #include "util/types.hh"
 
 namespace spm
@@ -35,7 +36,7 @@ std::string renderSymbols(const std::vector<Symbol> &syms);
 std::vector<Symbol> bytesToSymbols(const std::string &bytes);
 
 /** Render match positions: indices i where result bit r_i is set. */
-std::string renderMatchPositions(const std::vector<bool> &results);
+std::string renderMatchPositions(const BitVec &results);
 
 /** Minimum bit width needed to encode every symbol in @p syms. */
 BitWidth requiredBits(const std::vector<Symbol> &syms);

@@ -125,13 +125,13 @@ TEST(CaseGenTest, CoversTheHardRegions)
 class BrokenAt64 : public core::Matcher
 {
   public:
-    std::vector<bool> match(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) override
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
     {
         core::ReferenceMatcher ref;
         auto r = ref.match(text, pattern);
         if (r.size() > 64)
-            r[64] = !r[64];
+            r.set(64, !r.get(64));
         return r;
     }
     std::string name() const override { return "broken-at-64"; }
@@ -156,12 +156,61 @@ TEST(Differ, CatchesABrokenMatcherAndReportsTheRegion)
     EXPECT_EQ(r.disagreements[0].mismatches, 1u);
 }
 
+/** The reference answer with the bits at @p flips inverted. */
+class FlipsBits : public core::Matcher
+{
+  public:
+    explicit FlipsBits(std::vector<std::size_t> positions)
+        : flips(std::move(positions))
+    {
+    }
+
+    BitVec match(const std::vector<Symbol> &text,
+                 const std::vector<Symbol> &pattern) override
+    {
+        BitVec r = core::ReferenceMatcher().match(text, pattern);
+        for (const std::size_t p : flips)
+            r.set(p, !r.get(p));
+        return r;
+    }
+    std::string name() const override { return "flips-bits"; }
+
+  private:
+    std::vector<std::size_t> flips;
+};
+
+TEST(Differ, PinsTheMismatchIndicesAtWordEdges)
+{
+    Case c;
+    c.bits = 1;
+    c.pattern = {0, 1};
+    c.text.assign(200, 0);
+    for (std::size_t i = 0; i < c.text.size(); i += 3)
+        c.text[i] = 1;
+    // Single flips at the first bit, both sides of the first word
+    // boundary and the last bit; then a pair spanning the stream.
+    const std::vector<std::vector<std::size_t>> flipSets = {
+        {0}, {63}, {64}, {199}, {0, 199}, {63, 64}};
+    for (const auto &flips : flipSets) {
+        std::vector<Oracle> oracles;
+        oracles.push_back(
+            Oracle{std::make_unique<core::ReferenceMatcher>()});
+        oracles.push_back(Oracle{std::make_unique<FlipsBits>(flips)});
+        const CaseResult r = runCase(c, oracles, 0);
+        ASSERT_EQ(r.disagreements.size(), 1u);
+        const Disagreement &d = r.disagreements[0];
+        EXPECT_EQ(d.firstIndex, flips.front()) << flips.front();
+        EXPECT_EQ(d.lastIndex, flips.back()) << flips.back();
+        EXPECT_EQ(d.mismatches, flips.size());
+    }
+}
+
 TEST(Differ, ReportsAThrowingOracleAsError)
 {
     class Thrower : public core::Matcher
     {
-        std::vector<bool> match(const std::vector<Symbol> &,
-                                const std::vector<Symbol> &) override
+        BitVec match(const std::vector<Symbol> &,
+                     const std::vector<Symbol> &) override
         {
             throw std::runtime_error("backend exploded");
         }

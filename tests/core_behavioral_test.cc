@@ -75,7 +75,7 @@ TEST(Behavioral, SingleCellChip)
 {
     BehavioralMatcher chip(1);
     const auto r = chip.match(parseSymbols("ABAB"), parseSymbols("B"));
-    EXPECT_EQ(r, (std::vector<bool>{false, true, false, true}));
+    EXPECT_EQ(r, BitVec::fromString("0101"));
 }
 
 TEST(Behavioral, DegenerateInputs)
@@ -83,9 +83,9 @@ TEST(Behavioral, DegenerateInputs)
     BehavioralMatcher chip(4);
     EXPECT_TRUE(chip.match({}, parseSymbols("A")).empty());
     EXPECT_EQ(chip.match(parseSymbols("A"), parseSymbols("AB")),
-              (std::vector<bool>{false}));
+              BitVec::fromString("0"));
     EXPECT_EQ(chip.match(parseSymbols("AB"), {}),
-              (std::vector<bool>{false, false}));
+              BitVec::fromString("00"));
 }
 
 TEST(Behavioral, ThroughputIsOneResultPerTwoBeats)

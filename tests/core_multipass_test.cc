@@ -78,7 +78,7 @@ TEST(Multipass, DegenerateInputs)
     MultipassMatcher mp(4);
     EXPECT_TRUE(mp.match({}, parseSymbols("A")).empty());
     EXPECT_EQ(mp.match(parseSymbols("A"), parseSymbols("AB")),
-              (std::vector<bool>{false}));
+              BitVec::fromString("0"));
     EXPECT_EQ(mp.lastRuns(), 0u);
 }
 

@@ -26,8 +26,7 @@ TEST(Reference, PaperFigure31Example)
     // (Section 3.1, over the text used in tests/helpers.hh).
     ReferenceMatcher ref;
     const auto r = ref.match(test::paperText(), test::paperPattern());
-    const std::vector<bool> want = {false, false, true, false, false,
-                                    true,  true,  false, false, false};
+    const BitVec want = BitVec::fromString("0010011000");
     EXPECT_EQ(r, want);
 }
 
@@ -36,8 +35,7 @@ TEST(Reference, ExactMatchNoWildcards)
     ReferenceMatcher ref;
     const auto r =
         ref.match(parseSymbols("ABABAB"), parseSymbols("ABA"));
-    const std::vector<bool> want = {false, false, true,
-                                    false, true,  false};
+    const BitVec want = BitVec::fromString("001010");
     EXPECT_EQ(r, want);
 }
 
@@ -45,21 +43,21 @@ TEST(Reference, OverlappingMatchesAllReported)
 {
     ReferenceMatcher ref;
     const auto r = ref.match(parseSymbols("AAAA"), parseSymbols("AA"));
-    EXPECT_EQ(r, (std::vector<bool>{false, true, true, true}));
+    EXPECT_EQ(r, BitVec::fromString("0111"));
 }
 
 TEST(Reference, SingleCharacterPattern)
 {
     ReferenceMatcher ref;
     const auto r = ref.match(parseSymbols("ABA"), parseSymbols("A"));
-    EXPECT_EQ(r, (std::vector<bool>{true, false, true}));
+    EXPECT_EQ(r, BitVec::fromString("101"));
 }
 
 TEST(Reference, AllWildcardPatternMatchesEverywhere)
 {
     ReferenceMatcher ref;
     const auto r = ref.match(parseSymbols("ABCD"), parseSymbols("XX"));
-    EXPECT_EQ(r, (std::vector<bool>{false, true, true, true}));
+    EXPECT_EQ(r, BitVec::fromString("0111"));
 }
 
 TEST(Reference, DegenerateInputs)
@@ -67,10 +65,10 @@ TEST(Reference, DegenerateInputs)
     ReferenceMatcher ref;
     EXPECT_TRUE(ref.match({}, parseSymbols("A")).empty());
     EXPECT_EQ(ref.match(parseSymbols("AB"), {}),
-              (std::vector<bool>{false, false}));
+              BitVec::fromString("00"));
     // Pattern longer than text: nothing can match.
     EXPECT_EQ(ref.match(parseSymbols("AB"), parseSymbols("ABC")),
-              (std::vector<bool>{false, false}));
+              BitVec::fromString("00"));
 }
 
 TEST(Reference, WildcardIntransitivityExample)
@@ -79,9 +77,9 @@ TEST(Reference, WildcardIntransitivityExample)
     // not transitive. Pattern AX matches both texts AC and AB, yet AC
     // and AB do not match each other as patterns over those texts.
     ReferenceMatcher ref;
-    EXPECT_TRUE(ref.match(parseSymbols("AC"), parseSymbols("AX"))[1]);
-    EXPECT_TRUE(ref.match(parseSymbols("AB"), parseSymbols("AX"))[1]);
-    EXPECT_FALSE(ref.match(parseSymbols("AC"), parseSymbols("AB"))[1]);
+    EXPECT_TRUE(ref.match(parseSymbols("AC"), parseSymbols("AX")).get(1));
+    EXPECT_TRUE(ref.match(parseSymbols("AB"), parseSymbols("AX")).get(1));
+    EXPECT_FALSE(ref.match(parseSymbols("AC"), parseSymbols("AB")).get(1));
 }
 
 TEST(ReferenceCounts, CountsMatchingPositions)

@@ -46,11 +46,11 @@ TEST(SimdParallel, DegenerateShapes)
     const auto wide = test::makeShapedWorkload(0xA11, 2, 150, 5, 0).text;
     for (const SimdIsa isa : supportedTiers()) {
         SimdParallelMatcher sp(isa);
-        EXPECT_EQ(sp.match(text, {}), std::vector<bool>(3, false));
-        EXPECT_EQ(sp.match({}, {1}), std::vector<bool>());
+        EXPECT_EQ(sp.match(text, {}), BitVec(3, false));
+        EXPECT_EQ(sp.match({}, {1}), BitVec());
         // Pattern longer than the text never matches.
         EXPECT_EQ(sp.match(text, {1, 2, 3, 1}),
-                  std::vector<bool>(3, false));
+                  BitVec(3, false));
         // All-wildcard patterns match every full window, on the short
         // path and (k = 70) the sweep path.
         for (const std::size_t k : {std::size_t(1), std::size_t(5),

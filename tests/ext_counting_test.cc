@@ -37,7 +37,7 @@ TEST(Counting, FullMatchCountEqualsPatternLength)
     core::ReferenceMatcher ref;
     const auto r = ref.match(text, pat);
     for (std::size_t i = 0; i < text.size(); ++i) {
-        if (r[i])
+        if (r.get(i))
             EXPECT_EQ(c[i], pat.size()) << "i=" << i;
     }
 }
@@ -54,7 +54,7 @@ TEST(Counting, CountGeneralizesMatching)
         const auto bits = ref.match(w.text, w.pattern);
         for (std::size_t j = w.pattern.size() - 1; j < w.text.size();
              ++j) {
-            EXPECT_EQ(bits[j], counts[j] == w.pattern.size())
+            EXPECT_EQ(bits.get(j), counts[j] == w.pattern.size())
                 << "workload " << i << " position " << j;
         }
     }
@@ -117,7 +117,7 @@ TEST(Counting, TotalsEqualScalarRecountOnGeneratedCases)
             }
             EXPECT_EQ(counts[i], recount)
                 << "i=" << i << " case=" << w.caseId;
-            EXPECT_EQ(bits[i], counts[i] == k)
+            EXPECT_EQ(bits.get(i), counts[i] == k)
                 << "i=" << i << " case=" << w.caseId;
         }
         for (std::size_t i = 0; i + 1 < k && i < n; ++i)

@@ -224,10 +224,10 @@ TEST(Retry, TransientClearedOnSecondAttempt)
     const auto result = retry.run(
         [&calls] {
             ++calls;
-            return std::vector<bool>{calls >= 2};
+            return BitVec(1, calls >= 2);
         },
-        [](const std::vector<bool> &r) { return r[0]; });
-    EXPECT_EQ(result[0], true);
+        [](const BitVec &r) { return r.get(0); });
+    EXPECT_TRUE(result.get(0));
     EXPECT_EQ(retry.lastAttempts(), 2u);
     EXPECT_EQ(retry.lastBackoffBeats(), 16u);
 }
@@ -236,8 +236,8 @@ TEST(Retry, ExhaustionThrowsWithBackoffSpent)
 {
     HostRetryController retry({2, 8});
     EXPECT_THROW(
-        retry.run([] { return std::vector<bool>{false}; },
-                  [](const std::vector<bool> &r) { return r[0]; }),
+        retry.run([] { return BitVec(1); },
+                  [](const BitVec &r) { return r.get(0); }),
         RetryExhausted);
     EXPECT_EQ(retry.lastAttempts(), 3u);
     EXPECT_EQ(retry.lastBackoffBeats(), 8u + 16u);

@@ -74,14 +74,14 @@ TEST(Wafer, DicedChipsMatchManualCount)
     // Count manually over row-major runs of 4.
     std::size_t manual = 0;
     const std::size_t chip = 4;
-    std::vector<bool> flat;
+    BitVec flat;
     for (unsigned r = 0; r < 2; ++r)
         for (unsigned c = 0; c < 8; ++c)
-            flat.push_back(w.isGood(r, c));
+            flat.pushBack(w.isGood(r, c));
     for (std::size_t at = 0; at + chip <= flat.size(); at += chip) {
         bool ok = true;
         for (std::size_t j = 0; j < chip; ++j)
-            ok = ok && flat[at + j];
+            ok = ok && flat.get(at + j);
         manual += ok;
     }
     EXPECT_EQ(w.dicedChips(chip), manual);

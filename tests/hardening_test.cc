@@ -82,16 +82,16 @@ TEST(Hardening, MatcherHandlesPatternEqualToText)
     core::BehavioralMatcher chip;
     const auto text = parseSymbols("ABCD");
     const auto r = chip.match(text, text);
-    EXPECT_EQ(r, (std::vector<bool>{false, false, false, true}));
+    EXPECT_EQ(r, BitVec::fromString("0001"));
 }
 
 TEST(Hardening, MatcherHandlesSingleCharacterEverything)
 {
     core::BehavioralMatcher chip;
     const auto r = chip.match(parseSymbols("A"), parseSymbols("A"));
-    EXPECT_EQ(r, (std::vector<bool>{true}));
+    EXPECT_EQ(r, BitVec::fromString("1"));
     const auto miss = chip.match(parseSymbols("A"), parseSymbols("B"));
-    EXPECT_EQ(miss, (std::vector<bool>{false}));
+    EXPECT_EQ(miss, BitVec::fromString("0"));
 }
 
 TEST(Hardening, RepeatedMatcherUseIsIndependent)

@@ -116,7 +116,7 @@ TEST(AhoCorasick, HandlesDuplicateAndNestedMembers)
     const DictHits got = ac.matchAll(text, dict);
     EXPECT_EQ(got, naive.matchAll(text, dict));
     EXPECT_EQ(got.bits[0], got.bits[2]);
-    EXPECT_EQ(got.bits[3], std::vector<bool>(text.size(), false));
+    EXPECT_EQ(got.bits[3], BitVec(text.size(), false));
 }
 
 TEST(AhoCorasick, ContiguousStorageIsCompact)
@@ -285,9 +285,8 @@ TEST(Chunked, BitSlicedMatchesOneShotUnderRandomSplits)
             const DictHits part = feedDictChunk(planes, state, chunk, dict);
             counted += planes.lastHits();
             for (std::size_t p = 0; p < dict.size(); ++p)
-                stitched.bits[p].insert(stitched.bits[p].end(),
-                                        part.bits[p].begin(),
-                                        part.bits[p].end());
+                stitched.bits[p].append(part.bits[p].words(), 0,
+                                        part.bits[p].size());
             at += len;
         }
         EXPECT_EQ(state.seen, static_cast<std::uint64_t>(text.size()));
@@ -356,9 +355,8 @@ TEST(Chunked, AhoCorasickStreamStateMatchesOneShot)
                 text.begin() + static_cast<std::ptrdiff_t>(at + len));
             const DictHits part = automaton.feed(state, chunk);
             for (std::size_t p = 0; p < dict.size(); ++p)
-                stitched.bits[p].insert(stitched.bits[p].end(),
-                                        part.bits[p].begin(),
-                                        part.bits[p].end());
+                stitched.bits[p].append(part.bits[p].words(), 0,
+                                        part.bits[p].size());
             at += len;
         }
         ASSERT_EQ(stitched, oneShot) << "round " << round;
@@ -378,7 +376,8 @@ TEST(Chunked, CarryRejectsOversizedTail)
 TEST(DictHits, TotalHitsCounts)
 {
     DictHits hits;
-    hits.bits = {{true, false, true}, {false, false, false}, {true}};
+    hits.bits = {BitVec::fromString("101"), BitVec::fromString("000"),
+                 BitVec::fromString("1")};
     EXPECT_EQ(hits.totalHits(), 3u);
     EXPECT_EQ(longestPattern({{1, 2}, {}, {1, 2, 3}}), 3u);
     EXPECT_EQ(longestPattern({}), 0u);

@@ -57,7 +57,7 @@ randomRequest(std::uint64_t seed, std::size_t text_len, std::size_t pat_len)
     return req;
 }
 
-std::vector<bool>
+BitVec
 expected(const MatchRequest &req)
 {
     core::ReferenceMatcher ref;
@@ -305,7 +305,7 @@ TEST(ChaosService, QuarantineOpensProbesHalfOpenAndHeals)
         cfg, makeChaosLadderFactory(plan, softwareFactory()));
 
     const auto req = randomRequest(0xE5, 100, 4);
-    const std::vector<bool> want = expected(req);
+    const BitVec want = expected(req);
     const auto serveOk = [&] {
         const MatchResponse r = sharded.serve(req);
         ASSERT_TRUE(r.ok()) << r.error.detail;

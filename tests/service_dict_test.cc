@@ -149,9 +149,8 @@ TEST(DictServe, ChunkedSessionIsBitIdenticalToOneShot)
         const auto part = chunkedSvc.feedChunk(session, chunk);
         ASSERT_TRUE(part.ok()) << part.error.toString();
         for (std::size_t p = 0; p < dict.size(); ++p)
-            stitched.bits[p].insert(stitched.bits[p].end(),
-                                    part.hits.bits[p].begin(),
-                                    part.hits.bits[p].end());
+            stitched.bits[p].append(part.hits.bits[p].words(), 0,
+                                    part.hits.bits[p].size());
         at += len;
     }
     EXPECT_EQ(stitched, oneShot.hits);

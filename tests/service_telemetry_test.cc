@@ -332,7 +332,7 @@ TEST(ServiceTelemetry, CrossCheckMismatchLeavesBreadcrumb)
                                  BeatWatchdog &dog) override
         {
             WindowResult wr;
-            wr.bits.assign(window.size(), true);
+            wr.bits.resize(window.size(), true);
             wr.beats = window.size();
             dog.tick(wr.beats);
             wr.completed = true;

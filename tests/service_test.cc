@@ -70,7 +70,7 @@ class LyingBackend : public ServiceBackend
                              BeatWatchdog &dog) override
     {
         WindowResult wr;
-        wr.bits.assign(window.size(), true);
+        wr.bits.resize(window.size(), true);
         wr.beats = window.size();
         dog.tick(wr.beats);
         wr.completed = true;
@@ -218,7 +218,7 @@ TEST(ServiceMatch, AgreesWithReferenceOnSeededWorkloads)
             << "workload " << i;
         EXPECT_EQ(resp.degradations, 0u);
         EXPECT_EQ(resp.backend, "systolic-behavioral");
-        EXPECT_GT(resp.checkpoints, 0u);
+        EXPECT_GT(resp.chunks, 0u);
     }
 }
 
@@ -340,7 +340,8 @@ class OneTransientFlip : public ServiceBackend
     {
         WindowResult wr = inner->matchWindow(window, pattern, dog);
         if (calls++ == flipAt && wr.completed && !wr.bits.empty())
-            wr.bits.back() = !wr.bits.back();
+            wr.bits.set(wr.bits.size() - 1,
+                        !wr.bits.get(wr.bits.size() - 1));
         return wr;
     }
 
@@ -398,7 +399,6 @@ expectSameServing(const MatchService &lanes, const MatchResponse &got,
     EXPECT_EQ(got.result, want.result);
     EXPECT_EQ(got.beats, want.beats);
     EXPECT_EQ(got.chunks, want.chunks);
-    EXPECT_EQ(got.checkpoints, want.checkpoints);
     EXPECT_EQ(got.backend, want.backend);
     EXPECT_EQ(got.degradations, want.degradations);
     EXPECT_EQ(got.watchdogTrips, want.watchdogTrips);
@@ -843,10 +843,9 @@ TEST(Checkpoint, DigestChangesWithContents)
     a.offset = 8;
     a.tail = {1, 2, 3};
     Checkpoint b = a;
-    std::vector<bool> bits = {false, true, false, false,
-                              true, false, false, false};
+    BitVec bits = BitVec::fromString("01001000");
     a.emit(bits, 0, bits.size());
-    bits[3] = true;
+    bits.set(3, true);
     b.emit(bits, 0, bits.size());
     EXPECT_NE(a.digest(), b.digest());
     b = a;
@@ -860,7 +859,7 @@ TEST(Checkpoint, ChunkedEmitDigestsLikeOneBitAtATimePacking)
     // The digest written out bit by bit: FNV-1a over the full words
     // (64 bits to a word, first bit on top), then offset, rung, beats
     // and tail, then a short last word marked by a 1 above its bits.
-    auto repacked = [](const Checkpoint &cp, const std::vector<bool> &bits) {
+    auto repacked = [](const Checkpoint &cp, const BitVec &bits) {
         std::uint64_t h = 0xCBF29CE484222325ULL;
         auto mix = [&h](std::uint64_t v) {
             for (unsigned i = 0; i < 8; ++i) {
@@ -890,9 +889,9 @@ TEST(Checkpoint, ChunkedEmitDigestsLikeOneBitAtATimePacking)
     Rng rng(0xD16E57);
     for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 200u, 513u}) {
         for (std::size_t chunk : {1u, 7u, 32u, 64u, 100u}) {
-            std::vector<bool> bits(n);
+            BitVec bits(n);
             for (std::size_t i = 0; i < n; ++i)
-                bits[i] = (rng.next() & 1) != 0;
+                bits.set(i, (rng.next() & 1) != 0);
             Checkpoint cp;
             cp.offset = n;
             cp.rung = 2;
@@ -900,13 +899,12 @@ TEST(Checkpoint, ChunkedEmitDigestsLikeOneBitAtATimePacking)
             cp.tail = {3, 1};
             for (std::size_t at = 0; at < n; at += chunk) {
                 // Emit from the middle of a window, as a commit does.
-                std::vector<bool> window(3, true);
+                BitVec window(3, true);
                 const std::size_t end = std::min(n, at + chunk);
-                window.insert(window.end(), bits.begin() + at,
-                              bits.begin() + end);
+                window.append(bits.words(), at, end - at);
                 cp.emit(window, 3, window.size());
             }
-            ASSERT_EQ(cp.emittedCount(), n);
+            ASSERT_EQ(cp.emitted().size(), n);
             EXPECT_EQ(cp.emitted(), bits) << n << " bits by " << chunk;
             EXPECT_EQ(cp.digest(), repacked(cp, bits))
                 << n << " bits by " << chunk;
@@ -1020,6 +1018,30 @@ TEST(Service, StatsDumpCountsServing)
     const std::string dump = svc.statsDump();
     EXPECT_NE(dump.find("service.completed = 1"), std::string::npos);
     EXPECT_NE(dump.find("hostbus.charsTransferred"), std::string::npos);
+}
+
+TEST(Service, FinishTwiceCountsTheRequestOnce)
+{
+    MatchService svc(smallConfig(), behavioralLadder(8));
+    StreamSession session =
+        svc.startSession(seededRequest(1, 1, 2, 24, 3));
+    while (session.step()) {
+    }
+    const MatchResponse first = session.finish();
+    const MatchResponse again = session.finish();
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(again.result, first.result);
+    const auto &s = svc.stats();
+    EXPECT_EQ(s.counter("served").value(), 1u);
+    EXPECT_EQ(s.counter("completed").value(), 1u);
+    EXPECT_EQ(s.counter("failed").value(), 0u);
+
+    // A cancelled session counts one failure, however often finished.
+    StreamSession cut = svc.startSession(seededRequest(2, 2, 2, 24, 3));
+    EXPECT_FALSE(cut.finish().ok());
+    EXPECT_FALSE(cut.finish().ok());
+    EXPECT_EQ(s.counter("served").value(), 2u);
+    EXPECT_EQ(s.counter("failed").value(), 1u);
 }
 
 } // namespace

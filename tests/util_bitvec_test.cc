@@ -1,5 +1,7 @@
 /** @file Unit tests for the BitVec container. */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "util/bitvec.hh"
@@ -135,6 +137,66 @@ TEST(BitVec, OutOfRangeAccessPanics)
     BitVec v(8);
     EXPECT_THROW(v.get(8), std::logic_error);
     EXPECT_THROW(v.set(9, true), std::logic_error);
+}
+
+TEST(BitVec, AppendCopiesAnyRangeToAnyOffset)
+{
+    // A source whose bits differ from their neighbours at every
+    // offset, so a range shifted by one bit cannot pass.
+    BitVec src;
+    for (std::size_t i = 0; i < 300; ++i)
+        src.pushBack((i * 7 + i / 3) % 5 < 2);
+    for (const std::size_t from : {0u, 1u, 63u, 64u, 65u}) {
+        for (const std::size_t at : {0u, 1u, 63u, 64u, 65u}) {
+            for (const std::size_t len : {0u, 1u, 64u, 130u}) {
+                BitVec got(at, true);
+                got.append(src.words(), from, len);
+                BitVec want(at, true);
+                for (std::size_t i = 0; i < len; ++i)
+                    want.pushBack(src.get(from + i));
+                EXPECT_EQ(got, want)
+                    << "from " << from << " at " << at << " len " << len;
+                EXPECT_EQ(got.popcount(), want.popcount());
+            }
+        }
+    }
+}
+
+TEST(BitVec, AppendPastTheSourcePanics)
+{
+    const BitVec src(70);
+    BitVec v;
+    EXPECT_THROW(v.append(src.words(), 60, 69), std::logic_error);
+}
+
+TEST(BitVec, IteratorsWalkTheBitsWithAnOffset)
+{
+    const BitVec whole = BitVec::fromString("0110100111010001");
+    const BitVec tail = BitVec::fromString("0111010001");
+    EXPECT_TRUE(std::equal(tail.begin(), tail.end(), whole.begin() + 6));
+    EXPECT_FALSE(std::equal(tail.begin(), tail.end(), whole.begin() + 5));
+    EXPECT_EQ(whole.end() - whole.begin(), 16);
+    EXPECT_EQ(std::count(whole.begin(), whole.end(), true), 8);
+    std::size_t i = 0;
+    for (const bool b : whole)
+        EXPECT_EQ(b, whole.get(i++));
+    EXPECT_EQ(i, whole.size());
+}
+
+TEST(BitVec, EqualityIgnoresBitsPastSize)
+{
+    BitVec shrunk(130, true);
+    shrunk.resize(65);
+    EXPECT_EQ(shrunk, BitVec(65, true));
+
+    BitVec appended(3, true);
+    appended.append(BitVec(128, true).words(), 0, 62);
+    EXPECT_EQ(appended, BitVec(65, true));
+
+    BitVec cleared = BitVec::fromString("111");
+    cleared.set(2, false);
+    cleared.resize(2);
+    EXPECT_EQ(cleared, BitVec::fromString("11"));
 }
 
 } // namespace

@@ -55,9 +55,8 @@ TEST(Strings, BytesToSymbols)
 
 TEST(Strings, RenderMatchPositions)
 {
-    std::vector<bool> r = {false, true, false, true, true};
-    EXPECT_EQ(renderMatchPositions(r), "1, 3, 4");
-    EXPECT_EQ(renderMatchPositions({false, false}), "");
+    EXPECT_EQ(renderMatchPositions(BitVec::fromString("01011")), "1, 3, 4");
+    EXPECT_EQ(renderMatchPositions(BitVec(2)), "");
 }
 
 TEST(Strings, RequiredBits)
