@@ -112,7 +112,8 @@ class BitVec
 
     /**
      * Append bits [from, from + len) of the packed stream @p src (bit
-     * i in word i / 64 at bit i % 64), a word at a time.
+     * i in word i / 64 at bit i % 64), a word at a time. @p src must
+     * not be this vector's own words: growing may move them.
      */
     void append(std::span<const std::uint64_t> src, std::size_t from,
                 std::size_t len);
