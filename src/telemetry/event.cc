@@ -402,6 +402,26 @@ nowNs()
             .count());
 }
 
+StageClock::Reading
+StageClock::read() const
+{
+    Reading r;
+    if (!armed)
+        return r;
+    r.totalNs = nowNs() - t0;
+    const std::uint64_t t = stageTick();
+    const std::uint64_t span = (t > lastTick ? t : lastTick) - tick0;
+    const double nsPerTick =
+        span == 0 ? 0.0
+                  : static_cast<double>(r.totalNs) /
+                        static_cast<double>(span);
+    for (std::size_t i = 0; i < stageCount; ++i)
+        r.stageNs[i] = notedNs[i] + static_cast<std::uint64_t>(
+                                        static_cast<double>(ticks[i]) *
+                                        nsPerTick);
+    return r;
+}
+
 const char *
 stageName(Stage s)
 {
@@ -600,23 +620,20 @@ RequestObserver::observe(const StageClock &clock,
 {
     if (!clock.running())
         return;
-    std::uint64_t total = clock.totalNs();
-    latencyNsHist.sample(static_cast<double>(total));
+    const StageClock::Reading split = clock.read();
+    latencyNsHist.sample(static_cast<double>(split.totalNs));
     latencyBeatsHist.sample(static_cast<double>(clock.beats()));
-    for (std::size_t i = 0; i < stageCount; ++i) {
-        std::uint64_t v = clock.stageNs(static_cast<Stage>(i));
-        if (v)
-            stageHists[i]->sample(static_cast<double>(v));
-    }
+    for (std::size_t i = 0; i < stageCount; ++i)
+        if (split.stageNs[i])
+            stageHists[i]->sample(static_cast<double>(split.stageNs[i]));
     if (!reservoir)
         return;
     Exemplar e;
     e.service = serviceLabel;
     e.event.requestId = request_id;
     e.event.beats = clock.beats();
-    e.latencyNs = total;
-    for (std::size_t i = 0; i < stageCount; ++i)
-        e.stageNs[i] = clock.stageNs(static_cast<Stage>(i));
+    e.latencyNs = split.totalNs;
+    e.stageNs = split.stageNs;
     e.forced = force;
     if (force)
         e.reason = force_reason;

@@ -218,37 +218,68 @@ inline constexpr std::size_t stageCount = 6;
 const char *stageName(Stage s);
 
 /**
+ * The stage clock's tick: the x86-64 time-stamp counter, which reads
+ * in ~9 ns against ~22 ns for the steady clock (4-core EPYC VM), and
+ * nowNs() elsewhere. Ticks are compared, and scaled to nanoseconds,
+ * only within one request.
+ */
+inline std::uint64_t
+stageTick()
+{
+#if defined(__x86_64__)
+    return __builtin_ia32_rdtsc();
+#else
+    return nowNs();
+#endif
+}
+
+/**
  * Per-request stage attribution. start() arms the clock (capturing
- * the runtime sampling gate once), mark(s) credits the time since the
+ * the runtime sampling gate once), mark(s) credits the ticks since the
  * previous mark to stage @p s, note(s, ns) credits externally
  * measured time (queue waits timed by an enqueue stamp), addBeats
- * accumulates the simulated-chip cost. Everything is a no-op when
- * sampling was disabled at start().
+ * accumulates the simulated-chip cost. A mark is one tick read, cheap
+ * enough for every chunk of a microsecond serve; read() converts at
+ * the request's own nanoseconds per tick (its steady-clock span over
+ * its tick span), so the marked stages sum to at most the total.
+ * Everything is a no-op when sampling was disabled at start().
  */
 class StageClock
 {
   public:
+    /** Wall nanoseconds since start() and each stage's share. */
+    struct Reading
+    {
+        std::uint64_t totalNs = 0;
+        std::array<std::uint64_t, stageCount> stageNs{};
+    };
+
     void start()
     {
         armed = samplingEnabled();
-        if (armed)
-            t0 = last = nowNs();
+        if (armed) {
+            t0 = nowNs();
+            tick0 = lastTick = stageTick();
+        }
     }
 
     void mark(Stage s)
     {
         if (!armed)
             return;
-        std::uint64_t now = nowNs();
-        ns[static_cast<std::size_t>(s)] += now - last;
-        last = now;
+        // A tick behind the last one (a migration across unsynchronized
+        // counters) credits nothing rather than wrapping.
+        const std::uint64_t t = stageTick();
+        const std::uint64_t now = t > lastTick ? t : lastTick;
+        ticks[static_cast<std::size_t>(s)] += now - lastTick;
+        lastTick = now;
     }
 
     /** Credit externally measured time without moving the mark. */
     void note(Stage s, std::uint64_t duration_ns)
     {
         if (armed)
-            ns[static_cast<std::size_t>(s)] += duration_ns;
+            notedNs[static_cast<std::size_t>(s)] += duration_ns;
     }
 
     void addBeats(Beat b)
@@ -258,19 +289,17 @@ class StageClock
     }
 
     bool running() const { return armed; }
-    std::uint64_t stageNs(Stage s) const
-    {
-        return ns[static_cast<std::size_t>(s)];
-    }
-    /** Wall nanoseconds since start(); live until observed. */
-    std::uint64_t totalNs() const { return armed ? nowNs() - t0 : 0; }
+    /** The split so far (all zero when disarmed); live until observed. */
+    Reading read() const;
     Beat beats() const { return beatCount; }
 
   private:
     bool armed = false;
     std::uint64_t t0 = 0;
-    std::uint64_t last = 0;
-    std::array<std::uint64_t, stageCount> ns{};
+    std::uint64_t tick0 = 0;
+    std::uint64_t lastTick = 0;
+    std::array<std::uint64_t, stageCount> ticks{};
+    std::array<std::uint64_t, stageCount> notedNs{};
     Beat beatCount = 0;
 };
 

@@ -198,13 +198,36 @@ TEST(StageClock, AttributesTimeToMarkedStages)
     clock.note(Stage::QueueWait, 12345);
     clock.mark(Stage::Kernel);
     clock.addBeats(99);
-    EXPECT_EQ(clock.stageNs(Stage::QueueWait), 12345u);
-    EXPECT_GT(clock.stageNs(Stage::Kernel) + clock.stageNs(Stage::Admit),
-              0u);
-    EXPECT_EQ(clock.stageNs(Stage::Journal), 0u);
+    const auto at = [&](Stage s) {
+        return clock.read().stageNs[static_cast<std::size_t>(s)];
+    };
+    EXPECT_EQ(at(Stage::QueueWait), 12345u);
+    EXPECT_GT(at(Stage::Kernel) + at(Stage::Admit), 0u);
+    EXPECT_EQ(at(Stage::Journal), 0u);
     EXPECT_EQ(clock.beats(), 99u);
-    EXPECT_GT(clock.totalNs(), 0u);
+    EXPECT_GT(clock.read().totalNs, 0u);
     setSamplingEnabled(false);
+}
+
+TEST(StageClock, MarksReadInNanosecondsWithinTheTotal)
+{
+    setSamplingEnabled(true);
+    StageClock clock;
+    clock.start();
+    clock.mark(Stage::Admit);
+    const std::uint64_t until = nowNs() + 2'000'000;
+    while (nowNs() < until) {
+    }
+    clock.mark(Stage::Kernel);
+    clock.mark(Stage::Commit);
+    const StageClock::Reading r = clock.read();
+    setSamplingEnabled(false);
+    std::uint64_t marked = 0;
+    for (std::uint64_t ns : r.stageNs)
+        marked += ns;
+    EXPECT_GE(r.stageNs[static_cast<std::size_t>(Stage::Kernel)],
+              1'900'000u);
+    EXPECT_LE(marked, r.totalNs);
 }
 
 TEST(StageClock, DisabledSamplingDisarms)
@@ -216,10 +239,11 @@ TEST(StageClock, DisabledSamplingDisarms)
     clock.mark(Stage::Kernel);
     clock.note(Stage::QueueWait, 1000);
     clock.addBeats(5);
-    EXPECT_EQ(clock.stageNs(Stage::Kernel), 0u);
-    EXPECT_EQ(clock.stageNs(Stage::QueueWait), 0u);
+    const StageClock::Reading r = clock.read();
+    EXPECT_EQ(r.stageNs[static_cast<std::size_t>(Stage::Kernel)], 0u);
+    EXPECT_EQ(r.stageNs[static_cast<std::size_t>(Stage::QueueWait)], 0u);
     EXPECT_EQ(clock.beats(), 0u);
-    EXPECT_EQ(clock.totalNs(), 0u);
+    EXPECT_EQ(r.totalNs, 0u);
 }
 
 TEST(RequestObserver, FoldsClocksIntoReqHistograms)
