@@ -698,9 +698,7 @@ BitVec
 SimdParallelMatcher::match(const std::vector<Symbol> &text,
                            const std::vector<Symbol> &pattern)
 {
-    BitVec bits;
-    bits.append(matchPacked(text, pattern), 0, text.size());
-    return bits;
+    return unpackResultBits(matchPacked(text, pattern), text.size());
 }
 
 std::size_t

@@ -166,7 +166,7 @@ BitSlicedDictMatcher::matchFrom(const std::vector<Symbol> &text,
     hits = 0;
 
     DictHits out;
-    out.bits.resize(p);
+    out.bits.assign(p, BitVec(n - from));
     for (const auto &member : dict)
         patternChars += member.size();
     if (from == n || p == 0)
@@ -180,8 +180,6 @@ BitSlicedDictMatcher::matchFrom(const std::vector<Symbol> &text,
     if (planeArena.size() < static_cast<std::size_t>(planes) * nw)
         planeArena.resize(static_cast<std::size_t>(planes) * nw);
     ops.transpose(text.data(), n, planes, planeArena.data(), nw, byteText);
-    if (rowArena.size() < p * nw)
-        rowArena.resize(p * nw);
 
     const std::size_t stride = historyWords + nw;
     std::uint32_t builtFirst = 0;
@@ -240,25 +238,38 @@ BitSlicedDictMatcher::matchFrom(const std::vector<Symbol> &text,
                 wordOps += cnt;
             }
 
-            // Keep the block's words of each terminal row.
-            for (std::size_t pi = g.firstMember; pi < g.endMember; ++pi)
-                if (!dict[pi].empty() && dict[pi].size() <= n)
-                    std::copy_n(nodeVal[termNode[pi] - g.firstNode], cnt,
-                                rowArena.begin() + pi * nw + w0);
+            // Scatter the block's set bits, ctz by ctz, into the rows.
+            for (std::size_t pi = g.firstMember; pi < g.endMember; ++pi) {
+                const std::size_t k = dict[pi].size();
+                if (k == 0 || k > n)
+                    continue;
+                // Windows ending before k - 1 are incomplete, and
+                // positions before from are history, not results.
+                const std::size_t start = std::max(from, k - 1);
+                const std::size_t startWord = start / bitsPerWord;
+                const std::uint64_t *row =
+                    nodeVal[termNode[pi] - g.firstNode];
+                BitVec &dest = out.bits[pi];
+                for (std::size_t j = startWord > w0 ? startWord - w0 : 0;
+                     j < cnt; ++j) {
+                    const std::size_t w = w0 + j;
+                    std::uint64_t word = row[j];
+                    if (w == startWord)
+                        word &= ~std::uint64_t(0) << (start % bitsPerWord);
+                    if (w == nw - 1 && n % bitsPerWord != 0)
+                        word &= ~std::uint64_t(0) >>
+                                (bitsPerWord - n % bitsPerWord);
+                    while (word != 0) {
+                        const std::size_t i =
+                            w * bitsPerWord +
+                            static_cast<unsigned>(__builtin_ctzll(word));
+                        dest.set(i - from, true);
+                        ++hits;
+                        word &= word - 1;
+                    }
+                }
+            }
         }
-    }
-
-    // Windows ending before k - 1 are incomplete, and positions before
-    // from are history, not results: each row opens with that many
-    // zeros, then takes its words in one append.
-    for (std::size_t pi = 0; pi < p; ++pi) {
-        const std::size_t k = dict[pi].size();
-        const std::size_t start = k == 0 || k > n ? n : std::max(from, k - 1);
-        BitVec &row = out.bits[pi];
-        row.resize(start - from);
-        row.append(std::span(rowArena).subspan(pi * nw, nw), start,
-                   n - start);
-        hits += row.popcount();
     }
     return out;
 }
@@ -268,7 +279,7 @@ BitSlicedDictMatcher::arenaBytes() const
 {
     return byteText.capacity() +
            (planeArena.capacity() + eqArena.capacity() +
-            valArena.capacity() + rowArena.capacity()) *
+            valArena.capacity()) *
                sizeof(std::uint64_t) +
            nodeVal.capacity() * sizeof(nodeVal[0]) +
            trie.capacity() * sizeof(trie[0]) +

@@ -125,7 +125,6 @@ class BitSlicedDictMatcher final : public DictMatcher
     std::vector<std::uint64_t> planeArena;
     std::vector<std::uint64_t> eqArena;
     std::vector<std::uint64_t> valArena;
-    std::vector<std::uint64_t> rowArena; ///< p rows of nw words
     std::vector<const std::uint64_t *> nodeVal;
 };
 
