@@ -29,8 +29,6 @@ class CaseGen
   public:
     explicit CaseGen(std::uint64_t master_seed) : master(master_seed) {}
 
-    std::uint64_t masterSeed() const { return master; }
-
     /** The spec for sweep index @p index (pure function). */
     CaseSpec specAt(std::uint64_t index) const;
 

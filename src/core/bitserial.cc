@@ -78,20 +78,6 @@ BitSerialChip::resultOut() const
     return accumulators.front()->rOut().read();
 }
 
-BitToken
-BitSerialChip::patternBitOut(unsigned row) const
-{
-    spm_assert(row < numBits, "row out of range");
-    return comparators[row].back()->pOut().read();
-}
-
-BitToken
-BitSerialChip::stringBitOut(unsigned row) const
-{
-    spm_assert(row < numBits, "row out of range");
-    return comparators[row].front()->sOut().read();
-}
-
 BitVec
 BitSerialMatcher::match(const std::vector<Symbol> &text,
                         const std::vector<Symbol> &pattern)

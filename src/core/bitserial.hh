@@ -68,12 +68,6 @@ class BitSerialChip
     /** Committed result token at the left edge of the accumulators. */
     ResToken resultOut() const;
 
-    /** Committed pattern bit leaving row @p row on the right. */
-    BitToken patternBitOut(unsigned row) const;
-
-    /** Committed string bit leaving row @p row on the left. */
-    BitToken stringBitOut(unsigned row) const;
-
     systolic::Engine &engine() { return eng; }
     const systolic::Engine &engine() const { return eng; }
 

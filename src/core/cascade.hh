@@ -40,7 +40,6 @@ class ChipCascade
     ChipCascade(std::size_t num_chips, std::size_t cells_per_chip,
                 Picoseconds beat_period_ps = prototypeBeatPs);
 
-    std::size_t chipCount() const { return chips.size(); }
     std::size_t cellsPerChip() const { return cellsEach; }
     std::size_t totalCells() const { return chips.size() * cellsEach; }
 

@@ -231,9 +231,6 @@ class AccumulatorCell : public systolic::CellBase
     const systolic::Latch<CtlToken> &ctlOut() const { return ctl; }
     const systolic::Latch<ResToken> &rOut() const { return r; }
 
-    /** Current temporary result (for traces and tests). */
-    bool temp() const { return t.read(); }
-
   private:
     const systolic::Latch<CtlToken> *ctlSrc = nullptr;
     const systolic::Latch<ResToken> *rSrc = nullptr;

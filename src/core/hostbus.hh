@@ -93,7 +93,6 @@ class HostBusModel
     double secondsForBeats(Beat beats) const;
 
     Picoseconds beatPeriod() const { return periodPs; }
-    BitWidth charBits() const { return bits; }
 
     /** Whether bus characters carry a parity bit. */
     bool parityEnabled() const { return parity; }

@@ -284,13 +284,6 @@ Netlist::isInputNode(NodeId node) const
     return nodes[node].isInput;
 }
 
-bool
-Netlist::isDynamicNode(NodeId node) const
-{
-    spm_assert(node < nodes.size(), "bad node id");
-    return nodes[node].dynamic;
-}
-
 unsigned
 Netlist::transistorCount() const
 {

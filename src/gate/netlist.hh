@@ -164,9 +164,6 @@ class Netlist
     /** Whether @p node was marked as an external input. */
     bool isInputNode(NodeId node) const;
 
-    /** Whether @p node is the output of a pass transistor. */
-    bool isDynamicNode(NodeId node) const;
-
     /**
      * Attach (or, with nullptr, detach) a stimulus tap. At most one
      * tap may be attached; it must outlive the attachment.

@@ -49,24 +49,6 @@ class PoisonedGateBackend : public GateBackend
 
 } // namespace
 
-const char *
-chaosKindName(ChaosKind kind)
-{
-    switch (kind) {
-    case ChaosKind::None:
-        return "none";
-    case ChaosKind::Stall:
-        return "stall";
-    case ChaosKind::Hang:
-        return "hang";
-    case ChaosKind::Throw:
-        return "throw";
-    case ChaosKind::Corrupt:
-        return "corrupt";
-    }
-    return "?";
-}
-
 ChaosPlan::ChaosPlan(ChaosConfig config) : cfg(std::move(config)) {}
 
 bool

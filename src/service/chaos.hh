@@ -58,9 +58,6 @@ enum class ChaosKind : unsigned char
     Corrupt, ///< flip a result bit silently
 };
 
-/** Printable name of a chaos kind ("stall", "hang", ...). */
-const char *chaosKindName(ChaosKind kind);
-
 /** One seeded fault storm: probabilities, targets and caps. */
 struct ChaosConfig
 {

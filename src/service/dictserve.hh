@@ -84,7 +84,6 @@ class DictSession
   public:
     /** True once openSession validated the dictionary. */
     bool open() const { return !dict.empty(); }
-    std::size_t dictSize() const { return dict.size(); }
     std::uint64_t streamed() const { return stream.seen; }
 
   private:

@@ -68,7 +68,6 @@ class AdmissionQueue
     std::size_t size() const { return pending.size(); }
     bool empty() const { return pending.empty(); }
     std::size_t capacity() const { return cap; }
-    BackpressurePolicy backpressure() const { return pol; }
 
     /** @{ Lifetime counters for the serving report. */
     std::uint64_t offered() const { return nOffered; }

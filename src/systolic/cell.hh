@@ -64,9 +64,6 @@ class CellBase
      */
     bool activeOn(Beat beat) const { return beat % 2 == parity; }
 
-    /** Parity on which this cell is active. */
-    unsigned activeParity() const { return parity; }
-
     /**
      * Corrupt a committed output latch of this cell: apply @p op to
      * bit @p bit of the value stored at @p point. Called between

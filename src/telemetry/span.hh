@@ -174,8 +174,6 @@ class ScopedSpan
 
     /** Update the beat stamp the span will be recorded with. */
     void setBeat(Beat b) { beat = b; }
-    /** Update the free payload (chunk id, case count, ...). */
-    void setArg(std::uint64_t a) { arg = a; }
 
   private:
     void finishNow();

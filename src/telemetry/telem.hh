@@ -35,7 +35,7 @@
         ::spm::telem::TraceBuffer::global(), name, category,          \
         beat, arg)
 
-/** Same, but named so the scope can setBeat()/setArg() before exit. */
+/** Same, but named so the scope can setBeat() before exit. */
 #define SPM_TSPAN_NAMED(var, name, category, beat, arg)               \
     ::spm::telem::ScopedSpan var(                                     \
         ::spm::telem::TraceBuffer::global(), name, category, beat, arg)
