@@ -194,13 +194,16 @@ batchWidthReport()
             WorkloadGen sg(0xE18000 + i, 2);
             streams[i] = sg.textWithPlants(len, pattern, k * 3 + 1);
         }
+        std::vector<const std::vector<Symbol> *> lanes;
+        for (const auto &st : streams)
+            lanes.push_back(&st);
         const std::size_t passes =
             std::max<std::size_t>(1, target / (width * len));
         double best = 1e300;
         for (int rep = 0; rep < 3; ++rep)
             best = std::min(best, secondsOf([&] {
                 for (std::size_t p = 0; p < passes; ++p) {
-                    auto r = bm.matchMany(streams, pattern);
+                    auto r = bm.matchMany(lanes, pattern);
                     benchmark::DoNotOptimize(r);
                 }
             }));
@@ -210,7 +213,7 @@ batchWidthReport()
             cs_w1 = cs;
         if (width == 64) {
             // Spot-check the pack against per-stream reference runs.
-            const auto got = bm.matchMany(streams, pattern);
+            const auto got = bm.matchMany(lanes, pattern);
             for (std::size_t i = 0; i < width && agrees; ++i)
                 agrees = got[i] == ref.match(streams[i], pattern);
         }
@@ -483,9 +486,12 @@ batchThroughput(benchmark::State &state)
         WorkloadGen sg(0xE18000 + i, 2);
         streams[i] = sg.textWithPlants(len, pattern, 25);
     }
+    std::vector<const std::vector<Symbol> *> lanes;
+    for (const auto &st : streams)
+        lanes.push_back(&st);
     BatchMatcher bm;
     for (auto _ : state) {
-        auto r = bm.matchMany(streams, pattern);
+        auto r = bm.matchMany(lanes, pattern);
         benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -63,11 +63,12 @@ void
 describe(const char *tag, const MatchResponse &resp)
 {
     if (resp.ok()) {
-        std::printf("%s request %llu completed on %s: %zu matches, "
+        std::printf("%s request %llu completed on %.*s: %zu matches, "
                     "%zu chunks (one checkpoint each), %zu degradations, "
                     "%llu beats\n",
                     tag, static_cast<unsigned long long>(resp.id),
-                    resp.backend.c_str(), resp.result.popcount(),
+                    static_cast<int>(resp.backend.size()),
+                    resp.backend.data(), resp.result.popcount(),
                     resp.chunks, resp.degradations,
                     static_cast<unsigned long long>(resp.beats));
     } else {

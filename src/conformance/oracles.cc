@@ -1,6 +1,7 @@
 #include "conformance/oracles.hh"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -15,6 +16,7 @@
 #include "multipattern/acmatch.hh"
 #include "multipattern/dict.hh"
 #include "multipattern/planes.hh"
+#include "service/batch.hh"
 #include "service/sharded.hh"
 #include "util/rng.hh"
 #include "util/strings.hh"
@@ -115,13 +117,14 @@ class ShardedOracleMatcher : public core::Matcher
 };
 
 /**
- * The batch matcher behind the Matcher interface. The case text rides
- * as lane 0 of a width-W pack whose other lanes are suffixes of the
- * same text, so every case exercises the packed-segment boundaries at
- * W different alignments. Lane 0 is what the differ checks against
- * the reference; the suffix lanes are verified here against a width-1
- * pass of the same kernel, so a cross-lane packing or extraction bug
- * fails the oracle even when lane 0 happens to agree.
+ * The batched front end behind the Matcher interface. The case text
+ * rides as lane 0 of a width-W serveBatch() call whose other lanes are
+ * suffixes of it, so every case exercises admission, grouping, the row
+ * handoff and the packing at W alignments; a decoy holding the wild
+ * card in its text must be rejected alone. Each request is checked
+ * against its own width-1 kernel pass, which also answers a request
+ * that breaks an admission rule. Lane 0 is what the differ checks;
+ * one service per alphabet width is built on first use.
  */
 class BatchOracleMatcher : public core::Matcher
 {
@@ -131,27 +134,41 @@ class BatchOracleMatcher : public core::Matcher
     BitVec match(const std::vector<Symbol> &text,
                  const std::vector<Symbol> &pattern) override
     {
-        std::vector<std::vector<Symbol>> streams(lanes);
-        streams[0] = text;
-        for (std::size_t i = 1; i < lanes; ++i) {
-            const std::size_t start =
-                text.empty() ? 0 : i * text.size() / lanes;
-            streams[i].assign(
-                text.begin() + static_cast<std::ptrdiff_t>(start),
+        // Request 1 is the decoy, request r != 1 lane max(r - 1, 0).
+        std::vector<service::MatchRequest> batch(lanes + 1);
+        for (std::size_t r = 0; r <= lanes; ++r) {
+            const std::size_t start = (r == 0 ? 0 : r - 1) * text.size();
+            batch[r].text.assign(
+                text.begin() + static_cast<std::ptrdiff_t>(start / lanes),
                 text.end());
+            batch[r].pattern = pattern;
         }
+        batch[1].text = {0, wildcardSymbol};
+        const BitWidth bits = std::clamp<BitWidth>(
+            std::max(requiredBits(text), requiredBits(pattern)), 1, 16);
+        if (!services[bits]) {
+            service::BatchServiceConfig cfg;
+            cfg.base.alphabetBits = bits;
+            cfg.base.maxPatternLen = 512;
+            services[bits] = std::make_unique<service::BatchMatchService>(cfg);
+        }
+        auto got = services[bits]->serveBatch(batch);
+        if (got[1].ok())
+            throw std::runtime_error(name() + ": admitted the decoy");
 
-        std::vector<BitVec> got = engine.matchMany(streams, pattern);
-
-        for (std::size_t i = 1; i < lanes; ++i) {
-            const auto alone = engine.matchMany(
-                std::vector<std::vector<Symbol>>{streams[i]}, pattern);
-            if (got[i] != alone[0])
+        for (std::size_t r = 0; r <= lanes; ++r) {
+            BitVec alone =
+                std::move(engine.matchMany({&batch[r].text}, pattern)[0]);
+            if (got[r].ok() ? got[r].result != alone
+                            : !service::validateRequest(
+                                  services[bits]->config().base, batch[r]))
                 throw std::runtime_error(
-                    name() + ": lane " + std::to_string(i) +
+                    name() + ": request " + std::to_string(r) +
                     " disagrees with its own unbatched answer");
+            if (!got[r].ok())
+                got[r].result = std::move(alone);
         }
-        return std::move(got[0]);
+        return std::move(got[0].result);
     }
 
     std::string name() const override
@@ -162,6 +179,7 @@ class BatchOracleMatcher : public core::Matcher
   private:
     std::size_t lanes;
     core::BatchMatcher engine;
+    std::array<std::unique_ptr<service::BatchMatchService>, 17> services;
 };
 
 /**

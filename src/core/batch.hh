@@ -49,22 +49,15 @@ class BatchMatcher
     explicit BatchMatcher(SimdIsa forced);
 
     /**
-     * Match @p streams (each a whole independent text) against
-     * @p pattern in one kernel pass. Element i of the result holds
-     * streams[i].size() bits with standalone-match semantics: bit p
-     * set iff the pattern ends at stream position p.
+     * Match @p streams (each a whole independent text, by pointer:
+     * no caller-side copies) against @p pattern in one kernel pass.
+     * Element i of the result holds streams[i]->size() bits with
+     * standalone-match semantics: bit p set iff the pattern ends at
+     * stream position p.
      */
-    std::vector<BitVec> matchMany(
-        const std::vector<std::vector<Symbol>> &streams,
-        const std::vector<Symbol> &pattern);
-
-    /** As above, streams by pointer (no caller-side copies). */
     std::vector<BitVec> matchMany(
         const std::vector<const std::vector<Symbol> *> &streams,
         const std::vector<Symbol> &pattern);
-
-    /** Streams in the last pass. */
-    std::size_t lastBatchWidth() const { return batchWidth; }
 
     /** Characters the last pass pushed through the kernel. */
     std::size_t lastKernelChars() const { return kernelChars; }
@@ -79,7 +72,6 @@ class BatchMatcher
     std::vector<Symbol> concat;       ///< packed streams
     std::vector<std::size_t> segBase; ///< stream start in concat
 
-    std::size_t batchWidth = 0;
     std::size_t kernelChars = 0;
 };
 

@@ -29,6 +29,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/kmp.hh"
@@ -37,6 +38,7 @@
 #include "core/matcher.hh"
 #include "core/reference.hh"
 #include "service/watchdog.hh"
+#include "util/strings.hh"
 #include "util/types.hh"
 
 namespace spm::service
@@ -65,6 +67,12 @@ class ServiceBackend
     virtual ~ServiceBackend() = default;
 
     virtual std::string name() const = 0;
+
+    /** name(), interned on first use: a view a response can keep. */
+    std::string_view internedName()
+    {
+        return interned.empty() ? interned = intern(name()) : interned;
+    }
 
     /** Whether this rung can serve the request shape at all. */
     virtual bool supports(const std::vector<Symbol> &pattern) const
@@ -95,6 +103,9 @@ class ServiceBackend
         (void)windows;
         (void)pattern;
     }
+
+  private:
+    std::string_view interned;
 };
 
 /**

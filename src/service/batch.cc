@@ -1,11 +1,12 @@
 #include "service/batch.hh"
 
-#include <unordered_map>
+#include <bit>
 #include <utility>
 
 #include "core/reference.hh"
 #include "telemetry/event.hh"
 #include "telemetry/telem.hh"
+#include "util/strings.hh"
 
 namespace spm::service
 {
@@ -16,33 +17,25 @@ namespace
 /** Most streams admitted into one serveBatch() call. */
 constexpr std::size_t batchStreamLimit = 4096;
 
-/** FNV-1a over a pattern's symbols, for grouping by pattern. */
-struct PatternHash
+/**
+ * FNV-1a over a pattern's symbols, for grouping by pattern. The high
+ * half is folded in: a low bit of the product sees only low input
+ * bits, and the table indexes by the low bits.
+ */
+std::size_t
+patternHash(const std::vector<Symbol> &pattern)
 {
-    std::size_t operator()(const std::vector<Symbol> *p) const
-    {
-        std::uint64_t h = 0xcbf29ce484222325ull;
-        for (const Symbol s : *p)
-            h = (h ^ s) * 0x100000001b3ull;
-        return static_cast<std::size_t>(h);
-    }
-};
-
-struct PatternEq
-{
-    bool operator()(const std::vector<Symbol> *a,
-                    const std::vector<Symbol> *b) const
-    {
-        return *a == *b;
-    }
-};
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const Symbol s : pattern)
+        h = (h ^ s) * 0x100000001b3ull;
+    return static_cast<std::size_t>(h ^ h >> 32);
+}
 
 } // namespace
 
 BatchMatchService::BatchMatchService(BatchServiceConfig config)
     : FrontEnd(config.base.alphabetBits, "batch", "batch."),
       cfg(std::move(config)),
-      backendName("batch+" + engine.kernel().name()),
       batchesCtr(metrics.counter("batches")),
       streamsCtr(metrics.counter("streams")),
       streamCharsCtr(metrics.counter("streamChars")),
@@ -52,35 +45,6 @@ BatchMatchService::BatchMatchService(BatchServiceConfig config)
       batchWidthHist(metrics.logHistogram("batch_width"))
 {
     bus = &cfg.base.bus;
-}
-
-std::vector<BitVec>
-BatchMatchService::runPass(
-    const std::vector<const std::vector<Symbol> *> &texts,
-    const std::vector<Symbol> &pattern, bool &checked,
-    std::uint64_t &mismatches, telem::StageClock &clock)
-{
-    const std::uint64_t pass = kernelPassesCtr.value();
-    checked = cfg.crossCheckEvery != 0 &&
-              pass % cfg.crossCheckEvery == 0;
-
-    auto bits = engine.matchMany(texts, pattern);
-    kernelPassesCtr.add();
-    clock.mark(telem::Stage::Kernel);
-    SPM_THIST(batchWidthHist,
-              static_cast<double>(engine.lastBatchWidth()));
-
-    mismatches = 0;
-    if (checked) {
-        crossChecksCtr.add();
-        core::ReferenceMatcher ref;
-        for (std::size_t i = 0; i < texts.size(); ++i)
-            if (bits[i] != ref.match(*texts[i], pattern))
-                ++mismatches;
-        crossCheckFailuresCtr.add(mismatches);
-        clock.mark(telem::Stage::CrossCheck);
-    }
-    return bits;
 }
 
 std::vector<MatchResponse>
@@ -95,8 +59,7 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
     telem::StageClock clock = startClock(0);
 
     // Validate independently; collect the admissible requests.
-    std::vector<std::size_t> admitted;
-    admitted.reserve(batch.size());
+    admitted.clear();
     for (std::size_t i = 0; i < batch.size(); ++i) {
         out[i].id = batch[i].id;
         if (admitted.size() >= batchStreamLimit) {
@@ -120,51 +83,75 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
     // Group the admitted requests by pattern in one pass: groups in
     // order of first appearance, members in batch order. Each group
     // is one kernel pass; requests sharing a pattern pack into it.
-    std::vector<std::vector<std::size_t>> groups;
-    std::unordered_map<const std::vector<Symbol> *, std::size_t,
-                       PatternHash, PatternEq>
-        groupOf;
-    groupOf.reserve(admitted.size());
+    // The table has at least twice as many slots as requests, so a
+    // linear probe ends at the pattern's group or at a free slot.
+    const std::size_t mask = std::bit_ceil(2 * admitted.size()) - 1;
+    groupSlots.assign(mask + 1, 0);
+    std::size_t nGroups = 0;
     for (const std::size_t idx : admitted) {
-        const auto [it, fresh] =
-            groupOf.try_emplace(&batch[idx].pattern, groups.size());
-        if (fresh)
-            groups.emplace_back();
-        groups[it->second].push_back(idx);
+        const std::vector<Symbol> &pattern = batch[idx].pattern;
+        std::size_t at = patternHash(pattern) & mask;
+        while (groupSlots[at] != 0 &&
+               batch[groups[groupSlots[at] - 1].front()].pattern != pattern)
+            at = (at + 1) & mask;
+        if (groupSlots[at] == 0) {
+            if (nGroups == groups.size())
+                groups.emplace_back();
+            groups[nGroups].clear();
+            groupSlots[at] = static_cast<std::uint32_t>(++nGroups);
+        }
+        groups[groupSlots[at] - 1].push_back(idx);
     }
+    if (nGroups != 0 && backendName.empty())
+        backendName = intern("batch+" + engine.kernel().name());
 
     std::uint64_t totalMismatches = 0;
-    std::vector<const std::vector<Symbol> *> texts;
-    for (const std::vector<std::size_t> &members : groups) {
+    for (std::size_t g = 0; g < nGroups; ++g) {
+        const std::vector<std::size_t> &members = groups[g];
         const std::vector<Symbol> &pattern = batch[members.front()].pattern;
         texts.clear();
         for (const std::size_t idx : members)
             texts.push_back(&batch[idx].text);
 
-        bool checked = false;
+        // One kernel pass; every Nth replays through the reference.
+        const bool checked = cfg.crossCheckEvery != 0 &&
+                             kernelPassesCtr.value() % cfg.crossCheckEvery == 0;
+        std::vector<BitVec> bits = engine.matchMany(texts, pattern);
+        kernelPassesCtr.add();
+        clock.mark(telem::Stage::Kernel);
+        SPM_THIST(batchWidthHist, static_cast<double>(texts.size()));
         std::uint64_t mismatches = 0;
-        auto bits = runPass(texts, pattern, checked, mismatches, clock);
+        if (checked) {
+            crossChecksCtr.add();
+            core::ReferenceMatcher ref;
+            for (std::size_t i = 0; i < texts.size(); ++i)
+                mismatches += bits[i] != ref.match(*texts[i], pattern);
+            crossCheckFailuresCtr.add(mismatches);
+            clock.mark(telem::Stage::CrossCheck);
+        }
         totalMismatches += mismatches;
 
+        std::size_t passChars = 0;
         for (std::size_t m = 0; m < members.size(); ++m) {
-            const std::size_t idx = members[m];
-            MatchResponse &resp = out[idx];
-            const std::size_t n = batch[idx].text.size();
-            cfg.base.bus.transferChunk(batch[idx].text.data(),
-                                       batch[idx].text.data(), n);
+            MatchResponse &resp = out[members[m]];
+            const std::size_t n = texts[m]->size();
             resp.result = std::move(bits[m]);
             resp.backend = backendName;
             resp.chunks = 1;
             // The steady-rate contract: one text character per beat.
             resp.beats = static_cast<Beat>(n);
-            streamCharsCtr.add(n);
-            clock.addBeats(resp.beats);
-            if (checked && mismatches != 0)
+            passChars += n;
+            if (mismatches != 0)
                 resp.error = ServiceError::make(
                     ErrorCode::BackendFailed,
                     "sampled cross-check caught a kernel mismatch in "
                     "this pass");
         }
+        // The pass's characters, charged once: a loopback transfer
+        // (sent aliases received) reads no character, only counts.
+        cfg.base.bus.transferChunk(nullptr, nullptr, passChars);
+        streamCharsCtr.add(passChars);
+        clock.addBeats(passChars);
         clock.mark(telem::Stage::Commit);
     }
     if (!admitted.empty()) {

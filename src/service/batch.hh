@@ -23,7 +23,7 @@
 #define SPM_SERVICE_BATCH_HH
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/batch.hh"
@@ -76,16 +76,15 @@ class BatchMatchService : public FrontEnd
     const core::BatchMatcher &matcher() const { return engine; }
 
   private:
-    /** One kernel pass over @p texts plus the sampled cross-check. */
-    std::vector<BitVec> runPass(
-        const std::vector<const std::vector<Symbol> *> &texts,
-        const std::vector<Symbol> &pattern, bool &checked,
-        std::uint64_t &mismatches, telem::StageClock &clock);
-
     BatchServiceConfig cfg;
     core::BatchMatcher engine;
-    /** "batch+<kernel>", the backend every response names. */
-    const std::string backendName;
+    /** "batch+<kernel>", interned by the first call that admits. */
+    std::string_view backendName;
+    // Per-call scratch, cleared each call; capacity is kept.
+    std::vector<std::size_t> admitted; ///< batch indices, batch order
+    std::vector<std::uint32_t> groupSlots; ///< 1 + group number, 0 free
+    std::vector<std::vector<std::size_t>> groups; ///< members per group
+    std::vector<const std::vector<Symbol> *> texts; ///< one pass's texts
 
     telem::Counter &batchesCtr;
     telem::Counter &streamsCtr;

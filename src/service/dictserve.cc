@@ -56,9 +56,9 @@ DictMatchService::validateDict(const multipattern::DictPatterns &dict) const
     // Every member obeys the shared single-pattern admission rules
     // (service.hh): non-empty, within maxPatternLen, alphabet-clean.
     for (std::size_t i = 0; i < dict.size(); ++i)
-        if (auto err = validatePattern(cfg.base, dict[i],
-                                       "dict[" + std::to_string(i) + "]"))
-            return DictError::make(*err, i);
+        if (validatePattern(cfg.base, dict[i])) // label only on failure
+            return DictError::make(*validatePattern(
+                cfg.base, dict[i], "dict[" + std::to_string(i) + "]"), i);
     return DictError::okValue();
 }
 

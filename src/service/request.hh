@@ -15,7 +15,7 @@
 #define SPM_SERVICE_REQUEST_HH
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/error.hh"
@@ -55,8 +55,8 @@ struct MatchResponse
     ServiceError error;
     /** r_i bits, one per text character; valid only when ok(). */
     BitVec result;
-    /** Name of the ladder rung that produced the final chunks. */
-    std::string backend;
+    /** The rung behind the final chunks; interned, it outlives the service. */
+    std::string_view backend;
     /** Rungs fallen during this request (0 = primary served it all). */
     std::size_t degradations = 0;
     /** Text chunks streamed; each cut one checkpoint. */

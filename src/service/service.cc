@@ -21,15 +21,15 @@ constexpr double windowBudgetMargin = 1.5;
 constexpr unsigned rungMismatchBudget = 1;
 
 /**
- * The largest symbol in @p symbols, wild cards read as 0 when
- * @p skip_wild. A max-reduce with no early exit, so it vectorizes.
+ * The OR of @p symbols, wild cards read as 0 when @p skip_wild: below
+ * 16 bits it is < sigma (a power of two) exactly when each symbol is.
  */
-std::uint32_t
-maxSymbol(const std::vector<Symbol> &symbols, bool skip_wild)
+Symbol
+orSymbols(const std::vector<Symbol> &symbols, bool skip_wild)
 {
     Symbol m = 0;
     for (const Symbol s : symbols)
-        m = std::max(m, skip_wild && s == wildcardSymbol ? Symbol{0} : s);
+        m |= skip_wild && s == wildcardSymbol ? Symbol{0} : s;
     return m;
 }
 
@@ -115,10 +115,20 @@ StreamSession::fail(ErrorCode code, const std::string &detail)
 {
     response.error = ServiceError::make(code, detail);
     finished = true;
+    flushBeatRun();
     telem::EventRecord failed = event(telem::EventKind::Fail);
     failed.code = errorCodeName(code);
     failed.setDetail(detail);
     service.journalEvent(std::move(failed));
+}
+
+void
+StreamSession::flushBeatRun()
+{
+    if (runChunks != 0)
+        SPM_THIST(service.chunkBeatsHist, static_cast<double>(runBeats),
+                  runChunks);
+    runChunks = 0;
 }
 
 telem::EventRecord
@@ -195,10 +205,9 @@ StreamSession::step()
     if (cp.offset >= n) {
         // Fully served: publish the accumulated stream.
         response.result = cp.emitted();
-        response.backend = service.ladder.empty()
-            ? "none"
-            : service.ladder[cp.rung]->name();
+        response.backend = service.ladder[cp.rung]->internedName();
         finished = true;
+        flushBeatRun();
         service.journalEvent(event(telem::EventKind::Done));
         return false;
     }
@@ -349,8 +358,10 @@ StreamSession::step()
         cp.beats = response.beats;
         ++response.chunks;
         service.checkpointsCtr.add();
-        SPM_THIST(service.chunkBeatsHist,
-                  static_cast<double>(wr.beats));
+        if (wr.beats != runBeats)
+            flushBeatRun();
+        runBeats = wr.beats;
+        ++runChunks;
         chunk_span.setBeat(response.beats);
         telem::EventRecord commit = event(telem::EventKind::ChunkCommit);
         service.flight.record(commit);
@@ -479,27 +490,27 @@ MatchService::validate(const MatchRequest &req) const
 
 std::optional<ServiceError>
 validatePattern(const FrontEndConfig &cfg, const std::vector<Symbol> &pattern,
-                const std::string &label)
+                std::string_view label)
 {
     if (pattern.empty())
         return ServiceError::make(ErrorCode::InvalidPattern,
-                                  "empty " + label);
+                                  "empty " + std::string(label));
     if (pattern.size() > cfg.maxPatternLen)
         return ServiceError::make(
             ErrorCode::OversizedRequest,
-            label + " of " + std::to_string(pattern.size()) +
+            std::string(label) + " of " + std::to_string(pattern.size()) +
                 " exceeds limit " + std::to_string(cfg.maxPatternLen));
     // 32-bit: at 16 alphabet bits a Symbol-typed sigma would wrap to 0.
     const std::uint32_t sigma = std::uint32_t{1} << cfg.alphabetBits;
     // One branch-free pass (wild cards count as 0); the rescan that
     // names the first offender runs only on failure.
-    if (maxSymbol(pattern, true) < sigma)
+    if (orSymbols(pattern, true) < sigma)
         return std::nullopt;
     for (std::size_t i = 0; i < pattern.size(); ++i)
         if (pattern[i] != wildcardSymbol && pattern[i] >= sigma)
             return ServiceError::make(
                 ErrorCode::AlphabetOverflow,
-                label + "[" + std::to_string(i) + "]=" +
+                std::string(label) + "[" + std::to_string(i) + "]=" +
                     std::to_string(pattern[i]) + " outside alphabet of " +
                     std::to_string(sigma));
     return std::nullopt;
@@ -507,23 +518,26 @@ validatePattern(const FrontEndConfig &cfg, const std::vector<Symbol> &pattern,
 
 std::optional<ServiceError>
 validateText(const FrontEndConfig &cfg, const std::vector<Symbol> &text,
-             std::uint64_t already_seen, const std::string &label)
+             std::uint64_t already_seen, std::string_view label)
 {
     if (already_seen + text.size() > cfg.maxTextLen)
         return ServiceError::make(
             ErrorCode::OversizedRequest,
-            label + " of " + std::to_string(already_seen + text.size()) +
+            std::string(label) + " of " +
+                std::to_string(already_seen + text.size()) +
                 " chars exceeds limit " + std::to_string(cfg.maxTextLen));
     const std::uint32_t sigma = std::uint32_t{1} << cfg.alphabetBits;
     // The wild card is a pattern symbol; at 16 bits it is inside sigma.
+    // There the OR only filters (0xFF00 | 0x00FF is the wild card), and
+    // the rescan decides.
     const std::uint32_t limit = std::min<std::uint32_t>(sigma, wildcardSymbol);
-    if (maxSymbol(text, false) < limit)
+    if (orSymbols(text, false) < limit)
         return std::nullopt;
     for (std::size_t i = 0; i < text.size(); ++i)
         if (text[i] >= limit)
             return ServiceError::make(
                 ErrorCode::AlphabetOverflow,
-                label + "[" + std::to_string(i) + "]=" +
+                std::string(label) + "[" + std::to_string(i) + "]=" +
                     std::to_string(text[i]) + " outside alphabet of " +
                     std::to_string(sigma));
     return std::nullopt;

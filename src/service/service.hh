@@ -34,6 +34,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/hostbus.hh"
@@ -191,6 +192,7 @@ class StreamSession
                   std::optional<Checkpoint> resume_from);
 
     void fail(ErrorCode code, const std::string &detail);
+    void flushBeatRun();
     /** A record of @p kind stamped with where the session stands. */
     telem::EventRecord event(telem::EventKind kind) const;
     /** The current window as a case (the flight recorder's handle). */
@@ -213,6 +215,9 @@ class StreamSession
     std::size_t prefetchEnd = 0;
     /** Stage attribution for this request (reqobs). */
     telem::StageClock clock;
+    /** The chunk_beats run not yet sampled: runChunks of runBeats each. */
+    Beat runBeats = 0;
+    std::uint64_t runChunks = 0;
     bool finished = false;
     bool observed = false;
 };
@@ -350,7 +355,7 @@ std::optional<ServiceError> validateRequest(const FrontEndConfig &cfg,
  */
 std::optional<ServiceError> validatePattern(
     const FrontEndConfig &cfg, const std::vector<Symbol> &pattern,
-    const std::string &label = "pattern");
+    std::string_view label = "pattern");
 
 /**
  * Text/chunk admission alone: every symbol inside the alphabet (wild
@@ -361,7 +366,7 @@ std::optional<ServiceError> validatePattern(
 std::optional<ServiceError> validateText(const FrontEndConfig &cfg,
                                           const std::vector<Symbol> &text,
                                           std::uint64_t already_seen = 0,
-                                          const std::string &label = "text");
+                                          std::string_view label = "text");
 
 } // namespace spm::service
 

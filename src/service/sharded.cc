@@ -10,6 +10,7 @@
 
 #include "telemetry/telem.hh"
 #include "util/logging.hh"
+#include "util/strings.hh"
 
 namespace spm::service
 {
@@ -690,6 +691,7 @@ ShardedMatchService::serve(const MatchRequest &req)
     clock.mark(telem::Stage::CrossCheck);
 
     // --- Stitch ------------------------------------------------------
+    rungNames.clear();
     for (std::size_t s = 0; s < nshards; ++s) {
         const SliceState &st = batch->slices[s];
         const MatchResponse &r = st.resp;
@@ -699,12 +701,12 @@ ShardedMatchService::serve(const MatchRequest &req)
                 out.error.detail =
                     "shard " + std::to_string(s) + ": " + r.error.detail;
         }
-        // Name each distinct rung once, in slice order.
-        bool named = false;
+        // Name each distinct rung that served a slice once, in order.
+        bool named = r.backend.empty();
         for (std::size_t t = 0; t < s && !named; ++t)
             named = batch->slices[t].resp.backend == r.backend;
         if (!named)
-            out.backend += (s == 0 ? "" : "+") + r.backend;
+            rungNames.append(rungNames.empty() ? "" : "+").append(r.backend);
         out.degradations += r.degradations;
         out.chunks += r.chunks;
         out.watchdogTrips += r.watchdogTrips;
@@ -717,6 +719,7 @@ ShardedMatchService::serve(const MatchRequest &req)
             out.result.append(r.result.words(), st.overlapLen, st.keepLen);
         }
     }
+    out.backend = intern(rungNames);
     // The host waits for the slowest shard, not the sum.
     out.beats = lastCritical;
     batch_span.setBeat(lastCritical);

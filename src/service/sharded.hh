@@ -308,6 +308,7 @@ class ShardedMatchService : public FrontEnd
     Beat lastCritical = 0;
     Beat lastTotal = 0;
     std::vector<ShardError> lastErrors;
+    std::string rungNames; ///< last response's rungs, '+'-joined
 
     telem::Counter &shardFailuresCtr;
     telem::Counter &shardTimeoutsCtr;

@@ -169,13 +169,13 @@ LogHistogram::liveCells()
 }
 
 void
-LogHistogram::sample(double v)
+LogHistogram::sample(double v, std::uint64_t count)
 {
     std::atomic<std::uint64_t> *c = liveCells();
     std::size_t stripe = threadStripe() & (stripes - 1);
     if (std::isnan(v) || v < 0.0) {
         c[cellIndex(stripe, bucketCount)].fetch_add(
-            1, std::memory_order_relaxed);
+            count, std::memory_order_relaxed);
         return;
     }
     // Latencies are integer beat / nanosecond counts; round and clamp
@@ -184,8 +184,8 @@ LogHistogram::sample(double v)
                           ? std::uint64_t{9'000'000'000'000'000'000}
                           : static_cast<std::uint64_t>(std::llround(v));
     c[cellIndex(stripe, bucketIndex(u))].fetch_add(
-        1, std::memory_order_relaxed);
-    sumCells[stripe].v.fetch_add(u, std::memory_order_relaxed);
+        count, std::memory_order_relaxed);
+    sumCells[stripe].v.fetch_add(u * count, std::memory_order_relaxed);
 }
 
 std::uint64_t

@@ -149,7 +149,8 @@ class LogHistogram
     LogHistogram(const LogHistogram &) = delete;
     LogHistogram &operator=(const LogHistogram &) = delete;
 
-    void sample(double v);
+    /** @p count samples of @p v: one bucket add and one sum add. */
+    void sample(double v, std::uint64_t count = 1);
 
     std::uint64_t bucketValue(std::size_t i) const;
     std::uint64_t invalids() const;

@@ -45,11 +45,11 @@
     ::spm::telem::instant(::spm::telem::TraceBuffer::global(), name,  \
                           category, beat, arg)
 
-/** Sample @p value into @p hist if sampling is runtime-enabled. */
-#define SPM_THIST(hist, value)                                        \
+/** hist.sample(value[, count]) if sampling is runtime-enabled. */
+#define SPM_THIST(hist, ...)                                          \
     do {                                                              \
         if (::spm::telem::samplingEnabled())                          \
-            (hist).sample(value);                                     \
+            (hist).sample(__VA_ARGS__);                               \
     } while (0)
 
 #endif // SPM_TELEMETRY_TELEM_HH

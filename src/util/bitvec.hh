@@ -127,6 +127,9 @@ class BitVec
     /** Remove all bits. */
     void clear();
 
+    /** Room for @p n bits: growing to n then allocates nothing. */
+    void reserve(std::size_t n) { bitWords.reserve((n + 63) / 64); }
+
     /** Resize to @p n bits; new bits are @p value. */
     void resize(std::size_t n, bool value = false);
 

@@ -1,5 +1,7 @@
 #include "util/strings.hh"
 
+#include <mutex>
+#include <set>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -81,6 +83,17 @@ requiredBits(const std::vector<Symbol> &syms)
     while ((Symbol(1) << bits) <= max_sym)
         ++bits;
     return bits;
+}
+
+std::string_view
+intern(std::string_view s)
+{
+    // Never destroyed: a view may be read by another static's destructor.
+    static auto *table = new std::set<std::string, std::less<>>;
+    static std::mutex mu;
+    const std::lock_guard<std::mutex> lock(mu);
+    const auto it = table->find(s);
+    return it != table->end() ? *it : *table->emplace(s).first;
 }
 
 } // namespace spm

@@ -12,6 +12,7 @@
 #define SPM_UTIL_STRINGS_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/bitvec.hh"
@@ -40,6 +41,9 @@ std::string renderMatchPositions(const BitVec &results);
 
 /** Minimum bit width needed to encode every symbol in @p syms. */
 BitWidth requiredBits(const std::vector<Symbol> &syms);
+
+/** A process-lifetime copy of @p s, one per distinct string; thread-safe. */
+std::string_view intern(std::string_view s);
 
 } // namespace spm
 

@@ -265,6 +265,44 @@ TEST(ShardedService, ResponseNamesEachRungOnce)
     EXPECT_EQ(resp.result, ref.match(req.text, req.pattern));
 }
 
+TEST(ShardedService, ResponseNamesOnlyRungsThatServedASlice)
+{
+    // One slice's only rung never completes, so that slice fails
+    // unrecovered and has no rung; the name is the other slice's
+    // rung alone, with no stray '+' on either side.
+    class NeverCompletes : public ServiceBackend
+    {
+      public:
+        std::string name() const override { return "never"; }
+        WindowResult matchWindow(const std::vector<Symbol> &,
+                                 const std::vector<Symbol> &,
+                                 BeatWatchdog &) override
+        {
+            return {};
+        }
+    };
+    for (const std::uint32_t failing : {0u, 1u}) {
+        ShardedConfig cfg = smallShardConfig(2, 2);
+        cfg.spareShards = 0;
+        cfg.minShardChars = 16;
+        ShardedMatchService sharded(
+            cfg, [failing](const ServiceConfig &shard_cfg) {
+                std::vector<std::unique_ptr<ServiceBackend>> ladder;
+                if (shard_cfg.shardId == failing)
+                    ladder.push_back(std::make_unique<NeverCompletes>());
+                else
+                    ladder.push_back(std::make_unique<MatcherBackend>(
+                        std::make_unique<core::SimdParallelMatcher>()));
+                return ladder;
+            });
+        const MatchResponse resp =
+            sharded.serve(randomRequest(0x57A4, 2, 200, 5));
+        ASSERT_EQ(sharded.lastShards(), 2u);
+        EXPECT_EQ(resp.error.code, ErrorCode::ShardFailed);
+        EXPECT_EQ(resp.backend, "simd-parallel") << "failing " << failing;
+    }
+}
+
 TEST(ShardedService, TracedServeExportsValidChromeTrace)
 {
     // Four worker threads record spans into the global trace buffer

@@ -16,6 +16,7 @@
 
 #include "conformance/case.hh"
 #include "core/reference.hh"
+#include "core/simdpar.hh"
 #include "service/service.hh"
 #include "telemetry/metrics.hh"
 #include "util/rng.hh"
@@ -296,6 +297,34 @@ TEST(ServiceTelemetry, ChunkCommitsLandInRecorderAndHistogram)
     EXPECT_EQ(wh->samples(), big.chunks);
     EXPECT_NEAR(wh->quantile(0.99), static_cast<double>(most),
                 static_cast<double>(most) / 8.0);
+}
+
+TEST(ServiceTelemetry, ChunkBeatsRunsSampleEveryCommittedChunk)
+{
+    // Ten full chunks and a short tail on a rung that charges by
+    // window size: equal-cost chunks fold into one run, sampled when
+    // the cost changes and when the session ends, so the histogram
+    // still holds one sample per committed chunk summing to the beats.
+    std::vector<std::unique_ptr<ServiceBackend>> ladder;
+    ladder.push_back(std::make_unique<MatcherBackend>(
+        std::make_unique<core::SimdParallelMatcher>()));
+    MatchService svc(smallConfig(), std::move(ladder));
+    const telem::LogHistogram &hist = svc.stats().logHistogram("chunk_beats");
+    MatchRequest req = seededRequest(33, 47, 10 * 16 + 5, 3);
+    telem::setSamplingEnabled(true);
+    const MatchResponse resp = svc.serve(req);
+    ASSERT_TRUE(resp.ok()) << resp.error.detail;
+    ASSERT_EQ(resp.chunks, 11u);
+    EXPECT_EQ(hist.samples(), resp.chunks);
+    EXPECT_EQ(hist.sum(), static_cast<double>(resp.beats));
+
+    // A session that fails mid-stream samples the chunks it committed.
+    req.deadlineBeats = resp.beats / 2;
+    const MatchResponse cut = svc.serve(req);
+    telem::setSamplingEnabled(false);
+    ASSERT_EQ(cut.error.code, ErrorCode::DeadlineExceeded);
+    ASSERT_GT(cut.chunks, 0u);
+    EXPECT_EQ(hist.samples(), resp.chunks + cut.chunks);
 }
 
 TEST(ServiceTelemetry, RegistryBacksTheLegacyDumpFormat)

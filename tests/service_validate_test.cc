@@ -423,5 +423,124 @@ TEST(ValidateFrontEnds, DictServiceUsesSharedRulesPerMember)
     }
 }
 
+/** serveBatch @p batch on a fresh service over @p cfg. */
+std::vector<MatchResponse>
+serveOnce(const ServiceConfig &cfg, const std::vector<MatchRequest> &batch)
+{
+    BatchServiceConfig bcfg;
+    bcfg.base = cfg;
+    BatchMatchService svc(bcfg);
+    return svc.serveBatch(batch);
+}
+
+/** @p n random symbols below 4. */
+std::vector<Symbol>
+text4(Rng &rng, std::size_t n)
+{
+    std::vector<Symbol> text(n);
+    for (auto &c : text)
+        c = static_cast<Symbol>(rng.nextBelow(4));
+    return text;
+}
+
+MatchRequest
+request(std::vector<Symbol> text, std::vector<Symbol> pattern)
+{
+    MatchRequest req;
+    req.text = std::move(text);
+    req.pattern = std::move(pattern);
+    return req;
+}
+
+TEST(ValidateEdges, SixteenBitSymbolsWhoseOrIsTheWildCardAdmit)
+{
+    // 0xFF00 | 0x00FF is 0xFFFF, the text limit at 16 bits: the OR
+    // only flags the text, and the rescan admits it.
+    ServiceConfig cfg = smallConfig();
+    cfg.alphabetBits = 16;
+    const MatchRequest ok =
+        request({0xFF00, 0x00FF, 0xFF00, 0x00FF}, {0xFF00, 0x00FF});
+    const MatchRequest bad = request({1, wildcardSymbol, 2}, {1});
+    const auto responses = serveOnce(cfg, {ok, bad});
+    ASSERT_TRUE(responses[0].ok()) << responses[0].error.detail;
+    EXPECT_EQ(responses[0].result,
+              core::ReferenceMatcher().match(ok.text, ok.pattern));
+    EXPECT_EQ(responses[1].error.code, ErrorCode::AlphabetOverflow);
+    EXPECT_EQ(responses[1].error.detail,
+              "text[1]=65535 outside alphabet of 65536");
+}
+
+TEST(ValidateEdges, RejectedTextLeavesItsNeighboursRowsExact)
+{
+    ServiceConfig cfg = smallConfig();
+    cfg.alphabetBits = 2;
+    Rng rng(0xED6E);
+    std::vector<MatchRequest> batch;
+    for (int i = 0; i < 3; ++i)
+        batch.push_back(request(text4(rng, 100), {1, 2, wildcardSymbol}));
+    batch[1].text[37] = 4;
+    const auto responses = serveOnce(cfg, batch);
+    EXPECT_EQ(responses[1].error.detail, "text[37]=4 outside alphabet of 4");
+    core::ReferenceMatcher ref;
+    for (const std::size_t i : {0u, 2u}) {
+        ASSERT_TRUE(responses[i].ok()) << responses[i].error.detail;
+        EXPECT_EQ(responses[i].result,
+                  ref.match(batch[i].text, batch[i].pattern));
+    }
+}
+
+TEST(ValidateEdges, TextLengthsAroundWordEdgesMatchTheReference)
+{
+    const ServiceConfig cfg = smallConfig();
+    Rng rng(0x3E64);
+    std::vector<MatchRequest> batch;
+    for (const std::size_t n : {0, 1, 4, 63, 64, 65, 127, 128, 129})
+        batch.push_back(request(text4(rng, n), {3, wildcardSymbol, 1, 2, 0}));
+    const auto responses = serveOnce(cfg, batch);
+    core::ReferenceMatcher ref;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        ASSERT_TRUE(responses[i].ok()) << responses[i].error.detail;
+        EXPECT_EQ(responses[i].result,
+                  ref.match(batch[i].text, batch[i].pattern))
+            << batch[i].text.size() << " chars";
+    }
+}
+
+TEST(ValidateEdges, StreamLimitCountsOnlyAdmittedRequests)
+{
+    // Three invalid requests among the first 4,096 leave room for
+    // three more: requests 0..4098 hold 4,096 valid ones, and only
+    // 4099 overflows.
+    BatchServiceConfig bcfg;
+    bcfg.base = smallConfig();
+    BatchMatchService svc(bcfg);
+    std::vector<MatchRequest> batch(4100, request({0, 1, 2}, {1, 2}));
+    for (const std::size_t i : {7u, 2000u, 4095u})
+        batch[i].text[1] = 9;
+    const auto responses = svc.serveBatch(batch);
+    for (const std::size_t i : {7u, 2000u, 4095u})
+        EXPECT_EQ(responses[i].error.detail,
+                  "text[1]=9 outside alphabet of 8");
+    EXPECT_TRUE(responses[4098].ok());
+    EXPECT_EQ(responses[4099].error.code, ErrorCode::QueueOverflow);
+    EXPECT_EQ(responses[4099].error.detail,
+              "batch width limit of 4096 streams");
+    EXPECT_EQ(svc.stats().counter("streams").value(), 4096u);
+    EXPECT_EQ(svc.stats().counter("rejected").value(), 4u);
+}
+
+TEST(ValidateEdges, DictMemberErrorsNameTheMember)
+{
+    DictServiceConfig cfg;
+    cfg.base = smallConfig();
+    DictMatchService svc(cfg);
+    EXPECT_EQ(svc.validateDict({{1, 2}, {3}, {1, Symbol(9)}}).error.detail,
+              "dict[2][1]=9 outside alphabet of 8");
+    EXPECT_EQ(svc.validateDict({{1}, {}}).error.detail, "empty dict[1]");
+    EXPECT_EQ(
+        svc.validateDict({{1}, std::vector<Symbol>(65, 1)}).error.detail,
+        "dict[1] of 65 exceeds limit 64");
+}
+
 } // namespace
 } // namespace spm::service
