@@ -268,10 +268,10 @@ gateEngineReport()
     const std::size_t window_count = 64;
     const int reps = smokeMode() ? 3 : 10;
     const auto w = makeMatchWorkload(window_chars * window_count, k, 2, 0.12);
-    std::vector<std::vector<Symbol>> windows;
+    std::vector<std::span<const Symbol>> windows;
     for (std::size_t i = 0; i < window_count; ++i)
-        windows.emplace_back(w.text.begin() + i * window_chars,
-                             w.text.begin() + (i + 1) * window_chars);
+        windows.push_back(
+            std::span(w.text).subspan(i * window_chars, window_chars));
 
     GateLevelMatcher event(cells, 2);
     GateLevelMatcher lanes(cells, 2);

@@ -36,8 +36,8 @@ class HungBackend : public ServiceBackend
   public:
     std::string name() const override { return "hung-device"; }
 
-    WindowResult matchWindow(const std::vector<Symbol> &,
-                             const std::vector<Symbol> &,
+    WindowResult matchWindow(std::span<const Symbol>,
+                             std::span<const Symbol>,
                              BeatWatchdog &dog) override
     {
         WindowResult wr;

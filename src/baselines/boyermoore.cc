@@ -13,7 +13,7 @@ namespace
 
 /** Bad-character rule: last occurrence of each symbol in the pattern. */
 std::map<Symbol, std::size_t>
-badCharTable(const std::vector<Symbol> &pattern)
+badCharTable(std::span<const Symbol> pattern)
 {
     std::map<Symbol, std::size_t> last;
     for (std::size_t j = 0; j < pattern.size(); ++j)
@@ -26,7 +26,7 @@ badCharTable(const std::vector<Symbol> &pattern)
  * computation (Knuth et al. 77 formulation).
  */
 std::vector<std::size_t>
-goodSuffixTable(const std::vector<Symbol> &pattern)
+goodSuffixTable(std::span<const Symbol> pattern)
 {
     const std::size_t len = pattern.size();
     std::vector<std::size_t> shift(len + 1, 0);
@@ -61,8 +61,8 @@ goodSuffixTable(const std::vector<Symbol> &pattern)
 } // namespace
 
 BitVec
-BoyerMooreMatcher::match(const std::vector<Symbol> &text,
-                         const std::vector<Symbol> &pattern)
+BoyerMooreMatcher::match(std::span<const Symbol> text,
+                         std::span<const Symbol> pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();

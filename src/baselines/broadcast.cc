@@ -13,8 +13,8 @@ BroadcastCost::stretchedBeatPs(Picoseconds base_ps) const
 }
 
 BitVec
-BroadcastMatcher::match(const std::vector<Symbol> &text,
-                        const std::vector<Symbol> &pattern)
+BroadcastMatcher::match(std::span<const Symbol> text,
+                        std::span<const Symbol> pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();

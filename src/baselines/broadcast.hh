@@ -58,8 +58,8 @@ struct BroadcastCost
 class BroadcastMatcher : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override;
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override;
 
     std::string name() const override { return "broadcast-mukhopadhyay"; }
 

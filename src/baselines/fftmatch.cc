@@ -77,8 +77,8 @@ crossCorrelate(const std::vector<double> &x, const std::vector<double> &y)
 }
 
 BitVec
-FftMatcher::match(const std::vector<Symbol> &text,
-                  const std::vector<Symbol> &pattern)
+FftMatcher::match(std::span<const Symbol> text,
+                  std::span<const Symbol> pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();

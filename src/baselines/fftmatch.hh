@@ -41,8 +41,8 @@ std::vector<double> crossCorrelate(const std::vector<double> &x,
 class FftMatcher : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override;
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override;
 
     std::string name() const override { return "fischer-paterson-fft"; }
 

@@ -6,7 +6,7 @@ namespace spm::baselines
 {
 
 std::vector<std::size_t>
-KmpMatcher::failureFunction(const std::vector<Symbol> &pattern)
+KmpMatcher::failureFunction(std::span<const Symbol> pattern)
 {
     const std::size_t len = pattern.size();
     std::vector<std::size_t> fail(len, 0);
@@ -22,8 +22,8 @@ KmpMatcher::failureFunction(const std::vector<Symbol> &pattern)
 }
 
 BitVec
-KmpMatcher::match(const std::vector<Symbol> &text,
-                  const std::vector<Symbol> &pattern)
+KmpMatcher::match(std::span<const Symbol> text,
+                  std::span<const Symbol> pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();

@@ -22,8 +22,8 @@ namespace spm::baselines
 class KmpMatcher : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override;
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override;
 
     std::string name() const override { return "kmp"; }
 
@@ -34,7 +34,7 @@ class KmpMatcher : public core::Matcher
 
     /** Compute the KMP failure function (exposed for tests). */
     static std::vector<std::size_t> failureFunction(
-        const std::vector<Symbol> &pattern);
+        std::span<const Symbol> pattern);
 
   private:
     std::uint64_t comparisons = 0;

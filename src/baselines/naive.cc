@@ -6,8 +6,8 @@ namespace spm::baselines
 {
 
 BitVec
-NaiveMatcher::match(const std::vector<Symbol> &text,
-                    const std::vector<Symbol> &pattern)
+NaiveMatcher::match(std::span<const Symbol> text,
+                    std::span<const Symbol> pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();

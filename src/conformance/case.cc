@@ -15,7 +15,7 @@ namespace
 
 /** Overwrite text[at..at+k) with the pattern, filling wild cards. */
 void
-plantAt(std::vector<Symbol> &text, const std::vector<Symbol> &pattern,
+plantAt(std::vector<Symbol> &text, std::span<const Symbol> pattern,
         std::size_t at, WorkloadGen &gen)
 {
     if (pattern.empty() || at + pattern.size() > text.size())

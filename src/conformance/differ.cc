@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <exception>
+#include <span>
 
 #include "util/logging.hh"
 
@@ -11,13 +12,44 @@ namespace spm::conformance
 namespace
 {
 
-/** Diff one oracle's answer against the reference answer. */
+/**
+ * @p c's text between two flanks of k+1 symbols each, a function of
+ * the case alone, so a case ID replays the same buffer. A flank is the
+ * pattern's literal symbols (a wild card reads as 0) cycled to end in
+ * p_0 .. p_{k-2}: a matcher that takes the k-1 symbols before its span
+ * as history then sees a match end at text position 0 whenever the
+ * text starts with p_{k-1}.
+ */
+std::vector<Symbol>
+flankedText(const Case &c)
+{
+    const std::size_t k = c.pattern.size();
+    std::vector<Symbol> flank(k + 1, 0);
+    for (std::size_t i = 0; k != 0 && i <= k; ++i) {
+        const Symbol p = c.pattern[(i + 2 * k - 2) % k];
+        flank[i] = p == wildcardSymbol ? Symbol{0} : p;
+    }
+    std::vector<Symbol> buf = flank;
+    buf.insert(buf.end(), c.text.begin(), c.text.end());
+    buf.insert(buf.end(), flank.begin(), flank.end());
+    return buf;
+}
+
+/** The case text inside @p flanked (see flankedText). */
+std::span<const Symbol>
+caseSpan(const Case &c, const std::vector<Symbol> &flanked)
+{
+    return std::span(flanked).subspan(c.pattern.size() + 1, c.text.size());
+}
+
+/** Diff one oracle's answer on @p text against the reference answer. */
 std::optional<Disagreement>
-diffAgainst(const BitVec &expect, const Oracle &oracle, const Case &c)
+diffAgainst(const BitVec &expect, const Oracle &oracle,
+            std::span<const Symbol> text, const Case &c)
 {
     BitVec got;
     try {
-        got = oracle.matcher->match(c.text, c.pattern);
+        got = oracle.matcher->match(text, c.pattern);
     } catch (const std::exception &e) {
         Disagreement d;
         d.oracle = oracle.name();
@@ -72,6 +104,7 @@ runCase(const Case &c, std::vector<Oracle> &oracles, std::uint64_t index)
     spm_assert(!oracles.empty(), "no oracles registered");
     CaseResult result;
     const BitVec expect = oracles.front().matcher->match(c.text, c.pattern);
+    const std::vector<Symbol> flanked = flankedText(c);
     result.oraclesRun = 1;
     for (std::size_t i = 1; i < oracles.size(); ++i) {
         if (!oracles[i].eligible(c, index)) {
@@ -79,7 +112,7 @@ runCase(const Case &c, std::vector<Oracle> &oracles, std::uint64_t index)
             continue;
         }
         ++result.oraclesRun;
-        if (auto d = diffAgainst(expect, oracles[i], c))
+        if (auto d = diffAgainst(expect, oracles[i], caseSpan(c, flanked), c))
             result.disagreements.push_back(std::move(*d));
     }
     return result;
@@ -92,7 +125,9 @@ stillFails(const Case &c, std::vector<Oracle> &oracles,
     spm_assert(oracle_pos > 0 && oracle_pos < oracles.size(),
                "oracle position out of range");
     const BitVec expect = oracles.front().matcher->match(c.text, c.pattern);
-    return diffAgainst(expect, oracles[oracle_pos], c).has_value();
+    const std::vector<Symbol> flanked = flankedText(c);
+    return diffAgainst(expect, oracles[oracle_pos], caseSpan(c, flanked), c)
+        .has_value();
 }
 
 } // namespace spm::conformance

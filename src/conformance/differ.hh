@@ -8,6 +8,12 @@
  * last mismatching text positions -- the shrinker's starting point --
  * and an oracle that throws (a service-level failure) is reported as
  * a disagreement of kind Error rather than silently skipped.
+ *
+ * The reference reads the case text as its own exact-size vector; every
+ * other oracle reads it as a span in the middle of a larger buffer,
+ * flanked by k+1 in-alphabet symbols on each side. A matcher that reads
+ * past either end of its span then reads live characters that can
+ * change its answer -- a read AddressSanitizer cannot see.
  */
 
 #ifndef SPM_CONFORMANCE_DIFFER_HH

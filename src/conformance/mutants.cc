@@ -24,8 +24,8 @@ namespace
 class MutShardOverlap : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         const std::size_t n = text.size();
         const std::size_t k = pattern.size();
@@ -67,8 +67,8 @@ class MutShardOverlap : public core::Matcher
 class MutWildPlane : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         const std::size_t n = text.size();
         const std::size_t k = pattern.size();
@@ -96,8 +96,8 @@ class MutWildPlane : public core::Matcher
 class MutLeadMask : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         core::SimdParallelMatcher inner(core::SimdIsa::Scalar);
         BitVec result = inner.match(text, pattern);
@@ -123,8 +123,8 @@ class MutLeadMask : public core::Matcher
 class MutLatchPhase : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         const std::size_t n = text.size();
         const std::size_t k = pattern.size();
@@ -166,8 +166,8 @@ class MutLatchPhase : public core::Matcher
 class MutCountSaturate : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         const std::size_t n = text.size();
         const std::size_t k = pattern.size();
@@ -199,8 +199,8 @@ class MutCountSaturate : public core::Matcher
 class MutDictPlaneCarry : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         const std::size_t n = text.size();
         const std::size_t k = pattern.size();
@@ -251,12 +251,12 @@ class MutDictPlaneCarry : public core::Matcher
 class MutBatchWarmup : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         const std::size_t n = text.size();
         const std::size_t k = pattern.size();
-        std::vector<Symbol> concat(text);
+        std::vector<Symbol> concat(text.begin(), text.end());
         concat.insert(concat.end(), text.begin(), text.end());
         const std::vector<std::uint64_t> &packed =
             kernel.matchPacked(concat, pattern);
@@ -286,8 +286,8 @@ class MutBatchWarmup : public core::Matcher
 class MutLaneTail : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         const std::size_t k = pattern.size();
         const BitWidth bits =

@@ -54,8 +54,8 @@ class ShardedOracleMatcher : public core::Matcher
     {
     }
 
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         if (pattern.empty() || text.empty() ||
             pattern.size() > text.size())
@@ -66,8 +66,8 @@ class ShardedOracleMatcher : public core::Matcher
         bits = std::clamp<BitWidth>(bits, 1, 16);
         service::ShardedMatchService &svc = serviceFor(bits);
         service::MatchRequest req;
-        req.text = text;
-        req.pattern = pattern;
+        req.text.assign(text.begin(), text.end());
+        req.pattern.assign(pattern.begin(), pattern.end());
         const service::MatchResponse resp = svc.serve(req);
         if (!resp.ok())
             throw std::runtime_error(name() + ": " + resp.error.detail);
@@ -131,8 +131,8 @@ class BatchOracleMatcher : public core::Matcher
   public:
     explicit BatchOracleMatcher(std::size_t width) : lanes(width) {}
 
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         // Request 1 is the decoy, request r != 1 lane max(r - 1, 0).
         std::vector<service::MatchRequest> batch(lanes + 1);
@@ -141,7 +141,7 @@ class BatchOracleMatcher : public core::Matcher
             batch[r].text.assign(
                 text.begin() + static_cast<std::ptrdiff_t>(start / lanes),
                 text.end());
-            batch[r].pattern = pattern;
+            batch[r].pattern.assign(pattern.begin(), pattern.end());
         }
         batch[1].text = {0, wildcardSymbol};
         const BitWidth bits = std::clamp<BitWidth>(
@@ -205,8 +205,8 @@ class DictOracleMatcher : public core::Matcher
     {
     }
 
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         const multipattern::DictPatterns dict = deriveDict(text, pattern);
 
@@ -243,8 +243,8 @@ class DictOracleMatcher : public core::Matcher
 
   private:
     multipattern::DictPatterns
-    deriveDict(const std::vector<Symbol> &text,
-               const std::vector<Symbol> &pattern) const
+    deriveDict(std::span<const Symbol> text,
+               std::span<const Symbol> pattern) const
     {
         // Deterministic per-case stream: fold both strings FNV-style
         // so the same case always derives the same dictionary.
@@ -267,7 +267,7 @@ class DictOracleMatcher : public core::Matcher
 
         multipattern::DictPatterns dict;
         dict.reserve(members);
-        dict.push_back(pattern); // member 0: the case, verbatim
+        dict.emplace_back(pattern.begin(), pattern.end()); // the case
         const std::size_t k = pattern.size();
         while (dict.size() < members) {
             std::vector<Symbol> member;
@@ -303,7 +303,7 @@ class DictOracleMatcher : public core::Matcher
                 break;
             default: // one-symbol mutation of the pattern
                 if (k > 0) {
-                    member = pattern;
+                    member.assign(pattern.begin(), pattern.end());
                     member[rng.nextBelow(k)] =
                         static_cast<Symbol>(rng.nextBelow(sigma));
                 }
@@ -320,7 +320,7 @@ class DictOracleMatcher : public core::Matcher
         return dict;
     }
 
-    void checkAhoCorasick(const std::vector<Symbol> &text,
+    void checkAhoCorasick(std::span<const Symbol> text,
                           const multipattern::DictPatterns &dict,
                           const multipattern::DictHits &got)
     {
@@ -377,7 +377,7 @@ class DictOracleMatcher : public core::Matcher
         }
     }
 
-    void checkChunked(const std::vector<Symbol> &text,
+    void checkChunked(std::span<const Symbol> text,
                       const multipattern::DictPatterns &dict,
                       const multipattern::DictHits &got)
     {
@@ -414,8 +414,8 @@ class DictOracleMatcher : public core::Matcher
 class CascadeOracleMatcher : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         const std::size_t per_chip =
             std::max<std::size_t>(1, (pattern.size() + 1) / 2);
@@ -435,8 +435,8 @@ class CascadeOracleMatcher : public core::Matcher
 class GateLanesMatcher : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         if (pattern.empty())
             return BitVec(text.size());
@@ -487,7 +487,7 @@ makeCascadeOracle()
 }
 
 LaneCut
-cutIntoLanes(const std::vector<Symbol> &text, std::size_t k,
+cutIntoLanes(std::span<const Symbol> text, std::size_t k,
              std::size_t lanes)
 {
     const std::size_t n = text.size();
@@ -509,10 +509,12 @@ cutIntoLanes(const std::vector<Symbol> &text, std::size_t k,
 
 BitVec
 matchLaneCut(core::GateLevelMatcher &chip, const LaneCut &cut,
-             const std::vector<Symbol> &pattern)
+             std::span<const Symbol> pattern)
 {
+    const std::vector<std::span<const Symbol>> views(cut.windows.begin(),
+                                                     cut.windows.end());
     const std::vector<core::GateLevelMatcher::LaneResult> lanes =
-        chip.matchLanes(cut.windows, pattern);
+        chip.matchLanes(views, pattern);
     BitVec out;
     for (std::size_t j = 0; j < lanes.size(); ++j)
         out.append(lanes[j].bits.words(), cut.overlap[j],

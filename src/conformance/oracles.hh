@@ -96,7 +96,7 @@ struct LaneCut
 };
 
 /** Cut @p text for a pattern of length @p k (>= 1) into @p lanes. */
-LaneCut cutIntoLanes(const std::vector<Symbol> &text, std::size_t k,
+LaneCut cutIntoLanes(std::span<const Symbol> text, std::size_t k,
                      std::size_t lanes);
 
 /**
@@ -104,7 +104,7 @@ LaneCut cutIntoLanes(const std::vector<Symbol> &text, std::size_t k,
  * and stitch the windows' chunk bits back into one result stream.
  */
 BitVec matchLaneCut(core::GateLevelMatcher &chip, const LaneCut &cut,
-                    const std::vector<Symbol> &pattern);
+                    std::span<const Symbol> pattern);
 
 /**
  * A cascade sized per call: two chips splitting max(k, 2) cells, so

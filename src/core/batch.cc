@@ -12,7 +12,7 @@ BatchMatcher::BatchMatcher(SimdIsa forced) : simd(forced) {}
 std::vector<BitVec>
 BatchMatcher::matchMany(
     const std::vector<const std::vector<Symbol> *> &streams,
-    const std::vector<Symbol> &pattern)
+    std::span<const Symbol> pattern)
 {
     // Pack the streams end to end. Positions inside a stream's first
     // k-1 characters fall before its start offset below, so the

@@ -26,6 +26,7 @@
 #ifndef SPM_CORE_BATCH_HH
 #define SPM_CORE_BATCH_HH
 
+#include <span>
 #include <vector>
 
 #include "core/simdpar.hh"
@@ -57,7 +58,7 @@ class BatchMatcher
      */
     std::vector<BitVec> matchMany(
         const std::vector<const std::vector<Symbol> *> &streams,
-        const std::vector<Symbol> &pattern);
+        std::span<const Symbol> pattern);
 
     /** Characters the last pass pushed through the kernel. */
     std::size_t lastKernelChars() const { return kernelChars; }

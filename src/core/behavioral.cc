@@ -6,9 +6,9 @@ namespace spm::core
 {
 
 ChipFeedPlan::ChipFeedPlan(std::size_t num_cells,
-                           const std::vector<Symbol> &pattern,
+                           std::span<const Symbol> pattern,
                            std::size_t text_len)
-    : cells(num_cells), pat(pattern), textLen(text_len)
+    : cells(num_cells), pat(pattern.begin(), pattern.end()), textLen(text_len)
 {
     spm_assert(!pat.empty(), "empty pattern");
     spm_assert(pat.size() <= cells,
@@ -69,7 +69,7 @@ ChipFeedPlan::stringIndex(Beat beat) const
 }
 
 StrToken
-ChipFeedPlan::stringAt(Beat beat, const std::vector<Symbol> &text) const
+ChipFeedPlan::stringAt(Beat beat, std::span<const Symbol> text) const
 {
     const std::size_t i = stringIndex(beat);
     return i == noChar ? StrToken{} : StrToken{text[i], true};
@@ -173,8 +173,8 @@ BehavioralChip::resultOut() const
 
 std::pair<BitVec, Beat>
 runMatchProtocol(const ChipHooks &hooks, std::size_t total_cells,
-                 const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern)
+                 std::span<const Symbol> text,
+                 std::span<const Symbol> pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
@@ -205,8 +205,8 @@ runMatchProtocol(const ChipHooks &hooks, std::size_t total_cells,
 }
 
 BitVec
-BehavioralMatcher::match(const std::vector<Symbol> &text,
-                         const std::vector<Symbol> &pattern)
+BehavioralMatcher::match(std::span<const Symbol> text,
+                         std::span<const Symbol> pattern)
 {
     const std::size_t m = cells == 0 ? pattern.size() : cells;
     if (pattern.empty() || text.empty() || pattern.size() > text.size()) {

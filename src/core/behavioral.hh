@@ -48,7 +48,7 @@ class ChipFeedPlan
      * @param text_len number of text characters
      */
     ChipFeedPlan(std::size_t num_cells,
-                 const std::vector<Symbol> &pattern, std::size_t text_len);
+                 std::span<const Symbol> pattern, std::size_t text_len);
 
     /** Beats to run so every result has left the array. */
     Beat totalBeats() const { return total; }
@@ -72,7 +72,7 @@ class ChipFeedPlan
      * String token for @p beat, reading characters from @p text.
      * Once the text is exhausted the stream carries invalid tokens.
      */
-    StrToken stringAt(Beat beat, const std::vector<Symbol> &text) const;
+    StrToken stringAt(Beat beat, std::span<const Symbol> text) const;
 
     /** Result-slot token to force into the result input. */
     ResToken resultAt(Beat beat) const;
@@ -184,8 +184,8 @@ class BehavioralMatcher : public Matcher
     {
     }
 
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override;
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override;
 
     std::string name() const override { return "systolic-behavioral"; }
 
@@ -222,7 +222,7 @@ struct ChipHooks
  */
 std::pair<BitVec, Beat> runMatchProtocol(
     const ChipHooks &hooks, std::size_t total_cells,
-    const std::vector<Symbol> &text, const std::vector<Symbol> &pattern);
+    std::span<const Symbol> text, std::span<const Symbol> pattern);
 
 } // namespace spm::core
 

@@ -79,8 +79,8 @@ BitSerialChip::resultOut() const
 }
 
 BitVec
-BitSerialMatcher::match(const std::vector<Symbol> &text,
-                        const std::vector<Symbol> &pattern)
+BitSerialMatcher::match(std::span<const Symbol> text,
+                        std::span<const Symbol> pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();

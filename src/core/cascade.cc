@@ -86,8 +86,8 @@ ChipCascade::pinsPerChip(BitWidth char_bits)
 }
 
 BitVec
-CascadeMatcher::match(const std::vector<Symbol> &text,
-                      const std::vector<Symbol> &pattern)
+CascadeMatcher::match(std::span<const Symbol> text,
+                      std::span<const Symbol> pattern)
 {
     if (pattern.empty() || text.empty() || pattern.size() > text.size()) {
         beatsUsed = 0;

@@ -211,7 +211,7 @@ namespace
 template <class Port>
 Beat
 runFeedSchedule(std::size_t m, BitWidth bits,
-                const std::vector<Symbol> &pattern, std::size_t n,
+                std::span<const Symbol> pattern, std::size_t n,
                 Port &port)
 {
     const std::size_t len = pattern.size();
@@ -275,7 +275,7 @@ runFeedSchedule(std::size_t m, BitWidth bits,
 struct ChipPort
 {
     GateChip &chip;
-    const std::vector<Symbol> &text;
+    std::span<const Symbol> text;
     std::size_t len;
     BitVec &result;
     const std::function<void(std::size_t, const GateChip &)> &observer;
@@ -316,7 +316,7 @@ class LanePort
 {
   public:
     LanePort(gate::PlaneSim &plane_sim, const GateChip &lane_chip,
-             std::span<const std::vector<Symbol> *const> windows,
+             std::span<const std::span<const Symbol>> windows,
              std::size_t pattern_len,
              std::span<GateLevelMatcher::LaneResult *const> lane_results)
         : sim(plane_sim), chip(lane_chip), len(pattern_len),
@@ -325,11 +325,11 @@ class LanePort
         // Transpose the windows once: plane (i, b) holds bit b of
         // text position i, one lane per window, 0 past its end.
         const BitWidth bits = chip.bits();
-        for (const auto *w : windows)
-            maxLen = std::max(maxLen, w->size());
+        for (const std::span<const Symbol> w : windows)
+            maxLen = std::max(maxLen, w.size());
         strPlanes.assign(maxLen * bits, 0);
         for (std::size_t j = 0; j < windows.size(); ++j) {
-            const std::vector<Symbol> &w = *windows[j];
+            const std::span<const Symbol> w = windows[j];
             for (std::size_t i = 0; i < w.size(); ++i)
                 for (unsigned b = 0; b < bits; ++b)
                     strPlanes[i * bits + b] |=
@@ -408,8 +408,8 @@ class LanePort
 } // namespace
 
 BitVec
-GateLevelMatcher::match(const std::vector<Symbol> &text,
-                        const std::vector<Symbol> &pattern)
+GateLevelMatcher::match(std::span<const Symbol> text,
+                        std::span<const Symbol> pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
@@ -436,20 +436,20 @@ GateLevelMatcher::match(const std::vector<Symbol> &text,
 }
 
 std::vector<GateLevelMatcher::LaneResult>
-GateLevelMatcher::matchLanes(const std::vector<std::vector<Symbol>> &windows,
-                             const std::vector<Symbol> &pattern)
+GateLevelMatcher::matchLanes(std::span<const std::span<const Symbol>> windows,
+                             std::span<const Symbol> pattern)
 {
     spm_assert(cells > 0 && bitsPerChar > 0,
                "matchLanes needs an explicit chip shape");
     std::vector<LaneResult> out(windows.size());
     // Windows match() would answer without running the chip stay
     // all-false at 0 beats; the rest ride the lanes.
-    std::vector<const std::vector<Symbol> *> live;
+    std::vector<std::span<const Symbol>> live;
     std::vector<LaneResult *> liveResults;
     for (std::size_t w = 0; w < windows.size(); ++w) {
         out[w].bits.resize(windows[w].size());
         if (!pattern.empty() && pattern.size() <= windows[w].size()) {
-            live.push_back(&windows[w]);
+            live.push_back(windows[w]);
             liveResults.push_back(&out[w]);
         }
     }

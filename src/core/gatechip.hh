@@ -179,8 +179,8 @@ class GateLevelMatcher : public Matcher
     {
     }
 
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override;
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override;
 
     std::string name() const override { return "systolic-gatelevel"; }
 
@@ -209,8 +209,8 @@ class GateLevelMatcher : public Matcher
      * updated.
      */
     std::vector<LaneResult> matchLanes(
-        const std::vector<std::vector<Symbol>> &windows,
-        const std::vector<Symbol> &pattern);
+        std::span<const std::span<const Symbol>> windows,
+        std::span<const Symbol> pattern);
 
     /** Device evaluations spent by the last match() call. */
     std::uint64_t lastEvals() const { return evalsUsed; }

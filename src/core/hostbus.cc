@@ -108,40 +108,10 @@ HostBusModel::secondsForBeats(Beat beats) const
            static_cast<double>(periodPs) * 1e-12;
 }
 
-bool
-HostBusModel::transferChar(Symbol sent, Symbol received)
-{
-    ++nChars;
-    if (!parity)
-        return true;
-    if (parityBit(sent, bits) == parityBit(received, bits))
-        return true;
-    ++nParityErrors;
-    return false;
-}
-
-std::uint64_t
-HostBusModel::transferChunk(const Symbol *sent, const Symbol *received,
-                            std::size_t n)
-{
-    if (n == 0)
-        return 0;
-    nChars += n;
-    if (!parity || sent == received)
-        return 0;
-    std::uint64_t errs = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        if (parityBit(sent[i], bits) != parityBit(received[i], bits))
-            ++errs;
-    nParityErrors += errs;
-    return errs;
-}
-
 void
 HostBusModel::resetTransferStats()
 {
     nChars = 0;
-    nParityErrors = 0;
 }
 
 telem::Snapshot
@@ -149,7 +119,6 @@ HostBusModel::metricsSnapshot() const
 {
     telem::Snapshot snap;
     snap.setCounter("charsTransferred", nChars);
-    snap.setCounter("parityErrors", nParityErrors);
     snap.setCounter("parityEnabled", parity ? 1 : 0);
     return snap;
 }

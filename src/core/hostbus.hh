@@ -49,8 +49,8 @@ class HostBusModel
      *        must be positive
      * @param char_bits bits per character on the bus, in [1, 16]
      * @param parity_enabled when true, every bus character carries an
-     *        even-parity bit so single-bit corruption in transit is
-     *        detectable; the extra bit is priced into the demand
+     *        even-parity bit, priced into the demand (the check itself
+     *        is fault::StreamParityChecker's)
      *
      * @throws std::invalid_argument on a zero beat period or a
      *         character width outside [1, 16]
@@ -108,36 +108,14 @@ class HostBusModel
     static bool parityBit(Symbol sym, BitWidth char_bits);
 
     /**
-     * One end-to-end character transfer: the host computes the parity
-     * bit on @p sent at the near edge; the far edge recomputes it on
-     * @p received, the character as it actually arrived. A mismatch
-     * (any odd number of payload bits corrupted in transit) counts a
-     * parity error. With parity disabled the transfer is counted but
-     * unchecked -- corruption rides through, which is exactly the
-     * exposure the parity bit is priced to remove.
-     *
-     * @return true when the transfer checked clean (or is unchecked)
+     * Charge @p n characters moved over the bus. In serving the bus
+     * is a count: the front ends hand a rung the characters they hold,
+     * so nothing is corrupted in transit.
      */
-    bool transferChar(Symbol sent, Symbol received);
+    void transferChunk(std::size_t n) { nChars += n; }
 
-    /**
-     * Batched end-to-end transfer of @p n characters: the counter and
-     * telemetry charges of n transferChar() calls amortized into one
-     * update. When @p sent and @p received alias (a loopback
-     * transfer, the serving layer's common case) the per-character
-     * parity recomputation is skipped outright -- bit-identical
-     * outcome, since equal characters always parity-match.
-     *
-     * @return parity mismatches detected (0 when clean or unchecked)
-     */
-    std::uint64_t transferChunk(const Symbol *sent,
-                                const Symbol *received, std::size_t n);
-
-    /** Characters moved through transferChar()/transferChunk() so far. */
+    /** Characters charged through transferChunk() so far. */
     std::uint64_t charsTransferred() const { return nChars; }
-
-    /** Parity mismatches detected so far. */
-    std::uint64_t parityErrors() const { return nParityErrors; }
 
     /** Reset the transfer counters (new measurement interval). */
     void resetTransferStats();
@@ -159,7 +137,6 @@ class HostBusModel
     BitWidth bits;
     bool parity;
     std::uint64_t nChars = 0;
-    std::uint64_t nParityErrors = 0;
 };
 
 } // namespace spm::core

@@ -19,6 +19,7 @@
 #ifndef SPM_CORE_MATCHER_HH
 #define SPM_CORE_MATCHER_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,14 +38,16 @@ class Matcher
     /**
      * Compute the result bit stream.
      *
-     * @param text the text string s_0 ... s_{n-1}
+     * @param text the text string s_0 ... s_{n-1}, a view (often a
+     *        window cut from a longer request): read exactly these
+     *        characters and keep no reference past the call
      * @param pattern the pattern p_0 ... p_k; wildcardSymbol entries
      *        match any character
      * @return r of size n; r[i] is the Section 3.1 result bit. Bits
      *         for i < k (incomplete substrings) are always false.
      */
-    virtual BitVec match(const std::vector<Symbol> &text,
-                         const std::vector<Symbol> &pattern) = 0;
+    virtual BitVec match(std::span<const Symbol> text,
+                         std::span<const Symbol> pattern) = 0;
 
     /** Implementation name for reports. */
     virtual std::string name() const = 0;

@@ -19,8 +19,8 @@ namespace
  * in [base, base + m).
  */
 void
-runOnce(std::size_t m, const std::vector<Symbol> &pattern,
-        const std::vector<Symbol> &text, std::size_t base,
+runOnce(std::size_t m, std::span<const Symbol> pattern,
+        std::span<const Symbol> text, std::size_t base,
         BitVec &result, Beat &beats)
 {
     const std::size_t K = pattern.size();
@@ -108,8 +108,8 @@ runOnce(std::size_t m, const std::vector<Symbol> &pattern,
 } // namespace
 
 BitVec
-MultipassMatcher::match(const std::vector<Symbol> &text,
-                        const std::vector<Symbol> &pattern)
+MultipassMatcher::match(std::span<const Symbol> text,
+                        std::span<const Symbol> pattern)
 {
     const std::size_t n = text.size();
     const std::size_t K = pattern.size();

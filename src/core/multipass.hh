@@ -36,8 +36,8 @@ class MultipassMatcher : public Matcher
     {
     }
 
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override;
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override;
 
     std::string name() const override { return "systolic-multipass"; }
 

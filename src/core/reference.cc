@@ -4,8 +4,8 @@ namespace spm::core
 {
 
 BitVec
-ReferenceMatcher::match(const std::vector<Symbol> &text,
-                        const std::vector<Symbol> &pattern)
+ReferenceMatcher::match(std::span<const Symbol> text,
+                        std::span<const Symbol> pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();
@@ -23,8 +23,8 @@ ReferenceMatcher::match(const std::vector<Symbol> &text,
 }
 
 std::vector<unsigned>
-referenceMatchCounts(const std::vector<Symbol> &text,
-                     const std::vector<Symbol> &pattern)
+referenceMatchCounts(std::span<const Symbol> text,
+                     std::span<const Symbol> pattern)
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();

@@ -30,8 +30,8 @@ symbolMatches(Symbol p, Symbol s)
 class ReferenceMatcher : public Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override;
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override;
 
     std::string name() const override { return "reference"; }
 };
@@ -42,7 +42,7 @@ class ReferenceMatcher : public Matcher
  * matches). c_i is 0 for i < k.
  */
 std::vector<unsigned> referenceMatchCounts(
-    const std::vector<Symbol> &text, const std::vector<Symbol> &pattern);
+    std::span<const Symbol> text, std::span<const Symbol> pattern);
 
 /**
  * Reference for the Section 3.4 correlation extension:

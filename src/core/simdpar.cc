@@ -473,29 +473,31 @@ bestSimdIsa()
 }
 
 unsigned
-planeCount(const Symbol *text, std::size_t n, Symbol also_seen)
+planeCount(std::span<const Symbol> text, Symbol also_seen)
 {
-    return widthOf(static_cast<Symbol>(orReduceSymbols(text, n) | also_seen));
+    return widthOf(static_cast<Symbol>(
+        orReduceSymbols(text.data(), text.size()) | also_seen));
 }
 
 SimdOps::SimdOps(SimdIsa isa) : ops(&opsFor(isa)) {}
 
 void
-SimdOps::transpose(const Symbol *text, std::size_t n, unsigned planes,
+SimdOps::transpose(std::span<const Symbol> text, unsigned planes,
                    std::uint64_t *plane, std::size_t stride,
                    std::vector<std::uint8_t> &bytes) const
 {
+    const std::size_t n = text.size();
     // Alphabets of at most 8 bits narrow to bytes first so the
     // transpose runs compare + movemask, 16 or 32 characters per
     // instruction; the pad up to the word boundary is zeroed.
     const std::size_t nw = wordCount(n);
     if (planes > 8) {
-        transposeWideScalar(text, n, nw, planes, plane, stride);
+        transposeWideScalar(text.data(), n, nw, planes, plane, stride);
         return;
     }
     if (bytes.size() < nw * bitsPerWord)
         bytes.resize(nw * bitsPerWord);
-    ops->narrow(text, n, bytes.data());
+    ops->narrow(text.data(), n, bytes.data());
     std::fill(bytes.begin() + static_cast<std::ptrdiff_t>(n),
               bytes.begin() + static_cast<std::ptrdiff_t>(nw * bitsPerWord),
               std::uint8_t(0));
@@ -536,8 +538,8 @@ SimdParallelMatcher::name() const
 }
 
 const std::vector<std::uint64_t> &
-SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
-                                 const std::vector<Symbol> &pattern)
+SimdParallelMatcher::matchPacked(std::span<const Symbol> text,
+                                 std::span<const Symbol> pattern)
 {
     const std::size_t n = text.size();
     const std::size_t k = pattern.size();
@@ -556,7 +558,7 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
     for (Symbol c : pattern)
         if (c != wildcardSymbol)
             patternBits = static_cast<Symbol>(patternBits | c);
-    const unsigned planes = planeCount(text.data(), n, patternBits);
+    const unsigned planes = planeCount(text, patternBits);
     planesBuilt = planes;
     const SimdOps ops(tier);
 
@@ -564,7 +566,7 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
     // result bits are masked off below.
     if (planeArena.size() < static_cast<std::size_t>(planes) * nw)
         planeArena.resize(static_cast<std::size_t>(planes) * nw);
-    ops.transpose(text.data(), n, planes, planeArena.data(), nw, byteText);
+    ops.transpose(text, planes, planeArena.data(), nw, byteText);
     wordOps += static_cast<std::uint64_t>(planes) * nw;
 
     if (k <= bitsPerWord) {
@@ -695,8 +697,8 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
 }
 
 BitVec
-SimdParallelMatcher::match(const std::vector<Symbol> &text,
-                           const std::vector<Symbol> &pattern)
+SimdParallelMatcher::match(std::span<const Symbol> text,
+                           std::span<const Symbol> pattern)
 {
     return unpackResultBits(matchPacked(text, pattern), text.size());
 }

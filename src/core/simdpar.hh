@@ -75,11 +75,11 @@ SimdIsa bestSimdIsa();
 bool simdIsaSupported(SimdIsa isa);
 
 /**
- * Bit planes needed to tell apart every symbol of text[0, n) and every
+ * Bit planes needed to tell apart every symbol of @p text and every
  * bit set in @p also_seen (the pattern side's literal symbols): the
  * width of their OR, at least 1.
  */
-unsigned planeCount(const Symbol *text, std::size_t n, Symbol also_seen);
+unsigned planeCount(std::span<const Symbol> text, Symbol also_seen);
 
 namespace detail
 {
@@ -100,12 +100,12 @@ class SimdOps
     explicit SimdOps(SimdIsa isa);
 
     /**
-     * Transpose text[0, n) into @p planes bit planes: plane b, word w
-     * lands at plane[b * stride + w]. Positions from n up to the next
-     * word boundary transpose as symbol 0. Alphabets of at most 8 bits
-     * are narrowed into @p bytes first (grown as needed).
+     * Transpose @p text into @p planes bit planes: plane b, word w
+     * lands at plane[b * stride + w]. Positions from its end up to the
+     * next word boundary transpose as symbol 0. Alphabets of at most 8
+     * bits are narrowed into @p bytes first (grown as needed).
      */
-    void transpose(const Symbol *text, std::size_t n, unsigned planes,
+    void transpose(std::span<const Symbol> text, unsigned planes,
                    std::uint64_t *plane, std::size_t stride,
                    std::vector<std::uint8_t> &bytes) const;
 
@@ -150,8 +150,8 @@ class SimdParallelMatcher : public Matcher
      */
     explicit SimdParallelMatcher(SimdIsa forced);
 
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override;
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override;
 
     std::string name() const override;
 
@@ -164,8 +164,8 @@ class SimdParallelMatcher : public Matcher
      * call on this instance.
      */
     const std::vector<std::uint64_t> &matchPacked(
-        const std::vector<Symbol> &text,
-        const std::vector<Symbol> &pattern);
+        std::span<const Symbol> text,
+        std::span<const Symbol> pattern);
 
     /** Tier this instance dispatches to. */
     SimdIsa isa() const { return tier; }

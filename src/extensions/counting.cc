@@ -41,8 +41,8 @@ CountingArray::resultOut() const
 }
 
 std::vector<unsigned>
-SystolicMatchCounter::count(const std::vector<Symbol> &text,
-                            const std::vector<Symbol> &pattern) const
+SystolicMatchCounter::count(std::span<const Symbol> text,
+                            std::span<const Symbol> pattern) const
 {
     const std::size_t n = text.size();
     const std::size_t len = pattern.size();

@@ -11,6 +11,7 @@
 #ifndef SPM_EXT_COUNTING_HH
 #define SPM_EXT_COUNTING_HH
 
+#include <span>
 #include <vector>
 
 #include "core/cells.hh"
@@ -68,8 +69,8 @@ class SystolicMatchCounter
     {
     }
 
-    std::vector<unsigned> count(const std::vector<Symbol> &text,
-                                const std::vector<Symbol> &pattern) const;
+    std::vector<unsigned> count(std::span<const Symbol> text,
+                                std::span<const Symbol> pattern) const;
 
   private:
     std::size_t cells;

@@ -154,7 +154,7 @@ AhoCorasickAutomaton::emit(std::uint32_t node, std::size_t pos,
 }
 
 DictHits
-AhoCorasickAutomaton::matchAll(const std::vector<Symbol> &text) const
+AhoCorasickAutomaton::matchAll(std::span<const Symbol> text) const
 {
     StreamState state;
     return feed(state, text);
@@ -162,7 +162,7 @@ AhoCorasickAutomaton::matchAll(const std::vector<Symbol> &text) const
 
 DictHits
 AhoCorasickAutomaton::feed(StreamState &state,
-                           const std::vector<Symbol> &chunk) const
+                           std::span<const Symbol> chunk) const
 {
     DictHits out;
     out.bits.assign(patternLens.size(), BitVec(chunk.size()));
@@ -177,7 +177,7 @@ AhoCorasickAutomaton::feed(StreamState &state,
 }
 
 DictHits
-AhoCorasickMatcher::matchAll(const std::vector<Symbol> &text,
+AhoCorasickMatcher::matchAll(std::span<const Symbol> text,
                              const DictPatterns &dict)
 {
     if (automaton == nullptr || dict != compiledDict) {

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,7 @@ class AhoCorasickAutomaton
     explicit AhoCorasickAutomaton(const DictPatterns &dict);
 
     /** One-shot match over @p text. */
-    DictHits matchAll(const std::vector<Symbol> &text) const;
+    DictHits matchAll(std::span<const Symbol> text) const;
 
     /** Streaming carry: the current automaton state is the complete
      *  history summary. */
@@ -45,7 +46,7 @@ class AhoCorasickAutomaton
     /** Feed one chunk; appends nothing, returns hit bits for exactly
      *  the chunk's positions and advances @p state. */
     DictHits feed(StreamState &state,
-                  const std::vector<Symbol> &chunk) const;
+                  std::span<const Symbol> chunk) const;
 
     std::size_t patternCount() const { return patternLens.size(); }
     std::size_t stateCount() const { return nodes.size(); }
@@ -79,7 +80,7 @@ class AhoCorasickAutomaton
 class AhoCorasickMatcher final : public DictMatcher
 {
   public:
-    DictHits matchAll(const std::vector<Symbol> &text,
+    DictHits matchAll(std::span<const Symbol> text,
                       const DictPatterns &dict) override;
     std::string name() const override { return "dict-ac"; }
     bool supportsWildcards() const override { return false; }

@@ -26,7 +26,7 @@ longestPattern(const DictPatterns &dict)
 }
 
 DictHits
-NaiveDictMatcher::matchAll(const std::vector<Symbol> &text,
+NaiveDictMatcher::matchAll(std::span<const Symbol> text,
                            const DictPatterns &dict)
 {
     core::ReferenceMatcher ref;

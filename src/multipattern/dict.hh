@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,7 @@ class DictMatcher
   public:
     virtual ~DictMatcher() = default;
 
-    virtual DictHits matchAll(const std::vector<Symbol> &text,
+    virtual DictHits matchAll(std::span<const Symbol> text,
                               const DictPatterns &dict) = 0;
     virtual std::string name() const = 0;
     virtual bool supportsWildcards() const { return true; }
@@ -58,7 +59,7 @@ class DictMatcher
 class NaiveDictMatcher final : public DictMatcher
 {
   public:
-    DictHits matchAll(const std::vector<Symbol> &text,
+    DictHits matchAll(std::span<const Symbol> text,
                       const DictPatterns &dict) override;
     std::string name() const override { return "dict-naive"; }
 };

@@ -141,14 +141,14 @@ BitSlicedDictMatcher::buildEqMasks(const Group &g, std::size_t nw,
 }
 
 DictHits
-BitSlicedDictMatcher::matchAll(const std::vector<Symbol> &text,
+BitSlicedDictMatcher::matchAll(std::span<const Symbol> text,
                                const DictPatterns &dict)
 {
     return matchFrom(text, dict, 0);
 }
 
 DictHits
-BitSlicedDictMatcher::matchFrom(const std::vector<Symbol> &text,
+BitSlicedDictMatcher::matchFrom(std::span<const Symbol> text,
                                 const DictPatterns &dict, std::size_t from)
 {
     const std::size_t n = text.size();
@@ -175,11 +175,11 @@ BitSlicedDictMatcher::matchFrom(const std::vector<Symbol> &text,
 
     // One transpose covers every pattern.
     const std::size_t nw = wordCount(n);
-    const unsigned planes = core::planeCount(text.data(), n, literalBits);
+    const unsigned planes = core::planeCount(text, literalBits);
     planesBuilt = planes;
     if (planeArena.size() < static_cast<std::size_t>(planes) * nw)
         planeArena.resize(static_cast<std::size_t>(planes) * nw);
-    ops.transpose(text.data(), n, planes, planeArena.data(), nw, byteText);
+    ops.transpose(text, planes, planeArena.data(), nw, byteText);
 
     const std::size_t stride = historyWords + nw;
     std::uint32_t builtFirst = 0;
@@ -290,7 +290,7 @@ BitSlicedDictMatcher::arenaBytes() const
 
 DictHits
 feedDictChunk(BitSlicedDictMatcher &m, DictStreamState &state,
-              const std::vector<Symbol> &chunk, const DictPatterns &dict)
+              std::span<const Symbol> chunk, const DictPatterns &dict)
 {
     const std::size_t kmax = longestPattern(dict);
     const std::size_t keep = kmax == 0 ? 0 : kmax - 1;

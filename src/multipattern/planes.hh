@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,7 @@ class BitSlicedDictMatcher final : public DictMatcher
      *  so conformance can prove dedup changes cost, never hits. */
     explicit BitSlicedDictMatcher(bool dedup_planes = true);
 
-    DictHits matchAll(const std::vector<Symbol> &text,
+    DictHits matchAll(std::span<const Symbol> text,
                       const DictPatterns &dict) override;
 
     /**
@@ -59,7 +60,7 @@ class BitSlicedDictMatcher final : public DictMatcher
      * from + c.  Positions before @p from still feed the windows that
      * end at or after it.
      */
-    DictHits matchFrom(const std::vector<Symbol> &text,
+    DictHits matchFrom(std::span<const Symbol> text,
                        const DictPatterns &dict, std::size_t from);
 
     std::string name() const override
@@ -135,7 +136,7 @@ class BitSlicedDictMatcher final : public DictMatcher
  * m.lastHits() counts them.
  */
 DictHits feedDictChunk(BitSlicedDictMatcher &m, DictStreamState &state,
-                       const std::vector<Symbol> &chunk,
+                       std::span<const Symbol> chunk,
                        const DictPatterns &dict);
 
 } // namespace spm::multipattern

@@ -36,7 +36,7 @@ chargeAfter(WindowResult wr, BeatWatchdog &dog)
 }
 
 bool
-hasWildcard(const std::vector<Symbol> &pattern)
+hasWildcard(std::span<const Symbol> pattern)
 {
     return std::find(pattern.begin(), pattern.end(), wildcardSymbol) !=
            pattern.end();
@@ -51,8 +51,8 @@ BehavioralBackend::BehavioralBackend(std::size_t num_cells)
 }
 
 WindowResult
-BehavioralBackend::matchWindow(const std::vector<Symbol> &window,
-                               const std::vector<Symbol> &pattern,
+BehavioralBackend::matchWindow(std::span<const Symbol> window,
+                               std::span<const Symbol> pattern,
                                BeatWatchdog &dog)
 {
     const std::size_t n = window.size();
@@ -114,8 +114,8 @@ MatcherBackend::MatcherBackend(std::unique_ptr<core::Matcher> matcher_impl)
 }
 
 WindowResult
-MatcherBackend::matchWindow(const std::vector<Symbol> &window,
-                            const std::vector<Symbol> &pattern,
+MatcherBackend::matchWindow(std::span<const Symbol> window,
+                            std::span<const Symbol> pattern,
                             BeatWatchdog &dog)
 {
     const std::size_t n = window.size();
@@ -156,17 +156,19 @@ GateBackend::dropQueue()
 }
 
 void
-GateBackend::prefetch(const std::vector<std::span<const Symbol>> &windows,
-                      const std::vector<Symbol> &pattern)
+GateBackend::prefetch(std::span<const std::span<const Symbol>> windows,
+                      std::span<const Symbol> pattern)
 {
     dropQueue();
     if (!supports(pattern))
         return;
-    queuedPattern = pattern;
+    // The copies outlive the request the windows view: matchWindow()
+    // tells a queued window from another session's by content.
+    queuedPattern.assign(pattern.begin(), pattern.end());
     for (const std::span<const Symbol> w : windows)
         queuedWindows.emplace_back(w.begin(), w.end());
     try {
-        queuedResults = gate.matchLanes(queuedWindows, pattern);
+        queuedResults = gate.matchLanes(windows, pattern);
     } catch (const std::exception &) {
         // Nothing queued: each window then runs alone through
         // matchWindow(), which reports the failure where it belongs.
@@ -175,13 +177,13 @@ GateBackend::prefetch(const std::vector<std::span<const Symbol>> &windows,
 }
 
 WindowResult
-GateBackend::matchWindow(const std::vector<Symbol> &window,
-                         const std::vector<Symbol> &pattern,
+GateBackend::matchWindow(std::span<const Symbol> window,
+                         std::span<const Symbol> pattern,
                          BeatWatchdog &dog)
 {
     const bool queued = queueHead < queuedResults.size() &&
-                        queuedWindows[queueHead] == window &&
-                        queuedPattern == pattern;
+                        std::ranges::equal(queuedWindows[queueHead], window) &&
+                        std::ranges::equal(queuedPattern, pattern);
     const std::size_t n = window.size();
     if (n == 0 || pattern.size() > n) {
         queueHead += queued ? 1 : 0;
@@ -214,8 +216,8 @@ GateBackend::matchWindow(const std::vector<Symbol> &window,
 }
 
 WindowResult
-SoftwareBackend::matchWindow(const std::vector<Symbol> &window,
-                             const std::vector<Symbol> &pattern,
+SoftwareBackend::matchWindow(std::span<const Symbol> window,
+                             std::span<const Symbol> pattern,
                              BeatWatchdog &dog)
 {
     const std::size_t n = window.size();

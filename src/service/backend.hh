@@ -75,7 +75,7 @@ class ServiceBackend
     }
 
     /** Whether this rung can serve the request shape at all. */
-    virtual bool supports(const std::vector<Symbol> &pattern) const
+    virtual bool supports(std::span<const Symbol> pattern) const
     {
         (void)pattern;
         return true;
@@ -86,8 +86,8 @@ class ServiceBackend
      * Implementations must stop and report completed = false once the
      * watchdog trips; they must not throw.
      */
-    virtual WindowResult matchWindow(const std::vector<Symbol> &window,
-                                     const std::vector<Symbol> &pattern,
+    virtual WindowResult matchWindow(std::span<const Symbol> window,
+                                     std::span<const Symbol> pattern,
                                      BeatWatchdog &dog) = 0;
 
     /**
@@ -95,10 +95,12 @@ class ServiceBackend
      * exactly as it will reach matchWindow(). A rung that can answer
      * several windows at once computes them here; matchWindow() stays
      * the only call that charges beats and reports results. The
-     * default ignores the hint. Must not throw.
+     * windows view the session's request and are valid for this call
+     * only; a rung that keeps them keeps copies. The default ignores
+     * the hint. Must not throw.
      */
-    virtual void prefetch(const std::vector<std::span<const Symbol>> &windows,
-                          const std::vector<Symbol> &pattern)
+    virtual void prefetch(std::span<const std::span<const Symbol>> windows,
+                          std::span<const Symbol> pattern)
     {
         (void)windows;
         (void)pattern;
@@ -122,13 +124,13 @@ class BehavioralBackend : public ServiceBackend
     std::string name() const override { return "systolic-behavioral"; }
 
     /** Pattern must fit the array (no recirculating multipass here). */
-    bool supports(const std::vector<Symbol> &pattern) const override
+    bool supports(std::span<const Symbol> pattern) const override
     {
         return !pattern.empty() && pattern.size() <= cells;
     }
 
-    WindowResult matchWindow(const std::vector<Symbol> &window,
-                             const std::vector<Symbol> &pattern,
+    WindowResult matchWindow(std::span<const Symbol> window,
+                             std::span<const Symbol> pattern,
                              BeatWatchdog &dog) override;
 
     /** Hook run on every freshly built chip (fault injection seam). */
@@ -157,7 +159,7 @@ class MatcherBackend : public ServiceBackend
 
     std::string name() const override { return impl->name(); }
 
-    bool supports(const std::vector<Symbol> &pattern) const override
+    bool supports(std::span<const Symbol> pattern) const override
     {
         if (pattern.empty())
             return false;
@@ -169,8 +171,8 @@ class MatcherBackend : public ServiceBackend
         return true;
     }
 
-    WindowResult matchWindow(const std::vector<Symbol> &window,
-                             const std::vector<Symbol> &pattern,
+    WindowResult matchWindow(std::span<const Symbol> window,
+                             std::span<const Symbol> pattern,
                              BeatWatchdog &dog) override;
 
   private:
@@ -204,17 +206,17 @@ class GateBackend : public ServiceBackend
      * Pattern must fit the array, and the chip must be buildable:
      * GateChip has 1..8 comparator rows.
      */
-    bool supports(const std::vector<Symbol> &pattern) const override
+    bool supports(std::span<const Symbol> pattern) const override
     {
         return bits >= 1 && bits <= 8 && !pattern.empty() &&
                pattern.size() <= cells;
     }
 
-    void prefetch(const std::vector<std::span<const Symbol>> &windows,
-                  const std::vector<Symbol> &pattern) override;
+    void prefetch(std::span<const std::span<const Symbol>> windows,
+                  std::span<const Symbol> pattern) override;
 
-    WindowResult matchWindow(const std::vector<Symbol> &window,
-                             const std::vector<Symbol> &pattern,
+    WindowResult matchWindow(std::span<const Symbol> window,
+                             std::span<const Symbol> pattern,
                              BeatWatchdog &dog) override;
 
     /** The wrapped matcher, for its chip-prep hook. */
@@ -249,13 +251,13 @@ class SoftwareBackend : public ServiceBackend
   public:
     std::string name() const override { return "software-baseline"; }
 
-    bool supports(const std::vector<Symbol> &pattern) const override
+    bool supports(std::span<const Symbol> pattern) const override
     {
         return !pattern.empty();
     }
 
-    WindowResult matchWindow(const std::vector<Symbol> &window,
-                             const std::vector<Symbol> &pattern,
+    WindowResult matchWindow(std::span<const Symbol> window,
+                             std::span<const Symbol> pattern,
                              BeatWatchdog &dog) override;
 
   private:

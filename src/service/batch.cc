@@ -23,7 +23,7 @@ constexpr std::size_t batchStreamLimit = 4096;
  * bits, and the table indexes by the low bits.
  */
 std::size_t
-patternHash(const std::vector<Symbol> &pattern)
+patternHash(std::span<const Symbol> pattern)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (const Symbol s : pattern)
@@ -147,9 +147,8 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
                     "sampled cross-check caught a kernel mismatch in "
                     "this pass");
         }
-        // The pass's characters, charged once: a loopback transfer
-        // (sent aliases received) reads no character, only counts.
-        cfg.base.bus.transferChunk(nullptr, nullptr, passChars);
+        // The pass's characters, charged once.
+        cfg.base.bus.transferChunk(passChars);
         streamCharsCtr.add(passChars);
         clock.addBeats(passChars);
         clock.mark(telem::Stage::Commit);

@@ -124,8 +124,8 @@ ChaosBackend::ChaosBackend(std::unique_ptr<ServiceBackend> wrapped,
 }
 
 WindowResult
-ChaosBackend::matchWindow(const std::vector<Symbol> &window,
-                          const std::vector<Symbol> &pattern,
+ChaosBackend::matchWindow(std::span<const Symbol> window,
+                          std::span<const Symbol> pattern,
                           BeatWatchdog &dog)
 {
     const std::uint64_t w =

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -153,13 +154,13 @@ class ChaosBackend : public ServiceBackend
 
     std::string name() const override { return inner->name(); }
 
-    bool supports(const std::vector<Symbol> &pattern) const override
+    bool supports(std::span<const Symbol> pattern) const override
     {
         return inner->supports(pattern);
     }
 
-    WindowResult matchWindow(const std::vector<Symbol> &window,
-                             const std::vector<Symbol> &pattern,
+    WindowResult matchWindow(std::span<const Symbol> window,
+                             std::span<const Symbol> pattern,
                              BeatWatchdog &dog) override;
 
   private:

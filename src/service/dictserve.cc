@@ -80,7 +80,7 @@ DictMatchService::openSession(multipattern::DictPatterns dict,
 
 DictMatchService::ChunkResult
 DictMatchService::feedChunk(DictSession &session,
-                            const std::vector<Symbol> &chunk,
+                            std::span<const Symbol> chunk,
                             std::uint64_t enqueued_ns)
 {
     ChunkResult res;
@@ -100,7 +100,7 @@ DictMatchService::feedChunk(DictSession &session,
 
     // Charge every admitted character through the host bus model
     // before the kernel sees it, like the sibling front ends.
-    cfg.base.bus.transferChunk(chunk.data(), chunk.data(), chunk.size());
+    cfg.base.bus.transferChunk(chunk.size());
 
     const bool audit = cfg.crossCheckEvery != 0 &&
                        session.chunksFed % cfg.crossCheckEvery == 0;

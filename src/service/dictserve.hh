@@ -28,6 +28,7 @@
 #define SPM_SERVICE_DICTSERVE_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -146,7 +147,7 @@ class DictMatchService : public FrontEnd
      *        queue-wait stage histogram (0 charges no wait)
      */
     ChunkResult feedChunk(DictSession &session,
-                          const std::vector<Symbol> &chunk,
+                          std::span<const Symbol> chunk,
                           std::uint64_t enqueued_ns = 0);
 
   private:

@@ -25,7 +25,7 @@ constexpr unsigned rungMismatchBudget = 1;
  * 16 bits it is < sigma (a power of two) exactly when each symbol is.
  */
 Symbol
-orSymbols(const std::vector<Symbol> &symbols, bool skip_wild)
+orSymbols(std::span<const Symbol> symbols, bool skip_wild)
 {
     Symbol m = 0;
     for (const Symbol s : symbols)
@@ -142,11 +142,21 @@ StreamSession::event(telem::EventKind kind) const
             .beats = response.beats};
 }
 
+std::span<const Symbol>
+StreamSession::windowAt(std::size_t from) const
+{
+    const std::size_t k = request.pattern.size();
+    const std::size_t lead = std::min(k > 0 ? k - 1 : 0, from);
+    const std::size_t chunk =
+        std::min(service.cfg.chunkChars, request.text.size() - from);
+    return std::span(request.text).subspan(from - lead, lead + chunk);
+}
+
 telem::CaseRef
 StreamSession::windowCase() const
 {
     return telem::CaseRef(request.id, service.cfg.alphabetBits,
-                          request.pattern, window,
+                          request.pattern, windowAt(cp.offset),
                           cp.offset - cp.tail.size());
 }
 
@@ -173,21 +183,15 @@ StreamSession::prefetchFrom(ServiceBackend &backend, std::size_t rung)
     if (rung == prefetchRung && cp.offset < prefetchEnd)
         return;
     // The next min(64, windows left) windows, cut exactly as step()
-    // cuts them: the current one is the session's own buffer, each
-    // later one re-presents the k-1 characters before its chunk.
+    // cuts them.
     constexpr std::size_t maxWindows = 64;
     const std::size_t n = request.text.size();
-    const std::size_t overlap =
-        request.pattern.empty() ? 0 : request.pattern.size() - 1;
-    const std::size_t chunk = service.cfg.chunkChars;
     upcoming.clear();
-    upcoming.emplace_back(window);
-    std::size_t off = cp.offset + std::min(chunk, n - cp.offset);
+    upcoming.reserve(maxWindows);
+    std::size_t off = cp.offset;
     while (off < n && upcoming.size() < maxWindows) {
-        const std::size_t end = off + std::min(chunk, n - off);
-        upcoming.emplace_back(request.text.data() + off - std::min(overlap, off),
-                              request.text.data() + end);
-        off = end;
+        upcoming.push_back(windowAt(off));
+        off += std::min(service.cfg.chunkChars, n - off);
     }
     backend.prefetch(upcoming, request.pattern);
     prefetchRung = rung;
@@ -216,16 +220,10 @@ StreamSession::step()
     const std::size_t chunk =
         std::min(cfg.chunkChars, n - cp.offset);
 
-    // The window re-presents the k-1 checkpointed tail characters so
-    // the first result bit of this chunk sees its full substring. The
-    // buffer is a session member: its capacity survives across chunks
-    // so the steady state allocates nothing per chunk.
-    window.assign(cp.tail.begin(), cp.tail.end());
-    window.insert(window.end(),
-                  request.text.begin() +
-                      static_cast<std::ptrdiff_t>(cp.offset),
-                  request.text.begin() +
-                      static_cast<std::ptrdiff_t>(cp.offset + chunk));
+    // The window re-presents the k-1 characters before the chunk (the
+    // checkpointed tail, which resume() held to the text) so the first
+    // result bit of this chunk sees its full substring.
+    const std::span<const Symbol> window = windowAt(cp.offset);
 
     SPM_TSPAN_NAMED(chunk_span, "service.chunk", telem::cat::service,
                     response.beats, request.id);
@@ -337,12 +335,9 @@ StreamSession::step()
             }
         }
 
-        // Commit: pace the chunk over the bus as one batched handoff
-        // (parity checked end to end; same counters as the per-char
-        // path), append the new result bits, cut a checkpoint.
-        service.cfg.bus.transferChunk(request.text.data() + cp.offset,
-                                      request.text.data() + cp.offset,
-                                      chunk);
+        // Commit: charge the chunk to the bus, append the new result
+        // bits, cut a checkpoint.
+        service.cfg.bus.transferChunk(chunk);
         const std::size_t skip = window.size() - chunk;
         cp.emit(wr.bits, skip, window.size());
 
@@ -489,7 +484,7 @@ MatchService::validate(const MatchRequest &req) const
 }
 
 std::optional<ServiceError>
-validatePattern(const FrontEndConfig &cfg, const std::vector<Symbol> &pattern,
+validatePattern(const FrontEndConfig &cfg, std::span<const Symbol> pattern,
                 std::string_view label)
 {
     if (pattern.empty())
@@ -517,7 +512,7 @@ validatePattern(const FrontEndConfig &cfg, const std::vector<Symbol> &pattern,
 }
 
 std::optional<ServiceError>
-validateText(const FrontEndConfig &cfg, const std::vector<Symbol> &text,
+validateText(const FrontEndConfig &cfg, std::span<const Symbol> text,
              std::uint64_t already_seen, std::string_view label)
 {
     if (already_seen + text.size() > cfg.maxTextLen)
@@ -578,9 +573,13 @@ MatchService::resume(const MatchRequest &req, const Checkpoint &from)
     std::optional<ServiceError> err = validate(req);
     const std::size_t k = req.pattern.size();
     const std::size_t want_tail = std::min(k > 0 ? k - 1 : 0, from.offset);
+    // The tail must be the text's: the windows are cut from req.text.
     if (!err && (from.offset > req.text.size() ||
                  from.emitted().size() != from.offset ||
-                 from.tail.size() != want_tail || from.rung >= ladder.size()))
+                 from.tail.size() != want_tail || from.rung >= ladder.size() ||
+                 !std::ranges::equal(from.tail,
+                                     std::span(req.text).subspan(
+                                         from.offset - want_tail, want_tail))))
         err = ServiceError::make(
             ErrorCode::InvalidCheckpoint,
             "checkpoint inconsistent with request (offset " +

@@ -59,7 +59,7 @@ struct FrontEndConfig
     std::size_t maxTextLen = 1 << 16;
     /** Largest admissible pattern. */
     std::size_t maxPatternLen = 64;
-    /** Bus pacing and parity; parity on by default for the service. */
+    /** Bus pacing; its parity bit (on by default) is priced into demand. */
     core::HostBusModel bus{prototypeBeatPs, 8, true};
 };
 
@@ -166,7 +166,8 @@ class MatchService;
  * One streaming match in flight. step() processes one chunk and cuts
  * a checkpoint; a caller that stops stepping (a crash, a cancel) can
  * later resume a fresh session from the last checkpoint and the
- * output is bit-identical to an uninterrupted run.
+ * output is bit-identical to an uninterrupted run. Every window a
+ * rung sees is a span of the request text; no window is copied.
  */
 class StreamSession
 {
@@ -195,6 +196,12 @@ class StreamSession
     void flushBeatRun();
     /** A record of @p kind stamped with where the session stands. */
     telem::EventRecord event(telem::EventKind kind) const;
+    /**
+     * The window of the chunk at text offset @p from: a span of the
+     * request text holding the k-1 characters before the chunk, then
+     * the chunk.
+     */
+    std::span<const Symbol> windowAt(std::size_t from) const;
     /** The current window as a case (the flight recorder's handle). */
     telem::CaseRef windowCase() const;
     Beat windowBudget(std::size_t window_len) const;
@@ -204,8 +211,6 @@ class StreamSession
     MatchRequest request;
     Checkpoint cp;
     MatchResponse response;
-    /** Chunk window scratch, reused across step() calls. */
-    std::vector<Symbol> window;
     /** Cross-check failures charged against each rung this request. */
     std::vector<unsigned> rungFaults;
     /** The windows last handed to a rung's prefetch() (scratch). */
@@ -354,7 +359,7 @@ std::optional<ServiceError> validateRequest(const FrontEndConfig &cfg,
  * pattern in error details ("pattern", "dict[3]", ...).
  */
 std::optional<ServiceError> validatePattern(
-    const FrontEndConfig &cfg, const std::vector<Symbol> &pattern,
+    const FrontEndConfig &cfg, std::span<const Symbol> pattern,
     std::string_view label = "pattern");
 
 /**
@@ -364,7 +369,7 @@ std::optional<ServiceError> validatePattern(
  * within maxTextLen.  @p label names the slice in error details.
  */
 std::optional<ServiceError> validateText(const FrontEndConfig &cfg,
-                                          const std::vector<Symbol> &text,
+                                          std::span<const Symbol> text,
                                           std::uint64_t already_seen = 0,
                                           std::string_view label = "text");
 

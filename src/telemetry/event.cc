@@ -16,19 +16,6 @@ namespace spm::telem
 namespace
 {
 
-/** FNV-1a over @p syms, four 16-bit symbols folded per step. */
-std::uint64_t
-fnvSymbols(std::uint64_t h, std::span<const Symbol> syms)
-{
-    for (std::size_t i = 0; i < syms.size(); i += 4) {
-        std::uint64_t w = 0;
-        for (std::size_t j = i; j < std::min(i + 4, syms.size()); ++j)
-            w |= std::uint64_t{syms[j]} << (16 * (j - i));
-        h = (h ^ w) * 0x100000001B3ULL;
-    }
-    return h;
-}
-
 /** Hex '.'-joined symbols, '*' wild, '-' empty, written straight
  *  into the string's buffer. */
 std::string
@@ -56,14 +43,6 @@ encodeStream(std::span<const Symbol> syms)
     }
     out.resize(static_cast<std::size_t>(at - out.data()));
     return out;
-}
-
-std::string
-literalId(BitWidth bits, std::span<const Symbol> pattern,
-          std::span<const Symbol> text)
-{
-    return "l1:" + std::to_string(bits) + ":" + encodeStream(pattern) +
-           ":" + encodeStream(text);
 }
 
 const std::string &
@@ -159,7 +138,7 @@ flightLine(const EventRecord &ev, std::span<const std::string> rungs)
 
 struct CaseRef::Body
 {
-    std::uint64_t requestId, offset, digest, patternLen, textLen;
+    std::uint64_t requestId, offset, patternLen, textLen;
     BitWidth bits;
     std::vector<Symbol> symbols; ///< pattern then text, within the cap
 };
@@ -173,10 +152,8 @@ CaseRef::CaseRef(std::uint64_t request_id, BitWidth bits,
         symbols.assign(pattern.begin(), pattern.end());
         symbols.insert(symbols.end(), text.begin(), text.end());
     }
-    const std::uint64_t digest =
-        fnvSymbols(fnvSymbols(0xCBF29CE484222325ULL ^ bits, pattern), text);
     body = std::make_shared<const Body>(
-        Body{request_id, offset, digest, pattern.size(), text.size(), bits,
+        Body{request_id, offset, pattern.size(), text.size(), bits,
              std::move(symbols)});
 }
 
@@ -188,15 +165,13 @@ CaseRef::render() const
     const Body &b = *body;
     if (b.symbols.size() == b.patternLen + b.textLen) {
         const std::span<const Symbol> all(b.symbols);
-        return literalId(b.bits, all.first(b.patternLen),
-                         all.subspan(b.patternLen));
+        return literalCaseId(b.bits, all.first(b.patternLen),
+                             all.subspan(b.patternLen));
     }
-    char buf[112];
+    char buf[96];
     std::snprintf(buf, sizeof buf,
-                  "ref:%" PRIu64 ":%u:%" PRIu64 ":%" PRIu64 ":%" PRIu64
-                  ":%016" PRIx64,
-                  b.requestId, b.bits, b.patternLen, b.textLen, b.offset,
-                  b.digest);
+                  "ref:%" PRIu64 ":%u:%" PRIu64 ":%" PRIu64 ":%" PRIu64,
+                  b.requestId, b.bits, b.patternLen, b.textLen, b.offset);
     return buf;
 }
 
@@ -385,10 +360,11 @@ FlightRecorder::clear()
 }
 
 std::string
-literalCaseId(BitWidth bits, const std::vector<Symbol> &pattern,
-              const std::vector<Symbol> &text)
+literalCaseId(BitWidth bits, std::span<const Symbol> pattern,
+              std::span<const Symbol> text)
 {
-    return literalId(bits, pattern, text);
+    return "l1:" + std::to_string(bits) + ":" + encodeStream(pattern) +
+           ":" + encodeStream(text);
 }
 
 // ------------------------------------------------------------- StageClock

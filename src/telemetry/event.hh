@@ -35,11 +35,13 @@ namespace spm::telem
 inline constexpr std::size_t caseLiteralCap = 1024;
 
 /**
- * An O(1) reference to a conformance case: request id, alphabet width,
- * pattern and text lengths, the window's offset in its request and an
- * FNV digest, plus the symbols within caseLiteralCap, which make it
- * replayable (`conformance_fuzz --replay <id>`). Copies share one
- * immutable body; a default-constructed ref names no case.
+ * A reference to a conformance case: request id, alphabet width,
+ * pattern and text lengths and the window's offset in its request,
+ * plus the symbols within caseLiteralCap, which make it replayable
+ * (`conformance_fuzz --replay <id>`). Past the cap it reads no symbol,
+ * so building one costs O(1); the journal's ckpt= digests for the same
+ * request identify what was served. Copies share one immutable body; a
+ * default-constructed ref names no case.
  */
 class CaseRef
 {
@@ -53,7 +55,7 @@ class CaseRef
 
     /**
      * "l1:<bits>:<pattern>:<text>" within the cap, else
-     * "ref:<req>:<bits>:<k>:<n>:<offset>:<fnv64 hex>"; "" for no case.
+     * "ref:<req>:<bits>:<k>:<n>:<offset>"; "" for no case.
      */
     std::string render() const;
 
@@ -195,8 +197,8 @@ class FlightRecorder
  * encodeLiteral delegates to it, so there is one encoder.
  */
 std::string literalCaseId(BitWidth bits,
-                          const std::vector<Symbol> &pattern,
-                          const std::vector<Symbol> &text);
+                          std::span<const Symbol> pattern,
+                          std::span<const Symbol> text);
 
 /** Wall clock for request latency: monotonic nanoseconds. */
 std::uint64_t nowNs();

@@ -107,7 +107,7 @@ WorkloadGen::randomPattern(std::size_t k, double wildcard_prob)
 
 std::vector<Symbol>
 WorkloadGen::textWithPlants(std::size_t n,
-                            const std::vector<Symbol> &pattern,
+                            std::span<const Symbol> pattern,
                             std::size_t plant_every)
 {
     spm_assert(plant_every >= pattern.size() && plant_every > 0,

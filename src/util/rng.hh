@@ -12,6 +12,7 @@
 #define SPM_UTIL_RNG_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/types.hh"
@@ -105,7 +106,7 @@ class WorkloadGen
      * @param plant_every approximate distance between plants
      */
     std::vector<Symbol> textWithPlants(std::size_t n,
-                                       const std::vector<Symbol> &pattern,
+                                       std::span<const Symbol> pattern,
                                        std::size_t plant_every);
 
     /** Direct access to the underlying generator. */

@@ -31,7 +31,7 @@ parseSymbols(const std::string &text)
 }
 
 std::string
-renderSymbols(const std::vector<Symbol> &syms)
+renderSymbols(std::span<const Symbol> syms)
 {
     std::ostringstream os;
     for (Symbol s : syms) {
@@ -72,7 +72,7 @@ renderMatchPositions(const BitVec &results)
 }
 
 BitWidth
-requiredBits(const std::vector<Symbol> &syms)
+requiredBits(std::span<const Symbol> syms)
 {
     Symbol max_sym = 0;
     for (Symbol s : syms) {

@@ -11,6 +11,7 @@
 #ifndef SPM_UTIL_STRINGS_HH
 #define SPM_UTIL_STRINGS_HH
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,10 +29,10 @@ namespace spm
 std::vector<Symbol> parseSymbols(const std::string &text);
 
 /**
- * Render a symbol vector using letters, with 'X' for the wild card.
+ * Render symbols using letters, with 'X' for the wild card.
  * Symbols beyond 'Z'-'A' are rendered as "<n>".
  */
-std::string renderSymbols(const std::vector<Symbol> &syms);
+std::string renderSymbols(std::span<const Symbol> syms);
 
 /** Map arbitrary byte text into symbols 0..255 (8-bit alphabet). */
 std::vector<Symbol> bytesToSymbols(const std::string &bytes);
@@ -40,7 +41,7 @@ std::vector<Symbol> bytesToSymbols(const std::string &bytes);
 std::string renderMatchPositions(const BitVec &results);
 
 /** Minimum bit width needed to encode every symbol in @p syms. */
-BitWidth requiredBits(const std::vector<Symbol> &syms);
+BitWidth requiredBits(std::span<const Symbol> syms);
 
 /** A process-lifetime copy of @p s, one per distinct string; thread-safe. */
 std::string_view intern(std::string_view s);

@@ -125,8 +125,8 @@ TEST(CaseGenTest, CoversTheHardRegions)
 class BrokenAt64 : public core::Matcher
 {
   public:
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         core::ReferenceMatcher ref;
         auto r = ref.match(text, pattern);
@@ -165,8 +165,8 @@ class FlipsBits : public core::Matcher
     {
     }
 
-    BitVec match(const std::vector<Symbol> &text,
-                 const std::vector<Symbol> &pattern) override
+    BitVec match(std::span<const Symbol> text,
+                 std::span<const Symbol> pattern) override
     {
         BitVec r = core::ReferenceMatcher().match(text, pattern);
         for (const std::size_t p : flips)
@@ -209,8 +209,8 @@ TEST(Differ, ReportsAThrowingOracleAsError)
 {
     class Thrower : public core::Matcher
     {
-        BitVec match(const std::vector<Symbol> &,
-                     const std::vector<Symbol> &) override
+        BitVec match(std::span<const Symbol>,
+                     std::span<const Symbol>) override
         {
             throw std::runtime_error("backend exploded");
         }
@@ -361,7 +361,7 @@ TEST(Harness, ReplaysACaseIdEndToEnd)
 TEST(Harness, CaseReferencesAreNamedNotReplayable)
 {
     // A flight dump's "ref:" (a case past caseLiteralCap) carries its
-    // lengths and digest, not its symbols.
+    // lengths and offset, not its symbols.
     const std::vector<Symbol> pattern = {1, 2, 3};
     const std::vector<Symbol> text(4096, 1);
     const std::string ref = telem::CaseRef(9, 2, pattern, text).render();

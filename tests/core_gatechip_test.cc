@@ -164,8 +164,10 @@ expectLanesMatchScalar(GateLevelMatcher &lanes, GateLevelMatcher &scalar,
                        const std::vector<std::vector<Symbol>> &windows,
                        const std::vector<Symbol> &pattern)
 {
+    const std::vector<std::span<const Symbol>> views(windows.begin(),
+                                                     windows.end());
     const std::vector<GateLevelMatcher::LaneResult> got =
-        lanes.matchLanes(windows, pattern);
+        lanes.matchLanes(views, pattern);
     ASSERT_EQ(got.size(), windows.size());
     for (std::size_t w = 0; w < windows.size(); ++w) {
         EXPECT_EQ(got[w].bits, scalar.match(windows[w], pattern))
@@ -263,8 +265,9 @@ TEST(GateLanesEdges, StuckAtPrepAppliesToEveryLane)
 TEST(GateLanesEdges, NeedsAnExplicitShape)
 {
     GateLevelMatcher auto_shape;
-    EXPECT_THROW(auto_shape.matchLanes({parseSymbols("ABAB")},
-                                       parseSymbols("AB")),
+    const std::vector<Symbol> window = parseSymbols("ABAB");
+    const std::span<const Symbol> views[] = {window};
+    EXPECT_THROW(auto_shape.matchLanes(views, parseSymbols("AB")),
                  std::logic_error);
 }
 

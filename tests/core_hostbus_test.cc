@@ -109,40 +109,17 @@ TEST(HostBus, ParityBitIsPricedIntoDemand)
     EXPECT_DOUBLE_EQ(checked.chipCharsPerSec(), plain.chipCharsPerSec());
 }
 
-TEST(HostBus, TransferParityCatchesFlippedBit)
+TEST(HostBus, TransferChunkCountsCharacters)
 {
     HostBusModel bus(prototypeBeatPs, 8, true);
-    EXPECT_TRUE(bus.transferChar(0b1011, 0b1011));
-    EXPECT_EQ(bus.charsTransferred(), 1u);
-    EXPECT_EQ(bus.parityErrors(), 0u);
-
-    // A single flipped payload bit in transit must be detected.
-    EXPECT_FALSE(bus.transferChar(0b1011, 0b1010));
-    EXPECT_EQ(bus.charsTransferred(), 2u);
-    EXPECT_EQ(bus.parityErrors(), 1u);
-
-    // An even number of flipped bits aliases -- the classic parity
-    // blind spot; the transfer checks clean.
-    EXPECT_TRUE(bus.transferChar(0b1011, 0b1000));
-    EXPECT_EQ(bus.parityErrors(), 1u);
-
-    const std::string dump = bus.statsDump();
-    EXPECT_NE(dump.find("hostbus.charsTransferred = 3"),
+    bus.transferChunk(3);
+    bus.transferChunk(0);
+    EXPECT_EQ(bus.charsTransferred(), 3u);
+    EXPECT_NE(bus.statsDump().find("hostbus.charsTransferred = 3"),
               std::string::npos);
-    EXPECT_NE(dump.find("hostbus.parityErrors = 1"), std::string::npos);
 
     bus.resetTransferStats();
     EXPECT_EQ(bus.charsTransferred(), 0u);
-    EXPECT_EQ(bus.parityErrors(), 0u);
-}
-
-TEST(HostBus, UncheckedTransferRidesCorruptionThrough)
-{
-    // With parity disabled the transfer is counted but never flagged.
-    HostBusModel bus(prototypeBeatPs, 8, false);
-    EXPECT_TRUE(bus.transferChar(0b1011, 0b1010));
-    EXPECT_EQ(bus.charsTransferred(), 1u);
-    EXPECT_EQ(bus.parityErrors(), 0u);
 }
 
 TEST(HostBus, EraProfilesAreOrdered)

@@ -47,9 +47,9 @@ TEST(SimdParallel, DegenerateShapes)
     for (const SimdIsa isa : supportedTiers()) {
         SimdParallelMatcher sp(isa);
         EXPECT_EQ(sp.match(text, {}), BitVec(3, false));
-        EXPECT_EQ(sp.match({}, {1}), BitVec());
+        EXPECT_EQ(sp.match({}, std::vector<Symbol>{1}), BitVec());
         // Pattern longer than the text never matches.
-        EXPECT_EQ(sp.match(text, {1, 2, 3, 1}),
+        EXPECT_EQ(sp.match(text, std::vector<Symbol>{1, 2, 3, 1}),
                   BitVec(3, false));
         // All-wildcard patterns match every full window, on the short
         // path and (k = 70) the sweep path.

@@ -369,7 +369,7 @@ TEST(Chunked, CarryRejectsOversizedTail)
     BitSlicedDictMatcher planes;
     DictStreamState state;
     state.tail = {1, 2, 3, 4};
-    EXPECT_THROW(feedDictChunk(planes, state, {1}, {{1, 2}}),
+    EXPECT_THROW(feedDictChunk(planes, state, std::vector<Symbol>{1}, {{1, 2}}),
                  std::invalid_argument);
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Heap-allocation gates for the batched path. This binary replaces
- * the global operator new and delete with counting versions, so it
- * stands alone: a warm serveBatch() allocates one result row per
- * admitted request and a handful of vectors per call, and a warm
- * matchMany() one row per stream plus its result vector.
+ * Heap-allocation gates for the batched and streaming paths. This
+ * binary replaces the global operator new and delete with counting
+ * versions, so it stands alone: a warm serveBatch() allocates one
+ * result row per admitted request and a handful of vectors per call,
+ * a warm matchMany() one row per stream plus its result vector, and a
+ * warm streaming serve copies no window.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,9 @@
 #include <vector>
 
 #include "core/batch.hh"
+#include "core/simdpar.hh"
 #include "service/batch.hh"
+#include "service/service.hh"
 #include "util/rng.hh"
 
 namespace
@@ -25,7 +28,7 @@ std::atomic<std::size_t> allocations{0};
 
 } // namespace
 
-void *
+[[gnu::noinline]] void *
 operator new(std::size_t n)
 {
     allocations.fetch_add(1, std::memory_order_relaxed);
@@ -96,6 +99,50 @@ TEST(Allocations, WarmServeBatchAllocatesOneRowPerRequest)
         allocationsOf([&] { out = svc.serveBatch(batch); });
     ASSERT_TRUE(out.back().ok()) << out.back().error.detail;
     EXPECT_LE(n, batch.size() + 8);
+}
+
+/**
+ * Heap allocations of one warm serve of a 32 K-char request (k = 8,
+ * 2-bit alphabet) through the SIMD rung behind MatcherBackend, at
+ * @p chunk_chars per chunk, cross-check on and journal off.
+ */
+std::size_t
+warmStreamServeAllocations(std::size_t chunk_chars)
+{
+    ServiceConfig cfg;
+    cfg.chunkChars = chunk_chars;
+    cfg.maxTextLen = 1 << 15;
+    cfg.journalEnabled = false;
+    std::vector<std::unique_ptr<ServiceBackend>> ladder;
+    ladder.push_back(std::make_unique<MatcherBackend>(
+        std::make_unique<core::SimdParallelMatcher>()));
+    MatchService svc(cfg, std::move(ladder));
+    Rng rng(0x57EA);
+    MatchRequest req;
+    req.pattern.resize(8);
+    for (auto &c : req.pattern)
+        c = static_cast<Symbol>(rng.nextBelow(4));
+    req.text.resize(1 << 15);
+    for (auto &c : req.text)
+        c = static_cast<Symbol>(rng.nextBelow(4));
+    for (int warm = 0; warm < 16; ++warm)
+        EXPECT_TRUE(svc.serve(req).ok());
+    MatchResponse resp;
+    const std::size_t n = allocationsOf([&] { resp = svc.serve(req); });
+    EXPECT_TRUE(resp.ok()) << resp.error.detail;
+    return n;
+}
+
+TEST(Allocations, WarmStreamServeCopiesNoWindow)
+{
+    // What is left per chunk is the kernel's result BitVec and the
+    // cross-check's: 2 x 1,024 chunks + 18 and 2 x 8 chunks + 12 as
+    // measured. A retained request builds one case (up to 3
+    // allocations).
+    const std::size_t small = warmStreamServeAllocations(32);
+    const std::size_t large = warmStreamServeAllocations(4096);
+    EXPECT_LE(small, 2066u + 3);
+    EXPECT_LE(large, 28u + 3);
 }
 
 TEST(Allocations, WarmMatchManyAllocatesOneRowPerStream)

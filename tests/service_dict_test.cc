@@ -174,7 +174,7 @@ TEST(DictServe, CumulativeStreamBoundIsEnforced)
     EXPECT_EQ(session.streamed(), 60u);
 
     DictSession neverOpened;
-    const auto unopened = svc.feedChunk(neverOpened, {1});
+    const auto unopened = svc.feedChunk(neverOpened, std::vector<Symbol>{1});
     EXPECT_EQ(unopened.error.error.code, ErrorCode::InvalidDictionary);
 }
 

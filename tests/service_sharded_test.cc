@@ -274,8 +274,8 @@ TEST(ShardedService, ResponseNamesOnlyRungsThatServedASlice)
     {
       public:
         std::string name() const override { return "never"; }
-        WindowResult matchWindow(const std::vector<Symbol> &,
-                                 const std::vector<Symbol> &,
+        WindowResult matchWindow(std::span<const Symbol>,
+                                 std::span<const Symbol>,
                                  BeatWatchdog &) override
         {
             return {};

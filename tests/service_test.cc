@@ -47,8 +47,8 @@ class WedgedBackend : public ServiceBackend
   public:
     std::string name() const override { return "wedged-fake"; }
 
-    WindowResult matchWindow(const std::vector<Symbol> &,
-                             const std::vector<Symbol> &,
+    WindowResult matchWindow(std::span<const Symbol>,
+                             std::span<const Symbol>,
                              BeatWatchdog &dog) override
     {
         WindowResult wr;
@@ -65,8 +65,8 @@ class LyingBackend : public ServiceBackend
   public:
     std::string name() const override { return "lying-fake"; }
 
-    WindowResult matchWindow(const std::vector<Symbol> &window,
-                             const std::vector<Symbol> &,
+    WindowResult matchWindow(std::span<const Symbol> window,
+                             std::span<const Symbol>,
                              BeatWatchdog &dog) override
     {
         WindowResult wr;
@@ -290,13 +290,13 @@ class OneWindowAtATime : public ServiceBackend
 
     std::string name() const override { return inner->name(); }
 
-    bool supports(const std::vector<Symbol> &pattern) const override
+    bool supports(std::span<const Symbol> pattern) const override
     {
         return inner->supports(pattern);
     }
 
-    WindowResult matchWindow(const std::vector<Symbol> &window,
-                             const std::vector<Symbol> &pattern,
+    WindowResult matchWindow(std::span<const Symbol> window,
+                             std::span<const Symbol> pattern,
                              BeatWatchdog &dog) override
     {
         return inner->matchWindow(window, pattern, dog);
@@ -323,19 +323,19 @@ class OneTransientFlip : public ServiceBackend
 
     std::string name() const override { return inner->name(); }
 
-    bool supports(const std::vector<Symbol> &pattern) const override
+    bool supports(std::span<const Symbol> pattern) const override
     {
         return inner->supports(pattern);
     }
 
-    void prefetch(const std::vector<std::span<const Symbol>> &windows,
-                  const std::vector<Symbol> &pattern) override
+    void prefetch(std::span<const std::span<const Symbol>> windows,
+                  std::span<const Symbol> pattern) override
     {
         inner->prefetch(windows, pattern);
     }
 
-    WindowResult matchWindow(const std::vector<Symbol> &window,
-                             const std::vector<Symbol> &pattern,
+    WindowResult matchWindow(std::span<const Symbol> window,
+                             std::span<const Symbol> pattern,
                              BeatWatchdog &dog) override
     {
         WindowResult wr = inner->matchWindow(window, pattern, dog);
@@ -835,6 +835,32 @@ TEST(Checkpoint, InconsistentResumeTokenIsRejected)
     EXPECT_EQ(resp.beats, 0u);
     EXPECT_EQ(svc.stats().counter("resumes").value(), 0u);
     EXPECT_EQ(svc.stats().counter("rejected").value(), 1u);
+}
+
+TEST(Checkpoint, ResumeRejectsTailThatDisagreesWithText)
+{
+    // A tail of the right length but not the text's characters: the
+    // resumed windows are cut from the text, so serving the token
+    // would answer for characters the request does not hold.
+    const MatchRequest req = seededRequest(77, 0xFEED, 2, 96, 5);
+    ServiceConfig cfg = smallConfig();
+    cfg.chunkChars = 16;
+    MatchService svc(cfg, behavioralLadder(8));
+    StreamSession session = svc.startSession(req);
+    ASSERT_TRUE(session.step());
+    ASSERT_TRUE(session.step());
+    Checkpoint cp = session.checkpoint();
+    session.cancel("killed by test");
+    session.finish();
+    ASSERT_EQ(cp.tail.size(), req.pattern.size() - 1);
+    cp.tail[1] ^= 1;
+
+    const std::uint64_t rejected = svc.stats().counter("rejected").value();
+    const MatchResponse resp = svc.resume(req, cp);
+    EXPECT_EQ(resp.error.code, ErrorCode::InvalidCheckpoint);
+    EXPECT_EQ(svc.stats().counter("rejected").value(), rejected + 1);
+    EXPECT_FALSE(resp.resumed);
+    EXPECT_EQ(svc.stats().counter("resumes").value(), 0u);
 }
 
 TEST(Checkpoint, DigestChangesWithContents)

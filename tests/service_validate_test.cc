@@ -27,6 +27,9 @@ namespace spm::service
 namespace
 {
 
+/** Braced symbol lists, which a span parameter cannot take. */
+using Syms = std::vector<Symbol>;
+
 ServiceConfig
 smallConfig()
 {
@@ -41,10 +44,10 @@ TEST(ValidateHelpers, PatternRules)
 {
     const ServiceConfig cfg = smallConfig();
 
-    EXPECT_FALSE(validatePattern(cfg, {1, 2, 3}));
-    EXPECT_FALSE(validatePattern(cfg, {wildcardSymbol, 7}));
+    EXPECT_FALSE(validatePattern(cfg, Syms{1, 2, 3}));
+    EXPECT_FALSE(validatePattern(cfg, Syms{wildcardSymbol, 7}));
 
-    auto empty = validatePattern(cfg, {});
+    auto empty = validatePattern(cfg, Syms{});
     ASSERT_TRUE(empty.has_value());
     EXPECT_EQ(empty->code, ErrorCode::InvalidPattern);
 
@@ -55,7 +58,7 @@ TEST(ValidateHelpers, PatternRules)
     EXPECT_EQ(oversize->code, ErrorCode::OversizedRequest);
 
     // Out-of-alphabet byte; the wild card stays exempt.
-    auto overflow = validatePattern(cfg, {1, Symbol(8)});
+    auto overflow = validatePattern(cfg, Syms{1, Symbol(8)});
     ASSERT_TRUE(overflow.has_value());
     EXPECT_EQ(overflow->code, ErrorCode::AlphabetOverflow);
 }
@@ -64,15 +67,15 @@ TEST(ValidateHelpers, TextRules)
 {
     const ServiceConfig cfg = smallConfig();
 
-    EXPECT_FALSE(validateText(cfg, {0, 7, 3}));
-    EXPECT_FALSE(validateText(cfg, {})); // empty text is admissible
+    EXPECT_FALSE(validateText(cfg, Syms{0, 7, 3}));
+    EXPECT_FALSE(validateText(cfg, Syms{})); // empty text is admissible
 
     // Wild cards are not admitted in text.
-    auto wild = validateText(cfg, {wildcardSymbol});
+    auto wild = validateText(cfg, Syms{wildcardSymbol});
     ASSERT_TRUE(wild.has_value());
     EXPECT_EQ(wild->code, ErrorCode::AlphabetOverflow);
 
-    auto overflow = validateText(cfg, {Symbol(8)});
+    auto overflow = validateText(cfg, Syms{Symbol(8)});
     ASSERT_TRUE(overflow.has_value());
     EXPECT_EQ(overflow->code, ErrorCode::AlphabetOverflow);
 
@@ -89,12 +92,12 @@ TEST(ValidateHelpers, AlphabetErrorsNameTheFirstOffender)
     // Admission scans once and rescans only to name the offender: the
     // detail must point at the first bad index, not the largest symbol.
     const ServiceConfig cfg = smallConfig();
-    auto text = validateText(cfg, {0, 9, 3, 12}, 0, "stream[4]");
+    auto text = validateText(cfg, Syms{0, 9, 3, 12}, 0, "stream[4]");
     ASSERT_TRUE(text.has_value());
     EXPECT_EQ(text->detail, "stream[4][1]=9 outside alphabet of 8");
 
     auto pattern =
-        validatePattern(cfg, {wildcardSymbol, 1, 8, 30}, "dict[3]");
+        validatePattern(cfg, Syms{wildcardSymbol, 1, 8, 30}, "dict[3]");
     ASSERT_TRUE(pattern.has_value());
     EXPECT_EQ(pattern->code, ErrorCode::AlphabetOverflow);
     EXPECT_EQ(pattern->detail, "dict[3][2]=8 outside alphabet of 8");
@@ -106,10 +109,10 @@ TEST(ValidateHelpers, SixteenBitAlphabetAdmitsEverySymbol)
     // every non-wildcard symbol.
     ServiceConfig cfg = smallConfig();
     cfg.alphabetBits = 16;
-    EXPECT_FALSE(validatePattern(cfg, {Symbol(0x1234)}));
-    EXPECT_FALSE(validateText(cfg, {Symbol(0x0000), Symbol(0xFFFE)}));
+    EXPECT_FALSE(validatePattern(cfg, Syms{Symbol(0x1234)}));
+    EXPECT_FALSE(validateText(cfg, Syms{Symbol(0x0000), Symbol(0xFFFE)}));
     // The wild card stays out of text even though it is below 2^16.
-    auto wild = validateText(cfg, {wildcardSymbol});
+    auto wild = validateText(cfg, Syms{wildcardSymbol});
     ASSERT_TRUE(wild.has_value());
     EXPECT_EQ(wild->code, ErrorCode::AlphabetOverflow);
 }

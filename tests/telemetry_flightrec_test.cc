@@ -281,15 +281,16 @@ TEST(CaseRef, AboveTheCapRendersAFixedSizeReference)
     std::vector<Symbol> text(caseLiteralCap - 2, 1);
     const CaseRef over(7, 2, pattern, text, 4096);
     const std::string ref = over.render();
-    EXPECT_EQ(ref.rfind("ref:7:2:3:1022:4096:", 0), 0u) << ref;
+    EXPECT_EQ(ref, "ref:7:2:3:1022:4096");
     EXPECT_FALSE(conformance::decodeCase(ref).has_value());
 
-    // The digest tells texts apart; the size does not grow with them.
+    // The ref reads no symbol: texts of one shape share it, and its
+    // size does not grow with them.
     text.back() = 2;
-    EXPECT_NE(CaseRef(7, 2, pattern, text, 4096).render(), ref);
+    EXPECT_EQ(CaseRef(7, 2, pattern, text, 4096).render(), ref);
     text.assign(65536, 3);
     const std::string big = CaseRef(7, 2, pattern, text, 4096).render();
-    EXPECT_EQ(big.rfind("ref:7:2:3:65536:4096:", 0), 0u) << big;
+    EXPECT_EQ(big, "ref:7:2:3:65536:4096");
     EXPECT_LT(big.size(), 64u);
     EXPECT_FALSE(CaseRef());
     EXPECT_TRUE(CaseRef().render().empty());

@@ -40,9 +40,12 @@ TEST(Strings, RenderRoundTrips)
     EXPECT_EQ(renderSymbols(parseSymbols(s)), s);
 }
 
+/** Braced symbol lists, which a span parameter cannot take. */
+using Syms = std::vector<Symbol>;
+
 TEST(Strings, RenderLargeSymbols)
 {
-    EXPECT_EQ(renderSymbols({Symbol(100)}), "<100>");
+    EXPECT_EQ(renderSymbols(Syms{Symbol(100)}), "<100>");
 }
 
 TEST(Strings, BytesToSymbols)
@@ -61,14 +64,14 @@ TEST(Strings, RenderMatchPositions)
 
 TEST(Strings, RequiredBits)
 {
-    EXPECT_EQ(requiredBits({0}), 1u);
-    EXPECT_EQ(requiredBits({1}), 1u);
-    EXPECT_EQ(requiredBits({2}), 2u);
-    EXPECT_EQ(requiredBits({3}), 2u);
-    EXPECT_EQ(requiredBits({4}), 3u);
-    EXPECT_EQ(requiredBits({255}), 8u);
+    EXPECT_EQ(requiredBits(Syms{0}), 1u);
+    EXPECT_EQ(requiredBits(Syms{1}), 1u);
+    EXPECT_EQ(requiredBits(Syms{2}), 2u);
+    EXPECT_EQ(requiredBits(Syms{3}), 2u);
+    EXPECT_EQ(requiredBits(Syms{4}), 3u);
+    EXPECT_EQ(requiredBits(Syms{255}), 8u);
     // Wild cards do not affect the required width.
-    EXPECT_EQ(requiredBits({wildcardSymbol, 1}), 1u);
+    EXPECT_EQ(requiredBits(Syms{wildcardSymbol, 1}), 1u);
 }
 
 } // namespace
