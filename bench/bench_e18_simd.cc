@@ -64,21 +64,38 @@ secondsOf(const std::function<void()> &fn)
     return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/** Wall-clock chars/sec of one match call, best of @p reps. */
-template <typename MatcherT>
-double
-charsPerSec(MatcherT &m, const spm::bench::MatchWorkload &w,
-            int reps = 3)
+/**
+ * Wall-clock chars/sec of match() on @p w for each of @p matchers,
+ * best of @p reps rounds. One untimed call each warms up; then the
+ * rounds alternate between the matchers, and a round repeats the call
+ * for at least 2 ms. So a host hiccup lands on every side of a ratio,
+ * and a short text is timed over many calls rather than one.
+ */
+std::vector<double>
+charsPerSec(const std::vector<SimdParallelMatcher *> &matchers,
+            const spm::bench::MatchWorkload &w, int reps = 3)
 {
-    double best = 1e300;
-    for (int i = 0; i < reps; ++i) {
-        BitVec r;
-        const double s = secondsOf(
-            [&] { r = m.match(w.text, w.pattern); });
-        benchmark::DoNotOptimize(r);
-        best = std::min(best, s);
+    using Clock = std::chrono::steady_clock;
+    for (SimdParallelMatcher *m : matchers)
+        benchmark::DoNotOptimize(m->match(w.text, w.pattern));
+    std::vector<double> best(matchers.size(), 0.0);
+    for (int rep = 0; rep < reps; ++rep) {
+        for (std::size_t i = 0; i < matchers.size(); ++i) {
+            const auto t0 = Clock::now();
+            std::size_t calls = 0;
+            std::chrono::duration<double> spent{};
+            do {
+                BitVec r = matchers[i]->match(w.text, w.pattern);
+                benchmark::DoNotOptimize(r);
+                ++calls;
+                spent = Clock::now() - t0;
+            } while (spent < std::chrono::milliseconds(2));
+            best[i] = std::max(best[i],
+                               static_cast<double>(calls * w.text.size()) /
+                                   spent.count());
+        }
     }
-    return static_cast<double>(w.text.size()) / best;
+    return best;
 }
 
 std::vector<SimdIsa>
@@ -112,8 +129,9 @@ simdKernelReport()
         SimdParallelMatcher sp;
         ReferenceMatcher ref;
 
-        const double cs_scalar = charsPerSec(scalar, w);
-        const double cs_s = charsPerSec(sp, w);
+        const std::vector<double> cs = charsPerSec({&scalar, &sp}, w);
+        const double cs_scalar = cs[0];
+        const double cs_s = cs[1];
         const bool agrees = sp.match(w.text, w.pattern) ==
                             ref.match(w.text, w.pattern);
         const double speedup = cs_s / cs_scalar;
@@ -151,7 +169,7 @@ simdIsaReport()
     table.setHeader({"tier", "Mchars/s", "planes", "short path"});
     for (const SimdIsa isa : supportedTiers()) {
         SimdParallelMatcher m(isa);
-        const double cs = charsPerSec(m, w);
+        const double cs = charsPerSec({&m}, w)[0];
         table.addRowOf(simdIsaName(isa), Table::fixed(cs / 1e6, 2),
                        m.lastPlanes(), m.lastShortPath() ? "yes" : "no");
         jsonReport().set("simd.n" + std::to_string(n) + ".isa_" +

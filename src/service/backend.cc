@@ -150,7 +150,8 @@ GateBackend::GateBackend(std::size_t num_cells, BitWidth bits_per_char)
 void
 GateBackend::dropQueue()
 {
-    queuedWindows.clear();
+    queuedText.clear();
+    queuedBounds.clear();
     queuedResults.clear();
     queueHead = 0;
 }
@@ -165,8 +166,11 @@ GateBackend::prefetch(std::span<const std::span<const Symbol>> windows,
     // The copies outlive the request the windows view: matchWindow()
     // tells a queued window from another session's by content.
     queuedPattern.assign(pattern.begin(), pattern.end());
-    for (const std::span<const Symbol> w : windows)
-        queuedWindows.emplace_back(w.begin(), w.end());
+    queuedBounds.push_back(0);
+    for (const std::span<const Symbol> w : windows) {
+        queuedText.insert(queuedText.end(), w.begin(), w.end());
+        queuedBounds.push_back(queuedText.size());
+    }
     try {
         queuedResults = gate.matchLanes(windows, pattern);
     } catch (const std::exception &) {
@@ -181,9 +185,13 @@ GateBackend::matchWindow(std::span<const Symbol> window,
                          std::span<const Symbol> pattern,
                          BeatWatchdog &dog)
 {
-    const bool queued = queueHead < queuedResults.size() &&
-                        std::ranges::equal(queuedWindows[queueHead], window) &&
-                        std::ranges::equal(queuedPattern, pattern);
+    const Symbol *copies = queuedText.data();
+    const bool queued =
+        queueHead < queuedResults.size() &&
+        std::ranges::equal(std::span(copies + queuedBounds[queueHead],
+                                     copies + queuedBounds[queueHead + 1]),
+                           window) &&
+        std::ranges::equal(queuedPattern, pattern);
     const std::size_t n = window.size();
     if (n == 0 || pattern.size() > n) {
         queueHead += queued ? 1 : 0;

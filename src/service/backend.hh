@@ -232,9 +232,14 @@ class GateBackend : public ServiceBackend
 
     void dropQueue();
 
-    /** Prefetched windows and their answers, from queueHead on. */
+    /**
+     * Prefetched windows and their answers, from queueHead on: the
+     * windows copied end to end, window i at [queuedBounds[i],
+     * queuedBounds[i + 1]) of queuedText.
+     */
     std::vector<Symbol> queuedPattern;
-    std::vector<std::vector<Symbol>> queuedWindows;
+    std::vector<Symbol> queuedText;
+    std::vector<std::size_t> queuedBounds;
     std::vector<core::GateLevelMatcher::LaneResult> queuedResults;
     std::size_t queueHead = 0;
     std::uint64_t fromLanes = 0;

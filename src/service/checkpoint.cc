@@ -39,7 +39,7 @@ Checkpoint::emit(const BitVec &bits, std::size_t from, std::size_t to)
 }
 
 std::uint64_t
-Checkpoint::digest() const
+Checkpoint::digest(std::span<const Symbol> tail) const
 {
     std::uint64_t h = wordsDigest;
     fnvMix(h, offset);

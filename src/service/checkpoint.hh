@@ -5,21 +5,23 @@
  * The array is a sliding-window machine: the only state a resumed
  * match needs from the processed prefix is the last k-1 text
  * characters (the window overlap) and the result bits already
- * emitted. A Checkpoint captures exactly that, cut after every
- * committed chunk, so a killed request restarts from its last chunk
- * boundary instead of re-scanning the whole text -- the restartable
- * windowed processing long-stream workloads need. Its digest() is
- * what the replay journal records at every commit. The emitted bits
- * are a BitVec, packed 64 to a word, and each word is mixed into a running
- * digest as it completes, so a commit's digest costs the same at any
- * offset instead of growing with the text emitted so far.
+ * emitted. The characters are the request's own, and a resume is
+ * handed the request, so a Checkpoint keeps only the offset and the
+ * bits, cut after every committed chunk: a killed request restarts
+ * from its last chunk boundary instead of re-scanning the whole text
+ * -- the restartable windowed processing long-stream workloads need.
+ * Its digest() is what the replay journal records at every commit.
+ * The emitted bits are a BitVec, packed 64 to a word, and each word is
+ * mixed into a running digest as it completes, so a commit's digest
+ * costs the same at any offset instead of growing with the text
+ * emitted so far.
  */
 
 #ifndef SPM_SERVICE_CHECKPOINT_HH
 #define SPM_SERVICE_CHECKPOINT_HH
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "util/bitvec.hh"
 #include "util/types.hh"
@@ -32,12 +34,13 @@ struct Checkpoint
 {
     /** Text characters fully processed (result bits emitted). */
     std::size_t offset = 0;
-    /** The last min(k-1, offset) processed characters, in order. */
-    std::vector<Symbol> tail;
     /** Ladder rung that was serving when the checkpoint was cut. */
     std::size_t rung = 0;
     /** Beats consumed so far (for deadline accounting on resume). */
     Beat beats = 0;
+
+    /** Room for @p n emitted bits, so emit() grows nothing. */
+    void reserve(std::size_t n) { emittedBits.reserve(n); }
 
     /** Append bits [from, to) of @p bits to the emitted result. */
     void emit(const BitVec &bits, std::size_t from, std::size_t to);
@@ -47,11 +50,12 @@ struct Checkpoint
 
     /**
      * FNV-1a digest for the journal: the completed words, then
-     * offset, rung, beats, tail and the partial word. Each word is
+     * offset, rung, beats, @p tail and the partial word. Each word is
      * folded bit-reversed (first bit in the top bit), the order the
-     * replay journal has always recorded.
+     * replay journal has always recorded. @p tail is the text's last
+     * min(k-1, offset) characters before offset, in order.
      */
-    std::uint64_t digest() const;
+    std::uint64_t digest(std::span<const Symbol> tail) const;
 
   private:
     BitVec emittedBits;

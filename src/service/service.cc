@@ -87,27 +87,40 @@ FrontEnd::observe(const telem::StageClock &clock, std::uint64_t id,
 
 // --- StreamSession ----------------------------------------------------
 
-StreamSession::StreamSession(MatchService &svc, MatchRequest req,
-                             std::optional<Checkpoint> resume_from)
-    : service(svc), request(std::move(req)),
-      rungFaults(svc.ladder.size(), 0),
-      clock(MatchService::startClock(request.enqueuedNs))
+StreamSession::StreamSession(MatchService &svc, const MatchRequest &req,
+                             std::span<const Symbol> piece,
+                             const Checkpoint *resume_from)
+    : service(svc), requestId(req.id), text(piece), pattern(req.pattern),
+      deadlineBeats(req.deadlineBeats), rungFaults(svc.ladder.size(), 0),
+      clock(MatchService::startClock(req.enqueuedNs))
 {
-    response.id = request.id;
+    response.id = req.id;
     if (resume_from) {
         // resume() admits the token (resumed, beats, resumes) once it
-        // has checked it against the request.
-        cp = std::move(*resume_from);
+        // has checked it against the request; a token it rejects may
+        // point past the text.
+        cp = *resume_from;
         telem::EventRecord resume = event(telem::EventKind::Resume);
         resume.beats = cp.beats;
-        resume.digest = cp.digest();
+        resume.digest = cp.digest(tailAt(std::min(cp.offset, text.size())));
         service.journalEvent(std::move(resume));
     } else {
         telem::EventRecord start = event(telem::EventKind::Start);
-        start.length = request.text.size();
-        start.count = request.pattern.size();
+        start.length = text.size();
+        start.count = pattern.size();
         service.journalEvent(std::move(start));
     }
+    cp.reserve(text.size());
+}
+
+MatchResponse
+StreamSession::run()
+{
+    while (step()) {
+    }
+    conclude();
+    // The session ends here; its response moves out whole.
+    return std::move(response);
 }
 
 void
@@ -137,27 +150,26 @@ StreamSession::event(telem::EventKind kind) const
     return {.kind = kind,
             .shard = service.cfg.shardId,
             .rung = static_cast<std::uint32_t>(cp.rung),
-            .requestId = request.id,
+            .requestId = requestId,
             .offset = cp.offset,
             .beats = response.beats};
 }
 
 std::span<const Symbol>
-StreamSession::windowAt(std::size_t from) const
+StreamSession::tailAt(std::size_t to) const
 {
-    const std::size_t k = request.pattern.size();
-    const std::size_t lead = std::min(k > 0 ? k - 1 : 0, from);
-    const std::size_t chunk =
-        std::min(service.cfg.chunkChars, request.text.size() - from);
-    return std::span(request.text).subspan(from - lead, lead + chunk);
+    const std::size_t lead =
+        std::min(pattern.empty() ? 0 : pattern.size() - 1, to);
+    return text.subspan(to - lead, lead);
 }
 
-telem::CaseRef
-StreamSession::windowCase() const
+std::span<const Symbol>
+StreamSession::windowAt(std::size_t from) const
 {
-    return telem::CaseRef(request.id, service.cfg.alphabetBits,
-                          request.pattern, windowAt(cp.offset),
-                          cp.offset - cp.tail.size());
+    const std::size_t lead = tailAt(from).size();
+    const std::size_t chunk =
+        std::min(service.cfg.chunkChars, text.size() - from);
+    return text.subspan(from - lead, lead + chunk);
 }
 
 Beat
@@ -170,7 +182,7 @@ StreamSession::windowBudget(std::size_t window_len) const
     const ServiceConfig &cfg = service.cfg;
     const double plan_beats = 2.0 * static_cast<double>(window_len) +
                               static_cast<double>(cfg.cells) +
-                              static_cast<double>(request.pattern.size()) +
+                              static_cast<double>(pattern.size()) +
                               static_cast<double>(cfg.alphabetBits) + 8.0;
     return static_cast<Beat>(plan_beats * windowBudgetMargin);
 }
@@ -185,7 +197,7 @@ StreamSession::prefetchFrom(ServiceBackend &backend, std::size_t rung)
     // The next min(64, windows left) windows, cut exactly as step()
     // cuts them.
     constexpr std::size_t maxWindows = 64;
-    const std::size_t n = request.text.size();
+    const std::size_t n = text.size();
     upcoming.clear();
     upcoming.reserve(maxWindows);
     std::size_t off = cp.offset;
@@ -193,7 +205,7 @@ StreamSession::prefetchFrom(ServiceBackend &backend, std::size_t rung)
         upcoming.push_back(windowAt(off));
         off += std::min(service.cfg.chunkChars, n - off);
     }
-    backend.prefetch(upcoming, request.pattern);
+    backend.prefetch(upcoming, pattern);
     prefetchRung = rung;
     prefetchEnd = off;
 }
@@ -204,8 +216,7 @@ StreamSession::step()
     if (finished)
         return false;
 
-    const std::size_t n = request.text.size();
-    const std::size_t k = request.pattern.size();
+    const std::size_t n = text.size();
     if (cp.offset >= n) {
         // Fully served: publish the accumulated stream.
         response.result = cp.emitted();
@@ -220,13 +231,17 @@ StreamSession::step()
     const std::size_t chunk =
         std::min(cfg.chunkChars, n - cp.offset);
 
-    // The window re-presents the k-1 characters before the chunk (the
-    // checkpointed tail, which resume() held to the text) so the first
-    // result bit of this chunk sees its full substring.
+    // The window re-presents the k-1 characters before the chunk so
+    // the first result bit of this chunk sees its full substring.
     const std::span<const Symbol> window = windowAt(cp.offset);
+    // The window as a case (the flight recorder's handle).
+    const auto windowCase = [&] {
+        return telem::CaseRef(requestId, cfg.alphabetBits, pattern, window,
+                              cp.offset + chunk - window.size());
+    };
 
     SPM_TSPAN_NAMED(chunk_span, "service.chunk", telem::cat::service,
-                    response.beats, request.id);
+                    response.beats, requestId);
 
     // Everything up to here -- queue pop, window assembly, budget
     // math -- is admission work.
@@ -236,30 +251,29 @@ StreamSession::step()
     std::size_t rung = cp.rung;
     while (rung < service.ladder.size()) {
         ServiceBackend &backend = *service.ladder[rung];
-        if (!backend.supports(request.pattern)) {
+        if (!backend.supports(pattern)) {
             service.journalEvent(event(telem::EventKind::Skip));
             cp.rung = ++rung;
             continue;
         }
 
         Beat budget = windowBudget(window.size());
-        if (request.deadlineBeats > 0) {
-            if (response.beats >= request.deadlineBeats) {
+        if (deadlineBeats > 0) {
+            if (response.beats >= deadlineBeats) {
                 fail(ErrorCode::DeadlineExceeded,
                      "request deadline of " +
-                         std::to_string(request.deadlineBeats) +
+                         std::to_string(deadlineBeats) +
                          " beats exhausted at offset " +
                          std::to_string(cp.offset));
                 return false;
             }
-            budget = std::min(budget,
-                              request.deadlineBeats - response.beats);
+            budget = std::min(budget, deadlineBeats - response.beats);
         }
 
         prefetchFrom(backend, rung);
         service.dog.arm(budget);
         WindowResult wr =
-            backend.matchWindow(window, request.pattern, service.dog);
+            backend.matchWindow(window, pattern, service.dog);
         response.beats += wr.beats;
         clock.mark(telem::Stage::Kernel);
         clock.addBeats(wr.beats);
@@ -278,7 +292,7 @@ StreamSession::step()
                 service.flight.trip("watchdog trip", std::move(trip));
                 SPM_TINSTANT("service.watchdog_trip",
                              telem::cat::service, response.beats,
-                             request.id);
+                             requestId);
             }
             telem::EventRecord cancelled = event(telem::EventKind::Cancel);
             cancelled.setDetail(wr.note);
@@ -300,7 +314,7 @@ StreamSession::step()
 
         if (cfg.crossCheck) {
             const BitVec expect =
-                core::ReferenceMatcher().match(window, request.pattern);
+                core::ReferenceMatcher().match(window, pattern);
             clock.mark(telem::Stage::CrossCheck);
             if (wr.bits != expect) {
                 ++response.crossCheckFailures;
@@ -342,13 +356,6 @@ StreamSession::step()
         cp.emit(wr.bits, skip, window.size());
 
         cp.offset += chunk;
-        const std::size_t tail_len =
-            std::min(k > 0 ? k - 1 : 0, cp.offset);
-        cp.tail.assign(request.text.begin() +
-                           static_cast<std::ptrdiff_t>(cp.offset -
-                                                       tail_len),
-                       request.text.begin() +
-                           static_cast<std::ptrdiff_t>(cp.offset));
         cp.rung = rung;
         cp.beats = response.beats;
         ++response.chunks;
@@ -364,7 +371,7 @@ StreamSession::step()
         if (service.cfg.journalEnabled) {
             commit.length = n;
             commit.beats = wr.beats;
-            commit.digest = cp.digest();
+            commit.digest = cp.digest(tailAt(cp.offset));
             service.log.record(std::move(commit));
             clock.mark(telem::Stage::Journal);
         }
@@ -388,8 +395,15 @@ StreamSession::step()
 MatchResponse
 StreamSession::finish()
 {
+    conclude();
+    return response;
+}
+
+void
+StreamSession::conclude()
+{
     if (!finished) {
-        if (cp.offset >= request.text.size()) {
+        if (cp.offset >= text.size()) {
             // All chunks done; step() once more to publish.
             step();
         } else {
@@ -412,10 +426,9 @@ StreamSession::finish()
             reason = "cross-check mismatch";
         else if (response.degradations > 0)
             reason = "ladder fall";
-        service.observe(clock, request.id, reason, service.cfg.alphabetBits,
-                        request.pattern, request.text);
+        service.observe(clock, requestId, reason, service.cfg.alphabetBits,
+                        pattern, text);
     }
-    return response;
 }
 
 void
@@ -549,7 +562,7 @@ validateRequest(const FrontEndConfig &cfg, const MatchRequest &req)
 StreamSession
 MatchService::startSession(const MatchRequest &req)
 {
-    StreamSession session(*this, req, std::nullopt);
+    StreamSession session(*this, req, req.text);
     if (auto err = validate(req)) {
         reject(*err);
         session.fail(err->code, err->detail);
@@ -560,32 +573,22 @@ MatchService::startSession(const MatchRequest &req)
 MatchResponse
 MatchService::serve(const MatchRequest &req)
 {
-    StreamSession session = startSession(req);
-    while (session.step()) {
-    }
-    return session.finish();
+    return startSession(req).run();
 }
 
 MatchResponse
 MatchService::resume(const MatchRequest &req, const Checkpoint &from)
 {
-    StreamSession session(*this, req, from);
+    StreamSession session(*this, req, req.text, &from);
     std::optional<ServiceError> err = validate(req);
-    const std::size_t k = req.pattern.size();
-    const std::size_t want_tail = std::min(k > 0 ? k - 1 : 0, from.offset);
-    // The tail must be the text's: the windows are cut from req.text.
     if (!err && (from.offset > req.text.size() ||
                  from.emitted().size() != from.offset ||
-                 from.tail.size() != want_tail || from.rung >= ladder.size() ||
-                 !std::ranges::equal(from.tail,
-                                     std::span(req.text).subspan(
-                                         from.offset - want_tail, want_tail))))
+                 from.rung >= ladder.size()))
         err = ServiceError::make(
             ErrorCode::InvalidCheckpoint,
             "checkpoint inconsistent with request (offset " +
                 std::to_string(from.offset) + ", " +
-                std::to_string(from.emitted().size()) + " emitted, tail " +
-                std::to_string(from.tail.size()) + ")");
+                std::to_string(from.emitted().size()) + " emitted)");
     if (err) {
         reject(*err);
         session.fail(err->code, err->detail);
@@ -594,9 +597,7 @@ MatchService::resume(const MatchRequest &req, const Checkpoint &from)
         session.response.beats = from.beats;
         resumesCtr.add();
     }
-    while (session.step()) {
-    }
-    return session.finish();
+    return session.run();
 }
 
 MatchService::SubmitResult

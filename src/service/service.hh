@@ -166,8 +166,9 @@ class MatchService;
  * One streaming match in flight. step() processes one chunk and cuts
  * a checkpoint; a caller that stops stepping (a crash, a cancel) can
  * later resume a fresh session from the last checkpoint and the
- * output is bit-identical to an uninterrupted run. Every window a
- * rung sees is a span of the request text; no window is copied.
+ * output is bit-identical to an uninterrupted run. A session owns no
+ * text: it views the request's text and pattern, which the caller
+ * keeps alive, and every window a rung sees is a span of that text.
  */
 class StreamSession
 {
@@ -189,26 +190,39 @@ class StreamSession
 
   private:
     friend class MatchService;
-    StreamSession(MatchService &svc, MatchRequest req,
-                  std::optional<Checkpoint> resume_from);
+    friend class ShardedMatchService;
+    /**
+     * A session over @p piece (the request's text, or a slice of it)
+     * for @p req; @p resume_from, when set, is the resume point.
+     */
+    StreamSession(MatchService &svc, const MatchRequest &req,
+                  std::span<const Symbol> piece,
+                  const Checkpoint *resume_from = nullptr);
 
+    /** Step to the end, conclude, and give the response up. */
+    MatchResponse run();
+    /** finish() without the copy: publish or cancel, count once. */
+    void conclude();
     void fail(ErrorCode code, const std::string &detail);
     void flushBeatRun();
     /** A record of @p kind stamped with where the session stands. */
     telem::EventRecord event(telem::EventKind kind) const;
+    /** The min(k-1, @p to) text characters before offset @p to. */
+    std::span<const Symbol> tailAt(std::size_t to) const;
     /**
-     * The window of the chunk at text offset @p from: a span of the
-     * request text holding the k-1 characters before the chunk, then
-     * the chunk.
+     * The window of the chunk at text offset @p from: the tail before
+     * it, then the chunk, as one span of the text.
      */
     std::span<const Symbol> windowAt(std::size_t from) const;
-    /** The current window as a case (the flight recorder's handle). */
-    telem::CaseRef windowCase() const;
     Beat windowBudget(std::size_t window_len) const;
     void prefetchFrom(ServiceBackend &backend, std::size_t rung);
 
     MatchService &service;
-    MatchRequest request;
+    /** The request, viewed: its owner outlives the session. */
+    std::uint64_t requestId;
+    std::span<const Symbol> text;
+    std::span<const Symbol> pattern;
+    Beat deadlineBeats;
     Checkpoint cp;
     MatchResponse response;
     /** Cross-check failures charged against each rung this request. */
@@ -249,8 +263,13 @@ class MatchService : public FrontEnd
     /** Serve one request end to end (validate + stream + respond). */
     MatchResponse serve(const MatchRequest &req);
 
-    /** Open a streaming session (validated; check the first error). */
+    /**
+     * Open a streaming session (validated; check the first error).
+     * The session views @p req, which must outlive it, so a temporary
+     * is refused.
+     */
     StreamSession startSession(const MatchRequest &req);
+    StreamSession startSession(const MatchRequest &&) = delete;
 
     /** Resume a killed request from @p from; output is bit-identical. */
     MatchResponse resume(const MatchRequest &req, const Checkpoint &from);

@@ -27,6 +27,15 @@ constexpr unsigned failuresToQuarantine = 3;
 /** Batches after which a quarantined slot is probed half-open. */
 constexpr std::uint64_t batchesToProbe = 8;
 
+/** Wall time since @p t, in prototype beats. */
+double
+beatsSince(std::chrono::steady_clock::time_point t)
+{
+    const std::chrono::duration<double, std::nano> wait =
+        std::chrono::steady_clock::now() - t;
+    return wait.count() * 1000.0 / static_cast<double>(prototypeBeatPs);
+}
+
 /**
  * Pin the calling thread to one core (round-robin over the cores the
  * machine has). Linux-only; a best-effort no-op elsewhere or when the
@@ -52,46 +61,21 @@ pinToCore(unsigned worker_index)
 
 } // namespace
 
-const char *
-shardFaultKindName(ShardFaultKind kind)
-{
-    switch (kind) {
-    case ShardFaultKind::Exception:
-        return "exception";
-    case ShardFaultKind::Timeout:
-        return "timeout";
-    case ShardFaultKind::ServeError:
-        return "serve_error";
-    case ShardFaultKind::OverlapMismatch:
-        return "overlap_mismatch";
-    }
-    return "?";
-}
-
-std::string
-ShardError::toString() const
-{
-    return "slice " + std::to_string(slice) + " slot " +
-           std::to_string(slot) + " attempt " + std::to_string(attempt) +
-           " " + shardFaultKindName(kind) +
-           (detail.empty() ? "" : ": " + detail);
-}
-
 /**
  * One slice of a sharded request: the piece (window including the k-1
- * overlap), where the current attempt runs, and how it resolved.
- * Written by the owning task under the batch mutex; a task whose
- * epoch was bumped (abandoned on timeout) discards its late result.
+ * overlap, a span of the wave's text), where the current attempt
+ * runs, and how it resolved. Written by the owning task under the
+ * batch mutex; a task whose epoch was bumped (abandoned on timeout)
+ * discards its late result.
  */
 struct ShardedMatchService::SliceState
 {
-    MatchRequest piece;
+    std::span<const Symbol> piece;
     std::size_t overlapLen = 0; ///< warm-up chars left of the slice start
     std::size_t keepLen = 0;    ///< result bits this slice contributes
     std::size_t rightExt = 0;   ///< extra chars past the slice end
     std::uint32_t slot = 0;     ///< slot of the latest attempt
     bool started = false;       ///< a worker picked the primary task up
-    bool abandoned = false;     ///< timed out; straggler owns the lease
     unsigned epoch = 0;
     bool resolved = false;
     bool threw = false;
@@ -103,6 +87,14 @@ struct ShardedMatchService::SliceState
 /** Shared state of one serve() slice wave; tasks hold it by shared_ptr. */
 struct ShardedMatchService::Batch
 {
+    /**
+     * The wave's one copy of the request, which every slice views: an
+     * abandoned straggler may still be streaming its slice after
+     * serve() has returned and the caller has dropped the request.
+     */
+    MatchRequest req;
+    /** When the wave was handed to the pool. */
+    std::chrono::steady_clock::time_point handoff;
     std::mutex bmu;
     std::condition_variable resolvedCv;
     std::vector<SliceState> slices;
@@ -192,50 +184,22 @@ ShardedMatchService::workerLoop(unsigned worker_index)
     }
 }
 
-void
-ShardedMatchService::enqueue(std::vector<std::function<void()>> &tasks)
-{
-    // One lock acquisition and one wakeup for the whole wave (the
-    // batched handoff), with each task wrapped so its handoff latency
-    // -- enqueue to the moment a worker starts it -- lands in
-    // queue_wait_beats, converted from wall nanoseconds at the
-    // prototype beat period.
-    const auto enqueued_at = std::chrono::steady_clock::now();
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        for (std::function<void()> &t : tasks)
-            taskQueue.push_back(
-                [this, enqueued_at, task = std::move(t)] {
-                    [[maybe_unused]] const double wait_ns =
-                        std::chrono::duration<double, std::nano>(
-                            std::chrono::steady_clock::now() -
-                            enqueued_at)
-                            .count();
-                    SPM_THIST(queueWaitHist,
-                              wait_ns * 1000.0 /
-                                  static_cast<double>(prototypeBeatPs));
-                    task();
-                });
-    }
-    taskReady.notify_all();
-}
-
 MatchResponse
-ShardedMatchService::serveSliceOn(std::size_t slot,
-                                  const MatchRequest &piece,
+ShardedMatchService::serveSliceOn(std::size_t slot, const MatchRequest &whole,
+                                  std::span<const Symbol> piece,
                                   std::string *exception_text)
 {
     SPM_TSPAN("sharded.shard", telem::cat::sharded, 0,
               static_cast<std::uint64_t>(slot));
     try {
-        return shards[slot]->serve(piece);
+        return StreamSession(*shards[slot], whole, piece).run();
     } catch (const std::exception &e) {
         *exception_text = e.what();
     } catch (...) {
         *exception_text = "non-standard exception";
     }
     MatchResponse r;
-    r.id = piece.id;
+    r.id = whole.id;
     r.error = ServiceError::make(ErrorCode::ShardFailed,
                                  "shard task threw: " + *exception_text);
     return r;
@@ -357,12 +321,6 @@ ShardedMatchService::shardCountFor(std::size_t text_len,
     return std::clamp<std::size_t>(by_size, 1, cfg.threads);
 }
 
-std::optional<ServiceError>
-ShardedMatchService::validate(const MatchRequest &req) const
-{
-    return validateRequest(cfg.base, req);
-}
-
 MatchResponse
 ShardedMatchService::serve(const MatchRequest &req)
 {
@@ -399,7 +357,7 @@ ShardedMatchService::serve(const MatchRequest &req)
     const std::size_t nshards = slots.size();
     nLastShards = nshards;
 
-    // Shard s answers result positions [starts[s], starts[s+1]); its
+    // Shard s answers result positions [start(s), start(s+1)); its
     // window reaches k-1 characters left of that so boundary matches
     // see their full history, and k-1 characters right of it so the
     // first k-1 positions of the next slice are computed twice with
@@ -407,41 +365,35 @@ ShardedMatchService::serve(const MatchRequest &req)
     // cross-check compares. (The left extension alone would not do:
     // a slice's own first k-1 bits are warm-up, computed with
     // truncated history, and are dropped, not cross-checked.)
-    std::vector<std::size_t> starts(nshards + 1);
-    for (std::size_t s = 0; s <= nshards; ++s)
-        starts[s] = n * s / nshards;
+    const auto start = [n, nshards](std::size_t s) { return n * s / nshards; };
 
     auto batch = std::make_shared<Batch>();
+    batch->req = req;
+    // No slice times a queue wait: queue_wait_beats times the handoff.
+    batch->req.enqueuedNs = 0;
     batch->slices.resize(nshards);
     batch->unresolved = nshards;
     for (std::size_t s = 0; s < nshards; ++s) {
         SliceState &st = batch->slices[s];
-        const std::size_t start = starts[s];
-        const std::size_t ws = start >= overlap ? start - overlap : 0;
-        const std::size_t ext =
-            nshards > 1 ? std::min(overlap, n - starts[s + 1]) : 0;
-        st.piece.id = req.id;
-        st.piece.pattern = req.pattern;
-        st.piece.deadlineBeats = req.deadlineBeats;
-        st.piece.text.assign(req.text.begin() + ws,
-                             req.text.begin() + starts[s + 1] + ext);
-        st.overlapLen = start - ws;
-        st.keepLen = starts[s + 1] - start;
-        st.rightExt = ext;
+        const std::size_t ws = start(s) >= overlap ? start(s) - overlap : 0;
+        st.rightExt = nshards > 1 ? std::min(overlap, n - start(s + 1)) : 0;
+        st.piece = std::span<const Symbol>(batch->req.text)
+                       .subspan(ws, start(s + 1) + st.rightExt - ws);
+        st.overlapLen = start(s) - ws;
+        st.keepLen = start(s + 1) - start(s);
         st.slot = slots[s];
-        // Slices inherit a fresh enqueue stamp so each shard's own
-        // stage clock credits the pool handoff as queue wait.
-        if (clock.running())
-            st.piece.enqueuedNs = telem::nowNs();
     }
     clock.mark(telem::Stage::Admit);
 
     // Every slice, a lone one included, runs on the pool: only a wait
     // with a deadline bounds a worker that stopped making progress.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(nshards);
+    // One lock acquisition and one wakeup hand the whole wave over,
+    // and each task books its wait since then in queue_wait_beats.
+    batch->handoff = std::chrono::steady_clock::now();
+    std::unique_lock<std::mutex> handoff(mu);
     for (std::size_t s = 0; s < nshards; ++s) {
-        tasks.push_back([this, batch, s, slot = slots[s]] {
+        taskQueue.push_back([this, batch, s, slot = slots[s]] {
+            SPM_THIST(queueWaitHist, beatsSince(batch->handoff));
             SliceState &st = batch->slices[s];
             unsigned my_epoch;
             {
@@ -457,7 +409,7 @@ ShardedMatchService::serve(const MatchRequest &req)
                 my_epoch = st.epoch;
             }
             std::string exc;
-            MatchResponse r = serveSliceOn(slot, st.piece, &exc);
+            MatchResponse r = serveSliceOn(slot, batch->req, st.piece, &exc);
             bool owned = false;
             {
                 std::lock_guard<std::mutex> lock(batch->bmu);
@@ -481,7 +433,8 @@ ShardedMatchService::serve(const MatchRequest &req)
                 release(slot);
         });
     }
-    enqueue(tasks);
+    handoff.unlock();
+    taskReady.notify_all();
     // Wait for the wave until the deadline, then abandon the
     // stragglers: bump their epoch so a late write is discarded, mark
     // them timed out, and let the retry loop re-execute them on
@@ -495,13 +448,16 @@ ShardedMatchService::serve(const MatchRequest &req)
             [&batch] { return batch->unresolved == 0; });
         for (std::size_t s = 0; s < nshards; ++s) {
             SliceState &st = batch->slices[s];
+            // The supervisor returns every lease but a straggler's
+            // before the caller can start another batch: a worker
+            // that answered in time has only bookkeeping left, and a
+            // task that never started will not touch its slot.
+            if (st.resolved || !st.started)
+                release(st.slot);
             if (st.resolved)
                 continue;
             ++st.epoch;
-            st.abandoned = st.started;
             st.resolved = true;
-            st.threw = false;
-            st.resp = MatchResponse{};
             st.resp.id = req.id;
             st.resp.error = ServiceError::make(
                 ErrorCode::ShardFailed,
@@ -517,27 +473,20 @@ ShardedMatchService::serve(const MatchRequest &req)
                 noteSlotOutcome(st.slot, false);
         }
     }
-    // Release the leases the supervisor holds, before the caller can
-    // start another batch: a worker that answered in time has only
-    // bookkeeping left, and a task that never started will not touch
-    // its slot.
-    for (const SliceState &st : batch->slices)
-        if (!st.abandoned)
-            release(st.slot);
 
     // --- Recovery: retry failed slices on spare slots ----------------
-    // A slice's flight record: its answer span [starts[s], +keepLen)
+    // A slice's flight record: its answer span [start(s), +keepLen)
     // and its window (which starts overlapLen earlier) as the case.
     const auto sliceEvent = [&](telem::EventKind kind, std::size_t s,
                                 const SliceState &st) {
         telem::EventRecord ev{.kind = kind,
                               .shard = st.slot,
                               .requestId = req.id,
-                              .offset = starts[s],
+                              .offset = start(s),
                               .length = st.keepLen};
         ev.caseRef = telem::CaseRef(req.id, cfg.base.alphabetBits,
-                                    req.pattern, st.piece.text,
-                                    starts[s] - st.overlapLen);
+                                    req.pattern, st.piece,
+                                    start(s) - st.overlapLen);
         return ev;
     };
     // A failed attempt: the slice's exception or its serve error.
@@ -567,19 +516,20 @@ ShardedMatchService::serve(const MatchRequest &req)
                      " on spare slot " + std::to_string(spare));
         flight.record(std::move(ev));
         st.exceptionText.clear();
-        st.resp = serveSliceOn(spare, st.piece, &st.exceptionText);
+        st.resp =
+            serveSliceOn(spare, batch->req, st.piece, &st.exceptionText);
         release(spare);
         st.threw = !st.exceptionText.empty();
         st.attemptBeats += st.resp.beats;
         st.slot = spare;
-        if (st.threw || !st.resp.ok())
+        if (!st.resp.ok())
             noteFailedAttempt(s, st, attempt);
         return true;
     };
 
     for (std::size_t s = 0; s < nshards; ++s) {
         SliceState &st = batch->slices[s];
-        if (!st.threw && st.resp.ok()) {
+        if (st.resp.ok()) {
             noteSlotOutcome(st.slot, true);
             continue;
         }
@@ -601,10 +551,10 @@ ShardedMatchService::serve(const MatchRequest &req)
             if (!retryOnSpare(s, st, attempt,
                               attempt == 1 ? why : "retry failed"))
                 break;
-            if (!st.threw && st.resp.ok())
+            if (st.resp.ok())
                 break;
         }
-        if (st.threw || !st.resp.ok()) {
+        if (!st.resp.ok()) {
             // Unrecovered: surface as the typed shard error.
             const std::string detail =
                 st.threw ? "shard task threw: " + st.exceptionText
@@ -636,7 +586,7 @@ ShardedMatchService::serve(const MatchRequest &req)
             if (!cur.resp.ok() || !left.resp.ok() || left.rightExt == 0)
                 continue;
             overlapChecksCtr.add();
-            // Global positions [starts[s], starts[s] + ext) were
+            // Global positions [start(s), start(s) + ext) were
             // computed twice with full history: as the left slice's
             // right extension and as the current slice's first kept
             // bits. Any disagreement is a real fault, not warm-up.
@@ -671,8 +621,7 @@ ShardedMatchService::serve(const MatchRequest &req)
                 repairs += 2;
                 retryOnSpare(s - 1, left, 1, "overlap mismatch suspect");
                 retryOnSpare(s, cur, 1, "overlap mismatch suspect");
-                repaired = !left.threw && left.resp.ok() && !cur.threw &&
-                           cur.resp.ok() && pairAgrees();
+                repaired = left.resp.ok() && cur.resp.ok() && pairAgrees();
             }
             if (!repaired) {
                 cur.resp.error = ServiceError::make(
@@ -692,6 +641,7 @@ ShardedMatchService::serve(const MatchRequest &req)
 
     // --- Stitch ------------------------------------------------------
     rungNames.clear();
+    out.result.reserve(n);
     for (std::size_t s = 0; s < nshards; ++s) {
         const SliceState &st = batch->slices[s];
         const MatchResponse &r = st.resp;

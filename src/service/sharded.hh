@@ -11,7 +11,10 @@
  * shard slot -- each with its own degradation ladder, watchdog,
  * checkpoints and replay journal, so the resilience semantics of the
  * single-stream service hold per shard with nothing shared between
- * workers. serve() splits the text into at most threadCount() slices.
+ * workers. serve() splits the text into at most threadCount() slices:
+ * spans of the one copy of the text that the slice wave owns (an
+ * abandoned straggler may outlive serve() and its caller's request),
+ * each streamed on its slot as a StreamSession.
  * Each shard's window overlaps its left neighbor by k-1 characters of
  * warm-up (dropped at stitching: those bits are computed with
  * truncated history) and also extends k-1 characters past its own
@@ -61,6 +64,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -123,12 +127,9 @@ enum class ShardFaultKind : unsigned char
 {
     Exception,       ///< the shard task threw; caught at the boundary
     Timeout,         ///< not resolved within batchDeadlineMs
-    ServeError,      ///< the shard's serve() returned a typed error
+    ServeError,      ///< the slice's session returned a typed error
     OverlapMismatch, ///< neighbor overlap bits disagreed
 };
-
-/** Printable name of a shard fault kind ("exception", ...). */
-const char *shardFaultKindName(ShardFaultKind kind);
 
 /**
  * One shard-level fault observed while serving a request: which slice
@@ -143,9 +144,6 @@ struct ShardError
     ShardFaultKind kind = ShardFaultKind::ServeError;
     unsigned attempt = 0;    ///< 0 = primary, 1+ = retries
     std::string detail;
-
-    /** "slice 2 slot 1 attempt 0 timeout: ..." one-liner. */
-    std::string toString() const;
 };
 
 /**
@@ -187,7 +185,10 @@ class ShardedMatchService : public FrontEnd
                               std::size_t pattern_len) const;
 
     /** Typed validation: the shared rules (validateRequest). */
-    std::optional<ServiceError> validate(const MatchRequest &req) const;
+    std::optional<ServiceError> validate(const MatchRequest &req) const
+    {
+        return validateRequest(cfg.base, req);
+    }
 
     /**
      * Serve one request across the shards. The whole request is
@@ -254,14 +255,13 @@ class ShardedMatchService : public FrontEnd
     struct SliceState;
 
     void workerLoop(unsigned worker_index);
-    /**
-     * Queue @p tasks on the pool (does not wait). Each task's
-     * enqueue-to-dequeue wait lands in queue_wait_beats.
-     */
-    void enqueue(std::vector<std::function<void()>> &tasks);
 
-    /** Serve @p piece on slot @p slot, exceptions -> typed outcome. */
-    MatchResponse serveSliceOn(std::size_t slot, const MatchRequest &piece,
+    /**
+     * Stream @p piece, a span of the admitted @p whole's text, as a
+     * session on slot @p slot; exceptions -> typed outcome.
+     */
+    MatchResponse serveSliceOn(std::size_t slot, const MatchRequest &whole,
+                               std::span<const Symbol> piece,
                                std::string *exception_text);
 
     /** Record a slice verdict on @p slot's breaker. */

@@ -1,11 +1,13 @@
 /**
  * @file
- * Heap-allocation gates for the batched and streaming paths. This
- * binary replaces the global operator new and delete with counting
- * versions, so it stands alone: a warm serveBatch() allocates one
- * result row per admitted request and a handful of vectors per call,
- * a warm matchMany() one row per stream plus its result vector, and a
- * warm streaming serve copies no window.
+ * Heap-allocation gates for the batched, streaming and sharded
+ * paths. This binary replaces the global operator new and delete with
+ * counting versions (calls and bytes), so it stands alone: a warm
+ * serveBatch() allocates one result row per admitted request and a
+ * handful of vectors per call, a warm matchMany() one row per stream
+ * plus its result vector, a warm streaming serve copies neither a
+ * window nor the request, and a warm sharded serve copies the text
+ * once.
  */
 
 #include <gtest/gtest.h>
@@ -19,12 +21,14 @@
 #include "core/simdpar.hh"
 #include "service/batch.hh"
 #include "service/service.hh"
+#include "service/sharded.hh"
 #include "util/rng.hh"
 
 namespace
 {
 
 std::atomic<std::size_t> allocations{0};
+std::atomic<std::size_t> allocatedBytes{0};
 
 } // namespace
 
@@ -32,6 +36,7 @@ std::atomic<std::size_t> allocations{0};
 operator new(std::size_t n)
 {
     allocations.fetch_add(1, std::memory_order_relaxed);
+    allocatedBytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n == 0 ? 1 : n))
         return p;
     throw std::bad_alloc();
@@ -55,14 +60,21 @@ namespace spm::service
 namespace
 {
 
-/** Heap allocations made by @p fn. */
-template <typename Fn>
-std::size_t
-allocationsOf(Fn &&fn)
+/** What @p fn asked of the heap. */
+struct HeapUse
 {
-    const std::size_t before = allocations.load();
+    std::size_t calls = 0;
+    std::size_t bytes = 0;
+};
+
+template <typename Fn>
+HeapUse
+heapUseOf(Fn &&fn)
+{
+    const std::size_t calls = allocations.load();
+    const std::size_t bytes = allocatedBytes.load();
     fn();
-    return allocations.load() - before;
+    return {allocations.load() - calls, allocatedBytes.load() - bytes};
 }
 
 /** 16-256-char texts over a 2-bit alphabet; pattern i % 4 of length 8. */
@@ -95,28 +107,15 @@ TEST(Allocations, WarmServeBatchAllocatesOneRowPerRequest)
     for (int warm = 0; warm < 16; ++warm)
         ASSERT_TRUE(svc.serveBatch(batch)[0].ok());
     std::vector<MatchResponse> out;
-    const std::size_t n =
-        allocationsOf([&] { out = svc.serveBatch(batch); });
+    const HeapUse use = heapUseOf([&] { out = svc.serveBatch(batch); });
     ASSERT_TRUE(out.back().ok()) << out.back().error.detail;
-    EXPECT_LE(n, batch.size() + 8);
+    EXPECT_LE(use.calls, batch.size() + 8);
 }
 
-/**
- * Heap allocations of one warm serve of a 32 K-char request (k = 8,
- * 2-bit alphabet) through the SIMD rung behind MatcherBackend, at
- * @p chunk_chars per chunk, cross-check on and journal off.
- */
-std::size_t
-warmStreamServeAllocations(std::size_t chunk_chars)
+/** A 32 K-char request (k = 8, 2-bit alphabet). */
+MatchRequest
+longRequest()
 {
-    ServiceConfig cfg;
-    cfg.chunkChars = chunk_chars;
-    cfg.maxTextLen = 1 << 15;
-    cfg.journalEnabled = false;
-    std::vector<std::unique_ptr<ServiceBackend>> ladder;
-    ladder.push_back(std::make_unique<MatcherBackend>(
-        std::make_unique<core::SimdParallelMatcher>()));
-    MatchService svc(cfg, std::move(ladder));
     Rng rng(0x57EA);
     MatchRequest req;
     req.pattern.resize(8);
@@ -125,24 +124,113 @@ warmStreamServeAllocations(std::size_t chunk_chars)
     req.text.resize(1 << 15);
     for (auto &c : req.text)
         c = static_cast<Symbol>(rng.nextBelow(4));
+    return req;
+}
+
+/**
+ * The serving shape of the long request: @p chunk_chars per chunk,
+ * cross-check on, journal off.
+ */
+ServiceConfig
+longConfig(std::size_t chunk_chars)
+{
+    ServiceConfig cfg;
+    cfg.chunkChars = chunk_chars;
+    cfg.maxTextLen = 1 << 15;
+    cfg.journalEnabled = false;
+    return cfg;
+}
+
+/** A ladder of one rung: the SIMD kernel behind MatcherBackend. */
+std::vector<std::unique_ptr<ServiceBackend>>
+simdLadder()
+{
+    std::vector<std::unique_ptr<ServiceBackend>> ladder;
+    ladder.push_back(std::make_unique<MatcherBackend>(
+        std::make_unique<core::SimdParallelMatcher>()));
+    return ladder;
+}
+
+/** The heap use of one serve of @p req on @p svc after 16 warm ones. */
+template <typename Service>
+HeapUse
+warmServe(Service &svc, const MatchRequest &req)
+{
     for (int warm = 0; warm < 16; ++warm)
         EXPECT_TRUE(svc.serve(req).ok());
     MatchResponse resp;
-    const std::size_t n = allocationsOf([&] { resp = svc.serve(req); });
+    const HeapUse use = heapUseOf([&] { resp = svc.serve(req); });
     EXPECT_TRUE(resp.ok()) << resp.error.detail;
-    return n;
+    return use;
+}
+
+/** One warm serve of the long request at @p chunk_chars per chunk. */
+HeapUse
+warmStreamServe(std::size_t chunk_chars)
+{
+    MatchService svc(longConfig(chunk_chars), simdLadder());
+    return warmServe(svc, longRequest());
 }
 
 TEST(Allocations, WarmStreamServeCopiesNoWindow)
 {
     // What is left per chunk is the kernel's result BitVec and the
-    // cross-check's: 2 x 1,024 chunks + 18 and 2 x 8 chunks + 12 as
+    // cross-check's: 2 x 1,024 chunks + 5 and 2 x 8 chunks + 5 as
     // measured. A retained request builds one case (up to 3
     // allocations).
-    const std::size_t small = warmStreamServeAllocations(32);
-    const std::size_t large = warmStreamServeAllocations(4096);
-    EXPECT_LE(small, 2066u + 3);
-    EXPECT_LE(large, 28u + 3);
+    EXPECT_LE(warmStreamServe(32).calls, 2053u + 3);
+    EXPECT_LE(warmStreamServe(4096).calls, 21u + 3);
+}
+
+TEST(Allocations, WarmStreamServeCopiesNoRequest)
+{
+    // The session views the caller's request: everything a serve
+    // allocates, results and cross-checks included, weighs less than
+    // one copy of the text.
+    const std::size_t text_bytes = (1 << 15) * sizeof(Symbol);
+    EXPECT_LT(warmStreamServe(32).bytes, text_bytes);
+    EXPECT_LT(warmStreamServe(4096).bytes, text_bytes);
+}
+
+TEST(Allocations, WarmShardedServeCopiesTheTextOnce)
+{
+    // The wave owns one copy of the text, which its slices view; the
+    // rest of a 2-thread serve is slice results and bookkeeping.
+    ShardedConfig cfg;
+    cfg.base = longConfig(4096);
+    cfg.threads = 2;
+    ShardedMatchService sharded(
+        cfg, [](const ServiceConfig &) { return simdLadder(); });
+    const MatchRequest req = longRequest();
+    const HeapUse use = warmServe(sharded, req);
+    EXPECT_EQ(sharded.lastShards(), 2u);
+    const std::size_t text_bytes = req.text.size() * sizeof(Symbol);
+    EXPECT_GE(use.bytes, text_bytes);
+    EXPECT_LT(use.bytes, text_bytes * 3 / 2);
+}
+
+TEST(Allocations, WarmDefaultLadderServe)
+{
+    // The paper's shape: a 512-char request to the default service
+    // (gate rung with its lane prefetch, cross-check and journal on).
+    Rng rng(0x9A9E);
+    MatchRequest req;
+    req.pattern.resize(8);
+    for (auto &c : req.pattern)
+        c = static_cast<Symbol>(rng.nextBelow(4));
+    req.text.resize(512);
+    for (auto &c : req.text)
+        c = static_cast<Symbol>(rng.nextBelow(4));
+    MatchService svc(ServiceConfig{});
+    for (int warm = 0; warm < 16; ++warm)
+        ASSERT_TRUE(svc.serve(req).ok());
+    // Drained, as a long-lived host drains it.
+    svc.journal().clear();
+    MatchResponse resp;
+    const HeapUse use = heapUseOf([&] { resp = svc.serve(req); });
+    ASSERT_TRUE(resp.ok()) << resp.error.detail;
+    // 52 as measured, plus a retained case.
+    EXPECT_LE(use.calls, 52u + 3);
 }
 
 TEST(Allocations, WarmMatchManyAllocatesOneRowPerStream)
@@ -154,10 +242,10 @@ TEST(Allocations, WarmMatchManyAllocatesOneRowPerStream)
     core::BatchMatcher engine;
     engine.matchMany(streams, batch[0].pattern);
     std::vector<BitVec> rows;
-    const std::size_t n = allocationsOf(
+    const HeapUse use = heapUseOf(
         [&] { rows = engine.matchMany(streams, batch[0].pattern); });
     ASSERT_EQ(rows.size(), streams.size());
-    EXPECT_LE(n, streams.size() + 2);
+    EXPECT_LE(use.calls, streams.size() + 2);
 }
 
 } // namespace

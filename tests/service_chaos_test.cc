@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
+#include <thread>
 
 #include "core/reference.hh"
 #include "service/chaos.hh"
@@ -252,6 +254,43 @@ TEST(ChaosService, HangIsAbandonedAtDeadlineAndServedBySpare)
     const MatchResponse again = sharded.serve(req);
     ASSERT_TRUE(again.ok()) << again.error.detail;
     EXPECT_EQ(again.result, expected(req));
+}
+
+TEST(ChaosService, AbandonedStragglerOutlivesItsRequest)
+{
+    // Each primary sleeps once, past the deadline, then streams the
+    // rest of its slice after serve() has returned and the request is
+    // gone: a straggler reads only the wave's own copy of the text
+    // (AddressSanitizer flags any read of the dropped request).
+    ChaosConfig storm;
+    storm.seed = 14;
+    storm.hangProb = 1.0;
+    storm.hangMs = 80;
+    storm.targetSlots = {0, 1};
+    storm.maxInjectionsPerSlot = 1;
+    auto plan = std::make_shared<const ChaosPlan>(storm);
+    ShardedConfig cfg = chaosShardConfig(2, 1);
+    cfg.batchDeadlineMs = 20;
+    ShardedMatchService sharded(
+        cfg, makeChaosLadderFactory(plan, softwareFactory()));
+
+    auto req = std::make_unique<MatchRequest>(randomRequest(0xE5, 120, 5));
+    const BitVec want = expected(*req);
+    const MatchResponse resp = sharded.serve(*req);
+    req.reset();
+    ASSERT_TRUE(resp.ok()) << resp.error.detail;
+    EXPECT_EQ(resp.result, want);
+    EXPECT_TRUE(
+        hasErrorKind(sharded.lastShardErrors(), ShardFaultKind::Timeout));
+
+    // Outwait the stragglers; the pool then serves the next request
+    // with both primaries back.
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(2 * storm.hangMs));
+    const MatchRequest next = randomRequest(0xE6, 120, 5);
+    const MatchResponse again = sharded.serve(next);
+    ASSERT_TRUE(again.ok()) << again.error.detail;
+    EXPECT_EQ(again.result, expected(next));
 }
 
 TEST(ChaosService, HungOneSliceRequestReturnsAtTheDeadline)
