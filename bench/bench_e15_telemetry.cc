@@ -11,8 +11,9 @@
  *                  and runtime-disabled; the relative slowdown is the
  *                  headline overhead number, gated in CI at 5%;
  *   micro          ns per counter bump and SPM_THIST sample on a
- *                  4-stripe registry, and per scoped span into the
- *                  global trace buffer, recording and runtime-disabled.
+ *                  4-stripe registry, and per StageClock start and
+ *                  mark, which records one span into the global trace
+ *                  buffer when traced and nothing when disabled.
  *
  * The report writes BENCH_E15.json (override with --json <path>;
  * --smoke shrinks the sweep for CI).
@@ -22,11 +23,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <functional>
 
 #include "service/service.hh"
-#include "telemetry/metrics.hh"
-#include "telemetry/span.hh"
+#include "telemetry/event.hh"
 #include "telemetry/telem.hh"
 #include "util/table.hh"
 
@@ -81,6 +82,8 @@ struct EndToEnd
  * jitter that dwarfs the true overhead, but adjacent runs see nearly
  * the same noise, so the minimum per-pair ratio is a tight upper
  * bound on the real slowdown where independent best-of times are not.
+ * Each side of a pair is a round of serves lasting at least 2 ms, so
+ * one scheduler hiccup moves a ratio by a small share of the round.
  */
 EndToEnd
 serviceOverhead(std::size_t n, int pairs)
@@ -94,13 +97,18 @@ serviceOverhead(std::size_t n, int pairs)
 
     service::MatchResponse warm = svc.serve(req);
     benchmark::DoNotOptimize(warm);
+    const double one = secondsOf([&] { warm = svc.serve(req); });
+    const int serves = std::max(1, static_cast<int>(std::ceil(2e-3 / one)));
 
     const auto serveSeconds = [&](bool on) {
         setTelemetry(on);
         service::MatchResponse resp;
-        const double s = secondsOf([&] { resp = svc.serve(req); });
+        const double s = secondsOf([&] {
+            for (int i = 0; i < serves; ++i)
+                resp = svc.serve(req);
+        });
         benchmark::DoNotOptimize(resp);
-        return s;
+        return s / serves;
     };
 
     EndToEnd r;
@@ -128,7 +136,7 @@ void
 endToEndReport()
 {
     const std::size_t n = smokeMode() ? 16384 : 131072;
-    const int pairs = smokeMode() ? 5 : 7;
+    const int pairs = 7;
 
     const EndToEnd e = serviceOverhead(n, pairs);
     const double cs_off = e.charsPerSecOff;
@@ -169,17 +177,18 @@ microReport()
         for (std::uint64_t i = 0; i < iters; ++i)
             SPM_THIST(hist, static_cast<double>(i % 100));
     });
-    const double span_s = secondsOf([&] {
+    // A stage clock started and marked once: one span when traced.
+    telem::StageClock clock;
+    const auto startAndMark = [&] {
         for (std::uint64_t i = 0; i < iters; ++i) {
-            SPM_TSPAN("bench.e15.span", telem::cat::engine, 0, i);
+            clock.start(i);
+            clock.mark(telem::Stage::Kernel);
         }
-    });
+        benchmark::DoNotOptimize(clock);
+    };
+    const double span_s = secondsOf(startAndMark);
     setTelemetry(false);
-    const double span_off_s = secondsOf([&] {
-        for (std::uint64_t i = 0; i < iters; ++i) {
-            SPM_TSPAN("bench.e15.span", telem::cat::engine, 0, i);
-        }
-    });
+    const double span_off_s = secondsOf(startAndMark);
 
     const double to_ns = 1e9 / static_cast<double>(iters);
     Table table("Per-site cost of the instrumentation primitives");
@@ -187,9 +196,9 @@ microReport()
     table.addRowOf("counter add (striped relaxed)",
                    Table::fixed(ctr_s * to_ns, 1));
     table.addRowOf("histogram sample", Table::fixed(hist_s * to_ns, 1));
-    table.addRowOf("scoped span (recording)",
+    table.addRowOf("stage clock start + mark (traced)",
                    Table::fixed(span_s * to_ns, 1));
-    table.addRowOf("scoped span (runtime-disabled)",
+    table.addRowOf("stage clock start + mark (runtime-disabled)",
                    Table::fixed(span_off_s * to_ns, 1));
     std::printf("%s\n", table.toString().c_str());
 

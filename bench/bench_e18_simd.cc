@@ -289,40 +289,45 @@ batchServiceReport()
         std::make_unique<SimdParallelMatcher>()));
     service::BatchMatchService batched(bcfg);
     service::MatchService streaming(scfg, std::move(rung));
-    // Each timed rep serves the bundle `passes` times: 256 K chars in
-    // both modes, several ms on the streaming side, so one scheduler
-    // hiccup cannot decide the best rep. One untimed pass warms both
-    // front ends (reservoirs, arenas, interned names) first.
-    const std::size_t passes = 4 * 1024 / requests;
-    const double total = static_cast<double>(passes * requests * len);
     bool all_ok = true;
     const auto serveBatched = [&] {
-        for (std::size_t p = 0; p < passes; ++p) {
-            auto resp = batched.serveBatch(batch);
-            for (const auto &r : resp)
-                all_ok = all_ok && r.ok();
-            benchmark::DoNotOptimize(resp);
-        }
+        auto resp = batched.serveBatch(batch);
+        for (const auto &r : resp)
+            all_ok = all_ok && r.ok();
+        benchmark::DoNotOptimize(resp);
     };
     const auto serveStreaming = [&] {
-        for (std::size_t p = 0; p < passes; ++p)
-            for (const auto &req : batch) {
-                auto r = streaming.serve(req);
-                all_ok = all_ok && r.ok();
-                benchmark::DoNotOptimize(r);
-            }
+        for (const auto &req : batch) {
+            auto r = streaming.serve(req);
+            all_ok = all_ok && r.ok();
+            benchmark::DoNotOptimize(r);
+        }
     };
+    // One untimed pass warms both front ends (reservoirs, arenas,
+    // interned names). Then each timed round serves the bundle until
+    // 2 ms have passed, the front ends alternating, best of 3: one
+    // scheduler hiccup cannot decide the best round.
     serveBatched();
     serveStreaming();
-
-    double s_batched = 1e300;
-    double s_streaming = 1e300;
+    const double bundle = static_cast<double>(requests * len);
+    const auto roundRate = [bundle](const auto &serveBundle) {
+        using Clock = std::chrono::steady_clock;
+        const auto t0 = Clock::now();
+        std::size_t passes = 0;
+        std::chrono::duration<double> spent{};
+        do {
+            serveBundle();
+            ++passes;
+            spent = Clock::now() - t0;
+        } while (spent < std::chrono::milliseconds(2));
+        return static_cast<double>(passes) * bundle / spent.count();
+    };
+    double cs_b = 0;
+    double cs_s = 0;
     for (int rep = 0; rep < 3; ++rep) {
-        s_batched = std::min(s_batched, secondsOf(serveBatched));
-        s_streaming = std::min(s_streaming, secondsOf(serveStreaming));
+        cs_b = std::max(cs_b, roundRate(serveBatched));
+        cs_s = std::max(cs_s, roundRate(serveStreaming));
     }
-    const double cs_b = total / s_batched;
-    const double cs_s = total / s_streaming;
 
     Table table("Serving " + std::to_string(requests) + " short "
                 "requests (" + std::to_string(len) + " chars each)");

@@ -15,7 +15,6 @@
 #include "extensions/counting.hh"
 #include "extensions/numarray.hh"
 #include "telemetry/event.hh"
-#include "telemetry/telem.hh"
 
 namespace spm::conformance
 {
@@ -284,7 +283,6 @@ runOneCase(RunReport &report, const Case &c, const std::string &found_id,
            std::uint64_t index, std::vector<Oracle> &oracles,
            const HarnessConfig &cfg, bool force_side_legs)
 {
-    SPM_TSPAN("conformance.case", telem::cat::conformance, 0, index);
     const CaseResult r = runCase(c, oracles, index);
     ++report.casesRun;
     report.comparisons += r.oraclesRun - 1;

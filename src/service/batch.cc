@@ -53,10 +53,11 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
     batchesCtr.add();
     std::vector<MatchResponse> out(batch.size());
 
-    // One stage clock for the whole call: the kernel pass is shared,
-    // so per-pass attribution is the honest granularity. Per-member
-    // queue waits feed the stage histogram directly (noteQueueWait).
-    telem::StageClock clock = startClock(0);
+    // One stage clock for the whole call, its spans stamped with the
+    // call's ordinal: the kernel pass is shared, so per-pass
+    // attribution is the honest granularity. Per-member queue waits
+    // feed the stage histogram directly (noteQueueWait).
+    telem::StageClock clock = startClock(0, batchesCtr.value());
 
     // Validate independently; collect the admissible requests.
     admitted.clear();
@@ -110,14 +111,19 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
         const std::vector<std::size_t> &members = groups[g];
         const std::vector<Symbol> &pattern = batch[members.front()].pattern;
         texts.clear();
-        for (const std::size_t idx : members)
+        std::size_t passChars = 0;
+        for (const std::size_t idx : members) {
             texts.push_back(&batch[idx].text);
+            passChars += batch[idx].text.size();
+        }
 
         // One kernel pass; every Nth replays through the reference.
         const bool checked = cfg.crossCheckEvery != 0 &&
                              kernelPassesCtr.value() % cfg.crossCheckEvery == 0;
         std::vector<BitVec> bits = engine.matchMany(texts, pattern);
         kernelPassesCtr.add();
+        // The steady-rate contract: one text character per beat.
+        clock.addBeats(passChars);
         clock.mark(telem::Stage::Kernel);
         SPM_THIST(batchWidthHist, static_cast<double>(texts.size()));
         std::uint64_t mismatches = 0;
@@ -131,16 +137,12 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
         }
         totalMismatches += mismatches;
 
-        std::size_t passChars = 0;
         for (std::size_t m = 0; m < members.size(); ++m) {
             MatchResponse &resp = out[members[m]];
-            const std::size_t n = texts[m]->size();
             resp.result = std::move(bits[m]);
             resp.backend = backendName;
             resp.chunks = 1;
-            // The steady-rate contract: one text character per beat.
-            resp.beats = static_cast<Beat>(n);
-            passChars += n;
+            resp.beats = static_cast<Beat>(texts[m]->size());
             if (mismatches != 0)
                 resp.error = ServiceError::make(
                     ErrorCode::BackendFailed,
@@ -150,7 +152,6 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
         // The pass's characters, charged once.
         cfg.base.bus.transferChunk(passChars);
         streamCharsCtr.add(passChars);
-        clock.addBeats(passChars);
         clock.mark(telem::Stage::Commit);
     }
     if (!admitted.empty()) {

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "util/bitvec.hh"
 #include "util/types.hh"
@@ -47,6 +48,9 @@ struct Checkpoint
 
     /** Result bits emitted for positions [0, offset). */
     const BitVec &emitted() const { return emittedBits; }
+
+    /** Give the emitted bits up, leaving none. */
+    BitVec takeEmitted() { return std::exchange(emittedBits, BitVec{}); }
 
     /**
      * FNV-1a digest for the journal: the completed words, then

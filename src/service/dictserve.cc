@@ -90,7 +90,7 @@ DictMatchService::feedChunk(DictSession &session,
         return res;
     }
 
-    telem::StageClock clock = startClock(enqueued_ns);
+    telem::StageClock clock = startClock(enqueued_ns, session.chunksFed + 1);
 
     if (auto verr =
             validateText(cfg.base, chunk, session.stream.seen, "chunk")) {
@@ -119,6 +119,8 @@ DictMatchService::feedChunk(DictSession &session,
     SPM_THIST(hitsPerChunkHist, static_cast<double>(res.totalHits));
     SPM_THIST(planesPerSweepHist,
               static_cast<double>(engine.lastPlanes()));
+    // The steady-rate contract: one text character per beat.
+    clock.addBeats(static_cast<Beat>(chunk.size()));
     clock.mark(telem::Stage::Kernel);
 
     if (audit) {
@@ -145,8 +147,6 @@ DictMatchService::feedChunk(DictSession &session,
         clock.mark(telem::Stage::CrossCheck);
     }
     clock.mark(telem::Stage::Commit);
-    // The steady-rate contract: one text character per beat.
-    clock.addBeats(static_cast<Beat>(chunk.size()));
     observe(clock, session.chunksFed,
             res.ok() ? nullptr : "cross-check mismatch",
             cfg.base.alphabetBits, session.dict[0], chunk);

@@ -63,10 +63,10 @@ FrontEnd::statsDump() const
 }
 
 telem::StageClock
-FrontEnd::startClock(std::uint64_t enqueued_ns)
+FrontEnd::startClock(std::uint64_t enqueued_ns, std::uint64_t trace_id)
 {
     telem::StageClock clock;
-    clock.start();
+    clock.start(trace_id);
     if (clock.running() && enqueued_ns != 0)
         clock.note(telem::Stage::QueueWait, telem::nowNs() - enqueued_ns);
     return clock;
@@ -92,7 +92,7 @@ StreamSession::StreamSession(MatchService &svc, const MatchRequest &req,
                              const Checkpoint *resume_from)
     : service(svc), requestId(req.id), text(piece), pattern(req.pattern),
       deadlineBeats(req.deadlineBeats), rungFaults(svc.ladder.size(), 0),
-      clock(MatchService::startClock(req.enqueuedNs))
+      clock(MatchService::startClock(req.enqueuedNs, req.id))
 {
     response.id = req.id;
     if (resume_from) {
@@ -196,16 +196,14 @@ StreamSession::prefetchFrom(ServiceBackend &backend, std::size_t rung)
         return;
     // The next min(64, windows left) windows, cut exactly as step()
     // cuts them.
-    constexpr std::size_t maxWindows = 64;
     const std::size_t n = text.size();
-    upcoming.clear();
-    upcoming.reserve(maxWindows);
+    std::size_t count = 0;
     std::size_t off = cp.offset;
-    while (off < n && upcoming.size() < maxWindows) {
-        upcoming.push_back(windowAt(off));
+    for (; off < n && count < upcoming.size(); ++count) {
+        upcoming[count] = windowAt(off);
         off += std::min(service.cfg.chunkChars, n - off);
     }
-    backend.prefetch(upcoming, pattern);
+    backend.prefetch(std::span(upcoming).first(count), pattern);
     prefetchRung = rung;
     prefetchEnd = off;
 }
@@ -218,8 +216,8 @@ StreamSession::step()
 
     const std::size_t n = text.size();
     if (cp.offset >= n) {
-        // Fully served: publish the accumulated stream.
-        response.result = cp.emitted();
+        // Fully served: the accumulated stream becomes the response.
+        response.result = cp.takeEmitted();
         response.backend = service.ladder[cp.rung]->internedName();
         finished = true;
         flushBeatRun();
@@ -239,9 +237,6 @@ StreamSession::step()
         return telem::CaseRef(requestId, cfg.alphabetBits, pattern, window,
                               cp.offset + chunk - window.size());
     };
-
-    SPM_TSPAN_NAMED(chunk_span, "service.chunk", telem::cat::service,
-                    response.beats, requestId);
 
     // Everything up to here -- queue pop, window assembly, budget
     // math -- is admission work.
@@ -275,8 +270,8 @@ StreamSession::step()
         WindowResult wr =
             backend.matchWindow(window, pattern, service.dog);
         response.beats += wr.beats;
-        clock.mark(telem::Stage::Kernel);
         clock.addBeats(wr.beats);
+        clock.mark(telem::Stage::Kernel);
 
         if (!wr.completed) {
             const telem::CaseRef here = windowCase();
@@ -290,9 +285,6 @@ StreamSession::step()
                 trip.caseRef = here;
                 trip.limit = budget;
                 service.flight.trip("watchdog trip", std::move(trip));
-                SPM_TINSTANT("service.watchdog_trip",
-                             telem::cat::service, response.beats,
-                             requestId);
             }
             telem::EventRecord cancelled = event(telem::EventKind::Cancel);
             cancelled.setDetail(wr.note);
@@ -306,8 +298,6 @@ StreamSession::step()
                                           : ErrorCode::BackendFailed);
             fall.caseRef = here;
             service.flight.trip("ladder transition", std::move(fall));
-            SPM_TINSTANT("service.ladder_fall", telem::cat::service,
-                         response.beats, rung + 1);
             cp.rung = ++rung;
             continue;
         }
@@ -337,9 +327,6 @@ StreamSession::step()
                     mismatch.kind = telem::EventKind::LadderTransition;
                     service.flight.trip("ladder transition",
                                         std::move(mismatch));
-                    SPM_TINSTANT("service.ladder_fall",
-                                 telem::cat::service, response.beats,
-                                 rung + 1);
                     cp.rung = ++rung;
                 }
                 // Within budget: re-run the same rung (a transient
@@ -364,7 +351,6 @@ StreamSession::step()
             flushBeatRun();
         runBeats = wr.beats;
         ++runChunks;
-        chunk_span.setBeat(response.beats);
         telem::EventRecord commit = event(telem::EventKind::ChunkCommit);
         service.flight.record(commit);
         clock.mark(telem::Stage::Commit);

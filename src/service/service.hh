@@ -30,6 +30,7 @@
 #ifndef SPM_SERVICE_SERVICE_HH
 #define SPM_SERVICE_SERVICE_HH
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <span>
@@ -126,8 +127,12 @@ class FrontEnd
              const char *dump_prefix, std::size_t stripes = 1);
     ~FrontEnd() = default;
 
-    /** A started clock, credited with the wait since @p enqueued_ns. */
-    static telem::StageClock startClock(std::uint64_t enqueued_ns);
+    /**
+     * A started clock, credited with the wait since @p enqueued_ns;
+     * its trace spans carry @p trace_id.
+     */
+    static telem::StageClock startClock(std::uint64_t enqueued_ns,
+                                        std::uint64_t trace_id);
 
     /**
      * Fold one finished request into the observer; @p reason (or
@@ -179,7 +184,12 @@ class StreamSession
     /** True once the request is fully served or has failed. */
     bool done() const { return finished; }
 
-    /** The last durable checkpoint (resume token). */
+    /**
+     * The last durable checkpoint (resume token). Once the session
+     * has served the whole text, its bits belong to the response: the
+     * checkpoint keeps its offset, rung and beats, and resume()
+     * rejects it.
+     */
     const Checkpoint &checkpoint() const { return cp; }
 
     /** Finish the session and take the response (counted only once). */
@@ -228,7 +238,7 @@ class StreamSession
     /** Cross-check failures charged against each rung this request. */
     std::vector<unsigned> rungFaults;
     /** The windows last handed to a rung's prefetch() (scratch). */
-    std::vector<std::span<const Symbol>> upcoming;
+    std::array<std::span<const Symbol>, 64> upcoming;
     /** That rung, and the text offset its windows run up to. */
     std::size_t prefetchRung = static_cast<std::size_t>(-1);
     std::size_t prefetchEnd = 0;

@@ -189,8 +189,6 @@ ShardedMatchService::serveSliceOn(std::size_t slot, const MatchRequest &whole,
                                   std::span<const Symbol> piece,
                                   std::string *exception_text)
 {
-    SPM_TSPAN("sharded.shard", telem::cat::sharded, 0,
-              static_cast<std::uint64_t>(slot));
     try {
         return StreamSession(*shards[slot], whole, piece).run();
     } catch (const std::exception &e) {
@@ -340,9 +338,7 @@ ShardedMatchService::serve(const MatchRequest &req)
         return out;
     }
 
-    telem::StageClock clock = startClock(req.enqueuedNs);
-    SPM_TSPAN_NAMED(batch_span, "sharded.serve", telem::cat::sharded, 0,
-                    req.id);
+    telem::StageClock clock = startClock(req.enqueuedNs, req.id);
 
     // Route around quarantined and leased slots: the wafer-harvest
     // move one level up.
@@ -672,12 +668,11 @@ ShardedMatchService::serve(const MatchRequest &req)
     out.backend = intern(rungNames);
     // The host waits for the slowest shard, not the sum.
     out.beats = lastCritical;
-    batch_span.setBeat(lastCritical);
     if (!out.ok())
         out.result.clear();
 
-    clock.mark(telem::Stage::Commit);
     clock.addBeats(out.beats);
+    clock.mark(telem::Stage::Commit);
     const char *reason = nullptr;
     for (const ShardError &se : lastErrors)
         if (se.kind == ShardFaultKind::OverlapMismatch)

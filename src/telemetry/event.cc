@@ -271,6 +271,15 @@ FlightRecorder::render(const EventRecord &ev) const
 std::string
 FlightRecorder::trip(const std::string &reason, EventRecord ev)
 {
+    // The trip's trace instant, outside the lock; tracing follows the
+    // sampling gate.
+    TraceBuffer &buf = TraceBuffer::global();
+    if (buf.enabled() && samplingEnabled())
+        buf.record({.name = eventKindName(ev.kind),
+                    .startUs = buf.nowUs(),
+                    .beat = ev.beats,
+                    .arg = ev.requestId,
+                    .phase = SpanEvent::Phase::Instant});
     std::function<void(const std::string &)> sink;
     std::string dump;
     {
@@ -396,6 +405,19 @@ StageClock::read() const
                                         static_cast<double>(ticks[i]) *
                                         nsPerTick);
     return r;
+}
+
+void
+StageClock::markSpan(Stage s)
+{
+    TraceBuffer &buf = TraceBuffer::global();
+    const std::uint64_t us = buf.nowUs();
+    buf.record({.name = stageName(s),
+                .startUs = lastUs,
+                .durUs = us - lastUs,
+                .beat = beatCount,
+                .arg = traceId});
+    lastUs = us;
 }
 
 const char *

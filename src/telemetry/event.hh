@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "telemetry/metrics.hh"
+#include "telemetry/span.hh"
 #include "util/types.hh"
 
 namespace spm::telem
@@ -127,7 +128,9 @@ struct JournalTag
  * replay journal, which keeps every record, renders "seq=<n> req=<id>
  * <event>" lines and restarts its numbering on clear(). record() is
  * mutex-guarded; trip() renders the history plus the triggering record
- * into a dump for the sink (spm_warn by default) and lastDump().
+ * into a dump for the sink (spm_warn by default) and lastDump(), and
+ * with tracing and sampling on records a trace instant named for the
+ * record's kind.
  */
 class FlightRecorder
 {
@@ -245,6 +248,11 @@ stageTick()
  * the request's own nanoseconds per tick (its steady-clock span over
  * its tick span), so the marked stages sum to at most the total.
  * Everything is a no-op when sampling was disabled at start().
+ *
+ * The clock is also the trace's one source of spans: when the global
+ * TraceBuffer was enabled at start() too, each mark records a Chrome
+ * 'X' span named stageName(s), from the previous mark to now, stamped
+ * with the beats so far and the id start() was given.
  */
 class StageClock
 {
@@ -256,13 +264,18 @@ class StageClock
         std::array<std::uint64_t, stageCount> stageNs{};
     };
 
-    void start()
+    /** @param trace_id the request (or call) id its spans carry */
+    void start(std::uint64_t trace_id = 0)
     {
         armed = samplingEnabled();
-        if (armed) {
-            t0 = nowNs();
-            tick0 = lastTick = stageTick();
-        }
+        traced = armed && TraceBuffer::global().enabled();
+        if (!armed)
+            return;
+        t0 = nowNs();
+        tick0 = lastTick = stageTick();
+        traceId = trace_id;
+        if (traced)
+            lastUs = TraceBuffer::global().nowUs();
     }
 
     void mark(Stage s)
@@ -275,6 +288,8 @@ class StageClock
         const std::uint64_t now = t > lastTick ? t : lastTick;
         ticks[static_cast<std::size_t>(s)] += now - lastTick;
         lastTick = now;
+        if (traced)
+            markSpan(s);
     }
 
     /** Credit externally measured time without moving the mark. */
@@ -296,7 +311,13 @@ class StageClock
     Beat beats() const { return beatCount; }
 
   private:
+    /** mark()'s traced half: record the span that mark closes. */
+    void markSpan(Stage s);
+
     bool armed = false;
+    bool traced = false;
+    std::uint64_t traceId = 0;
+    std::uint64_t lastUs = 0; ///< trace time of the previous mark
     std::uint64_t t0 = 0;
     std::uint64_t tick0 = 0;
     std::uint64_t lastTick = 0;

@@ -9,34 +9,6 @@
 namespace spm::telem
 {
 
-namespace cat
-{
-
-namespace
-{
-constexpr std::pair<const char *, std::uint32_t> kCategories[] = {
-    {"engine", engine},       {"gate", gate},
-    {"service", service},     {"sharded", sharded},
-    {"hostbus", hostbus},     {"conformance", conformance},
-};
-} // namespace
-
-std::string
-names(std::uint32_t mask)
-{
-    std::string out;
-    for (const auto &[name, bit] : kCategories) {
-        if (mask & bit) {
-            if (!out.empty())
-                out.push_back(',');
-            out += name;
-        }
-    }
-    return out;
-}
-
-} // namespace cat
-
 /**
  * Per-thread event ring. Only the owning thread writes slots and
  * head; the exporter reads them at quiescence under the collect()
@@ -164,16 +136,15 @@ TraceBuffer::exportChromeJson(const std::string &processName) const
           "\"name\":\"process_name\",\"args\":{\"name\":"
        << jsonQuote(processName) << "}}";
     for (const SpanEvent &ev : events) {
-        os << ",{\"ph\":\""
-           << (ev.phase == SpanEvent::Phase::Complete ? "X" : "I")
+        const bool span = ev.phase == SpanEvent::Phase::Complete;
+        os << ",{\"ph\":\"" << (span ? "X" : "I")
            << "\",\"pid\":1,\"tid\":" << ev.tid
            << ",\"ts\":" << ev.startUs;
-        if (ev.phase == SpanEvent::Phase::Complete)
-            os << ",\"dur\":" << ev.durUs;
+        if (span)
+            os << ",\"dur\":" << ev.durUs << ",\"cat\":\"stage\"";
         else
-            os << ",\"s\":\"t\"";
+            os << ",\"s\":\"t\",\"cat\":\"trip\"";
         os << ",\"name\":" << jsonQuote(ev.name)
-           << ",\"cat\":" << jsonQuote(cat::names(ev.category))
            << ",\"args\":{\"beat\":" << ev.beat << ",\"arg\":" << ev.arg
            << "}}";
     }
@@ -247,36 +218,6 @@ validateChromeTrace(const std::string &json)
         }
     }
     return "";
-}
-
-void
-ScopedSpan::finishNow()
-{
-    SpanEvent ev;
-    ev.name = name;
-    ev.startUs = startUs;
-    ev.durUs = buf->nowUs() - startUs;
-    ev.beat = beat;
-    ev.arg = arg;
-    ev.category = category;
-    ev.phase = SpanEvent::Phase::Complete;
-    buf->record(ev);
-}
-
-void
-instant(TraceBuffer &buffer, const char *name, std::uint32_t category,
-        Beat beat, std::uint64_t arg)
-{
-    if (!buffer.enabled())
-        return;
-    SpanEvent ev;
-    ev.name = name;
-    ev.startUs = buffer.nowUs();
-    ev.beat = beat;
-    ev.arg = arg;
-    ev.category = category;
-    ev.phase = SpanEvent::Phase::Instant;
-    buffer.record(ev);
 }
 
 } // namespace spm::telem

@@ -3,12 +3,13 @@
  * Beat-stamped span tracing with Chrome trace-event export.
  *
  * The systolic design's central property is per-beat predictability;
- * spans make that visible on a timeline. A ScopedSpan brackets a
- * region of work (a served chunk, a conformance case, a batch of
- * shards) as one Chrome 'X' complete event; instant() drops an 'I'
- * marker (a watchdog trip, a ladder fall). Both carry the simulated
- * beat index alongside the wall-clock timestamp, so a Perfetto
- * timeline can be read in either time base.
+ * spans make that visible on a timeline. There are two sources, and
+ * only two: every StageClock mark of a traced request is one Chrome
+ * 'X' complete event named for its stage (admit, kernel, commit...),
+ * and every FlightRecorder::trip() is one 'I' instant named for its
+ * event kind (watchdog_trip, ladder_transition...). Both carry the
+ * simulated beat count and the request id alongside the wall-clock
+ * timestamp, so a Perfetto timeline reads in either time base.
  *
  * Recording is lock-free on the hot path: each thread appends to its
  * own fixed-capacity ring with plain stores. The contract is the
@@ -34,20 +35,6 @@
 namespace spm::telem
 {
 
-/** Trace categories, one bit each; every event carries its own. */
-namespace cat
-{
-constexpr std::uint32_t engine = 1u << 0;      ///< beat-loop internals
-constexpr std::uint32_t gate = 1u << 1;        ///< gate-level settle
-constexpr std::uint32_t service = 1u << 2;     ///< chunk serving
-constexpr std::uint32_t sharded = 1u << 3;     ///< thread-pool batches
-constexpr std::uint32_t hostbus = 1u << 4;     ///< host transfers
-constexpr std::uint32_t conformance = 1u << 5; ///< differential cases
-
-/** Render "service,sharded"-style lists; unknown bits are dropped. */
-std::string names(std::uint32_t mask);
-} // namespace cat
-
 /** One recorded event; fixed-size, name by pointer to a literal. */
 struct SpanEvent
 {
@@ -61,8 +48,7 @@ struct SpanEvent
     std::uint64_t startUs = 0; ///< wall-clock µs since buffer epoch
     std::uint64_t durUs = 0;   ///< Complete only
     Beat beat = 0;             ///< simulated beat stamp
-    std::uint64_t arg = 0;     ///< one free payload (chunk id, code)
-    std::uint32_t category = 0;
+    std::uint64_t arg = 0;     ///< request or call id
     std::uint32_t tid = 0; ///< recording thread, dense ids from 0
     Phase phase = Phase::Complete;
 };
@@ -83,7 +69,7 @@ class TraceBuffer
     TraceBuffer(const TraceBuffer &) = delete;
     TraceBuffer &operator=(const TraceBuffer &) = delete;
 
-    /** The process-wide buffer the SPM_TSPAN macros record into. */
+    /** The process-wide buffer stage marks and trips record into. */
     static TraceBuffer &global();
 
     void setEnabled(bool on) { on_.store(on, std::memory_order_relaxed); }
@@ -104,8 +90,9 @@ class TraceBuffer
 
     /**
      * Chrome trace-event JSON: an array of objects with ph/ts/pid/
-     * tid/name/cat fields, loadable in chrome://tracing / Perfetto.
-     * Same quiescence contract as collect().
+     * tid/name/cat fields, loadable in chrome://tracing / Perfetto;
+     * cat is "stage" on spans and "trip" on instants. Same quiescence
+     * contract as collect().
      */
     std::string exportChromeJson(const std::string &processName =
                                      "spm") const;
@@ -144,53 +131,6 @@ class TraceBuffer
  * valid, else a description of the first violation.
  */
 std::string validateChromeTrace(const std::string &json);
-
-/**
- * RAII recorder for one 'X' complete event. Times the enclosed scope
- * with the buffer clock; the beat stamp may be updated before exit so
- * the span carries the beat it ended on.
- */
-class ScopedSpan
-{
-  public:
-    /** @param span_name static-storage string literal only. */
-    ScopedSpan(TraceBuffer &buffer, const char *span_name,
-               std::uint32_t category, Beat beat_stamp = 0,
-               std::uint64_t arg_value = 0)
-        : buf(&buffer), name(span_name), category(category),
-          beat(beat_stamp), arg(arg_value), live(buffer.enabled()),
-          startUs(live ? buffer.nowUs() : 0)
-    {
-    }
-
-    ~ScopedSpan()
-    {
-        if (live)
-            finishNow();
-    }
-
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
-
-    /** Update the beat stamp the span will be recorded with. */
-    void setBeat(Beat b) { beat = b; }
-
-  private:
-    void finishNow();
-
-    TraceBuffer *buf;
-    const char *name;
-    std::uint32_t category;
-    Beat beat;
-    std::uint64_t arg;
-    bool live;
-    std::uint64_t startUs;
-};
-
-/** Record one 'I' instant event (no-op when filtered out). */
-void instant(TraceBuffer &buffer, const char *name,
-             std::uint32_t category, Beat beat = 0,
-             std::uint64_t arg = 0);
 
 } // namespace spm::telem
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared helpers for the test suite: deterministic workloads and the
- * paper's own running example.
+ * Shared helpers for the test suite: deterministic workloads, the
+ * paper's own running example, and a scoped global trace.
  *
  * All randomized workloads are backed by the conformance case
  * generator (src/conformance/casegen.hh), so the suite and the
@@ -20,6 +20,8 @@
 
 #include "conformance/case.hh"
 #include "conformance/casegen.hh"
+#include "telemetry/metrics.hh"
+#include "telemetry/span.hh"
 #include "util/rng.hh"
 #include "util/strings.hh"
 #include "util/types.hh"
@@ -99,6 +101,46 @@ paperText()
 {
     return parseSymbols("ABCAACCACB");
 }
+
+/**
+ * The global trace buffer for one scope: cleared, with tracing and
+ * sampling switched as asked; on exit tracing goes off, sampling back
+ * on (the default) and the buffer is cleared again.
+ */
+class ScopedTrace
+{
+  public:
+    explicit ScopedTrace(bool tracing = true, bool sampling = true)
+    {
+        telem::TraceBuffer::global().clear();
+        telem::TraceBuffer::global().setEnabled(tracing);
+        telem::setSamplingEnabled(sampling);
+    }
+    ~ScopedTrace()
+    {
+        telem::TraceBuffer::global().setEnabled(false);
+        telem::TraceBuffer::global().clear();
+        telem::setSamplingEnabled(true);
+    }
+    ScopedTrace(const ScopedTrace &) = delete;
+    ScopedTrace &operator=(const ScopedTrace &) = delete;
+
+    /** Every recorded event, oldest first. */
+    static std::vector<telem::SpanEvent> events()
+    {
+        return telem::TraceBuffer::global().collect();
+    }
+
+    /** The recorded events named @p name, oldest first. */
+    static std::vector<telem::SpanEvent> named(const std::string &name)
+    {
+        std::vector<telem::SpanEvent> out;
+        for (const telem::SpanEvent &ev : events())
+            if (name == ev.name)
+                out.push_back(ev);
+        return out;
+    }
+};
 
 } // namespace spm::test
 

@@ -432,6 +432,35 @@ TEST(ChaosService, SilentCorruptionIsCaughtByOverlapCheckAndRepaired)
     sharded.flightRecorder().setDumpSink(nullptr);
 }
 
+TEST(ChaosService, TracedOverlapMismatchRecordsOneInstant)
+{
+    // The silent corruption above, traced: the overlap check's trip
+    // is one instant in the trace, named for its event kind.
+    ChaosConfig storm;
+    storm.seed = 16;
+    storm.corruptProb = 1.0;
+    storm.maxInjectionsPerSlot = 1;
+    storm.targetSlots = {1};
+    storm.corruptAt = 4;
+    auto plan = std::make_shared<const ChaosPlan>(storm);
+    ShardedConfig cfg = chaosShardConfig(2, 1);
+    cfg.base.crossCheck = false;
+    ShardedMatchService sharded(
+        cfg, makeChaosLadderFactory(plan, softwareFactory()));
+    sharded.flightRecorder().setDumpSink([](const std::string &) {});
+
+    const test::ScopedTrace trace;
+    const auto req = randomRequest(0xE6, 300, 5);
+    const MatchResponse resp = sharded.serve(req);
+    ASSERT_TRUE(resp.ok()) << resp.error.detail;
+
+    const auto instants = trace.named("overlap_mismatch");
+    ASSERT_EQ(instants.size(), 1u);
+    EXPECT_EQ(instants[0].phase, telem::SpanEvent::Phase::Instant);
+    EXPECT_EQ(instants[0].arg, req.id);
+    sharded.flightRecorder().setDumpSink(nullptr);
+}
+
 TEST(ChaosService, UnrepairableOverlapMismatchFailsTypedNotSilent)
 {
     ChaosConfig storm;

@@ -9,13 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 
 #include "core/reference.hh"
 #include "core/simdpar.hh"
 #include "service/service.hh"
 #include "service/sharded.hh"
-#include "telemetry/span.hh"
 #include "tests/helpers.hh"
 
 namespace spm::service
@@ -305,46 +307,63 @@ TEST(ShardedService, ResponseNamesOnlyRungsThatServedASlice)
 
 TEST(ShardedService, TracedServeExportsValidChromeTrace)
 {
-    // Four worker threads record spans into the global trace buffer
-    // concurrently; serve()'s batch join is the happens-before edge
-    // the export contract requires. Run under TSan by check.sh.
+    // Four worker threads record their slice sessions' stage spans
+    // into the global trace buffer concurrently; serve()'s batch join
+    // is the happens-before edge the export contract requires. Run
+    // under TSan by check.sh.
+    const test::ScopedTrace trace;
     auto &buf = telem::TraceBuffer::global();
-    buf.clear();
-    buf.setEnabled(true);
+    // A marker names the test thread's ring, which the request-level
+    // clock records into.
+    buf.record({.name = "test-thread"});
 
-    ShardedMatchService sharded(smallShardConfig(4, 2));
+    // Every window takes a millisecond, so no worker finishes its
+    // slice before the others have taken theirs.
+    class Unhurried : public SoftwareBackend
+    {
+        WindowResult matchWindow(std::span<const Symbol> window,
+                                 std::span<const Symbol> pattern,
+                                 BeatWatchdog &dog) override
+        {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            return SoftwareBackend::matchWindow(window, pattern, dog);
+        }
+    };
+    ShardedMatchService sharded(
+        smallShardConfig(4, 2), [](const ServiceConfig &) {
+            std::vector<std::unique_ptr<ServiceBackend>> ladder;
+            ladder.push_back(std::make_unique<Unhurried>());
+            return ladder;
+        });
     const auto req = randomRequest(0x7ACE, 2, 200, 5);
     const MatchResponse resp = sharded.serve(req);
-    buf.setEnabled(false);
     ASSERT_TRUE(resp.ok()) << resp.error.detail;
     ASSERT_EQ(sharded.lastShards(), 4u);
 
     const std::string json = buf.exportChromeJson("sharded test");
     EXPECT_EQ(telem::validateChromeTrace(json), "") << json.substr(0, 400);
 
-    // The batch span and all four shard spans made it into the trace,
-    // recorded from more than one thread.
-    const auto events = buf.collect();
-    std::size_t batch_spans = 0;
-    std::size_t shard_spans = 0;
-    std::size_t distinct_tids = 0;
-    std::vector<bool> tid_seen(64, false);
+    const auto events = trace.events();
+    std::uint32_t caller = 0;
+    for (const telem::SpanEvent &ev : events)
+        if (std::string(ev.name) == "test-thread")
+            caller = ev.tid;
+    // One request-level commit span, stamped with the critical path;
+    // kernel spans from every slice session, on more than one worker.
+    std::size_t request_commits = 0;
+    std::vector<bool> kernel_tid(64, false);
     for (const telem::SpanEvent &ev : events) {
-        if (std::string(ev.name) == "sharded.serve") {
-            ++batch_spans;
+        const std::string name = ev.name;
+        if (ev.tid == caller && name == "commit") {
+            ++request_commits;
             EXPECT_EQ(ev.beat, sharded.lastCriticalBeats());
+            EXPECT_EQ(ev.arg, req.id);
         }
-        if (std::string(ev.name) == "sharded.shard")
-            ++shard_spans;
-        if (ev.tid < tid_seen.size() && !tid_seen[ev.tid]) {
-            tid_seen[ev.tid] = true;
-            ++distinct_tids;
-        }
+        if (ev.tid != caller && name == "kernel" && ev.tid < 64)
+            kernel_tid[ev.tid] = true;
     }
-    EXPECT_EQ(batch_spans, 1u);
-    EXPECT_EQ(shard_spans, 4u);
-    EXPECT_GE(distinct_tids, 2u);
-    buf.clear();
+    EXPECT_EQ(request_commits, 1u);
+    EXPECT_GE(std::count(kernel_tid.begin(), kernel_tid.end(), true), 2);
 }
 
 TEST(ShardedService, ZeroBatchDeadlineIsRejectedAtConstruction)

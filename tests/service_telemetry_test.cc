@@ -17,8 +17,13 @@
 #include "conformance/case.hh"
 #include "core/reference.hh"
 #include "core/simdpar.hh"
+#include "service/batch.hh"
+#include "service/dictserve.hh"
 #include "service/service.hh"
+#include "service/sharded.hh"
 #include "telemetry/metrics.hh"
+#include "telemetry/span.hh"
+#include "tests/helpers.hh"
 #include "util/rng.hh"
 
 namespace spm::service
@@ -387,6 +392,122 @@ TEST(ServiceTelemetry, CrossCheckMismatchLeavesBreadcrumb)
     }
     EXPECT_TRUE(saw_mismatch);
     EXPECT_GE(svc.stats().counter("crossCheckFailures").value(), 2u);
+}
+
+// --- Trace events: stage spans from the clocks, instants from trips ---
+
+using test::ScopedTrace;
+
+FrontEndConfig
+frontEndConfig()
+{
+    FrontEndConfig cfg;
+    cfg.alphabetBits = 2;
+    return cfg;
+}
+
+/** The admit, kernel and commit spans of one traced call. */
+void
+expectStageSpans(const ScopedTrace &trace, std::uint64_t id, Beat beats)
+{
+    for (const char *stage : {"admit", "kernel", "commit"}) {
+        const auto spans = trace.named(stage);
+        ASSERT_EQ(spans.size(), 1u) << stage;
+        EXPECT_EQ(spans[0].phase, telem::SpanEvent::Phase::Complete);
+        EXPECT_EQ(spans[0].arg, id) << stage;
+    }
+    EXPECT_EQ(trace.named("admit")[0].beat, 0u);
+    EXPECT_EQ(trace.named("kernel")[0].beat, beats);
+    EXPECT_EQ(trace.named("commit")[0].beat, beats);
+}
+
+TEST(ServiceTrace, TracedServeBatchRecordsStageSpans)
+{
+    BatchServiceConfig cfg;
+    cfg.base = frontEndConfig();
+    BatchMatchService svc(cfg);
+    const MatchRequest a = seededRequest(1, 41, 40, 4);
+    MatchRequest b = a;
+    b.id = 2;
+    b.text.resize(24);
+
+    ScopedTrace trace(true);
+    const std::vector<MatchResponse> out = svc.serveBatch({a, b});
+    ASSERT_TRUE(out[0].ok() && out[1].ok());
+    // Stamped with the call's ordinal; one pattern group, so one pass.
+    expectStageSpans(trace, 1, 40 + 24);
+}
+
+TEST(ServiceTrace, TracedFeedChunkRecordsStageSpans)
+{
+    DictServiceConfig cfg;
+    cfg.base = frontEndConfig();
+    DictMatchService svc(cfg);
+    DictError err;
+    DictSession session = svc.openSession({{1, 2}, {3, 0, 1}}, err);
+    ASSERT_TRUE(err.ok());
+    const MatchRequest req = seededRequest(1, 43, 48, 4);
+
+    ScopedTrace trace(true);
+    ASSERT_TRUE(svc.feedChunk(session, req.text).ok());
+    // The first chunk of the session.
+    expectStageSpans(trace, 1, 48);
+}
+
+TEST(ServiceTrace, WatchdogTripRecordsOneInstant)
+{
+    std::vector<std::unique_ptr<ServiceBackend>> ladder;
+    ladder.push_back(std::make_unique<WedgedBackend>());
+    ladder.push_back(std::make_unique<SoftwareBackend>());
+    MatchService svc(smallConfig(), std::move(ladder));
+    svc.flightRecorder().setDumpSink([](const std::string &) {});
+
+    ScopedTrace trace(true);
+    const MatchRequest req = seededRequest(21, 11, 16, 4);
+    ASSERT_TRUE(svc.serve(req).ok());
+    const auto trips = trace.named("watchdog_trip");
+    ASSERT_EQ(trips.size(), 1u);
+    EXPECT_EQ(trips[0].phase, telem::SpanEvent::Phase::Instant);
+    EXPECT_EQ(trips[0].arg, req.id);
+    EXPECT_GT(trips[0].beat, 0u);
+    // The fall that follows is the trip's second instant.
+    EXPECT_EQ(trace.named("ladder_transition").size(), 1u);
+}
+
+TEST(ServiceTrace, UntracedOrUnsampledFrontEndsRecordNothing)
+{
+    const MatchRequest req = seededRequest(5, 44, 96, 4);
+    MatchService stream(smallConfig());
+    ShardedConfig scfg;
+    scfg.base = smallConfig();
+    scfg.threads = 2;
+    scfg.minShardChars = 16;
+    ShardedMatchService sharded(scfg);
+    BatchServiceConfig bcfg;
+    bcfg.base = frontEndConfig();
+    BatchMatchService batch(bcfg);
+    DictServiceConfig dcfg;
+    dcfg.base = frontEndConfig();
+    DictMatchService dict(dcfg);
+
+    for (const auto &[tracing, sampling] :
+         {std::pair{false, true}, std::pair{true, false},
+          std::pair{true, true}}) {
+        ScopedTrace trace(tracing, sampling);
+        ASSERT_TRUE(stream.serve(req).ok());
+        ASSERT_TRUE(sharded.serve(req).ok());
+        ASSERT_TRUE(batch.serveBatch({req})[0].ok());
+        DictError err;
+        DictSession session = dict.openSession({req.pattern}, err);
+        ASSERT_TRUE(dict.feedChunk(session, req.text).ok());
+        const std::uint64_t recorded =
+            telem::TraceBuffer::global().recordedTotal();
+        if (tracing && sampling)
+            EXPECT_GT(recorded, 0u); // the same calls, traced
+        else
+            EXPECT_EQ(recorded, 0u)
+                << "tracing " << tracing << " sampling " << sampling;
+    }
 }
 
 } // namespace

@@ -1,71 +1,114 @@
 /**
  * @file
- * Span tracing tests: RAII recording, category filtering, per-thread
- * ring wraparound, multi-thread interleave under the collect-at-
- * quiescence contract, and the Chrome trace-event JSON export checked
- * against the schema validator trace_view --check uses.
+ * Trace tests: the two sources of trace events (a traced StageClock's
+ * marks are stage spans, a FlightRecorder trip is an instant), the
+ * per-thread ring wraparound, multi-thread interleave under the
+ * collect-at-quiescence contract, and the Chrome trace-event JSON
+ * export checked against the schema validator trace_view --check uses.
  */
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "telemetry/event.hh"
 #include "telemetry/jsonlite.hh"
 #include "telemetry/span.hh"
+#include "tests/helpers.hh"
 
 namespace spm::telem
 {
 namespace
 {
 
-TEST(ScopedSpan, RecordsCompleteEventWithBeatAndArg)
+using test::ScopedTrace;
+
+SpanEvent
+event(const char *name, std::uint64_t arg,
+      SpanEvent::Phase phase = SpanEvent::Phase::Instant)
 {
-    TraceBuffer buf(64);
-    buf.setEnabled(true);
-    {
-        ScopedSpan span(buf, "test.work", cat::service, 7, 99);
-        span.setBeat(123);
-    }
-    const std::vector<SpanEvent> events = buf.collect();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_STREQ(events[0].name, "test.work");
-    EXPECT_EQ(events[0].phase, SpanEvent::Phase::Complete);
-    EXPECT_EQ(events[0].beat, 123u);
-    EXPECT_EQ(events[0].arg, 99u);
-    EXPECT_EQ(events[0].category, cat::service);
+    return {.name = name, .arg = arg, .phase = phase};
 }
 
-TEST(ScopedSpan, DisabledBufferRecordsNothing)
+TEST(StageClockTrace, MarksRecordBackToBackStageSpans)
 {
-    TraceBuffer buf(64);
-    ASSERT_FALSE(buf.enabled());
-    {
-        ScopedSpan span(buf, "test.work", cat::service);
+    ScopedTrace trace;
+    StageClock clock;
+    clock.start(99);
+    clock.addBeats(7);
+    clock.mark(Stage::Kernel);
+    clock.addBeats(3);
+    clock.mark(Stage::Commit);
+
+    const std::vector<SpanEvent> events = trace.events();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_STREQ(events[0].name, "kernel");
+    EXPECT_STREQ(events[1].name, "commit");
+    for (const SpanEvent &ev : events) {
+        EXPECT_EQ(ev.phase, SpanEvent::Phase::Complete);
+        EXPECT_EQ(ev.arg, 99u);
     }
-    instant(buf, "test.instant", cat::service);
-    EXPECT_TRUE(buf.collect().empty());
-    EXPECT_EQ(buf.recordedTotal(), 0u);
+    EXPECT_EQ(events[0].beat, 7u);
+    EXPECT_EQ(events[1].beat, 10u);
+    // Each span runs from the previous mark to its own.
+    EXPECT_EQ(events[1].startUs, events[0].startUs + events[0].durUs);
 }
 
-TEST(Instant, RecordsInstantPhase)
+TEST(StageClockTrace, TracingNeedsBothSwitchesAtStart)
 {
-    TraceBuffer buf(64);
-    buf.setEnabled(true);
-    instant(buf, "trip", cat::service, 42, 3);
-    const auto events = buf.collect();
+    for (const auto &[tracing, sampling] :
+         {std::pair{false, true}, std::pair{true, false}}) {
+        ScopedTrace trace(tracing, sampling);
+        StageClock clock;
+        clock.start(1);
+        clock.mark(Stage::Admit);
+        EXPECT_TRUE(trace.events().empty());
+    }
+    // A clock started untraced stays untraced.
+    ScopedTrace trace(false);
+    StageClock clock;
+    clock.start(1);
+    TraceBuffer::global().setEnabled(true);
+    clock.mark(Stage::Admit);
+    EXPECT_TRUE(trace.events().empty());
+}
+
+TEST(FlightRecorderTrace, TripRecordsOneInstantNamedForItsKind)
+{
+    ScopedTrace trace;
+    FlightRecorder rec(8);
+    rec.setDumpSink([](const std::string &) {});
+    rec.record({.kind = EventKind::ChunkCommit, .requestId = 5});
+    rec.trip("test", {.kind = EventKind::WatchdogTrip,
+                      .requestId = 5,
+                      .beats = 42});
+
+    const std::vector<SpanEvent> events = trace.events();
     ASSERT_EQ(events.size(), 1u);
+    EXPECT_STREQ(events[0].name, "watchdog_trip");
     EXPECT_EQ(events[0].phase, SpanEvent::Phase::Instant);
     EXPECT_EQ(events[0].beat, 42u);
+    EXPECT_EQ(events[0].arg, 5u);
+}
+
+TEST(FlightRecorderTrace, UntracedTripRecordsNothing)
+{
+    ScopedTrace trace(false);
+    FlightRecorder rec(8);
+    rec.setDumpSink([](const std::string &) {});
+    rec.trip("test", {.kind = EventKind::OverlapMismatch});
+    EXPECT_EQ(rec.tripCount(), 1u);
+    EXPECT_TRUE(trace.events().empty());
+    EXPECT_EQ(TraceBuffer::global().recordedTotal(), 0u);
 }
 
 TEST(TraceBuffer, RingWrapsKeepingMostRecent)
 {
     TraceBuffer buf(8);
-    buf.setEnabled(true);
     for (std::uint64_t i = 0; i < 20; ++i)
-        instant(buf, "tick", cat::engine, i, i);
+        buf.record(event("tick", i));
     const auto events = buf.collect();
     ASSERT_EQ(events.size(), buf.ringCapacity());
     EXPECT_EQ(buf.recordedTotal(), 20u);
@@ -78,15 +121,16 @@ TEST(TraceBuffer, RingWrapsKeepingMostRecent)
 TEST(TraceBuffer, MultiThreadInterleaveCollectsAll)
 {
     TraceBuffer buf(1024);
-    buf.setEnabled(true);
     constexpr int kThreads = 4;
     constexpr int kEach = 100;
     std::vector<std::thread> ts;
     for (int t = 0; t < kThreads; ++t)
         ts.emplace_back([&buf] {
             for (int i = 0; i < kEach; ++i) {
-                ScopedSpan span(buf, "worker", cat::sharded, 0,
-                                static_cast<std::uint64_t>(i));
+                SpanEvent ev = event("worker", static_cast<std::uint64_t>(i),
+                                     SpanEvent::Phase::Complete);
+                ev.startUs = buf.nowUs();
+                buf.record(ev);
             }
         });
     for (auto &t : ts)
@@ -106,15 +150,12 @@ TEST(TraceBuffer, MultiThreadInterleaveCollectsAll)
 TEST(TraceBuffer, ChromeExportPassesSchemaCheck)
 {
     TraceBuffer buf(64);
-    buf.setEnabled(true);
-    {
-        ScopedSpan span(buf, "serve", cat::service, 10, 1);
-    }
-    instant(buf, "trip", cat::service, 11, 2);
+    buf.record(event("kernel", 1, SpanEvent::Phase::Complete));
+    buf.record(event("watchdog_trip", 2));
     const std::string json = buf.exportChromeJson("unit test");
     EXPECT_EQ(validateChromeTrace(json), "");
 
-    // Spot-check the fields Perfetto needs.
+    // Spot-check the fields Perfetto needs, and the fixed categories.
     const std::optional<JsonValue> doc = jsonParse(json);
     ASSERT_TRUE(doc.has_value());
     ASSERT_TRUE(doc->isArray());
@@ -131,11 +172,14 @@ TEST(TraceBuffer, ChromeExportPassesSchemaCheck)
         if (ph->asString() == "X") {
             saw_complete = true;
             EXPECT_NE(ev.member("dur"), nullptr);
+            EXPECT_EQ(ev.member("cat")->asString(), "stage");
             ASSERT_NE(ev.member("args"), nullptr);
             EXPECT_NE(ev.member("args")->member("beat"), nullptr);
         }
-        if (ph->asString() == "I")
+        if (ph->asString() == "I") {
             saw_instant = true;
+            EXPECT_EQ(ev.member("cat")->asString(), "trip");
+        }
     }
     EXPECT_TRUE(saw_complete);
     EXPECT_TRUE(saw_instant);
@@ -161,21 +205,14 @@ TEST(TraceBuffer, ValidatorRejectsBrokenTraces)
 TEST(TraceBuffer, ClearDropsEventsAndTotals)
 {
     TraceBuffer buf(64);
-    buf.setEnabled(true);
-    instant(buf, "a", cat::engine);
+    buf.record(event("a", 0));
     buf.clear();
     EXPECT_TRUE(buf.collect().empty());
     EXPECT_EQ(buf.recordedTotal(), 0u);
-    instant(buf, "b", cat::engine);
+    buf.record(event("b", 0));
     const auto events = buf.collect();
     ASSERT_EQ(events.size(), 1u);
     EXPECT_STREQ(events[0].name, "b");
-}
-
-TEST(Categories, NamesRenderTheBitsSet)
-{
-    EXPECT_EQ(cat::names(cat::service | cat::sharded),
-              "service,sharded");
 }
 
 } // namespace
