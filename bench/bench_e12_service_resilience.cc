@@ -51,7 +51,6 @@ e12Config(BackpressurePolicy policy)
     cfg.chunkChars = 24;
     cfg.queueCapacity = 8;
     cfg.policy = policy;
-    cfg.journalEnabled = false; // storms would grow the journal huge
     return cfg;
 }
 
@@ -274,8 +273,7 @@ printResumeCheck()
 {
     // Kill the stream at every chunk boundary of one request and
     // resume: each resumed result must be bit-identical.
-    ServiceConfig cfg = e12Config(BackpressurePolicy::Reject);
-    cfg.journalEnabled = true;
+    const ServiceConfig cfg = e12Config(BackpressurePolicy::Reject);
     const MatchRequest req = stormRequest(1, kSeed + 4242);
 
     MatchService golden_svc(cfg, behavioralOnlyLadder());

@@ -42,10 +42,10 @@ cmake --build --preset tsan -j "${jobs}" \
     service_validate_test multipattern_test service_dict_test \
     conformance_corpus_test \
     telemetry_metrics_test telemetry_reqobs_test telemetry_flightrec_test \
-    telemetry_span_test
+    telemetry_span_test service_telemetry_test
 echo "== tsan: test =="
 ctest --test-dir build-tsan --timeout 240 --output-on-failure \
-    -R 'service_sharded_test|service_test|service_chaos_test|service_validate_test|multipattern_test|service_dict_test|conformance_corpus_test|telemetry_metrics_test|telemetry_reqobs_test|telemetry_flightrec_test|telemetry_span_test'
+    -R 'service_sharded_test|service_test|service_chaos_test|service_validate_test|multipattern_test|service_dict_test|conformance_corpus_test|telemetry_metrics_test|telemetry_reqobs_test|telemetry_flightrec_test|telemetry_span_test|service_telemetry_test'
 
 # Conformance legs on the plain build: a time-boxed differential fuzz
 # sweep across the full oracle registry, and the mutation self-check --

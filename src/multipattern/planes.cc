@@ -274,20 +274,6 @@ BitSlicedDictMatcher::matchFrom(std::span<const Symbol> text,
     return out;
 }
 
-std::size_t
-BitSlicedDictMatcher::arenaBytes() const
-{
-    return byteText.capacity() +
-           (planeArena.capacity() + eqArena.capacity() +
-            valArena.capacity()) *
-               sizeof(std::uint64_t) +
-           nodeVal.capacity() * sizeof(nodeVal[0]) +
-           trie.capacity() * sizeof(trie[0]) +
-           groups.capacity() * sizeof(groups[0]) +
-           termNode.capacity() * sizeof(termNode[0]) +
-           classSyms.capacity() * sizeof(classSyms[0]);
-}
-
 DictHits
 feedDictChunk(BitSlicedDictMatcher &m, DictStreamState &state,
               std::span<const Symbol> chunk, const DictPatterns &dict)

@@ -78,7 +78,6 @@ class BitSlicedDictMatcher final : public DictMatcher
     std::uint64_t lastWordOps() const { return wordOps; }
     /** Set bits in the last result, counted as they were scattered. */
     std::uint64_t lastHits() const { return hits; }
-    std::size_t arenaBytes() const;
 
   private:
     struct TrieNode {

@@ -660,6 +660,7 @@ MatchService::metricsSnapshot() const
     snap.setCounter("queue.rejected", queue.rejected());
     snap.setCounter("queue.shed", queue.shedCount());
     snap.setCounter("queue.blockedOffers", queue.blockedOffers());
+    snap.setCounter("journal_dropped", log.dropped());
     return snap;
 }
 

@@ -307,11 +307,12 @@ class MatchService : public FrontEnd
     const AdmissionQueue &admission() const { return queue; }
 
     /**
-     * The replay journal: every serving event (admissions, chunk
-     * commits with their checkpoint digests, skips, cancels, falls,
-     * failures) in order, wall-clock free, so two identical runs dump
-     * byte-identical journals -- diff them to find the first divergent
-     * event. An unbounded recorder; empty unless journalEnabled.
+     * The replay journal: the last telem::journalCapacity serving
+     * events (admissions, chunk commits with their checkpoint digests,
+     * skips, cancels, falls, failures) in order, wall-clock free, so
+     * two identical runs dump byte-identical journals -- diff them to
+     * find the first divergent event within that window. Empty unless
+     * journalEnabled.
      */
     const telem::FlightRecorder &journal() const { return log; }
     telem::FlightRecorder &journal() { return log; }
@@ -321,8 +322,10 @@ class MatchService : public FrontEnd
      * degradations, watchdogTrips, crossCheckFailures, checkpoints,
      * resumes; gauge queue_depth; histogram chunk_beats (per-committed
      * -chunk beat cost). The snapshot adds the admission queue's
-     * counters (bare names; the sharded front end merges these across
-     * shards), and statsDump() renders it as "service.x = n" lines.
+     * counters and journal_dropped, the journal's records that fell
+     * off since its clear() (bare names; the sharded front end merges
+     * these across shards), and statsDump() renders it as
+     * "service.x = n" lines.
      */
     telem::Snapshot metricsSnapshot() const override;
 

@@ -218,8 +218,9 @@ class ShardedMatchService : public FrontEnd
     /** @} */
 
     /**
-     * The per-shard service in slot @p i (journals, stats). Primary
-     * slots are [0, threadCount()); spares follow.
+     * The per-shard service in slot @p i (journals, each of the last
+     * telem::journalCapacity records, and stats). Primary slots are
+     * [0, threadCount()); spares follow.
      */
     const MatchService &shard(std::size_t i) const { return *shards.at(i); }
 

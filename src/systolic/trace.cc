@@ -92,10 +92,4 @@ TraceRecorder::render(const Engine &engine) const
     return table.toString();
 }
 
-void
-TraceRecorder::clear()
-{
-    rows.clear();
-}
-
 } // namespace spm::systolic

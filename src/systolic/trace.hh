@@ -78,8 +78,6 @@ class TraceRecorder
      */
     std::string render(const Engine &engine) const;
 
-    void clear();
-
   private:
     struct Row
     {

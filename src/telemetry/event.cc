@@ -1,7 +1,6 @@
 #include "telemetry/event.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
@@ -216,7 +215,8 @@ FlightRecorder::FlightRecorder(std::size_t event_capacity)
 {
 }
 
-FlightRecorder::FlightRecorder(JournalTag) : cap(0) {}
+FlightRecorder::FlightRecorder(JournalTag)
+    : cap(journalCapacity), journal(true) {}
 
 FlightRecorder &
 FlightRecorder::global()
@@ -236,12 +236,12 @@ void
 FlightRecorder::push(EventRecord &&ev)
 {
     ev.seq = nextSeq++;
-    if (cap != 0 && ring.size() == cap) {
+    if (ring.size() == cap) {
         ring[oldest] = std::move(ev);
         oldest = (oldest + 1) % cap;
         return;
     }
-    // A bounded ring allocates once, on first use.
+    // The ring allocates once, on first use.
     ring.reserve(cap);
     ring.push_back(std::move(ev));
 }
@@ -265,7 +265,7 @@ FlightRecorder::record(EventRecord ev)
 std::string
 FlightRecorder::render(const EventRecord &ev) const
 {
-    return cap == 0 ? journalLine(ev, rungNames) : flightLine(ev, rungNames);
+    return journal ? journalLine(ev, rungNames) : flightLine(ev, rungNames);
 }
 
 std::string
@@ -350,6 +350,13 @@ FlightRecorder::recordedTotal() const
     return nextSeq;
 }
 
+std::uint64_t
+FlightRecorder::dropped() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return nextSeq - ring.size();
+}
+
 void
 FlightRecorder::setDumpSink(std::function<void(const std::string &)> sink)
 {
@@ -364,7 +371,7 @@ FlightRecorder::clear()
     ring.clear();
     oldest = 0;
     last.clear();
-    if (cap == 0)
+    if (journal)
         nextSeq = 0;
 }
 
@@ -377,15 +384,6 @@ literalCaseId(BitWidth bits, std::span<const Symbol> pattern,
 }
 
 // ------------------------------------------------------------- StageClock
-
-std::uint64_t
-nowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 StageClock::Reading
 StageClock::read() const
@@ -582,17 +580,6 @@ ExemplarReservoir::renderText() const
     section("slowest", slowest());
     section("uniform", uniform());
     return os.str();
-}
-
-void
-ExemplarReservoir::clear()
-{
-    std::lock_guard<std::mutex> lock(mu);
-    slow.clear();
-    uni.clear();
-    force.clear();
-    seq = 0;
-    retainedCount = 0;
 }
 
 // ------------------------------------------------------- RequestObserver

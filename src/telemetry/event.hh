@@ -122,21 +122,25 @@ struct JournalTag
 {
 };
 
+/** A journal's ring depth: at 120 B a record, about 480 KB. */
+inline constexpr std::size_t journalCapacity = 4096;
+
 /**
- * A bounded ring of recent EventRecords, overwritten in place once
- * full, rendering "#<seq> <kind> beat=..." lines; or a service's
- * replay journal, which keeps every record, renders "seq=<n> req=<id>
- * <event>" lines and restarts its numbering on clear(). record() is
- * mutex-guarded; trip() renders the history plus the triggering record
- * into a dump for the sink (spm_warn by default) and lastDump(), and
- * with tracing and sampling on records a trace instant named for the
- * record's kind.
+ * A bounded ring of recent EventRecords, reserved on the first record
+ * and overwritten in place once full. A flight recorder renders
+ * "#<seq> <kind> beat=..." lines. A service's replay journal holds
+ * journalCapacity records, renders "seq=<n> req=<id> <event>" lines
+ * and restarts its numbering on clear(). record() is mutex-guarded;
+ * trip() renders the history plus the triggering record into a dump
+ * for the sink (spm_warn by default) and lastDump(), and with tracing
+ * and sampling on records a trace instant named for the record's kind.
  */
 class FlightRecorder
 {
   public:
     /** @param event_capacity ring depth; 0 is read as 1 */
     explicit FlightRecorder(std::size_t event_capacity = 64);
+    /** A replay journal of journalCapacity records. */
     explicit FlightRecorder(JournalTag);
 
     FlightRecorder(const FlightRecorder &) = delete;
@@ -170,6 +174,8 @@ class FlightRecorder
 
     /** Events recorded since construction (a journal: since clear()). */
     std::uint64_t recordedTotal() const;
+    /** recordedTotal() minus size(): a journal's records that fell off. */
+    std::uint64_t dropped() const;
 
     /** Replace the dump sink; nullptr restores spm_warn. */
     void setDumpSink(std::function<void(const std::string &)> sink);
@@ -183,10 +189,11 @@ class FlightRecorder
     /** The held events' lines, each after @p indent (under the lock). */
     std::string lines(const char *indent) const;
 
-    const std::size_t cap; ///< 0 for the journal: unbounded
+    const std::size_t cap;
+    const bool journal = false; ///< journal lines; clear() renumbers
     std::vector<std::string> rungNames;
     mutable std::mutex mu;
-    std::vector<EventRecord> ring; ///< circular once a bounded ring fills
+    std::vector<EventRecord> ring; ///< circular once full
     std::size_t oldest = 0;        ///< index of the oldest when full
     std::uint64_t nextSeq = 0;
     std::uint64_t trips = 0;
@@ -202,9 +209,6 @@ class FlightRecorder
 std::string literalCaseId(BitWidth bits,
                           std::span<const Symbol> pattern,
                           std::span<const Symbol> text);
-
-/** Wall clock for request latency: monotonic nanoseconds. */
-std::uint64_t nowNs();
 
 /** The stages one request's latency decomposes into. */
 enum class Stage : unsigned char
@@ -274,8 +278,9 @@ class StageClock
         t0 = nowNs();
         tick0 = lastTick = stageTick();
         traceId = trace_id;
+        // The first span starts at t0: no second clock read.
         if (traced)
-            lastUs = TraceBuffer::global().nowUs();
+            lastUs = TraceBuffer::global().usAt(t0);
     }
 
     void mark(Stage s)
@@ -376,8 +381,6 @@ class ExemplarReservoir
 
     /** All three classes rendered for a dashboard / dump. */
     std::string renderText() const;
-
-    void clear();
 
   private:
     mutable std::mutex mu;

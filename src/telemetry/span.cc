@@ -44,8 +44,10 @@ nextBufferId()
     return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+} // namespace
+
 std::uint64_t
-monotonicNowNs()
+nowNs()
 {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -53,11 +55,9 @@ monotonicNowNs()
             .count());
 }
 
-} // namespace
-
 TraceBuffer::TraceBuffer(std::size_t capacity_per_thread)
     : capacity(std::max<std::size_t>(capacity_per_thread, 8)),
-      bufferId(nextBufferId()), epochNs(monotonicNowNs())
+      bufferId(nextBufferId()), epochNs(nowNs())
 {
 }
 
@@ -104,7 +104,7 @@ TraceBuffer::record(const SpanEvent &ev)
 std::uint64_t
 TraceBuffer::nowUs() const
 {
-    return (monotonicNowNs() - epochNs) / 1000;
+    return usAt(nowNs());
 }
 
 std::vector<SpanEvent>

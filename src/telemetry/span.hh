@@ -35,6 +35,9 @@
 namespace spm::telem
 {
 
+/** Monotonic (steady-clock) nanoseconds: request latency, trace time. */
+std::uint64_t nowNs();
+
 /** One recorded event; fixed-size, name by pointer to a literal. */
 struct SpanEvent
 {
@@ -80,6 +83,8 @@ class TraceBuffer
 
     /** µs since this buffer's construction; the trace time base. */
     std::uint64_t nowUs() const;
+    /** A nowNs() reading from after construction, in trace µs. */
+    std::uint64_t usAt(std::uint64_t ns) const { return (ns - epochNs) / 1000; }
 
     /**
      * Events recorded so far, oldest lost to wraparound. Requires
@@ -119,7 +124,7 @@ class TraceBuffer
     const std::size_t capacity;
     const std::uint64_t bufferId; ///< unique; keys thread-local cache
     std::atomic<bool> on_{false};
-    std::uint64_t epochNs;
+    const std::uint64_t epochNs;
 
     mutable std::mutex ringsMu; ///< guards the rings list only
     std::vector<std::unique_ptr<Ring>> rings;

@@ -6,12 +6,14 @@
  * serveBatch() allocates one result row per admitted request and a
  * handful of vectors per call, a warm matchMany() one row per stream
  * plus its result vector, a warm streaming serve copies neither a
- * window, the request nor its result, and a warm sharded serve copies
- * the text once.
+ * window, the request nor its result, a warm sharded serve copies
+ * the text once, and a replay journal stops growing once it holds its
+ * last telem::journalCapacity records.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -220,10 +222,14 @@ TEST(Allocations, WarmShardedServeCopiesTheTextOnce)
     EXPECT_LT(use.bytes, text_bytes * 13 / 10);
 }
 
-TEST(Allocations, WarmDefaultLadderServe)
+/**
+ * The paper's shape: a 512-char request (k = 8, 2-bit alphabet) for
+ * the default service (gate rung with its lane prefetch, cross-check
+ * and journal on).
+ */
+MatchRequest
+paperRequest()
 {
-    // The paper's shape: a 512-char request to the default service
-    // (gate rung with its lane prefetch, cross-check and journal on).
     Rng rng(0x9A9E);
     MatchRequest req;
     req.pattern.resize(8);
@@ -232,11 +238,15 @@ TEST(Allocations, WarmDefaultLadderServe)
     req.text.resize(512);
     for (auto &c : req.text)
         c = static_cast<Symbol>(rng.nextBelow(4));
+    return req;
+}
+
+TEST(Allocations, WarmDefaultLadderServe)
+{
+    const MatchRequest req = paperRequest();
     MatchService svc(ServiceConfig{});
     for (int warm = 0; warm < 16; ++warm)
         ASSERT_TRUE(svc.serve(req).ok());
-    // Drained, as a long-lived host drains it.
-    svc.journal().clear();
     MatchResponse resp;
     const std::uint64_t kept = svc.exemplars().retained();
     const HeapUse use = heapUseOf([&] { resp = svc.serve(req); });
@@ -244,6 +254,69 @@ TEST(Allocations, WarmDefaultLadderServe)
     // 47 as measured, plus up to 3 for a retained literal case (the
     // reservoir's seeded uniform draw keeps this one).
     EXPECT_LE(use.calls, 47u + 3 * (svc.exemplars().retained() - kept));
+}
+
+/**
+ * Serve @p req on @p svc until @p slot's journal has wrapped, then
+ * until it has recorded as many records again (a journal that kept
+ * every record would regrow on the way). Returns the most bytes one
+ * serve of the second stretch asked of the heap.
+ */
+template <typename Service>
+std::size_t
+serveTwiceAround(Service &svc, const MatchService &slot,
+                 const MatchRequest &req)
+{
+    const telem::FlightRecorder &journal = slot.journal();
+    while (journal.recordedTotal() <= telem::journalCapacity)
+        EXPECT_TRUE(svc.serve(req).ok());
+    const std::uint64_t wrapped = journal.recordedTotal();
+    std::size_t most = 0;
+    while (journal.recordedTotal() < 2 * wrapped) {
+        MatchResponse resp;
+        most = std::max(most,
+                        heapUseOf([&] { resp = svc.serve(req); }).bytes);
+        EXPECT_TRUE(resp.ok()) << resp.error.detail;
+    }
+    return most;
+}
+
+/** A quarter of a full journal's records, in bytes. */
+constexpr std::size_t quarterJournalBytes =
+    telem::journalCapacity * sizeof(telem::EventRecord) / 4;
+
+TEST(Allocations, DefaultJournalHoldsItsLastRecords)
+{
+    MatchService svc(ServiceConfig{});
+    const std::size_t most = serveTwiceAround(svc, svc, paperRequest());
+    const telem::FlightRecorder &journal = svc.journal();
+    EXPECT_EQ(journal.size(), telem::journalCapacity);
+    EXPECT_EQ(journal.events().front().seq,
+              journal.recordedTotal() - telem::journalCapacity);
+    EXPECT_EQ(svc.metricsSnapshot().counterValue("journal_dropped"),
+              journal.recordedTotal() - telem::journalCapacity);
+    EXPECT_LT(most, quarterJournalBytes);
+}
+
+TEST(Allocations, ShardSlotJournalHoldsItsLastRecords)
+{
+    ShardedConfig cfg;
+    cfg.threads = 2;
+    ShardedMatchService sharded(cfg);
+    const MatchRequest req = paperRequest();
+    const MatchService &slot = sharded.shard(0);
+    const std::size_t most = serveTwiceAround(sharded, slot, req);
+    EXPECT_EQ(sharded.lastShards(), 2u);
+    EXPECT_EQ(slot.journal().size(), telem::journalCapacity);
+    EXPECT_EQ(slot.metricsSnapshot().counterValue("journal_dropped"),
+              slot.journal().recordedTotal() - telem::journalCapacity);
+    // The front end's count sums its slots'.
+    std::uint64_t dropped = 0;
+    for (std::size_t s = 0; s < cfg.threads + cfg.spareShards; ++s)
+        dropped += sharded.shard(s).journal().dropped();
+    EXPECT_EQ(sharded.metricsSnapshot().counterValue("journal_dropped"),
+              dropped);
+    EXPECT_LT(most, quarterJournalBytes);
 }
 
 TEST(Allocations, WarmMatchManyAllocatesOneRowPerStream)

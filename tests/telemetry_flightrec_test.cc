@@ -1,8 +1,9 @@
 /**
  * @file
  * Event-record tests: the bounded flight ring (also under concurrent
- * recorders), trip dumps and their sinks, the journal and flight line
- * renders, and the case references -- a case within caseLiteralCap
+ * recorders), trip dumps and their sinks, the journal's wrap and
+ * dropped count, the journal and flight line renders, and the case
+ * references -- a case within caseLiteralCap
  * renders the frozen "l1:" format that conformance::decodeCase reads
  * back, so every such dump line replays with `conformance_fuzz
  * --replay`; a larger one renders a fixed-size "ref:".
@@ -226,17 +227,29 @@ TEST(EventJournal, RendersJournalLinesFromFields)
     EXPECT_EQ(journal.render(shed), "seq=0 req=3 shed");
 }
 
-TEST(EventJournal, KeepsEveryEventAndRestartsNumberingOnClear)
+TEST(EventJournal, HoldsItsLastRecordsAndRestartsNumberingOnClear)
 {
     FlightRecorder journal{JournalTag{}};
     for (std::uint64_t i = 0; i < 300; ++i)
         journal.record({.kind = EventKind::Shed, .requestId = i});
     EXPECT_EQ(journal.size(), 300u);
-    EXPECT_EQ(journal.events().back().seq, 299u);
+    EXPECT_EQ(journal.dropped(), 0u);
+    for (std::uint64_t i = 300; i < journalCapacity + 10; ++i)
+        journal.record({.kind = EventKind::Shed, .requestId = i});
+    EXPECT_EQ(journal.size(), journalCapacity);
+    const std::vector<EventRecord> held = journal.events();
+    EXPECT_EQ(held.front().seq, 10u);
+    EXPECT_EQ(held.back().seq, journalCapacity + 9);
+    EXPECT_EQ(journal.recordedTotal(), journalCapacity + 10);
+    EXPECT_EQ(journal.dropped(), 10u);
+    EXPECT_EQ(journal.dump().rfind("seq=10 req=10 shed\n", 0), 0u);
+
     journal.clear();
     EXPECT_EQ(journal.size(), 0u);
+    EXPECT_EQ(journal.dropped(), 0u);
     journal.record({.kind = EventKind::Shed, .requestId = 7});
     EXPECT_EQ(journal.dump(), "seq=0 req=7 shed\n");
+    EXPECT_EQ(journal.dropped(), 0u);
 }
 
 TEST(FlightRecorder, LadderFallNoteNamesWhyItFell)
