@@ -71,12 +71,17 @@ done
 
 # The batch layer slices each lane's row straight from the kernel's
 # packed words, so the batch oracles are diffed at every tier too.
+# Each tier narrows a text and takes its OR in its own code, so the
+# batch responses golden (tests/golden/batch_responses.txt, which the
+# plain ctest run diffs at the best tier) is diffed at each lower tier.
 echo "== conformance: batch fuzz per SIMD tier =="
 build/tools/conformance_fuzz --cases 1000000 --seconds 5 --focus batch
 for isa in scalar sse2; do
     echo "-- SPM_SIMD_ISA=${isa}"
     SPM_SIMD_ISA="${isa}" build/tools/conformance_fuzz --cases 1000000 \
         --seconds 5 --focus batch
+    SPM_SIMD_ISA="${isa}" build/tests/service_validate_test \
+        --gtest_filter='BatchGolden.*'
 done
 
 # The SIMD kernel tiers under AddressSanitizer: a time-boxed

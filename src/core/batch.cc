@@ -5,47 +5,113 @@
 namespace spm::core
 {
 
-BatchMatcher::BatchMatcher() = default;
+namespace
+{
 
-BatchMatcher::BatchMatcher(SimdIsa forced) : simd(forced) {}
+constexpr std::size_t bitsPerWord = 64;
+
+std::size_t
+wholeWords(std::size_t chars)
+{
+    return (chars + bitsPerWord - 1) / bitsPerWord * bitsPerWord;
+}
+
+} // namespace
+
+BatchMatcher::BatchMatcher() : ops(simd.isa()) {}
+
+BatchMatcher::BatchMatcher(SimdIsa forced) : simd(forced), ops(simd.isa()) {}
+
+void
+BatchMatcher::layout(std::span<const std::size_t> chars)
+{
+    regions.resize(chars.size());
+    std::size_t at = 0;
+    for (std::size_t g = 0; g < chars.size(); ++g) {
+        regions[g] = {at, wholeWords(chars[g]), at, 0};
+        at += regions[g].room;
+    }
+    if (arena.size() < at)
+        arena.resize(at);
+}
+
+Symbol
+BatchMatcher::stage(std::size_t g, std::span<const Symbol> text)
+{
+    return ops.narrow(text.data(), text.size(), arena.data() + regions[g].end);
+}
+
+void
+BatchMatcher::keep(std::size_t g, std::span<const Symbol> text,
+                   Symbol text_or)
+{
+    Region &r = regions[g];
+    if (text_or > 0xFF) {
+        // The group's first wide text zeroes its high bytes, so the
+        // narrow texts around it read as high byte 0.
+        if (r.seen <= 0xFF) {
+            if (high.size() < arena.size())
+                high.resize(arena.size());
+            std::fill(high.data() + r.base, high.data() + r.base + r.room,
+                      std::uint8_t(0));
+        }
+        splitWide(text.data(), text.size(), arena.data() + r.end,
+                  high.data() + r.end);
+    }
+    r.end += text.size();
+    r.seen = static_cast<Symbol>(r.seen | text_or);
+}
+
+const std::vector<std::uint64_t> &
+BatchMatcher::pass(std::size_t g, std::span<const Symbol> pattern)
+{
+    // The pad up to the word boundary may hold a discarded text's
+    // bytes; zeroed, the pass reads the same planes every time.
+    const Region &r = regions[g];
+    kernelChars = r.end - r.base;
+    std::fill(arena.data() + r.end, arena.data() + r.base +
+                                        wholeWords(kernelChars),
+              std::uint8_t(0));
+    return simd.matchBytes(arena.data() + r.base,
+                           r.seen > 0xFF ? high.data() + r.base : nullptr,
+                           kernelChars, r.seen, pattern);
+}
+
+BitVec
+BatchMatcher::row(const std::vector<std::uint64_t> &packed, std::size_t at,
+                  std::size_t len, std::size_t k)
+{
+    // Warm-up as a start offset: a text keeps nothing before position
+    // k-1, so its row is that many zeros and then its own span of the
+    // packed stream, copied a word at a time. A neighbour's bits never
+    // leak in past either edge. The row is allocated once, at its
+    // final size.
+    const std::size_t first = std::min(len, k == 0 ? 0 : k - 1);
+    BitVec out;
+    out.reserve(len);
+    out.resize(first);
+    out.append(packed, at + first, len - first);
+    return out;
+}
 
 std::vector<BitVec>
 BatchMatcher::matchMany(
     const std::vector<const std::vector<Symbol> *> &streams,
     std::span<const Symbol> pattern)
 {
-    // Pack the streams end to end. Positions inside a stream's first
-    // k-1 characters fall before its start offset below, so the
-    // kernel's cross-stream reads there are never sliced out.
-    const std::size_t width = streams.size();
-    const std::size_t k = pattern.size();
-    const std::size_t hist = k == 0 ? 0 : k - 1;
     std::size_t total = 0;
     for (const std::vector<Symbol> *s : streams)
         total += s->size();
-    concat.clear();
-    concat.reserve(total);
-    segBase.resize(width);
-    for (std::size_t i = 0; i < width; ++i) {
-        segBase[i] = concat.size();
-        concat.insert(concat.end(), streams[i]->begin(), streams[i]->end());
-    }
-    kernelChars = concat.size();
-    const std::vector<std::uint64_t> &packed =
-        simd.matchPacked(concat, pattern);
-
-    // Warm-up as a start offset: a stream keeps nothing before
-    // position k-1, so its row is that many zeros and then its own
-    // span of the packed stream, copied a word at a time. A
-    // neighbour's bits never leak in past either edge. Each row is
-    // allocated once, at its final size.
-    std::vector<BitVec> out(width);
-    for (std::size_t i = 0; i < width; ++i) {
-        const std::size_t len = streams[i]->size();
-        const std::size_t first = std::min(len, hist);
-        out[i].reserve(len);
-        out[i].resize(first);
-        out[i].append(packed, segBase[i] + first, len - first);
+    layout({&total, 1});
+    for (const std::vector<Symbol> *s : streams)
+        keep(0, *s, stage(0, *s));
+    const std::vector<std::uint64_t> &packed = pass(0, pattern);
+    std::vector<BitVec> out;
+    out.reserve(streams.size());
+    std::size_t at = 0;
+    for (const std::vector<Symbol> *s : streams) {
+        out.push_back(row(packed, at, s->size(), pattern.size()));
+        at += s->size();
     }
     return out;
 }

@@ -21,6 +21,13 @@
  * edge words masked to the stream's span -- so the kernel's reads of
  * the neighbouring stream's characters are never sliced out. No
  * separators, no per-stream padding, no per-character test.
+ *
+ * Each text is read once. Staging narrows it straight into its
+ * group's word-aligned region of one byte arena and hands back its
+ * OR, which is both the group's plane count and, in the batch front
+ * end, the text's alphabet verdict; a text that is not kept is
+ * overwritten by the next one staged, so no pass reads it. The kernel
+ * then transposes the staged bytes, one pass per group.
  */
 
 #ifndef SPM_CORE_BATCH_HH
@@ -50,11 +57,42 @@ class BatchMatcher
     explicit BatchMatcher(SimdIsa forced);
 
     /**
+     * Start a call: group g gets a word-aligned arena region of
+     * @p chars[g] bytes, room for every text it may keep. The last
+     * call's groups are forgotten.
+     */
+    void layout(std::span<const std::size_t> chars);
+
+    /**
+     * Narrow @p text into group @p g after the texts it keeps and
+     * return the text's OR. The text stays only if keep() follows;
+     * otherwise the next text staged in @p g overwrites it.
+     */
+    Symbol stage(std::size_t g, std::span<const Symbol> text);
+
+    /** Keep the text just staged in @p g; @p text_or is its OR. */
+    void keep(std::size_t g, std::span<const Symbol> text, Symbol text_or);
+
+    /**
+     * One kernel pass over the texts @p g keeps, packed end to end in
+     * the order kept, against @p pattern. Valid until the next pass.
+     */
+    const std::vector<std::uint64_t> &pass(std::size_t g,
+                                           std::span<const Symbol> pattern);
+
+    /**
+     * The row of a kept text of @p len characters starting at packed
+     * position @p at, for a pattern of @p k symbols: standalone-match
+     * semantics, bit p set iff the pattern ends at text position p.
+     */
+    static BitVec row(const std::vector<std::uint64_t> &packed,
+                      std::size_t at, std::size_t len, std::size_t k);
+
+    /**
      * Match @p streams (each a whole independent text, by pointer:
-     * no caller-side copies) against @p pattern in one kernel pass.
-     * Element i of the result holds streams[i]->size() bits with
-     * standalone-match semantics: bit p set iff the pattern ends at
-     * stream position p.
+     * no caller-side copies) against @p pattern in one kernel pass:
+     * one group that keeps every stream. Element i of the result is
+     * streams[i]'s row.
      */
     std::vector<BitVec> matchMany(
         const std::vector<const std::vector<Symbol> *> &streams,
@@ -67,11 +105,22 @@ class BatchMatcher
     const SimdParallelMatcher &kernel() const { return simd; }
 
   private:
-    SimdParallelMatcher simd;
+    /** One group's region of the arena. */
+    struct Region
+    {
+        std::size_t base = 0; ///< first byte, word-aligned
+        std::size_t room = 0; ///< bytes laid out, whole words
+        std::size_t end = 0;  ///< one past the last kept byte
+        Symbol seen = 0;      ///< OR of the kept texts
+    };
 
-    // --- the scratch arena (reused across calls) ---------------------
-    std::vector<Symbol> concat;       ///< packed streams
-    std::vector<std::size_t> segBase; ///< stream start in concat
+    SimdParallelMatcher simd;
+    SimdOps ops; ///< the kernel's tier, for staging
+
+    // --- the staging arena (reused across calls) ---------------------
+    std::vector<std::uint8_t> arena; ///< low bytes of the staged texts
+    std::vector<std::uint8_t> high;  ///< high bytes, for groups > 8 bits
+    std::vector<Region> regions;
 
     std::size_t kernelChars = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #if defined(__x86_64__)
@@ -36,38 +35,20 @@ widthOf(Symbol v)
     return b;
 }
 
-/** OR of all symbols, 4 symbols per 64-bit load. */
-Symbol
-orReduceSymbols(const Symbol *s, std::size_t n)
-{
-    std::uint64_t acc = 0;
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        std::uint64_t v0, v1, v2, v3;
-        std::memcpy(&v0, s + i, 8);
-        std::memcpy(&v1, s + i + 4, 8);
-        std::memcpy(&v2, s + i + 8, 8);
-        std::memcpy(&v3, s + i + 12, 8);
-        acc |= v0 | v1 | v2 | v3;
-    }
-    acc |= (acc >> 32);
-    acc |= (acc >> 16);
-    Symbol out = static_cast<Symbol>(acc);
-    for (; i < n; ++i)
-        out = static_cast<Symbol>(out | s[i]);
-    return out;
-}
-
 // ---------------------------------------------------------------------
 // Portable (scalar) kernel operations. These are also the tail/edge
 // helpers for the SIMD variants, so the vector bodies stay branch-free.
 // ---------------------------------------------------------------------
 
-void
+Symbol
 narrowScalar(const Symbol *s, std::size_t n, std::uint8_t *dst)
 {
-    for (std::size_t i = 0; i < n; ++i)
+    Symbol seen = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        seen = static_cast<Symbol>(seen | s[i]);
         dst[i] = static_cast<std::uint8_t>(s[i]);
+    }
+    return seen;
 }
 
 void
@@ -80,27 +61,6 @@ transposeBytesScalar(const std::uint8_t *bytes, std::size_t nw,
         const std::uint8_t *blk = bytes + w * bitsPerWord;
         for (unsigned i = 0; i < bitsPerWord; ++i) {
             const unsigned c = blk[i];
-            for (unsigned b = 0; b < planes; ++b)
-                acc[b] |= static_cast<std::uint64_t>((c >> b) & 1u) << i;
-        }
-        for (unsigned b = 0; b < planes; ++b)
-            plane[b * stride + w] = acc[b];
-    }
-}
-
-/** Alphabets wider than 8 bits skip the byte narrowing. */
-void
-transposeWideScalar(const Symbol *s, std::size_t n, std::size_t nw,
-                    unsigned planes, std::uint64_t *plane,
-                    std::size_t stride)
-{
-    for (std::size_t w = 0; w < nw; ++w) {
-        std::uint64_t acc[16] = {0};
-        const std::size_t base = w * bitsPerWord;
-        const unsigned lim = static_cast<unsigned>(
-            std::min<std::size_t>(bitsPerWord, n - base));
-        for (unsigned i = 0; i < lim; ++i) {
-            const unsigned c = s[base + i];
             for (unsigned b = 0; b < planes; ++b)
                 acc[b] |= static_cast<std::uint64_t>((c >> b) & 1u) << i;
         }
@@ -159,21 +119,26 @@ andShiftedScalar(std::uint64_t *dst, const std::uint64_t *a,
 
 #if SPM_SIMD_X86
 
-void
+Symbol
 narrowSse2(const Symbol *s, std::size_t n, std::uint8_t *dst)
 {
+    __m128i seen = _mm_setzero_si128();
     std::size_t i = 0;
     for (; i + 16 <= n; i += 16) {
         const __m128i a = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(s + i));
         const __m128i b = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(s + i + 8));
-        // Exact, not saturating: the caller only narrows when every
-        // symbol fits in 8 bits.
+        seen = _mm_or_si128(seen, _mm_or_si128(a, b));
+        // Saturating, so exact only when the OR fits in 8 bits.
         _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + i),
                          _mm_packus_epi16(a, b));
     }
-    narrowScalar(s + i, n - i, dst + i);
+    seen = _mm_or_si128(seen, _mm_srli_si128(seen, 8));
+    seen = _mm_or_si128(seen, _mm_srli_si128(seen, 4));
+    seen = _mm_or_si128(seen, _mm_srli_si128(seen, 2));
+    return static_cast<Symbol>(_mm_cvtsi128_si32(seen) |
+                               narrowScalar(s + i, n - i, dst + i));
 }
 
 void
@@ -263,22 +228,31 @@ andShiftedSse2(std::uint64_t *dst, const std::uint64_t *a,
 // baseline ISA; only called after __builtin_cpu_supports("avx2").
 // ---------------------------------------------------------------------
 
-__attribute__((target("avx2"))) void
+__attribute__((target("avx2"))) Symbol
 narrowAvx2(const Symbol *s, std::size_t n, std::uint8_t *dst)
 {
+    __m256i seen = _mm256_setzero_si256();
     std::size_t i = 0;
     for (; i + 32 <= n; i += 32) {
         const __m256i a = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(s + i));
         const __m256i b = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(s + i + 16));
-        // packus interleaves the two 128-bit lanes; the permute puts
-        // the 32 bytes back in text order.
+        seen = _mm256_or_si256(seen, _mm256_or_si256(a, b));
+        // packus saturates (exact only when the OR fits in 8 bits) and
+        // interleaves the two 128-bit lanes; the permute puts the 32
+        // bytes back in text order.
         const __m256i p = _mm256_permute4x64_epi64(
             _mm256_packus_epi16(a, b), 0xD8);
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), p);
     }
-    narrowScalar(s + i, n - i, dst + i);
+    __m128i half = _mm_or_si128(_mm256_castsi256_si128(seen),
+                                _mm256_extracti128_si256(seen, 1));
+    half = _mm_or_si128(half, _mm_srli_si128(half, 8));
+    half = _mm_or_si128(half, _mm_srli_si128(half, 4));
+    half = _mm_or_si128(half, _mm_srli_si128(half, 2));
+    return static_cast<Symbol>(_mm_cvtsi128_si32(half) |
+                               narrowScalar(s + i, n - i, dst + i));
 }
 
 __attribute__((target("avx2"))) void
@@ -370,7 +344,7 @@ namespace detail
 {
 
 struct KernelOps {
-    void (*narrow)(const Symbol *, std::size_t, std::uint8_t *);
+    Symbol (*narrow)(const Symbol *, std::size_t, std::uint8_t *);
     void (*transposeBytes)(const std::uint8_t *, std::size_t, unsigned,
                            std::uint64_t *, std::size_t);
     void (*eqSweep)(const std::uint64_t *, std::size_t, unsigned, Symbol,
@@ -472,36 +446,62 @@ bestSimdIsa()
     return best;
 }
 
-unsigned
-planeCount(std::span<const Symbol> text, Symbol also_seen)
+void
+splitWide(const Symbol *s, std::size_t n, std::uint8_t *lo, std::uint8_t *hi)
 {
-    return widthOf(static_cast<Symbol>(
-        orReduceSymbols(text.data(), text.size()) | also_seen));
+    for (std::size_t i = 0; i < n; ++i) {
+        lo[i] = static_cast<std::uint8_t>(s[i]);
+        hi[i] = static_cast<std::uint8_t>(s[i] >> 8);
+    }
 }
 
 SimdOps::SimdOps(SimdIsa isa) : ops(&opsFor(isa)) {}
 
-void
-SimdOps::transpose(std::span<const Symbol> text, unsigned planes,
-                   std::uint64_t *plane, std::size_t stride,
-                   std::vector<std::uint8_t> &bytes) const
+Symbol
+SimdOps::narrow(const Symbol *s, std::size_t n, std::uint8_t *dst) const
+{
+    return ops->narrow(s, n, dst);
+}
+
+Symbol
+SimdOps::stage(std::span<const Symbol> text,
+               std::vector<std::uint8_t> &bytes) const
 {
     const std::size_t n = text.size();
-    // Alphabets of at most 8 bits narrow to bytes first so the
-    // transpose runs compare + movemask, 16 or 32 characters per
-    // instruction; the pad up to the word boundary is zeroed.
-    const std::size_t nw = wordCount(n);
-    if (planes > 8) {
-        transposeWideScalar(text.data(), n, nw, planes, plane, stride);
-        return;
+    const std::size_t padded = wordCount(n) * bitsPerWord;
+    if (bytes.size() < padded)
+        bytes.resize(padded);
+    const Symbol seen = ops->narrow(text.data(), n, bytes.data());
+    std::fill(bytes.data() + n, bytes.data() + padded, std::uint8_t(0));
+    if (seen > 0xFF) {
+        if (bytes.size() < 2 * padded)
+            bytes.resize(2 * padded);
+        splitWide(text.data(), n, bytes.data(), bytes.data() + padded);
+        std::fill(bytes.data() + padded + n, bytes.data() + 2 * padded,
+                  std::uint8_t(0));
     }
-    if (bytes.size() < nw * bitsPerWord)
-        bytes.resize(nw * bitsPerWord);
-    ops->narrow(text.data(), n, bytes.data());
-    std::fill(bytes.begin() + static_cast<std::ptrdiff_t>(n),
-              bytes.begin() + static_cast<std::ptrdiff_t>(nw * bitsPerWord),
-              std::uint8_t(0));
-    ops->transposeBytes(bytes.data(), nw, planes, plane, stride);
+    return seen;
+}
+
+unsigned
+SimdOps::transpose(const std::uint8_t *lo, const std::uint8_t *hi,
+                   std::size_t nw, Symbol text_or, Symbol also_seen,
+                   std::vector<std::uint64_t> &plane) const
+{
+    // Compare + movemask on bytes, 16 or 32 characters per
+    // instruction: the low byte's planes, then the high byte's.
+    const unsigned planes = widthOf(static_cast<Symbol>(text_or | also_seen));
+    if (plane.size() < planes * nw)
+        plane.resize(planes * nw);
+    ops->transposeBytes(lo, nw, std::min(planes, 8u), plane.data(), nw);
+    if (planes <= 8)
+        return planes;
+    std::uint64_t *upper = plane.data() + 8 * nw;
+    if (text_or > 0xFF)
+        ops->transposeBytes(hi, nw, planes - 8, upper, nw);
+    else
+        std::fill(upper, upper + (planes - 8) * nw, std::uint64_t(0));
+    return planes;
 }
 
 void
@@ -541,7 +541,18 @@ const std::vector<std::uint64_t> &
 SimdParallelMatcher::matchPacked(std::span<const Symbol> text,
                                  std::span<const Symbol> pattern)
 {
-    const std::size_t n = text.size();
+    const Symbol seen = SimdOps(tier).stage(text, byteText);
+    return matchBytes(byteText.data(),
+                      byteText.data() + wordCount(text.size()) * bitsPerWord,
+                      text.size(), seen, pattern);
+}
+
+const std::vector<std::uint64_t> &
+SimdParallelMatcher::matchBytes(const std::uint8_t *lo,
+                                const std::uint8_t *hi, std::size_t n,
+                                Symbol text_or,
+                                std::span<const Symbol> pattern)
+{
     const std::size_t k = pattern.size();
     const std::size_t nw = wordCount(n);
     wordOps = 0;
@@ -558,15 +569,12 @@ SimdParallelMatcher::matchPacked(std::span<const Symbol> text,
     for (Symbol c : pattern)
         if (c != wildcardSymbol)
             patternBits = static_cast<Symbol>(patternBits | c);
-    const unsigned planes = planeCount(text, patternBits);
-    planesBuilt = planes;
-    const SimdOps ops(tier);
-
-    // The pad past the text in the last word transposes as zeros; its
+    // The pad past the text in the last word transposes as well; its
     // result bits are masked off below.
-    if (planeArena.size() < static_cast<std::size_t>(planes) * nw)
-        planeArena.resize(static_cast<std::size_t>(planes) * nw);
-    ops.transpose(text, planes, planeArena.data(), nw, byteText);
+    const SimdOps ops(tier);
+    const unsigned planes =
+        ops.transpose(lo, hi, nw, text_or, patternBits, planeArena);
+    planesBuilt = planes;
     wordOps += static_cast<std::uint64_t>(planes) * nw;
 
     if (k <= bitsPerWord) {

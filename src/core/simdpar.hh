@@ -19,10 +19,13 @@
  * short-pattern matchers of Faro & Kulekci ("Fast Packed String
  * Matching for Short Patterns"). Every tier shares three choices:
  *
- *   transpose   for alphabets of at most 8 bits the text is narrowed
- *               to bytes and transposed with compare + movemask, 32
+ *   transpose   the text is narrowed to bytes in one read that also
+ *               ORs its symbols -- the OR sets the plane count -- and
+ *               the bytes are transposed with compare + movemask, 32
  *               characters per instruction, instead of one character
- *               per loop iteration;
+ *               per loop iteration. A text with symbols above 8 bits
+ *               is split into low and high bytes, each transposed the
+ *               same way;
  *   recurrence  patterns with k <= 64 (one result word of history)
  *               take a fused single-pass recurrence: every plane word
  *               is read once and all pattern-position factors are
@@ -75,11 +78,11 @@ SimdIsa bestSimdIsa();
 bool simdIsaSupported(SimdIsa isa);
 
 /**
- * Bit planes needed to tell apart every symbol of @p text and every
- * bit set in @p also_seen (the pattern side's literal symbols): the
- * width of their OR, at least 1.
+ * Split @p n symbols into their low bytes at @p lo and high bytes at
+ * @p hi: the staging of a text whose OR exceeds 8 bits.
  */
-unsigned planeCount(std::span<const Symbol> text, Symbol also_seen);
+void splitWide(const Symbol *s, std::size_t n, std::uint8_t *lo,
+               std::uint8_t *hi);
 
 namespace detail
 {
@@ -100,14 +103,33 @@ class SimdOps
     explicit SimdOps(SimdIsa isa);
 
     /**
-     * Transpose @p text into @p planes bit planes: plane b, word w
-     * lands at plane[b * stride + w]. Positions from its end up to the
-     * next word boundary transpose as symbol 0. Alphabets of at most 8
-     * bits are narrowed into @p bytes first (grown as needed).
+     * Narrow @p n symbols to bytes at @p dst and return their OR: the
+     * one read of a text, which yields both its bytes and its plane
+     * count. The bytes are exact when the OR fits in 8 bits; a wider
+     * text is staged with splitWide.
      */
-    void transpose(std::span<const Symbol> text, unsigned planes,
-                   std::uint64_t *plane, std::size_t stride,
-                   std::vector<std::uint8_t> &bytes) const;
+    Symbol narrow(const Symbol *s, std::size_t n, std::uint8_t *dst) const;
+
+    /**
+     * Stage @p text in @p bytes (grown as needed) and return its OR:
+     * its low bytes, zero-padded to the next word boundary, followed
+     * -- only when the OR exceeds 8 bits -- by its high bytes, padded
+     * the same way.
+     */
+    Symbol stage(std::span<const Symbol> text,
+                 std::vector<std::uint8_t> &bytes) const;
+
+    /**
+     * Transpose @p nw words of staged bytes into as many planes as the
+     * OR of @p text_or and @p also_seen (the pattern side's literal
+     * symbols) needs, at least 1: plane b, word w lands at
+     * plane[b * nw + w], grown as needed. Planes 0-7 come from @p lo;
+     * the rest from @p hi when @p text_or exceeds 8 bits, else they
+     * are zero. Returns the plane count.
+     */
+    unsigned transpose(const std::uint8_t *lo, const std::uint8_t *hi,
+                       std::size_t nw, Symbol text_or, Symbol also_seen,
+                       std::vector<std::uint64_t> &plane) const;
 
     /** out[w] = positions of words [0, nw) where the planes spell @p c. */
     void eqMask(const std::uint64_t *plane, std::size_t stride,
@@ -167,6 +189,18 @@ class SimdParallelMatcher : public Matcher
         std::span<const Symbol> text,
         std::span<const Symbol> pattern);
 
+    /**
+     * matchPacked() on a text already staged as bytes: @p n
+     * characters at @p lo, their high bytes at @p hi (read only when
+     * @p text_or, the OR of the text's symbols, exceeds 8 bits), both
+     * readable up to the next word boundary. matchPacked() is
+     * SimdOps::stage() and then this; the batch matcher stages many
+     * texts in its own arena and runs this once per group.
+     */
+    const std::vector<std::uint64_t> &matchBytes(
+        const std::uint8_t *lo, const std::uint8_t *hi, std::size_t n,
+        Symbol text_or, std::span<const Symbol> pattern);
+
     /** Tier this instance dispatches to. */
     SimdIsa isa() const { return tier; }
 
@@ -187,7 +221,7 @@ class SimdParallelMatcher : public Matcher
     bool forcedTier = false;
 
     // --- the scratch arena (reused across calls) ---------------------
-    std::vector<std::uint8_t> byteText;    ///< narrowed text, padded
+    std::vector<std::uint8_t> byteText;    ///< staged text, padded
     std::vector<std::uint64_t> planeArena; ///< planesBuilt x nw, flat
     std::vector<std::uint64_t> eqArena;    ///< equality masks, flat
     std::vector<std::pair<Symbol, std::size_t>> eqIndex;

@@ -173,13 +173,14 @@ BitSlicedDictMatcher::matchFrom(std::span<const Symbol> text,
         return out;
     compile(dict);
 
-    // One transpose covers every pattern.
+    // One read of the text stages its bytes and their OR, and one
+    // transpose covers every pattern.
     const std::size_t nw = wordCount(n);
-    const unsigned planes = core::planeCount(text, literalBits);
+    const Symbol seen = ops.stage(text, byteText);
+    const unsigned planes =
+        ops.transpose(byteText.data(), byteText.data() + nw * bitsPerWord,
+                      nw, seen, literalBits, planeArena);
     planesBuilt = planes;
-    if (planeArena.size() < static_cast<std::size_t>(planes) * nw)
-        planeArena.resize(static_cast<std::size_t>(planes) * nw);
-    ops.transpose(text, planes, planeArena.data(), nw, byteText);
 
     const std::size_t stride = historyWords + nw;
     std::uint32_t builtFirst = 0;

@@ -1,6 +1,7 @@
 #include "service/batch.hh"
 
 #include <bit>
+#include <optional>
 #include <utility>
 
 #include "core/reference.hh"
@@ -59,103 +60,139 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
     // feed the stage histogram directly (noteQueueWait).
     telem::StageClock clock = startClock(0, batchesCtr.value());
 
-    // Validate independently; collect the admissible requests.
-    admitted.clear();
+    // Group first: the pattern and size checks and the grouping read
+    // no text character. A request that fails them keeps its error
+    // for the walk below, which may overflow it instead. Groups are
+    // numbered in order of first appearance; the table has at least
+    // twice as many slots as requests, so a linear probe ends at the
+    // pattern's group or at a free slot.
+    const std::size_t mask = std::bit_ceil(2 * batch.size()) - 1;
+    groupSlots.assign(mask + 1, 0);
+    groupOf.resize(batch.size());
+    groupChars.clear();
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        out[i].id = batch[i].id;
-        if (admitted.size() >= batchStreamLimit) {
-            out[i].error = reject(ServiceError::make(
+        const MatchRequest &req = batch[i];
+        out[i].id = req.id;
+        std::optional<ServiceError> err =
+            validatePattern(cfg.base, req.pattern);
+        if (!err && req.text.size() > cfg.base.maxTextLen)
+            err = validateText(cfg.base, req.text);
+        if (err) {
+            out[i].error = std::move(*err);
+            continue;
+        }
+        std::size_t at = patternHash(req.pattern) & mask;
+        while (groupSlots[at] != 0 &&
+               batch[groupSlots[at] - 1].pattern != req.pattern)
+            at = (at + 1) & mask;
+        if (groupSlots[at] == 0) {
+            groupSlots[at] = static_cast<std::uint32_t>(i + 1);
+            groupOf[i] = static_cast<std::uint32_t>(groupChars.size());
+            groupChars.push_back(0);
+        } else {
+            groupOf[i] = groupOf[groupSlots[at] - 1];
+        }
+        groupChars[groupOf[i]] += req.text.size();
+    }
+    engine.layout(groupChars);
+    if (members.size() < groupChars.size())
+        members.resize(groupChars.size());
+    for (std::size_t g = 0; g < groupChars.size(); ++g)
+        members[g].clear();
+
+    // Then one read of each text, in batch order: past the stream
+    // limit (which counts admitted requests only) a request overflows;
+    // otherwise its text narrows into its group's region, and its
+    // alphabet verdict is the OR that narrowing returns. Only a
+    // failing OR rescans the text to name the offender. A rejected or
+    // over-limit text is never kept, so no pass reads it.
+    passOrder.clear();
+    std::size_t admitted = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        MatchResponse &resp = out[i];
+        if (admitted >= batchStreamLimit) {
+            resp.error = reject(ServiceError::make(
                 ErrorCode::QueueOverflow,
                 "batch width limit of " +
                     std::to_string(batchStreamLimit) + " streams"));
             continue;
         }
-        if (auto err = validateRequest(cfg.base, batch[i])) {
-            out[i].error = reject(*err);
+        if (!resp.ok()) {
+            resp.error = reject(std::move(resp.error));
             continue;
         }
+        const std::uint32_t g = groupOf[i];
+        const std::vector<Symbol> &text = batch[i].text;
+        const Symbol seen = engine.stage(g, text);
+        if (!textOrAdmits(cfg.base, seen))
+            if (auto err = validateText(cfg.base, text)) {
+                resp.error = reject(*err);
+                continue;
+            }
+        engine.keep(g, text, seen);
+        if (members[g].empty())
+            passOrder.push_back(g);
+        members[g].push_back(i);
         if (clock.running() && batch[i].enqueuedNs != 0)
             observer.noteQueueWait(telem::nowNs() - batch[i].enqueuedNs);
-        admitted.push_back(i);
+        ++admitted;
     }
-    streamsCtr.add(admitted.size());
+    streamsCtr.add(admitted);
     clock.mark(telem::Stage::Admit);
-
-    // Group the admitted requests by pattern in one pass: groups in
-    // order of first appearance, members in batch order. Each group
-    // is one kernel pass; requests sharing a pattern pack into it.
-    // The table has at least twice as many slots as requests, so a
-    // linear probe ends at the pattern's group or at a free slot.
-    const std::size_t mask = std::bit_ceil(2 * admitted.size()) - 1;
-    groupSlots.assign(mask + 1, 0);
-    std::size_t nGroups = 0;
-    for (const std::size_t idx : admitted) {
-        const std::vector<Symbol> &pattern = batch[idx].pattern;
-        std::size_t at = patternHash(pattern) & mask;
-        while (groupSlots[at] != 0 &&
-               batch[groups[groupSlots[at] - 1].front()].pattern != pattern)
-            at = (at + 1) & mask;
-        if (groupSlots[at] == 0) {
-            if (nGroups == groups.size())
-                groups.emplace_back();
-            groups[nGroups].clear();
-            groupSlots[at] = static_cast<std::uint32_t>(++nGroups);
-        }
-        groups[groupSlots[at] - 1].push_back(idx);
-    }
-    if (nGroups != 0 && backendName.empty())
+    if (admitted != 0 && backendName.empty())
         backendName = intern("batch+" + engine.kernel().name());
 
     std::uint64_t totalMismatches = 0;
-    for (std::size_t g = 0; g < nGroups; ++g) {
-        const std::vector<std::size_t> &members = groups[g];
-        const std::vector<Symbol> &pattern = batch[members.front()].pattern;
-        texts.clear();
-        std::size_t passChars = 0;
-        for (const std::size_t idx : members) {
-            texts.push_back(&batch[idx].text);
-            passChars += batch[idx].text.size();
-        }
+    for (const std::uint32_t g : passOrder) {
+        const std::vector<std::size_t> &group = members[g];
+        const std::vector<Symbol> &pattern = batch[group.front()].pattern;
 
         // One kernel pass; every Nth replays through the reference.
+        // Each row goes straight into its response.
         const bool checked = cfg.crossCheckEvery != 0 &&
                              kernelPassesCtr.value() % cfg.crossCheckEvery == 0;
-        std::vector<BitVec> bits = engine.matchMany(texts, pattern);
+        const std::vector<std::uint64_t> &packed = engine.pass(g, pattern);
+        std::size_t at = 0;
+        for (const std::size_t idx : group) {
+            MatchResponse &resp = out[idx];
+            const std::size_t len = batch[idx].text.size();
+            resp.result =
+                core::BatchMatcher::row(packed, at, len, pattern.size());
+            resp.backend = backendName;
+            resp.chunks = 1;
+            resp.beats = static_cast<Beat>(len);
+            at += len;
+        }
         kernelPassesCtr.add();
         // The steady-rate contract: one text character per beat.
-        clock.addBeats(passChars);
+        clock.addBeats(at);
         clock.mark(telem::Stage::Kernel);
-        SPM_THIST(batchWidthHist, static_cast<double>(texts.size()));
+        SPM_THIST(batchWidthHist, static_cast<double>(group.size()));
         std::uint64_t mismatches = 0;
         if (checked) {
             crossChecksCtr.add();
             core::ReferenceMatcher ref;
-            for (std::size_t i = 0; i < texts.size(); ++i)
-                mismatches += bits[i] != ref.match(*texts[i], pattern);
+            for (const std::size_t idx : group)
+                mismatches += out[idx].result !=
+                              ref.match(batch[idx].text, pattern);
             crossCheckFailuresCtr.add(mismatches);
             clock.mark(telem::Stage::CrossCheck);
         }
         totalMismatches += mismatches;
-
-        for (std::size_t m = 0; m < members.size(); ++m) {
-            MatchResponse &resp = out[members[m]];
-            resp.result = std::move(bits[m]);
-            resp.backend = backendName;
-            resp.chunks = 1;
-            resp.beats = static_cast<Beat>(texts[m]->size());
-            if (mismatches != 0)
-                resp.error = ServiceError::make(
+        if (mismatches != 0)
+            for (const std::size_t idx : group)
+                out[idx].error = ServiceError::make(
                     ErrorCode::BackendFailed,
                     "sampled cross-check caught a kernel mismatch in "
                     "this pass");
-        }
         // The pass's characters, charged once.
-        cfg.base.bus.transferChunk(passChars);
-        streamCharsCtr.add(passChars);
+        cfg.base.bus.transferChunk(at);
+        streamCharsCtr.add(at);
         clock.mark(telem::Stage::Commit);
     }
-    if (!admitted.empty()) {
-        const MatchRequest &lead = batch[admitted.front()];
+    if (admitted != 0) {
+        // The first pass's first member is the call's first admitted.
+        const MatchRequest &lead = batch[members[passOrder.front()].front()];
         observe(clock, lead.id,
                 totalMismatches != 0 ? "cross-check mismatch" : nullptr,
                 cfg.base.alphabetBits, lead.pattern, lead.text);

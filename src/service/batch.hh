@@ -12,11 +12,18 @@
  *
  * The front end keeps the serving-layer contract of its streaming
  * sibling: every request is validated against the typed error
- * taxonomy before it touches the kernel, the bus model charges every
- * admitted character (batched, not per character), a sampled
- * cross-check replays whole passes against the reference matcher, and
- * batch width lands in a telemetry histogram so capacity planning can
- * see the real distribution, not an average.
+ * taxonomy before the kernel publishes anything for it, the bus model
+ * charges every admitted character (batched, not per character), a
+ * sampled cross-check replays whole passes against the reference
+ * matcher, and batch width lands in a telemetry histogram so capacity
+ * planning can see the real distribution, not an average.
+ *
+ * Each text is read once before the kernel transposes it. The checks
+ * that read no character (pattern, size) and the grouping by pattern
+ * come first; then the packing pass narrows each text into the
+ * kernel's byte arena, and the OR it returns is the text's alphabet
+ * verdict. Only a text that fails is read again, to name the first
+ * offending character; it is never kept, so no pass reads it.
  */
 
 #ifndef SPM_SERVICE_BATCH_HH
@@ -81,10 +88,11 @@ class BatchMatchService : public FrontEnd
     /** "batch+<kernel>", interned by the first call that admits. */
     std::string_view backendName;
     // Per-call scratch, cleared each call; capacity is kept.
-    std::vector<std::size_t> admitted; ///< batch indices, batch order
-    std::vector<std::uint32_t> groupSlots; ///< 1 + group number, 0 free
-    std::vector<std::vector<std::size_t>> groups; ///< members per group
-    std::vector<const std::vector<Symbol> *> texts; ///< one pass's texts
+    std::vector<std::uint32_t> groupSlots; ///< 1 + a group's first request
+    std::vector<std::uint32_t> groupOf;    ///< each request's group
+    std::vector<std::size_t> groupChars;   ///< characters per group
+    std::vector<std::vector<std::size_t>> members; ///< admitted, per group
+    std::vector<std::uint32_t> passOrder; ///< by first admitted member
 
     telem::Counter &batchesCtr;
     telem::Counter &streamsCtr;

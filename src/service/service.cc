@@ -520,13 +520,10 @@ validateText(const FrontEndConfig &cfg, std::span<const Symbol> text,
             std::string(label) + " of " +
                 std::to_string(already_seen + text.size()) +
                 " chars exceeds limit " + std::to_string(cfg.maxTextLen));
-    const std::uint32_t sigma = std::uint32_t{1} << cfg.alphabetBits;
-    // The wild card is a pattern symbol; at 16 bits it is inside sigma.
-    // There the OR only filters (0xFF00 | 0x00FF is the wild card), and
-    // the rescan decides.
-    const std::uint32_t limit = std::min<std::uint32_t>(sigma, wildcardSymbol);
-    if (orSymbols(text, false) < limit)
+    if (textOrAdmits(cfg, orSymbols(text, false)))
         return std::nullopt;
+    const std::uint32_t sigma = std::uint32_t{1} << cfg.alphabetBits;
+    const std::uint32_t limit = std::min<std::uint32_t>(sigma, wildcardSymbol);
     for (std::size_t i = 0; i < text.size(); ++i)
         if (text[i] >= limit)
             return ServiceError::make(
@@ -535,6 +532,16 @@ validateText(const FrontEndConfig &cfg, std::span<const Symbol> text,
                     std::to_string(text[i]) + " outside alphabet of " +
                     std::to_string(sigma));
     return std::nullopt;
+}
+
+bool
+textOrAdmits(const FrontEndConfig &cfg, Symbol text_or)
+{
+    // The wild card is a pattern symbol; at 16 bits it is inside sigma.
+    // There the OR only filters (0xFF00 | 0x00FF is the wild card), and
+    // the rescan decides.
+    const std::uint32_t sigma = std::uint32_t{1} << cfg.alphabetBits;
+    return text_or < std::min<std::uint32_t>(sigma, wildcardSymbol);
 }
 
 std::optional<ServiceError>

@@ -405,6 +405,14 @@ std::optional<ServiceError> validateText(const FrontEndConfig &cfg,
                                           std::uint64_t already_seen = 0,
                                           std::string_view label = "text");
 
+/**
+ * Whether a text whose symbols OR to @p text_or is inside the alphabet
+ * with no rescan: validateText's first check, for a front end that
+ * took the OR while reading the text for its own use. A false answer
+ * is not a rejection; validateText rescans and decides.
+ */
+bool textOrAdmits(const FrontEndConfig &cfg, Symbol text_or);
+
 } // namespace spm::service
 
 #endif // SPM_SERVICE_SERVICE_HH

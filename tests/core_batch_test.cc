@@ -4,8 +4,8 @@
  * multi-stream matching is bit-identical to per-stream reference
  * matching at widths 1, 3, 64 and 1000; empty streams yield empty
  * rows; and row slicing is exact at every kernel tier for lanes
- * starting around word boundaries, all-wildcard (dense-hit) patterns
- * and the 16-bit alphabet.
+ * starting around word boundaries, all-wildcard (dense-hit) patterns,
+ * the 16-bit alphabet and narrow texts staged beside a wide one.
  */
 
 #include <gtest/gtest.h>
@@ -208,6 +208,39 @@ TEST(BatchMatcher, SixteenBitAlphabetAtEveryTier)
             const auto got = matchAll(bm, streams, pattern);
             for (std::size_t i = 0; i < streams.size(); ++i)
                 ASSERT_EQ(got[i], ref.match(streams[i], pattern))
+                    << simdIsaName(isa) << " iter=" << iter
+                    << " lane=" << i;
+        }
+    }
+}
+
+TEST(BatchMatcher, NarrowTextsBesideAWideOneReadHighByteZero)
+{
+    // The staging arena is reused across calls: a call of wide texts
+    // leaves high bytes behind, and a later group whose one wide text
+    // follows narrow ones must read the narrow texts' high bytes as 0.
+    Rng rng(0x41DE);
+    ReferenceMatcher ref;
+    const std::vector<Symbol> pattern{1, 2, wildcardSymbol};
+    const auto widen = [](std::vector<Symbol> text) {
+        for (auto &c : text)
+            c = static_cast<Symbol>(0x100 * (1 + c) | c);
+        return text;
+    };
+    for (const SimdIsa isa : supportedTiers()) {
+        BatchMatcher bm(isa);
+        for (int iter = 0; iter < 10; ++iter) {
+            std::vector<std::vector<Symbol>> wide(6);
+            for (auto &s : wide)
+                s = widen(randomText(rng, 40 + rng.nextBelow(100), 4));
+            matchAll(bm, wide, pattern);
+            std::vector<std::vector<Symbol>> mixed(6);
+            for (auto &s : mixed)
+                s = randomText(rng, 40 + rng.nextBelow(100), 4);
+            mixed.back() = widen(mixed.back());
+            const auto got = matchAll(bm, mixed, pattern);
+            for (std::size_t i = 0; i < mixed.size(); ++i)
+                ASSERT_EQ(got[i], ref.match(mixed[i], pattern))
                     << simdIsaName(isa) << " iter=" << iter
                     << " lane=" << i;
         }

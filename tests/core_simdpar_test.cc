@@ -13,6 +13,7 @@
 #include "core/reference.hh"
 #include "core/simdpar.hh"
 #include "tests/helpers.hh"
+#include "util/rng.hh"
 
 namespace spm::core
 {
@@ -103,10 +104,70 @@ TEST(SimdParallel, LongPatternsTakeTheSweepPath)
     }
 }
 
+TEST(SimdOps, NarrowReturnsTheOrAtEveryTier)
+{
+    // The one read of a text: its OR, exact at every length around the
+    // vector widths and with symbols above 8 bits anywhere in it, and
+    // its bytes, exact wherever every symbol fits in 8 bits. Nothing
+    // past the text is written.
+    Rng rng(0x0A11);
+    for (const SimdIsa isa : supportedTiers()) {
+        const SimdOps ops(isa);
+        for (std::size_t n = 0; n <= 130; ++n) {
+            std::vector<Symbol> text(n);
+            for (auto &c : text)
+                c = static_cast<Symbol>(rng.nextBelow(256));
+            const auto plainOr = [&text] {
+                Symbol m = 0;
+                for (const Symbol c : text)
+                    m = static_cast<Symbol>(m | c);
+                return m;
+            };
+            std::vector<std::uint8_t> bytes(n + 8, 0xA5);
+            EXPECT_EQ(ops.narrow(text.data(), n, bytes.data()), plainOr())
+                << simdIsaName(isa) << " n=" << n;
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(bytes[i], text[i])
+                    << simdIsaName(isa) << " n=" << n << " at " << i;
+            for (std::size_t i = n; i < n + 8; ++i)
+                ASSERT_EQ(bytes[i], 0xA5) << simdIsaName(isa) << " n=" << n;
+            for (std::size_t at = 0; at < n; at += 1 + n / 5) {
+                const Symbol keep = text[at];
+                text[at] = static_cast<Symbol>(0x100u << (at % 8) | keep);
+                EXPECT_EQ(ops.narrow(text.data(), n, bytes.data()),
+                          plainOr())
+                    << simdIsaName(isa) << " n=" << n << " wide at " << at;
+                text[at] = keep;
+            }
+        }
+    }
+}
+
+TEST(SimdParallel, WidePatternOverByteTextMatchesReference)
+{
+    // Planes above 8 bits that only the pattern needs read as zero:
+    // the text's high bytes are never staged.
+    ReferenceMatcher ref;
+    Rng rng(0x91DE);
+    for (const SimdIsa isa : supportedTiers()) {
+        SimdParallelMatcher sp(isa);
+        std::vector<Symbol> text(300);
+        for (auto &c : text)
+            c = static_cast<Symbol>(rng.nextBelow(4));
+        for (const std::vector<Symbol> &pattern :
+             {std::vector<Symbol>{1, 0x101}, std::vector<Symbol>{2, 0x1234},
+              std::vector<Symbol>{3, wildcardSymbol, 0x0800}}) {
+            EXPECT_EQ(sp.match(text, pattern), ref.match(text, pattern))
+                << simdIsaName(isa);
+            EXPECT_GT(sp.lastPlanes(), 8u);
+        }
+    }
+}
+
 TEST(SimdParallel, WideAlphabetsMatchReference)
 {
-    // Alphabets beyond 8 bits take the wide transpose (one plane per
-    // symbol bit, no byte narrowing).
+    // Alphabets beyond 8 bits stage their high bytes too; each byte
+    // half takes the byte transpose.
     ReferenceMatcher ref;
     for (const SimdIsa isa : supportedTiers()) {
         SimdParallelMatcher sp(isa);

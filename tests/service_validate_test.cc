@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/reference.hh"
@@ -543,6 +546,201 @@ TEST(ValidateEdges, DictMemberErrorsNameTheMember)
     EXPECT_EQ(
         svc.validateDict({{1}, std::vector<Symbol>(65, 1)}).error.detail,
         "dict[1] of 65 exceeds limit 64");
+}
+
+/** One response as a golden line: verdict, row bits, backend, beats. */
+std::string
+renderResponse(const MatchResponse &resp)
+{
+    std::string out = resp.ok() ? "ok" : resp.error.toString();
+    out += " bits=";
+    for (std::size_t i = 0; i < resp.result.size(); ++i)
+        out += resp.result.get(i) ? '1' : '0';
+    out += " backend=" + std::string(resp.backend) +
+           " beats=" + std::to_string(resp.beats);
+    return out;
+}
+
+/**
+ * A call's responses, one line each, with runs of identical renders
+ * folded into one "ids a-b" line, then the service's statsDump().
+ */
+std::string
+renderCall(const std::string &title, const BatchMatchService &svc,
+           const std::vector<MatchResponse> &responses)
+{
+    std::string out = "== " + title + " ==\n";
+    for (std::size_t i = 0; i < responses.size();) {
+        const std::string line = renderResponse(responses[i]);
+        std::size_t j = i + 1;
+        while (j < responses.size() && renderResponse(responses[j]) == line)
+            ++j;
+        out += "ids " + std::to_string(responses[i].id);
+        if (j - i > 1)
+            out += "-" + std::to_string(responses[j - 1].id);
+        out += ": " + line + "\n";
+        i = j;
+    }
+    // Timings vary run to run: a *_ns histogram keeps its sample count.
+    out += "-- stats --\n";
+    const std::string stats = svc.statsDump();
+    for (std::size_t at = 0; at < stats.size();) {
+        const std::size_t end = stats.find('\n', at);
+        std::string line = stats.substr(at, end - at);
+        const std::size_t eq = line.find(" = ");
+        if (eq != std::string::npos && line.compare(eq - 3, 3, "_ns") == 0)
+            line = line.substr(0, line.find(' ', eq + 3));
+        out += line + "\n";
+        at = end + 1;
+    }
+    return out;
+}
+
+/** @p n random symbols below @p sigma. */
+std::vector<Symbol>
+textBelow(Rng &rng, std::size_t n, std::uint32_t sigma)
+{
+    std::vector<Symbol> text(n);
+    for (auto &c : text)
+        c = static_cast<Symbol>(rng.nextBelow(sigma));
+    return text;
+}
+
+/** Ids 0, 1, ... in batch order. */
+void
+numberRequests(std::vector<MatchRequest> &batch, std::uint64_t first)
+{
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        batch[i].id = first + i;
+}
+
+/**
+ * The responses and stats of a scripted batch mix -- bad characters
+ * at the first, middle and last positions and at word edges, pattern
+ * and size errors, empty texts and k > n, a group with no valid
+ * member, a 4,100-request call with invalid texts on both sides of the
+ * stream limit, and 12- and 16-bit alphabets -- with every pass
+ * cross-checked, byte for byte against tests/golden/batch_responses.txt.
+ * Every SIMD tier must render the same text (SPM_SIMD_ISA caps the
+ * tier). On a mismatch the rendered text is written next to the test
+ * binary.
+ */
+TEST(BatchGolden, ResponsesAndStatsMatchGolden)
+{
+    std::string got;
+    Rng rng(0xB47C);
+
+    {
+        BatchServiceConfig cfg;
+        cfg.base = smallConfig();
+        cfg.crossCheckEvery = 1;
+        BatchMatchService svc(cfg);
+        const Syms p1 = {1, 2, wildcardSymbol};
+        std::vector<MatchRequest> batch;
+        // A group whose first member is invalid: its pass order is that
+        // of its first valid member.
+        batch.push_back(request(textBelow(rng, 40, 8), {6, 7}));
+        batch.back().text[0] = 8;
+        for (const std::size_t bad : {0, 37, 63, 64, 65, 127, 128, 129}) {
+            batch.push_back(request(textBelow(rng, 130, 8), p1));
+            batch.push_back(request(textBelow(rng, 130, 8), p1));
+            batch.back().text[bad] = static_cast<Symbol>(8 + bad);
+            batch.push_back(request(textBelow(rng, 130, 8), p1));
+        }
+        batch.push_back(request(textBelow(rng, 40, 8), {6, 7}));
+        batch.push_back(request(textBelow(rng, 20, 8), {}));
+        batch.push_back(request(textBelow(rng, 20, 8), Syms(65, 1)));
+        batch.push_back(request(textBelow(rng, 20, 8), {1, 8}));
+        batch.push_back(request(textBelow(rng, 257, 8), p1));
+        batch.push_back(request(textBelow(rng, 256, 8), p1));
+        batch.push_back(request({}, {3, 1}));
+        batch.push_back(request({}, p1));
+        batch.push_back(request(textBelow(rng, 4, 8), Syms(10, 2)));
+        batch.push_back(request(textBelow(rng, 10, 8), Syms(10, 2)));
+        // No valid member: no pass runs and none is counted.
+        for (int i = 0; i < 2; ++i) {
+            batch.push_back(request(textBelow(rng, 70, 8), {5, 5, 5}));
+            batch.back().text[69 - 30 * i] = wildcardSymbol;
+        }
+        for (const std::size_t n : {1, 63, 64, 65})
+            batch.push_back(request(textBelow(rng, n, 8), {4, 0}));
+        numberRequests(batch, 0);
+        got += renderCall("edges", svc, svc.serveBatch(batch));
+    }
+    {
+        BatchServiceConfig cfg;
+        cfg.base = smallConfig();
+        BatchMatchService svc(cfg);
+        std::vector<MatchRequest> batch(4100, request({0, 1, 2}, {1, 2}));
+        // Two invalid texts below the limit leave room for two more
+        // valid requests: 4097 is the last admitted, and 4098 (an
+        // invalid text) and 4099 (an invalid pattern) overflow.
+        for (std::size_t i = 2050; i < batch.size(); ++i)
+            batch[i] = request({2, 1, 2, 1}, {2, 1});
+        for (const std::size_t i : {7u, 2000u, 4098u})
+            batch[i].text[1] = 9;
+        batch[4099].pattern.clear();
+        numberRequests(batch, 100);
+        got += renderCall("stream limit", svc, svc.serveBatch(batch));
+    }
+    {
+        BatchServiceConfig cfg;
+        cfg.base = smallConfig();
+        cfg.base.alphabetBits = 12;
+        cfg.crossCheckEvery = 1;
+        BatchMatchService svc(cfg);
+        std::vector<MatchRequest> batch;
+        for (const std::size_t n : {5, 70, 130}) {
+            batch.push_back(request(textBelow(rng, n, 4), {3, 0x101}));
+            batch.back().text[n / 2] = 0x101;
+            batch.back().text[n - 1] = 0xFFF;
+            batch.push_back(request(textBelow(rng, n, 4), {3, 0x101}));
+            batch.push_back(request(textBelow(rng, n, 0x1000), {3, 0x101}));
+            batch.back().text[n / 3] = 0x1000;
+            batch.push_back(request(textBelow(rng, n, 4), {2, 1}));
+            batch.push_back(request(textBelow(rng, n, 0x1000), {2, 1}));
+        }
+        for (std::size_t i = 0; i < batch.size(); i += 4)
+            for (std::size_t at = 0; at + 1 < batch[i].text.size(); at += 9) {
+                batch[i].text[at] = 3;
+                batch[i].text[at + 1] = 0x101;
+            }
+        numberRequests(batch, 5000);
+        got += renderCall("12-bit alphabet", svc, svc.serveBatch(batch));
+    }
+    {
+        BatchServiceConfig cfg;
+        cfg.base = smallConfig();
+        cfg.base.alphabetBits = 16;
+        cfg.crossCheckEvery = 1;
+        BatchMatchService svc(cfg);
+        std::vector<MatchRequest> batch;
+        batch.push_back(request({0xFF00, 0x00FF, 0xFF00, 0x00FF, 0xABCD},
+                                {0xFF00, 0x00FF}));
+        batch.push_back(request({1, wildcardSymbol, 2}, {0xFF00, 0x00FF}));
+        batch.push_back(request(textBelow(rng, 100, 0xFFFF), {0xFF00, 0x00FF}));
+        batch.push_back(request({0x00FF, 0xFF00, 0x00FF}, {0xFF00, 0x00FF}));
+        batch.push_back(request(textBelow(rng, 90, 256), {0xABCD}));
+        batch.back().text[80] = 0xABCD;
+        batch.push_back(
+            request(textBelow(rng, 90, 0xFFFF), {7, wildcardSymbol}));
+        batch.back().text[89] = wildcardSymbol;
+        numberRequests(batch, 9000);
+        got += renderCall("16-bit alphabet", svc, svc.serveBatch(batch));
+    }
+
+    const std::string path =
+        std::string(SPM_GOLDEN_DIR) + "/batch_responses.txt";
+    std::ifstream in(path);
+    const std::string want((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    if (got != want) {
+        const std::string actual =
+            std::string(SPM_GOLDEN_OUT) + "/batch_responses.actual.txt";
+        std::ofstream(actual) << got;
+        ADD_FAILURE() << "render differs from " << path
+                      << "; this run's render is in " << actual;
+    }
 }
 
 } // namespace
