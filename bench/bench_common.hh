@@ -150,6 +150,8 @@ struct BenchOptions
 {
     bool smoke = false;
     std::string jsonPath;
+    /** An acceptance verdict of the report failed: the run exits 1. */
+    bool failed = false;
 };
 
 inline BenchOptions &
@@ -166,6 +168,15 @@ smokeMode()
     return benchOptions().smoke;
 }
 
+/** Record one acceptance verdict; a failed one makes the run exit 1. */
+inline bool
+acceptance(bool ok)
+{
+    if (!ok)
+        benchOptions().failed = true;
+    return ok;
+}
+
 /** Where the JSON report goes unless --json overrides it. */
 inline void
 jsonDefaultPath(const std::string &path)
@@ -174,7 +185,10 @@ jsonDefaultPath(const std::string &path)
         benchOptions().jsonPath = path;
 }
 
-/** Shared main: strip our flags, report, time, write the JSON. */
+/**
+ * Shared main: strip our flags, report, time, write the JSON. Exits 1
+ * when an acceptance() verdict of the report failed.
+ */
 inline int
 benchMain(int argc, char **argv, void (*report_fn)())
 {
@@ -214,7 +228,9 @@ benchMain(int argc, char **argv, void (*report_fn)())
             std::fprintf(stderr, "cannot write JSON report to %s\n",
                          path.c_str());
     }
-    return 0;
+    if (benchOptions().failed)
+        std::fprintf(stderr, "an acceptance check of the report failed\n");
+    return benchOptions().failed ? 1 : 0;
 }
 
 } // namespace spm::bench

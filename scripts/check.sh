@@ -138,6 +138,14 @@ build/tools/chaos_storm --requests 8 --text-len 1024 \
     --no-cross-check --corrupt 1 --stall 0 --hang 0 --throw 0 \
     --cap 1 --corrupt-at 4 --targets 1,2,3 --quiet
 
+# E12's acceptance: the 104-fault storm under 2x overload against the
+# stream front end's cross-check. The report exits non-zero on a silent
+# corruption, an untyped failure, completion under 99%, a resume
+# mismatch or a storm that does not reproduce; its table is printed.
+echo "== chaos: E12 fault-storm acceptance =="
+build/bench/bench_e12_service_resilience --benchmark_filter=NONE |
+    grep -v '^  #'
+
 # Smoke-run every benchmark binary: each prints its report with a
 # scaled-down sweep and one-iteration timings, so a crash or a shape
 # regression in a bench fails CI without costing a full run. Every

@@ -4,7 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/reference.hh"
 #include "telemetry/event.hh"
 #include "telemetry/telem.hh"
 #include "util/strings.hh"
@@ -41,8 +40,6 @@ BatchMatchService::BatchMatchService(BatchServiceConfig config)
       streamsCtr(metrics.counter("streams")),
       streamCharsCtr(metrics.counter("streamChars")),
       kernelPassesCtr(metrics.counter("kernelPasses")),
-      crossChecksCtr(metrics.counter("crossChecks")),
-      crossCheckFailuresCtr(metrics.counter("crossCheckFailures")),
       batchWidthHist(metrics.logHistogram("batch_width"))
 {
     bus = &cfg.base.bus;
@@ -142,15 +139,12 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
     if (admitted != 0 && backendName.empty())
         backendName = intern("batch+" + engine.kernel().name());
 
-    std::uint64_t totalMismatches = 0;
+    bool anyFailed = false;
     for (const std::uint32_t g : passOrder) {
         const std::vector<std::size_t> &group = members[g];
         const std::vector<Symbol> &pattern = batch[group.front()].pattern;
 
-        // One kernel pass; every Nth replays through the reference.
-        // Each row goes straight into its response.
-        const bool checked = cfg.crossCheckEvery != 0 &&
-                             kernelPassesCtr.value() % cfg.crossCheckEvery == 0;
+        // One kernel pass; each row goes straight into its response.
         const std::vector<std::uint64_t> &packed = engine.pass(g, pattern);
         std::size_t at = 0;
         for (const std::size_t idx : group) {
@@ -168,23 +162,20 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
         clock.addBeats(at);
         clock.mark(telem::Stage::Kernel);
         SPM_THIST(batchWidthHist, static_cast<double>(group.size()));
-        std::uint64_t mismatches = 0;
-        if (checked) {
-            crossChecksCtr.add();
-            core::ReferenceMatcher ref;
-            for (const std::size_t idx : group)
-                mismatches += out[idx].result !=
-                              ref.match(batch[idx].text, pattern);
-            crossCheckFailuresCtr.add(mismatches);
+        if (cfg.base.crossCheck) {
+            bool ok = true;
+            for (std::size_t m = 0; m < group.size() && ok; ++m)
+                ok = verify(batch[group[m]].text, pattern,
+                            out[group[m]].result);
             clock.mark(telem::Stage::CrossCheck);
+            if (!countCheck(ok)) {
+                anyFailed = true;
+                for (const std::size_t idx : group)
+                    out[idx].error = ServiceError::make(
+                        ErrorCode::BackendFailed,
+                        "cross-check caught a kernel mismatch in this pass");
+            }
         }
-        totalMismatches += mismatches;
-        if (mismatches != 0)
-            for (const std::size_t idx : group)
-                out[idx].error = ServiceError::make(
-                    ErrorCode::BackendFailed,
-                    "sampled cross-check caught a kernel mismatch in "
-                    "this pass");
         // The pass's characters, charged once.
         cfg.base.bus.transferChunk(at);
         streamCharsCtr.add(at);
@@ -194,7 +185,7 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
         // The first pass's first member is the call's first admitted.
         const MatchRequest &lead = batch[members[passOrder.front()].front()];
         observe(clock, lead.id,
-                totalMismatches != 0 ? "cross-check mismatch" : nullptr,
+                anyFailed ? "cross-check mismatch" : nullptr,
                 cfg.base.alphabetBits, lead.pattern, lead.text);
     }
     return out;

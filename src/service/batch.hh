@@ -13,10 +13,10 @@
  * The front end keeps the serving-layer contract of its streaming
  * sibling: every request is validated against the typed error
  * taxonomy before the kernel publishes anything for it, the bus model
- * charges every admitted character (batched, not per character), a
- * sampled cross-check replays whole passes against the reference
- * matcher, and batch width lands in a telemetry histogram so capacity
- * planning can see the real distribution, not an average.
+ * charges every admitted character (batched, not per character), the
+ * cross-check, when on, verifies every pass before it is published,
+ * and batch width lands in a telemetry histogram so capacity planning
+ * can see the real distribution, not an average.
  *
  * Each text is read once before the kernel transposes it. The checks
  * that read no character (pattern, size) and the grouping by pattern
@@ -42,24 +42,20 @@ namespace spm::service
 /** Configuration of the batched request path. */
 struct BatchServiceConfig
 {
-    /** Bounds, alphabet and bus shared with the other front ends. */
-    FrontEndConfig base;
     /**
-     * Replay every Nth kernel pass through the reference matcher and
-     * compare bit for bit (0 disables). Sampling, not per-chunk: the
-     * batched path trades the streaming service's every-chunk audit
-     * for throughput and leans on the conformance harness instead.
+     * Shared with the other front ends. The check is off by default:
+     * the batched path leans on the conformance harness instead.
      */
-    unsigned crossCheckEvery = 0;
+    FrontEndConfig base{.crossCheck = false};
 };
 
 /**
  * The batched match service. stats(): counters batches, streams,
- * streamChars, kernelPasses, rejected, crossChecks,
- * crossCheckFailures; histogram batch_width (streams per kernel
- * pass); statsDump() prints them as "batch.x = n". An exemplar is one
- * call, named by its lead stream's case; a sampled cross-check
- * mismatch force-retains it.
+ * streamChars, kernelPasses, rejected, crossChecks (passes checked),
+ * crossCheckFailures (passes that mismatched, each failing every
+ * member); histogram batch_width (streams per kernel pass); statsDump()
+ * prints them as "batch.x = n". An exemplar is one call, named by its
+ * lead stream's case; a cross-check mismatch force-retains it.
  */
 class BatchMatchService : public FrontEnd
 {
@@ -98,8 +94,6 @@ class BatchMatchService : public FrontEnd
     telem::Counter &streamsCtr;
     telem::Counter &streamCharsCtr;
     telem::Counter &kernelPassesCtr;
-    telem::Counter &crossChecksCtr;
-    telem::Counter &crossCheckFailuresCtr;
     telem::LogHistogram &batchWidthHist;
 };
 

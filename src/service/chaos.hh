@@ -18,7 +18,7 @@
  *            (a software defect in the host-side driver);
  *   Corrupt  the rung silently flips a result bit (an undetected
  *            chip defect) -- the poison for the overlap cross-check
- *            and the per-chunk reference cross-check to catch.
+ *            and the per-chunk cross-check to catch.
  *
  * Every decision is a pure function of (seed, slot, window index), so
  * a campaign replays identically regardless of thread interleaving:

@@ -32,8 +32,6 @@ DictMatchService::DictMatchService(DictServiceConfig config)
       chunksCtr(metrics.counter("chunks")),
       chunkCharsCtr(metrics.counter("chunkChars")),
       hitsCtr(metrics.counter("hits")),
-      crossChecksCtr(metrics.counter("crossChecks")),
-      crossCheckFailuresCtr(metrics.counter("crossCheckFailures")),
       dictSizeHist(metrics.logHistogram("dict_size")),
       hitsPerChunkHist(metrics.logHistogram("hits_per_chunk")),
       planesPerSweepHist(metrics.logHistogram("planes_per_sweep"))
@@ -102,11 +100,9 @@ DictMatchService::feedChunk(DictSession &session,
     // before the kernel sees it, like the sibling front ends.
     cfg.base.bus.transferChunk(chunk.size());
 
-    const bool audit = cfg.crossCheckEvery != 0 &&
-                       session.chunksFed % cfg.crossCheckEvery == 0;
-    std::vector<Symbol> beforeTail;
-    if (audit)
-        beforeTail = session.stream.tail;
+    // Feeding replaces the carried tail that the check reads.
+    if (cfg.base.crossCheck)
+        checkText = session.stream.tail;
     clock.mark(telem::Stage::Admit);
 
     res.hits = multipattern::feedDictChunk(engine, session.stream, chunk,
@@ -123,27 +119,16 @@ DictMatchService::feedChunk(DictSession &session,
     clock.addBeats(static_cast<Beat>(chunk.size()));
     clock.mark(telem::Stage::Kernel);
 
-    if (audit) {
-        crossChecksCtr.add();
-        multipattern::NaiveDictMatcher naive;
-        std::vector<Symbol> window = std::move(beforeTail);
-        window.insert(window.end(), chunk.begin(), chunk.end());
-        const multipattern::DictHits expect =
-            naive.matchAll(window, session.dict);
-        const std::size_t skip = window.size() - chunk.size();
-        bool bad = false;
-        for (std::size_t p = 0; p < session.dict.size() && !bad; ++p) {
-            BitVec want;
-            want.append(expect.bits[p].words(), skip, chunk.size());
-            bad = res.hits.bits[p] != want;
-        }
-        if (bad) {
-            crossCheckFailuresCtr.add();
+    if (cfg.base.crossCheck) {
+        const std::size_t skip = checkText.size();
+        checkText.insert(checkText.end(), chunk.begin(), chunk.end());
+        bool ok = true;
+        for (std::size_t p = 0; p < session.dict.size() && ok; ++p)
+            ok = verify(checkText, session.dict[p], res.hits.bits[p], skip);
+        if (!countCheck(ok))
             res.error = DictError::make(ServiceError::make(
                 ErrorCode::BackendFailed,
-                "cross-check caught a dictionary-kernel mismatch in "
-                "this chunk"));
-        }
+                "cross-check caught a dictionary mismatch in this chunk"));
         clock.mark(telem::Stage::CrossCheck);
     }
     clock.mark(telem::Stage::Commit);

@@ -20,8 +20,8 @@
  * (DictError names the offending dictionary member), every admitted
  * character charged through the host bus model, and telemetry that
  * capacity planning can read (dictionary-size / hits-per-chunk /
- * planes-per-sweep histograms).  An optional sampled cross-check
- * replays chunks through the naive per-pattern reference.
+ * planes-per-sweep histograms).  The cross-check, when on, verifies
+ * every member's hits of every chunk before the chunk is published.
  */
 
 #ifndef SPM_SERVICE_DICTSERVE_HH
@@ -42,13 +42,8 @@ namespace spm::service
 /** Configuration of the dictionary serving path. */
 struct DictServiceConfig
 {
-    /** Bounds, alphabet and bus shared with the other front ends. */
-    FrontEndConfig base;
-    /**
-     * Replay every Nth chunk through the naive per-pattern reference
-     * and compare bit for bit (0 disables).
-     */
-    unsigned crossCheckEvery = 0;
+    /** Shared with the other front ends; the check is off by default. */
+    FrontEndConfig base{.crossCheck = false};
 };
 
 /**
@@ -96,12 +91,12 @@ class DictSession
 
 /**
  * The dictionary match service. stats(): counters dictionaries,
- * chunks, chunkChars, hits, rejected, crossChecks,
- * crossCheckFailures; histograms dict_size (members per session),
- * hits_per_chunk, planes_per_sweep (bit planes the engine built per
- * chunk); statsDump() prints them as "dict.x = n". An exemplar is one
- * chunk; its case names dictionary member 0 against the chunk (the
- * conformance case format is single-pattern).
+ * chunks, chunkChars, hits, rejected, crossChecks (chunks checked),
+ * crossCheckFailures (chunks failed); histograms dict_size (members
+ * per session), hits_per_chunk, planes_per_sweep (bit planes the
+ * engine built per chunk); statsDump() prints them as "dict.x = n".
+ * An exemplar is one chunk; its case names dictionary member 0
+ * against the chunk (the conformance case format is single-pattern).
  */
 class DictMatchService : public FrontEnd
 {
@@ -153,13 +148,13 @@ class DictMatchService : public FrontEnd
   private:
     DictServiceConfig cfg;
     multipattern::BitSlicedDictMatcher engine;
+    /** A checked chunk after its stream's carried tail (scratch). */
+    std::vector<Symbol> checkText;
 
     telem::Counter &dictionariesCtr;
     telem::Counter &chunksCtr;
     telem::Counter &chunkCharsCtr;
     telem::Counter &hitsCtr;
-    telem::Counter &crossChecksCtr;
-    telem::Counter &crossCheckFailuresCtr;
     telem::LogHistogram &dictSizeHist;
     telem::LogHistogram &hitsPerChunkHist;
     telem::LogHistogram &planesPerSweepHist;

@@ -22,9 +22,8 @@
  *                  software baseline); a rung that trips the watchdog
  *                  or exceeds its cross-check fault budget is
  *                  abandoned for the rest of the request, and every
- *                  committed chunk is verified against the reference
- *                  matcher, so degraded results are never silently
- *                  wrong.
+ *                  committed chunk is cross-checked, so degraded
+ *                  results are never silently wrong.
  */
 
 #ifndef SPM_SERVICE_SERVICE_HH
@@ -39,6 +38,7 @@
 #include <vector>
 
 #include "core/hostbus.hh"
+#include "core/simdpar.hh"
 #include "service/backend.hh"
 #include "service/checkpoint.hh"
 #include "service/queue.hh"
@@ -62,6 +62,8 @@ struct FrontEndConfig
     std::size_t maxPatternLen = 64;
     /** Bus pacing; its parity bit (on by default) is priced into demand. */
     core::HostBusModel bus{prototypeBeatPs, 8, true};
+    /** Verify each window, batch pass or dictionary chunk published. */
+    bool crossCheck = true;
 };
 
 /** Serving-side configuration of the streaming service. */
@@ -71,8 +73,6 @@ struct ServiceConfig : FrontEndConfig
     std::size_t cells = 8;
     /** Text characters streamed per chunk. */
     std::size_t chunkChars = 32;
-    /** Verify every committed chunk against the reference matcher. */
-    bool crossCheck = true;
     /** Record the replay journal. */
     bool journalEnabled = true;
     /** Admission queue depth. */
@@ -87,11 +87,10 @@ struct ServiceConfig : FrontEndConfig
 };
 
 /**
- * What every serving front end shares: one metrics registry with a
- * "rejected" counter, the request observer and its exemplar
- * reservoir, and the stats surface built on them. A front end derives
- * from it and keeps only its execution code; everything a host reads
- * back about admission and observation is defined here, once.
+ * What every serving front end shares: one metrics registry with the
+ * "rejected", "crossChecks" and "crossCheckFailures" counters, the
+ * request observer and its exemplar reservoir, the cross-check and the
+ * stats surface. A front end derives from it and keeps only its code.
  */
 class FrontEnd
 {
@@ -151,12 +150,34 @@ class FrontEnd
         return err;
     }
 
+    /**
+     * Whether @p bits are @p pattern's result bits over @p text at
+     * [@p skip, text.size()), by the kernel's scalar tier (no rung runs
+     * it unless SPM_SIMD_ISA caps it there); warm, it allocates nothing.
+     */
+    bool verify(std::span<const Symbol> text,
+                std::span<const Symbol> pattern, const BitVec &bits,
+                std::size_t skip = 0);
+
+    /** Count one checked unit, a failed one unless @p ok; returns @p ok. */
+    bool countCheck(bool ok)
+    {
+        crossChecksCtr.add();
+        crossCheckFailuresCtr.add(ok ? 0 : 1);
+        return ok;
+    }
+
     telem::Registry metrics;
 
   private:
     const char *prefix;
     telem::Counter &rejectedCtr;
+    telem::Counter &crossChecksCtr;
+    telem::Counter &crossCheckFailuresCtr;
     telem::ExemplarReservoir exemplarStore;
+    /** verify()'s checker, made on first use, and its reused row. */
+    std::unique_ptr<core::SimdParallelMatcher> checker;
+    BitVec checkBits;
 
   protected:
     /** Declared after the reservoir it feeds. */
@@ -319,12 +340,14 @@ class MatchService : public FrontEnd
 
     /**
      * stats() holds counters served, completed, failed, rejected,
-     * degradations, watchdogTrips, crossCheckFailures, checkpoints,
-     * resumes; gauge queue_depth; histogram chunk_beats (per-committed
-     * -chunk beat cost). The snapshot adds the admission queue's
-     * counters and journal_dropped, the journal's records that fell
-     * off since its clear() (bare names; the sharded front end merges
-     * these across shards), and statsDump() renders it as
+     * degradations, watchdogTrips, crossChecks (window attempts
+     * checked, re-runs included), crossCheckFailures (attempts that
+     * mismatched), checkpoints, resumes; gauge queue_depth; histogram
+     * chunk_beats (per-committed-chunk beat cost). The snapshot adds
+     * the admission queue's counters and journal_dropped, the
+     * journal's records that fell off since its clear() (bare names;
+     * the sharded front end merges these across shards, and its own
+     * cross-check counters read 0), and statsDump() renders it as
      * "service.x = n" lines.
      */
     telem::Snapshot metricsSnapshot() const override;
@@ -356,7 +379,6 @@ class MatchService : public FrontEnd
     telem::Counter &failedCtr;
     telem::Counter &degradationsCtr;
     telem::Counter &watchdogTripsCtr;
-    telem::Counter &crossCheckFailuresCtr;
     telem::Counter &checkpointsCtr;
     telem::Counter &resumesCtr;
     telem::Gauge &queueDepthGauge;

@@ -182,27 +182,27 @@ warmStreamServe(std::size_t chunk_chars)
 
 TEST(Allocations, WarmStreamServeCopiesNoWindow)
 {
-    // What is left per chunk is the kernel's result BitVec and the
-    // cross-check's: 2 x 1,024 chunks + 2 and 2 x 8 chunks + 2 as
-    // measured. The response takes the checkpoint's bits and the
-    // prefetch list is a fixed array, so neither allocates. A
-    // retained request builds one case reference (one allocation).
+    // What is left per chunk is the kernel's result BitVec: 1,024
+    // chunks + 2 and 8 chunks + 2 as measured. The cross-check
+    // compares in its checker's arena, the response takes the
+    // checkpoint's bits and the prefetch list is a fixed array, so
+    // none of them allocates. A retained request builds one case
+    // reference (one allocation).
     const HeapUse fine = warmStreamServe(32);
-    EXPECT_LE(fine.calls, 2050u + fine.casesKept);
+    EXPECT_LE(fine.calls, 1026u + fine.casesKept);
     const HeapUse coarse = warmStreamServe(4096);
-    EXPECT_LE(coarse.calls, 18u + coarse.casesKept);
+    EXPECT_LE(coarse.calls, 10u + coarse.casesKept);
 }
 
 TEST(Allocations, WarmStreamServeCopiesNoRequest)
 {
     // The session views the caller's request, and its one n/8-byte
-    // result row is the checkpoint's, which the response takes. The
-    // rest is the per-chunk kernel and cross-check rows (20.6 K and
-    // 12.5 K as measured); a second result-sized row (4 K) would
-    // cross either bound.
-    const std::size_t text_bytes = (1 << 15) * sizeof(Symbol);
-    EXPECT_LT(warmStreamServe(32).bytes, text_bytes / 3);
-    EXPECT_LT(warmStreamServe(4096).bytes, text_bytes / 5);
+    // result row (4,096 bytes) is the checkpoint's, which the
+    // response takes. The rest is one kernel row per chunk (1,024 of
+    // one word, or 8 of 65 words) and the retained case, as measured:
+    // any further row crosses either bound.
+    EXPECT_LE(warmStreamServe(32).bytes, 12372u);
+    EXPECT_LE(warmStreamServe(4096).bytes, 8332u);
 }
 
 TEST(Allocations, WarmShardedServeCopiesTheTextOnce)
@@ -253,9 +253,10 @@ TEST(Allocations, WarmDefaultLadderServe)
     const std::uint64_t kept = svc.exemplars().retained();
     const HeapUse use = heapUseOf([&] { resp = svc.serve(req); });
     ASSERT_TRUE(resp.ok()) << resp.error.detail;
-    // 47 as measured, plus up to 3 for a retained literal case (the
+    // 31 as measured, none of them for the cross-check of its 16
+    // windows, plus up to 3 for a retained literal case (the
     // reservoir's seeded uniform draw keeps this one).
-    EXPECT_LE(use.calls, 47u + 3 * (svc.exemplars().retained() - kept));
+    EXPECT_LE(use.calls, 31u + 3 * (svc.exemplars().retained() - kept));
 }
 
 /**

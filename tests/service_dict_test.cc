@@ -121,7 +121,10 @@ TEST(DictServe, RejectedRequestsCarryTheTypedError)
 TEST(DictServe, ChunkedSessionIsBitIdenticalToOneShot)
 {
     DictMatchService oneShotSvc(smallConfig());
-    DictMatchService chunkedSvc(smallConfig());
+    // Checked: each chunk is verified after its carried tail.
+    DictServiceConfig checked = smallConfig();
+    checked.base.crossCheck = true;
+    DictMatchService chunkedSvc(checked);
     Rng rng(0xD1C8u);
     const auto text = randomText(rng, 700);
     const DictPatterns dict = {
@@ -140,7 +143,8 @@ TEST(DictServe, ChunkedSessionIsBitIdenticalToOneShot)
     DictHits stitched;
     stitched.bits.assign(dict.size(), {});
     std::size_t at = 0;
-    while (at < text.size()) {
+    std::uint64_t chunks = 0;
+    for (; at < text.size(); ++chunks) {
         const std::size_t len =
             std::min<std::size_t>(text.size() - at, 1 + rng.nextBelow(64));
         const std::vector<Symbol> chunk(
@@ -155,6 +159,9 @@ TEST(DictServe, ChunkedSessionIsBitIdenticalToOneShot)
     }
     EXPECT_EQ(stitched, oneShot.hits);
     EXPECT_EQ(session.streamed(), text.size());
+    const auto snap = chunkedSvc.metricsSnapshot();
+    EXPECT_EQ(snap.counterValue("crossChecks"), chunks);
+    EXPECT_EQ(snap.counterValue("crossCheckFailures"), 0u);
 }
 
 TEST(DictServe, CumulativeStreamBoundIsEnforced)
@@ -188,10 +195,10 @@ TEST(DictServe, BusChargesEveryAdmittedCharacter)
     EXPECT_EQ(svc.config().base.bus.charsTransferred(), before + 128);
 }
 
-TEST(DictServe, SampledCrossCheckRunsCleanOnAHealthyKernel)
+TEST(DictServe, CrossCheckRunsCleanOnAHealthyKernel)
 {
     DictServiceConfig cfg = smallConfig();
-    cfg.crossCheckEvery = 1;
+    cfg.base.crossCheck = true;
     DictMatchService svc(cfg);
     Rng rng(0xD1C9u);
     const auto text = randomText(rng, 300);

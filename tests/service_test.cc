@@ -21,6 +21,7 @@
 
 #include "core/behavioral.hh"
 #include "core/reference.hh"
+#include "core/simdpar.hh"
 #include "fault/injector.hh"
 #include "fault/model.hh"
 #include "service/backend.hh"
@@ -309,16 +310,18 @@ class OneWindowAtATime : public ServiceBackend
 
 /**
  * A rung decorator that forwards everything, prefetch() included, and
- * flips the last result bit of its @p flip_at-th matchWindow() call
- * (counting from 0): one transient fault, which the cross-check
- * catches and the re-run clears.
+ * flips result bit @p bit (the last one when @p bit is past it) of its
+ * @p flip_at-th matchWindow() call (counting from 0): one transient
+ * fault, which the cross-check catches and the re-run clears.
  */
 class OneTransientFlip : public ServiceBackend
 {
   public:
+    static constexpr std::size_t lastBit = static_cast<std::size_t>(-1);
+
     OneTransientFlip(std::unique_ptr<ServiceBackend> rung,
-                     std::size_t flip_at)
-        : inner(std::move(rung)), flipAt(flip_at)
+                     std::size_t flip_at, std::size_t bit = lastBit)
+        : inner(std::move(rung)), flipAt(flip_at), flipBit(bit)
     {
     }
 
@@ -340,9 +343,10 @@ class OneTransientFlip : public ServiceBackend
                              BeatWatchdog &dog) override
     {
         WindowResult wr = inner->matchWindow(window, pattern, dog);
-        if (calls++ == flipAt && wr.completed && !wr.bits.empty())
-            wr.bits.set(wr.bits.size() - 1,
-                        !wr.bits.get(wr.bits.size() - 1));
+        if (calls++ == flipAt && wr.completed && !wr.bits.empty()) {
+            const std::size_t at = std::min(flipBit, wr.bits.size() - 1);
+            wr.bits.set(at, !wr.bits.get(at));
+        }
         return wr;
     }
 
@@ -352,21 +356,23 @@ class OneTransientFlip : public ServiceBackend
   private:
     std::unique_ptr<ServiceBackend> inner;
     std::size_t flipAt;
+    std::size_t flipBit;
 };
 
 /**
  * The default ladder, optionally behind a poisoned gate rung, with
  * every gate rung served one window at a time when @p one_window.
  * @p lanes collects the lane-serving gate rungs. With @p flip_at set,
- * every gate rung also sits behind a OneTransientFlip, collected in
- * @p flips.
+ * every gate rung also sits behind a OneTransientFlip of @p flip_bit,
+ * collected in @p flips.
  */
 std::vector<std::unique_ptr<ServiceBackend>>
 gateLadder(const ServiceConfig &cfg, bool one_window,
            const std::vector<fault::FaultSite> &poison,
            std::vector<const GateBackend *> &lanes,
            std::optional<std::size_t> flip_at = std::nullopt,
-           std::vector<const OneTransientFlip *> *flips = nullptr)
+           std::vector<const OneTransientFlip *> *flips = nullptr,
+           std::size_t flip_bit = OneTransientFlip::lastBit)
 {
     std::vector<std::unique_ptr<ServiceBackend>> ladder =
         makeDefaultLadder(cfg);
@@ -381,8 +387,8 @@ gateLadder(const ServiceConfig &cfg, bool one_window,
         else
             lanes.push_back(gate);
         if (flip_at) {
-            auto flip =
-                std::make_unique<OneTransientFlip>(std::move(rung), *flip_at);
+            auto flip = std::make_unique<OneTransientFlip>(
+                std::move(rung), *flip_at, flip_bit);
             flips->push_back(flip.get());
             rung = std::move(flip);
         }
@@ -524,6 +530,131 @@ TEST(LaneGateRung, TransientMismatchRerunsOnlyThatWindowAlone)
         << "every window once, plus the re-run";
     EXPECT_EQ(lane_rungs[0]->laneWindows(), lane_flips[0]->calls - 1)
         << "only the re-run ran alone";
+}
+
+/**
+ * One flipped bit of the fourth window, at the warm-up bits (0 and
+ * k-2), either side of the first word boundary (63, 64) and at the
+ * window's end, in windows of 16, 57 and 64 chunk characters plus the
+ * k-1 tail (so 23, 64 and 71 bits), on a SIMD rung and on the gate
+ * rung. The stream, batch and dictionary front ends share this
+ * compare, so it covers their checks too.
+ */
+TEST(CrossCheck, EveryFlippedBitIsCaughtAndCleared)
+{
+    const MatchRequest req = chipRequest(6, 0xF11B);
+    const std::size_t k = req.pattern.size();
+    const BitVec want = core::ReferenceMatcher().match(req.text, req.pattern);
+    for (const bool gate : {false, true}) {
+        for (const std::size_t chunk : {16u, 57u, 64u}) {
+            for (const std::size_t bit :
+                 {std::size_t{0}, k - 2, std::size_t{63}, std::size_t{64},
+                  OneTransientFlip::lastBit}) {
+                if (bit != OneTransientFlip::lastBit && bit >= chunk + k - 1)
+                    continue;
+                ServiceConfig cfg;
+                cfg.chunkChars = chunk;
+                std::vector<const GateBackend *> lanes;
+                std::vector<const OneTransientFlip *> flips;
+                std::vector<std::unique_ptr<ServiceBackend>> ladder;
+                if (gate) {
+                    ladder = gateLadder(cfg, false, {}, lanes, 3, &flips, bit);
+                } else {
+                    auto simd = std::make_unique<OneTransientFlip>(
+                        std::make_unique<MatcherBackend>(
+                            std::make_unique<core::SimdParallelMatcher>()),
+                        3, bit);
+                    flips.push_back(simd.get());
+                    ladder.push_back(std::move(simd));
+                    ladder.push_back(std::make_unique<SoftwareBackend>());
+                }
+                MatchService svc(cfg, std::move(ladder));
+                const MatchResponse resp = svc.serve(req);
+                const std::string where = "gate " + std::to_string(gate) +
+                                          " chunk " + std::to_string(chunk) +
+                                          " bit " + std::to_string(bit);
+                ASSERT_TRUE(resp.ok()) << where << ": "
+                                       << resp.error.toString();
+                EXPECT_EQ(resp.crossCheckFailures, 1u) << where;
+                EXPECT_EQ(resp.degradations, 0u) << where;
+                EXPECT_EQ(resp.result, want) << where;
+                ASSERT_EQ(flips.size(), 1u);
+                EXPECT_EQ(flips[0]->calls, resp.chunks + 1) << where;
+                EXPECT_EQ(svc.stats().counter("crossChecks").value(),
+                          resp.chunks + 1)
+                    << where;
+                EXPECT_EQ(svc.stats().counter("crossCheckFailures").value(),
+                          1u)
+                    << where;
+            }
+        }
+    }
+}
+
+/** The shared compare, opened up for a direct test. */
+struct CompareProbe : FrontEnd
+{
+    CompareProbe() : FrontEnd(2, "probe", "probe.") {}
+    using FrontEnd::verify;
+};
+
+TEST(CrossCheck, SharedCompareCatchesAFlipAtEveryOffset)
+{
+    // The dictionary front end checks a chunk after its carried tail,
+    // so the compare reads the checker's words shifted by the tail:
+    // every offset across a word boundary, every bit of the result.
+    CompareProbe probe;
+    const MatchRequest req = seededRequest(8, 0x5C1F, 2, 200, 5);
+    const BitVec full = core::ReferenceMatcher().match(req.text, req.pattern);
+    for (const std::size_t skip : {0u, 1u, 4u, 63u, 64u, 65u, 130u, 200u}) {
+        BitVec bits;
+        bits.append(full.words(), skip, full.size() - skip);
+        EXPECT_TRUE(probe.verify(req.text, req.pattern, bits, skip))
+            << "skip " << skip;
+        for (std::size_t i = 0; i < bits.size(); ++i) {
+            bits.set(i, !bits.get(i));
+            EXPECT_FALSE(probe.verify(req.text, req.pattern, bits, skip))
+                << "skip " << skip << " bit " << i;
+            bits.set(i, !bits.get(i));
+        }
+        bits.pushBack(false);
+        EXPECT_FALSE(probe.verify(req.text, req.pattern, bits, skip))
+            << "one bit too many at skip " << skip;
+    }
+}
+
+/** A software rung that sets bit 0 of any window shorter than k. */
+class ShortWindowLiar : public SoftwareBackend
+{
+  public:
+    std::string name() const override { return "short-window-liar"; }
+
+    WindowResult matchWindow(std::span<const Symbol> window,
+                             std::span<const Symbol> pattern,
+                             BeatWatchdog &dog) override
+    {
+        WindowResult wr = SoftwareBackend::matchWindow(window, pattern, dog);
+        if (wr.completed && window.size() < pattern.size() &&
+            !wr.bits.empty())
+            wr.bits.set(0, true);
+        return wr;
+    }
+};
+
+TEST(CrossCheck, SetBitInAWindowShorterThanThePatternIsCaught)
+{
+    std::vector<std::unique_ptr<ServiceBackend>> ladder;
+    ladder.push_back(std::make_unique<ShortWindowLiar>());
+    ladder.push_back(std::make_unique<SoftwareBackend>());
+    MatchService svc(smallConfig(), std::move(ladder));
+    svc.flightRecorder().setDumpSink([](const std::string &) {});
+    MatchRequest req = seededRequest(7, 43, 2, 5, 4);
+    req.pattern = {1, 2, 3, 0, 1, 2};
+    const MatchResponse resp = svc.serve(req);
+    ASSERT_TRUE(resp.ok()) << resp.error.toString();
+    EXPECT_EQ(resp.backend, "software-baseline");
+    EXPECT_EQ(resp.crossCheckFailures, 2u); // the budget, then the fall
+    EXPECT_EQ(resp.result, BitVec(5));
 }
 
 TEST(LaneGateRung, DeadlineRunsOutIdentically)

@@ -275,17 +275,17 @@ TEST(ValidateFrontEnds, BatchServiceGroupsOnePassPerDistinctPattern)
     }
 }
 
-TEST(ValidateFrontEnds, BatchCrossCheckAuditsEveryNthPass)
+TEST(ValidateFrontEnds, BatchCrossCheckVerifiesEveryPassWhenOn)
 {
     // Seven calls of two distinct patterns: fourteen kernel passes,
-    // of which passes 0, N, 2N, ... replay through the reference.
+    // each checked when the check is on and none when it is off.
     core::ReferenceMatcher ref;
-    for (const unsigned every : {1u, 3u}) {
+    for (const bool on : {true, false}) {
         BatchServiceConfig cfg;
         cfg.base = smallConfig();
-        cfg.crossCheckEvery = every;
+        cfg.base.crossCheck = on;
         BatchMatchService svc(cfg);
-        Rng rng(0xC4EC + every);
+        Rng rng(0xC4EC + on);
         for (int call = 0; call < 7; ++call) {
             std::vector<MatchRequest> batch(6);
             for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -304,9 +304,8 @@ TEST(ValidateFrontEnds, BatchCrossCheckAuditsEveryNthPass)
         }
         const telem::Registry &stats = svc.stats();
         EXPECT_EQ(stats.counter("kernelPasses").value(), 14u);
-        EXPECT_EQ(stats.counter("crossChecks").value(),
-                  (14u + every - 1) / every)
-            << "every " << every;
+        EXPECT_EQ(stats.counter("crossChecks").value(), on ? 14u : 0u)
+            << "on " << on;
         EXPECT_EQ(stats.counter("crossCheckFailures").value(), 0u);
     }
 }
@@ -633,7 +632,7 @@ TEST(BatchGolden, ResponsesAndStatsMatchGolden)
     {
         BatchServiceConfig cfg;
         cfg.base = smallConfig();
-        cfg.crossCheckEvery = 1;
+        cfg.base.crossCheck = true;
         BatchMatchService svc(cfg);
         const Syms p1 = {1, 2, wildcardSymbol};
         std::vector<MatchRequest> batch;
@@ -670,6 +669,7 @@ TEST(BatchGolden, ResponsesAndStatsMatchGolden)
     {
         BatchServiceConfig cfg;
         cfg.base = smallConfig();
+        cfg.base.crossCheck = false; // the batch default; a stream's is on
         BatchMatchService svc(cfg);
         std::vector<MatchRequest> batch(4100, request({0, 1, 2}, {1, 2}));
         // Two invalid texts below the limit leave room for two more
@@ -687,7 +687,7 @@ TEST(BatchGolden, ResponsesAndStatsMatchGolden)
         BatchServiceConfig cfg;
         cfg.base = smallConfig();
         cfg.base.alphabetBits = 12;
-        cfg.crossCheckEvery = 1;
+        cfg.base.crossCheck = true;
         BatchMatchService svc(cfg);
         std::vector<MatchRequest> batch;
         for (const std::size_t n : {5, 70, 130}) {
@@ -712,7 +712,7 @@ TEST(BatchGolden, ResponsesAndStatsMatchGolden)
         BatchServiceConfig cfg;
         cfg.base = smallConfig();
         cfg.base.alphabetBits = 16;
-        cfg.crossCheckEvery = 1;
+        cfg.base.crossCheck = true;
         BatchMatchService svc(cfg);
         std::vector<MatchRequest> batch;
         batch.push_back(request({0xFF00, 0x00FF, 0xFF00, 0x00FF, 0xABCD},

@@ -399,7 +399,7 @@ class LiveWorkload
     static spm::service::DictServiceConfig dictConfig()
     {
         spm::service::DictServiceConfig cfg;
-        cfg.crossCheckEvery = 4;
+        cfg.base.crossCheck = true;
         return cfg;
     }
 
