@@ -73,7 +73,7 @@ diffAgainst(const BitVec &expect, const Oracle &oracle,
     const BitVec diff = got ^ expect;
     d.firstIndex = diff.findFirst();
     d.mismatches = diff.popcount();
-    const std::vector<std::uint64_t> &w = diff.words();
+    const std::span<const std::uint64_t> w = diff.words();
     std::size_t last = w.size() - 1;
     while (w[last] == 0)
         --last;

@@ -81,16 +81,12 @@ BitVec
 BatchMatcher::row(const std::vector<std::uint64_t> &packed, std::size_t at,
                   std::size_t len, std::size_t k)
 {
-    // Warm-up as a start offset: a text keeps nothing before position
-    // k-1, so its row is that many zeros and then its own span of the
-    // packed stream, copied a word at a time. A neighbour's bits never
-    // leak in past either edge. The row is allocated once, at its
-    // final size.
-    const std::size_t first = std::min(len, k == 0 ? 0 : k - 1);
+    // Warm-up as a mask: a text keeps nothing before position k-1, so
+    // its row is its span of the packed stream, copied a word at a
+    // time, with those bits cleared. No neighbour's bit leaks in.
     BitVec out;
-    out.reserve(len);
-    out.resize(first);
-    out.append(packed, at + first, len - first);
+    out.append(packed, at, len);
+    out.clearPrefix(std::min(len, k == 0 ? 0 : k - 1));
     return out;
 }
 

@@ -16,11 +16,10 @@
  * with a full in-stream history (p >= k-1) computes exactly its
  * standalone value even mid-concatenation, and every position without
  * one is false *by definition*. Extraction turns that rule into a
- * start offset: each stream's row is sliced from the kernel's packed
- * words beginning at position k-1, visiting set bits only, with the
- * edge words masked to the stream's span -- so the kernel's reads of
- * the neighbouring stream's characters are never sliced out. No
- * separators, no per-stream padding, no per-character test.
+ * mask: each stream's row is its span of the kernel's packed words,
+ * copied a word at a time, with its first k-1 bits cleared -- so the
+ * kernel's reads of the neighbouring stream's characters never reach
+ * a row. No separators, no per-stream padding, no per-character test.
  *
  * Each text is read once. Staging narrows it straight into its
  * group's word-aligned region of one byte arena and hands back its

@@ -122,9 +122,13 @@ andShiftedScalar(std::uint64_t *dst, const std::uint64_t *a,
 Symbol
 narrowSse2(const Symbol *s, std::size_t n, std::uint8_t *dst)
 {
+    if (n < 16)
+        return narrowScalar(s, n, dst);
+    // The last step overlaps the one before: it rewrites bytes already
+    // written with the same values, and the OR is idempotent.
     __m128i seen = _mm_setzero_si128();
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
+    for (std::size_t at = 0; at < n; at += 16) {
+        const std::size_t i = std::min(at, n - 16);
         const __m128i a = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(s + i));
         const __m128i b = _mm_loadu_si128(
@@ -137,8 +141,7 @@ narrowSse2(const Symbol *s, std::size_t n, std::uint8_t *dst)
     seen = _mm_or_si128(seen, _mm_srli_si128(seen, 8));
     seen = _mm_or_si128(seen, _mm_srli_si128(seen, 4));
     seen = _mm_or_si128(seen, _mm_srli_si128(seen, 2));
-    return static_cast<Symbol>(_mm_cvtsi128_si32(seen) |
-                               narrowScalar(s + i, n - i, dst + i));
+    return static_cast<Symbol>(_mm_cvtsi128_si32(seen));
 }
 
 void
@@ -231,9 +234,12 @@ andShiftedSse2(std::uint64_t *dst, const std::uint64_t *a,
 __attribute__((target("avx2"))) Symbol
 narrowAvx2(const Symbol *s, std::size_t n, std::uint8_t *dst)
 {
+    if (n < 32)
+        return narrowSse2(s, n, dst);
+    // The last step overlaps the one before, as in narrowSse2.
     __m256i seen = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
+    for (std::size_t at = 0; at < n; at += 32) {
+        const std::size_t i = std::min(at, n - 32);
         const __m256i a = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(s + i));
         const __m256i b = _mm256_loadu_si256(
@@ -251,8 +257,7 @@ narrowAvx2(const Symbol *s, std::size_t n, std::uint8_t *dst)
     half = _mm_or_si128(half, _mm_srli_si128(half, 8));
     half = _mm_or_si128(half, _mm_srli_si128(half, 4));
     half = _mm_or_si128(half, _mm_srli_si128(half, 2));
-    return static_cast<Symbol>(_mm_cvtsi128_si32(half) |
-                               narrowScalar(s + i, n - i, dst + i));
+    return static_cast<Symbol>(_mm_cvtsi128_si32(half));
 }
 
 __attribute__((target("avx2"))) void

@@ -33,7 +33,7 @@ void
 Checkpoint::emit(const BitVec &bits, std::size_t from, std::size_t to)
 {
     emittedBits.append(bits.words(), from, to - from);
-    const std::vector<std::uint64_t> &words = emittedBits.words();
+    const std::span<const std::uint64_t> words = emittedBits.words();
     for (; foldedWords < emittedBits.size() / 64; ++foldedWords)
         fnvMix(wordsDigest, reverseBits(words[foldedWords]));
 }

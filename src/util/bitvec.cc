@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <functional>
 
 #include "util/logging.hh"
 
@@ -11,6 +13,50 @@ namespace spm
 BitVec::BitVec(std::size_t n, bool value)
 {
     resize(n, value);
+}
+
+BitVec::BitVec(const BitVec &other) : numBits(other.numBits)
+{
+    const std::size_t n = words().size();
+    if (n > inlineWords) {
+        heap = new std::uint64_t[n];
+        capWords = n;
+    }
+    std::copy_n(other.data(), n, data());
+}
+
+BitVec &
+BitVec::operator=(const BitVec &other)
+{
+    if (this != &other)
+        *this = BitVec(other);
+    return *this;
+}
+
+BitVec &
+BitVec::operator=(BitVec &&other) noexcept
+{
+    if (this != &other) {
+        release();
+        // The union copies as raw words: a heap pointer or inline words.
+        std::memcpy(local, other.local, sizeof local);
+        numBits = std::exchange(other.numBits, 0);
+        capWords = std::exchange(other.capWords, inlineWords);
+    }
+    return *this;
+}
+
+void
+BitVec::ensure(std::size_t n)
+{
+    if (n <= capWords)
+        return;
+    const std::size_t room = std::max(n, 2 * capWords);
+    auto *fresh = new std::uint64_t[room];
+    std::ranges::copy(words(), fresh);
+    release();
+    heap = fresh;
+    capWords = room;
 }
 
 BitVec
@@ -47,12 +93,14 @@ BitVec::append(std::span<const std::uint64_t> src, std::size_t from,
         return n == bitsPerWord ? v : v & ((std::uint64_t(1) << n) - 1);
     };
     const std::size_t at = numBits;
-    resize(numBits + len);
-    // Top up the partly used last word (its new bits are 0 by now).
+    ensure((at + len + bitsPerWord - 1) / bitsPerWord);
+    numBits = at + len;
+    std::uint64_t *out = data() + at / bitsPerWord;
+    // Top up the partly used last word (its bits past size() are 0).
     std::size_t i = 0;
     if (at % bitsPerWord != 0 && len != 0) {
         i = std::min(len, bitsPerWord - at % bitsPerWord);
-        bitWords[at / bitsPerWord] |= read(from, i) << (at % bitsPerWord);
+        *out++ |= read(from, i) << (at % bitsPerWord);
     }
     if (i == len)
         return;
@@ -61,7 +109,6 @@ BitVec::append(std::span<const std::uint64_t> src, std::size_t from,
     // is 0 at sh = 0, so the loop has no branch and vectorizes.
     const std::size_t sh = (from + i) % bitsPerWord;
     const std::uint64_t *in = src.data() + (from + i) / bitsPerWord;
-    std::uint64_t *out = bitWords.data() + (at + i) / bitsPerWord;
     const std::size_t whole = (len - i - 1) / bitsPerWord;
     for (std::size_t j = 0; j < whole; ++j)
         out[j] = in[j] >> sh | in[j + 1] << 1 << (63 - sh);
@@ -70,24 +117,29 @@ BitVec::append(std::span<const std::uint64_t> src, std::size_t from,
 }
 
 void
-BitVec::clear()
+BitVec::clearPrefix(std::size_t n)
 {
-    bitWords.clear();
-    numBits = 0;
+    if (n > numBits)
+        outOfRange("clearPrefix", n);
+    std::uint64_t *w = data();
+    std::fill(w, w + n / bitsPerWord, std::uint64_t(0));
+    if (n % bitsPerWord != 0)
+        w[n / bitsPerWord] &= ~std::uint64_t(0) << (n % bitsPerWord);
 }
 
 void
 BitVec::resize(std::size_t n, bool value)
 {
-    std::size_t old_bits = numBits;
-    std::size_t new_words = (n + bitsPerWord - 1) / bitsPerWord;
-    bitWords.resize(new_words, value ? ~std::uint64_t(0) : 0);
+    const std::size_t old_words = words().size();
+    const std::size_t new_words = (n + bitsPerWord - 1) / bitsPerWord;
+    ensure(new_words);
+    std::uint64_t *w = data();
+    // Bits in the partially used old tail word are set by mask.
+    if (value && n > numBits && numBits % bitsPerWord != 0)
+        w[old_words - 1] |= ~std::uint64_t(0) << numBits % bitsPerWord;
+    for (std::size_t i = old_words; i < new_words; ++i)
+        w[i] = value ? ~std::uint64_t(0) : 0;
     numBits = n;
-    if (value && n > old_bits) {
-        // Bits in the partially used old tail word must be set by hand.
-        for (std::size_t i = old_bits; i < n && i % bitsPerWord != 0; ++i)
-            set(i, true);
-    }
     trimTail();
 }
 
@@ -97,7 +149,7 @@ BitVec::popcount() const
     // Result streams are sparse; skipping zero words beats counting
     // them where popcount is not one instruction.
     std::size_t total = 0;
-    for (std::uint64_t w : bitWords)
+    for (std::uint64_t w : words())
         if (w != 0)
             total += static_cast<std::size_t>(std::popcount(w));
     return total;
@@ -106,10 +158,10 @@ BitVec::popcount() const
 std::size_t
 BitVec::findFirst() const
 {
-    for (std::size_t wi = 0; wi < bitWords.size(); ++wi) {
-        if (bitWords[wi] != 0) {
+    for (std::size_t wi = 0; wi < words().size(); ++wi) {
+        if (data()[wi] != 0) {
             return wi * bitsPerWord +
-                   static_cast<std::size_t>(std::countr_zero(bitWords[wi]));
+                   static_cast<std::size_t>(std::countr_zero(data()[wi]));
         }
     }
     return numBits;
@@ -119,8 +171,7 @@ BitVec &
 BitVec::operator&=(const BitVec &other)
 {
     spm_assert(numBits == other.numBits, "BitVec size mismatch");
-    for (std::size_t i = 0; i < bitWords.size(); ++i)
-        bitWords[i] &= other.bitWords[i];
+    std::ranges::transform(words(), other.words(), data(), std::bit_and<>());
     return *this;
 }
 
@@ -128,8 +179,7 @@ BitVec &
 BitVec::operator|=(const BitVec &other)
 {
     spm_assert(numBits == other.numBits, "BitVec size mismatch");
-    for (std::size_t i = 0; i < bitWords.size(); ++i)
-        bitWords[i] |= other.bitWords[i];
+    std::ranges::transform(words(), other.words(), data(), std::bit_or<>());
     return *this;
 }
 
@@ -137,23 +187,22 @@ BitVec &
 BitVec::operator^=(const BitVec &other)
 {
     spm_assert(numBits == other.numBits, "BitVec size mismatch");
-    for (std::size_t i = 0; i < bitWords.size(); ++i)
-        bitWords[i] ^= other.bitWords[i];
+    std::ranges::transform(words(), other.words(), data(), std::bit_xor<>());
     return *this;
 }
 
 void
 BitVec::flip()
 {
-    for (auto &w : bitWords)
-        w = ~w;
+    std::ranges::transform(words(), data(), std::bit_not<>());
     trimTail();
 }
 
 bool
 BitVec::operator==(const BitVec &other) const
 {
-    return numBits == other.numBits && bitWords == other.bitWords;
+    return numBits == other.numBits &&
+           std::ranges::equal(words(), other.words());
 }
 
 std::string
@@ -169,9 +218,8 @@ BitVec::toString() const
 void
 BitVec::trimTail()
 {
-    std::size_t used = numBits % bitsPerWord;
-    if (used != 0 && !bitWords.empty())
-        bitWords.back() &= (std::uint64_t(1) << used) - 1;
+    if (const std::size_t used = numBits % bitsPerWord; used != 0)
+        data()[numBits / bitsPerWord] &= (std::uint64_t(1) << used) - 1;
 }
 
 } // namespace spm

@@ -4,8 +4,10 @@
  * multi-stream matching is bit-identical to per-stream reference
  * matching at widths 1, 3, 64 and 1000; empty streams yield empty
  * rows; and row slicing is exact at every kernel tier for lanes
- * starting around word boundaries, all-wildcard (dense-hit) patterns,
- * the 16-bit alphabet and narrow texts staged beside a wide one.
+ * starting around word boundaries, at every word offset around the
+ * warm-up and inline-storage edges, for all-wildcard (dense-hit)
+ * patterns, the 16-bit alphabet and narrow texts staged beside a wide
+ * one.
  */
 
 #include <gtest/gtest.h>
@@ -176,6 +178,43 @@ TEST(BatchMatcher, SlicesLanesAroundWordBoundariesAtEveryTier)
                                 << " lane=" << i
                                 << (pattern == &wild ? " all-wild" : "");
                     }
+                }
+            }
+        }
+    }
+}
+
+TEST(BatchMatcher, RowAtEveryWordOffsetAroundTheInlineLine)
+{
+    // BatchMatcher::row straight off one kernel pass: a text behind a
+    // pad of 0..63 characters (so it starts at every at % 64) with a
+    // trailing text after it, of length k-2, k-1 and k (the warm-up
+    // edge) and 255, 256 and 257 (the edge of BitVec's inline words).
+    // k = 65 clears a whole first word. The all-wildcard pattern makes
+    // every kept position a hit, so a leak from either neighbour or
+    // an off-by-one warm-up shows.
+    Rng rng(0x20A5);
+    ReferenceMatcher ref;
+    SimdParallelMatcher simd;
+    for (const std::size_t k :
+         {std::size_t(2), std::size_t(8), std::size_t(65)}) {
+        const std::vector<Symbol> wild(k, wildcardSymbol);
+        const auto mixed = makePattern(rng, k, 2, 30);
+        for (const std::size_t len :
+             {k - 2, k - 1, k, std::size_t(255), std::size_t(256),
+              std::size_t(257)}) {
+            for (std::size_t at = 0; at < 64; ++at) {
+                const std::vector<Symbol> text = randomText(rng, len, 2);
+                std::vector<Symbol> whole = randomText(rng, at, 2);
+                whole.insert(whole.end(), text.begin(), text.end());
+                const std::vector<Symbol> after = randomText(rng, 70, 2);
+                whole.insert(whole.end(), after.begin(), after.end());
+                for (const auto *pattern : {&wild, &mixed}) {
+                    const BitVec got = BatchMatcher::row(
+                        simd.matchPacked(whole, *pattern), at, len, k);
+                    ASSERT_EQ(got, ref.match(text, *pattern))
+                        << "k=" << k << " len=" << len << " at=" << at
+                        << (pattern == &wild ? " all-wild" : "");
                 }
             }
         }

@@ -107,10 +107,14 @@ TEST(SimdParallel, LongPatternsTakeTheSweepPath)
 TEST(SimdOps, NarrowReturnsTheOrAtEveryTier)
 {
     // The one read of a text: its OR, exact at every length around the
-    // vector widths and with symbols above 8 bits anywhere in it, and
+    // vector widths (a SIMD tier ends on one step that overlaps the
+    // one before) and with symbols above 8 bits anywhere in it, and
     // its bytes, exact wherever every symbol fits in 8 bits. Nothing
-    // past the text is written.
+    // before or past the destination is written: canary bytes sit on
+    // both sides. The text is its own allocation of exactly n symbols,
+    // so a sanitizer build sees any read outside it.
     Rng rng(0x0A11);
+    constexpr std::size_t guard = 8;
     for (const SimdIsa isa : supportedTiers()) {
         const SimdOps ops(isa);
         for (std::size_t n = 0; n <= 130; ++n) {
@@ -123,20 +127,25 @@ TEST(SimdOps, NarrowReturnsTheOrAtEveryTier)
                     m = static_cast<Symbol>(m | c);
                 return m;
             };
-            std::vector<std::uint8_t> bytes(n + 8, 0xA5);
-            EXPECT_EQ(ops.narrow(text.data(), n, bytes.data()), plainOr())
+            std::vector<std::uint8_t> bytes(guard + n + guard, 0xA5);
+            std::uint8_t *dst = bytes.data() + guard;
+            EXPECT_EQ(ops.narrow(text.data(), n, dst), plainOr())
                 << simdIsaName(isa) << " n=" << n;
             for (std::size_t i = 0; i < n; ++i)
-                ASSERT_EQ(bytes[i], text[i])
+                ASSERT_EQ(dst[i], text[i])
                     << simdIsaName(isa) << " n=" << n << " at " << i;
-            for (std::size_t i = n; i < n + 8; ++i)
-                ASSERT_EQ(bytes[i], 0xA5) << simdIsaName(isa) << " n=" << n;
+            for (std::size_t i = 0; i < guard; ++i) {
+                ASSERT_EQ(bytes[i], 0xA5)
+                    << simdIsaName(isa) << " n=" << n << " before " << i;
+                ASSERT_EQ(dst[n + i], 0xA5)
+                    << simdIsaName(isa) << " n=" << n << " past " << i;
+            }
             for (std::size_t at = 0; at < n; at += 1 + n / 5) {
                 const Symbol keep = text[at];
                 text[at] = static_cast<Symbol>(0x100u << (at % 8) | keep);
-                EXPECT_EQ(ops.narrow(text.data(), n, bytes.data()),
-                          plainOr())
+                EXPECT_EQ(ops.narrow(text.data(), n, dst), plainOr())
                     << simdIsaName(isa) << " n=" << n << " wide at " << at;
+                EXPECT_EQ(dst[n], 0xA5) << simdIsaName(isa) << " n=" << n;
                 text[at] = keep;
             }
         }

@@ -2,13 +2,13 @@
  * @file
  * Heap-allocation gates for the batched, streaming and sharded
  * paths. This binary replaces the global operator new and delete with
- * counting versions (calls and bytes), so it stands alone: a warm
- * serveBatch() allocates one result row per admitted request and a
- * handful of vectors per call, a warm matchMany() one row per stream
- * plus its result vector, a warm streaming serve copies neither a
- * window, the request nor its result, a warm sharded serve copies
- * the text once, and a replay journal stops growing once it holds its
- * last telem::journalCapacity records.
+ * counting versions (calls and bytes), so it stands alone: a result
+ * row of up to BitVec::inlineBits bits is held inline, so a warm
+ * serveBatch() allocates only its response vector, a warm matchMany()
+ * only its row vector, a warm streaming serve copies neither a window,
+ * its result, the request nor the response, a warm sharded serve
+ * copies the text once, and a replay journal stops growing once it
+ * holds its last telem::journalCapacity records.
  */
 
 #include <gtest/gtest.h>
@@ -101,7 +101,7 @@ shortBatch(std::size_t n)
     return batch;
 }
 
-TEST(Allocations, WarmServeBatchAllocatesOneRowPerRequest)
+TEST(Allocations, WarmServeBatchAllocatesNoRow)
 {
     BatchServiceConfig cfg;
     BatchMatchService svc(cfg);
@@ -113,9 +113,10 @@ TEST(Allocations, WarmServeBatchAllocatesOneRowPerRequest)
     std::vector<MatchResponse> out;
     const HeapUse use = heapUseOf([&] { out = svc.serveBatch(batch); });
     ASSERT_TRUE(out.back().ok()) << out.back().error.detail;
-    // The response vector, one row per request written in place, and
-    // a retained case: no per-pass row vector.
-    EXPECT_LE(use.calls, 1 + batch.size() + 3);
+    // The response vector and a retained case, as measured: every
+    // row (16-256 chars) is held inline in its response, and there is
+    // no per-pass row vector.
+    EXPECT_LE(use.calls, 1u + 3);
 }
 
 /** A 32 K-char request (k = 8, 2-bit alphabet). */
@@ -182,14 +183,15 @@ warmStreamServe(std::size_t chunk_chars)
 
 TEST(Allocations, WarmStreamServeCopiesNoWindow)
 {
-    // What is left per chunk is the kernel's result BitVec: 1,024
-    // chunks + 2 and 8 chunks + 2 as measured. The cross-check
-    // compares in its checker's arena, the response takes the
-    // checkpoint's bits and the prefetch list is a fixed array, so
+    // A 39-char window's result (32 + k-1 bits) is held inline, so
+    // the 1,024 chunks allocate nothing: 2 as measured. A 4,103-char
+    // window's result spills to the heap: 8 chunks + 2. The
+    // cross-check compares in its checker's arena, the response takes
+    // the checkpoint's bits and the prefetch list is a fixed array, so
     // none of them allocates. A retained request builds one case
     // reference (one allocation).
     const HeapUse fine = warmStreamServe(32);
-    EXPECT_LE(fine.calls, 1026u + fine.casesKept);
+    EXPECT_LE(fine.calls, 2u + fine.casesKept);
     const HeapUse coarse = warmStreamServe(4096);
     EXPECT_LE(coarse.calls, 10u + coarse.casesKept);
 }
@@ -198,10 +200,10 @@ TEST(Allocations, WarmStreamServeCopiesNoRequest)
 {
     // The session views the caller's request, and its one n/8-byte
     // result row (4,096 bytes) is the checkpoint's, which the
-    // response takes. The rest is one kernel row per chunk (1,024 of
-    // one word, or 8 of 65 words) and the retained case, as measured:
-    // any further row crosses either bound.
-    EXPECT_LE(warmStreamServe(32).bytes, 12372u);
+    // response takes. The rest is the retained case and, at 4,096
+    // chars, one heap-held kernel row of 65 words per chunk, as
+    // measured: any further row crosses either bound.
+    EXPECT_LE(warmStreamServe(32).bytes, 4180u);
     EXPECT_LE(warmStreamServe(4096).bytes, 8332u);
 }
 
@@ -253,10 +255,10 @@ TEST(Allocations, WarmDefaultLadderServe)
     const std::uint64_t kept = svc.exemplars().retained();
     const HeapUse use = heapUseOf([&] { resp = svc.serve(req); });
     ASSERT_TRUE(resp.ok()) << resp.error.detail;
-    // 31 as measured, none of them for the cross-check of its 16
-    // windows, plus up to 3 for a retained literal case (the
+    // 15 as measured, none of them for the result or the cross-check
+    // of its 16 windows, plus up to 3 for a retained literal case (the
     // reservoir's seeded uniform draw keeps this one).
-    EXPECT_LE(use.calls, 31u + 3 * (svc.exemplars().retained() - kept));
+    EXPECT_LE(use.calls, 15u + 3 * (svc.exemplars().retained() - kept));
 }
 
 /**
@@ -322,7 +324,7 @@ TEST(Allocations, ShardSlotJournalHoldsItsLastRecords)
     EXPECT_LT(most, quarterJournalBytes);
 }
 
-TEST(Allocations, WarmMatchManyAllocatesOneRowPerStream)
+TEST(Allocations, WarmMatchManyAllocatesNoRow)
 {
     const std::vector<MatchRequest> batch = shortBatch(64);
     std::vector<const std::vector<Symbol> *> streams;
@@ -334,7 +336,8 @@ TEST(Allocations, WarmMatchManyAllocatesOneRowPerStream)
     const HeapUse use = heapUseOf(
         [&] { rows = engine.matchMany(streams, batch[0].pattern); });
     ASSERT_EQ(rows.size(), streams.size());
-    EXPECT_LE(use.calls, streams.size() + 2);
+    // The row vector alone: each row (16-256 chars) is held inline.
+    EXPECT_LE(use.calls, 1u);
 }
 
 } // namespace

@@ -1,6 +1,11 @@
-/** @file Unit tests for the BitVec container. */
+/**
+ * @file
+ * Unit tests for the BitVec container, including its storage edge:
+ * up to BitVec::inlineBits bits held in the object, more on the heap.
+ */
 
 #include <algorithm>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -197,6 +202,202 @@ TEST(BitVec, EqualityIgnoresBitsPastSize)
     cleared.set(2, false);
     cleared.resize(2);
     EXPECT_EQ(cleared, BitVec::fromString("11"));
+}
+
+/** True when @p v's words live inside the object itself. */
+bool
+isInline(const BitVec &v)
+{
+    const auto *p = reinterpret_cast<const char *>(v.words().data());
+    const auto *o = reinterpret_cast<const char *>(&v);
+    return p >= o && p < o + sizeof v;
+}
+
+/**
+ * The storage invariants after any step: size() / 64 words rounded
+ * up, none of the bits past size() set, and the words inline exactly
+ * when the vector holds no more than the inline bits -- unless
+ * @p may_spill, when it may keep heap words from an earlier reserve
+ * or size.
+ */
+void
+expectWellFormed(const BitVec &v, const char *step, bool may_spill = false)
+{
+    const auto w = v.words();
+    EXPECT_EQ(w.size(), (v.size() + 63) / 64) << step;
+    if (v.size() % 64 != 0) {
+        EXPECT_EQ(w.back() >> (v.size() % 64), 0u)
+            << step << " size " << v.size();
+    }
+    if (v.size() > BitVec::inlineBits) {
+        EXPECT_FALSE(isInline(v)) << step << " size " << v.size();
+    } else if (!may_spill) {
+        EXPECT_TRUE(isInline(v)) << step << " size " << v.size();
+    }
+}
+
+/** @p n bits that differ from their neighbours at every offset. */
+BitVec
+patterned(std::size_t n, std::size_t salt = 0)
+{
+    BitVec v;
+    for (std::size_t i = 0; i < n; ++i)
+        v.pushBack(((i + salt) * 7 + (i + salt) / 3) % 5 < 2);
+    return v;
+}
+
+constexpr std::size_t storageSizes[] = {0, 1, 63, 64, 255, 256, 257, 4096};
+
+TEST(BitVecStorage, InlineUpToTheLineThenHeap)
+{
+    EXPECT_EQ(BitVec::inlineBits, 256u);
+    for (const std::size_t n : storageSizes) {
+        const BitVec v = patterned(n);
+        EXPECT_EQ(v.size(), n);
+        expectWellFormed(v, "pushBack");
+        EXPECT_EQ(BitVec::fromString(v.toString()), v) << n;
+        const BitVec ones(n, true);
+        EXPECT_EQ(ones.popcount(), n);
+        expectWellFormed(ones, "fill");
+        BitVec flipped = ones;
+        flipped.flip();
+        EXPECT_EQ(flipped, BitVec(n));
+        expectWellFormed(flipped, "flip");
+    }
+}
+
+TEST(BitVecStorage, CopyAndMoveInBothDirections)
+{
+    // Every source size onto every target size: inline onto a
+    // heap-holding target, heap onto an inline one, and alike.
+    for (const std::size_t from : storageSizes) {
+        for (const std::size_t to : storageSizes) {
+            const BitVec want = patterned(from, 1);
+            const std::string tag =
+                std::to_string(from) + " onto " + std::to_string(to);
+
+            BitVec copied = patterned(to, 2);
+            copied = want;
+            EXPECT_EQ(copied, want) << tag;
+            expectWellFormed(copied, "copy-assign");
+
+            BitVec source = want;
+            const auto *held = source.words().data();
+            BitVec moved = patterned(to, 3);
+            moved = std::move(source);
+            EXPECT_EQ(moved, want) << tag;
+            expectWellFormed(moved, "move-assign");
+            // A heap vector's words move by pointer; inline ones copy.
+            EXPECT_EQ(moved.words().data() == held, from > BitVec::inlineBits)
+                << tag;
+            // The moved-from vector reads as empty and can be reused.
+            EXPECT_TRUE(source.empty()) << tag;
+            expectWellFormed(source, "moved-from");
+            source.append(want.words(), 0, want.size());
+            EXPECT_EQ(source, want) << tag;
+            expectWellFormed(source, "reuse");
+        }
+        const BitVec want = patterned(from, 4);
+        BitVec copy(want);
+        EXPECT_EQ(copy, want);
+        expectWellFormed(copy, "copy-construct");
+        BitVec taken(std::move(copy));
+        EXPECT_EQ(taken, want);
+        expectWellFormed(taken, "move-construct");
+        EXPECT_TRUE(copy.empty());
+        copy.pushBack(true);
+        EXPECT_EQ(copy, BitVec(1, true));
+    }
+}
+
+TEST(BitVecStorage, SelfCopyAndSelfMoveKeepTheBits)
+{
+    for (const std::size_t n : storageSizes) {
+        const BitVec want = patterned(n);
+        BitVec v = want;
+        BitVec &alias = v;
+        v = alias;
+        EXPECT_EQ(v, want) << n;
+        expectWellFormed(v, "self-copy");
+        v = std::move(alias);
+        EXPECT_EQ(v, want) << n;
+        expectWellFormed(v, "self-move");
+    }
+}
+
+TEST(BitVecStorage, PushBackAcrossTheInlineLine)
+{
+    BitVec v = patterned(255);
+    const BitVec want = patterned(257);
+    expectWellFormed(v, "255");
+    v.pushBack(want.get(255));
+    expectWellFormed(v, "256");
+    EXPECT_TRUE(isInline(v));
+    v.pushBack(want.get(256));
+    expectWellFormed(v, "257");
+    EXPECT_EQ(v, want);
+}
+
+TEST(BitVecStorage, AppendAcrossTheInlineLine)
+{
+    const BitVec src = patterned(700, 5);
+    for (const std::size_t at : {200u, 250u, 255u, 256u}) {
+        for (const std::size_t from : {0u, 1u, 63u}) {
+            for (const std::size_t len : {1u, 6u, 7u, 100u, 500u}) {
+                BitVec got = patterned(at);
+                got.append(src.words(), from, len);
+                BitVec want = patterned(at);
+                for (std::size_t i = 0; i < len; ++i)
+                    want.pushBack(src.get(from + i));
+                EXPECT_EQ(got, want)
+                    << "at " << at << " from " << from << " len " << len;
+                expectWellFormed(got, "append");
+            }
+        }
+    }
+}
+
+TEST(BitVecStorage, ReserveThenClearKeepsTheHeapWords)
+{
+    BitVec v = patterned(100);
+    v.reserve(300);
+    EXPECT_EQ(v, patterned(100));
+    expectWellFormed(v, "reserve", true);
+    EXPECT_FALSE(isInline(v));
+    const auto *held = v.words().data();
+    v.clear();
+    EXPECT_TRUE(v.empty());
+    expectWellFormed(v, "clear", true);
+    v.append(patterned(300, 6).words(), 0, 300);
+    EXPECT_EQ(v, patterned(300, 6));
+    EXPECT_EQ(v.words().data(), held);
+    v.clear();
+    for (std::size_t i = 0; i < 70; ++i)
+        v.pushBack(true);
+    EXPECT_EQ(v, BitVec(70, true));
+    expectWellFormed(v, "refill", true);
+    v.resize(3);
+    v.resize(200);
+    EXPECT_EQ(v.popcount(), 3u);
+    expectWellFormed(v, "regrow", true);
+}
+
+TEST(BitVecStorage, ClearPrefixZeroesWholeAndPartWords)
+{
+    for (const std::size_t size : {64u, 200u, 300u}) {
+        const BitVec ones(size, true);
+        for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 128u, 200u}) {
+            if (n > size)
+                continue;
+            BitVec v = ones;
+            v.clearPrefix(n);
+            EXPECT_EQ(v.popcount(), size - n) << size << " " << n;
+            EXPECT_EQ(v.findFirst(), n == size ? size : n);
+            expectWellFormed(v, "clearPrefix");
+        }
+        BitVec v = ones;
+        EXPECT_THROW(v.clearPrefix(size + 1), std::logic_error);
+    }
 }
 
 } // namespace
