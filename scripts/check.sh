@@ -103,8 +103,9 @@ build-asan-ubsan/tools/conformance_fuzz --cases 1000000 --seconds 10 \
     --dict --no-extensions --no-golden
 
 # The gate tier under AddressSanitizer: the scalar gate chip and the
-# 64-lane plane engine (gate-lanes) against the reference, so an out-of-bounds index into the engine's reader and
-# pending tables trips ASan instead of shipping as a wrong lane.
+# 64-lane plane engine (gate-lanes) against the reference, so an
+# out-of-bounds index into the engine's compiled orders and cones trips
+# ASan instead of shipping as a wrong lane.
 echo "== conformance: gate fuzz under asan =="
 build-asan-ubsan/tools/conformance_fuzz --cases 1000000 --seconds 10 \
     --focus gate --no-extensions --no-golden

@@ -215,7 +215,11 @@ class GateLevelMatcher : public Matcher
     /** Device evaluations spent by the last match() call. */
     std::uint64_t lastEvals() const { return evalsUsed; }
 
-    /** Word-wide device evaluations matchLanes() has spent so far. */
+    /**
+     * Word-wide device evaluations matchLanes() has spent so far: on a
+     * clean clock, every device of each swept cone, whether or not its
+     * output changed (gate::PlaneSim::wordEvals).
+     */
     std::uint64_t laneWordEvals() const
     {
         return lanePlanes ? lanePlanes->wordEvals() : 0;

@@ -609,7 +609,10 @@ SimdParallelMatcher::matchBytes(const std::uint8_t *lo,
             pshift[p] = s;
             ++nPos;
         }
-        std::uint64_t prevEq[bitsPerWord] = {0};
+        // Only the first nGroups (<= nPos) entries are read: zeroing
+        // those, not all 64, is most of a one-word text's fixed cost.
+        std::uint64_t prevEq[bitsPerWord];
+        std::fill(prevEq, prevEq + nPos, std::uint64_t(0));
         const std::uint64_t *pl = planeArena.data();
         for (std::size_t w = 0; w < nw; ++w) {
             std::uint64_t acc = ~std::uint64_t(0);

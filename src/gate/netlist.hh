@@ -173,7 +173,8 @@ class Netlist
     const std::string &name() const { return netName; }
 
   private:
-    friend Levelization levelize(const Netlist &net);
+    friend Levelization levelize(const Netlist &net,
+                                 const std::vector<std::uint8_t> &live);
 
     struct NodeState
     {

@@ -13,35 +13,48 @@
  * fault-free chip (core::GateLevelMatcher::matchLanes).
  *
  * Exactness is the whole point: the planes implement the same
- * three-valued algebra as gate/logic.hh, and settle() runs the order
- * gate::levelize compiles -- a topological pass that evaluates exactly
- * the ordered gates with a changed input, plus event-driven relaxation
- * of pass transistors and cyclic statics. A
- * forced lane ignores every write, which is precisely
- * Netlist::forceStuckAt's ignore-all-writes contract. There is no
- * charge-decay model: a protocol that stalls the clock cannot run
- * here.
+ * three-valued algebra as gate/logic.hh, and settle() reaches the node
+ * values Netlist::settle reaches. A forced lane ignores every write,
+ * which is precisely Netlist::forceStuckAt's ignore-all-writes
+ * contract. There is no charge-decay model: a protocol that stalls the
+ * clock cannot run here.
  *
- * One scheduling rule is the engine's own: a write schedules a pass
- * transistor only when, in some lane the write changed, evaluating it
- * could change its output. Per lane, a transistor whose gate is L
- * holds its charge, so
- *  - a change of its source matters only in lanes where its gate is
- *    not L;
- *  - a change of its gate matters only in lanes where the gate turned
- *    X (the charge becomes unknown) or rose to H while the output does
- *    not carry the source yet -- the engine keeps, per transistor, the
- *    lanes where it last conducted, has held since, and has seen no
- *    source change since (nothing else drives its output, so there the
- *    output equals the source). A gate that only falls schedules
- *    nothing.
- * In two-phase logic half the pass transistors hold on every beat and
- * most of the other half re-sample an unchanged source, so the rule
- * drops most fallback evaluations, while the node writes, and so every
- * lane's result, stay exactly the same: every skipped evaluation would
- * have written back the planes it found. The rule reads the live
- * planes, so X and forced lanes count like any other; a loaded
- * snapshot starts with no lane known to carry its source.
+ * The schedule is compiled from the two-phase clock. Every pass
+ * transistor's gate is a primary input (the constructor checks it), so
+ * it is final before a settle starts, and per lane the transistor is a
+ * buffer (gate H), a hold (gate L) or an unknown (gate X). A gate node
+ * is *live* when it is not L in every lane; the live gates make the
+ * *live set*. For each live set the engine compiles, on the first
+ * settle that meets it, one order (gate::levelize) over the static
+ * gates plus the live pass transistors -- a held transistor is a
+ * boundary, like a primary input -- and, per node, the *cone*: a
+ * bitset over the order's positions of every ordered device
+ * downstream of the node. On the 8 x 2 chip there are three live sets
+ * (clocks low, phi1 high, phi2 high), and all three orders are
+ * acyclic. For an acyclic live set, setInput only records the node it
+ * changed, and settle() ORs the recorded nodes' cones and evaluates
+ * those devices once each, in order: no pending marks, no worklist. A
+ * source behind a held transistor and a falling clock evaluate
+ * nothing.
+ *
+ * A live set with a cycle arises when a lane lets both phases conduct
+ * (a clock stuck H or X in some lanes) or when static gates form a
+ * feedback loop. It settles by event-driven relaxation, seeded from
+ * the recorded writes: the static gates off every cycle run in their
+ * static-only order, visiting only the gates with a changed input, and
+ * pass transistors and cyclic statics run from a worklist. There a
+ * write schedules a pass transistor only when, in some lane the write
+ * changed, evaluating it could change its output: a change of its
+ * source matters only where its gate is not L; a change of its gate
+ * matters only where the gate turned X (the charge becomes unknown) or
+ * rose to H over an output that differs from the source. A gate that
+ * only falls schedules nothing. Every skipped evaluation would have
+ * written back the planes it found, so every lane's result is the
+ * same.
+ *
+ * wordEvals() counts word-wide device evaluations: on an acyclic live
+ * set every device of the swept cones, whether or not its output
+ * changes; on a cyclic one every device the relaxation evaluates.
  */
 
 #ifndef SPM_GATE_PLANESIM_HH
@@ -56,28 +69,35 @@ namespace spm::gate
 {
 
 /**
- * The evaluation order PlaneSim compiles for one finished netlist:
- * the static gates in topological order, and the devices left to
- * event-driven relaxation.
+ * The evaluation order compiled for one netlist and one live set: the
+ * ordered devices, and the devices left out of the order.
  */
 struct Levelization
 {
-    /** Ordered static-gate device indices, producers first. */
+    /**
+     * Ordered device indices, producers first: every static gate and
+     * every live pass transistor that sits on no feedback cycle.
+     */
     std::vector<std::uint32_t> topo;
     /**
-     * Per device: 1 when left to event-driven relaxation -- every pass
-     * transistor and every static gate inside a feedback cycle.
+     * Per device: 1 when left out of topo -- a held pass transistor,
+     * or a device on a feedback cycle.
      */
     std::vector<std::uint8_t> isFallback;
+    /** Whether some static gate or live pass transistor is on a cycle. */
+    bool cyclic = false;
 };
 
 /**
- * Compile @p net's current device list: Kahn's algorithm over the
- * static-gate dependency edges, read off the netlist's own reader
- * lists. A node driven by a pass transistor or by nothing (a primary
- * input) is a boundary of the ordered region and contributes no edge.
+ * Compile @p net's current device list for a live set: Kahn's
+ * algorithm over the dependency edges of the static gates and of the
+ * pass transistors whose gate node @p live marks (one flag per node;
+ * empty marks none), read off the netlist's own reader lists. A node
+ * driven by a held pass transistor or by nothing (a primary input) is
+ * a boundary of the order and contributes no edge.
  */
-Levelization levelize(const Netlist &net);
+Levelization levelize(const Netlist &net,
+                      const std::vector<std::uint8_t> &live);
 
 /** Lanes of one node pinned to a level (a stuck-at fault). */
 struct PlaneForce
@@ -90,23 +110,25 @@ struct PlaneForce
 };
 
 /**
- * The 64-lane simulator for one netlist structure. Construction
- * compiles the evaluation order once; load() starts a run from a
- * settled snapshot, after which setInput/settle drive it exactly as
- * Netlist::setInput/settle drive one scalar copy.
+ * The 64-lane simulator for one netlist structure. load() starts a run
+ * from a settled snapshot, after which setInput/settle drive it exactly
+ * as Netlist::setInput/settle drive one scalar copy. Construction
+ * compiles the static-only order the relaxation needs; the per-live-set
+ * orders compile on the first settle that meets them.
  */
 class PlaneSim
 {
   public:
+    /** @p net's pass transistors must all be gated by primary inputs. */
     explicit PlaneSim(const Netlist &net);
 
     /**
      * Start a run: every lane of every node takes @p values (one
      * scalar value per node, e.g. a settled chip's snapshot), nothing
      * is pending, and @p forces replace any earlier ones. The forced
-     * values are written now and their fanout scheduled, exactly as
-     * forceStuckAt does; the next settle() propagates them (settling
-     * early could sample a pass gate the stimulus is about to close).
+     * values are written now and recorded, exactly as forceStuckAt
+     * does; the next settle() propagates them (settling early could
+     * sample a pass gate the stimulus is about to close).
      */
     void load(const std::vector<LogicValue> &values,
               const std::vector<PlaneForce> &forces = {});
@@ -114,14 +136,14 @@ class PlaneSim
     /**
      * Drive external input @p node: lane k becomes H when bit k of
      * @p one is set, L when bit k of @p zero is, X otherwise. Forced
-     * lanes keep their level.
+     * lanes keep their level. Nothing is evaluated until settle().
      */
     void setInput(NodeId node, std::uint64_t one, std::uint64_t zero)
     {
-        writeNode(node, one, zero);
+        record(node, store(node, one, zero));
     }
 
-    /** Propagate pending changes until every lane settles. */
+    /** Propagate the recorded changes until every lane settles. */
     void settle();
 
     /** Lanes where @p node is H. */
@@ -134,21 +156,91 @@ class PlaneSim
     std::uint64_t wordEvals() const { return evals; }
 
   private:
-    bool writeNode(NodeId node, std::uint64_t n1, std::uint64_t n0);
-    bool evalOrdered(std::uint32_t dev_idx);
-    bool evalFallback(std::uint32_t dev_idx);
+    /**
+     * One device as the engine evaluates it: @p a and @p b are its
+     * inputs -- for a pass transistor its source and its gate -- and
+     * a missing second input reads the spare X slot at nodeCount.
+     */
+    struct Step
+    {
+        DeviceKind kind;
+        NodeId a, b, out;
+    };
+
+    /** The order and cones compiled for one live set. */
+    struct PhaseOrder
+    {
+        /** Bit c set when gate node controls[c] is live. */
+        std::vector<std::uint64_t> live;
+        /** Settled by relaxation; no order or cones are kept. */
+        bool cyclic = false;
+        std::vector<Step> steps; ///< producers first
+        std::size_t coneWords = 0;
+        /** Node n's cone: coneWords words from n * coneWords. */
+        std::vector<std::uint64_t> cones;
+    };
+
+    /** A node setInput (or a force) changed since the last settle. */
+    struct Write
+    {
+        NodeId node;
+        std::uint64_t lanes; ///< the lanes it changed
+    };
+
+    /** Write @p node's planes, forced lanes kept; the changed lanes. */
+    std::uint64_t store(NodeId node, std::uint64_t n1, std::uint64_t n0)
+    {
+        // The force masks pin stuck lanes against every write -- the
+        // word-parallel form of NodeState::stuck.
+        const std::uint64_t any = forceAny[node];
+        n1 = (n1 & ~any) | force1[node];
+        n0 = (n0 & ~any) | force0[node];
+        const std::uint64_t changed = (n1 ^ one[node]) | (n0 ^ zero[node]);
+        one[node] = n1;
+        zero[node] = n0;
+        return changed;
+    }
+
+    void record(NodeId node, std::uint64_t changed);
+    void evalStep(const Step &s, std::uint64_t &o1, std::uint64_t &o0) const;
+    std::size_t orderForLiveSet();
+    PhaseOrder compile(const std::vector<std::uint64_t> &live) const;
+    void sweep(const PhaseOrder &order);
+    void relax();
+    void schedule(NodeId node, std::uint64_t changed);
+    bool relaxDevice(std::uint32_t dev_idx);
 
     const Netlist &net;
     std::size_t nodeCount;
 
-    /** Compiled evaluation order. */
-    const Levelization lev;
-
-    /** Value planes, plus the never-L slot at index nodeCount. */
+    /** Value planes, plus the spare X slot at index nodeCount. */
     std::vector<std::uint64_t> one, zero;
     std::vector<std::uint64_t> force1, force0;  ///< stuck lane masks
     std::vector<std::uint64_t> forceAny;        ///< force1 | force0 | X
     std::vector<NodeId> forcedNodes;
+
+    /** Every device as a Step, by device index. */
+    std::vector<Step> devSteps;
+    /**
+     * The distinct pass-transistor gate nodes, and per node its index
+     * in controls, or -1.
+     */
+    std::vector<NodeId> controls;
+    std::vector<std::int32_t> controlIndex;
+
+    /** The live sets met so far, and the one the planes are in. */
+    std::vector<PhaseOrder> orders;
+    std::size_t current = 0;
+    /** A gate node changed: current must be looked up again. */
+    bool liveStale = true;
+    std::vector<std::uint64_t> liveScratch; ///< orderForLiveSet's key
+    std::vector<Write> written;
+    /** The sweep's due positions, zero between settles. */
+    std::vector<std::uint64_t> due;
+
+    // Relaxation, for cyclic live sets.
+    /** The static-only order: every pass transistor left out. */
+    const Levelization lev;
     /**
      * Per node, the ordered gates reading it as marks into `pending`
      * (CSR: node n's marks are readerMarks[readerStart[n] ..
@@ -166,8 +258,8 @@ class PlaneSim
      * split by how they read it. gatedDevs: the pass transistors the
      * node gates. dataReaders: the pass transistors it is the source
      * of, with their gate node, and the cyclic statics reading it,
-     * whose "gate" is the spare plane slot at index nodeCount -- never
-     * L, so the scheduling rule always schedules them.
+     * whose "gate" is the spare X slot -- never L, so the scheduling
+     * rule always schedules them.
      */
     struct DataReader
     {
@@ -177,12 +269,6 @@ class PlaneSim
     std::vector<std::uint32_t> gatedStart, gatedDevs;
     std::vector<std::uint32_t> dataStart;
     std::vector<DataReader> dataReaders;
-    /**
-     * Per device, the lanes where a pass transistor's output carries
-     * its source: it last conducted there, has held since, and its
-     * source has not changed there since.
-     */
-    std::vector<std::uint64_t> copied;
     /**
      * Bit p set when ordered gate lev.topo[p] has an input that changed
      * since its last evaluation; the topological pass visits set bits

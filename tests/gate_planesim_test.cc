@@ -2,19 +2,26 @@
  * @file
  * Property tests for the 64-lane plane engine (gate::PlaneSim): on
  * small random netlists of static gates, pass transistors and static
- * shift stages, every lane must equal its own scalar Netlist::settle
- * run node for node after every settle -- with per-lane stimulus, X
- * clock lanes and per-lane forced (stuck) clock and data lanes. The
- * engine's scheduling rule is pinned through wordEvals(): a pass
- * transistor is evaluated only when a changed lane could change its
- * output -- not behind a gate that is L in every changed lane, nor on
- * a rising gate over a source it already carries -- while a single H,
- * X or forced gate lane that could change it is enough.
+ * shift stages, and on the full chip with phi1 stuck H in some lanes,
+ * every lane must equal its own scalar Netlist::settle run node for
+ * node after every settle -- with per-lane stimulus, X clock lanes and
+ * per-lane forced (stuck) clock and data lanes. Random netlists without
+ * shift stages have acyclic live sets only, so they run the compiled
+ * sweep; the others, and the chip when both phases conduct in a lane,
+ * run the event-driven relaxation.
  *
- * The order the engine compiles (gate::levelize) is checked against
- * its definition on every standard cell and the full chip: every
- * static gate after its static producers, pass transistors and
- * feedback cycles left to event-driven relaxation.
+ * The schedule is pinned through wordEvals(). On the 8 x 2 chip a
+ * rising phi1 evaluates its compiled cone (116 devices) and a rising
+ * phi2 its cone (124), while a falling clock and inputs behind held
+ * transistors evaluate nothing. In relaxation a pass transistor is
+ * evaluated only when a changed lane could change its output -- not
+ * behind a gate that is L in every changed lane, nor on a rising gate
+ * over an output that already equals its source.
+ *
+ * The orders the engine compiles (gate::levelize) are checked against
+ * their definition on every live set of every standard cell and of the
+ * full chip: every ordered device after its producers, held pass
+ * transistors and feedback cycles left out.
  */
 
 #include <gtest/gtest.h>
@@ -55,11 +62,12 @@ struct RandomPorts
  * a settle starts; the only feedback is the static shift stage's
  * loop, which loads from a data input (a glitch on its source would
  * latch an X in a lane whose load is X, in one evaluation order and
- * not the other). The stimulus changes clocks and data on separate
- * beats. Same @p seed, same netlist.
+ * not the other). Without @p shift_stages the netlist has no feedback
+ * at all, so every live set is acyclic. The stimulus changes clocks
+ * and data on separate beats. Same @p seed, same netlist.
  */
 RandomPorts
-buildRandom(Netlist &net, std::uint64_t seed)
+buildRandom(Netlist &net, std::uint64_t seed, bool shift_stages)
 {
     Rng rng(seed);
     RandomPorts ports;
@@ -84,7 +92,7 @@ buildRandom(Netlist &net, std::uint64_t seed)
         DeviceKind::Nor2, DeviceKind::Xor2,  DeviceKind::Xnor2};
     for (int i = 0; i < 40; ++i) {
         const std::string name = "n" + std::to_string(i);
-        const std::uint64_t r = rng.nextBelow(12);
+        const std::uint64_t r = rng.nextBelow(shift_stages ? 12 : 11);
         if (r == 11) {
             readable.push_back(buildStaticShiftStage(
                 net, name, pick(ports.data), pick(ports.clocks),
@@ -131,10 +139,10 @@ laneValue(const PlaneSim &sim, NodeId node, std::size_t j)
  * compare every node of every lane after every settle.
  */
 void
-lanesMatchScalar(std::uint64_t seed, unsigned steps)
+lanesMatchScalar(std::uint64_t seed, unsigned steps, bool shift_stages)
 {
     Netlist shape("shape");
-    const RandomPorts ports = buildRandom(shape, seed);
+    const RandomPorts ports = buildRandom(shape, seed, shift_stages);
     std::vector<NodeId> inputs = ports.data;
     inputs.insert(inputs.end(), ports.clocks.begin(), ports.clocks.end());
 
@@ -142,7 +150,7 @@ lanesMatchScalar(std::uint64_t seed, unsigned steps)
     std::vector<std::unique_ptr<Netlist>> scalar;
     for (std::size_t j = 0; j < laneCount; ++j) {
         scalar.push_back(std::make_unique<Netlist>("lane"));
-        buildRandom(*scalar.back(), seed);
+        buildRandom(*scalar.back(), seed, shift_stages);
     }
     for (NodeId in : inputs) {
         shape.setInput(in, LogicValue::L, 0);
@@ -213,7 +221,23 @@ lanesMatchScalar(std::uint64_t seed, unsigned steps)
 TEST(PlaneSim, EveryLaneMatchesScalarSettleOnRandomNetlists)
 {
     for (std::uint64_t seed = 1; seed <= 24; ++seed)
-        lanesMatchScalar(seed, 40);
+        lanesMatchScalar(seed, 40, true);
+}
+
+TEST(PlaneSim, EveryLaneMatchesScalarSettleOnAcyclicRandomNetlists)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed)
+        lanesMatchScalar(seed, 40, false);
+}
+
+/** Word evaluations one setInput + settle costs. */
+std::uint64_t
+evalsFor(PlaneSim &sim, NodeId node, std::uint64_t one, std::uint64_t zero)
+{
+    const std::uint64_t before = sim.wordEvals();
+    sim.setInput(node, one, zero);
+    sim.settle();
+    return sim.wordEvals() - before;
 }
 
 /** One pass transistor from input d to node q, gated by input clk. */
@@ -229,16 +253,6 @@ struct LonePassGate
         net.addPassGate(d, clk, q);
     }
 
-    /** Word evaluations one setInput + settle costs. */
-    std::uint64_t evalsFor(PlaneSim &sim, NodeId node, std::uint64_t one,
-                           std::uint64_t zero)
-    {
-        const std::uint64_t before = sim.wordEvals();
-        sim.setInput(node, one, zero);
-        sim.settle();
-        return sim.wordEvals() - before;
-    }
-
     Netlist net;
     NodeId d = invalidNode, clk = invalidNode, q = invalidNode;
 };
@@ -249,85 +263,16 @@ TEST(PlaneSim, HeldPassGateIsNotEvaluated)
     PlaneSim sim(lone.net);
     // d = L, clk = L in every lane, q holds L.
     sim.load(std::vector<LogicValue>(3, LogicValue::L));
-    EXPECT_EQ(lone.evalsFor(sim, lone.d, ~0ULL, 0), 0u)
+    EXPECT_EQ(evalsFor(sim, lone.d, ~0ULL, 0), 0u)
         << "a source change behind a gate low in every lane";
     EXPECT_EQ(sim.zeros(lone.q), ~0ULL) << "every lane held its charge";
 
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, ~0ULL, 0), 1u) << "gate rises";
+    EXPECT_EQ(evalsFor(sim, lone.clk, ~0ULL, 0), 1u) << "gate rises";
     EXPECT_EQ(sim.ones(lone.q), ~0ULL);
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, 0, ~0ULL), 0u)
+    EXPECT_EQ(evalsFor(sim, lone.clk, 0, ~0ULL), 0u)
         << "gate falls in every lane";
-    EXPECT_EQ(lone.evalsFor(sim, lone.d, 0, ~0ULL), 0u);
+    EXPECT_EQ(evalsFor(sim, lone.d, 0, ~0ULL), 0u);
     EXPECT_EQ(sim.ones(lone.q), ~0ULL) << "q kept the H it sampled";
-}
-
-TEST(PlaneSim, ConductingPassGateWithUnchangedSourceIsNotEvaluated)
-{
-    constexpr std::uint64_t lane5 = 1ULL << 5;
-    LonePassGate lone;
-    PlaneSim sim(lone.net);
-    sim.load(std::vector<LogicValue>(3, LogicValue::L));
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, ~0ULL, 0), 1u)
-        << "a loaded snapshot says nothing about what q last copied";
-    lone.evalsFor(sim, lone.clk, 0, ~0ULL);
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, ~0ULL, 0), 0u)
-        << "q already equals d: nothing to copy";
-    EXPECT_EQ(lone.evalsFor(sim, lone.d, ~0ULL, 0), 1u) << "source changes";
-    EXPECT_EQ(sim.ones(lone.q), ~0ULL);
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, 0, ~0ULL), 0u) << "gate falls";
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, ~0ULL, 0), 0u)
-        << "gate rises again on the source it copied";
-
-    // Held while the source changes: the next rise must copy.
-    lone.evalsFor(sim, lone.clk, 0, ~0ULL);
-    EXPECT_EQ(lone.evalsFor(sim, lone.d, 0, ~0ULL), 0u);
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, ~0ULL, 0), 1u);
-    EXPECT_EQ(sim.zeros(lone.q), ~0ULL);
-
-    // A gate lane turning X makes that lane's charge unknown.
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, ~lane5, 0), 1u) << "one X lane";
-    EXPECT_EQ(sim.zeros(lone.q), ~lane5);
-    // Conducting everywhere again after a partial evaluation: re-copy.
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, ~0ULL, 0), 1u);
-    EXPECT_EQ(sim.zeros(lone.q), ~0ULL);
-
-    // A new run from a snapshot where q differs from d: the rise copies.
-    sim.load({LogicValue::H, LogicValue::L, LogicValue::L});
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, ~0ULL, 0), 1u);
-    EXPECT_EQ(sim.ones(lone.q), ~0ULL);
-}
-
-TEST(PlaneSim, HeldLanesAreSkippedLaneByLane)
-{
-    constexpr std::uint64_t lane5 = 1ULL << 5;
-    constexpr std::uint64_t lane9 = 1ULL << 9;
-    LonePassGate lone;
-    PlaneSim sim(lone.net);
-    sim.load(std::vector<LogicValue>(3, LogicValue::L));
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, ~0ULL, 0), 1u);
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, lane5, ~lane5), 0u)
-        << "the gate falls in every lane it changed";
-    EXPECT_EQ(lone.evalsFor(sim, lone.d, lane9, ~lane9), 0u)
-        << "the source changed in a held lane only";
-    EXPECT_EQ(sim.zeros(lone.q), ~0ULL);
-    EXPECT_EQ(lone.evalsFor(sim, lone.d, lane5 | lane9, ~(lane5 | lane9)),
-              1u)
-        << "the source changed in the conducting lane too";
-    EXPECT_EQ(sim.ones(lone.q), lane5);
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, lane5 | lane9, ~(lane5 | lane9)),
-              1u)
-        << "lane 9 rises over a source it has not copied";
-    EXPECT_EQ(sim.ones(lone.q), lane5 | lane9);
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, lane5, ~lane5), 0u);
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, lane5 | lane9, ~(lane5 | lane9)),
-              0u)
-        << "lane 9 rises again over the source it copied";
-    constexpr std::uint64_t lane20 = 1ULL << 20;
-    EXPECT_EQ(lone.evalsFor(sim, lone.clk, lane5 | lane9 | lane20,
-                            ~(lane5 | lane9 | lane20)),
-              0u)
-        << "lane 20 copied on the first rise and held through every "
-           "evaluation since";
 }
 
 TEST(PlaneSim, PassGateWithOneLiveGateLaneIsEvaluated)
@@ -339,8 +284,8 @@ TEST(PlaneSim, PassGateWithOneLiveGateLaneIsEvaluated)
         LonePassGate lone;
         PlaneSim sim(lone.net);
         sim.load(low);
-        lone.evalsFor(sim, lone.clk, lane5, ~lane5);
-        EXPECT_EQ(lone.evalsFor(sim, lone.d, ~0ULL, 0), 1u) << "one H lane";
+        evalsFor(sim, lone.clk, lane5, ~lane5);
+        EXPECT_EQ(evalsFor(sim, lone.d, ~0ULL, 0), 1u) << "one H lane";
         EXPECT_EQ(sim.ones(lone.q), lane5);
         EXPECT_EQ(sim.zeros(lone.q), ~lane5);
     }
@@ -348,8 +293,8 @@ TEST(PlaneSim, PassGateWithOneLiveGateLaneIsEvaluated)
         LonePassGate lone;
         PlaneSim sim(lone.net);
         sim.load(low);
-        lone.evalsFor(sim, lone.clk, 0, ~lane5);
-        EXPECT_EQ(lone.evalsFor(sim, lone.d, ~0ULL, 0), 1u) << "one X lane";
+        evalsFor(sim, lone.clk, 0, ~lane5);
+        EXPECT_EQ(evalsFor(sim, lone.d, ~0ULL, 0), 1u) << "one X lane";
         EXPECT_EQ(sim.ones(lone.q), 0u);
         EXPECT_EQ(sim.zeros(lone.q), ~lane5) << "the X lane lost its charge";
     }
@@ -359,8 +304,8 @@ TEST(PlaneSim, PassGateWithOneLiveGateLaneIsEvaluated)
         PlaneSim sim(lone.net);
         sim.load(low, {{lone.clk, lane5, LogicValue::H}});
         sim.settle();
-        lone.evalsFor(sim, lone.clk, 0, ~0ULL);
-        EXPECT_EQ(lone.evalsFor(sim, lone.d, ~0ULL, 0), 1u)
+        evalsFor(sim, lone.clk, 0, ~0ULL);
+        EXPECT_EQ(evalsFor(sim, lone.d, ~0ULL, 0), 1u)
             << "one forced H lane";
         EXPECT_EQ(sim.ones(lone.q), lane5);
     }
@@ -370,10 +315,222 @@ TEST(PlaneSim, PassGateWithOneLiveGateLaneIsEvaluated)
         PlaneSim sim(lone.net);
         sim.load(low, {{lone.clk, ~0ULL, LogicValue::L}});
         sim.settle();
-        EXPECT_EQ(lone.evalsFor(sim, lone.clk, ~0ULL, 0), 0u);
-        EXPECT_EQ(lone.evalsFor(sim, lone.d, ~0ULL, 0), 0u)
+        EXPECT_EQ(evalsFor(sim, lone.clk, ~0ULL, 0), 0u);
+        EXPECT_EQ(evalsFor(sim, lone.d, ~0ULL, 0), 0u)
             << "every lane forced low";
         EXPECT_EQ(sim.zeros(lone.q), ~0ULL);
+    }
+}
+
+/**
+ * The lone pass transistor beside a NOR latch: the latch is a static
+ * feedback cycle, so every live set is cyclic and every settle runs the
+ * event-driven relaxation.
+ */
+struct PassGateBesideLatch : LonePassGate
+{
+    PassGateBesideLatch()
+    {
+        const NodeId s = net.addNode("s");
+        const NodeId r = net.addNode("r");
+        const NodeId qa = net.addNode("qa");
+        const NodeId qb = net.addNode("qb");
+        net.markInput(s);
+        net.markInput(r);
+        net.addGate(DeviceKind::Nor2, s, qb, qa);
+        net.addGate(DeviceKind::Nor2, r, qa, qb);
+    }
+
+    /** d, clk, q, s, r low; the latch holds qa = H. */
+    static std::vector<LogicValue> settledLow()
+    {
+        std::vector<LogicValue> v(7, LogicValue::L);
+        v[5] = LogicValue::H;
+        return v;
+    }
+};
+
+TEST(PlaneSim, RelaxationSkipsARisingGateOverItsOwnSource)
+{
+    constexpr std::uint64_t lane5 = 1ULL << 5;
+    constexpr std::uint64_t lane9 = 1ULL << 9;
+    PassGateBesideLatch lone;
+    ASSERT_TRUE(levelize(lone.net, {}).cyclic);
+    PlaneSim sim(lone.net);
+    sim.load(PassGateBesideLatch::settledLow());
+    EXPECT_EQ(evalsFor(sim, lone.clk, ~0ULL, 0), 0u)
+        << "q already equals d: nothing to copy";
+    EXPECT_EQ(evalsFor(sim, lone.d, ~0ULL, 0), 1u) << "source changes";
+    EXPECT_EQ(sim.ones(lone.q), ~0ULL);
+    EXPECT_EQ(evalsFor(sim, lone.clk, 0, ~0ULL), 0u) << "gate falls";
+    EXPECT_EQ(evalsFor(sim, lone.clk, ~0ULL, 0), 0u)
+        << "gate rises again over the source it copied";
+
+    // Held while the source changes in lane 9 only: a rise elsewhere
+    // finds q equal to d, a rise in lane 9 must copy.
+    evalsFor(sim, lone.clk, 0, ~0ULL);
+    EXPECT_EQ(evalsFor(sim, lone.d, ~lane9, lane9), 0u);
+    EXPECT_EQ(evalsFor(sim, lone.clk, lane5, ~lane5), 0u)
+        << "lane 5 rises over the source it carries";
+    EXPECT_EQ(evalsFor(sim, lone.clk, lane5 | lane9, ~(lane5 | lane9)), 1u)
+        << "lane 9 rises over a source it has not copied";
+    EXPECT_EQ(sim.zeros(lone.q), lane9);
+
+    // A gate lane turning X makes that lane's charge unknown.
+    EXPECT_EQ(evalsFor(sim, lone.clk, ~lane5, 0), 1u) << "one X lane";
+    EXPECT_EQ(sim.ones(lone.q), ~(lane5 | lane9));
+    EXPECT_EQ(sim.zeros(lone.q), lane9);
+    EXPECT_EQ(evalsFor(sim, lone.clk, ~0ULL, 0), 1u) << "the X lane re-copies";
+    EXPECT_EQ(sim.ones(lone.q), ~lane9);
+}
+
+TEST(PlaneSim, AcyclicSettleEvaluatesTheRisingGatesCone)
+{
+    LonePassGate lone;
+    PlaneSim sim(lone.net);
+    sim.load(std::vector<LogicValue>(3, LogicValue::L));
+    EXPECT_EQ(evalsFor(sim, lone.clk, ~0ULL, 0), 1u)
+        << "the cone is swept whether or not q already equals d";
+    EXPECT_EQ(evalsFor(sim, lone.clk, 0, ~0ULL), 0u);
+    EXPECT_EQ(evalsFor(sim, lone.clk, ~0ULL, 0), 1u);
+    EXPECT_EQ(sim.zeros(lone.q), ~0ULL);
+}
+
+/** @p net's node values, one per node. */
+std::vector<LogicValue>
+snapshotOf(const Netlist &net)
+{
+    std::vector<LogicValue> values;
+    for (NodeId id = 0; id < net.nodeCount(); ++id)
+        values.push_back(net.value(id));
+    return values;
+}
+
+/** The chip's primary inputs other than its two clocks. */
+std::vector<NodeId>
+dataInputs(const core::GateChip &chip)
+{
+    const Netlist &net = chip.netlist();
+    std::vector<NodeId> inputs;
+    for (NodeId id = 0; id < net.nodeCount(); ++id)
+        if (net.isInputNode(id) && id != chip.clock().phi1() &&
+            id != chip.clock().phi2())
+            inputs.push_back(id);
+    return inputs;
+}
+
+/** A random per-lane level on @p rng: one plane pair. */
+std::pair<std::uint64_t, std::uint64_t>
+randomLanes(Rng &rng, double px)
+{
+    std::uint64_t one = 0;
+    std::uint64_t zero = 0;
+    for (std::size_t j = 0; j < laneCount; ++j) {
+        const LogicValue v = randomLevel(rng, px);
+        one |= std::uint64_t(v == LogicValue::H) << j;
+        zero |= std::uint64_t(v == LogicValue::L) << j;
+    }
+    return {one, zero};
+}
+
+TEST(PlaneSim, ChipClockEdgesEvaluateTheCompiledCones)
+{
+    core::GateChip chip(8, 2);
+    const NodeId phi1 = chip.clock().phi1();
+    const NodeId phi2 = chip.clock().phi2();
+    PlaneSim sim(chip.netlist());
+    sim.load(snapshotOf(chip.netlist()));
+    for (int beat = 0; beat < 3; ++beat) {
+        EXPECT_EQ(evalsFor(sim, phi1, ~0ULL, 0), 116u) << "phi1 rises";
+        EXPECT_EQ(evalsFor(sim, phi1, 0, ~0ULL), 0u) << "phi1 falls";
+        EXPECT_EQ(evalsFor(sim, phi2, ~0ULL, 0), 124u) << "phi2 rises";
+        EXPECT_EQ(evalsFor(sim, phi2, 0, ~0ULL), 0u) << "phi2 falls";
+    }
+}
+
+TEST(PlaneSim, ChipInputsBehindHeldTransistorsEvaluateNothing)
+{
+    core::GateChip chip(8, 2);
+    PlaneSim sim(chip.netlist());
+    sim.load(snapshotOf(chip.netlist()));
+    Rng rng(0x5EED);
+    const std::uint64_t before = sim.wordEvals();
+    for (int round = 0; round < 8; ++round) {
+        for (const NodeId in : dataInputs(chip)) {
+            const auto [one, zero] = randomLanes(rng, 0.1);
+            sim.setInput(in, one, zero);
+        }
+        sim.settle();
+    }
+    EXPECT_EQ(sim.wordEvals() - before, 0u) << "both clocks are low";
+}
+
+TEST(PlaneSim, ChipLanesWithPhi1StuckHighMatchScalarSettle)
+{
+    // Lanes 3, 40 and 63 have phi1 stuck H and lane 17 stuck X, so
+    // whenever phi2 rises both phases conduct there: the live set is
+    // cyclic and the engine relaxes it.
+    constexpr std::uint64_t stuckHigh =
+        (1ULL << 3) | (1ULL << 40) | (1ULL << 63);
+    constexpr std::uint64_t stuckX = 1ULL << 17;
+    core::GateChip shape(8, 2);
+    const NodeId phi1 = shape.clock().phi1();
+    const NodeId phi2 = shape.clock().phi2();
+    std::vector<std::uint8_t> both(shape.netlist().nodeCount(), 0);
+    both[phi1] = 1;
+    both[phi2] = 1;
+    ASSERT_TRUE(levelize(shape.netlist(), both).cyclic);
+
+    std::vector<std::unique_ptr<core::GateChip>> scalar;
+    for (std::size_t j = 0; j < laneCount; ++j) {
+        scalar.push_back(std::make_unique<core::GateChip>(8, 2));
+        if ((stuckHigh >> j) & 1)
+            scalar[j]->netlist().forceStuckAt(phi1, LogicValue::H, 0);
+        if ((stuckX >> j) & 1)
+            scalar[j]->netlist().forceStuckAt(phi1, LogicValue::X, 0);
+    }
+    PlaneSim sim(shape.netlist());
+    sim.load(snapshotOf(shape.netlist()),
+             {{phi1, stuckHigh, LogicValue::H},
+              {phi1, stuckX, LogicValue::X}});
+
+    const std::vector<NodeId> inputs = dataInputs(shape);
+    Rng rng(0xC10C);
+    Picoseconds now = 0;
+    auto settleAndCompare = [&](Beat beat, const char *step) {
+        sim.settle();
+        for (std::size_t j = 0; j < laneCount; ++j) {
+            Netlist &net = scalar[j]->netlist();
+            net.settle(now);
+            for (NodeId id = 0; id < net.nodeCount(); ++id)
+                ASSERT_EQ(laneValue(sim, id, j), net.value(id))
+                    << "beat " << beat << " " << step << " lane " << j
+                    << " node '" << net.nodeName(id) << "'";
+        }
+    };
+    auto drive = [&](NodeId node, std::uint64_t one, std::uint64_t zero) {
+        sim.setInput(node, one, zero);
+        for (std::size_t j = 0; j < laneCount; ++j)
+            scalar[j]->netlist().setInput(
+                node,
+                (one >> j) & 1    ? LogicValue::H
+                : (zero >> j) & 1 ? LogicValue::L
+                                  : LogicValue::X,
+                now);
+    };
+    for (Beat beat = 0; beat < 24; ++beat) {
+        now += 1000;
+        // New inputs while both clocks are low, then one phase pulses.
+        for (const NodeId in : inputs) {
+            const auto [one, zero] = randomLanes(rng, 0.05);
+            drive(in, one, zero);
+        }
+        settleAndCompare(beat, "inputs");
+        const NodeId phase = beat % 2 == 0 ? phi1 : phi2;
+        drive(phase, ~0ULL, 0);
+        settleAndCompare(beat, "rise");
+        drive(phase, 0, ~0ULL);
+        settleAndCompare(beat, "fall");
     }
 }
 
@@ -431,51 +588,67 @@ stdcellBuilders()
     return cells;
 }
 
-/** The static gate driving @p node, or -1 (pass gate, input, none). */
+/** Whether @p live lets device @p d into the order. */
+bool
+covered(const Device &d, const std::vector<std::uint8_t> &live)
+{
+    return d.kind != DeviceKind::PassGate ||
+           (!live.empty() && live[d.ctl] != 0);
+}
+
+/**
+ * The covered device driving @p node, or -1 (held pass gate, input,
+ * none).
+ */
 std::int64_t
-staticDriver(const Netlist &net, NodeId node)
+coveredDriver(const Netlist &net, NodeId node,
+              const std::vector<std::uint8_t> &live)
 {
     if (node == invalidNode)
         return -1;
     const std::int32_t drv = net.driverOf(node);
     if (drv < 0 ||
-        net.deviceList()[static_cast<std::size_t>(drv)].kind ==
-            DeviceKind::PassGate)
+        !covered(net.deviceList()[static_cast<std::size_t>(drv)], live))
         return -1;
     return drv;
 }
 
 /**
- * Check gate::levelize on @p net against the definition: every
- * ordered gate comes after the static producers of its inputs, every
- * pass gate and every static gate on a feedback cycle is flagged
- * fallback, and the flags are exactly the devices left out of the
- * order. Returns the number of static gates found on a cycle.
+ * Check gate::levelize on @p net for the live set @p live against the
+ * definition: every ordered device comes after the covered producers
+ * of its inputs, every held pass gate and every covered device on a
+ * feedback cycle is left out, the flags are exactly the devices left
+ * out of the order, and the order is flagged cyclic exactly when some
+ * covered device is left out. Returns the number of devices found on
+ * a cycle.
  */
 std::size_t
-expectSoundLevelization(const Netlist &net)
+expectSoundLevelization(const Netlist &net,
+                        const std::vector<std::uint8_t> &live)
 {
     const std::vector<Device> &devs = net.deviceList();
     const std::size_t nd = devs.size();
-    const Levelization lev = levelize(net);
+    const Levelization lev = levelize(net, live);
     EXPECT_EQ(lev.isFallback.size(), nd);
 
     std::vector<std::int64_t> position(nd, -1);
     for (std::size_t i = 0; i < lev.topo.size(); ++i) {
-        EXPECT_EQ(position[lev.topo[i]], -1) << "gate ordered twice";
+        EXPECT_EQ(position[lev.topo[i]], -1) << "device ordered twice";
         position[lev.topo[i]] = static_cast<std::int64_t>(i);
     }
 
-    // Static producer edges, for the cycle search below.
+    // Covered producer edges, for the cycle search below.
     std::vector<std::vector<std::size_t>> producers(nd);
+    bool leftOut = false;
     for (std::size_t d = 0; d < nd; ++d) {
         EXPECT_EQ(lev.isFallback[d] != 0, position[d] < 0) << "device " << d;
-        if (devs[d].kind == DeviceKind::PassGate) {
-            EXPECT_TRUE(lev.isFallback[d]) << "pass gate " << d;
+        if (!covered(devs[d], live)) {
+            EXPECT_TRUE(lev.isFallback[d]) << "held pass gate " << d;
             continue;
         }
-        for (const NodeId in : {devs[d].inA, devs[d].inB}) {
-            const std::int64_t p = staticDriver(net, in);
+        leftOut = leftOut || position[d] < 0;
+        for (const NodeId in : {devs[d].inA, devs[d].inB, devs[d].ctl}) {
+            const std::int64_t p = coveredDriver(net, in, live);
             if (p < 0)
                 continue;
             producers[d].push_back(static_cast<std::size_t>(p));
@@ -483,13 +656,15 @@ expectSoundLevelization(const Netlist &net)
                 EXPECT_GE(position[static_cast<std::size_t>(p)], 0);
                 EXPECT_LT(position[static_cast<std::size_t>(p)],
                           position[d])
-                    << "gate " << d << " ordered before its producer " << p;
+                    << "device " << d << " ordered before its producer "
+                    << p;
             }
         }
     }
+    EXPECT_EQ(lev.cyclic, leftOut);
 
-    // A static gate is on a feedback cycle when it is its own
-    // transitive static producer.
+    // A device is on a feedback cycle when it is its own transitive
+    // covered producer.
     std::size_t cyclic = 0;
     for (std::size_t d = 0; d < nd; ++d) {
         std::vector<std::uint8_t> seen(nd, 0);
@@ -507,10 +682,32 @@ expectSoundLevelization(const Netlist &net)
         }
         if (onCycle) {
             ++cyclic;
-            EXPECT_TRUE(lev.isFallback[d]) << "cyclic gate " << d;
+            EXPECT_TRUE(lev.isFallback[d]) << "cyclic device " << d;
         }
     }
     return cyclic;
+}
+
+/** The distinct pass-gate gate nodes of @p net. */
+std::vector<NodeId>
+gateNodes(const Netlist &net)
+{
+    std::vector<NodeId> gates;
+    for (const Device &d : net.deviceList())
+        if (d.kind == DeviceKind::PassGate &&
+            std::find(gates.begin(), gates.end(), d.ctl) == gates.end())
+            gates.push_back(d.ctl);
+    return gates;
+}
+
+/** One flag per node of @p net, set on @p nodes. */
+std::vector<std::uint8_t>
+liveFlags(const Netlist &net, const std::vector<NodeId> &nodes)
+{
+    std::vector<std::uint8_t> live(net.nodeCount(), 0);
+    for (const NodeId n : nodes)
+        live[n] = 1;
+    return live;
 }
 
 std::size_t
@@ -520,26 +717,58 @@ fallbackCount(const Levelization &lev)
         std::count(lev.isFallback.begin(), lev.isFallback.end(), 1));
 }
 
-TEST(Levelize, SoundOnEveryStdcell)
+TEST(Levelize, SoundOnEveryLiveSetOfEveryStdcell)
 {
     std::size_t cyclic = 0;
     for (const auto &build : stdcellBuilders()) {
         Netlist net("cell");
         build(net);
-        cyclic += expectSoundLevelization(net);
+        const std::vector<NodeId> gates = gateNodes(net);
+        ASSERT_LT(gates.size(), 8u);
+        for (std::uint32_t subset = 0; subset < (1u << gates.size());
+             ++subset) {
+            std::vector<NodeId> live;
+            for (std::size_t g = 0; g < gates.size(); ++g)
+                if ((subset >> g) & 1)
+                    live.push_back(gates[g]);
+            cyclic += expectSoundLevelization(net, liveFlags(net, live));
+        }
     }
     // The static shift register's regeneration loop is a real cycle.
     EXPECT_GT(cyclic, 0u);
 }
 
-TEST(Levelize, SoundOnTheFullChip)
+TEST(Levelize, SoundOnEveryLiveSetOfTheFullChip)
 {
     core::GateChip chip(8, 2);
-    EXPECT_EQ(expectSoundLevelization(chip.netlist()), 0u);
-    const Levelization lev = levelize(chip.netlist());
-    EXPECT_GT(lev.topo.size(), 0u);
-    EXPECT_EQ(fallbackCount(lev),
-              chip.netlist().countKind(DeviceKind::PassGate));
+    const Netlist &net = chip.netlist();
+    const NodeId phi1 = chip.clock().phi1();
+    const NodeId phi2 = chip.clock().phi2();
+    EXPECT_EQ(gateNodes(net).size(), 2u)
+        << "the chip's only pass-gate gates are the clocks";
+    const std::size_t passGates = net.countKind(DeviceKind::PassGate);
+    const std::size_t statics = net.deviceCount() - passGates;
+
+    // The three clean-clock live sets are acyclic: the order covers
+    // every static gate and every transistor of the live phase.
+    const std::vector<std::vector<NodeId>> clean = {{}, {phi1}, {phi2}};
+    for (const std::vector<NodeId> &live : clean) {
+        const std::vector<std::uint8_t> flags = liveFlags(net, live);
+        EXPECT_EQ(expectSoundLevelization(net, flags), 0u);
+        const Levelization lev = levelize(net, flags);
+        EXPECT_FALSE(lev.cyclic);
+        std::size_t livePass = 0;
+        for (const Device &d : net.deviceList())
+            livePass += d.kind == DeviceKind::PassGate && flags[d.ctl];
+        EXPECT_EQ(lev.topo.size(), statics + livePass);
+        EXPECT_EQ(fallbackCount(lev), passGates - livePass);
+    }
+    EXPECT_EQ(fallbackCount(levelize(net, {})), passGates);
+
+    // Both phases conducting at once closes loops through them.
+    EXPECT_GT(expectSoundLevelization(net, liveFlags(net, {phi1, phi2})),
+              0u);
+    EXPECT_TRUE(levelize(net, liveFlags(net, {phi1, phi2})).cyclic);
 }
 
 TEST(Levelize, StaticShiftStageFeedbackFallsBack)
@@ -555,7 +784,8 @@ TEST(Levelize, StaticShiftStageFeedbackFallsBack)
     net.markInput(clk);
     net.markInput(shift);
     buildStaticShiftStage(net, "ssr", in, clk, shift);
-    const Levelization lev = levelize(net);
+    const Levelization lev = levelize(net, {});
+    EXPECT_TRUE(lev.cyclic);
     EXPECT_GT(fallbackCount(lev),
               net.countKind(DeviceKind::PassGate));
     EXPECT_GT(lev.topo.size(), 0u);
