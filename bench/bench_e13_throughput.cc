@@ -294,7 +294,7 @@ gateEngineReport()
 
     // The first call builds the lane chip, its snapshot and the
     // engine; the timed calls reuse them, as a serving rung does.
-    std::vector<GateLevelMatcher::LaneResult> r_lanes =
+    std::span<GateLevelMatcher::LaneResult> r_lanes =
         lanes.matchLanes(windows, w.pattern);
     const std::uint64_t evals_before = lanes.laneWordEvals();
     r_lanes = lanes.matchLanes(windows, w.pattern);

@@ -513,8 +513,7 @@ matchLaneCut(core::GateLevelMatcher &chip, const LaneCut &cut,
 {
     const std::vector<std::span<const Symbol>> views(cut.windows.begin(),
                                                      cut.windows.end());
-    const std::vector<core::GateLevelMatcher::LaneResult> lanes =
-        chip.matchLanes(views, pattern);
+    const auto lanes = chip.matchLanes(views, pattern);
     BitVec out;
     for (std::size_t j = 0; j < lanes.size(); ++j)
         out.append(lanes[j].bits.words(), cut.overlap[j],

@@ -318,9 +318,10 @@ class LanePort
     LanePort(gate::PlaneSim &plane_sim, const GateChip &lane_chip,
              std::span<const std::span<const Symbol>> windows,
              std::size_t pattern_len,
-             std::span<GateLevelMatcher::LaneResult *const> lane_results)
+             std::span<GateLevelMatcher::LaneResult *const> lane_results,
+             std::vector<std::uint64_t> &str_planes)
         : sim(plane_sim), chip(lane_chip), len(pattern_len),
-          results(lane_results)
+          results(lane_results), strPlanes(str_planes)
     {
         // Transpose the windows once: plane (i, b) holds bit b of
         // text position i, one lane per window, 0 past its end.
@@ -400,7 +401,7 @@ class LanePort
     const GateChip &chip;
     std::size_t len;
     std::span<GateLevelMatcher::LaneResult *const> results;
-    std::vector<std::uint64_t> strPlanes;
+    std::vector<std::uint64_t> &strPlanes;
     std::size_t maxLen = 0;
     Beat beat = 0;
 };
@@ -435,26 +436,28 @@ GateLevelMatcher::match(std::span<const Symbol> text,
     return result;
 }
 
-std::vector<GateLevelMatcher::LaneResult>
+std::span<GateLevelMatcher::LaneResult>
 GateLevelMatcher::matchLanes(std::span<const std::span<const Symbol>> windows,
                              std::span<const Symbol> pattern)
 {
     spm_assert(cells > 0 && bitsPerChar > 0,
                "matchLanes needs an explicit chip shape");
-    std::vector<LaneResult> out(windows.size());
+    laneOut.resize(windows.size());
     // Windows match() would answer without running the chip stay
     // all-false at 0 beats; the rest ride the lanes.
-    std::vector<std::span<const Symbol>> live;
-    std::vector<LaneResult *> liveResults;
+    liveWindows.clear();
+    liveResults.clear();
     for (std::size_t w = 0; w < windows.size(); ++w) {
-        out[w].bits.resize(windows[w].size());
+        laneOut[w].bits.clear();
+        laneOut[w].bits.resize(windows[w].size());
+        laneOut[w].beats = 0;
         if (!pattern.empty() && pattern.size() <= windows[w].size()) {
-            live.push_back(windows[w]);
-            liveResults.push_back(&out[w]);
+            liveWindows.push_back(windows[w]);
+            liveResults.push_back(&laneOut[w]);
         }
     }
-    if (live.empty())
-        return out;
+    if (liveWindows.empty())
+        return laneOut;
 
     if (!lanePlanes) {
         laneChip = std::make_unique<GateChip>(cells, bitsPerChar);
@@ -472,16 +475,19 @@ GateLevelMatcher::matchLanes(std::span<const std::span<const Symbol>> windows,
     }
 
     constexpr std::size_t laneCount = 64;
-    for (std::size_t first = 0; first < live.size(); first += laneCount) {
-        const std::size_t lanes = std::min(laneCount, live.size() - first);
+    const std::size_t live = liveWindows.size();
+    for (std::size_t first = 0; first < live; first += laneCount) {
+        const std::size_t lanes = std::min(laneCount, live - first);
         lanePlanes->load(laneSnapshot, laneForces);
         LanePort port(*lanePlanes, *laneChip,
-                      std::span(live).subspan(first, lanes), pattern.size(),
-                      std::span(liveResults).subspan(first, lanes));
+                      std::span(liveWindows).subspan(first, lanes),
+                      pattern.size(),
+                      std::span(liveResults).subspan(first, lanes),
+                      strPlanes);
         runFeedSchedule(cells, bitsPerChar, pattern, port.textLen(),
                         port);
     }
-    return out;
+    return laneOut;
 }
 
 } // namespace spm::core

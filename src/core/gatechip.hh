@@ -206,9 +206,10 @@ class GateLevelMatcher : public Matcher
      * chip-prep hook leaves are re-applied to every lane as force
      * masks. The hook's other effects and the result observer apply
      * to match() only; lastEvals() and lastTransistors() are not
-     * updated.
+     * updated. The answers, one per window, live in the matcher until
+     * its next matchLanes() call.
      */
-    std::vector<LaneResult> matchLanes(
+    std::span<LaneResult> matchLanes(
         std::span<const std::span<const Symbol>> windows,
         std::span<const Symbol> pattern);
 
@@ -267,6 +268,12 @@ class GateLevelMatcher : public Matcher
     std::vector<gate::LogicValue> laneSnapshot; ///< settled, unprepared
     std::vector<gate::PlaneForce> laneForces;   ///< chipPrep's stuck nodes
     std::unique_ptr<gate::PlaneSim> lanePlanes;
+    // Its scratch, kept from call to call: the answers, the windows
+    // that ride lanes and their answers, and the transposed windows.
+    std::vector<LaneResult> laneOut;
+    std::vector<std::span<const Symbol>> liveWindows;
+    std::vector<LaneResult *> liveResults;
+    std::vector<std::uint64_t> strPlanes;
 };
 
 } // namespace spm::core

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <tuple>
+#include <type_traits>
 
 #include "util/logging.hh"
 
@@ -21,6 +23,24 @@ flatten(const std::vector<std::vector<T>> &lists,
     for (const std::vector<T> &l : lists) {
         items.insert(items.end(), l.begin(), l.end());
         start.push_back(static_cast<std::uint32_t>(items.size()));
+    }
+}
+
+/** Call @p f with @p kind as a compile-time constant. */
+template <class F>
+void
+dispatch(DeviceKind kind, F &&f)
+{
+    using K = DeviceKind;
+    switch (kind) {
+    case K::Inverter: return f(std::integral_constant<K, K::Inverter>{});
+    case K::Nand2: return f(std::integral_constant<K, K::Nand2>{});
+    case K::Nor2: return f(std::integral_constant<K, K::Nor2>{});
+    case K::And2: return f(std::integral_constant<K, K::And2>{});
+    case K::Or2: return f(std::integral_constant<K, K::Or2>{});
+    case K::Xor2: return f(std::integral_constant<K, K::Xor2>{});
+    case K::Xnor2: return f(std::integral_constant<K, K::Xnor2>{});
+    case K::PassGate: return f(std::integral_constant<K, K::PassGate>{});
     }
 }
 
@@ -197,54 +217,59 @@ PlaneSim::record(NodeId node, std::uint64_t changed)
 }
 
 /**
- * Word-wide evaluation of @p s on the two-plane encoding. Each static
- * formula is the plane transcription of gate/logic.hh's three-valued
- * operator: a lane with neither plane bit set is X and stays X exactly
- * when the scalar algebra says so. A pass transistor copies its source
- * where its gate is H, holds its output where the gate is L, and loses
- * its charge to X where the gate is X -- bitwise-exactly
- * Netlist::evaluateDevice's three arms.
+ * Word-wide evaluation of @p s, a device of kind K, on the two-plane
+ * encoding: the one formula per kind that the tape's runs and the
+ * relaxation share. Each static formula is the plane transcription of
+ * gate/logic.hh's three-valued operator: a lane with neither plane bit
+ * set is X and stays X exactly when the scalar algebra says so. A pass
+ * transistor copies its source where its gate is H, holds its output
+ * where the gate is L, and loses its charge to X where the gate is X
+ * -- bitwise-exactly Netlist::evaluateDevice's three arms.
  */
+template <DeviceKind K>
 inline void
-PlaneSim::evalStep(const Step &s, std::uint64_t &o1, std::uint64_t &o0) const
+PlaneSim::eval(const Step &s, std::uint64_t &o1, std::uint64_t &o0) const
 {
+    using enum DeviceKind;
     const std::uint64_t a1 = one[s.a];
     const std::uint64_t a0 = zero[s.a];
     const std::uint64_t b1 = one[s.b];
     const std::uint64_t b0 = zero[s.b];
-    switch (s.kind) {
-    case DeviceKind::Inverter:
+    if constexpr (K == Inverter) {
         o1 = a0;
         o0 = a1;
-        break;
-    case DeviceKind::And2:
-        o1 = a1 & b1;
-        o0 = a0 | b0;
-        break;
-    case DeviceKind::Nand2:
-        o1 = a0 | b0;
-        o0 = a1 & b1;
-        break;
-    case DeviceKind::Or2:
-        o1 = a1 | b1;
-        o0 = a0 & b0;
-        break;
-    case DeviceKind::Nor2:
-        o1 = a0 & b0;
-        o0 = a1 | b1;
-        break;
-    case DeviceKind::Xor2:
-        o1 = (a1 & b0) | (a0 & b1);
-        o0 = (a1 & b1) | (a0 & b0);
-        break;
-    case DeviceKind::Xnor2:
-        o1 = (a1 & b1) | (a0 & b0);
-        o0 = (a1 & b0) | (a0 & b1);
-        break;
-    case DeviceKind::PassGate:
+    } else if constexpr (K == And2 || K == Nand2) {
+        o1 = K == And2 ? a1 & b1 : a0 | b0;
+        o0 = K == And2 ? a0 | b0 : a1 & b1;
+    } else if constexpr (K == Or2 || K == Nor2) {
+        o1 = K == Or2 ? a1 | b1 : a0 & b0;
+        o0 = K == Or2 ? a0 & b0 : a1 | b1;
+    } else if constexpr (K == Xor2 || K == Xnor2) {
+        const std::uint64_t differ = (a1 & b0) | (a0 & b1);
+        const std::uint64_t agree = (a1 & b1) | (a0 & b0);
+        o1 = K == Xor2 ? differ : agree;
+        o0 = K == Xor2 ? agree : differ;
+    } else {
         o1 = (b1 & a1) | (b0 & one[s.out]);
         o0 = (b1 & a0) | (b0 & zero[s.out]);
-        break;
+    }
+}
+
+/** One run of a tape: steps [@p s, @p end), all of kind K, in order. */
+template <DeviceKind K, bool Forced>
+void
+PlaneSim::run(const Step *s, const Step *end)
+{
+    for (; s != end; ++s) {
+        std::uint64_t o1 = 0;
+        std::uint64_t o0 = 0;
+        eval<K>(*s, o1, o0);
+        if constexpr (Forced) {
+            store(s->out, o1, o0);
+        } else {
+            one[s->out] = o1;
+            zero[s->out] = o0;
+        }
     }
 }
 
@@ -257,9 +282,9 @@ PlaneSim::settle()
         current = orderForLiveSet();
         liveStale = false;
     }
-    const PhaseOrder &order = orders[current];
+    PhaseOrder &order = orders[current];
     if (!order.cyclic) {
-        sweep(order);
+        replay(order);
         return;
     }
     for (const Write &w : written)
@@ -279,7 +304,6 @@ PlaneSim::orderForLiveSet()
         if (orders[i].live == liveScratch)
             return i;
     orders.push_back(compile(liveScratch));
-    due.resize(std::max(due.size(), orders.back().coneWords), 0);
     return orders.size() - 1;
 }
 
@@ -296,61 +320,81 @@ PlaneSim::compile(const std::vector<std::uint64_t> &live) const
     if (order.cyclic)
         return order;
 
-    const std::size_t words = (l.topo.size() + 63) / 64;
-    order.coneWords = words;
     order.steps.reserve(l.topo.size());
-    for (std::uint32_t dev : l.topo)
-        order.steps.push_back(devSteps[dev]);
-    // Walk the order backwards. A device's cone is itself plus its
-    // output's cone, which is complete here because every ordered
-    // reader of the output comes later; the device's cone then joins
-    // the cone of each node it reads.
-    order.cones.assign(nodeCount * words, 0);
-    std::vector<std::uint64_t> devCone(words);
-    for (std::size_t p = order.steps.size(); p-- > 0;) {
-        const Step &s = order.steps[p];
-        const std::uint64_t *outCone = order.cones.data() + s.out * words;
-        std::copy(outCone, outCone + words, devCone.begin());
-        devCone[p / 64] |= 1ULL << (p % 64);
-        for (const NodeId in : {s.a, s.b}) {
-            if (in == nodeCount)
-                continue;
-            std::uint64_t *inCone = order.cones.data() + in * words;
-            for (std::size_t w = 0; w < words; ++w)
-                inCone[w] |= devCone[w];
-        }
+    order.read.assign(nodeCount + 1, 0);
+    for (std::uint32_t dev : l.topo) {
+        const Step &st = order.steps.emplace_back(devSteps[dev]);
+        order.read[st.a] = order.read[st.b] = 1;
     }
     return order;
 }
 
 void
-PlaneSim::sweep(const PhaseOrder &order)
+PlaneSim::replay(PhaseOrder &order)
 {
-    const std::size_t words = order.coneWords;
-    for (const Write &w : written) {
-        const std::uint64_t *cone = order.cones.data() + w.node * words;
-        for (std::size_t i = 0; i < words; ++i)
-            due[i] |= cone[i];
-    }
+    // A node no ordered device reads has an empty cone.
+    tapeKey.clear();
+    for (const Write &w : written)
+        if (order.read[w.node])
+            tapeKey.push_back(w.node);
     written.clear();
-    // One pass in order: every due device reads inputs that are final,
-    // because their drivers come earlier in the order or are outside
-    // every cone swept.
-    for (std::size_t i = 0; i < words; ++i) {
-        std::uint64_t bits = due[i];
-        due[i] = 0;
-        evals += static_cast<std::uint64_t>(std::popcount(bits));
-        while (bits != 0) {
-            const Step &s =
-                order.steps[i * 64 +
-                            static_cast<std::size_t>(std::countr_zero(bits))];
-            bits &= bits - 1;
-            std::uint64_t o1 = 0;
-            std::uint64_t o0 = 0;
-            evalStep(s, o1, o0);
-            store(s.out, o1, o0);
-        }
+    if (tapeKey.empty())
+        return;
+    const auto hit =
+        std::find_if(order.tapes.begin(), order.tapes.end(),
+                     [&](const Tape &t) { return t.key == tapeKey; });
+    const Tape &tape = hit != order.tapes.end() ? *hit : compileTape(order);
+    evals += tape.steps.size();
+    // Whether a lane is forced anywhere is fixed from load() to load().
+    const bool forced = !forcedNodes.empty();
+    const Step *s = tape.steps.data();
+    for (const std::uint32_t end : tape.runEnds) {
+        const Step *e = tape.steps.data() + end;
+        dispatch(s->kind, [&](auto k) {
+            forced ? run<decltype(k)::value, true>(s, e)
+                   : run<decltype(k)::value, false>(s, e);
+        });
+        s = e;
     }
+}
+
+const PlaneSim::Tape &
+PlaneSim::compileTape(PhaseOrder &order)
+{
+    if (tapes == tapeBound) {
+        for (PhaseOrder &o : orders)
+            o.tapes.clear();
+        tapes = 0;
+    }
+    ++tapes;
+    // One walk of the order finds the cones and levels them: a device
+    // reading a written node (level 1) or a cone device's output joins,
+    // one level after every earlier cone device writing its inputs or
+    // output. Level 0 marks a node no cone device writes.
+    std::vector<std::uint32_t> level(nodeCount + 1, 0);
+    for (const NodeId node : tapeKey)
+        level[node] = 1;
+    std::vector<std::tuple<std::uint32_t, DeviceKind, std::uint32_t>> placed;
+    for (std::uint32_t p = 0; p < order.steps.size(); ++p) {
+        const Step &s = order.steps[p];
+        if (level[s.a] == 0 && level[s.b] == 0)
+            continue;
+        level[s.out] = 1 + std::max({level[s.a], level[s.b], level[s.out]});
+        placed.emplace_back(level[s.out], s.kind, p);
+    }
+    std::sort(placed.begin(), placed.end());
+    Tape &tape = order.tapes.emplace_back();
+    tape.key = tapeKey;
+    const auto cut = [&] {
+        tape.runEnds.push_back(static_cast<std::uint32_t>(tape.steps.size()));
+    };
+    for (const auto &[lvl, kind, p] : placed) {
+        if (!tape.steps.empty() && tape.steps.back().kind != kind)
+            cut();
+        tape.steps.push_back(order.steps[p]);
+    }
+    cut();
+    return tape;
 }
 
 void
@@ -389,7 +433,7 @@ PlaneSim::relaxDevice(std::uint32_t dev_idx)
     const Step &s = devSteps[dev_idx];
     std::uint64_t o1 = 0;
     std::uint64_t o0 = 0;
-    evalStep(s, o1, o0);
+    dispatch(s.kind, [&](auto k) { eval<decltype(k)::value>(s, o1, o0); });
     const std::uint64_t changed = store(s.out, o1, o0);
     if (changed == 0)
         return false;

@@ -26,16 +26,22 @@
  * is *live* when it is not L in every lane; the live gates make the
  * *live set*. For each live set the engine compiles, on the first
  * settle that meets it, one order (gate::levelize) over the static
- * gates plus the live pass transistors -- a held transistor is a
- * boundary, like a primary input -- and, per node, the *cone*: a
- * bitset over the order's positions of every ordered device
- * downstream of the node. On the 8 x 2 chip there are three live sets
- * (clocks low, phi1 high, phi2 high), and all three orders are
- * acyclic. For an acyclic live set, setInput only records the node it
- * changed, and settle() ORs the recorded nodes' cones and evaluates
- * those devices once each, in order: no pending marks, no worklist. A
- * source behind a held transistor and a falling clock evaluate
- * nothing.
+ * gates plus the live pass transistors; a held transistor is a
+ * boundary, like a primary input. On the 8 x 2 chip there are three
+ * live sets (clocks low, phi1 high, phi2 high), all three acyclic.
+ *
+ * On an acyclic live set a settle replays a *tape*. setInput records
+ * the nodes it changed; settle() drops those no ordered device reads
+ * (a source behind a held transistor, a falling clock), and the rest
+ * key the tape the live set caches for them. A miss compiles it from
+ * their *cones* (every ordered device downstream of them, each once),
+ * sorted by (level, kind) and cut into runs of one kind, each one loop
+ * with its formula fixed at compile time. A step's *level* is one more
+ * than the highest among the earlier cone steps writing its inputs or
+ * its output (a pass transistor reads its output), so grouping one
+ * level's steps by kind changes no lane. The force masks cost only
+ * after a load() with forces. Each load() with new forces writes a new
+ * set of nodes, so a compile at tapeBound tapes first drops them all.
  *
  * A live set with a cycle arises when a lane lets both phases conduct
  * (a clock stuck H or X in some lanes) or when static gates form a
@@ -53,7 +59,7 @@
  * same.
  *
  * wordEvals() counts word-wide device evaluations: on an acyclic live
- * set every device of the swept cones, whether or not its output
+ * set every step of the tapes replayed, whether or not its output
  * changes; on a cyclic one every device the relaxation evaluates.
  */
 
@@ -155,6 +161,12 @@ class PlaneSim
     /** Word-wide device evaluations performed so far (effort). */
     std::uint64_t wordEvals() const { return evals; }
 
+    /** The most tapes kept at once, over every live set. */
+    static constexpr std::size_t tapeBound = 64;
+
+    /** Tapes cached now. */
+    std::size_t tapeCount() const { return tapes; }
+
   private:
     /**
      * One device as the engine evaluates it: @p a and @p b are its
@@ -167,17 +179,28 @@ class PlaneSim
         NodeId a, b, out;
     };
 
-    /** The order and cones compiled for one live set. */
+    /**
+     * One acyclic settle, cached for the set of nodes it was keyed by:
+     * run r is steps [runEnds[r - 1], runEnds[r]), all of one kind.
+     */
+    struct Tape
+    {
+        std::vector<NodeId> key; ///< written nodes with a cone, as written
+        std::vector<Step> steps;
+        std::vector<std::uint32_t> runEnds;
+    };
+
+    /** The order and tapes compiled for one live set. */
     struct PhaseOrder
     {
         /** Bit c set when gate node controls[c] is live. */
         std::vector<std::uint64_t> live;
-        /** Settled by relaxation; no order or cones are kept. */
+        /** Settled by relaxation; no order or tapes are kept. */
         bool cyclic = false;
         std::vector<Step> steps; ///< producers first
-        std::size_t coneWords = 0;
-        /** Node n's cone: coneWords words from n * coneWords. */
-        std::vector<std::uint64_t> cones;
+        /** Per node (and the spare X slot): 1 when some step reads it. */
+        std::vector<std::uint8_t> read;
+        std::vector<Tape> tapes;
     };
 
     /** A node setInput (or a force) changed since the last settle. */
@@ -202,10 +225,14 @@ class PlaneSim
     }
 
     void record(NodeId node, std::uint64_t changed);
-    void evalStep(const Step &s, std::uint64_t &o1, std::uint64_t &o0) const;
+    template <DeviceKind K>
+    void eval(const Step &s, std::uint64_t &o1, std::uint64_t &o0) const;
+    template <DeviceKind K, bool Forced>
+    void run(const Step *s, const Step *end);
     std::size_t orderForLiveSet();
     PhaseOrder compile(const std::vector<std::uint64_t> &live) const;
-    void sweep(const PhaseOrder &order);
+    void replay(PhaseOrder &order);
+    const Tape &compileTape(PhaseOrder &order);
     void relax();
     void schedule(NodeId node, std::uint64_t changed);
     bool relaxDevice(std::uint32_t dev_idx);
@@ -235,8 +262,8 @@ class PlaneSim
     bool liveStale = true;
     std::vector<std::uint64_t> liveScratch; ///< orderForLiveSet's key
     std::vector<Write> written;
-    /** The sweep's due positions, zero between settles. */
-    std::vector<std::uint64_t> due;
+    std::vector<NodeId> tapeKey; ///< replay()'s key (scratch)
+    std::size_t tapes = 0;       ///< cached, over every order
 
     // Relaxation, for cyclic live sets.
     /** The static-only order: every pass transistor left out. */

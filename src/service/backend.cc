@@ -150,9 +150,8 @@ GateBackend::GateBackend(std::size_t num_cells, BitWidth bits_per_char)
 void
 GateBackend::dropQueue()
 {
-    queuedText.clear();
-    queuedBounds.clear();
-    queuedResults.clear();
+    queuedWindows.clear();
+    queuedResults = {};
     queueHead = 0;
 }
 
@@ -163,14 +162,8 @@ GateBackend::prefetch(std::span<const std::span<const Symbol>> windows,
     dropQueue();
     if (!supports(pattern))
         return;
-    // The copies outlive the request the windows view: matchWindow()
-    // tells a queued window from another session's by content.
-    queuedPattern.assign(pattern.begin(), pattern.end());
-    queuedBounds.push_back(0);
-    for (const std::span<const Symbol> w : windows) {
-        queuedText.insert(queuedText.end(), w.begin(), w.end());
-        queuedBounds.push_back(queuedText.size());
-    }
+    queuedPattern = pattern;
+    queuedWindows.assign(windows.begin(), windows.end());
     try {
         queuedResults = gate.matchLanes(windows, pattern);
     } catch (const std::exception &) {
@@ -185,13 +178,13 @@ GateBackend::matchWindow(std::span<const Symbol> window,
                          std::span<const Symbol> pattern,
                          BeatWatchdog &dog)
 {
-    const Symbol *copies = queuedText.data();
-    const bool queued =
-        queueHead < queuedResults.size() &&
-        std::ranges::equal(std::span(copies + queuedBounds[queueHead],
-                                     copies + queuedBounds[queueHead + 1]),
-                           window) &&
-        std::ranges::equal(queuedPattern, pattern);
+    const auto same = [](std::span<const Symbol> x,
+                         std::span<const Symbol> y) {
+        return x.data() == y.data() && x.size() == y.size();
+    };
+    const bool queued = queueHead < queuedResults.size() &&
+                        same(queuedWindows[queueHead], window) &&
+                        same(queuedPattern, pattern);
     const std::size_t n = window.size();
     if (n == 0 || pattern.size() > n) {
         queueHead += queued ? 1 : 0;

@@ -184,11 +184,15 @@ class MatcherBackend : public ServiceBackend
  * fixed chip shape. prefetch() runs the next windows (at most 64 per
  * plane pass) through GateLevelMatcher::matchLanes and queues the
  * answers. matchWindow() serves the queue head when its window and
- * pattern compare equal; otherwise it runs that window alone through
- * match() and keeps the queue, so a re-run of a window after a
- * cross-check mismatch takes the one-window path and the window after
- * it still rides its lane. A decorator that does not forward
- * prefetch() leaves the queue empty, so every window runs alone.
+ * pattern are the very spans queued (same data and length); otherwise
+ * it runs that window alone through match() and keeps the queue, so a
+ * re-run of a window after a cross-check mismatch takes the one-window
+ * path and the window after it still rides its lane. No text is
+ * copied: every session prefetches before its first window on a rung,
+ * and every prefetch replaces the queue, so the queue only holds spans
+ * of the live session that prefetched last. A decorator that does not
+ * forward prefetch() leaves the queue empty, so every window runs
+ * alone.
  * Either way the window's beat count is charged after the fact, as
  * MatcherBackend charges, and a trip drops the queue. Each lane is
  * the one-window chip on the one-window schedule, so the two paths
@@ -232,15 +236,10 @@ class GateBackend : public ServiceBackend
 
     void dropQueue();
 
-    /**
-     * Prefetched windows and their answers, from queueHead on: the
-     * windows copied end to end, window i at [queuedBounds[i],
-     * queuedBounds[i + 1]) of queuedText.
-     */
-    std::vector<Symbol> queuedPattern;
-    std::vector<Symbol> queuedText;
-    std::vector<std::size_t> queuedBounds;
-    std::vector<core::GateLevelMatcher::LaneResult> queuedResults;
+    /** Prefetched windows and their answers, from queueHead on. */
+    std::span<const Symbol> queuedPattern;
+    std::vector<std::span<const Symbol>> queuedWindows;
+    std::span<core::GateLevelMatcher::LaneResult> queuedResults;
     std::size_t queueHead = 0;
     std::uint64_t fromLanes = 0;
 };

@@ -166,7 +166,7 @@ expectLanesMatchScalar(GateLevelMatcher &lanes, GateLevelMatcher &scalar,
 {
     const std::vector<std::span<const Symbol>> views(windows.begin(),
                                                      windows.end());
-    const std::vector<GateLevelMatcher::LaneResult> got =
+    const std::span<GateLevelMatcher::LaneResult> got =
         lanes.matchLanes(views, pattern);
     ASSERT_EQ(got.size(), windows.size());
     for (std::size_t w = 0; w < windows.size(); ++w) {

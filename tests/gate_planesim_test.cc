@@ -139,7 +139,8 @@ laneValue(const PlaneSim &sim, NodeId node, std::size_t j)
  * compare every node of every lane after every settle.
  */
 void
-lanesMatchScalar(std::uint64_t seed, unsigned steps, bool shift_stages)
+lanesMatchScalar(std::uint64_t seed, unsigned steps, bool shift_stages,
+                 bool forced_lanes = true)
 {
     Netlist shape("shape");
     const RandomPorts ports = buildRandom(shape, seed, shift_stages);
@@ -173,6 +174,8 @@ lanesMatchScalar(std::uint64_t seed, unsigned steps, bool shift_stages)
         forced = ports.clocks;
     forced.push_back(ports.loose[rng.nextBelow(ports.loose.size())]);
     forced.push_back(ports.data[0]);
+    if (!forced_lanes)
+        forced.clear();
     std::vector<PlaneForce> forces;
     for (NodeId node : forced) {
         const LogicValue level = randomLevel(rng, 0.25);
@@ -226,8 +229,12 @@ TEST(PlaneSim, EveryLaneMatchesScalarSettleOnRandomNetlists)
 
 TEST(PlaneSim, EveryLaneMatchesScalarSettleOnAcyclicRandomNetlists)
 {
-    for (std::uint64_t seed = 1; seed <= 24; ++seed)
-        lanesMatchScalar(seed, 40, false);
+    // Every settle replays a tape, cached or compiled on the spot; the
+    // clock-only steps repeat their written sets, so most replays hit.
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        lanesMatchScalar(seed, 80, false);
+        lanesMatchScalar(seed, 80, false, false);
+    }
 }
 
 /** Word evaluations one setInput + settle costs. */
@@ -440,11 +447,14 @@ TEST(PlaneSim, ChipClockEdgesEvaluateTheCompiledCones)
     const NodeId phi2 = chip.clock().phi2();
     PlaneSim sim(chip.netlist());
     sim.load(snapshotOf(chip.netlist()));
-    for (int beat = 0; beat < 3; ++beat) {
+    // The first beat compiles one tape per rising clock; the other 99
+    // replay them, evaluating the same cones.
+    for (int beat = 0; beat < 100; ++beat) {
         EXPECT_EQ(evalsFor(sim, phi1, ~0ULL, 0), 116u) << "phi1 rises";
         EXPECT_EQ(evalsFor(sim, phi1, 0, ~0ULL), 0u) << "phi1 falls";
         EXPECT_EQ(evalsFor(sim, phi2, ~0ULL, 0), 124u) << "phi2 rises";
         EXPECT_EQ(evalsFor(sim, phi2, 0, ~0ULL), 0u) << "phi2 falls";
+        ASSERT_EQ(sim.tapeCount(), 2u) << "beat " << beat;
     }
 }
 
@@ -463,53 +473,50 @@ TEST(PlaneSim, ChipInputsBehindHeldTransistorsEvaluateNothing)
         sim.settle();
     }
     EXPECT_EQ(sim.wordEvals() - before, 0u) << "both clocks are low";
+    EXPECT_EQ(sim.tapeCount(), 0u) << "writes no device reads key no tape";
 }
 
-TEST(PlaneSim, ChipLanesWithPhi1StuckHighMatchScalarSettle)
+/**
+ * Run 64 lanes of the 8 x 2 chip and 64 scalar chips side by side for
+ * @p beats beats of random per-lane inputs, each lane with its share
+ * of @p forces, and compare every node of every lane after every
+ * settle: the inputs with both clocks low, then one phase's rise and
+ * fall. Returns the engine for the caller's effort checks.
+ */
+std::unique_ptr<PlaneSim>
+chipLanesMatchScalar(const core::GateChip &shape,
+                     const std::vector<PlaneForce> &forces, Beat beats,
+                     std::uint64_t seed)
 {
-    // Lanes 3, 40 and 63 have phi1 stuck H and lane 17 stuck X, so
-    // whenever phi2 rises both phases conduct there: the live set is
-    // cyclic and the engine relaxes it.
-    constexpr std::uint64_t stuckHigh =
-        (1ULL << 3) | (1ULL << 40) | (1ULL << 63);
-    constexpr std::uint64_t stuckX = 1ULL << 17;
-    core::GateChip shape(8, 2);
     const NodeId phi1 = shape.clock().phi1();
     const NodeId phi2 = shape.clock().phi2();
-    std::vector<std::uint8_t> both(shape.netlist().nodeCount(), 0);
-    both[phi1] = 1;
-    both[phi2] = 1;
-    ASSERT_TRUE(levelize(shape.netlist(), both).cyclic);
-
     std::vector<std::unique_ptr<core::GateChip>> scalar;
     for (std::size_t j = 0; j < laneCount; ++j) {
-        scalar.push_back(std::make_unique<core::GateChip>(8, 2));
-        if ((stuckHigh >> j) & 1)
-            scalar[j]->netlist().forceStuckAt(phi1, LogicValue::H, 0);
-        if ((stuckX >> j) & 1)
-            scalar[j]->netlist().forceStuckAt(phi1, LogicValue::X, 0);
+        scalar.push_back(std::make_unique<core::GateChip>(
+            shape.cellCount(), shape.bits()));
+        for (const PlaneForce &f : forces)
+            if ((f.lanes >> j) & 1)
+                scalar[j]->netlist().forceStuckAt(f.node, f.level, 0);
     }
-    PlaneSim sim(shape.netlist());
-    sim.load(snapshotOf(shape.netlist()),
-             {{phi1, stuckHigh, LogicValue::H},
-              {phi1, stuckX, LogicValue::X}});
+    auto sim = std::make_unique<PlaneSim>(shape.netlist());
+    sim->load(snapshotOf(shape.netlist()), forces);
 
     const std::vector<NodeId> inputs = dataInputs(shape);
-    Rng rng(0xC10C);
+    Rng rng(seed);
     Picoseconds now = 0;
     auto settleAndCompare = [&](Beat beat, const char *step) {
-        sim.settle();
+        sim->settle();
         for (std::size_t j = 0; j < laneCount; ++j) {
             Netlist &net = scalar[j]->netlist();
             net.settle(now);
             for (NodeId id = 0; id < net.nodeCount(); ++id)
-                ASSERT_EQ(laneValue(sim, id, j), net.value(id))
+                ASSERT_EQ(laneValue(*sim, id, j), net.value(id))
                     << "beat " << beat << " " << step << " lane " << j
                     << " node '" << net.nodeName(id) << "'";
         }
     };
     auto drive = [&](NodeId node, std::uint64_t one, std::uint64_t zero) {
-        sim.setInput(node, one, zero);
+        sim->setInput(node, one, zero);
         for (std::size_t j = 0; j < laneCount; ++j)
             scalar[j]->netlist().setInput(
                 node,
@@ -518,7 +525,7 @@ TEST(PlaneSim, ChipLanesWithPhi1StuckHighMatchScalarSettle)
                                   : LogicValue::X,
                 now);
     };
-    for (Beat beat = 0; beat < 24; ++beat) {
+    for (Beat beat = 0; beat < beats; ++beat) {
         now += 1000;
         // New inputs while both clocks are low, then one phase pulses.
         for (const NodeId in : inputs) {
@@ -532,6 +539,129 @@ TEST(PlaneSim, ChipLanesWithPhi1StuckHighMatchScalarSettle)
         drive(phase, 0, ~0ULL);
         settleAndCompare(beat, "fall");
     }
+    return sim;
+}
+
+TEST(PlaneSim, ChipLanesWithPhi1StuckHighMatchScalarSettle)
+{
+    // Lanes 3, 40 and 63 have phi1 stuck H and lane 17 stuck X, so
+    // whenever phi2 rises both phases conduct there: the live set is
+    // cyclic and the engine relaxes it.
+    constexpr std::uint64_t stuckHigh =
+        (1ULL << 3) | (1ULL << 40) | (1ULL << 63);
+    constexpr std::uint64_t stuckX = 1ULL << 17;
+    const core::GateChip shape(8, 2);
+    const NodeId phi1 = shape.clock().phi1();
+    std::vector<std::uint8_t> both(shape.netlist().nodeCount(), 0);
+    both[phi1] = 1;
+    both[shape.clock().phi2()] = 1;
+    ASSERT_TRUE(levelize(shape.netlist(), both).cyclic);
+    chipLanesMatchScalar(shape,
+                         {{phi1, stuckHigh, LogicValue::H},
+                          {phi1, stuckX, LogicValue::X}},
+                         24, 0xC10C);
+}
+
+TEST(PlaneSim, ChipTapeReplaysMatchScalarSettle)
+{
+    // Clean clocks: every settle is a tape. The rises replay the two
+    // tapes their first beats compiled, and the inputs, behind held
+    // transistors, are dropped without one. Lanes then pin internal
+    // nodes H, L and X, which the forced store must keep.
+    const core::GateChip shape(8, 2);
+    EXPECT_LE(chipLanesMatchScalar(shape, {}, 24, 0x7A9E)->tapeCount(), 2u);
+    const std::vector<PlaneForce> forces = {
+        {40, 0x00000000FFFF0000ULL, LogicValue::H},
+        {97, 0x0F0F0F0F00000000ULL, LogicValue::L},
+        {151, 0x8000000000000001ULL, LogicValue::X},
+        {shape.stringPin(0).node, 0x00F0000000000000ULL, LogicValue::H}};
+    // The forced nodes' first settle compiles a third tape.
+    EXPECT_LE(chipLanesMatchScalar(shape, forces, 24, 0x7A9F)->tapeCount(),
+              3u);
+}
+
+/**
+ * One clock's cone mixing kinds across levels: d passes to m, an
+ * inverter makes n, n passes to p, an inverter makes r, NAND(r, m)
+ * makes s, and s passes to q -- three pass transistors on clk at
+ * three levels, inverters between them. A run per kind without the
+ * level rule would evaluate an inverter or a later transistor before
+ * the transistor feeding it.
+ */
+TEST(PlaneSim, TapeKeepsEachWriteBeforeItsReads)
+{
+    Netlist net("levels");
+    const NodeId d = net.addNode("d");
+    const NodeId clk = net.addNode("clk");
+    net.markInput(d);
+    net.markInput(clk);
+    std::vector<NodeId> n;
+    for (const char *name : {"m", "n", "p", "r", "s", "q"})
+        n.push_back(net.addNode(name));
+    net.addPassGate(d, clk, n[0]);
+    net.addInverter(n[0], n[1]);
+    net.addPassGate(n[1], clk, n[2]);
+    net.addInverter(n[2], n[3]);
+    net.addGate(DeviceKind::Nand2, n[3], n[0], n[4]);
+    net.addPassGate(n[4], clk, n[5]);
+
+    std::vector<std::unique_ptr<Netlist>> scalar;
+    for (std::size_t j = 0; j < laneCount; ++j) {
+        scalar.push_back(std::make_unique<Netlist>(net));
+        scalar[j]->setInput(d, LogicValue::L, 0);
+        scalar[j]->setInput(clk, LogicValue::L, 0);
+        scalar[j]->settle(0);
+    }
+    PlaneSim sim(net);
+    sim.load(snapshotOf(*scalar[0]));
+    Rng rng(0x1E7E);
+    for (int step = 0; step < 40; ++step) {
+        // Data while the clock is low, then the clock pulses: high in
+        // some lanes, X in a few, low (holding q) in the rest.
+        const NodeId in = step % 2 == 0 ? d : clk;
+        const auto [one, zero] = in == clk && step % 4 == 1
+            ? std::pair<std::uint64_t, std::uint64_t>{~0ULL, 0}
+            : randomLanes(rng, 0.1);
+        sim.setInput(in, one, zero);
+        sim.settle();
+        for (std::size_t j = 0; j < laneCount; ++j) {
+            scalar[j]->setInput(in,
+                                (one >> j) & 1    ? LogicValue::H
+                                : (zero >> j) & 1 ? LogicValue::L
+                                                  : LogicValue::X,
+                                step);
+            scalar[j]->settle(step);
+            for (NodeId id = 0; id < net.nodeCount(); ++id)
+                ASSERT_EQ(laneValue(sim, id, j), scalar[j]->value(id))
+                    << "step " << step << " lane " << j << " node '"
+                    << net.nodeName(id) << "'";
+        }
+    }
+}
+
+TEST(PlaneSim, TapeCacheStaysBoundedAcrossForceSets)
+{
+    // Each load records its forced nodes as writes, so each new force
+    // set keys a new tape on its first settle; 1,000 of them must not
+    // grow the cache past its bound.
+    const core::GateChip chip(8, 2);
+    const std::vector<LogicValue> snapshot = snapshotOf(chip.netlist());
+    const NodeId nodes = static_cast<NodeId>(chip.netlist().nodeCount());
+    PlaneSim sim(chip.netlist());
+    std::size_t most = 0;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        sim.load(snapshot,
+                 {{static_cast<NodeId>(i % nodes), 1ULL << (i % 64),
+                   LogicValue::H},
+                  {static_cast<NodeId>((7 * i + 3) % nodes), 2ULL << (i % 63),
+                   LogicValue::L}});
+        sim.settle();
+        sim.setInput(chip.clock().phi1(), ~0ULL, 0);
+        sim.settle();
+        ASSERT_LE(sim.tapeCount(), PlaneSim::tapeBound) << "load " << i;
+        most = std::max(most, sim.tapeCount());
+    }
+    EXPECT_EQ(most, PlaneSim::tapeBound) << "the bound was never reached";
 }
 
 /** Every standard cell, each built alone between marked port nodes. */

@@ -474,6 +474,52 @@ TEST(LaneGateRung, PlainRequestsServeIdentically)
     EXPECT_EQ(pair.laneWindows(), 32u) << "every window rode a lane";
 }
 
+TEST(LaneGateRung, QueueIsKnownBySpanNotByContent)
+{
+    // The rung keeps no copy of the text: it recognises a queued
+    // window by its data and length. Two sessions stepping alternately
+    // share one rung, so each prefetch replaces the other's queue; a
+    // request rewritten in place between serves reuses its buffer.
+    const ServiceConfig cfg;
+    std::vector<const GateBackend *> lanes;
+    MatchService svc(cfg, gateLadder(cfg, false, {}, lanes));
+    svc.flightRecorder().setDumpSink([](const std::string &) {});
+    ASSERT_EQ(lanes.size(), 1u);
+    core::ReferenceMatcher ref;
+
+    const MatchRequest first = chipRequest(20, 0xA17E);
+    const MatchRequest second = chipRequest(21, 0xB17E);
+    StreamSession a = svc.startSession(first);
+    StreamSession b = svc.startSession(second);
+    for (bool more = true; more;) {
+        const bool a_more = a.step();
+        const bool b_more = b.step();
+        more = a_more || b_more;
+    }
+    const MatchResponse got_a = a.finish();
+    const MatchResponse got_b = b.finish();
+    ASSERT_TRUE(got_a.ok()) << got_a.error.toString();
+    ASSERT_TRUE(got_b.ok()) << got_b.error.toString();
+    EXPECT_EQ(got_a.result, ref.match(first.text, first.pattern));
+    EXPECT_EQ(got_b.result, ref.match(second.text, second.pattern));
+    // a prefetched its 16 windows once, at its first step, and b's
+    // first prefetch replaced them: a's first window rode a lane, its
+    // other 15 ran alone, and all 16 of b's rode lanes.
+    EXPECT_EQ(got_a.chunks, 16u);
+    EXPECT_EQ(lanes[0]->laneWindows(), 17u);
+
+    MatchRequest reused = chipRequest(22, 0xC17E);
+    const Symbol *buffer = reused.text.data();
+    EXPECT_EQ(svc.serve(reused).result,
+              ref.match(reused.text, reused.pattern));
+    std::reverse(reused.text.begin(), reused.text.end());
+    ASSERT_EQ(reused.text.data(), buffer);
+    const MatchResponse rewritten = svc.serve(reused);
+    ASSERT_TRUE(rewritten.ok()) << rewritten.error.toString();
+    EXPECT_EQ(rewritten.result, ref.match(reused.text, reused.pattern));
+    EXPECT_EQ(lanes[0]->laneWindows(), 17u + 2 * 16u);
+}
+
 TEST(LaneGateRung, ResumedRequestServesIdentically)
 {
     const ServiceConfig cfg;
